@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 estimation or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -287,6 +288,8 @@ def cmd_estimate(args) -> int:
     except (SingularDeconvolutionError, LogSingularRootError, InsufficientDataError) as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except ValueError as exc:  # bad input, such as non-finite samples
+        return _fail_usage(str(exc))
     _write_json(est.to_json_dict(), args.out)
     return EXIT_OK
 
@@ -565,10 +568,17 @@ def _config_path(argv) -> str | None:
     return None
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built once per process; never mutated, so no call's config leaks into the next
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = _fuse_negative_values(list(sys.argv[1:] if argv is None else argv))
-    parser = build_parser()
     config = _config_path(argv)
+    # --config sets defaults on the parser, so it gets a parser of its own
+    parser = build_parser() if config else _shared_parser()
     if config:
         try:
             defaults = json.loads(Path(config).read_text())

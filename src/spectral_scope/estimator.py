@@ -203,7 +203,10 @@ def _sequence_values(y) -> np.ndarray:
     vals = np.atleast_1d(vals)
     if vals.ndim != 1 or vals.size < 1:
         raise ValueError("a non-empty 1-d sequence of outputs is required")
-    return vals.astype(float, copy=False)
+    vals = vals.astype(float, copy=False)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"output y[{int(np.argmin(np.isfinite(vals)))}] is not finite")
+    return vals
 
 
 def geometric_prescale(values) -> tuple[float, np.ndarray]:
@@ -269,9 +272,12 @@ def detect_rank_online(stream, n_hint: int | None = None, rank_tolerance: float 
     def pull(count: int) -> bool:
         while len(buf) < count:
             try:
-                buf.append(float(next(it)))
+                v = float(next(it))
             except StopIteration:
                 return False
+            if not math.isfinite(v):
+                raise ValueError(f"output y[{len(buf)}] is not finite")
+            buf.append(v)
         return True
 
     prev: int | None = None
@@ -532,6 +538,17 @@ def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = 
     return out
 
 
+def _node_weights(nu, K: int) -> np.ndarray:
+    """The first K node weights, which must exist and be finite."""
+    nu = np.asarray(nu, dtype=float)
+    if len(nu) < K:
+        raise ValueError(f"need {K} node weights, got {len(nu)}")
+    nu = nu[:K]
+    if not np.all(np.isfinite(nu)):
+        raise ValueError(f"node weight nu[{int(np.argmin(np.isfinite(nu)))}] is not finite")
+    return nu
+
+
 def deconvolve_sigma(y, nu) -> SigmaSequence:
     """Strip discrete-time node dynamics from the outputs.
 
@@ -547,20 +564,16 @@ def deconvolve_sigma(y, nu) -> SigmaSequence:
     for bit.
     """
     values = _sequence_values(y)
-    nu = np.asarray(nu, dtype=float)
     K = len(values)
-    if len(nu) < K:
-        raise ValueError(f"need {K} node weights, got {len(nu)}")
-    scale = float(np.max(np.abs(nu[:K])))
+    nu = _node_weights(nu, K)
+    scale = float(np.max(np.abs(nu)))
     if abs(nu[0]) <= NU_ZERO_RTOL * scale:
         raise SingularDeconvolutionError(
             f"nu_0 = gamma^T beta = {nu[0]:.3e} is numerically zero; "
             "the node dynamics cannot be deconvolved"
         )
-    if not np.all(np.isfinite(values)):
-        raise ValueError("outputs contain non-finite values; cannot deconvolve")
     Y, a = _dyadic(values.tolist())
-    V, b = _dyadic(nu[:K].tolist())
+    V, b = _dyadic(nu.tolist())
     pow0 = [V[0] ** k for k in range(K + 1)]
     W = [0] + [V[m] * pow0[m - 1] for m in range(1, K)]
     Z: list[int] = []
@@ -580,17 +593,14 @@ def deconvolve_sigma_ct(y, nu) -> SigmaSequence:
     division; every ``nu_k`` must be nonzero.
     """
     values = _sequence_values(y)
-    nu = np.asarray(nu, dtype=float)
-    K = len(values)
-    if len(nu) < K:
-        raise ValueError(f"need {K} node weights, got {len(nu)}")
-    scale = float(np.max(np.abs(nu[:K])))
-    bad = np.abs(nu[:K]) <= NU_ZERO_RTOL * max(scale, np.finfo(float).tiny)
+    nu = _node_weights(nu, len(values))
+    scale = float(np.max(np.abs(nu)))
+    bad = np.abs(nu) <= NU_ZERO_RTOL * max(scale, np.finfo(float).tiny)
     if scale == 0.0 or np.any(bad):
         raise SingularDeconvolutionError(
             f"node factor vanishes at sample {int(np.argmax(bad))}; cannot deconvolve"
         )
-    return SigmaSequence(values / nu[:K])
+    return SigmaSequence(values / nu)
 
 
 def estimate_networked_dt_spectrum(

@@ -28,6 +28,7 @@ threshold would misread the dynamic range as rank deficiency.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -52,7 +53,6 @@ __all__ = [
     "ScenarioArtifacts",
     "ScenarioResult",
     "SweepSummary",
-    "scenario_options",
     "run_scenario",
     "run_fig1",
     "run_fig2",
@@ -80,9 +80,10 @@ FIG3_OBSERVED = (0, 9)
 _OPTIONS = EstimatorOptions(prescale=True, rank_tolerance=1e-14)
 
 
-def scenario_options() -> EstimatorOptions:
-    """Estimator settings shared by the three presets."""
-    return EstimatorOptions(prescale=_OPTIONS.prescale, rank_tolerance=_OPTIONS.rank_tolerance, cluster_tol=_OPTIONS.cluster_tol)
+@functools.cache
+def _pa_shape(seed: int) -> Graph:
+    # a pinned shape is a frozen Graph, so every seed can share one copy
+    return generate_preferential_attachment(10, 2, seed=seed)
 
 
 @dataclass(eq=False)
@@ -135,7 +136,7 @@ def _score(name, seed, est, truth, tol, artifacts) -> ScenarioResult:
 def run_fig1(seed: int = 0, keep_artifacts: bool = False) -> ScenarioResult:
     """Preferential attachment, discrete time, single observed integrator."""
     s_w, s_setup = _children(seed, 2)
-    g = generate_preferential_attachment(10, 2, seed=FIG1_SHAPE_SEED)
+    g = _pa_shape(FIG1_SHAPE_SEED)
     g = assign_uniform_weights(g, -1.0, 1.0, seed=s_w)
     gm = build_matrix(g, GraphMatrixKind.ADJACENCY)
     setup = random_setup(g.n, seed=s_setup, observed=FIG1_OBSERVED)
@@ -186,7 +187,7 @@ def run_fig2(seed: int = 0, sign: float = 1.0, keep_artifacts: bool = False) -> 
 def run_fig3(seed: int = 0, keep_artifacts: bool = False) -> ScenarioResult:
     """fig1's graph with 3-dimensional symmetric agents, discrete time."""
     (s_setup,) = _children(seed, 1)
-    g = generate_preferential_attachment(10, 2, seed=FIG3_SHAPE_SEED)
+    g = _pa_shape(FIG3_SHAPE_SEED)
     g = assign_uniform_weights(g, -1.0, 1.0, seed=FIG3_WEIGHT_SEED)
     gm = build_matrix(g, GraphMatrixKind.ADJACENCY)
     node = NodeDynamics.random_symmetric(3, seed=FIG3_NODE_SEED)

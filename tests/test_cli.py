@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from spectral_scope import read_matrix_csv, read_sequence
-from spectral_scope.cli import SEED_ENV, main
+from spectral_scope import cli, read_matrix_csv, read_sequence
+from spectral_scope.cli import SEED_ENV, build_parser, main
 from spectral_scope.estimator import estimate_dt_spectrum
 
 SWAP_CSV = "0,1\n1,0\n"
@@ -174,6 +174,18 @@ def test_estimate_surfaces_the_aliasing_warning(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert any("aliasing" in w for w in payload["warnings"])
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_estimate_of_a_non_finite_sample_is_a_usage_error(tmp_path, capsys, bad):
+    _, y_csv = simulate_swap(tmp_path, capsys)
+    lines = y_csv.read_text().splitlines()
+    k, _ = lines[2].split(",")
+    lines[2] = f"{k},{bad}"
+    y_csv.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "estimate", "--y", y_csv)
+    assert code == 2 and out == ""
+    assert err == "error: output y[1] is not finite\n"
 
 
 def test_estimate_fails_cleanly_on_an_orthogonal_node(tmp_path, capsys):
@@ -345,6 +357,38 @@ def test_unknown_config_keys_are_a_usage_error(tmp_path, capsys):
     config.write_text(json.dumps({"model": "ring", "n": 6, "nseed": 2}))
     code, _, err = run(capsys, "--config", config, "generate")
     assert code == 2 and "nseed" in err
+
+
+def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": "ring", "n": 6}))
+    code, _, _ = run(
+        capsys, "--config", config, "generate",
+        "--graph-out", tmp_path / "g.tsv", "--matrix-out", tmp_path / "m.csv",
+    )
+    assert code == 0
+    code, _, err = run(capsys, "generate")
+    assert code == 2 and "generate requires --model" in err
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._shared_parser.cache_clear()
+    for seed in (1, 2, 3):
+        code, _, _ = run(
+            capsys, "generate", "--model", "ring", "--n", 4, "--seed", seed,
+            "--graph-out", tmp_path / "g.tsv", "--matrix-out", tmp_path / "m.csv",
+        )
+        assert code == 0
+    code, _, _ = run(capsys, "generate", "--model", "ring")
+    assert code == 2
+    assert len(built) == 1
 
 
 def test_seed_env_variable_beats_the_flag(tmp_path, capsys, monkeypatch):

@@ -144,6 +144,22 @@ def test_online_rank_flags_a_dried_up_stream():
     assert det.consumed == 4
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_outputs_are_rejected_with_a_typed_error(bad):
+    values = [1.0, 0.5, bad, 0.125]
+    node = NodeDynamics(A=np.zeros((1, 1)), beta=[1.0], gamma=[1.0])
+    calls = [
+        lambda: estimate_dt_spectrum(values),
+        lambda: estimate_networked_dt_spectrum(values, node),
+        lambda: estimate_ct_spectrum(OutputSequence(values, mode=CT, tau=1.0)),
+        lambda: detect_rank_online(iter(values)),
+    ]
+    for call in calls:
+        # numpy's LinAlgError is a ValueError too, so the message is what tells them apart
+        with pytest.raises(ValueError, match=r"^output y\[2\] is not finite$"):
+            call()
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_online_prefix_reproduces_the_batch_spectrum(seed):
     rng = np.random.default_rng(900 + seed)
@@ -417,6 +433,12 @@ def test_orthogonal_node_directions_cannot_be_deconvolved():
         deconvolve_sigma([1.0, 2.0, 3.0], [0.0, 1.0, 1.0])
     node = NodeDynamics(A=np.zeros((2, 2)), beta=[1.0, 0.0], gamma=[0.0, 1.0])
     assert nu_sequence(node, K=3)[0] == 0.0
+
+
+def test_non_finite_node_weights_are_named():
+    for deconvolve in (deconvolve_sigma, deconvolve_sigma_ct):
+        with pytest.raises(ValueError, match=r"^node weight nu\[1\] is not finite$"):
+            deconvolve([1.0, 2.0, 3.0], [1.0, float("nan"), 0.5])
 
 
 def test_ct_deconvolution_divides_pointwise():
