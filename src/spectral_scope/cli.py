@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 estimation or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import os
@@ -208,7 +209,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args.seed)
     try:
         M = read_matrix_csv(args.matrix)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         return _fail_usage(str(exc))
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
@@ -221,8 +222,8 @@ def cmd_simulate(args) -> int:
     node = _load_node(args)
     if networked and node is None:
         return _fail_usage(f"mode {args.mode} requires --node FILE or --node-d D [--node-seed S]")
-    setup = _build_setup(args, n, seed)
     try:
+        setup = _build_setup(args, n, seed)
         if args.mode == "dt":
             seq = simulate_dt(M, setup, K=K)
         elif args.mode == "ct":
@@ -301,10 +302,14 @@ def cmd_estimate(args) -> int:
 
 def _roots_from_json(path) -> list[tuple[complex, int]]:
     data = json.loads(Path(path).read_text())
-    return [
+    roots = [
         (complex(r["re"], r["im"]), int(r.get("multiplicity", 1)))
         for r in data["roots"]
     ]
+    for k, (v, _) in enumerate(roots):
+        if not cmath.isfinite(v):
+            raise ValueError(f"root {k} in {path} is not finite: {v}")
+    return roots
 
 
 def cmd_verify(args) -> int:

@@ -12,17 +12,21 @@ import numpy as np
 __all__ = ["cluster_indices", "cluster_complex", "enforce_conjugate_pairs"]
 
 
-def _within(a: complex, b: complex, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
 def cluster_indices(values, tol: float) -> list[np.ndarray]:
     """Group indices of ``values`` whose entries sit within ``tol`` of each other.
 
+    Entries i and j are near when ``|v_i - v_j| <= tol * max(1, |v_i|, |v_j|)``
+    (a NaN modulus drops out of the max, a NaN distance is never near).
     Merging is transitive (union-find), so chains of nearby points collapse
     into a single group. Groups come back ordered by first member index.
     """
     vals = np.asarray(values, dtype=complex)
+    # np.hypot is libm's hypot, as Python's abs(complex) is; np.abs of a
+    # complex array can differ from it in the last bit
+    mod = np.hypot(vals.real, vals.imag)
+    with np.errstate(invalid="ignore"):
+        diff = vals[:, None] - vals[None, :]
+        near = np.hypot(diff.real, diff.imag) <= tol * np.fmax(1.0, np.fmax.outer(mod, mod))
     parent = list(range(len(vals)))
 
     def find(i: int) -> int:
@@ -31,12 +35,10 @@ def cluster_indices(values, tol: float) -> list[np.ndarray]:
             i = parent[i]
         return i
 
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if _within(complex(vals[i]), complex(vals[j]), tol):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):
+        ri, rj = find(int(i)), find(int(j))
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
 
     groups: dict[int, list[int]] = {}
     for i in range(len(vals)):

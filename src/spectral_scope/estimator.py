@@ -333,22 +333,31 @@ def _residual_rows(raw: np.ndarray, rho: float, r: int) -> list[tuple[int, list[
     ]
 
 
-def _exact_residual(rows: list[tuple[int, list[int], int, int]], x: np.ndarray) -> np.ndarray:
+def _hi_lo(x: np.ndarray) -> tuple[float, ...]:
+    """The doubles ``hi = fl(x)`` and then ``lo = fl(x - hi)`` of each long-double entry."""
+    hi = x.astype(float)
+    return tuple(hi.tolist() + (x - hi.astype(x.dtype)).astype(float).tolist())
+
+
+def _exact_residual(
+    rows: list[tuple[int, list[int], int, int]],
+    x: np.ndarray,
+    split: tuple[float, ...] | None = None,
+) -> np.ndarray:
     """Residual of the scaled Hankel system, exact up to one final rounding.
 
     ``rows`` comes from _residual_rows. Each extended-precision ``x_j`` is
-    split into its hi/lo doubles, whose sum holds up to 106 mantissa bits
-    (enough for long double); on a common power-of-two denominator they are
-    integers, so each row's numerator is an exact integer and the only
-    rounding is the correctly rounded integer division at the end. That is
-    what lets the refinement sweeps in solve_coefficients contract well past
-    the naive eps*cond(H) floor, where the rounding of the scaled matrix
-    entries would otherwise dominate.
+    split into its hi/lo doubles (``split``, from _hi_lo when not given),
+    whose sum holds up to 106 mantissa bits (enough for long double); on a
+    common power-of-two denominator they are integers, so each row's
+    numerator is an exact integer and the only rounding is the correctly
+    rounded integer division at the end. That is what lets the refinement
+    sweeps in solve_coefficients contract well past the naive eps*cond(H)
+    floor, where the rounding of the scaled matrix entries would otherwise
+    dominate.
     """
     r = len(x)
-    hi = x.astype(float)
-    lo = (x - hi.astype(x.dtype)).astype(float)
-    parts, g = _dyadic(hi.tolist() + lo.tolist())
+    parts, g = _dyadic(_hi_lo(x) if split is None else split)
     X = [a + b for a, b in zip(parts[:r], parts[r:])]
     out = np.empty(len(rows))
     for i, (head, coeffs, e, den) in enumerate(rows):
@@ -368,7 +377,12 @@ def solve_coefficients(h: HankelAnalysis, y_scaled=None) -> CharacteristicPoly:
     against exactly computed residuals; each sweep contracts the forward
     error by roughly eps * cond(H_r), so the coefficients come out close to
     the exact-arithmetic solution of the stored system even when the Hankel
-    condition number is large. Reports the relative residual
+    condition number is large. The iterate with the smallest residual norm
+    is kept (the first one on ties). Refinement stops at a zero residual, at
+    a non-finite iterate, after ``_REFINE_SWEEPS`` sweeps, or as soon as an
+    iterate repeats an earlier one: a sweep depends on the iterate alone, so
+    from there on the iterates cycle and none can beat the kept one. Iterates
+    are compared by their exact hi/lo double split. Reports the relative residual
     ``||H_r alpha + y_rhs|| / ||y_rhs||`` plus a condition estimate. Rank 0
     yields the empty polynomial.
     """
@@ -400,8 +414,15 @@ def solve_coefficients(h: HankelAnalysis, y_scaled=None) -> CharacteristicPoly:
         rows = _residual_rows(raw, h.scale_rho, r)
         best, best_norm = np.asarray(alpha, dtype=np.longdouble), float("inf")
         x = best
+        seen: set[tuple[float, ...]] = set()
         for sweep in range(_REFINE_SWEEPS + 1):
-            res = _exact_residual(rows, x)
+            split = _hi_lo(x)
+            # a split that lost bits of x could match a different iterate
+            if np.array_equal(np.add(split[:r], split[r:], dtype=np.longdouble), x):
+                if split in seen:
+                    break
+                seen.add(split)
+            res = _exact_residual(rows, x, split)
             rnorm = float(np.linalg.norm(res))
             if rnorm < best_norm:
                 best, best_norm = x, rnorm
@@ -428,12 +449,17 @@ def _polish_roots(monic: np.ndarray, raw: np.ndarray) -> np.ndarray:
     can be tightened further by Newton iteration with the polynomial and its
     derivative evaluated via Horner in long double. Steps that fail to shrink
     |p(z)| are rejected, which keeps clustered (near-multiple) roots where the
-    eigensolver put them.
+    eigensolver put them. An accepted candidate's ``p(z)`` is carried into the
+    next step, so a root costs one Horner call for ``p(z0)`` plus two per
+    step (``p'(z)`` and ``p(z - p(z)/p'(z))``), at most three steps.
     """
     coeff = monic.astype(np.clongdouble)
     deriv = coeff[:-1] * np.arange(len(coeff) - 1, 0, -1, dtype=np.clongdouble)
+    # lists of the same long-double scalars: iterating the arrays would box a
+    # new scalar per coefficient on every call
+    coeff, deriv = list(coeff), list(deriv)
 
-    def horner(c: np.ndarray, z: np.clongdouble) -> np.clongdouble:
+    def horner(c: list[np.clongdouble], z: np.clongdouble) -> np.clongdouble:
         acc = c[0]
         for ck in c[1:]:
             acc = acc * z + ck
@@ -442,17 +468,18 @@ def _polish_roots(monic: np.ndarray, raw: np.ndarray) -> np.ndarray:
     out = np.empty(len(raw), dtype=complex)
     for i, z0 in enumerate(raw):
         z = np.clongdouble(z0)
-        pz = abs(horner(coeff, z))
+        pval = horner(coeff, z)
+        pz = abs(pval)
         for _ in range(3):
             dz = horner(deriv, z)
             if dz == 0 or pz == 0:
                 break
-            step = horner(coeff, z) / dz
-            cand = z - step
-            pc = abs(horner(coeff, cand))
+            cand = z - pval / dz
+            cval = horner(coeff, cand)
+            pc = abs(cval)
             if not np.isfinite(float(pc)) or pc >= pz:
                 break
-            z, pz = cand, pc
+            z, pval, pz = cand, cval, pc
         out[i] = complex(z)
     return out
 

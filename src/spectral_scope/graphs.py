@@ -258,4 +258,10 @@ def write_matrix_csv(matrix, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """Dense CSV matrix; a NaN or infinite entry is a ``ValueError`` naming it."""
+    M = np.loadtxt(path, delimiter=",", ndmin=2)
+    bad = np.argwhere(~np.isfinite(M))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValueError(f"matrix entry ({i}, {j}) in {path} is not finite: {M[i, j]}")
+    return M

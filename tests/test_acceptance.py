@@ -8,6 +8,7 @@ asserting, so a red run still reports the measured numbers.
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +28,9 @@ from spectral_scope import (
     sweep,
     summarize,
 )
+from spectral_scope.cli import SEED_ENV, main
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "bench_all_300.json"
 
 
 def announce(capsys, text: str) -> None:
@@ -260,3 +264,26 @@ def test_criterion_8_kernels_match_reference_constructions(capsys):
     )
     assert worst <= 1e-10
     assert companion_ok
+
+
+# =========================================================================
+# No drift: the preset results stay the same bit for bit
+# =========================================================================
+
+
+def test_preset_sweeps_match_the_benchmark_reference_byte_for_byte(tmp_path, capsys, monkeypatch):
+    # the reference is a verbatim `bench all --seeds 300 --json`; this test only reads it
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    out = tmp_path / "bench.json"
+    start = time.perf_counter()
+    code = main(["bench", "all", "--seeds", "300", "--json", "--out", str(out)])
+    elapsed = time.perf_counter() - start
+    same = out.read_bytes() == BENCH_REFERENCE.read_bytes()
+    announce(
+        capsys,
+        f"[no drift] bench all --seeds 300 --json "
+        f"{'is byte-identical to' if same else 'differs from'} "
+        f"perfbench/reference/bench_all_300.json ({elapsed:.2f}s) -> {'PASS' if same else 'FAIL'}",
+    )
+    assert code == 0
+    assert same

@@ -121,6 +121,16 @@ def test_simulate_reports_overflow_and_keeps_the_partial_trace(tmp_path, capsys)
     assert np.all(np.isfinite(partial.values))
 
 
+def test_simulate_of_an_observed_node_out_of_range_is_a_usage_error(tmp_path, capsys):
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    out_csv = tmp_path / "y.csv"
+    code, out, err = run(capsys, "simulate", "--matrix", matrix, "--observe", 5, "--out", out_csv)
+    assert code == 2 and out == ""
+    assert err == "error: observed nodes [5] out of range for n=2\n"
+    assert not out_csv.exists()
+
+
 # =========================================================================
 # estimate
 # =========================================================================
@@ -287,6 +297,40 @@ def test_verify_calls_out_a_dropped_mode(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False and report["unexplained_true"]
+
+
+def test_verify_of_a_nan_root_is_a_usage_error(tmp_path, capsys):
+    matrix, spectrum, setup = full_chain(tmp_path, capsys)
+    payload = json.loads(spectrum.read_text())
+    payload["roots"][0]["re"] = float("nan")
+    spectrum.write_text(json.dumps(payload))
+    report = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--matrix", matrix, "--estimate", spectrum,
+        "--setup", setup, "--out", report,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "root 0" in err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_non_finite_matrix_entry_is_a_usage_error(tmp_path, capsys, command):
+    matrix, y_csv = simulate_swap(tmp_path, capsys)
+    spectrum = tmp_path / "spectrum.json"
+    assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
+    matrix.write_text("0,1\n1,nan\n")
+    before = sorted(tmp_path.iterdir())
+    out_file = tmp_path / "out.csv"
+    inputs = {
+        "simulate": (),
+        "verify": ("--estimate", spectrum, "--setup", tmp_path / "y.setup.json"),
+    }[command]
+    code, out, err = run(capsys, command, "--matrix", matrix, *inputs, "--out", out_file)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"matrix entry (1, 1) in {matrix} is not finite: nan" in err
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # =========================================================================

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import hidden_mode_system
@@ -35,12 +35,22 @@ from spectral_scope import (
     nu_sequence,
     observable_partition,
     roots_with_multiplicity,
+    run_scenario,
     simulate_ct_sampled,
     simulate_dt,
     simulate_dt_networked,
     solve_coefficients,
 )
-from spectral_scope.estimator import _exact_residual, _residual_rows, geometric_prescale
+from spectral_scope import estimator
+from spectral_scope.clustering import cluster_indices
+from spectral_scope.estimator import (
+    _REFINE_SWEEPS,
+    _exact_residual,
+    _polish_roots,
+    _residual_rows,
+    geometric_prescale,
+)
+from spectral_scope.scenarios import SCENARIOS
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -240,6 +250,105 @@ def test_refinement_residual_matches_rational_arithmetic_bit_for_bit(case):
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
+def solve_with_every_sweep(h):
+    """solve_coefficients as it was before the repeat stop: all sweeps always run."""
+    r = h.rank
+    y = h.y_scaled
+    Hr = h.matrix[:r, :r]
+    rhs = -y[r : 2 * r]
+    U, s, Vt = np.linalg.svd(Hr)
+    keep = s > h.rank_tolerance * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+
+    def apply_pinv(v):
+        return Vt.T @ (inv * (U.T @ v))
+
+    alpha = apply_pinv(rhs)
+    alpha_hi = None
+    if np.any(keep) and np.all(np.isfinite(alpha)):
+        rows = _residual_rows(h.y_raw, h.scale_rho, r)
+        best, best_norm = np.asarray(alpha, dtype=np.longdouble), float("inf")
+        x = best
+        for sweep in range(_REFINE_SWEEPS + 1):
+            res = _exact_residual(rows, x)
+            rnorm = float(np.linalg.norm(res))
+            if rnorm < best_norm:
+                best, best_norm = x, rnorm
+            if rnorm == 0.0 or sweep == _REFINE_SWEEPS:
+                break
+            x = x - apply_pinv(res).astype(np.longdouble)
+            if not np.all(np.isfinite(x.astype(float))):
+                break
+        alpha_hi = best
+        alpha = best.astype(float)
+    defect = float(np.linalg.norm(Hr @ alpha - rhs))
+    rhs_norm = float(np.linalg.norm(rhs))
+    residual = defect / rhs_norm if rhs_norm > 0 else defect
+    smallest_kept = s[keep][-1] if np.any(keep) else 0.0
+    condition = float(s[0] / smallest_kept) if smallest_kept > 0 else float("inf")
+    return alpha, alpha_hi, residual, condition
+
+
+def same_long_doubles(a, b) -> bool:
+    # value and sign of every entry; never the padding bytes of an x87 long double
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def assert_same_solve(poly, want):
+    alpha, alpha_hi, residual, condition = want
+    assert poly.coefficients.tobytes() == alpha.tobytes()
+    assert same_long_doubles(poly.coefficients_hi, alpha_hi)
+    assert poly.residual.hex() == residual.hex()
+    assert poly.condition.hex() == condition.hex()
+
+
+@st.composite
+def refinement_systems(draw):
+    if draw(st.booleans()):
+        # the preset outputs: ill-conditioned enough that refinement runs 2-7 sweeps
+        name = draw(st.sampled_from(SCENARIOS))
+        seq = run_scenario(name, draw(st.integers(0, 999)), keep_artifacts=True).artifacts.sequence
+        assume(seq is not None)
+        return seq.values * draw(st.sampled_from([1e-6, 1.0, 1e8])), draw(st.booleans())
+    n = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    growth = draw(st.sampled_from([0.3, 1.0, 2.5, 40.0]))
+    A = rng.standard_normal((n, n)) * growth / math.sqrt(n)
+    c, v = rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    y = []
+    for _ in range(2 * n):
+        y.append(float(c @ v))
+        v = A @ v
+    return np.array(y) * draw(st.sampled_from([1e-6, 1.0, 1e8])), draw(st.booleans())
+
+
+@given(refinement_systems())
+@settings(max_examples=150, deadline=None)
+def test_refinement_gives_the_bits_of_running_every_sweep(case):
+    y, prescale = case
+    h = build_hankel(y, prescale=prescale)
+    assume(h.rank > 0)
+    assert_same_solve(solve_coefficients(h), solve_with_every_sweep(h))
+
+
+def test_refinement_stops_at_the_first_repeated_iterate(monkeypatch):
+    rng = np.random.default_rng(5)
+    A = rng.uniform(0.0, 1.0, (6, 6))
+    y = simulate_dt(A, ObservationSetup(x0=rng.uniform(0.0, 1.0, 6), c=np.ones(6)), K=12)
+    h = build_hankel(y, prescale=True)
+    want = solve_with_every_sweep(h)
+    calls = []
+    real = estimator._exact_residual
+    monkeypatch.setattr(
+        estimator, "_exact_residual", lambda *a: calls.append(1) or real(*a)
+    )
+    assert_same_solve(solve_coefficients(h), want)
+    assert 1 < len(calls) < _REFINE_SWEEPS + 1
+
+
 def test_ill_conditioned_solve_warns_but_returns():
     lams = np.array([1.0, 1.0 + 1e-7, 1.0 + 2e-7])
     y = np.array([float(np.sum(lams**k)) for k in range(6)])
@@ -276,6 +385,131 @@ def test_prescaled_roots_are_multiplied_back():
     est = estimate_dt_spectrum([1.0, 2.0, 4.0, 8.0], opts=EstimatorOptions(prescale=True))
     assert est.scale_rho == 2.0
     assert len(est.roots) == 1 and abs(est.roots[0][0] - 2.0) < 1e-12
+
+
+def polish_with_three_horner_calls(monic, raw):
+    """_polish_roots as it was: p(z) evaluated afresh at the top of every step."""
+    coeff = monic.astype(np.clongdouble)
+    deriv = coeff[:-1] * np.arange(len(coeff) - 1, 0, -1, dtype=np.clongdouble)
+
+    def horner(c, z):
+        acc = c[0]
+        for ck in c[1:]:
+            acc = acc * z + ck
+        return acc
+
+    out = np.empty(len(raw), dtype=complex)
+    for i, z0 in enumerate(raw):
+        z = np.clongdouble(z0)
+        pz = abs(horner(coeff, z))
+        for _ in range(3):
+            dz = horner(deriv, z)
+            if dz == 0 or pz == 0:
+                break
+            step = horner(coeff, z) / dz
+            cand = z - step
+            pc = abs(horner(coeff, cand))
+            if not np.isfinite(float(pc)) or pc >= pz:
+                break
+            z, pz = cand, pc
+        out[i] = complex(z)
+    return out
+
+
+@st.composite
+def polish_cases(draw):
+    roots = draw(
+        st.lists(
+            st.one_of(
+                st.integers(-3, 3).map(float),
+                st.floats(-3.0, 3.0),
+                st.builds(complex, st.floats(-3.0, 3.0), st.floats(0.01, 3.0)),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    # a complex root brings its conjugate, so the coefficients are real
+    full = [z for v in roots for z in ((v, v.conjugate()) if isinstance(v, complex) else (v,))]
+    monic = np.real(np.poly(full))
+    tails = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(monic), max_size=len(monic)))
+    monic_hi = monic.astype(np.longdouble)
+    monic_hi[1:] += monic_hi[1:] * np.array(tails[1:], dtype=np.longdouble) * np.longdouble(2.0) ** -58
+    raw = np.atleast_1d(np.roots(monic))
+    raw = raw * (1.0 + draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4])))
+    return monic_hi, raw
+
+
+@given(polish_cases())
+@example((np.array([1.0, -3.0, 2.0], dtype=np.longdouble), np.array([2.0 + 0j, 1.0 + 0j])))
+@example((np.array([1.0, 0.0, 0.0], dtype=np.longdouble), np.array([0j, 0j])))
+@settings(max_examples=150, deadline=None)
+def test_polish_gives_the_bits_of_three_horner_calls_per_step(case):
+    monic_hi, raw = case
+    got = _polish_roots(monic_hi, raw)
+    assert got.tobytes() == polish_with_three_horner_calls(monic_hi, raw).tobytes()
+
+
+def clusters_by_pairwise_loop(values, tol):
+    """cluster_indices as it was: one Python test per pair, same union-find."""
+    vals = np.asarray(values, dtype=complex)
+    parent = list(range(len(vals)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            a, b = complex(vals[i]), complex(vals[j])
+            if abs(a - b) <= tol * max(1.0, abs(a), abs(b)):
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(vals)):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[r] for r in sorted(groups)]
+
+
+H = 2.0**-10
+NAN = float("nan")
+INF = float("inf")
+cluster_values = st.one_of(
+    # a grid of step H: with tol = H or 5H, (H, 0) and (3H, 4H) apart are exact ties
+    st.builds(lambda m, k: complex(m * H, k * H), st.integers(-8, 8), st.integers(-8, 8)),
+    # moduli 1-16, with neighbours exactly tol = H times the larger modulus away
+    st.builds(
+        lambda e, m, neg: (-1.0 if neg else 1.0) * 2.0**e * (1.0 - m * H),
+        st.integers(0, 4),
+        st.integers(0, 2),
+        st.booleans(),
+    ),
+    st.builds(complex, st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)),
+    st.sampled_from(
+        [complex(NAN, 0.0), complex(0.0, NAN), complex(NAN, NAN), complex(0.0, INF), complex(-INF, NAN)]
+    ),
+)
+
+
+@given(
+    st.lists(cluster_values, max_size=12),
+    st.sampled_from([0.0, H, 5 * H, 1e-6, 1e-3, 0.5]),
+)
+@example([0j, complex(3 * H, 4 * H)], 5 * H)
+@example([16.0, 16.0 * (1.0 - H), 16.0 * (1.0 - 2 * H)], H)
+@example([complex(NAN, 0.0), 0j, 1e-7 + 0j, complex(NAN, 0.0)], 1e-6)
+@example([complex(NAN, 0.0), complex(0.0, INF)], 1e-6)  # a NaN modulus drops out of the max
+# exact ties where np.abs of a complex rounds one ulp above Python's abs: once
+# in the distance, once in the modulus
+@example([0j, complex(0.1369616873214543, -0.2302132862361297)], 0.2678743379899948)
+@example([complex(0.8150589076261312, 1.0447529482672286), complex(0.8137648868641012, 1.0447529482672286)], H)
+@settings(max_examples=300, deadline=None)
+def test_cluster_indices_matches_the_pairwise_loop(values, tol):
+    got = [g.tolist() for g in cluster_indices(np.array(values, dtype=complex), tol)]
+    assert got == clusters_by_pairwise_loop(values, tol)
 
 
 # =========================================================================
