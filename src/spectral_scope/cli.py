@@ -94,9 +94,12 @@ def _resolve_seed(seed):
 
 def _parse_floats(text: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
+        values = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
     except ValueError:
-        raise SystemExit(_fail_usage(f"expected comma-separated numbers, got {text!r}"))
+        values = None
+    if values is None or not np.all(np.isfinite(values)):
+        raise SystemExit(_fail_usage(f"expected comma-separated finite numbers, got {text!r}"))
+    return values
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -114,6 +117,21 @@ def _node_to_json(node: NodeDynamics) -> dict:
         "beta": node.beta.tolist(),
         "gamma": node.gamma.tolist(),
     }
+
+
+def _write_setup_json(path, setup: ObservationSetup, mode: str, tau, seed, node, **extra) -> None:
+    """The setup file ``verify`` reads: the realized x0 and c, plus the run's metadata."""
+    payload = {
+        "schema": 1,
+        "mode": mode,
+        "tau": tau,
+        "seed": seed,
+        "x0": setup.x0.tolist(),
+        "c": setup.c.tolist(),
+        "node": _node_to_json(node) if node is not None else None,
+        **extra,
+    }
+    _write_json(payload, path)
 
 
 def _node_from_json(path) -> NodeDynamics:
@@ -189,18 +207,13 @@ def _build_setup(args, n: int, seed) -> ObservationSetup:
         observed = [int(v) for v in str(args.observe).split(",")]
     if args.observe_weights is not None:
         weights = _parse_floats(args.observe_weights)
-    if args.x0 is not None:
-        x0 = _parse_floats(args.x0)
-        if x0.size != n:
-            raise SystemExit(_fail_usage(f"--x0 has {x0.size} entries, matrix is {n}x{n}"))
-        if observed is None:
-            c = np.random.default_rng(seed).uniform(0.0, 1.0, n)
-        else:
-            c = np.zeros(n)
-            w = np.ones(len(observed)) if weights is None else weights
-            np.add.at(c, observed, w)
-        return ObservationSetup(x0=x0, c=c)
-    return random_setup(n, seed=seed, observed=observed, observe_weights=weights)
+    setup = random_setup(n, seed=seed, observed=observed, observe_weights=weights)
+    if args.x0 is None:
+        return setup
+    x0 = _parse_floats(args.x0)
+    if x0.size != n:
+        raise SystemExit(_fail_usage(f"--x0 has {x0.size} entries, matrix is {n}x{n}"))
+    return ObservationSetup(x0=x0, c=setup.c)
 
 
 def cmd_simulate(args) -> int:
@@ -214,7 +227,7 @@ def cmd_simulate(args) -> int:
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
         return _fail_usage(f"matrix in {args.matrix} is {M.shape[0]}x{M.shape[1]}, not square")
-    K = args.K if args.K else 2 * n
+    K = args.K if args.K is not None else 2 * n
     networked = args.mode in ("dt-networked", "ct-networked")
     continuous = args.mode in ("ct", "ct-networked")
     if continuous and not args.tau:
@@ -246,20 +259,11 @@ def cmd_simulate(args) -> int:
         return _fail_usage(str(exc))
     write_sequence(seq, args.out, seed=seed)
     setup_path = Path(args.out).with_suffix(".setup.json")
-    setup_payload = {
-        "schema": 1,
-        "mode": CT if continuous else DT,
-        "tau": args.tau,
-        "seed": seed,
-        "x0": setup.x0.tolist(),
-        "c": setup.c.tolist(),
-        "node": _node_to_json(node) if node is not None else None,
-    }
-    setup_path.write_text(json.dumps(setup_payload, indent=2) + "\n")
+    _write_setup_json(setup_path, setup, CT if continuous else DT, args.tau, seed, node)
     extras = f"+sidecar, {setup_path.name}"
     if networked:
         node_path = Path(args.out).with_suffix(".node.json")
-        node_path.write_text(json.dumps(_node_to_json(node), indent=2) + "\n")
+        _write_json(_node_to_json(node), node_path)
         extras += f", {node_path.name}"
     print(f"{len(seq.values)} samples -> {args.out} ({extras})")
     return EXIT_OK
@@ -354,22 +358,6 @@ def cmd_verify(args) -> int:
 # =========================================================================
 
 
-def _demo_setup_json(result, mode: str, tau) -> dict:
-    art = result.artifacts
-    payload = {
-        "schema": 1,
-        "scenario": result.name,
-        "seed": result.seed,
-        "mode": mode,
-        "tau": tau,
-        "tol": result.tol,
-        "x0": art.setup.x0.tolist(),
-        "c": art.setup.c.tolist(),
-        "node": _node_to_json(art.node) if art.node is not None else None,
-    }
-    return payload
-
-
 def _write_eigenvalue_csv(path, truth, estimate) -> None:
     lines = ["re,im,source"]
     for v in np.sort_complex(np.asarray(truth)):
@@ -382,25 +370,23 @@ def _write_eigenvalue_csv(path, truth, estimate) -> None:
 
 def cmd_demo(args) -> int:
     seed = _resolve_seed(args.seed)
-    sign = -1.0 if args.sign == "minus" else 1.0
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    result = run_scenario(args.name, seed=seed, sign=sign, keep_artifacts=True)
+    result = run_scenario(args.name, seed=seed, keep_artifacts=True)
     art = result.artifacts
     mode = CT if args.name == "fig2" else DT
     tau = 1.0 if args.name == "fig2" else None
 
     write_graph_tsv(art.graph, outdir / "graph.tsv")
     write_matrix_csv(art.matrix, outdir / "matrix.csv")
-    (outdir / "setup.json").write_text(
-        json.dumps(_demo_setup_json(result, mode, tau), indent=2) + "\n"
+    _write_setup_json(
+        outdir / "setup.json", art.setup, mode, tau, seed, art.node,
+        scenario=result.name, tol=result.tol,
     )
     if art.sequence is not None:
         write_sequence(art.sequence, outdir / "output.csv", seed=seed)
     if result.estimate is not None:
-        (outdir / "spectrum.json").write_text(
-            json.dumps(result.estimate.to_json_dict(), indent=2) + "\n"
-        )
+        _write_json(result.estimate.to_json_dict(), outdir / "spectrum.json")
     match_payload = result.report.to_json_dict() if result.report else {"schema": 1}
     match_payload.update(
         {
@@ -411,7 +397,7 @@ def cmd_demo(args) -> int:
             "overflow": bool(result.overflow),
         }
     )
-    (outdir / "match.json").write_text(json.dumps(match_payload, indent=2) + "\n")
+    _write_json(match_payload, outdir / "match.json")
     if result.truth is not None:
         _write_eigenvalue_csv(outdir / "eigenvalues.csv", result.truth, result.estimate)
 
@@ -428,11 +414,10 @@ def cmd_demo(args) -> int:
 
 def cmd_bench(args) -> int:
     seed0 = _resolve_seed(args.seed0)
-    sign = -1.0 if args.sign == "minus" else 1.0
     names = list(SCENARIOS) if args.name == "all" else [args.name]
     summaries = []
     for name in names:
-        results = sweep(name, seeds=args.seeds, jobs=args.jobs, seed0=seed0, sign=sign)
+        results = sweep(name, seeds=args.seeds, seed0=seed0)
         summaries.append(summarize(results))
     if args.json:
         payload = {"schema": 1, "sweeps": [s.to_json_dict() for s in summaries]}
@@ -523,17 +508,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run a preset experiment end to end")
     p.add_argument("name", choices=SCENARIOS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sign", choices=("plus", "minus"), default="plus",
-                   help="orientation of the continuous-time vector field (fig2)")
     p.add_argument("--outdir", default="demo-out")
     p.set_defaults(func=cmd_demo)
 
     p = sub.add_parser("bench", help="sweep seeds and report success rates")
     p.add_argument("name", choices=SCENARIOS + ("all",))
     p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed0", type=int, default=0)
-    p.add_argument("--sign", choices=("plus", "minus"), default="plus")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)

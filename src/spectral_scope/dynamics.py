@@ -190,40 +190,41 @@ def matrix_exponential(M, t: float = 1.0) -> np.ndarray:
     return E
 
 
-def _setup_arrays(G, setup: ObservationSetup):
+def _setup_arrays(G, setup: ObservationSetup, K: int):
     A = as_array(G)
     n = A.shape[0]
     if setup.n != n:
         raise ValueError(f"matrix is {n}x{n} but the setup has {setup.n} components")
-    return A, setup.x0.copy(), setup.c
-
-
-def _rollout(P, x0, c, K, mode, tau, n_hint) -> OutputSequence:
-    # Iterated matvec; P^k is never formed. The state accumulates in extended
-    # precision where the platform has one (x86 long double), so each emitted
-    # double carries only its final rounding instead of K steps of drift; on
-    # platforms where long double is double this degrades gracefully.
     if K < 1:
         raise ValueError(f"need at least one step, got K={K}")
-    Pl = P.astype(np.longdouble)
-    cl = c.astype(np.longdouble)
-    x = x0.astype(np.longdouble)
+    return A, setup.x0, setup.c.astype(np.longdouble)
+
+
+def _rollout(state, step, output, K: int, mode: str, tau, n_hint: int) -> OutputSequence:
+    # Iterated step; powers of the system matrix are never formed. The state
+    # accumulates in extended precision where the platform has one (x86 long
+    # double), so each emitted double carries only its final rounding instead
+    # of K steps of drift; on platforms where long double is double this
+    # degrades gracefully.
     ys = np.empty(K)
     for k in range(K):
-        ys[k] = float(cl @ x)
-        if not (np.all(np.isfinite(x)) and np.isfinite(ys[k])):
+        ys[k] = float(output(state))
+        if not (np.all(np.isfinite(state)) and np.isfinite(ys[k])):
             raise SimulationOverflowError(
                 f"state overflowed the floating range at step {k}", index=k, partial=ys[:k]
             )
         if k + 1 < K:
-            x = Pl @ x
+            state = step(state)
     return OutputSequence(ys, mode=mode, tau=tau, n_hint=n_hint)
 
 
 def simulate_dt(G, setup: ObservationSetup, K: int) -> OutputSequence:
     """y[k] = c^T G^k x0 for k = 0..K-1."""
-    A, x0, c = _setup_arrays(G, setup)
-    return _rollout(A, x0, c, K, DT, None, A.shape[0])
+    A, x0, c = _setup_arrays(G, setup, K)
+    P = A.astype(np.longdouble)
+    return _rollout(
+        x0.astype(np.longdouble), lambda x: P @ x, lambda x: c @ x, K, DT, None, len(c)
+    )
 
 
 def simulate_dt_networked(G, node: NodeDynamics, setup: ObservationSetup, K: int) -> OutputSequence:
@@ -233,33 +234,23 @@ def simulate_dt_networked(G, node: NodeDynamics, setup: ObservationSetup, K: int
     system ``I_n (x) A + G (x) I_d`` is ``X <- X A^T + G X`` and the output is
     ``c^T X gamma``; initial state is ``outer(x0, beta)``.
     """
-    A, x0, c = _setup_arrays(G, setup)
-    if K < 1:
-        raise ValueError(f"need at least one step, got K={K}")
+    A, x0, c = _setup_arrays(G, setup, K)
     Al = A.astype(np.longdouble)
     AnT = node.A.T.astype(np.longdouble)
     gl = node.gamma.astype(np.longdouble)
-    cl = c.astype(np.longdouble)
-    X = np.outer(x0, node.beta).astype(np.longdouble)
-    ys = np.empty(K)
-    for k in range(K):
-        ys[k] = float(cl @ (X @ gl))
-        if not (np.all(np.isfinite(X)) and np.isfinite(ys[k])):
-            raise SimulationOverflowError(
-                f"state overflowed the floating range at step {k}", index=k, partial=ys[:k]
-            )
-        if k + 1 < K:
-            X = X @ AnT + Al @ X
-    return OutputSequence(ys, mode=DT, tau=None, n_hint=A.shape[0])
+    X0 = np.outer(x0, node.beta).astype(np.longdouble)
+    return _rollout(X0, lambda X: X @ AnT + Al @ X, lambda X: c @ (X @ gl), K, DT, None, len(c))
 
 
 def simulate_ct_sampled(G, setup: ObservationSetup, tau: float, K: int) -> OutputSequence:
     """y[k] = c^T e^{G k tau} x0: one matrix exponential, then the DT rollout path."""
     if not tau > 0:
         raise ValueError(f"sampling period must be positive, got tau={tau}")
-    A, x0, c = _setup_arrays(G, setup)
-    P = matrix_exponential(A, tau)
-    return _rollout(P, x0, c, K, CT, float(tau), A.shape[0])
+    A, x0, c = _setup_arrays(G, setup, K)
+    P = matrix_exponential(A, tau).astype(np.longdouble)
+    return _rollout(
+        x0.astype(np.longdouble), lambda x: P @ x, lambda x: c @ x, K, CT, float(tau), len(c)
+    )
 
 
 def simulate_ct_networked(
@@ -273,26 +264,20 @@ def simulate_ct_networked(
     """
     if not tau > 0:
         raise ValueError(f"sampling period must be positive, got tau={tau}")
-    if K < 1:
-        raise ValueError(f"need at least one step, got K={K}")
-    A, x0, c = _setup_arrays(G, setup)
+    A, x0, c = _setup_arrays(G, setup, K)
+    n = len(c)
     P = matrix_exponential(A, tau).astype(np.longdouble)
     Q = matrix_exponential(node.A, tau).astype(np.longdouble)
-    u = x0.astype(np.longdouble)
-    v = node.beta.astype(np.longdouble)
-    cl = c.astype(np.longdouble)
     gl = node.gamma.astype(np.longdouble)
-    ys = np.empty(K)
-    for k in range(K):
-        ys[k] = float((cl @ u) * (gl @ v))
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v)) and np.isfinite(ys[k])):
-            raise SimulationOverflowError(
-                f"state overflowed the floating range at step {k}", index=k, partial=ys[:k]
-            )
-        if k + 1 < K:
-            u = P @ u
-            v = Q @ v
-    return OutputSequence(ys, mode=CT, tau=float(tau), n_hint=A.shape[0])
+    # network state u and node state v stacked as one vector [u; v], so one
+    # finiteness test per step covers both
+    w0 = np.concatenate((x0, node.beta)).astype(np.longdouble)
+    return _rollout(
+        w0,
+        lambda w: np.concatenate((P @ w[:n], Q @ w[n:])),
+        lambda w: (c @ w[:n]) * (gl @ w[n:]),
+        K, CT, float(tau), n,
+    )
 
 
 # =========================================================================

@@ -32,7 +32,6 @@ __all__ = [
     "HankelAnalysis",
     "CharacteristicPoly",
     "SpectrumEstimate",
-    "SigmaSequence",
     "OnlineRankDetection",
     "SingularDeconvolutionError",
     "LogSingularRootError",
@@ -179,13 +178,6 @@ class SpectrumEstimate:
             scale_rho=float(d.get("rho", 1.0)),
             warnings=list(d.get("warnings", [])),
         )
-
-
-@dataclass(eq=False)
-class SigmaSequence:
-    """Single-integrator-equivalent outputs after the node dynamics are stripped."""
-
-    values: np.ndarray
 
 
 @dataclass(eq=False)
@@ -514,6 +506,33 @@ def roots_with_multiplicity(
     return SpectrumEstimate(list(pairs), mode, tau, p.degree, p.residual, p.condition, scale_rho)
 
 
+def _estimate(
+    values: np.ndarray, opts: EstimatorOptions | None, continuous: bool = False
+) -> SpectrumEstimate:
+    """The pipeline every front end shares: Hankel rank, coefficients, clustered roots.
+
+    Prescaling defaults to on for sampled continuous-time data and, for
+    discrete-time data, to on only when ``max |y| > 1e6``. The roots come
+    back as discrete-time roots; a continuous-time caller maps them itself.
+    """
+    opts = opts or EstimatorOptions()
+    prescale = opts.prescale
+    if prescale is None:
+        prescale = continuous or bool(np.max(np.abs(values)) > PRESCALE_TRIGGER)
+    h = build_hankel(values, prescale=prescale, rank_tolerance=opts.rank_tolerance)
+    poly = solve_coefficients(h)
+    est = roots_with_multiplicity(poly, opts.cluster_tol, h.scale_rho, DT, None)
+    if est.condition > ILL_CONDITION_LIMIT:
+        est.warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
+    return est
+
+
+def _dt_values(y) -> np.ndarray:
+    if isinstance(y, OutputSequence) and y.mode != DT:
+        raise ValueError("discrete-time sequence required; use estimate_ct_spectrum")
+    return _sequence_values(y)
+
+
 def estimate_dt_spectrum(y, opts: EstimatorOptions | None = None) -> SpectrumEstimate:
     """Full discrete-time pipeline: Hankel, rank, coefficients, clustered roots.
 
@@ -521,20 +540,7 @@ def estimate_dt_spectrum(y, opts: EstimatorOptions | None = None) -> SpectrumEst
     An identically zero sequence gives rank 0 and an empty spectrum, which is
     a valid answer, not an error.
     """
-    if isinstance(y, OutputSequence) and y.mode != DT:
-        raise ValueError("discrete-time sequence required; use estimate_ct_spectrum")
-    opts = opts or EstimatorOptions()
-    values = _sequence_values(y)
-    if opts.prescale is not None:
-        prescale = opts.prescale
-    else:
-        prescale = bool(np.max(np.abs(values)) > PRESCALE_TRIGGER)
-    h = build_hankel(values, prescale=prescale, rank_tolerance=opts.rank_tolerance)
-    poly = solve_coefficients(h)
-    est = roots_with_multiplicity(poly, opts.cluster_tol, h.scale_rho, DT, None)
-    if est.condition > ILL_CONDITION_LIMIT:
-        est.warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
-    return est
+    return _estimate(_dt_values(y), opts)
 
 
 # =========================================================================
@@ -576,7 +582,7 @@ def _node_weights(nu, K: int) -> np.ndarray:
     return nu
 
 
-def deconvolve_sigma(y, nu) -> SigmaSequence:
+def deconvolve_sigma(y, nu) -> np.ndarray:
     """Strip discrete-time node dynamics from the outputs.
 
     Solves the lower-triangular system ``sum_s binom(k, s) nu_{k-s} sigma_s
@@ -609,10 +615,10 @@ def deconvolve_sigma(y, nu) -> SigmaSequence:
         z = pow0[k] * Y[k] - sum(math.comb(k, s) * W[k - s] * Z[s] for s in range(k))
         Z.append(z)
         sigma[k] = _ratio_to_float(z, a - b, pow0[k + 1])
-    return SigmaSequence(sigma)
+    return sigma
 
 
-def deconvolve_sigma_ct(y, nu) -> SigmaSequence:
+def deconvolve_sigma_ct(y, nu) -> np.ndarray:
     """Strip sampled continuous-time node dynamics.
 
     In continuous time the node factor multiplies the network factor sample
@@ -627,22 +633,15 @@ def deconvolve_sigma_ct(y, nu) -> SigmaSequence:
         raise SingularDeconvolutionError(
             f"node factor vanishes at sample {int(np.argmax(bad))}; cannot deconvolve"
         )
-    return SigmaSequence(values / nu)
+    return values / nu
 
 
 def estimate_networked_dt_spectrum(
     y, node: NodeDynamics, opts: EstimatorOptions | None = None
 ) -> SpectrumEstimate:
     """Discrete-time networked pipeline: deconvolve the node factor, then estimate."""
-    if isinstance(y, OutputSequence) and y.mode != DT:
-        raise ValueError("discrete-time sequence required; use estimate_ct_spectrum")
-    values = _sequence_values(y)
-    nu = nu_sequence(node, len(values), DT)
-    sigma = deconvolve_sigma(values, nu)
-    inner = OutputSequence(
-        sigma.values, mode=DT, n_hint=y.n_hint if isinstance(y, OutputSequence) else None
-    )
-    return estimate_dt_spectrum(inner, opts)
+    values = _dt_values(y)
+    return _estimate(deconvolve_sigma(values, nu_sequence(node, len(values), DT)), opts)
 
 
 def estimate_ct_spectrum(
@@ -660,18 +659,13 @@ def estimate_ct_spectrum(
     """
     if not isinstance(y, OutputSequence) or y.mode != CT:
         raise ValueError("continuous-time OutputSequence required")
-    opts = opts or EstimatorOptions()
     tau = y.tau
     values = y.values
     if node is not None:
-        nu = nu_sequence(node, len(values), CT, tau)
-        values = deconvolve_sigma_ct(values, nu).values
-    prescale = opts.prescale if opts.prescale is not None else True
-    h = build_hankel(values, prescale=prescale, rank_tolerance=opts.rank_tolerance)
-    poly = solve_coefficients(h)
-    eta = roots_with_multiplicity(poly, opts.cluster_tol, h.scale_rho, DT, None)
+        values = deconvolve_sigma_ct(values, nu_sequence(node, len(values), CT, tau))
+    est = _estimate(values, opts, continuous=True)
     roots: list[tuple[complex, int]] = []
-    for v, m in eta.roots:
+    for v, m in est.roots:
         if abs(v) <= ETA_ZERO_TOL:
             raise LogSingularRootError(
                 f"recovered discrete root {v} is numerically zero; "
@@ -679,15 +673,11 @@ def estimate_ct_spectrum(
             )
         roots.append((complex(np.log(complex(v)) / tau), m))
     roots.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
-    warnings: list[str] = []
-    if eta.condition > ILL_CONDITION_LIMIT:
-        warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
+    est.roots, est.mode, est.tau = roots, CT, tau
     boundary = (np.pi / tau) * (1.0 - ALIAS_MARGIN)
     if any(abs(v.imag) >= boundary for v, _ in roots):
-        warnings.append(
+        est.warnings.append(
             f"aliasing: an eigenvalue sits at the principal-strip boundary |Im| = pi/tau;"
             f" frequencies beyond {np.pi / tau:.6g} are indistinguishable at this tau"
         )
-    return SpectrumEstimate(
-        roots, CT, tau, eta.rank, eta.residual, eta.condition, eta.scale_rho, warnings
-    )
+    return est

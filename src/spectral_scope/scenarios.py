@@ -29,7 +29,6 @@ threshold would misread the dynamic range as rank deficiency.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,33 +151,27 @@ def run_fig1(seed: int = 0, keep_artifacts: bool = False) -> ScenarioResult:
     return _score("fig1", seed, est, truth, tol, artifacts)
 
 
-def run_fig2(seed: int = 0, sign: float = 1.0, keep_artifacts: bool = False) -> ScenarioResult:
-    """Directed weighted ring sampled from continuous time at tau = 1.
-
-    ``sign`` flips the vector field (simulating ``-G`` instead of ``G``) for
-    readers who prefer the opposite orientation convention; the recovered
-    spectrum is compared against the matrix actually simulated either way.
-    """
+def run_fig2(seed: int = 0, keep_artifacts: bool = False) -> ScenarioResult:
+    """Directed weighted ring sampled from continuous time at tau = 1."""
     s_w, s_setup, s_obs = _children(seed, 3)
     g = generate_ring(8, directed=True)
     g = assign_uniform_weights(g, -1.0, 1.0, seed=s_w)
     gm = build_matrix(g, GraphMatrixKind.ADJACENCY)
-    M = float(sign) * gm.values
     mix = np.random.default_rng(s_obs).uniform(-1.0, 1.0, 2)
     setup = random_setup(g.n, seed=s_setup, observed=FIG2_OBSERVED, observe_weights=mix)
     tau = 1.0
     tol = 1e-3
     artifacts = (
-        ScenarioArtifacts(g, M, gm.kind, setup, None, None, seed) if keep_artifacts else None
+        ScenarioArtifacts(g, gm.values, gm.kind, setup, None, None, seed) if keep_artifacts else None
     )
     try:
-        y = simulate_ct_sampled(M, setup, tau=tau, K=2 * g.n)
+        y = simulate_ct_sampled(gm, setup, tau=tau, K=2 * g.n)
     except SimulationOverflowError:
         return ScenarioResult(
             "fig2", seed, False, tol, float("inf"), overflow=True, artifacts=artifacts
         )
     est = estimate_ct_spectrum(y, opts=_OPTIONS)
-    truth = full_spectrum(M)
+    truth = full_spectrum(gm)
     if artifacts is not None:
         artifacts.sequence = y
     return _score("fig2", seed, est, truth, tol, artifacts)
@@ -204,34 +197,19 @@ def run_fig3(seed: int = 0, keep_artifacts: bool = False) -> ScenarioResult:
     return _score("fig3", seed, est, truth, tol, artifacts)
 
 
-def run_scenario(name: str, seed: int = 0, sign: float = 1.0, keep_artifacts: bool = False) -> ScenarioResult:
+def run_scenario(name: str, seed: int = 0, keep_artifacts: bool = False) -> ScenarioResult:
     if name == "fig1":
         return run_fig1(seed, keep_artifacts)
     if name == "fig2":
-        return run_fig2(seed, sign, keep_artifacts)
+        return run_fig2(seed, keep_artifacts)
     if name == "fig3":
         return run_fig3(seed, keep_artifacts)
     raise ValueError(f"unknown scenario {name!r}; pick one of {SCENARIOS}")
 
 
-def _sweep_worker(args) -> ScenarioResult:
-    name, seed, sign = args
-    return run_scenario(name, seed, sign)
-
-
-def sweep(name: str, seeds: int = 100, jobs: int = 1, seed0: int = 0, sign: float = 1.0) -> list[ScenarioResult]:
-    """Run ``seeds`` consecutive seeds of a scenario, optionally in parallel.
-
-    Results come back ordered by seed regardless of ``jobs``, so parallel and
-    sequential sweeps are interchangeable.
-    """
-    work = [(name, s, sign) for s in range(seed0, seed0 + seeds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, work))
-    else:
-        results = [_sweep_worker(w) for w in work]
-    return results
+def sweep(name: str, seeds: int = 100, seed0: int = 0) -> list[ScenarioResult]:
+    """Run ``seeds`` consecutive seeds of a scenario, starting at ``seed0``."""
+    return [run_scenario(name, s) for s in range(seed0, seed0 + seeds)]
 
 
 @dataclass(eq=False)

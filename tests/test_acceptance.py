@@ -7,6 +7,8 @@ asserting, so a red run still reports the measured numbers.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 import time
 from pathlib import Path
 
@@ -30,7 +32,8 @@ from spectral_scope import (
 )
 from spectral_scope.cli import SEED_ENV, main
 
-BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "bench_all_300.json"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_REFERENCE = PERFBENCH / "reference" / "bench_all_300.json"
 
 
 def announce(capsys, text: str) -> None:
@@ -40,7 +43,7 @@ def announce(capsys, text: str) -> None:
 
 def timed_sweep(name: str):
     start = time.perf_counter()
-    summary = summarize(sweep(name, seeds=100, jobs=1))
+    summary = summarize(sweep(name, seeds=100))
     return summary, time.perf_counter() - start
 
 
@@ -287,3 +290,14 @@ def test_preset_sweeps_match_the_benchmark_reference_byte_for_byte(tmp_path, cap
     )
     assert code == 0
     assert same
+
+
+def test_the_benchmark_finds_every_function_it_wraps(monkeypatch):
+    # perfbench/program.py times layers by wrapping functions by name in the
+    # namespaces the program calls them through, and raises on a missing name
+    spec = importlib.util.spec_from_file_location("perfbench_program", PERFBENCH / "program.py")
+    program = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, program)  # its dataclasses look it up
+    spec.loader.exec_module(program)
+    with program.traced(program.Tracer()):
+        pass

@@ -83,6 +83,12 @@ def test_simulate_defaults_to_two_n_samples(tmp_path, capsys):
     code, _, _ = run(capsys, "simulate", "--matrix", matrix, "--seed", 1, "--out", out_csv)
     assert code == 0
     assert len(out_csv.read_text().splitlines()) == 1 + 4
+    # an explicit --K 0 is not the default but a usage error, like any K < 1
+    zero_csv = tmp_path / "zero.csv"
+    code, out, err = run(capsys, "simulate", "--matrix", matrix, "--K", 0, "--out", zero_csv)
+    assert code == 2 and out == ""
+    assert err == "error: need at least one step, got K=0\n"
+    assert not zero_csv.exists()
 
 
 def test_simulate_samples_continuous_decay(tmp_path, capsys):
@@ -121,14 +127,39 @@ def test_simulate_reports_overflow_and_keeps_the_partial_trace(tmp_path, capsys)
     assert np.all(np.isfinite(partial.values))
 
 
-def test_simulate_of_an_observed_node_out_of_range_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("x0", [(), ("--x0", "1,0")], ids=["drawn-x0", "given-x0"])
+@pytest.mark.parametrize("node", [5, -1])
+def test_simulate_of_an_observed_node_out_of_range_is_a_usage_error(tmp_path, capsys, node, x0):
     matrix = tmp_path / "swap.csv"
     matrix.write_text(SWAP_CSV)
     out_csv = tmp_path / "y.csv"
-    code, out, err = run(capsys, "simulate", "--matrix", matrix, "--observe", 5, "--out", out_csv)
+    code, out, err = run(
+        capsys, "simulate", "--matrix", matrix, *x0, "--observe", node, "--out", out_csv
+    )
     assert code == 2 and out == ""
-    assert err == "error: observed nodes [5] out of range for n=2\n"
+    assert err == f"error: observed nodes [{node}] out of range for n=2\n"
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (("simulate", "--matrix", "swap.csv", "--x0", "nan,1", "--observe", 0), "nan,1"),
+        (("simulate", "--matrix", "swap.csv", "--observe", 0, "--observe-weights", "inf"), "inf"),
+        (("generate", "--model", "ring", "--n", 2, "--weights", "nan,1"), "nan,1"),
+    ],
+    ids=["x0", "observe-weights", "weights"],
+)
+def test_a_non_finite_list_value_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, text):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "swap.csv").write_text(SWAP_CSV)
+    with pytest.raises(SystemExit) as info:
+        main([str(a) for a in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: expected comma-separated finite numbers, got {text!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
 
 
 # =========================================================================

@@ -247,14 +247,33 @@ def test_ct_requires_positive_tau():
 # =========================================================================
 
 
-def test_overflow_reports_index_and_partial_prefix():
-    G = np.array([[1e3]])
+# y[k] = 1e3^k (discrete) or e^(7k) (sampled at tau = 1) leaves the double
+# range at k = 103 or 102; the networked ct case grows in the node, not the graph
+OVERFLOWING = {
+    "dt": (lambda setup, K: simulate_dt([[1e3]], setup, K), 103),
+    "dt-networked": (
+        lambda setup, K: simulate_dt_networked([[1e3]], NodeDynamics.trivial(), setup, K), 103
+    ),
+    "ct": (lambda setup, K: simulate_ct_sampled([[7.0]], setup, 1.0, K), 102),
+    "ct-networked": (
+        lambda setup, K: simulate_ct_networked(
+            [[0.0]], NodeDynamics(A=[[7.0]], beta=[1.0], gamma=[1.0]), setup, 1.0, K
+        ),
+        102,
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", list(OVERFLOWING))
+def test_overflow_reports_index_and_partial_prefix(mode):
+    simulate, index = OVERFLOWING[mode]
+    setup = ObservationSetup(x0=[1.0], c=[1.0])
     with pytest.raises(SimulationOverflowError) as info:
-        simulate_dt(G, ObservationSetup(x0=[1.0], c=[1.0]), K=200)
+        simulate(setup, 200)
     err = info.value
-    assert err.partial.size == err.index
+    assert err.index == index and err.partial.size == index
     assert np.all(np.isfinite(err.partial))
-    assert err.index < 200
+    assert np.array_equal(err.partial, simulate(setup, index).values)
 
 
 # =========================================================================
