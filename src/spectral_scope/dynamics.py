@@ -184,7 +184,9 @@ def matrix_exponential(M, t: float = 1.0) -> np.ndarray:
         raise ValueError(f"non-finite time {t}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
-    E = scipy.linalg.expm(A * float(t))
+    # the finiteness check below reports overflow; numpy's warnings would repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = scipy.linalg.expm(A * float(t))
     if not np.all(np.isfinite(E)):
         raise OverflowError("matrix exponential exceeded the floating range")
     return E

@@ -34,6 +34,7 @@ __all__ = [
     "SpectrumEstimate",
     "OnlineRankDetection",
     "SingularDeconvolutionError",
+    "DeconvolutionOverflowError",
     "LogSingularRootError",
     "InsufficientDataError",
     "default_rank_tolerance",
@@ -61,6 +62,14 @@ ALIAS_MARGIN = 1e-9
 
 class SingularDeconvolutionError(ValueError):
     """The node factor is numerically singular; the agent dynamics cannot be stripped."""
+
+
+class DeconvolutionOverflowError(OverflowError):
+    """Deconvolved sample ``index`` lies beyond the double range."""
+
+    def __init__(self, index: int):
+        super().__init__(f"deconvolved sample sigma[{index}] lies beyond the double range")
+        self.index = index
 
 
 class LogSingularRootError(ValueError):
@@ -614,7 +623,10 @@ def deconvolve_sigma(y, nu) -> np.ndarray:
     for k in range(K):
         z = pow0[k] * Y[k] - sum(math.comb(k, s) * W[k - s] * Z[s] for s in range(k))
         Z.append(z)
-        sigma[k] = _ratio_to_float(z, a - b, pow0[k + 1])
+        try:
+            sigma[k] = _ratio_to_float(z, a - b, pow0[k + 1])
+        except OverflowError:
+            raise DeconvolutionOverflowError(k) from None
     return sigma
 
 
@@ -633,7 +645,12 @@ def deconvolve_sigma_ct(y, nu) -> np.ndarray:
         raise SingularDeconvolutionError(
             f"node factor vanishes at sample {int(np.argmax(bad))}; cannot deconvolve"
         )
-    return values / nu
+    with np.errstate(over="ignore"):  # reported below, with the sample it hit
+        sigma = values / nu
+    big = ~np.isfinite(sigma)
+    if np.any(big):
+        raise DeconvolutionOverflowError(int(np.argmax(big)))
+    return sigma
 
 
 def estimate_networked_dt_spectrum(

@@ -258,8 +258,13 @@ def write_matrix_csv(matrix, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Dense CSV matrix; a NaN or infinite entry is a ``ValueError`` naming it."""
-    M = np.loadtxt(path, delimiter=",", ndmin=2)
+    """Dense square CSV matrix; a non-square shape, or a NaN or infinite entry,
+    is a ``ValueError`` naming it."""
+    # an open handle skips numpy's DataSource opener; the parser is the same
+    with open(path) as f:
+        M = np.loadtxt(f, delimiter=",", ndmin=2)
+    if M.shape[0] != M.shape[1]:
+        raise ValueError(f"matrix in {path} is {M.shape[0]}x{M.shape[1]}, not square")
     bad = np.argwhere(~np.isfinite(M))
     if bad.size:
         i, j = bad[0].tolist()

@@ -64,12 +64,20 @@ def pbh_deficiency(G, c, lam: complex, rtol: float = PBH_RANK_RTOL) -> int:
     Zero means every eigenvector at ``lam`` is visible from ``c``; any
     deficiency means an unobservable mode sits at ``lam``.
     """
-    M = as_array(G)
+    return int(_pbh_deficiencies(as_array(G), c, [lam], rtol)[0])
+
+
+def _pbh_deficiencies(M: np.ndarray, c, lams, rtol: float) -> np.ndarray:
+    """``pbh_deficiency`` at each of ``lams``: one batched SVD of the stacked
+    (len(lams), n+1, n) array, each slice built as ``[M - lam I; c^T]`` in the
+    dtype of ``lams`` so that it equals the unbatched matrix bit for bit."""
     n = M.shape[0]
-    stacked = np.vstack([M - lam * np.eye(n), np.asarray(c, dtype=float)[None, :]])
-    s = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.count_nonzero(s > rtol * s[0])) if s[0] > 0 else 0
-    return n - rank
+    lams = np.asarray(lams)
+    top = M - lams[:, None, None] * np.eye(n)
+    row = np.broadcast_to(np.asarray(c, dtype=float), (lams.size, 1, n))
+    s = np.linalg.svd(np.concatenate((top, row), axis=1), compute_uv=False)
+    # a zero or NaN largest singular value leaves no entry above the cut: rank 0
+    return n - np.count_nonzero(s > rtol * s[:, :1], axis=1)
 
 
 @dataclass(eq=False)
@@ -143,10 +151,12 @@ def observable_partition(
 
     vals, U = np.linalg.eig(M)
     groups = cluster_indices(vals, cluster_tol)
-    groups = sorted(groups, key=lambda g: (-vals[g].mean().real, -vals[g].mean().imag))
-    distinct = np.array([vals[g].mean() for g in groups], dtype=complex)
+    means = [vals[g].mean() for g in groups]
+    order = sorted(range(len(groups)), key=lambda i: (-means[i].real, -means[i].imag))
+    groups = [groups[i] for i in order]
+    distinct = np.array([means[i] for i in order], dtype=complex)
     algebraic = np.array([len(g) for g in groups], dtype=int)
-    pbh = np.array([pbh_deficiency(M, c, v, pbh_rtol) > 0 for v in distinct], dtype=bool)
+    pbh = _pbh_deficiencies(M, c, distinct, pbh_rtol) > 0
 
     cond_u = np.linalg.cond(U)
     if np.isfinite(cond_u) and cond_u < DIAGONALIZABLE_COND_CAP:

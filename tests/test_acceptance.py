@@ -8,6 +8,7 @@ asserting, so a red run still reports the measured numbers.
 from __future__ import annotations
 
 import importlib.util
+import json
 import sys
 import time
 from pathlib import Path
@@ -34,6 +35,7 @@ from spectral_scope.cli import SEED_ENV, main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCH_REFERENCE = PERFBENCH / "reference" / "bench_all_300.json"
+CLI_REFERENCE = PERFBENCH / "reference" / "cli_roundtrip.json"
 
 
 def announce(capsys, text: str) -> None:
@@ -292,12 +294,49 @@ def test_preset_sweeps_match_the_benchmark_reference_byte_for_byte(tmp_path, cap
     assert same
 
 
-def test_the_benchmark_finds_every_function_it_wraps(monkeypatch):
-    # perfbench/program.py times layers by wrapping functions by name in the
-    # namespaces the program calls them through, and raises on a missing name
+def benchmark_program(monkeypatch):
+    """``perfbench/program.py``, imported read-only."""
     spec = importlib.util.spec_from_file_location("perfbench_program", PERFBENCH / "program.py")
     program = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, program)  # its dataclasses look it up
     spec.loader.exec_module(program)
+    return program
+
+
+def test_the_benchmark_finds_every_function_it_wraps(monkeypatch):
+    # perfbench/program.py times layers by wrapping functions by name in the
+    # namespaces the program calls them through, and raises on a missing name
+    program = benchmark_program(monkeypatch)
     with program.traced(program.Tracer()):
         pass
+
+
+def test_cli_chains_match_the_benchmark_reference_verdicts(tmp_path, capsys, monkeypatch):
+    # every generate -> simulate -> estimate -> verify chain of the benchmark's
+    # reference range runs through cli.main; the chains that do not exit 0 at
+    # every step must be exactly those the reference lists, which this test
+    # only reads. A verify that skipped or shortcut a check would flip some.
+    monkeypatch.delenv(SEED_ENV, raising=False)
+    program = benchmark_program(monkeypatch)
+    reference = json.loads(CLI_REFERENCE.read_text())
+    seeds = range(*reference["seeds"])
+    failed = {kind: [] for kind in program.CHAIN_KINDS}
+    start = time.perf_counter()
+    with open(tmp_path / "chains.log", "w") as sink:
+        for seed in seeds:
+            for kind in program.CHAIN_KINDS:
+                program.clear_chain_files(tmp_path)
+                codes = program.run_chain(kind, seed, tmp_path, sink)
+                assert set(codes) <= {0, 1}, (kind, seed, codes)
+                if codes != (0, 0, 0, 0):
+                    failed[kind].append(seed)
+    elapsed = time.perf_counter() - start
+    same = failed == reference["failed"]
+    announce(
+        capsys,
+        f"[no drift] {len(seeds) * len(failed)} CLI chains, "
+        f"{sum(map(len, failed.values()))} failing: verdicts "
+        f"{'equal' if same else 'differ from'} perfbench/reference/cli_roundtrip.json "
+        f"({elapsed:.2f}s) -> {'PASS' if same else 'FAIL'}",
+    )
+    assert same

@@ -7,9 +7,10 @@ import json
 import numpy as np
 import pytest
 
-from spectral_scope import cli, read_matrix_csv, read_sequence
+from spectral_scope import OutputSequence, cli, read_matrix_csv, read_sequence, write_sequence
 from spectral_scope.cli import SEED_ENV, build_parser, main
 from spectral_scope.estimator import estimate_dt_spectrum
+from spectral_scope.oracle import observable_partition
 
 SWAP_CSV = "0,1\n1,0\n"
 ROT_CSV = "0,1\n-1,0\n"
@@ -125,6 +126,20 @@ def test_simulate_reports_overflow_and_keeps_the_partial_trace(tmp_path, capsys)
     partial = read_sequence(out_csv)
     assert 0 < len(partial.values) < 200
     assert np.all(np.isfinite(partial.values))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds one line
+def test_simulate_reports_an_overflowing_matrix_exponential(tmp_path, capsys):
+    matrix = tmp_path / "one.csv"
+    matrix.write_text("1\n")
+    out_csv = tmp_path / "y.csv"
+    code, out, err = run(
+        capsys, "simulate", "--matrix", matrix, "--mode", "ct", "--tau", 1000,
+        "--x0", "1", "--observe", 0, "--out", out_csv,
+    )
+    assert code == 1 and out == ""
+    assert err == "overflow: matrix exponential exceeded the floating range; nothing recorded\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv"]
 
 
 @pytest.mark.parametrize("x0", [(), ("--x0", "1,0")], ids=["drawn-x0", "given-x0"])
@@ -244,6 +259,30 @@ def test_estimate_fails_cleanly_on_an_orthogonal_node(tmp_path, capsys):
     assert code == 1 and "estimation failed" in err
 
 
+@pytest.mark.parametrize(
+    "mode, values, node, message",
+    [
+        ("ct", [1.0, 0.5, 0.25, 0.125], {"A": [[1000]], "beta": [1], "gamma": [1]},
+         "matrix exponential exceeded the floating range"),
+        ("dt", [1e308, 1e308, 1.0], {"A": [[1]], "beta": [1e-10], "gamma": [1]},
+         "deconvolved sample sigma[0] lies beyond the double range"),
+        ("ct", [1.0, 1e308, 1.0, 1.0], {"A": [[-1]], "beta": [1e-10], "gamma": [1]},
+         "deconvolved sample sigma[1] lies beyond the double range"),
+    ],
+    ids=["node-expm", "deconvolution", "ct-deconvolution"],
+)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_estimate_reports_an_overflow_as_a_failure(tmp_path, capsys, mode, values, node, message):
+    y_csv = tmp_path / "y.csv"
+    write_sequence(OutputSequence(np.array(values), mode=mode, tau=1.0 if mode == "ct" else None),
+                   y_csv)
+    node_json = tmp_path / "node.json"
+    node_json.write_text(json.dumps(node))
+    code, out, err = run(capsys, "estimate", "--y", y_csv, "--node", node_json)
+    assert code == 1 and out == ""
+    assert err == f"estimation failed: {message}\n"
+
+
 # =========================================================================
 # verify
 # =========================================================================
@@ -293,7 +332,20 @@ def test_quick_start_chain_passes_verbatim(tmp_path, capsys):
     assert report["pass"] is True and report["max_error"] <= 1e-3
 
 
-def test_verify_passes_an_honest_chain(tmp_path, capsys):
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Every call ``verify`` makes to the observability oracle, in order."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return observable_partition(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "observable_partition", counting)
+    return calls
+
+
+def test_verify_passes_an_honest_chain(tmp_path, capsys, oracle_calls):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
     report = tmp_path / "report.json"
     code, _, _ = run(
@@ -304,6 +356,8 @@ def test_verify_passes_an_honest_chain(tmp_path, capsys):
     payload = json.loads(report.read_text())
     assert payload["pass"] is True
     assert payload["max_error"] <= payload["tol"] == 1e-6
+    # every true eigenvalue is matched, so no mode needs excusing
+    assert payload["unmatched_true"] == [] and oracle_calls == []
 
 
 def test_verify_fails_under_an_impossible_tolerance(tmp_path, capsys):
@@ -316,7 +370,7 @@ def test_verify_fails_under_an_impossible_tolerance(tmp_path, capsys):
     assert json.loads(out)["pass"] is False
 
 
-def test_verify_calls_out_a_dropped_mode(tmp_path, capsys):
+def test_verify_calls_out_a_dropped_mode(tmp_path, capsys, oracle_calls):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
     payload = json.loads(spectrum.read_text())
     payload["roots"] = payload["roots"][1:]
@@ -328,6 +382,33 @@ def test_verify_calls_out_a_dropped_mode(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["pass"] is False and report["unexplained_true"]
+    assert len(oracle_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda s: {k: v for k, v in s.items() if k != "x0"}, "setup {setup} has no 'x0'"),
+        (lambda s: {**s, "c": s["c"][:2]}, "'c' in {setup} must be 5 finite numbers"),
+        (lambda s: {**s, "x0": [float("nan")] + s["x0"][1:]}, "'x0' in {setup} must be 5 finite"),
+        (lambda s: {**s, "c": "probe"}, "could not convert string to float: 'probe'"),
+        (lambda s: {**s, "tol": None}, "float() argument must be"),
+        (lambda s: [s["x0"], s["c"]], "setup {setup} must hold a JSON object"),
+    ],
+    ids=["no-x0", "short-c", "nan-x0", "text-c", "null-tol", "list"],
+)
+def test_verify_of_a_malformed_setup_is_a_usage_error(tmp_path, capsys, edit, message):
+    matrix, spectrum, setup = full_chain(tmp_path, capsys)
+    setup.write_text(json.dumps(edit(json.loads(setup.read_text()))))
+    report = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--matrix", matrix, "--estimate", spectrum,
+        "--setup", setup, "--out", report,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read inputs: ") and err.count("\n") == 1
+    assert message.format(setup=setup) in err
+    assert not report.exists()
 
 
 def test_verify_of_a_nan_root_is_a_usage_error(tmp_path, capsys):
@@ -362,6 +443,22 @@ def test_a_non_finite_matrix_entry_is_a_usage_error(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"matrix entry (1, 1) in {matrix} is not finite: nan" in err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_non_square_matrix_is_a_usage_error(tmp_path, capsys, command):
+    matrix, y_csv = simulate_swap(tmp_path, capsys)
+    spectrum = tmp_path / "spectrum.json"
+    assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
+    matrix.write_text("0,1,0\n1,0,0\n")
+    inputs = {
+        "simulate": (),
+        "verify": ("--estimate", spectrum, "--setup", tmp_path / "y.setup.json"),
+    }[command]
+    code, out, err = run(capsys, command, "--matrix", matrix, *inputs)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"matrix in {matrix} is 2x3, not square" in err
 
 
 # =========================================================================

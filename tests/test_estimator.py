@@ -15,6 +15,7 @@ from spectral_scope import (
     CT,
     DT,
     CharacteristicPoly,
+    DeconvolutionOverflowError,
     EstimatorOptions,
     InsufficientDataError,
     LogSingularRootError,
@@ -680,6 +681,16 @@ def test_orthogonal_node_directions_cannot_be_deconvolved():
         deconvolve_sigma([1.0, 2.0, 3.0], [0.0, 1.0, 1.0])
     node = NodeDynamics(A=np.zeros((2, 2)), beta=[1.0, 0.0], gamma=[0.0, 1.0])
     assert nu_sequence(node, K=3)[0] == 0.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_deconvolved_sample_beyond_the_double_range_is_named():
+    with pytest.raises(DeconvolutionOverflowError, match=r"^deconvolved sample sigma\[1\] lies"):
+        deconvolve_sigma([1.0, 1e308, 1.0], [1e-10, 0.0, 0.0])
+    with pytest.raises(DeconvolutionOverflowError, match=r"^deconvolved sample sigma\[2\] ") as e:
+        deconvolve_sigma_ct([1.0, 1.0, 1e308], [1.0, 1.0, 1e-10])
+    assert e.value.index == 2
+    assert issubclass(DeconvolutionOverflowError, OverflowError)
 
 
 def test_non_finite_node_weights_are_named():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import hidden_mode_system, orthogonal
 from spectral_scope import (
@@ -22,6 +24,7 @@ from spectral_scope import (
     pbh_deficiency,
     simulate_dt,
 )
+from spectral_scope.clustering import cluster_indices
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -116,6 +119,64 @@ def test_left_and_right_eigenvectors_are_mutually_inverse():
     part = observable_partition(G, c=rng.uniform(0.5, 1, 6), x0=rng.uniform(0.5, 1, 6))
     product = part.left_vectors @ part.right_vectors
     assert np.max(np.abs(product - np.eye(6))) < 1e-8
+
+
+def per_eigenvalue_partition(G, c, x0):
+    """The partition's grouping, PBH verdicts and weights with one SVD per
+    distinct eigenvalue: the reference the batched version must equal."""
+    n = G.shape[0]
+    vals, U = np.linalg.eig(G)
+    groups = cluster_indices(vals, 1e-8)
+    groups = sorted(groups, key=lambda g: (-vals[g].mean().real, -vals[g].mean().imag))
+    distinct = np.array([vals[g].mean() for g in groups], dtype=complex)
+    deficient = []
+    for v in distinct:
+        s = np.linalg.svd(np.vstack([G - v * np.eye(n), c[None, :]]), compute_uv=False)
+        rank = int(np.count_nonzero(s > 1e-10 * s[0])) if s[0] > 0 else 0
+        deficient.append(n - rank > 0)
+    deficient = np.array(deficient, dtype=bool)
+    cond_u = np.linalg.cond(U)
+    if np.isfinite(cond_u) and cond_u < 1e8:
+        omega = (c @ U) * (np.linalg.inv(U) @ x0)
+        scale = max(float(np.max(np.abs(omega))), float(np.linalg.norm(c) * np.linalg.norm(x0)),
+                    np.finfo(float).tiny)
+        weights = [np.array([complex(omega[g].sum())]) for g in groups]
+        m_tilde = np.array([1 if abs(w[0]) > 1e-9 * scale else 0 for w in weights], dtype=int)
+    else:
+        weights = [np.zeros(0, dtype=complex) for _ in groups]
+        m_tilde = np.array([0 if d else 1 for d in deficient], dtype=int)
+    return distinct, m_tilde, deficient, weights
+
+
+def partition_case(kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "jordan":
+        lam = float(rng.choice([-0.8, 0.5, 1.5]))
+        blocks = [(lam, int(rng.integers(1, 4))), (lam, 1), (-0.3, int(rng.integers(1, 3)))]
+        case = make_jordan_case(blocks, seed=seed)
+        return case.G, case.c, case.x0
+    n = int(rng.integers(2, 10))
+    if kind == "repeated":
+        Q = orthogonal(n, rng)
+        G = Q @ np.diag(rng.choice([-1.0, 0.25, 1.2], n)) @ Q.T
+    else:
+        G = rng.standard_normal((n, n))
+    c = rng.standard_normal(n)
+    c[rng.integers(n)] = 0.0
+    return G, c, rng.standard_normal(n)
+
+
+@given(st.sampled_from(["random", "repeated", "jordan"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=90, deadline=None)
+def test_batched_partition_equals_the_per_eigenvalue_loop(kind, seed):
+    G, c, x0 = partition_case(kind, seed)
+    part = observable_partition(G, c, x0)
+    distinct, m_tilde, deficient, weights = per_eigenvalue_partition(G, c, x0)
+    assert part.distinct.tobytes() == distinct.tobytes()
+    assert np.array_equal(part.m_tilde, m_tilde)
+    assert np.array_equal(part.pbh_deficient, deficient)
+    assert len(part.modal_weights) == len(weights)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(part.modal_weights, weights))
 
 
 def test_modal_weights_reconstruct_the_output():
