@@ -135,12 +135,17 @@ def _write_setup_json(path, setup: ObservationSetup, mode: str, tau, seed, node,
 
 
 def _node_from_json(path) -> NodeDynamics:
-    data = json.loads(Path(path).read_text())
-    return NodeDynamics(
-        A=np.asarray(data["A"], dtype=float),
-        beta=np.asarray(data["beta"], dtype=float),
-        gamma=np.asarray(data["gamma"], dtype=float),
-    )
+    """The node a JSON file holds; ``ValueError`` for any file that holds none."""
+    try:
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("must hold a JSON object")
+        for key in ("A", "beta", "gamma"):
+            if key not in data:
+                raise ValueError(f"has no {key!r}")
+        return NodeDynamics(A=data["A"], beta=data["beta"], gamma=data["gamma"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"node {path}: {exc}") from None
 
 
 def _load_node(args) -> NodeDynamics | None:
@@ -230,10 +235,10 @@ def cmd_simulate(args) -> int:
     continuous = args.mode in ("ct", "ct-networked")
     if continuous and not args.tau:
         return _fail_usage(f"mode {args.mode} requires --tau")
-    node = _load_node(args)
-    if networked and node is None:
-        return _fail_usage(f"mode {args.mode} requires --node FILE or --node-d D [--node-seed S]")
     try:
+        node = _load_node(args)
+        if networked and node is None:
+            return _fail_usage(f"mode {args.mode} requires --node FILE or --node-d D [--node-seed S]")
         setup = _build_setup(args, n, seed)
         if args.mode == "dt":
             seq = simulate_dt(M, setup, K=K)
@@ -256,7 +261,7 @@ def cmd_simulate(args) -> int:
     except OverflowError as exc:  # the matrix exponential, before any sample
         print(f"overflow: {exc}; nothing recorded", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # bad input, such as a malformed node file
         return _fail_usage(str(exc))
     write_sequence(seq, args.out, seed=seed)
     setup_path = Path(args.out).with_suffix(".setup.json")
@@ -282,9 +287,9 @@ def cmd_estimate(args) -> int:
         y = read_sequence(args.y, sidecar=args.sidecar)
     except (OSError, ValueError, KeyError) as exc:
         return _fail_usage(f"cannot read sequence: {exc}")
-    node = _load_node(args)
     opts = _estimator_options(args)
     try:
+        node = _load_node(args)
         if node is not None and y.mode == DT:
             est = estimate_networked_dt_spectrum(y, node, opts=opts)
         elif y.mode == CT:
@@ -293,10 +298,10 @@ def cmd_estimate(args) -> int:
             est = estimate_dt_spectrum(y, opts=opts)
     except (
         SingularDeconvolutionError, LogSingularRootError, InsufficientDataError, OverflowError
-    ) as exc:  # OverflowError: the node's matrix exponential or the deconvolution
+    ) as exc:  # OverflowError: the node's matrix exponential, its weights or the deconvolution
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:  # bad input, such as non-finite samples
+    except (OSError, ValueError) as exc:  # bad input, such as non-finite samples or a malformed node
         return _fail_usage(str(exc))
     _write_json(est.to_json_dict(), args.out)
     return EXIT_OK
@@ -392,13 +397,11 @@ def cmd_demo(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     result = run_scenario(args.name, seed=seed, keep_artifacts=True)
     art = result.artifacts
-    mode = CT if args.name == "fig2" else DT
-    tau = 1.0 if args.name == "fig2" else None
 
     write_graph_tsv(art.graph, outdir / "graph.tsv")
     write_matrix_csv(art.matrix, outdir / "matrix.csv")
     _write_setup_json(
-        outdir / "setup.json", art.setup, mode, tau, seed, art.node,
+        outdir / "setup.json", art.setup, DT if art.tau is None else CT, art.tau, seed, art.node,
         scenario=result.name, tol=result.tol,
     )
     if art.sequence is not None:

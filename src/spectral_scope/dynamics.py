@@ -117,6 +117,8 @@ class NodeDynamics:
             raise ValueError(f"A must be square, got {A.shape}")
         if beta.shape != (A.shape[0],) or gamma.shape != (A.shape[0],):
             raise ValueError("beta and gamma must match the state dimension of A")
+        if not (np.isfinite(A).all() and np.isfinite(beta).all() and np.isfinite(gamma).all()):
+            raise ValueError("A, beta and gamma must be finite")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)

@@ -117,7 +117,7 @@ class HankelAnalysis:
     rank_tolerance: float
     scale_rho: float
     y_scaled: np.ndarray
-    y_raw: np.ndarray | None = None
+    y_raw: np.ndarray
 
     @property
     def r_max(self) -> int:
@@ -370,7 +370,7 @@ _REFINE_SWEEPS = 6
 _REFINE_SIZE_CAP = 64
 
 
-def solve_coefficients(h: HankelAnalysis, y_scaled=None) -> CharacteristicPoly:
+def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     """Solve ``H_r alpha = -(y[r..2r-1])`` for the monic polynomial coefficients.
 
     Uses the SVD pseudo-inverse truncated at the detected-rank tolerance
@@ -388,7 +388,7 @@ def solve_coefficients(h: HankelAnalysis, y_scaled=None) -> CharacteristicPoly:
     yields the empty polynomial.
     """
     r = h.rank
-    y = np.asarray(y_scaled if y_scaled is not None else h.y_scaled, dtype=float)
+    y = h.y_scaled
     if r == 0:
         return CharacteristicPoly(np.zeros(0), 0, 0.0, 1.0)
     if len(y) < 2 * r:
@@ -405,7 +405,7 @@ def solve_coefficients(h: HankelAnalysis, y_scaled=None) -> CharacteristicPoly:
 
     alpha = apply_pinv(rhs)
     alpha_hi = None
-    raw = h.y_raw if h.y_raw is not None else y
+    raw = h.y_raw
     if (
         np.any(keep)
         and r <= _REFINE_SIZE_CAP
@@ -489,8 +489,6 @@ def roots_with_multiplicity(
     p: CharacteristicPoly,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     scale_rho: float = 1.0,
-    mode: str = DT,
-    tau: float | None = None,
 ) -> SpectrumEstimate:
     """Roots of the monic polynomial as (value, multiplicity) pairs.
 
@@ -501,7 +499,7 @@ def roots_with_multiplicity(
     through by ``scale_rho``.
     """
     if p.degree == 0:
-        return SpectrumEstimate([], mode, tau, 0, p.residual, p.condition, scale_rho)
+        return SpectrumEstimate([], DT, None, 0, p.residual, p.condition, scale_rho)
     monic = np.concatenate(([1.0], p.coefficients[::-1]))
     if p.coefficients_hi is not None:
         monic_hi = np.concatenate((np.ones(1, dtype=np.longdouble), p.coefficients_hi[::-1]))
@@ -512,7 +510,7 @@ def roots_with_multiplicity(
     pairs = enforce_conjugate_pairs(pairs, cluster_tol)
     if scale_rho != 1.0:
         pairs = [(v * scale_rho, m) for v, m in pairs]
-    return SpectrumEstimate(list(pairs), mode, tau, p.degree, p.residual, p.condition, scale_rho)
+    return SpectrumEstimate(list(pairs), DT, None, p.degree, p.residual, p.condition, scale_rho)
 
 
 def _estimate(
@@ -530,7 +528,7 @@ def _estimate(
         prescale = continuous or bool(np.max(np.abs(values)) > PRESCALE_TRIGGER)
     h = build_hankel(values, prescale=prescale, rank_tolerance=opts.rank_tolerance)
     poly = solve_coefficients(h)
-    est = roots_with_multiplicity(poly, opts.cluster_tol, h.scale_rho, DT, None)
+    est = roots_with_multiplicity(poly, opts.cluster_tol, h.scale_rho)
     if est.condition > ILL_CONDITION_LIMIT:
         est.warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
     return est
@@ -558,7 +556,10 @@ def estimate_dt_spectrum(y, opts: EstimatorOptions | None = None) -> SpectrumEst
 
 
 def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = None) -> np.ndarray:
-    """Node impulse weights: gamma^T A^k beta (discrete) or gamma^T e^{A k tau} beta (sampled)."""
+    """Node impulse weights: gamma^T A^k beta (discrete) or gamma^T e^{A k tau} beta (sampled).
+
+    Raises ``OverflowError`` naming the first weight beyond the double range.
+    """
     if K < 1:
         raise ValueError(f"need at least one weight, got K={K}")
     if mode == CT:
@@ -573,10 +574,13 @@ def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = 
     Pl = P.astype(np.longdouble)
     gl = node.gamma.astype(np.longdouble)
     out = np.empty(K)
-    for k in range(K):
-        out[k] = float(gl @ v)
-        if k + 1 < K:
-            v = Pl @ v
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the k it hit
+        for k in range(K):
+            out[k] = w = float(gl @ v)
+            if not math.isfinite(w):
+                raise OverflowError(f"node weight nu[{k}] lies beyond the double range")
+            if k + 1 < K:
+                v = Pl @ v
     return out
 
 

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import pkgutil
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
+import spectral_scope
 from helpers import hidden_mode_system
 from spectral_scope import (
     CharacteristicPoly,
@@ -309,6 +311,16 @@ def test_the_benchmark_finds_every_function_it_wraps(monkeypatch):
     program = benchmark_program(monkeypatch)
     with program.traced(program.Tracer()):
         pass
+
+
+def test_every_exported_name_resolves():
+    modules = [spectral_scope] + [
+        importlib.import_module(f"spectral_scope.{m.name}")
+        for m in pkgutil.iter_modules(spectral_scope.__path__)
+    ]
+    stale = [f"{mod.__name__}.{name}" for mod in modules
+             for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert stale == []
 
 
 def test_cli_chains_match_the_benchmark_reference_verdicts(tmp_path, capsys, monkeypatch):

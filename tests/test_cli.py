@@ -7,8 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from spectral_scope import OutputSequence, cli, read_matrix_csv, read_sequence, write_sequence
+from spectral_scope import OutputSequence, cli, read_matrix_csv, read_sequence, scenarios, write_sequence
 from spectral_scope.cli import SEED_ENV, build_parser, main
+from spectral_scope.dynamics import SimulationOverflowError
 from spectral_scope.estimator import estimate_dt_spectrum
 from spectral_scope.oracle import observable_partition
 
@@ -268,8 +269,10 @@ def test_estimate_fails_cleanly_on_an_orthogonal_node(tmp_path, capsys):
          "deconvolved sample sigma[0] lies beyond the double range"),
         ("ct", [1.0, 1e308, 1.0, 1.0], {"A": [[-1]], "beta": [1e-10], "gamma": [1]},
          "deconvolved sample sigma[1] lies beyond the double range"),
+        ("dt", [1.0, 0.5, 0.25, 0.125], {"A": [[1e200]], "beta": [1], "gamma": [1]},
+         "node weight nu[2] lies beyond the double range"),
     ],
-    ids=["node-expm", "deconvolution", "ct-deconvolution"],
+    ids=["node-expm", "deconvolution", "ct-deconvolution", "node-weights"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_estimate_reports_an_overflow_as_a_failure(tmp_path, capsys, mode, values, node, message):
@@ -281,6 +284,33 @@ def test_estimate_reports_an_overflow_as_a_failure(tmp_path, capsys, mode, value
     code, out, err = run(capsys, "estimate", "--y", y_csv, "--node", node_json)
     assert code == 1 and out == ""
     assert err == f"estimation failed: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        ({"beta": [1], "gamma": [1]}, "has no 'A'"),
+        ([[1]], "must hold a JSON object"),
+        ({"A": [[1, 0]], "beta": [1], "gamma": [1]}, "A must be square, got (1, 2)"),
+        ({"A": [[1]], "beta": [1, 2], "gamma": [1]}, "beta and gamma must match"),
+        ({"A": [[float("nan")]], "beta": [1], "gamma": [1]}, "A, beta and gamma must be finite"),
+    ],
+    ids=["no-A", "list", "non-square-A", "long-beta", "nan-A"],
+)
+def test_a_malformed_node_file_is_a_usage_error(tmp_path, capsys, command, node, message):
+    matrix, y_csv = simulate_swap(tmp_path, capsys)
+    node_json = tmp_path / "node.json"
+    node_json.write_text(json.dumps(node))
+    out_file = tmp_path / "out.csv"
+    argv = {
+        "estimate": ("estimate", "--y", y_csv),
+        "simulate": ("simulate", "--matrix", matrix, "--mode", "dt-networked"),
+    }[command]
+    code, out, err = run(capsys, *argv, "--node", node_json, "--out", out_file)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: node {node_json}: {message}") and err.count("\n") == 1
+    assert not out_file.exists()
 
 
 # =========================================================================
@@ -471,6 +501,10 @@ ARTIFACTS = (
 )
 
 
+# each preset's time mode, tau, and whether it has a node
+PRESET_SETUPS = {"fig1": ("dt", None, False), "fig2": ("ct", 1.0, False), "fig3": ("dt", None, True)}
+
+
 @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
 def test_demo_presets_pass_and_write_artifacts(tmp_path, capsys, name):
     outdir = tmp_path / name
@@ -481,6 +515,27 @@ def test_demo_presets_pass_and_write_artifacts(tmp_path, capsys, name):
         assert (outdir / fname).is_file(), fname
     match = json.loads((outdir / "match.json").read_text())
     assert match["pass"] is True and match["overflow"] is False
+    setup = json.loads((outdir / "setup.json").read_text())
+    assert (setup["mode"], setup["tau"], setup["node"] is not None) == PRESET_SETUPS[name]
+
+
+@pytest.mark.parametrize(
+    "name, simulator, tol",
+    [("fig1", "simulate_dt", 1e-6), ("fig2", "simulate_ct_sampled", 1e-3),
+     ("fig3", "simulate_dt_networked", 1e-5)],
+)
+def test_demo_reports_a_simulation_overflow(tmp_path, capsys, monkeypatch, name, simulator, tol):
+    def overflow(*args, **kwargs):
+        raise SimulationOverflowError("state left the double range", 3, np.zeros(3))
+
+    monkeypatch.setattr(scenarios, simulator, overflow)
+    code, out, _ = run(capsys, "demo", name, "--seed", 0, "--outdir", tmp_path)
+    assert code == 1
+    assert out == f"{name} seed 0: FAIL (overflow truncated the run, tol {tol:.1e}) -> {tmp_path}/\n"
+    match = json.loads((tmp_path / "match.json").read_text())
+    assert (match["pass"], match["overflow"], match["tol"]) == (False, True, tol)
+    written = sorted(f.name for f in tmp_path.iterdir())
+    assert written == ["graph.tsv", "match.json", "matrix.csv", "setup.json"]
 
 
 def test_demo_runs_are_byte_reproducible(tmp_path, capsys):

@@ -693,6 +693,16 @@ def test_a_deconvolved_sample_beyond_the_double_range_is_named():
     assert issubclass(DeconvolutionOverflowError, OverflowError)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_node_weight_is_named():
+    with pytest.raises(OverflowError, match=r"^node weight nu\[2\] lies beyond the double range$"):
+        nu_sequence(NodeDynamics(A=[[1e200]], beta=[1.0], gamma=[1.0]), K=4)
+    # the readout cancels while the state outgrows even long double
+    cancelling = NodeDynamics(A=np.full((2, 2), 1e300), beta=[1.0, 1.0], gamma=[1.0, -1.0])
+    with pytest.raises(OverflowError, match=r"^node weight nu\[\d+\] lies beyond the double range$"):
+        nu_sequence(cancelling, K=40)
+
+
 def test_non_finite_node_weights_are_named():
     for deconvolve in (deconvolve_sigma, deconvolve_sigma_ct):
         with pytest.raises(ValueError, match=r"^node weight nu\[1\] is not finite$"):
