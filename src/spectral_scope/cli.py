@@ -176,18 +176,18 @@ def cmd_generate(args) -> int:
     if args.n is None:
         return _fail_usage("generate requires --n")
     seed = _resolve_seed(args.seed)
-    if args.model == "pa":
-        g = generate_preferential_attachment(args.n, args.m, seed=seed)
-    elif args.model == "ring":
-        g = generate_ring(args.n, directed=args.directed)
-    else:
-        return _fail_usage(f"unknown model {args.model!r}")
-    if args.weights:
-        bounds = _parse_floats(args.weights)
-        if bounds.size != 2:
-            return _fail_usage("--weights expects LO,HI")
-        g = assign_uniform_weights(g, float(bounds[0]), float(bounds[1]), seed=seed)
-    try:
+    try:  # the generators reject graph sizes and weight bounds they cannot build
+        if args.model == "pa":
+            g = generate_preferential_attachment(args.n, args.m, seed=seed)
+        elif args.model == "ring":
+            g = generate_ring(args.n, directed=args.directed)
+        else:
+            return _fail_usage(f"unknown model {args.model!r}")
+        if args.weights:
+            bounds = _parse_floats(args.weights)
+            if bounds.size != 2:
+                return _fail_usage("--weights expects LO,HI")
+            g = assign_uniform_weights(g, float(bounds[0]), float(bounds[1]), seed=seed)
         gm = build_matrix(g, GraphMatrixKind(args.kind))
     except ValueError as exc:
         return _fail_usage(str(exc))
@@ -394,7 +394,10 @@ def _write_eigenvalue_csv(path, truth, estimate) -> None:
 def cmd_demo(args) -> int:
     seed = _resolve_seed(args.seed)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # such as an existing file of that name
+        return _fail_usage(f"cannot create --outdir: {exc}")
     result = run_scenario(args.name, seed=seed, keep_artifacts=True)
     art = result.artifacts
 

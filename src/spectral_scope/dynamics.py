@@ -45,8 +45,8 @@ TimeMode = Literal["dt", "ct"]
 class SimulationOverflowError(OverflowError):
     """The floating range was exhausted mid-rollout.
 
-    ``index`` is the first step whose state was non-finite; ``partial`` holds
-    the outputs recorded before that step.
+    ``index`` is the first step whose state or output was non-finite;
+    ``partial`` holds the outputs recorded before that step.
     """
 
     def __init__(self, message: str, index: int, partial):
@@ -204,21 +204,35 @@ def _setup_arrays(G, setup: ObservationSetup, K: int):
     return A, setup.x0, setup.c.astype(np.longdouble)
 
 
+_BLOCK = 64  # rollout steps between overflow checks
+
+
 def _rollout(state, step, output, K: int, mode: str, tau, n_hint: int) -> OutputSequence:
     # Iterated step; powers of the system matrix are never formed. The state
     # accumulates in extended precision where the platform has one (x86 long
     # double), so each emitted double carries only its final rounding instead
     # of K steps of drift; on platforms where long double is double this
     # degrades gracefully.
+    #
+    # Overflow is checked on the outputs alone, not at every step. Every
+    # output forms every c_i x_i term and 0 * inf is NaN, so a non-finite
+    # state always gives a non-finite output: the first non-finite output is
+    # the first step whose state or output left the floating range. A long
+    # rollout stops within one block of steps after it.
     ys = np.empty(K)
-    for k in range(K):
-        ys[k] = float(output(state))
-        if not (np.all(np.isfinite(state)) and np.isfinite(ys[k])):
-            raise SimulationOverflowError(
-                f"state overflowed the floating range at step {k}", index=k, partial=ys[:k]
-            )
-        if k + 1 < K:
-            state = step(state)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            ys[k] = output(state)
+            if k % _BLOCK == _BLOCK - 1 and not np.isfinite(ys[k + 1 - _BLOCK : k + 1]).all():
+                break
+            if k + 1 < K:
+                state = step(state)
+    bad = np.flatnonzero(~np.isfinite(ys[: k + 1]))
+    if bad.size:
+        k = int(bad[0])
+        raise SimulationOverflowError(
+            f"state overflowed the floating range at step {k}", index=k, partial=ys[:k]
+        )
     return OutputSequence(ys, mode=mode, tau=tau, n_hint=n_hint)
 
 
@@ -273,8 +287,7 @@ def simulate_ct_networked(
     P = matrix_exponential(A, tau).astype(np.longdouble)
     Q = matrix_exponential(node.A, tau).astype(np.longdouble)
     gl = node.gamma.astype(np.longdouble)
-    # network state u and node state v stacked as one vector [u; v], so one
-    # finiteness test per step covers both
+    # network state u and node state v stacked as one vector [u; v]
     w0 = np.concatenate((x0, node.beta)).astype(np.longdouble)
     return _rollout(
         w0,
@@ -310,9 +323,28 @@ def write_sequence(seq: OutputSequence, path, sidecar=None, seed=None) -> None:
 
 
 def read_sequence(path, sidecar=None) -> OutputSequence:
+    """Read a sequence CSV and its sidecar, as ``write_sequence`` writes them.
+
+    The header must be the one for the sidecar's mode, and the first column
+    must count ``k = 0, 1, ...`` (discrete) or ``t = k tau`` (continuous, to
+    a relative 1e-9, so hand-written times pass); ``ValueError`` otherwise.
+    """
     path = Path(path)
     sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
     meta = json.loads(sidecar.read_text())
-    rows = path.read_text().strip().splitlines()
-    values = np.array([float(line.split(",")[1]) for line in rows[1:]])
-    return OutputSequence(values, mode=meta["mode"], tau=meta.get("tau"), n_hint=meta.get("n_hint"))
+    header, *rows = path.read_text().strip().splitlines() or [""]
+    table = [line.split(",") for line in rows]
+    for i, fields in enumerate(table):
+        if len(fields) != 2:
+            raise ValueError(f"{path} line {i + 2}: expected 2 columns, got {len(fields)}")
+    t, y = np.array(table, dtype=float).reshape(-1, 2).T.copy()
+    seq = OutputSequence(y, mode=meta["mode"], tau=meta.get("tau"), n_hint=meta.get("n_hint"))
+    first = "k" if seq.mode == DT else "t"
+    if [h.strip() for h in header.split(",")] != [first, "y"]:
+        raise ValueError(f"{path}: header {header!r} does not fit mode {seq.mode!r} ({first},y)")
+    expected = np.arange(len(seq)) * (1.0 if seq.mode == DT else seq.tau)
+    off = np.flatnonzero(~(np.abs(t - expected) <= 1e-9 * expected))
+    if off.size:
+        i = off[0]
+        raise ValueError(f"{path} line {i + 2}: {first} = {float(t[i])!r}, expected {float(expected[i])!r}")
+    return seq

@@ -570,17 +570,17 @@ def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = 
         P = node.A
     else:
         raise ValueError(f"mode must be {DT!r} or {CT!r}, got {mode!r}")
-    v = node.beta.astype(np.longdouble)
     Pl = P.astype(np.longdouble)
-    gl = node.gamma.astype(np.longdouble)
-    out = np.empty(K)
+    # the K node states A^k beta as rows, then every weight in one product
+    V = np.empty((K, node.d), dtype=np.longdouble)
+    V[0] = node.beta
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the k it hit
-        for k in range(K):
-            out[k] = w = float(gl @ v)
-            if not math.isfinite(w):
-                raise OverflowError(f"node weight nu[{k}] lies beyond the double range")
-            if k + 1 < K:
-                v = Pl @ v
+        for k in range(1, K):
+            np.matmul(Pl, V[k - 1], out=V[k])
+        out = (V @ node.gamma.astype(np.longdouble)).astype(float)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise OverflowError(f"node weight nu[{bad[0]}] lies beyond the double range")
     return out
 
 

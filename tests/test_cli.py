@@ -57,6 +57,26 @@ def test_generate_without_n_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--model", "pa", "--n", 1), "m_attach=2 exceeds n=1"),
+        (("--model", "pa", "--n", -3), "m_attach=2 exceeds n=-3"),
+        (("--model", "pa", "--n", 5, "--m", 9), "m_attach=9 exceeds n=5"),
+        (("--model", "pa", "--n", 5, "--m", 0), "m_attach must be positive"),
+        (("--model", "pa", "--n", 5, "--weights", "1,1"), "need lo < hi"),
+        (("--model", "ring", "--n", 0), "ring needs at least 2 nodes"),
+    ],
+    ids=["n-1", "n-negative", "m-above-n", "m-0", "empty-weight-range", "ring-n-0"],
+)
+def test_a_graph_the_generators_reject_is_a_usage_error(tmp_path, capsys, argv, message):
+    graph, matrix = tmp_path / "g.tsv", tmp_path / "m.csv"
+    code, out, err = run(capsys, "generate", *argv, "--graph-out", graph, "--matrix-out", matrix)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert not graph.exists() and not matrix.exists()
+
+
 # =========================================================================
 # simulate
 # =========================================================================
@@ -243,6 +263,39 @@ def test_estimate_of_a_non_finite_sample_is_a_usage_error(tmp_path, capsys, bad)
     code, out, err = run(capsys, "estimate", "--y", y_csv)
     assert code == 2 and out == ""
     assert err == "error: output y[1] is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "mode, edit, message",
+    [
+        ("dt", lambda lines: ["t,y", *lines[1:]], "does not fit mode 'dt'"),
+        ("ct", lambda lines: ["k,y", *lines[1:]], "does not fit mode 'ct'"),
+        ("dt", lambda lines: [*lines[:2], "5,0", *lines[3:]], "line 3: k = 5.0, expected 1.0"),
+        ("ct", lambda lines: [*lines[:2], "0.6,0", *lines[3:]], "line 3: t = 0.6, expected 0.5"),
+        ("ct", lambda lines: [*lines[:2], "0.5", *lines[3:]], "line 3: expected 2 columns"),
+    ],
+    ids=["dt-header", "ct-header", "dt-k", "ct-t", "one-column"],
+)
+def test_estimate_of_a_sequence_file_that_contradicts_its_sidecar_is_a_usage_error(
+    tmp_path, capsys, mode, edit, message
+):
+    y_csv = tmp_path / "y.csv"
+    write_sequence(OutputSequence([1.0, 0.5, 0.25, 0.125], mode=mode, tau=0.5), y_csv)
+    y_csv.write_text("\n".join(edit(y_csv.read_text().splitlines())) + "\n")
+    code, out, err = run(capsys, "estimate", "--y", y_csv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read sequence: ") and message in err
+
+
+def test_estimate_reads_hand_written_sample_times(tmp_path, capsys):
+    # 0.1 * 3 is 0.30000000000000004, not 0.3: a small relative slack is allowed
+    y_csv = tmp_path / "y.csv"
+    write_sequence(OutputSequence([1.0, 0.5, 0.25, 0.125], mode="ct", tau=0.1), y_csv)
+    written = read_sequence(y_csv)
+    y_csv.write_text("t, y\n0,1\n0.1,0.5\n0.2,0.25\n0.3,0.125\n")
+    back = read_sequence(y_csv)
+    assert np.array_equal(back.values, written.values) and back.tau == 0.1
+    assert run(capsys, "estimate", "--y", y_csv)[0] == 0
 
 
 def test_estimate_fails_cleanly_on_an_orthogonal_node(tmp_path, capsys):
@@ -538,12 +591,41 @@ def test_demo_reports_a_simulation_overflow(tmp_path, capsys, monkeypatch, name,
     assert written == ["graph.tsv", "match.json", "matrix.csv", "setup.json"]
 
 
+def test_demo_into_an_existing_file_is_a_usage_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    code, out, err = run(capsys, "demo", "fig1", "--outdir", afile)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot create --outdir") and err.count("\n") == 1
+    assert afile.read_text() == "kept\n"
+
+
 def test_demo_runs_are_byte_reproducible(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(capsys, "demo", "fig1", "--seed", 4, "--outdir", a)[0] == 0
     assert run(capsys, "demo", "fig1", "--seed", 4, "--outdir", b)[0] == 0
     for fname in ARTIFACTS:
         assert (a / fname).read_bytes() == (b / fname).read_bytes(), fname
+
+
+def test_fig3_builds_its_pinned_system_once_and_shares_it_read_only(tmp_path, capsys, monkeypatch):
+    def demos(root, cold):
+        for seed in range(5):
+            if cold:
+                scenarios._fig3_system.cache_clear()
+            assert run(capsys, "demo", "fig3", "--seed", seed, "--outdir", root / str(seed))[0] == 0
+        return {f.relative_to(root): f.read_bytes() for f in sorted(root.rglob("*")) if f.is_file()}
+
+    cold = demos(tmp_path / "cold", cold=True)
+    spectra = []
+    monkeypatch.setattr(scenarios, "full_spectrum", lambda gm: spectra.append(gm))
+    assert demos(tmp_path / "warm", cold=False) == cold and len(cold) == 5 * len(ARTIFACTS)
+    assert spectra == []  # the warm seeds reuse the pinned true spectrum
+
+    result = scenarios.run_scenario("fig3", 0, keep_artifacts=True)
+    for shared in (result.artifacts.matrix, result.truth, result.artifacts.node.A):
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0] = 0.0
 
 
 def test_estimate_json_matches_the_library_call_exactly(tmp_path, capsys):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spectral_scope import (
     CT,
@@ -15,6 +18,7 @@ from spectral_scope import (
     OutputSequence,
     SimulationOverflowError,
     matrix_exponential,
+    nu_sequence,
     observable_partition,
     random_setup,
     read_sequence,
@@ -274,6 +278,150 @@ def test_overflow_reports_index_and_partial_prefix(mode):
     assert err.index == index and err.partial.size == index
     assert np.all(np.isfinite(err.partial))
     assert np.array_equal(err.partial, simulate(setup, index).values)
+
+
+# Reference loops that test each step's state and output for overflow before
+# taking the next step. The simulators test all outputs once, after their
+# loop, and nu_sequence forms every weight in one product; both must give
+# these loops' results bit for bit, overflow reports included.
+
+
+def _per_step_rollout(state, step, output, K, mode, tau, n_hint):
+    ys = np.empty(K)
+    for k in range(K):
+        ys[k] = float(output(state))
+        if not (np.all(np.isfinite(state)) and np.isfinite(ys[k])):
+            raise SimulationOverflowError(
+                f"state overflowed the floating range at step {k}", index=k, partial=ys[:k]
+            )
+        if k + 1 < K:
+            state = step(state)
+    return OutputSequence(ys, mode=mode, tau=tau, n_hint=n_hint)
+
+
+def _per_step_simulation(kind, G, setup, K, node, tau):
+    A, x0 = np.asarray(G, dtype=float), setup.x0
+    c = setup.c.astype(np.longdouble)
+    n = len(c)
+    gl = node.gamma.astype(np.longdouble)
+    if kind in ("dt", "ct"):
+        P = (A if kind == "dt" else matrix_exponential(A, tau)).astype(np.longdouble)
+        state, step, output = x0.astype(np.longdouble), lambda x: P @ x, lambda x: c @ x
+    elif kind == "dt-networked":
+        Al, AnT = A.astype(np.longdouble), node.A.T.astype(np.longdouble)
+        state = np.outer(x0, node.beta).astype(np.longdouble)
+        step, output = lambda X: X @ AnT + Al @ X, lambda X: c @ (X @ gl)
+    else:
+        P = matrix_exponential(A, tau).astype(np.longdouble)
+        Q = matrix_exponential(node.A, tau).astype(np.longdouble)
+        state = np.concatenate((x0, node.beta)).astype(np.longdouble)
+        step = lambda w: np.concatenate((P @ w[:n], Q @ w[n:]))
+        output = lambda w: (c @ w[:n]) * (gl @ w[n:])
+    mode = "dt" if kind.startswith("dt") else "ct"
+    tau = None if mode == "dt" else float(tau)
+    return _per_step_rollout(state, step, output, K, mode, tau, n)
+
+
+def _per_step_nu(node, K, mode, tau):
+    P = node.A if mode == DT else matrix_exponential(node.A, tau)
+    v = node.beta.astype(np.longdouble)
+    Pl = P.astype(np.longdouble)
+    gl = node.gamma.astype(np.longdouble)
+    out = np.empty(K)
+    for k in range(K):
+        out[k] = w = float(gl @ v)
+        if not math.isfinite(w):
+            raise OverflowError(f"node weight nu[{k}] lies beyond the double range")
+        if k + 1 < K:
+            v = Pl @ v
+    return out
+
+
+SIMULATORS = {
+    "dt": lambda G, setup, K, node, tau: simulate_dt(G, setup, K),
+    "dt-networked": lambda G, setup, K, node, tau: simulate_dt_networked(G, node, setup, K),
+    "ct": lambda G, setup, K, node, tau: simulate_ct_sampled(G, setup, tau, K),
+    "ct-networked": lambda G, setup, K, node, tau: simulate_ct_networked(G, node, setup, tau, K),
+}
+
+
+def _outcome(run):
+    """What a call returned or raised, with every float as its bytes."""
+    try:
+        result = run()
+    except SimulationOverflowError as exc:
+        return "overflow", exc.index, str(exc), exc.partial.dtype, exc.partial.tobytes()
+    except OverflowError as exc:
+        return "overflow-error", str(exc)
+    if isinstance(result, OutputSequence):
+        return "ok", result.values.tobytes(), result.mode, result.tau, result.n_hint
+    return "ok", result.dtype, result.tobytes()
+
+
+def _assert_same_as_per_step(G, setup, K, node, tau):
+    for kind, simulate in SIMULATORS.items():
+        with np.errstate(all="ignore"):
+            expected = _outcome(lambda: _per_step_simulation(kind, G, setup, K, node, tau))
+        assert _outcome(lambda: simulate(G, setup, K, node, tau)) == expected, kind
+    for mode in (DT, CT):
+        with np.errstate(all="ignore"):
+            expected = _outcome(lambda: _per_step_nu(node, K, mode, tau))
+        assert _outcome(lambda: nu_sequence(node, K, mode, tau)) == expected, mode
+
+
+# scales from decaying to overflowing within a few steps, in either time mode
+SCALES = st.sampled_from([1e-3, 0.5, 1.0, 3.0, 30.0, 100.0, 300.0, 1e3, 1e40, 1e160, 1e250])
+UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def systems(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    G = draw(arrays(float, (n, n), elements=UNIT)) * draw(SCALES)
+    x0 = draw(arrays(float, n, elements=UNIT))
+    c = draw(arrays(float, n, elements=st.just(0.0) | UNIT))  # zero taps hide nodes
+    node = NodeDynamics(
+        A=draw(arrays(float, (d, d), elements=UNIT)) * draw(SCALES),
+        beta=draw(arrays(float, d, elements=UNIT)),
+        gamma=draw(arrays(float, d, elements=st.just(0.0) | UNIT)),
+    )
+    # K past 64 reaches the block-wise overflow check of long rollouts
+    K, tau = draw(st.integers(1, 40) | st.integers(60, 140)), draw(st.sampled_from([0.25, 1.0]))
+    return G, ObservationSetup(x0=x0, c=c), K, node, tau
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(systems())
+@settings(max_examples=150, deadline=None)
+def test_rollouts_and_node_weights_match_the_per_step_loops_bitwise(system):
+    _assert_same_as_per_step(*system)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "G, c, K, index",
+    [
+        # node 0 leaves even the long double range (at step 17 where long
+        # double is x87's), but its tap is zero: 0 * inf is NaN in the output
+        (np.diag([1e300, 0.5]), [0.0, 1.0], 20, 17 if np.finfo(np.longdouble).maxexp > 1024 else 2),
+        # one sample: nothing is ever stepped
+        (np.diag([1e200, 0.5]), [1.0, 1.0], 1, None),
+        # a long double state holds 1e400, but the output leaves the double
+        # range, at the last sample
+        ([[1e200]], [1.0], 3, 2),
+    ],
+    ids=["hidden-node", "K-1", "long-double-state"],
+)
+def test_rollouts_report_the_per_step_overflow_index(G, c, K, index):
+    setup = ObservationSetup(x0=np.ones(len(c)), c=c)
+    node = NodeDynamics(A=np.asarray(G, dtype=float)[:1, :1], beta=[1.0], gamma=[1.0])
+    _assert_same_as_per_step(G, setup, K, node, 1.0)
+    expected = ("ok",) if index is None else ("overflow", index)
+    for simulate in (SIMULATORS["dt"], SIMULATORS["dt-networked"]):
+        outcome = _outcome(lambda: simulate(G, setup, K, NodeDynamics.trivial(), None))
+        assert outcome[: len(expected)] == expected
+    weights = _outcome(lambda: nu_sequence(node, K))
+    assert weights[0] == ("overflow-error" if index is not None else "ok")
 
 
 # =========================================================================
