@@ -46,6 +46,16 @@ def cluster_indices(values, tol: float) -> list[np.ndarray]:
     return [np.array(groups[r], dtype=int) for r in sorted(groups)]
 
 
+def _centroid(group: np.ndarray) -> complex:
+    """``complex(group.mean())`` bit for bit; a lone value skips np.mean but keeps its
+    zero-started sum and, if complex, Smith's division by 1: both send a -0.0 real part to +0.0."""
+    if len(group) > 1:
+        return complex(group.mean())
+    z = complex(group[0])
+    a, b = 0.0 + z.real, 0.0 + z.imag
+    return complex(a + b * 0.0, b - a * 0.0) if np.iscomplexobj(group) else complex(a)
+
+
 def cluster_complex(values, tol: float) -> list[tuple[complex, int]]:
     """Merge nearby complex values into (centroid, count) pairs.
 
@@ -53,7 +63,7 @@ def cluster_complex(values, tol: float) -> list[tuple[complex, int]]:
     which keeps conjugate partners adjacent in the output.
     """
     vals = np.asarray(values, dtype=complex)
-    out = [(complex(vals[idx].mean()), len(idx)) for idx in cluster_indices(vals, tol)]
+    out = [(_centroid(vals[idx]), len(idx)) for idx in cluster_indices(vals, tol)]
     out.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
     return out
 

@@ -17,6 +17,8 @@ no model order is assumed beyond an optional upper bound ``n_hint``.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -315,54 +317,42 @@ def _ratio_to_float(n: int, e: int, d: int) -> float:
     return (n << e) / d if e >= 0 else n / (d << -e)
 
 
-def _residual_rows(raw: np.ndarray, rho: float, r: int) -> list[tuple[int, list[int], int, int]]:
-    """Integer constants of the scaled Hankel system, one tuple per row.
+def _residual_rows(raw: np.ndarray, rho: float, r: int) -> tuple:
+    """Integer constants of the scaled Hankel system, in its Hankel structure.
 
     With ``rho = p / 2^t`` and ``raw[k] = R_k 2^q``, row i of the residual
     ``sum_j raw[i+j] x_j / rho^(i+j) + raw[r+i] / rho^(r+i)`` equals
-    ``2^(q+ti) (R_{r+i} 2^(tr) + sum_j R_{i+j} 2^(tj) p^(r-j) x_j) / p^(r+i)``:
-    one common denominator per row, so the numerator stays an integer times a
-    power of two once x is split into dyadic parts.
+    ``2^(q+ti) (R_{r+i} 2^(tr) + sum_j R_{i+j} w_j x_j) / p^(r+i)`` with
+    column weights ``w_j = p^(r-j) 2^(tj)``: one common denominator per row.
+    Returns the 2r sample integers R, the weights, and per row its head
+    ``R_{r+i} 2^(tr)``, exponent ``q + ti`` and denominator ``p^(r+i)``.
     """
     p, d = float(rho).as_integer_ratio()
     t = d.bit_length() - 1
     R, q = _dyadic(np.asarray(raw[: 2 * r], dtype=float).tolist())
-    weights = [p ** (r - j) << (t * j) for j in range(r)]
-    return [
-        (R[r + i] << (t * r), [R[i + j] * w for j, w in enumerate(weights)], q + t * i, p ** (r + i))
-        for i in range(r)
-    ]
+    powers = list(itertools.accumulate([p] * (2 * r - 1), operator.mul, initial=1))
+    weights = [powers[r - j] << (t * j) for j in range(r)]
+    return R, weights, [v << (t * r) for v in R[r:]], [q + t * i for i in range(r)], powers[r:]
 
 
-def _hi_lo(x: np.ndarray) -> tuple[float, ...]:
-    """The doubles ``hi = fl(x)`` and then ``lo = fl(x - hi)`` of each long-double entry."""
-    hi = x.astype(float)
-    return tuple(hi.tolist() + (x - hi.astype(x.dtype)).astype(float).tolist())
-
-
-def _exact_residual(
-    rows: list[tuple[int, list[int], int, int]],
-    x: np.ndarray,
-    split: tuple[float, ...] | None = None,
-) -> np.ndarray:
+def _exact_residual(rows: tuple, x: np.ndarray, parts: tuple | None = None) -> np.ndarray:
     """Residual of the scaled Hankel system, exact up to one final rounding.
 
-    ``rows`` comes from _residual_rows. Each extended-precision ``x_j`` is
-    split into its hi/lo doubles (``split``, from _hi_lo when not given),
-    whose sum holds up to 106 mantissa bits (enough for long double); on a
-    common power-of-two denominator they are integers, so each row's
-    numerator is an exact integer and the only rounding is the correctly
-    rounded integer division at the end. That is what lets the refinement
-    sweeps in solve_coefficients contract well past the naive eps*cond(H)
-    floor, where the rounding of the scaled matrix entries would otherwise
-    dominate.
+    ``rows`` comes from _residual_rows. The long-double iterate is taken
+    exactly, as integers ``X_j`` and one exponent g with ``x_j = X_j 2^g``
+    (``parts``, from _dyadic when not given). ``V_j = w_j X_j`` is formed
+    once, and row i's numerator is the exact integer ``head_i 2^(-g) +
+    sum_j R_{i+j} V_j``, so the only rounding is the correctly rounded
+    integer division at the end. That is what lets the refinement sweeps in
+    solve_coefficients contract well past the naive eps*cond(H) floor, where
+    the rounding of the scaled matrix entries would otherwise dominate.
     """
-    r = len(x)
-    parts, g = _dyadic(_hi_lo(x) if split is None else split)
-    X = [a + b for a, b in zip(parts[:r], parts[r:])]
-    out = np.empty(len(rows))
-    for i, (head, coeffs, e, den) in enumerate(rows):
-        out[i] = _ratio_to_float((head << -g) + sum(map(operator.mul, coeffs, X)), e + g, den)
+    R, weights, heads, exponents, dens = rows
+    X, g = _dyadic(x) if parts is None else parts
+    V = list(map(operator.mul, weights, X))
+    out = np.empty(len(heads))
+    for i, (head, e, den) in enumerate(zip(heads, exponents, dens)):
+        out[i] = _ratio_to_float((head << -g) + sum(map(operator.mul, R[i:], V)), e + g, den)
     return out
 
 
@@ -383,9 +373,9 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     a non-finite iterate, after ``_REFINE_SWEEPS`` sweeps, or as soon as an
     iterate repeats an earlier one: a sweep depends on the iterate alone, so
     from there on the iterates cycle and none can beat the kept one. Iterates
-    are compared by their exact hi/lo double split. Reports the relative residual
-    ``||H_r alpha + y_rhs|| / ||y_rhs||`` plus a condition estimate. Rank 0
-    yields the empty polynomial.
+    are compared by the exact integers from _dyadic that the residual takes.
+    Reports the relative residual ``||H_r alpha + y_rhs|| / ||y_rhs||`` plus
+    a condition estimate. Rank 0 yields the empty polynomial.
     """
     r = h.rank
     y = h.y_scaled
@@ -415,15 +405,13 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
         rows = _residual_rows(raw, h.scale_rho, r)
         best, best_norm = np.asarray(alpha, dtype=np.longdouble), float("inf")
         x = best
-        seen: set[tuple[float, ...]] = set()
+        seen: set[tuple[int, ...]] = set()
         for sweep in range(_REFINE_SWEEPS + 1):
-            split = _hi_lo(x)
-            # a split that lost bits of x could match a different iterate
-            if np.array_equal(np.add(split[:r], split[r:], dtype=np.longdouble), x):
-                if split in seen:
-                    break
-                seen.add(split)
-            res = _exact_residual(rows, x, split)
+            parts = _dyadic(x)
+            if (key := (parts[1], *parts[0])) in seen:
+                break
+            seen.add(key)
+            res = _exact_residual(rows, x, parts)
             rnorm = float(np.linalg.norm(res))
             if rnorm < best_norm:
                 best, best_norm = x, rnorm
@@ -595,19 +583,36 @@ def _node_weights(nu, K: int) -> np.ndarray:
     return nu
 
 
+@functools.lru_cache(maxsize=1)
+def _deconvolution_operator(nu: tuple[float, ...]) -> tuple[list[list[int]], list[int], int]:
+    """Integer rows ``C(k, s) M_{k-s} V_0^s`` (s <= k), denominators ``V_0^(k+1)``
+    and the exponent b of ``nu_k = V_k 2^b``; see deconvolve_sigma."""
+    V, b = _dyadic(nu)
+    K = len(V)
+    pow0 = [V[0] ** k for k in range(K + 1)]
+    W = [0] + [V[m] * pow0[m - 1] for m in range(1, K)]
+    M = [1]
+    for k in range(1, K):
+        M.append(-sum(math.comb(k, s) * W[k - s] * M[s] for s in range(k)))
+    rows = [[math.comb(k, s) * M[k - s] * pow0[s] for s in range(k + 1)] for k in range(K)]
+    return rows, pow0[1:], b
+
+
 def deconvolve_sigma(y, nu) -> np.ndarray:
     """Strip discrete-time node dynamics from the outputs.
 
     Solves the lower-triangular system ``sum_s binom(k, s) nu_{k-s} sigma_s
-    = y_k`` by forward substitution carried out exactly (the binomial weights
-    reach ~1e5 by k = 20 and would otherwise amplify rounding ahead of the
-    Hankel stage), invertible exactly when ``nu_0 = gamma^T beta`` is
-    nonzero. On common power-of-two denominators ``y_k = Y_k 2^a`` and
-    ``nu_k = V_k 2^b`` the solution is ``sigma_k = Z_k 2^(a-b) / V_0^(k+1)``
-    with integers ``Z_k = V_0^k Y_k - sum_s binom(k, s) V_{k-s} V_0^(k-s-1)
-    Z_s``, and each ``sigma_k`` is rounded once. For the trivial
-    single-integrator node (nu = 1, 0, 0, ...) this returns ``y`` itself, bit
-    for bit.
+    = y_k`` exactly (the binomial weights reach ~1e5 by k = 20 and would
+    otherwise amplify rounding ahead of the Hankel stage), invertible exactly
+    when ``nu_0 = gamma^T beta`` is nonzero. On common power-of-two
+    denominators ``y_k = Y_k 2^a`` and ``nu_k = V_k 2^b`` the solution is
+    ``sigma_k = Z_k 2^(a-b) / V_0^(k+1)`` with integers ``Z_k = sum_s
+    binom(k, s) M_{k-s} V_0^s Y_s``, where ``M_0 = 1`` and ``M_k = -sum_{s<k}
+    binom(k, s) V_{k-s} V_0^(k-s-1) M_s`` invert the binomial mixing by nu.
+    Those integers depend on nu alone and are memoized for the last nu (a
+    networked preset's seeds share one agent); a call multiplies them by its
+    own sample integers and rounds each ``sigma_k`` once. For the trivial
+    node (nu = 1, 0, 0, ...) this returns ``y`` itself, bit for bit.
     """
     values = _sequence_values(y)
     K = len(values)
@@ -619,16 +624,11 @@ def deconvolve_sigma(y, nu) -> np.ndarray:
             "the node dynamics cannot be deconvolved"
         )
     Y, a = _dyadic(values.tolist())
-    V, b = _dyadic(nu.tolist())
-    pow0 = [V[0] ** k for k in range(K + 1)]
-    W = [0] + [V[m] * pow0[m - 1] for m in range(1, K)]
-    Z: list[int] = []
+    rows, dens, b = _deconvolution_operator(tuple(nu.tolist()))
     sigma = np.empty(K)
-    for k in range(K):
-        z = pow0[k] * Y[k] - sum(math.comb(k, s) * W[k - s] * Z[s] for s in range(k))
-        Z.append(z)
+    for k, (row, den) in enumerate(zip(rows, dens)):
         try:
-            sigma[k] = _ratio_to_float(z, a - b, pow0[k + 1])
+            sigma[k] = _ratio_to_float(sum(map(operator.mul, row, Y)), a - b, den)
         except OverflowError:
             raise DeconvolutionOverflowError(k) from None
     return sigma

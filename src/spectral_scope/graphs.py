@@ -38,14 +38,14 @@ def _rng(seed) -> np.random.Generator:
 
 
 class SingularDegreeError(ValueError):
-    """Normalized adjacency requested for a graph with a zero weighted degree."""
+    """Row-stochastic matrix requested for a graph with a zero weighted degree."""
 
 
 class GraphMatrixKind(Enum):
     ADJACENCY = "adjacency"
     DEGREE = "degree"
     LAPLACIAN = "laplacian"
-    NORMALIZED_LAPLACIAN = "normalized-laplacian"
+    ROW_STOCHASTIC = "row-stochastic"
 
 
 @dataclass(frozen=True)
@@ -191,9 +191,9 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> GraphMatrix:
 
     Adjacency sums parallel-edge weights; undirected edges contribute to both
     ``A[u, v]`` and ``A[v, u]`` (self loops once). Degree is the diagonal of
-    weighted row sums, the Laplacian is ``D - A``, and the normalized variant
-    is the row-stochastic ``D^{-1} A``, which requires every weighted degree
-    to be nonzero.
+    weighted row sums, the Laplacian is ``D - A``, and the row-stochastic
+    matrix is ``D^{-1} A``, which requires every weighted degree to be
+    nonzero.
     """
     kind = GraphMatrixKind(kind)
     A = np.zeros((g.n, g.n))

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from .clustering import cluster_indices, enforce_conjugate_pairs
+from .clustering import _centroid, cluster_indices, enforce_conjugate_pairs
 from .dynamics import ObservationSetup
 from .estimator import SpectrumEstimate
 from .graphs import as_array
@@ -151,7 +151,7 @@ def observable_partition(
 
     vals, U = np.linalg.eig(M)
     groups = cluster_indices(vals, cluster_tol)
-    means = [vals[g].mean() for g in groups]
+    means = [_centroid(vals[g]) for g in groups]
     order = sorted(range(len(groups)), key=lambda i: (-means[i].real, -means[i].imag))
     groups = [groups[i] for i in order]
     distinct = np.array([means[i] for i in order], dtype=complex)

@@ -52,6 +52,18 @@ def test_generate_preferential_attachment_edge_count(tmp_path, capsys):
     assert code == 0 and "edges=17" in out
 
 
+def test_generate_writes_the_row_stochastic_matrix(tmp_path, capsys):
+    graph, matrix = tmp_path / "g.tsv", tmp_path / "m.csv"
+    argv = ["generate", "--model", "ring", "--n", 5, "--weights", "0.5,1.5", "--seed", 1,
+            "--graph-out", graph, "--matrix-out", matrix]
+    code, out, _ = run(capsys, *argv, "--kind", "row-stochastic")
+    assert code == 0 and "kind=row-stochastic" in out
+    assert np.allclose(read_matrix_csv(matrix).sum(axis=1), 1.0)
+    with pytest.raises(SystemExit) as info:
+        run(capsys, *argv, "--kind", "normalized-laplacian")
+    assert info.value.code == 2
+
+
 def test_generate_without_n_is_a_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "generate", "--model", "pa")
     assert code == 2 and "--n" in err

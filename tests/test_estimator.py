@@ -43,7 +43,7 @@ from spectral_scope import (
     solve_coefficients,
 )
 from spectral_scope import estimator
-from spectral_scope.clustering import cluster_indices
+from spectral_scope.clustering import _centroid, cluster_indices
 from spectral_scope.estimator import (
     _REFINE_SWEEPS,
     _exact_residual,
@@ -51,7 +51,7 @@ from spectral_scope.estimator import (
     _residual_rows,
     geometric_prescale,
 )
-from spectral_scope.scenarios import SCENARIOS
+from spectral_scope.scenarios import SCENARIOS, sweep
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -216,7 +216,7 @@ def test_solve_needs_two_samples_per_mode():
 def fraction_residual(raw, rho, x) -> list[Fraction]:
     r = len(x)
     S = [Fraction(v) / Fraction(rho) ** k for k, v in enumerate(raw)]
-    xf = [Fraction(float(v)) + Fraction(float(v - np.longdouble(float(v)))) for v in x]
+    xf = [Fraction(*v.as_integer_ratio()) for v in x]
     return [S[r + i] + sum(S[i + j] * xj for j, xj in enumerate(xf)) for i in range(r)]
 
 
@@ -249,6 +249,22 @@ def test_refinement_residual_matches_rational_arithmetic_bit_for_bit(case):
     got = _exact_residual(_residual_rows(np.array(raw), rho, len(x)), x)
     want = [float(v) for v in fraction_residual(raw, rho, x)]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("e", [-1000, -1020, -1040])
+def test_the_residual_takes_every_bit_of_a_tiny_long_double_iterate(e):
+    # x_0's low bits sit 63 places below its leading bit; from e = -1012 down
+    # they lie under the smallest subnormal double, so a hi/lo double split
+    # of x would drop them, while the long double's own integers keep them
+    ld = np.longdouble
+    x = np.array([ld(2.0) ** e * (1 + 3 * ld(2.0) ** -63), -(ld(2.0) ** e)], dtype=ld)
+    hi = x.astype(float).astype(ld)
+    assert np.array_equal(hi + (x - hi).astype(float).astype(ld), x) == (e > -1012)
+    raw = [2.0**100, 2.0**100, 0.0, 0.0]
+    got = _exact_residual(_residual_rows(np.array(raw), 1.0, 2), x)
+    want = [float(v) for v in fraction_residual(raw, 1.0, x)]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    assert got[0] == 3.0 * 2.0 ** (e + 37)  # 2^100 (x_0 + x_1), exactly
 
 
 def solve_with_every_sweep(h):
@@ -508,6 +524,28 @@ cluster_values = st.one_of(
 )
 
 
+centroid_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, INF, -INF, NAN, 5e-324, -5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False),
+)
+
+
+@given(
+    st.lists(st.builds(complex, centroid_parts, centroid_parts), min_size=1, max_size=3),
+    st.booleans(),
+)
+@example([complex(-0.0, 0.0)], False)
+@example([complex(-0.0, -0.0)], True)
+@example([complex(INF, 1.0)], True)
+@example([complex(-INF, 0.0)], False)
+@settings(max_examples=300, deadline=None)
+def test_centroid_gives_the_bits_of_np_mean(group, real):
+    values = np.array([z.real for z in group]) if real else np.array(group, dtype=complex)
+    with np.errstate(all="ignore"):  # np.mean of two or more values may overflow or meet inf - inf
+        want, got = complex(values.mean()), _centroid(values)
+    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 @given(
     st.lists(cluster_values, max_size=12),
     st.sampled_from([0.0, H, 5 * H, 1e-6, 1e-3, 0.5]),
@@ -674,6 +712,31 @@ def test_deconvolution_matches_rational_arithmetic_bit_for_bit(case):
     nu = [nu0] + tail
     got = deconvolve_sigma(y, nu)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
+
+
+def test_the_deconvolution_operator_is_memoized_for_the_last_nu():
+    memo = estimator._deconvolution_operator
+    assert memo.cache_info().maxsize == 1
+    memo.cache_clear()
+    rng = np.random.default_rng(8)
+    nu = [0.75] + rng.uniform(-1.0, 1.0, 9).tolist()
+    for y in (rng.standard_normal(10), rng.standard_normal(10) * 1e5):
+        got = deconvolve_sigma(y, nu)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
+    # a nu that differs only in its last entry builds its own operator
+    other = nu[:-1] + [nu[-1] + 2.0**-30]
+    want = fraction_deconvolution(y, other)
+    assert want[-1] != fraction_deconvolution(y, nu)[-1]
+    assert [v.hex() for v in deconvolve_sigma(y, other).tolist()] == [v.hex() for v in want]
+    assert memo.cache_info().misses == 2
+
+
+def test_a_fig3_sweep_builds_the_deconvolution_operator_once():
+    memo = estimator._deconvolution_operator
+    memo.cache_clear()
+    sweep("fig3", 20)
+    assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 19)
 
 
 def test_orthogonal_node_directions_cannot_be_deconvolved():

@@ -136,7 +136,7 @@ def test_laplacian_of_single_undirected_edge():
 
 
 def test_normalized_adjacency_of_single_undirected_edge():
-    M = build_matrix(SWAP_GRAPH, GraphMatrixKind.NORMALIZED_LAPLACIAN).values
+    M = build_matrix(SWAP_GRAPH, GraphMatrixKind.ROW_STOCHASTIC).values
     assert np.array_equal(M, [[0.0, 1.0], [1.0, 0.0]])
 
 
@@ -149,7 +149,7 @@ def test_multi_edge_weights_sum():
 def test_normalized_matrix_requires_nonzero_degrees():
     lonely = Graph(n=3, edges=((0, 1, 1.0),))
     with pytest.raises(SingularDegreeError):
-        build_matrix(lonely, GraphMatrixKind.NORMALIZED_LAPLACIAN)
+        build_matrix(lonely, GraphMatrixKind.ROW_STOCHASTIC)
 
 
 @given(st.integers(0, 500))
@@ -157,7 +157,7 @@ def test_normalized_matrix_requires_nonzero_degrees():
 def test_normalized_rows_sum_to_one_for_positive_weights(seed):
     g = generate_preferential_attachment(8, 2, seed=seed)
     g = assign_uniform_weights(g, 0.1, 2.0, seed=seed)
-    M = build_matrix(g, GraphMatrixKind.NORMALIZED_LAPLACIAN).values
+    M = build_matrix(g, GraphMatrixKind.ROW_STOCHASTIC).values
     assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-12
 
 
