@@ -16,7 +16,6 @@ from pathlib import Path
 from typing import Literal
 
 import numpy as np
-import scipy.linalg
 
 from .graphs import as_array
 
@@ -177,8 +176,11 @@ def matrix_exponential(M, t: float = 1.0) -> np.ndarray:
 
     Thin wrapper over scipy's expm (Al-Mohy/Higham order selection with
     norm-based scaling), plus explicit finiteness checks so overflow surfaces
-    as an error instead of silent inf entries.
+    as an error instead of silent inf entries. scipy is imported here, on
+    first use, so that discrete-time runs never load it.
     """
+    import scipy.linalg
+
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"square matrix required, got shape {A.shape}")

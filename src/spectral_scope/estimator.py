@@ -24,7 +24,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .clustering import cluster_complex, enforce_conjugate_pairs
 from .dynamics import CT, DT, NodeDynamics, OutputSequence, matrix_exponential
@@ -228,7 +227,8 @@ def geometric_prescale(values) -> tuple[float, np.ndarray]:
 
 
 def _hankel_rank(values: np.ndarray, size: int, rel_tol: float):
-    H = scipy.linalg.hankel(values[:size], values[size - 1 : 2 * size - 1])
+    idx = np.arange(size)
+    H = values[idx[:, None] + idx]  # H[i, j] = values[i + j], a copy
     s = np.linalg.svd(H, compute_uv=False)
     rank = int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0 else 0
     return H, s, rank
@@ -583,6 +583,12 @@ def _node_weights(nu, K: int) -> np.ndarray:
     return nu
 
 
+# Longest nu whose operator deconvolve_sigma keeps: the operator holds
+# K(K+1)/2 integers of up to about 64K bits, 0.87 MB at K = 64 and 32 MB at
+# K = 200, so longer ones are built per call and dropped.
+_DECONVOLUTION_MEMO_CAP = 64
+
+
 @functools.lru_cache(maxsize=1)
 def _deconvolution_operator(nu: tuple[float, ...]) -> tuple[list[list[int]], list[int], int]:
     """Integer rows ``C(k, s) M_{k-s} V_0^s`` (s <= k), denominators ``V_0^(k+1)``
@@ -609,10 +615,11 @@ def deconvolve_sigma(y, nu) -> np.ndarray:
     ``sigma_k = Z_k 2^(a-b) / V_0^(k+1)`` with integers ``Z_k = sum_s
     binom(k, s) M_{k-s} V_0^s Y_s``, where ``M_0 = 1`` and ``M_k = -sum_{s<k}
     binom(k, s) V_{k-s} V_0^(k-s-1) M_s`` invert the binomial mixing by nu.
-    Those integers depend on nu alone and are memoized for the last nu (a
-    networked preset's seeds share one agent); a call multiplies them by its
-    own sample integers and rounds each ``sigma_k`` once. For the trivial
-    node (nu = 1, 0, 0, ...) this returns ``y`` itself, bit for bit.
+    Those integers depend on nu alone and are memoized for the last nu of at
+    most ``_DECONVOLUTION_MEMO_CAP`` samples (a networked preset's seeds share
+    one agent); a call multiplies them by its own sample integers and rounds
+    each ``sigma_k`` once. For the trivial node (nu = 1, 0, 0, ...) this
+    returns ``y`` itself, bit for bit.
     """
     values = _sequence_values(y)
     K = len(values)
@@ -624,7 +631,10 @@ def deconvolve_sigma(y, nu) -> np.ndarray:
             "the node dynamics cannot be deconvolved"
         )
     Y, a = _dyadic(values.tolist())
-    rows, dens, b = _deconvolution_operator(tuple(nu.tolist()))
+    build = _deconvolution_operator
+    if K > _DECONVOLUTION_MEMO_CAP:
+        build = build.__wrapped__
+    rows, dens, b = build(tuple(nu.tolist()))
     sigma = np.empty(K)
     for k, (row, den) in enumerate(zip(rows, dens)):
         try:

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +124,40 @@ def test_hankel_structure_and_rank_bounds(values):
     if 0 < h.rank < r_max:
         s = h.singular_values
         assert np.all(s[h.rank :] <= h.rank_tolerance * s[0])
+
+
+def scipy_hankel(values, size):
+    return scipy.linalg.hankel(values[:size], values[size - 1 : 2 * size - 1])
+
+
+HANKEL_SAMPLES = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@given(st.lists(HANKEL_SAMPLES, min_size=1, max_size=22))
+@settings(max_examples=100, deadline=None)
+@example([0.5])
+@example([-0.0, 5e-324, 1.0, -2.2250738585072014e-308])
+@example([1.0, -0.0, 3e-310, -5e-324, 2.0, -0.0, 7.0])
+def test_the_hankel_matrix_equals_scipys_bit_for_bit(values):
+    y = np.asarray(values)
+    m = (len(y) + 1) // 2
+    assert build_hankel(y).matrix.tobytes() == scipy_hankel(y, m).tobytes()
+
+
+@given(st.lists(HANKEL_SAMPLES, min_size=1, max_size=30), st.sampled_from([None, 3, 8]))
+@settings(max_examples=50, deadline=None)
+@example([-0.0, 5e-324, -5e-324, 1.0, 2.0, 4.0], None)
+def test_online_detection_builds_scipys_hankel_matrices(values, n_hint):
+    original = estimator._hankel_rank
+
+    def checked(vals, size, rel_tol):
+        H, s, rank = original(vals, size, rel_tol)
+        assert H.tobytes() == scipy_hankel(vals, size).tobytes()
+        return H, s, rank
+
+    with mock.patch.object(estimator, "_hankel_rank", side_effect=checked) as spy:
+        detect_rank_online(iter(values), n_hint=n_hint)
+    assert spy.called
 
 
 # =========================================================================
@@ -730,6 +766,21 @@ def test_the_deconvolution_operator_is_memoized_for_the_last_nu():
     assert want[-1] != fraction_deconvolution(y, nu)[-1]
     assert [v.hex() for v in deconvolve_sigma(y, other).tolist()] == [v.hex() for v in want]
     assert memo.cache_info().misses == 2
+
+
+def test_a_long_nu_is_deconvolved_exactly_without_being_memoized():
+    memo = estimator._deconvolution_operator
+    memo.cache_clear()
+    rng = np.random.default_rng(9)
+    cap = estimator._DECONVOLUTION_MEMO_CAP
+    deconvolve_sigma(rng.standard_normal(cap), [0.75] + rng.uniform(-1.0, 1.0, cap - 1).tolist())
+    kept = memo.cache_info()
+    assert (kept.misses, kept.currsize) == (1, 1)
+    nu = [0.75] + rng.uniform(-1.0, 1.0, 99).tolist()
+    y = rng.standard_normal(100)
+    got = deconvolve_sigma(y, nu)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
+    assert memo.cache_info() == kept
 
 
 def test_a_fig3_sweep_builds_the_deconvolution_operator_once():

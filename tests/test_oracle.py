@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from helpers import hidden_mode_system, orthogonal
 from spectral_scope import (
@@ -25,6 +27,7 @@ from spectral_scope import (
     simulate_dt,
 )
 from spectral_scope.clustering import cluster_indices
+from spectral_scope.oracle import _assignment
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -296,3 +299,69 @@ def test_matching_accepts_estimates_and_flat_lists():
     est = estimate_dt_spectrum(y)
     report = match_spectra(est, [1 + 0j, -1 + 0j], tol=1e-9)
     assert report.matched_all and report.max_error <= 1e-12
+
+
+def lsap_outcome(solve, cost):
+    """What an assignment solver returns for ``cost``, or the type it raises."""
+    try:
+        rows, cols = solve(cost)
+    except Exception as exc:  # compared by type against scipy's
+        return type(exc)
+    return rows.dtype, rows.tolist(), cols.dtype, cols.tolist()
+
+
+ONE_ULP = 2.0**-52
+
+
+@st.composite
+def spectrum_costs(draw):
+    """``|est - true|`` over conjugate pairs and repeated eigenvalues, the
+    estimate a shuffled, perturbed, truncated or padded copy of the truth."""
+    true = []
+    for z in draw(st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=3)):
+        copies = draw(st.integers(1, 2))
+        true += [z] * copies + ([z.conjugate()] * copies if z.imag else [])
+    noise = st.sampled_from([0.0, 1e-9, -1e-9, 1e-9j, ONE_ULP])
+    est = [t + draw(noise) for t in draw(st.permutations(true))]
+    est = est[: draw(st.integers(1, len(est)))] + draw(st.lists(st.sampled_from(true), max_size=2))
+    return np.abs(np.array(est)[:, None] - np.array(true)[None, :])
+
+
+@st.composite
+def cost_matrices(draw):
+    """Square and rectangular costs, rich in exact ties and near-ties."""
+    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    elements = draw(
+        st.sampled_from(
+            [
+                st.floats(-10.0, 10.0),
+                st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # duplicated entries, equal row minima
+                st.integers(0, 3).map(lambda k: 1.0 + k * ONE_ULP),
+            ]
+        )
+    )
+    cost = draw(arrays(float, (n, m), elements=elements))
+    if m >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(m)))[:2]
+        cost[:, j] = cost[:, i]
+    return cost
+
+
+@given(st.one_of(cost_matrices(), spectrum_costs()))
+@settings(max_examples=400, deadline=None)
+@example(np.array([[1.0, 2.0], [2.0, 1.0]]))
+@example(np.array([[1.0, 1.0], [2.0, 3.0]]))
+@example(np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 4.0]]))
+@example(np.array([[1.0], [0.5], [2.0]]))
+def test_assignment_returns_what_scipy_returns(cost):
+    assert lsap_outcome(_assignment, cost) == lsap_outcome(linear_sum_assignment, cost)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (3, 2)])
+def test_assignment_fails_like_scipy_on_non_finite_costs(bad, shape):
+    cost = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    for where in np.ndindex(*shape):
+        c = cost.copy()
+        c[where] = bad
+        assert lsap_outcome(_assignment, c) == lsap_outcome(linear_sum_assignment, c)
