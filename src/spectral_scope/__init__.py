@@ -63,12 +63,9 @@ from .graphs import (
     write_matrix_csv,
 )
 from .oracle import (
-    InfeasiblePatternError,
-    JordanTestCase,
     MatchReport,
     OracleSpectrum,
     full_spectrum,
-    make_jordan_case,
     match_spectra,
     observable_partition,
     pbh_deficiency,
@@ -87,9 +84,7 @@ __all__ = [
     "GraphMatrix",
     "GraphMatrixKind",
     "HankelAnalysis",
-    "InfeasiblePatternError",
     "InsufficientDataError",
-    "JordanTestCase",
     "LogSingularRootError",
     "MatchReport",
     "NodeDynamics",
@@ -115,7 +110,6 @@ __all__ = [
     "full_spectrum",
     "generate_preferential_attachment",
     "generate_ring",
-    "make_jordan_case",
     "match_spectra",
     "matrix_exponential",
     "nu_sequence",

@@ -20,6 +20,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -144,7 +145,7 @@ def _node_from_json(path) -> NodeDynamics:
             if key not in data:
                 raise ValueError(f"has no {key!r}")
         return NodeDynamics(A=data["A"], beta=data["beta"], gamma=data["gamma"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"node {path}: {exc}") from None
 
 
@@ -312,15 +313,19 @@ def cmd_estimate(args) -> int:
 # =========================================================================
 
 
-def _roots_from_json(path) -> list[tuple[complex, int]]:
+def _roots_from_json(path, n: int) -> list[tuple[complex, int]]:
+    """The estimate's roots: each finite, with a multiplicity from 1 to the ``n``
+    eigenvalues an n x n matrix has."""
     data = json.loads(Path(path).read_text())
     roots = [
         (complex(r["re"], r["im"]), int(r.get("multiplicity", 1)))
         for r in data["roots"]
     ]
-    for k, (v, _) in enumerate(roots):
+    for k, (v, m) in enumerate(roots):
         if not cmath.isfinite(v):
             raise ValueError(f"root {k} in {path} is not finite: {v}")
+        if not 1 <= m <= n:
+            raise ValueError(f"root {k} in {path} has multiplicity {m}, not 1 to {n}")
     return roots
 
 
@@ -345,11 +350,13 @@ def cmd_verify(args) -> int:
         return _fail_usage("verify requires --matrix, --estimate and --setup")
     try:
         M = read_matrix_csv(args.matrix)
-        roots = _roots_from_json(args.estimate)
+        roots = _roots_from_json(args.estimate, M.shape[0])
         setup, x0, c = _setup_from_json(args.setup, M.shape[0])
         tol = args.tol if args.tol is not None else float(setup.get("tol", 1e-6))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         return _fail_usage(f"cannot read inputs: {exc}")
+    if not 0 <= tol < math.inf:
+        return _fail_usage(f"tolerance must be a finite number >= 0, got {tol}")
     truth = full_spectrum(M)
     report = match_spectra(roots, truth, tol)
 
@@ -578,6 +585,36 @@ def _config_path(argv) -> str | None:
     return None
 
 
+def _typed_config(parser: argparse.ArgumentParser, defaults: dict) -> dict:
+    """Config values as their flags would parse them; ``ValueError`` for a value
+    of the wrong JSON type, one its flag's type rejects, or one outside its choices.
+
+    argparse converts a string default through the flag's type at parse time
+    but passes any other default through unchecked, so numbers are converted
+    here, from their text, like a command-line value. A null means the flag's
+    own default.
+    """
+    typed = {key: value for key, value in defaults.items() if value is not None}
+    for p in parser.all_parsers:
+        for a in p._actions:
+            if a.dest not in typed or not a.option_strings:
+                continue  # a positional is always given on the command line
+            value = typed[a.dest]
+            is_switch = a.nargs == 0  # store_true
+            if isinstance(value, bool) != is_switch or not isinstance(value, (str, int, float)):
+                raise ValueError(f"config key {a.dest!r} has the wrong type: {value!r}")
+            if is_switch:
+                continue
+            try:
+                value = a.type(str(value)) if a.type else str(value)
+            except ValueError:
+                raise ValueError(f"config key {a.dest!r} has an invalid value: {value!r}") from None
+            if a.choices is not None and value not in a.choices:
+                raise ValueError(f"config key {a.dest!r} must be one of {list(a.choices)}, got {value!r}")
+            typed[a.dest] = value
+    return typed
+
+
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     # built once per process; never mutated, so no call's config leaks into the next
@@ -600,6 +637,10 @@ def main(argv=None) -> int:
         bad = set(defaults) - parser.known_dests
         if bad:
             return _fail_usage(f"config keys not recognized: {sorted(bad)}")
+        try:
+            defaults = _typed_config(parser, defaults)
+        except ValueError as exc:
+            return _fail_usage(f"config {config}: {exc}")
         for p in parser.all_parsers:
             p.set_defaults(**defaults)
     args = parser.parse_args(argv)

@@ -329,18 +329,24 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
 
     The header must be the one for the sidecar's mode, and the first column
     must count ``k = 0, 1, ...`` (discrete) or ``t = k tau`` (continuous, to
-    a relative 1e-9, so hand-written times pass); ``ValueError`` otherwise.
+    a relative 1e-9, so hand-written times pass); ``ValueError`` otherwise,
+    and for a sidecar that holds no JSON object with a valid mode and tau.
     """
     path = Path(path)
     sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
     meta = json.loads(sidecar.read_text())
+    if not isinstance(meta, dict) or "mode" not in meta:
+        raise ValueError(f"sidecar {sidecar} must hold a JSON object with a 'mode'")
     header, *rows = path.read_text().strip().splitlines() or [""]
     table = [line.split(",") for line in rows]
     for i, fields in enumerate(table):
         if len(fields) != 2:
             raise ValueError(f"{path} line {i + 2}: expected 2 columns, got {len(fields)}")
     t, y = np.array(table, dtype=float).reshape(-1, 2).T.copy()
-    seq = OutputSequence(y, mode=meta["mode"], tau=meta.get("tau"), n_hint=meta.get("n_hint"))
+    try:
+        seq = OutputSequence(y, mode=meta["mode"], tau=meta.get("tau"), n_hint=meta.get("n_hint"))
+    except (TypeError, OverflowError) as exc:  # such as a tau that is no number
+        raise ValueError(f"sidecar {sidecar}: {exc}") from None
     first = "k" if seq.mode == DT else "t"
     if [h.strip() for h in header.split(",")] != [first, "y"]:
         raise ValueError(f"{path}: header {header!r} does not fit mode {seq.mode!r} ({first},y)")

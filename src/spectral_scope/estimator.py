@@ -96,6 +96,9 @@ class EstimatorOptions:
     prescale
         Geometric prescaling of the outputs. Default: on for continuous-time
         data, off for discrete-time unless ``max |y| > 1e6``.
+
+    Both tolerances must be finite and non-negative; the pipeline raises
+    ``ValueError`` for any other value.
     """
 
     rank_tolerance: float | None = None
@@ -119,10 +122,6 @@ class HankelAnalysis:
     scale_rho: float
     y_scaled: np.ndarray
     y_raw: np.ndarray
-
-    @property
-    def r_max(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(eq=False)
@@ -227,6 +226,9 @@ def geometric_prescale(values) -> tuple[float, np.ndarray]:
 
 
 def _hankel_rank(values: np.ndarray, size: int, rel_tol: float):
+    # a NaN, infinite or negative cut would silently give rank 0 or full rank
+    if not 0 <= rel_tol < math.inf:
+        raise ValueError(f"rank tolerance must be a finite number >= 0, got {rel_tol}")
     idx = np.arange(size)
     H = values[idx[:, None] + idx]  # H[i, j] = values[i + j], a copy
     s = np.linalg.svd(H, compute_uv=False)
@@ -484,8 +486,11 @@ def roots_with_multiplicity(
     short Newton polish; roots within ``cluster_tol * max(1, |root|)`` of
     each other merge into their centroid with summed multiplicity, conjugate
     symmetry is made exact, and any prescaling is undone by multiplying
-    through by ``scale_rho``.
+    through by ``scale_rho``. A NaN, infinite or negative ``cluster_tol`` is
+    a ``ValueError``.
     """
+    if not 0 <= cluster_tol < math.inf:
+        raise ValueError(f"cluster tolerance must be a finite number >= 0, got {cluster_tol}")
     if p.degree == 0:
         return SpectrumEstimate([], DT, None, 0, p.residual, p.condition, scale_rho)
     monic = np.concatenate(([1.0], p.coefficients[::-1]))

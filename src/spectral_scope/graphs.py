@@ -9,6 +9,7 @@ identical parameters reproduce identical graphs on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -60,7 +61,6 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int, float], ...]
     directed: bool = False
-    label: str = ""
 
     def __post_init__(self):
         if self.n < 1:
@@ -78,15 +78,10 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class GraphMatrix:
-    """A dense matrix derived from a graph, tagged with its kind and origin."""
+    """A dense matrix derived from a graph, tagged with its kind."""
 
     values: np.ndarray
     kind: GraphMatrixKind
-    source: str = ""
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 def as_array(matrix) -> np.ndarray:
@@ -153,7 +148,7 @@ def generate_preferential_attachment(n: int, m_attach: int, seed=None) -> Graph:
             degree[new] += 1
             degree[t] += 1
 
-    return Graph(n=n, edges=tuple(edges), directed=False, label=f"pa(n={n},m={m_attach})")
+    return Graph(n=n, edges=tuple(edges), directed=False)
 
 
 def generate_ring(n: int, directed: bool = False) -> Graph:
@@ -168,7 +163,7 @@ def generate_ring(n: int, directed: bool = False) -> Graph:
         edges = ((0, 1, 1.0),)
     else:
         edges = tuple((i, (i + 1) % n, 1.0) for i in range(n))
-    return Graph(n=n, edges=edges, directed=directed, label=f"ring(n={n})")
+    return Graph(n=n, edges=edges, directed=directed)
 
 
 def assign_uniform_weights(g: Graph, lo: float, hi: float, seed=None) -> Graph:
@@ -218,7 +213,7 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> GraphMatrix:
                     f"{kind.value} is undefined"
                 )
             M = A / deg[:, None]
-    return GraphMatrix(values=M, kind=kind, source=g.label or f"graph(n={g.n})")
+    return GraphMatrix(values=M, kind=kind)
 
 
 # =========================================================================
@@ -235,17 +230,24 @@ def write_graph_tsv(g: Graph, path) -> None:
 
 
 def read_graph_tsv(path) -> Graph:
+    """The edge list ``write_graph_tsv`` writes; a header without ``n=`` or
+    ``directed=``, or a NaN or infinite weight, is a ``ValueError`` naming it."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing '# n=... directed=...' header")
     fields = dict(tok.split("=", 1) for tok in lines[0].lstrip("# ").split())
+    for key in ("n", "directed"):
+        if key not in fields:
+            raise ValueError(f"{path}: header {lines[0]!r} has no '{key}='")
     n = int(fields["n"])
     directed = bool(int(fields["directed"]))
     edges = []
-    for line in lines[1:]:
+    for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         u, v, w = line.split("\t")
+        if not math.isfinite(float(w)):
+            raise ValueError(f"{path} line {i}: weight {w!r} is not finite")
         edges.append((int(u), int(v), float(w)))
     return Graph(n=n, edges=tuple(edges), directed=directed)
 

@@ -17,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 import spectral_scope
-from helpers import hidden_mode_system
+from helpers import hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CharacteristicPoly,
     EstimatorOptions,
     build_hankel,
     detect_rank_online,
     estimate_dt_spectrum,
-    make_jordan_case,
     match_spectra,
     matrix_exponential,
     observable_partition,

@@ -299,6 +299,42 @@ def test_estimate_of_a_sequence_file_that_contradicts_its_sidecar_is_a_usage_err
     assert err.startswith("error: cannot read sequence: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ([1], "must hold a JSON object with a 'mode'"),
+        ({"tau": 1.0}, "must hold a JSON object with a 'mode'"),
+        ({"mode": "ct", "tau": "x"}, "'>' not supported"),
+        ({"mode": "ct", "tau": 10**400}, "int too large to convert to float"),
+    ],
+    ids=["list", "no-mode", "text-tau", "huge-tau"],
+)
+def test_estimate_with_a_malformed_sidecar_is_a_usage_error(tmp_path, capsys, meta, message):
+    _, y_csv = simulate_swap(tmp_path, capsys)
+    sidecar = tmp_path / "bad.json"
+    sidecar.write_text(json.dumps(meta))
+    code, out, err = run(capsys, "estimate", "--y", y_csv, "--sidecar", sidecar)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read sequence: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--rank-tolerance", "nan"), ("--rank-tolerance", "inf"), ("--rank-tolerance", "-1"),
+     ("--cluster-tol", "nan"), ("--cluster-tol", "-1")],
+)
+def test_estimate_with_a_bad_tolerance_is_a_usage_error(tmp_path, capsys, flag, value):
+    # unchecked, a NaN or infinite rank cut gives rank 0 and exit 0
+    _, y_csv = simulate_swap(tmp_path, capsys)
+    spectrum = tmp_path / "spectrum.json"
+    code, out, err = run(capsys, "estimate", "--y", y_csv, flag, value, "--out", spectrum)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "tolerance must be a finite number >= 0" in err
+    assert not spectrum.exists()
+
+
 def test_estimate_reads_hand_written_sample_times(tmp_path, capsys):
     # 0.1 * 3 is 0.30000000000000004, not 0.3: a small relative slack is allowed
     y_csv = tmp_path / "y.csv"
@@ -506,6 +542,48 @@ def test_verify_of_a_malformed_setup_is_a_usage_error(tmp_path, capsys, edit, me
     assert not report.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("source", ["flag", "setup"])
+def test_verify_with_a_bad_tolerance_is_a_usage_error(tmp_path, capsys, source, tol):
+    # unchecked, a NaN tolerance matches nothing and ends as a verification failure
+    matrix, spectrum, setup = full_chain(tmp_path, capsys)
+    if source == "flag":
+        argv = ("--tol", tol)
+    else:
+        setup.write_text(json.dumps({**json.loads(setup.read_text()), "tol": float(tol)}))
+        argv = ()
+    report = tmp_path / "report.json"
+    code, out, err = run(
+        capsys, "verify", "--matrix", matrix, "--estimate", spectrum,
+        "--setup", setup, "--out", report, *argv,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: tolerance must be a finite number >= 0") and err.count("\n") == 1
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda r: {**r, "re": 10**400}, "int too large to convert to float"),
+        (lambda r: {**r, "multiplicity": 10**18}, "has multiplicity 1000000000000000000, not 1 to 5"),
+        (lambda r: {**r, "multiplicity": float("inf")}, "cannot convert float infinity"),
+    ],
+    ids=["huge-re", "huge-multiplicity", "inf-multiplicity"],
+)
+def test_verify_of_an_unreadable_root_is_a_usage_error(tmp_path, capsys, edit, message):
+    matrix, spectrum, setup = full_chain(tmp_path, capsys)
+    payload = json.loads(spectrum.read_text())
+    payload["roots"][0] = edit(payload["roots"][0])
+    spectrum.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys, "verify", "--matrix", matrix, "--estimate", spectrum, "--setup", setup,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read inputs: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_verify_of_a_nan_root_is_a_usage_error(tmp_path, capsys):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
     payload = json.loads(spectrum.read_text())
@@ -678,6 +756,43 @@ def test_unknown_config_keys_are_a_usage_error(tmp_path, capsys):
     config.write_text(json.dumps({"model": "ring", "n": 6, "nseed": 2}))
     code, _, err = run(capsys, "--config", config, "generate")
     assert code == 2 and "nseed" in err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"K": [3]}, "config key 'K' has the wrong type: [3]"),
+        ({"K": 2.5}, "config key 'K' has an invalid value: 2.5"),
+        ({"K": True}, "config key 'K' has the wrong type: True"),
+        ({"tau": {"s": 1}}, "config key 'tau' has the wrong type"),
+        ({"x0": [1, 0]}, "config key 'x0' has the wrong type"),
+        ({"prescale": "sometimes"}, "config key 'prescale' must be one of ['auto', 'on', 'off']"),
+        ({"mode": "dtt"}, "config key 'mode' must be one of"),
+    ],
+    ids=["list-K", "fractional-K", "bool-K", "object-tau", "list-x0", "bad-choice", "bad-mode"],
+)
+def test_a_wrong_typed_config_value_is_a_usage_error(tmp_path, capsys, config, message):
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    config_json = tmp_path / "config.json"
+    config_json.write_text(json.dumps(config))
+    out_csv = tmp_path / "y.csv"
+    code, out, err = run(
+        capsys, "--config", config_json, "simulate", "--matrix", matrix, "--out", out_csv,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config {config_json}: {message}")
+    assert err.count("\n") == 1 and not out_csv.exists()
+
+
+def test_config_numbers_parse_like_flags_and_null_keeps_the_default(tmp_path, capsys):
+    _, y_csv = simulate_swap(tmp_path, capsys)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"rank_tolerance": 1e-12, "cluster_tol": None, "prescale": "off"}))
+    code, out, _ = run(capsys, "--config", config, "estimate", "--y", y_csv)
+    assert code == 0
+    flags = run(capsys, "estimate", "--y", y_csv, "--rank-tolerance", "1e-12", "--prescale", "off")
+    assert out == flags[1]
 
 
 def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):

@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import hidden_mode_system
+from helpers import hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CT,
     DT,
@@ -32,7 +32,6 @@ from spectral_scope import (
     estimate_ct_spectrum,
     estimate_dt_spectrum,
     estimate_networked_dt_spectrum,
-    make_jordan_case,
     match_spectra,
     matrix_exponential,
     nu_sequence,
@@ -204,6 +203,30 @@ def test_non_finite_outputs_are_rejected_with_a_typed_error(bad):
     for call in calls:
         # numpy's LinAlgError is a ValueError too, so the message is what tells them apart
         with pytest.raises(ValueError, match=r"^output y\[2\] is not finite$"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("field", ["rank_tolerance", "cluster_tol"])
+def test_a_bad_tolerance_is_rejected_with_a_typed_error(field, bad):
+    # unchecked, a negative rank cut keeps every singular value (rank 2 and a
+    # spurious root near 7.23 here), a NaN or infinite one keeps none, and a
+    # NaN cluster_tol merges nothing
+    values = [1.0, 2.0, 4.0, 8.0]
+    opts = EstimatorOptions(**{field: bad})
+    node = NodeDynamics(A=np.zeros((1, 1)), beta=[1.0], gamma=[1.0])
+    calls = [
+        lambda: estimate_dt_spectrum(values, opts),
+        lambda: estimate_networked_dt_spectrum(values, node, opts),
+        lambda: estimate_ct_spectrum(OutputSequence(values, mode=CT, tau=1.0), opts=opts),
+    ]
+    if field == "rank_tolerance":
+        calls += [
+            lambda: build_hankel(values, rank_tolerance=bad),
+            lambda: detect_rank_online(iter(values), rank_tolerance=bad),
+        ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"tolerance must be a finite number >= 0"):
             call()
 
 

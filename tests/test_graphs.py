@@ -205,6 +205,23 @@ def test_graph_tsv_roundtrip_is_exact(tmp_path):
     assert path.read_text().splitlines()[0] == "# n=7 directed=0"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# n=2 directed=0\n0\t1\tnan\n", r"line 2: weight 'nan' is not finite"),
+        ("# n=2 directed=0\n0\t1\t1\n1\t0\t-inf\n", r"line 3: weight '-inf' is not finite"),
+        ("# directed=0\n0\t1\t1\n", r"has no 'n='"),
+        ("# n=2\n0\t1\t1\n", r"has no 'directed='"),
+    ],
+    ids=["nan-weight", "inf-weight", "no-n", "no-directed"],
+)
+def test_a_malformed_graph_tsv_is_a_value_error(tmp_path, text, message):
+    path = tmp_path / "g.tsv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_graph_tsv(path)
+
+
 def test_matrix_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(11)
     M = rng.standard_normal((6, 6))

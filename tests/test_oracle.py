@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from helpers import hidden_mode_system, orthogonal
+from helpers import InfeasiblePatternError, hidden_mode_system, make_jordan_case, orthogonal
 from spectral_scope import (
     EstimatorOptions,
-    InfeasiblePatternError,
     ObservationSetup,
     build_hankel,
     estimate_dt_spectrum,
@@ -20,7 +19,6 @@ from spectral_scope import (
     generate_preferential_attachment,
     assign_uniform_weights,
     build_matrix,
-    make_jordan_case,
     match_spectra,
     observable_partition,
     pbh_deficiency,
