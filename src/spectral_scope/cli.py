@@ -361,15 +361,16 @@ def cmd_verify(args) -> int:
     report = match_spectra(roots, truth, tol)
 
     # The estimator is allowed to miss exactly the modes that never reach the
-    # output; everything else must match within tolerance. Only an unmatched
-    # true eigenvalue needs the oracle's verdict, so it runs only then.
+    # output; everything else must match within tolerance, and every estimated
+    # root must match a true eigenvalue. Only an unmatched true eigenvalue
+    # needs the oracle's verdict, so it runs only then.
     unexplained = []
     if report.unmatched_true:
         missing = observable_partition(M, c, x0).missing
         for v in report.unmatched_true:
             if missing.size == 0 or np.min(np.abs(missing - v)) > tol:
                 unexplained.append(v)
-    ok = (not report.pairs or report.max_error <= tol) and not unexplained
+    ok = not unexplained and not report.unmatched_estimated
 
     payload = report.to_json_dict()
     payload.update(
@@ -400,6 +401,8 @@ def _write_eigenvalue_csv(path, truth, estimate) -> None:
 
 def cmd_demo(args) -> int:
     seed = _resolve_seed(args.seed)
+    if seed < 0:
+        return _fail_usage(f"--seed must be >= 0, got {seed}")
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -445,6 +448,10 @@ def cmd_demo(args) -> int:
 
 def cmd_bench(args) -> int:
     seed0 = _resolve_seed(args.seed0)
+    if seed0 < 0:
+        return _fail_usage(f"--seed0 must be >= 0, got {seed0}")
+    if args.seeds < 1:
+        return _fail_usage(f"--seeds must be >= 1, got {args.seeds}")
     names = list(SCENARIOS) if args.name == "all" else [args.name]
     summaries = []
     for name in names:
@@ -488,6 +495,7 @@ def _add_node_flags(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectral-scope",
+        allow_abbrev=False,  # _config_path finds --config by its full spelling only
         description="Recover a network's observable eigenvalue spectrum from scalar outputs.",
     )
     parser.add_argument("--config", default=None,

@@ -10,6 +10,7 @@ bipartite matching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,14 +227,15 @@ def _expand_values(spectrum) -> np.ndarray:
 
 
 def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.optimize.linear_sum_assignment(cost)``, loading scipy only when
-    the nearest-neighbour pairing is not the unique optimum (see match_spectra).
+    """``scipy.optimize.linear_sum_assignment(cost)``, with a fast path for the
+    nearest-neighbour pairing (see match_spectra) in front of the full solve.
 
     On a finite cost with no more rows than columns, whose rows each have a
-    single minimum in a column of their own, scipy's solver finds each row's
+    single minimum in a column of their own, the solver finds each row's
     argmin as a free column on its first scan, with the column potentials
     still zero, so no rounding enters and it returns these same arrays.
-    Every other input, NaN and infinite entries included, goes to scipy.
+    Every other input, NaN and infinite entries included, goes to
+    ``_shortest_augmenting_path``.
     """
     n, m = cost.shape
     if 0 < n <= m and np.isfinite(cost).all():
@@ -241,9 +243,79 @@ def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mins = cost[np.arange(n), cols]
         if len(set(cols.tolist())) == n and np.count_nonzero(cost == mins[:, None]) == n:
             return np.arange(n), cols
-    from scipy.optimize import linear_sum_assignment
+    return _shortest_augmenting_path(cost)
 
-    return linear_sum_assignment(cost)
+
+def _shortest_augmenting_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rectangular shortest-augmenting-path solver of Crouse (2016), as
+    scipy's ``linear_sum_assignment`` runs it, so that the two agree bit for bit.
+
+    Like scipy it transposes a tall cost and returns its rows sorted, scans
+    the remaining columns from the highest index down (a constant cost gives
+    the identity), prefers a free column among equal path costs, rounds
+    ``min_val + cost - u[i] - v[j]`` and the dual updates as scipy writes
+    them, left to right, and raises ``ValueError`` on a NaN or -inf entry
+    and on a cost with no finite assignment.
+    """
+    nr, nc = cost.shape
+    if nr == 0 or nc == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    transpose = nc < nr
+    if transpose:
+        cost = cost.T
+        nr, nc = nc, nr
+    if np.isnan(cost).any() or np.isneginf(cost).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    rows = cost.tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    path, row4col, col4row = [-1] * nc, [-1] * nc, [-1] * nr
+    for cur in range(nr):
+        # Dijkstra over reduced costs from row ``cur`` to the nearest free column
+        remaining = list(range(nc - 1, -1, -1))
+        spc = [math.inf] * nc  # shortest path cost to each column
+        seen_rows, seen_cols = [cur], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            lowest, index = math.inf, -1
+            row, ui = rows[i], u[i]
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            if min_val == math.inf:
+                raise ValueError("cost matrix is infeasible")
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+                seen_rows.append(i)
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:  # flip the path's assignments back to row ``cur``
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+
+    a = np.array(col4row, dtype=np.intp)
+    if transpose:
+        order = np.argsort(a)
+        return a[order], order
+    return np.arange(nr, dtype=np.intp), a
 
 
 def match_spectra(estimated, truth, tol: float) -> MatchReport:
@@ -257,9 +329,10 @@ def match_spectra(estimated, truth, tol: float) -> MatchReport:
     nearest true value is strictly nearer than any other, and no two
     estimates share it, that nearest-neighbour pairing is the unique
     minimum-cost assignment: its cost, the sum of the row minima, is a lower
-    bound that no other assignment reaches. It is then taken directly, and
-    scipy's rectangular assignment solver (Crouse 2016) runs only on the
-    remaining cases; both give the same pairs.
+    bound that no other assignment reaches. It is then taken directly, and a
+    port of scipy's rectangular assignment solver (Crouse 2016) runs only on
+    the remaining cases. Both give the pairs that
+    ``scipy.optimize.linear_sum_assignment`` gives, without loading it.
     """
     est = _expand_values(estimated)
     true = _expand_values(truth)

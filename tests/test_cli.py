@@ -516,6 +516,22 @@ def test_verify_calls_out_a_dropped_mode(tmp_path, capsys, oracle_calls):
     assert len(oracle_calls) == 1
 
 
+def test_verify_fails_an_estimate_with_a_spurious_root(tmp_path, capsys):
+    matrix, spectrum, setup = full_chain(tmp_path, capsys)
+    payload = json.loads(spectrum.read_text())
+    payload["roots"].append({"re": 42, "im": 0, "multiplicity": 1})
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(payload))
+    code, out, _ = run(
+        capsys, "verify", "--matrix", matrix, "--estimate", tampered, "--setup", setup,
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["pass"] is False
+    assert report["unmatched_estimated"] == [{"re": 42.0, "im": 0.0}]
+    assert report["unmatched_true"] == [] and report["unexplained_true"] == []
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -690,6 +706,31 @@ def test_demo_into_an_existing_file_is_a_usage_error(tmp_path, capsys):
     assert afile.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["demo", "fig1", "--seed", -1], "--seed must be >= 0, got -1"),
+        (["bench", "fig1", "--seed0", -5], "--seed0 must be >= 0, got -5"),
+        (["bench", "fig1", "--seeds", 0], "--seeds must be >= 1, got 0"),
+        (["bench", "fig1", "--seeds", -2], "--seeds must be >= 1, got -2"),
+    ],
+    ids=["demo-seed", "bench-seed0", "bench-no-seeds", "bench-negative-seeds"],
+)
+def test_a_negative_seed_or_an_empty_sweep_is_a_usage_error(tmp_path, capsys, argv, message):
+    outdir = tmp_path / "out"
+    extra = ["--outdir", outdir] if argv[0] == "demo" else ["--json"]
+    code, out, err = run(capsys, *argv, *extra)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not outdir.exists()
+
+
+def test_a_negative_seed_from_the_environment_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(SEED_ENV, "-3")
+    code, out, err = run(capsys, "demo", "fig2", "--outdir", tmp_path / "out")
+    assert code == 2 and out == "" and err == "error: --seed must be >= 0, got -3\n"
+
+
 def test_demo_runs_are_byte_reproducible(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(capsys, "demo", "fig1", "--seed", 4, "--outdir", a)[0] == 0
@@ -749,6 +790,20 @@ def test_flags_override_the_config_file(tmp_path, capsys):
         "--graph-out", tmp_path / "g.tsv", "--matrix-out", tmp_path / "m.csv",
     )
     assert code == 0 and "n=9" in out
+
+
+@pytest.mark.parametrize("flag", [["--conf", "{}"], ["--confi", "{}"], ["--conf={}"]])
+def test_an_abbreviated_config_flag_is_a_usage_error(tmp_path, capsys, flag):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"weights": "0.5,1.5", "seed": 3}))
+    matrix = tmp_path / "m.csv"
+    argv = ["generate", "--model", "ring", "--n", 5, "--graph-out", tmp_path / "g.tsv"]
+    with pytest.raises(SystemExit) as excinfo:
+        run(capsys, *[tok.format(config) for tok in flag], *argv, "--matrix-out", matrix)
+    assert excinfo.value.code == 2 and not matrix.exists()
+    # the full spelling reads the file: weights drawn from [0.5, 1.5], not 1
+    assert run(capsys, "--config", config, *argv, "--matrix-out", matrix)[0] == 0
+    assert not set(np.unique(read_matrix_csv(matrix))) <= {0.0, 1.0}
 
 
 def test_unknown_config_keys_are_a_usage_error(tmp_path, capsys):

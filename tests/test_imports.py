@@ -1,6 +1,9 @@
-"""Which runs load scipy: only sampled continuous time and hard matchings do.
+"""Which runs load scipy: only sampled continuous time does, for ``expm``.
 
-A fresh interpreter is the only clean slate for ``sys.modules``; pytest and
+Discrete-time runs load no scipy module at all, and no run loads
+``scipy.optimize``: spectrum matching solves its assignments itself, the
+hard ones (no unique nearest-neighbour pairing) included. A fresh
+interpreter is the only clean slate for ``sys.modules``; pytest and
 hypothesis may already have imported scipy in the test process.
 """
 
@@ -24,7 +27,7 @@ GUARD = textwrap.dedent(
     import numpy as np
 
     import spectral_scope
-    from spectral_scope import ObservationSetup, cli, simulate_ct_sampled
+    from spectral_scope import ObservationSetup, cli, match_spectra, simulate_ct_sampled
     from spectral_scope.scenarios import run_scenario
 
 
@@ -60,6 +63,13 @@ GUARD = textwrap.dedent(
         want.append(c @ x)
         x = P @ x
     assert y.values.tobytes() == np.array(want, dtype=float).tobytes()
+
+    # fig2 seed 46 matches 7 estimates against 8 eigenvalues with no unique
+    # nearest-neighbour pairing; the tied rows below have none either
+    assert run_scenario("fig2", 46).report is not None
+    report = match_spectra([1.0, 1.0, 2.0], [1.0, 1.0 + 1e-9, 3.0], tol=1e-6)
+    assert len(report.pairs) == 2 and report.unmatched_estimated == [2.0]
+    assert "scipy.optimize" not in sys.modules, scipy_modules()
     """
 )
 

@@ -25,7 +25,7 @@ from spectral_scope import (
     simulate_dt,
 )
 from spectral_scope.clustering import cluster_indices
-from spectral_scope.oracle import _assignment
+from spectral_scope.oracle import _assignment, _shortest_augmenting_path
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -327,14 +327,16 @@ def spectrum_costs(draw):
 
 @st.composite
 def cost_matrices(draw):
-    """Square and rectangular costs, rich in exact ties and near-ties."""
-    n, m = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    """Square and rectangular costs, rich in exact ties, near-ties and
+    infinite (forbidden) pairings."""
+    n, m = draw(st.integers(0, 12)), draw(st.integers(0, 12))
     elements = draw(
         st.sampled_from(
             [
                 st.floats(-10.0, 10.0),
                 st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # duplicated entries, equal row minima
                 st.integers(0, 3).map(lambda k: 1.0 + k * ONE_ULP),
+                st.sampled_from([0.0, 1.0, 1.0, np.inf]),  # feasible or not
             ]
         )
     )
@@ -355,6 +357,48 @@ def test_assignment_returns_what_scipy_returns(cost):
     assert lsap_outcome(_assignment, cost) == lsap_outcome(linear_sum_assignment, cost)
 
 
+@given(st.one_of(cost_matrices(), spectrum_costs()))
+@settings(max_examples=400, deadline=None)
+def test_the_full_solve_returns_what_scipy_returns(cost):
+    # also the costs that _assignment's nearest-neighbour path takes
+    want = lsap_outcome(linear_sum_assignment, cost)
+    assert lsap_outcome(_shortest_augmenting_path, cost) == want
+
+
+def tied_spectrum_cost(seed):
+    """|est - true| for a random truth of conjugate pairs and an estimate that
+    permutes, repeats and perturbs it, with one column copied onto another."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 13))
+    z = rng.normal(size=(m + 1) // 2) + 1j * rng.normal(size=(m + 1) // 2)
+    true = np.concatenate([z, z.conj()])[:m]
+    est = np.resize(true[rng.permutation(m)], int(rng.integers(1, 13)))
+    est = est + rng.choice([0.0, 1e-9, 1e-9j, ONE_ULP], est.size)
+    cost = np.abs(est[:, None] - true[None, :])
+    if m >= 2:
+        i, j = rng.permutation(m)[:2]
+        cost[:, j] = cost[:, i]
+    return cost
+
+
+# the first five of 20 000 seeds whose exact ties make the pairing depend on
+# how the dual updates round (``v[j] -= min_val - spc[j]``, not term by term)
+@pytest.mark.parametrize("seeds", [range(2000), [3000, 4742, 7021, 8440, 15805]])
+def test_the_full_solve_agrees_with_scipy_on_tied_spectrum_costs(seeds):
+    for seed in seeds:
+        cost = tied_spectrum_cost(seed)
+        want = lsap_outcome(linear_sum_assignment, cost)
+        assert lsap_outcome(_shortest_augmenting_path, cost) == want, seed
+
+
+@pytest.mark.parametrize("shape", [(40, 40), (25, 40), (40, 25)])
+def test_the_full_solve_agrees_with_scipy_on_larger_costs(shape):
+    rng = np.random.default_rng(sum(shape))
+    for cost in (rng.uniform(0.0, 1.0, shape), rng.integers(0, 4, shape).astype(float)):
+        want = lsap_outcome(linear_sum_assignment, cost)
+        assert lsap_outcome(_shortest_augmenting_path, cost) == want
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (3, 2)])
 def test_assignment_fails_like_scipy_on_non_finite_costs(bad, shape):
@@ -362,4 +406,5 @@ def test_assignment_fails_like_scipy_on_non_finite_costs(bad, shape):
     for where in np.ndindex(*shape):
         c = cost.copy()
         c[where] = bad
-        assert lsap_outcome(_assignment, c) == lsap_outcome(linear_sum_assignment, c)
+        want = lsap_outcome(linear_sum_assignment, c)
+        assert lsap_outcome(_assignment, c) == lsap_outcome(_shortest_augmenting_path, c) == want
