@@ -6,10 +6,8 @@ can be driven from a shell and scripted for batch runs. ``demo`` bundles the
 three preset experiments end to end, ``bench`` sweeps seeds and reports a
 success-rate table.
 
-Configuration comes from flags, optionally seeded from a JSON file via
-``--config`` (flags win over the file). The environment variable
-``SPECTRAL_SCOPE_SEED`` overrides any configured seed, which lets a CI loop
-fuzz seeds without editing scripts.
+Every setting is a flag; argparse rejects a missing required one, and a
+negative seed flag is a usage error before any step runs.
 
 Exit codes: 0 success, 1 estimation or verification failure, 2 usage error.
 """
@@ -21,7 +19,6 @@ import cmath
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -66,8 +63,6 @@ from .scenarios import SCENARIOS, run_scenario, summarize, sweep
 
 __all__ = ["main"]
 
-SEED_ENV = "SPECTRAL_SCOPE_SEED"
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
@@ -81,16 +76,6 @@ EXIT_USAGE = 2
 def _fail_usage(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
-
-
-def _resolve_seed(seed):
-    env = os.environ.get(SEED_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise SystemExit(_fail_usage(f"{SEED_ENV}={env!r} is not an integer"))
-    return seed
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -172,23 +157,16 @@ def _estimator_options(args) -> EstimatorOptions:
 
 
 def cmd_generate(args) -> int:
-    if args.model is None:
-        return _fail_usage("generate requires --model {pa,ring}")
-    if args.n is None:
-        return _fail_usage("generate requires --n")
-    seed = _resolve_seed(args.seed)
     try:  # the generators reject graph sizes and weight bounds they cannot build
         if args.model == "pa":
-            g = generate_preferential_attachment(args.n, args.m, seed=seed)
-        elif args.model == "ring":
-            g = generate_ring(args.n, directed=args.directed)
+            g = generate_preferential_attachment(args.n, args.m, seed=args.seed)
         else:
-            return _fail_usage(f"unknown model {args.model!r}")
+            g = generate_ring(args.n, directed=args.directed)
         if args.weights:
             bounds = _parse_floats(args.weights)
             if bounds.size != 2:
                 return _fail_usage("--weights expects LO,HI")
-            g = assign_uniform_weights(g, float(bounds[0]), float(bounds[1]), seed=seed)
+            g = assign_uniform_weights(g, float(bounds[0]), float(bounds[1]), seed=args.seed)
         gm = build_matrix(g, GraphMatrixKind(args.kind))
     except ValueError as exc:
         return _fail_usage(str(exc))
@@ -206,14 +184,14 @@ def cmd_generate(args) -> int:
 # =========================================================================
 
 
-def _build_setup(args, n: int, seed) -> ObservationSetup:
+def _build_setup(args, n: int) -> ObservationSetup:
     observed = None
     weights = None
     if args.observe is not None:
         observed = [int(v) for v in str(args.observe).split(",")]
     if args.observe_weights is not None:
         weights = _parse_floats(args.observe_weights)
-    setup = random_setup(n, seed=seed, observed=observed, observe_weights=weights)
+    setup = random_setup(n, seed=args.seed, observed=observed, observe_weights=weights)
     if args.x0 is None:
         return setup
     x0 = _parse_floats(args.x0)
@@ -223,9 +201,6 @@ def _build_setup(args, n: int, seed) -> ObservationSetup:
 
 
 def cmd_simulate(args) -> int:
-    if args.matrix is None:
-        return _fail_usage("simulate requires --matrix FILE")
-    seed = _resolve_seed(args.seed)
     try:
         M = read_matrix_csv(args.matrix)
     except (OSError, ValueError) as exc:
@@ -240,7 +215,7 @@ def cmd_simulate(args) -> int:
         node = _load_node(args)
         if networked and node is None:
             return _fail_usage(f"mode {args.mode} requires --node FILE or --node-d D [--node-seed S]")
-        setup = _build_setup(args, n, seed)
+        setup = _build_setup(args, n)
         if args.mode == "dt":
             seq = simulate_dt(M, setup, K=K)
         elif args.mode == "ct":
@@ -254,7 +229,7 @@ def cmd_simulate(args) -> int:
             partial = OutputSequence(
                 exc.partial, mode=CT if continuous else DT, tau=args.tau, n_hint=n
             )
-            write_sequence(partial, args.out, seed=seed)
+            write_sequence(partial, args.out, seed=args.seed)
             print(f"overflow at sample {exc.index}; partial sequence written", file=sys.stderr)
         else:
             print(f"overflow at sample {exc.index}; nothing recorded", file=sys.stderr)
@@ -264,9 +239,9 @@ def cmd_simulate(args) -> int:
         return EXIT_FAIL
     except (OSError, ValueError) as exc:  # bad input, such as a malformed node file
         return _fail_usage(str(exc))
-    write_sequence(seq, args.out, seed=seed)
+    write_sequence(seq, args.out, seed=args.seed)
     setup_path = Path(args.out).with_suffix(".setup.json")
-    _write_setup_json(setup_path, setup, CT if continuous else DT, args.tau, seed, node)
+    _write_setup_json(setup_path, setup, CT if continuous else DT, args.tau, args.seed, node)
     extras = f"+sidecar, {setup_path.name}"
     if networked:
         node_path = Path(args.out).with_suffix(".node.json")
@@ -282,8 +257,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.y is None:
-        return _fail_usage("estimate requires --y FILE")
     try:
         y = read_sequence(args.y, sidecar=args.sidecar)
     except (OSError, ValueError, KeyError) as exc:
@@ -346,8 +319,6 @@ def _setup_from_json(path, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
 
 
 def cmd_verify(args) -> int:
-    if not (args.matrix and args.estimate and args.setup):
-        return _fail_usage("verify requires --matrix, --estimate and --setup")
     try:
         M = read_matrix_csv(args.matrix)
         roots = _roots_from_json(args.estimate, M.shape[0])
@@ -400,25 +371,22 @@ def _write_eigenvalue_csv(path, truth, estimate) -> None:
 
 
 def cmd_demo(args) -> int:
-    seed = _resolve_seed(args.seed)
-    if seed < 0:
-        return _fail_usage(f"--seed must be >= 0, got {seed}")
     outdir = Path(args.outdir)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # such as an existing file of that name
         return _fail_usage(f"cannot create --outdir: {exc}")
-    result = run_scenario(args.name, seed=seed, keep_artifacts=True)
+    result = run_scenario(args.name, seed=args.seed, keep_artifacts=True)
     art = result.artifacts
 
     write_graph_tsv(art.graph, outdir / "graph.tsv")
     write_matrix_csv(art.matrix, outdir / "matrix.csv")
     _write_setup_json(
-        outdir / "setup.json", art.setup, DT if art.tau is None else CT, art.tau, seed, art.node,
-        scenario=result.name, tol=result.tol,
+        outdir / "setup.json", art.setup, DT if art.tau is None else CT, art.tau, args.seed,
+        art.node, scenario=result.name, tol=result.tol,
     )
     if art.sequence is not None:
-        write_sequence(art.sequence, outdir / "output.csv", seed=seed)
+        write_sequence(art.sequence, outdir / "output.csv", seed=args.seed)
     if result.estimate is not None:
         _write_json(result.estimate.to_json_dict(), outdir / "spectrum.json")
     match_payload = result.report.to_json_dict() if result.report else {"schema": 1}
@@ -437,7 +405,7 @@ def cmd_demo(args) -> int:
 
     verdict = "PASS" if result.ok else "FAIL"
     detail = "overflow truncated the run" if result.overflow else f"max matched error {result.max_error:.3e}"
-    print(f"{args.name} seed {seed}: {verdict} ({detail}, tol {result.tol:.1e}) -> {outdir}/")
+    print(f"{args.name} seed {args.seed}: {verdict} ({detail}, tol {result.tol:.1e}) -> {outdir}/")
     return EXIT_OK if result.ok else EXIT_FAIL
 
 
@@ -447,15 +415,12 @@ def cmd_demo(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seed0 = _resolve_seed(args.seed0)
-    if seed0 < 0:
-        return _fail_usage(f"--seed0 must be >= 0, got {seed0}")
     if args.seeds < 1:
         return _fail_usage(f"--seeds must be >= 1, got {args.seeds}")
     names = list(SCENARIOS) if args.name == "all" else [args.name]
     summaries = []
     for name in names:
-        results = sweep(name, seeds=args.seeds, seed0=seed0)
+        results = sweep(name, seeds=args.seeds, seed0=args.seed0)
         summaries.append(summarize(results))
     if args.json:
         payload = {"schema": 1, "sweeps": [s.to_json_dict() for s in summaries]}
@@ -495,16 +460,13 @@ def _add_node_flags(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectral-scope",
-        allow_abbrev=False,  # _config_path finds --config by its full spelling only
         description="Recover a network's observable eigenvalue spectrum from scalar outputs.",
     )
-    parser.add_argument("--config", default=None,
-                        help="JSON file of defaults for the chosen subcommand (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="draw a graph and write its edge list and matrix")
-    p.add_argument("--model", choices=("pa", "ring"), default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--model", choices=("pa", "ring"), required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=2, help="attachments per node (pa model)")
     p.add_argument("--directed", action="store_true")
     p.add_argument("--weights", default=None, help="LO,HI for uniform edge weights")
@@ -516,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("simulate", help="roll a system forward and record its output")
-    p.add_argument("--matrix", default=None)
+    p.add_argument("--matrix", required=True)
     p.add_argument("--mode", choices=("dt", "ct", "dt-networked", "ct-networked"), default="dt")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--K", type=int, default=None, help="samples (default 2n)")
@@ -529,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="recover a spectrum from a recorded sequence")
-    p.add_argument("--y", default=None, help="sequence CSV (JSON sidecar found next to it)")
+    p.add_argument("--y", required=True, help="sequence CSV (JSON sidecar found next to it)")
     p.add_argument("--sidecar", default=None)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     _add_node_flags(p)
@@ -537,9 +499,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("verify", help="match an estimate against the true spectrum")
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--estimate", default=None, help="spectrum JSON from the estimate step")
-    p.add_argument("--setup", default=None, help="JSON with x0 and c (demo writes setup.json)")
+    p.add_argument("--matrix", required=True)
+    p.add_argument("--estimate", required=True, help="spectrum JSON from the estimate step")
+    p.add_argument("--setup", required=True, help="JSON with x0 and c (demo writes setup.json)")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
@@ -558,11 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 
-    known = {a.dest for a in parser._actions}
-    for sp in sub.choices.values():
-        known |= {a.dest for a in sp._actions}
-    parser.known_dests = known - {"help", "func", "command"}
-    parser.all_parsers = [parser, *sub.choices.values()]
     return parser
 
 
@@ -583,75 +540,21 @@ def _fuse_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _config_path(argv) -> str | None:
-    # found before parsing so config values can satisfy otherwise-required flags
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            return argv[i + 1] if i + 1 < len(argv) else None
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
-def _typed_config(parser: argparse.ArgumentParser, defaults: dict) -> dict:
-    """Config values as their flags would parse them; ``ValueError`` for a value
-    of the wrong JSON type, one its flag's type rejects, or one outside its choices.
-
-    argparse converts a string default through the flag's type at parse time
-    but passes any other default through unchecked, so numbers are converted
-    here, from their text, like a command-line value. A null means the flag's
-    own default.
-    """
-    typed = {key: value for key, value in defaults.items() if value is not None}
-    for p in parser.all_parsers:
-        for a in p._actions:
-            if a.dest not in typed or not a.option_strings:
-                continue  # a positional is always given on the command line
-            value = typed[a.dest]
-            is_switch = a.nargs == 0  # store_true
-            if isinstance(value, bool) != is_switch or not isinstance(value, (str, int, float)):
-                raise ValueError(f"config key {a.dest!r} has the wrong type: {value!r}")
-            if is_switch:
-                continue
-            try:
-                value = a.type(str(value)) if a.type else str(value)
-            except ValueError:
-                raise ValueError(f"config key {a.dest!r} has an invalid value: {value!r}") from None
-            if a.choices is not None and value not in a.choices:
-                raise ValueError(f"config key {a.dest!r} must be one of {list(a.choices)}, got {value!r}")
-            typed[a.dest] = value
-    return typed
-
-
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
-    # built once per process; never mutated, so no call's config leaks into the next
+    # built once per process; parsing never changes it
     return build_parser()
 
 
 def main(argv=None) -> int:
     argv = _fuse_negative_values(list(sys.argv[1:] if argv is None else argv))
-    config = _config_path(argv)
-    # --config sets defaults on the parser, so it gets a parser of its own
-    parser = build_parser() if config else _shared_parser()
-    if config:
-        try:
-            defaults = json.loads(Path(config).read_text())
-        except (OSError, ValueError) as exc:
-            return _fail_usage(f"cannot read config: {exc}")
-        if not isinstance(defaults, dict):
-            return _fail_usage(f"config {config} must hold a JSON object")
-        defaults.pop("schema", None)
-        bad = set(defaults) - parser.known_dests
-        if bad:
-            return _fail_usage(f"config keys not recognized: {sorted(bad)}")
-        try:
-            defaults = _typed_config(parser, defaults)
-        except ValueError as exc:
-            return _fail_usage(f"config {config}: {exc}")
-        for p in parser.all_parsers:
-            p.set_defaults(**defaults)
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
+    # numpy rejects a negative seed without naming the flag, and a step that
+    # never draws (a ring without --weights) would not reject it at all
+    for dest in ("seed", "seed0", "node_seed"):
+        seed = getattr(args, dest, None)
+        if seed is not None and seed < 0:
+            return _fail_usage(f"--{dest.replace('_', '-')} must be >= 0, got {seed}")
     return args.func(args)
 
 

@@ -60,7 +60,6 @@ class ObservationSetup:
 
     x0: np.ndarray
     c: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
@@ -97,7 +96,7 @@ def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> Obse
             raise ValueError("one weight per observed node required")
         c = np.zeros(n)
         np.add.at(c, idx, w)
-    return ObservationSetup(x0=x0, c=c, seed=seed if isinstance(seed, int) else None)
+    return ObservationSetup(x0=x0, c=c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +329,8 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
     The header must be the one for the sidecar's mode, and the first column
     must count ``k = 0, 1, ...`` (discrete) or ``t = k tau`` (continuous, to
     a relative 1e-9, so hand-written times pass); ``ValueError`` otherwise,
-    and for a sidecar that holds no JSON object with a valid mode and tau.
+    for a NaN or infinite sample, and for a sidecar that holds no JSON object
+    with a valid mode and tau.
     """
     path = Path(path)
     sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
@@ -355,4 +355,8 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
     if off.size:
         i = off[0]
         raise ValueError(f"{path} line {i + 2}: {first} = {float(t[i])!r}, expected {float(expected[i])!r}")
+    off = np.flatnonzero(~np.isfinite(y))
+    if off.size:
+        i = off[0]
+        raise ValueError(f"{path} line {i + 2}: y = {float(y[i])!r} is not finite")
     return seq

@@ -32,7 +32,7 @@ from spectral_scope import (
     sweep,
     summarize,
 )
-from spectral_scope.cli import SEED_ENV, main
+from spectral_scope.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCH_REFERENCE = PERFBENCH / "reference" / "bench_all_300.json"
@@ -277,9 +277,8 @@ def test_criterion_8_kernels_match_reference_constructions(capsys):
 # =========================================================================
 
 
-def test_preset_sweeps_match_the_benchmark_reference_byte_for_byte(tmp_path, capsys, monkeypatch):
+def test_preset_sweeps_match_the_benchmark_reference_byte_for_byte(tmp_path, capsys):
     # the reference is a verbatim `bench all --seeds 300 --json`; this test only reads it
-    monkeypatch.delenv(SEED_ENV, raising=False)
     out = tmp_path / "bench.json"
     start = time.perf_counter()
     code = main(["bench", "all", "--seeds", "300", "--json", "--out", str(out)])
@@ -327,7 +326,6 @@ def test_cli_chains_match_the_benchmark_reference_verdicts(tmp_path, capsys, mon
     # reference range runs through cli.main; the chains that do not exit 0 at
     # every step must be exactly those the reference lists, which this test
     # only reads. A verify that skipped or shortcut a check would flip some.
-    monkeypatch.delenv(SEED_ENV, raising=False)
     program = benchmark_program(monkeypatch)
     reference = json.loads(CLI_REFERENCE.read_text())
     seeds = range(*reference["seeds"])

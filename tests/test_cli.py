@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spectral_scope import OutputSequence, cli, read_matrix_csv, read_sequence, scenarios, write_sequence
-from spectral_scope.cli import SEED_ENV, build_parser, main
+from spectral_scope.cli import build_parser, main
 from spectral_scope.dynamics import SimulationOverflowError
 from spectral_scope.estimator import estimate_dt_spectrum
 from spectral_scope.oracle import observable_partition
 
+README = Path(__file__).resolve().parents[1] / "README.md"
 SWAP_CSV = "0,1\n1,0\n"
 ROT_CSV = "0,1\n-1,0\n"
 
@@ -65,8 +69,10 @@ def test_generate_writes_the_row_stochastic_matrix(tmp_path, capsys):
 
 
 def test_generate_without_n_is_a_usage_error(tmp_path, capsys):
-    code, _, err = run(capsys, "generate", "--model", "pa")
-    assert code == 2 and "--n" in err
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "generate", "--model", "pa")
+    assert info.value.code == 2
+    assert "the following arguments are required: --n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -246,8 +252,10 @@ def test_estimate_of_a_dead_output_is_empty(tmp_path, capsys):
 
 
 def test_estimate_without_input_is_a_usage_error(tmp_path, capsys):
-    code, _, err = run(capsys, "estimate")
-    assert code == 2 and "--y" in err
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "estimate")
+    assert info.value.code == 2
+    assert "the following arguments are required: --y" in capsys.readouterr().err
 
 
 def test_estimate_surfaces_the_aliasing_warning(tmp_path, capsys):
@@ -265,7 +273,7 @@ def test_estimate_surfaces_the_aliasing_warning(tmp_path, capsys):
     assert any("aliasing" in w for w in payload["warnings"])
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_estimate_of_a_non_finite_sample_is_a_usage_error(tmp_path, capsys, bad):
     _, y_csv = simulate_swap(tmp_path, capsys)
     lines = y_csv.read_text().splitlines()
@@ -274,7 +282,7 @@ def test_estimate_of_a_non_finite_sample_is_a_usage_error(tmp_path, capsys, bad)
     y_csv.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "estimate", "--y", y_csv)
     assert code == 2 and out == ""
-    assert err == "error: output y[1] is not finite\n"
+    assert err == f"error: cannot read sequence: {y_csv} line 3: y = {bad} is not finite\n"
 
 
 @pytest.mark.parametrize(
@@ -713,22 +721,32 @@ def test_demo_into_an_existing_file_is_a_usage_error(tmp_path, capsys):
         (["bench", "fig1", "--seed0", -5], "--seed0 must be >= 0, got -5"),
         (["bench", "fig1", "--seeds", 0], "--seeds must be >= 1, got 0"),
         (["bench", "fig1", "--seeds", -2], "--seeds must be >= 1, got -2"),
+        # a ring without --weights never draws from its seed
+        (["generate", "--model", "ring", "--n", 6, "--seed", -1], "--seed must be >= 0, got -1"),
+        (["generate", "--model", "pa", "--n", 6, "--seed", -1], "--seed must be >= 0, got -1"),
+        (["simulate", "--matrix", "swap.csv", "--seed", -1], "--seed must be >= 0, got -1"),
+        (["simulate", "--matrix", "swap.csv", "--mode", "dt-networked", "--node-d", 2,
+          "--node-seed", -4], "--node-seed must be >= 0, got -4"),
     ],
-    ids=["demo-seed", "bench-seed0", "bench-no-seeds", "bench-negative-seeds"],
+    ids=["demo-seed", "bench-seed0", "bench-no-seeds", "bench-negative-seeds",
+         "generate-ring-seed", "generate-pa-seed", "simulate-seed", "simulate-node-seed"],
 )
-def test_a_negative_seed_or_an_empty_sweep_is_a_usage_error(tmp_path, capsys, argv, message):
+def test_a_negative_seed_or_an_empty_sweep_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "swap.csv").write_text(SWAP_CSV)
     outdir = tmp_path / "out"
-    extra = ["--outdir", outdir] if argv[0] == "demo" else ["--json"]
+    extra = {
+        "demo": ["--outdir", outdir],
+        "bench": ["--json", "--out", outdir],
+        "generate": ["--graph-out", outdir, "--matrix-out", outdir],
+        "simulate": ["--out", outdir],
+    }[argv[0]]
     code, out, err = run(capsys, *argv, *extra)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
-    assert not outdir.exists()
-
-
-def test_a_negative_seed_from_the_environment_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "-3")
-    code, out, err = run(capsys, "demo", "fig2", "--outdir", tmp_path / "out")
-    assert code == 2 and out == "" and err == "error: --seed must be >= 0, got -3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
 
 
 def test_demo_runs_are_byte_reproducible(tmp_path, capsys):
@@ -768,98 +786,22 @@ def test_estimate_json_matches_the_library_call_exactly(tmp_path, capsys):
 
 
 # =========================================================================
-# configuration and environment
+# parser
 # =========================================================================
-
-
-def test_config_file_supplies_defaults(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"model": "ring", "n": 6, "seed": 2}))
-    code, out, _ = run(
-        capsys, "--config", config, "generate",
-        "--graph-out", tmp_path / "g.tsv", "--matrix-out", tmp_path / "m.csv",
-    )
-    assert code == 0 and "n=6" in out
-
-
-def test_flags_override_the_config_file(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"model": "ring", "n": 6, "seed": 2}))
-    code, out, _ = run(
-        capsys, "--config", config, "generate", "--n", 9,
-        "--graph-out", tmp_path / "g.tsv", "--matrix-out", tmp_path / "m.csv",
-    )
-    assert code == 0 and "n=9" in out
 
 
 @pytest.mark.parametrize("flag", [["--conf", "{}"], ["--confi", "{}"], ["--conf={}"]])
 def test_an_abbreviated_config_flag_is_a_usage_error(tmp_path, capsys, flag):
+    # settings come from flags only: neither --config nor an abbreviation of it reads the file
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"weights": "0.5,1.5", "seed": 3}))
+    config.write_text(json.dumps({"weights": "0.5,1.5"}))
     matrix = tmp_path / "m.csv"
-    argv = ["generate", "--model", "ring", "--n", 5, "--graph-out", tmp_path / "g.tsv"]
-    with pytest.raises(SystemExit) as excinfo:
-        run(capsys, *[tok.format(config) for tok in flag], *argv, "--matrix-out", matrix)
-    assert excinfo.value.code == 2 and not matrix.exists()
-    # the full spelling reads the file: weights drawn from [0.5, 1.5], not 1
-    assert run(capsys, "--config", config, *argv, "--matrix-out", matrix)[0] == 0
-    assert not set(np.unique(read_matrix_csv(matrix))) <= {0.0, 1.0}
-
-
-def test_unknown_config_keys_are_a_usage_error(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"model": "ring", "n": 6, "nseed": 2}))
-    code, _, err = run(capsys, "--config", config, "generate")
-    assert code == 2 and "nseed" in err
-
-
-@pytest.mark.parametrize(
-    "config, message",
-    [
-        ({"K": [3]}, "config key 'K' has the wrong type: [3]"),
-        ({"K": 2.5}, "config key 'K' has an invalid value: 2.5"),
-        ({"K": True}, "config key 'K' has the wrong type: True"),
-        ({"tau": {"s": 1}}, "config key 'tau' has the wrong type"),
-        ({"x0": [1, 0]}, "config key 'x0' has the wrong type"),
-        ({"prescale": "sometimes"}, "config key 'prescale' must be one of ['auto', 'on', 'off']"),
-        ({"mode": "dtt"}, "config key 'mode' must be one of"),
-    ],
-    ids=["list-K", "fractional-K", "bool-K", "object-tau", "list-x0", "bad-choice", "bad-mode"],
-)
-def test_a_wrong_typed_config_value_is_a_usage_error(tmp_path, capsys, config, message):
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    config_json = tmp_path / "config.json"
-    config_json.write_text(json.dumps(config))
-    out_csv = tmp_path / "y.csv"
-    code, out, err = run(
-        capsys, "--config", config_json, "simulate", "--matrix", matrix, "--out", out_csv,
-    )
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: config {config_json}: {message}")
-    assert err.count("\n") == 1 and not out_csv.exists()
-
-
-def test_config_numbers_parse_like_flags_and_null_keeps_the_default(tmp_path, capsys):
-    _, y_csv = simulate_swap(tmp_path, capsys)
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"rank_tolerance": 1e-12, "cluster_tol": None, "prescale": "off"}))
-    code, out, _ = run(capsys, "--config", config, "estimate", "--y", y_csv)
-    assert code == 0
-    flags = run(capsys, "estimate", "--y", y_csv, "--rank-tolerance", "1e-12", "--prescale", "off")
-    assert out == flags[1]
-
-
-def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"model": "ring", "n": 6}))
-    code, _, _ = run(
-        capsys, "--config", config, "generate",
-        "--graph-out", tmp_path / "g.tsv", "--matrix-out", tmp_path / "m.csv",
-    )
-    assert code == 0
-    code, _, err = run(capsys, "generate")
-    assert code == 2 and "generate requires --model" in err
+    argv = ["generate", "--model", "ring", "--n", 5, "--graph-out", tmp_path / "g.tsv",
+            "--matrix-out", matrix]
+    for tokens in ([tok.format(config) for tok in flag], ["--config", config]):
+        with pytest.raises(SystemExit) as excinfo:
+            run(capsys, *tokens, *argv)
+        assert excinfo.value.code == 2 and not matrix.exists()
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
@@ -877,29 +819,27 @@ def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
             "--graph-out", tmp_path / "g.tsv", "--matrix-out", tmp_path / "m.csv",
         )
         assert code == 0
-    code, _, _ = run(capsys, "generate", "--model", "ring")
-    assert code == 2
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "generate", "--model", "ring")
+    assert info.value.code == 2 and "--n" in capsys.readouterr().err
     assert len(built) == 1
 
 
-def test_seed_env_variable_beats_the_flag(tmp_path, capsys, monkeypatch):
-    argv = ["generate", "--model", "pa", "--n", 10, "--m", 2, "--weights", "-1,1"]
-    monkeypatch.setenv(SEED_ENV, "7")
-    run(capsys, *argv, "--seed", 99,
-        "--graph-out", tmp_path / "ga.tsv", "--matrix-out", tmp_path / "ma.csv")
-    monkeypatch.delenv(SEED_ENV)
-    run(capsys, *argv, "--seed", 7,
-        "--graph-out", tmp_path / "gb.tsv", "--matrix-out", tmp_path / "mb.csv")
-    assert (tmp_path / "ma.csv").read_bytes() == (tmp_path / "mb.csv").read_bytes()
-    assert (tmp_path / "ga.tsv").read_bytes() == (tmp_path / "gb.tsv").read_bytes()
-
-
-def test_garbled_seed_env_is_a_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(SEED_ENV, "often")
-    with pytest.raises(SystemExit) as excinfo:
-        run(capsys, "generate", "--model", "ring", "--n", 4,
-            "--graph-out", tmp_path / "g.tsv", "--matrix-out", tmp_path / "m.csv")
-    assert excinfo.value.code == 2
+def test_every_readme_command_parses(capsys):
+    # parsed only, never run: a documented flag the parser lacks fails here
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("spectral-scope "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    parser, parsed = build_parser(), set()
+    for argv in commands:
+        try:
+            parsed.add(parser.parse_args(cli._fuse_negative_values(argv)).command)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: spectral-scope {shlex.join(argv)}\n"
+                        f"{capsys.readouterr().err}")
+    assert parsed == {"generate", "simulate", "estimate", "verify", "demo", "bench"}
 
 
 # =========================================================================

@@ -463,3 +463,10 @@ def test_sequence_files_roundtrip_exactly(tmp_path, mode, tau):
     assert back.mode == seq.mode and back.tau == seq.tau and back.n_hint == 4
     header = path.read_text().splitlines()[0]
     assert header == ("k,y" if mode == DT else "t,y")
+    # a NaN or infinite sample is rejected at its line, not left to the estimator
+    lines = path.read_text().splitlines()
+    for bad in ("nan", "inf", "-inf"):
+        t, _ = lines[2].split(",")
+        path.write_text("\n".join([*lines[:2], f"{t},{bad}", *lines[3:]]) + "\n")
+        with pytest.raises(ValueError, match=f"{path} line 3: y = {bad} is not finite"):
+            read_sequence(path)
