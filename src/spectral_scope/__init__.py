@@ -4,10 +4,11 @@ from a short scalar output sequence.
 A single observed output of a linear multiagent network determines, through
 the rank and kernel of a Hankel matrix of at most 2n samples, every
 eigenvalue of the coupling matrix that the initial state and output weighting
-actually excite. This package bundles the estimator pipeline (discrete,
-sampled continuous, and networked variants), simulators that produce such
-sequences, random graph generators for test networks, and oracle machinery
-to verify estimates against dense eigensolvers.
+actually excite. This package bundles the estimator pipeline (one entry
+point, ``estimate_spectrum``, for discrete, sampled continuous and networked
+records), simulators that produce such sequences, random graph generators
+for test networks, and oracle machinery to verify estimates against dense
+eigensolvers.
 """
 
 from .clustering import cluster_complex, enforce_conjugate_pairs
@@ -41,9 +42,7 @@ from .estimator import (
     deconvolve_sigma,
     deconvolve_sigma_ct,
     detect_rank_online,
-    estimate_ct_spectrum,
-    estimate_dt_spectrum,
-    estimate_networked_dt_spectrum,
+    estimate_spectrum,
     nu_sequence,
     roots_with_multiplicity,
     solve_coefficients,
@@ -104,9 +103,7 @@ __all__ = [
     "deconvolve_sigma_ct",
     "detect_rank_online",
     "enforce_conjugate_pairs",
-    "estimate_ct_spectrum",
-    "estimate_dt_spectrum",
-    "estimate_networked_dt_spectrum",
+    "estimate_spectrum",
     "full_spectrum",
     "generate_preferential_attachment",
     "generate_ring",

@@ -7,7 +7,8 @@ three preset experiments end to end, ``bench`` sweeps seeds and reports a
 success-rate table.
 
 Every setting is a flag; argparse rejects a missing required one, and a
-negative seed flag is a usage error before any step runs.
+negative seed flag, or a ``--n`` or ``--node-d`` above ``MAX_DIMENSION``, is
+a usage error before any step runs.
 
 Exit codes: 0 success, 1 estimation or verification failure, 2 usage error.
 """
@@ -15,7 +16,6 @@ Exit codes: 0 success, 1 estimation or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import math
@@ -44,9 +44,8 @@ from .estimator import (
     InsufficientDataError,
     LogSingularRootError,
     SingularDeconvolutionError,
-    estimate_ct_spectrum,
-    estimate_dt_spectrum,
-    estimate_networked_dt_spectrum,
+    SpectrumEstimate,
+    estimate_spectrum,
 )
 from .graphs import (
     GraphMatrixKind,
@@ -66,6 +65,10 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+# Largest --n (graph nodes) or --node-d (agent dimension) a step accepts: the
+# matrices are dense, and a 2048 x 2048 one takes 32 MB.
+MAX_DIMENSION = 2048
 
 
 # =========================================================================
@@ -140,15 +143,6 @@ def _load_node(args) -> NodeDynamics | None:
     if getattr(args, "node_d", None):
         return NodeDynamics.random_symmetric(args.node_d, seed=args.node_seed)
     return None
-
-
-def _estimator_options(args) -> EstimatorOptions:
-    prescale = {"auto": None, "on": True, "off": False}[args.prescale]
-    return EstimatorOptions(
-        rank_tolerance=args.rank_tolerance,
-        cluster_tol=args.cluster_tol,
-        prescale=prescale,
-    )
 
 
 # =========================================================================
@@ -261,15 +255,9 @@ def cmd_estimate(args) -> int:
         y = read_sequence(args.y, sidecar=args.sidecar)
     except (OSError, ValueError, KeyError) as exc:
         return _fail_usage(f"cannot read sequence: {exc}")
-    opts = _estimator_options(args)
+    opts = EstimatorOptions(rank_tolerance=args.rank_tolerance, cluster_tol=args.cluster_tol)
     try:
-        node = _load_node(args)
-        if node is not None and y.mode == DT:
-            est = estimate_networked_dt_spectrum(y, node, opts=opts)
-        elif y.mode == CT:
-            est = estimate_ct_spectrum(y, node=node, opts=opts)
-        else:
-            est = estimate_dt_spectrum(y, opts=opts)
+        est = estimate_spectrum(y, _load_node(args), opts)
     except (
         SingularDeconvolutionError, LogSingularRootError, InsufficientDataError, OverflowError
     ) as exc:  # OverflowError: the node's matrix exponential, its weights or the deconvolution
@@ -284,22 +272,6 @@ def cmd_estimate(args) -> int:
 # =========================================================================
 # verify
 # =========================================================================
-
-
-def _roots_from_json(path, n: int) -> list[tuple[complex, int]]:
-    """The estimate's roots: each finite, with a multiplicity from 1 to the ``n``
-    eigenvalues an n x n matrix has."""
-    data = json.loads(Path(path).read_text())
-    roots = [
-        (complex(r["re"], r["im"]), int(r.get("multiplicity", 1)))
-        for r in data["roots"]
-    ]
-    for k, (v, m) in enumerate(roots):
-        if not cmath.isfinite(v):
-            raise ValueError(f"root {k} in {path} is not finite: {v}")
-        if not 1 <= m <= n:
-            raise ValueError(f"root {k} in {path} has multiplicity {m}, not 1 to {n}")
-    return roots
 
 
 def _setup_from_json(path, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
@@ -321,8 +293,16 @@ def _setup_from_json(path, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
 def cmd_verify(args) -> int:
     try:
         M = read_matrix_csv(args.matrix)
-        roots = _roots_from_json(args.estimate, M.shape[0])
-        setup, x0, c = _setup_from_json(args.setup, M.shape[0])
+        n = M.shape[0]
+        try:
+            roots = SpectrumEstimate.from_json_dict(json.loads(Path(args.estimate).read_text())).roots
+        except KeyError as exc:  # its message is the bare key
+            raise ValueError(f"estimate {args.estimate} has no {exc}") from None
+        # an n x n matrix has n eigenvalues, so no root can repeat more often
+        for k, (_, m) in enumerate(roots):
+            if m > n:
+                raise ValueError(f"root {k} in {args.estimate} has multiplicity {m}, not 1 to {n}")
+        setup, x0, c = _setup_from_json(args.setup, n)
         tol = args.tol if args.tol is not None else float(setup.get("tol", 1e-6))
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         return _fail_usage(f"cannot read inputs: {exc}")
@@ -446,8 +426,6 @@ def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
                    help="relative singular-value threshold for rank detection")
     p.add_argument("--cluster-tol", type=float, default=1e-6,
                    help="relative distance merging nearby roots")
-    p.add_argument("--prescale", choices=("auto", "on", "off"), default="auto",
-                   help="geometric output prescaling (auto: on for unstable/continuous data)")
 
 
 def _add_node_flags(p: argparse.ArgumentParser) -> None:
@@ -548,6 +526,11 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = _fuse_negative_values(list(sys.argv[1:] if argv is None else argv))
+    head = argv[0] if argv else ""
+    # the top level takes no option but --help; argparse would read the value
+    # after a stray one (--config c.json) as an invalid subcommand instead
+    if head.startswith("-") and head.strip("-") and head != "-h" and not "--help".startswith(head):
+        _shared_parser().error(f"unrecognized arguments: {head}")
     args = _shared_parser().parse_args(argv)
     # numpy rejects a negative seed without naming the flag, and a step that
     # never draws (a ring without --weights) would not reject it at all
@@ -555,6 +538,10 @@ def main(argv=None) -> int:
         seed = getattr(args, dest, None)
         if seed is not None and seed < 0:
             return _fail_usage(f"--{dest.replace('_', '-')} must be >= 0, got {seed}")
+    for dest in ("n", "node_d"):
+        size = getattr(args, dest, None)
+        if size is not None and size > MAX_DIMENSION:
+            return _fail_usage(f"--{dest.replace('_', '-')} must be <= {MAX_DIMENSION}, got {size}")
     return args.func(args)
 
 

@@ -6,8 +6,9 @@ r, solve the r x r Hankel system for the coefficients of a monic degree-r
 polynomial, read the roots off its balanced companion matrix, merge
 numerically split roots into (value, multiplicity) pairs, and, for sampled
 continuous-time data, map each root through the principal complex logarithm.
-Networked variants first strip the known identical per-agent dynamics from
-the outputs, after which the plain pipeline applies unchanged.
+Networked outputs first have the known identical per-agent dynamics stripped,
+after which the plain pipeline applies unchanged. ``estimate_spectrum`` runs
+the whole pipeline for every kind of record.
 
 The detected rank equals the number of eigenvalues that are actually present
 in the output (weighted by how much of each Jordan chain the initial state
@@ -17,6 +18,7 @@ no model order is assumed beyond an optional upper bound ``n_hint``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -44,12 +46,10 @@ __all__ = [
     "detect_rank_online",
     "solve_coefficients",
     "roots_with_multiplicity",
-    "estimate_dt_spectrum",
     "nu_sequence",
     "deconvolve_sigma",
     "deconvolve_sigma_ct",
-    "estimate_networked_dt_spectrum",
-    "estimate_ct_spectrum",
+    "estimate_spectrum",
 ]
 
 RANK_TOL_BASE = 1e-10
@@ -83,7 +83,7 @@ class InsufficientDataError(ValueError):
 
 @dataclass
 class EstimatorOptions:
-    """Tunables for the spectrum pipelines; ``None`` picks the documented default.
+    """Tunables for ``estimate_spectrum``; ``None`` picks the documented default.
 
     rank_tolerance
         Relative singular-value threshold for rank detection. Default
@@ -177,11 +177,24 @@ class SpectrumEstimate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SpectrumEstimate":
+        """The estimate ``to_json_dict`` wrote. ``ValueError`` for a non-finite
+        root, a multiplicity below 1, a mode other than DT or CT, or a negative rank."""
+        roots = [(complex(r["re"], r["im"]), int(r["multiplicity"])) for r in d["roots"]]
+        for k, (v, m) in enumerate(roots):
+            if not cmath.isfinite(v):
+                raise ValueError(f"root {k} is not finite: {v}")
+            if m < 1:
+                raise ValueError(f"root {k} has multiplicity {m}, below 1")
+        if d["mode"] not in (DT, CT):
+            raise ValueError(f"mode must be {DT!r} or {CT!r}, got {d['mode']!r}")
+        rank = int(d["rank"])
+        if rank < 0:
+            raise ValueError(f"rank must be >= 0, got {rank}")
         return cls(
-            roots=[(complex(r["re"], r["im"]), int(r["multiplicity"])) for r in d["roots"]],
+            roots=roots,
             mode=d["mode"],
             tau=d.get("tau"),
-            rank=int(d["rank"]),
+            rank=rank,
             residual=float(d["residual"]),
             condition=float("inf") if d.get("condition") is None else float(d["condition"]),
             scale_rho=float(d.get("rho", 1.0)),
@@ -506,45 +519,8 @@ def roots_with_multiplicity(
     return SpectrumEstimate(list(pairs), DT, None, p.degree, p.residual, p.condition, scale_rho)
 
 
-def _estimate(
-    values: np.ndarray, opts: EstimatorOptions | None, continuous: bool = False
-) -> SpectrumEstimate:
-    """The pipeline every front end shares: Hankel rank, coefficients, clustered roots.
-
-    Prescaling defaults to on for sampled continuous-time data and, for
-    discrete-time data, to on only when ``max |y| > 1e6``. The roots come
-    back as discrete-time roots; a continuous-time caller maps them itself.
-    """
-    opts = opts or EstimatorOptions()
-    prescale = opts.prescale
-    if prescale is None:
-        prescale = continuous or bool(np.max(np.abs(values)) > PRESCALE_TRIGGER)
-    h = build_hankel(values, prescale=prescale, rank_tolerance=opts.rank_tolerance)
-    poly = solve_coefficients(h)
-    est = roots_with_multiplicity(poly, opts.cluster_tol, h.scale_rho)
-    if est.condition > ILL_CONDITION_LIMIT:
-        est.warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
-    return est
-
-
-def _dt_values(y) -> np.ndarray:
-    if isinstance(y, OutputSequence) and y.mode != DT:
-        raise ValueError("discrete-time sequence required; use estimate_ct_spectrum")
-    return _sequence_values(y)
-
-
-def estimate_dt_spectrum(y, opts: EstimatorOptions | None = None) -> SpectrumEstimate:
-    """Full discrete-time pipeline: Hankel, rank, coefficients, clustered roots.
-
-    Accepts an OutputSequence (must be discrete-time) or a plain array.
-    An identically zero sequence gives rank 0 and an empty spectrum, which is
-    a valid answer, not an error.
-    """
-    return _estimate(_dt_values(y), opts)
-
-
 # =========================================================================
-# Networked variants
+# Node deconvolution, then the whole pipeline
 # =========================================================================
 
 
@@ -672,34 +648,40 @@ def deconvolve_sigma_ct(y, nu) -> np.ndarray:
     return sigma
 
 
-def estimate_networked_dt_spectrum(
-    y, node: NodeDynamics, opts: EstimatorOptions | None = None
+def estimate_spectrum(
+    y, node: NodeDynamics | None = None, opts: EstimatorOptions | None = None
 ) -> SpectrumEstimate:
-    """Discrete-time networked pipeline: deconvolve the node factor, then estimate."""
-    values = _dt_values(y)
-    return _estimate(deconvolve_sigma(values, nu_sequence(node, len(values), DT)), opts)
+    """The whole pipeline: node deconvolution, Hankel rank, coefficients, clustered roots.
 
+    ``y`` is an OutputSequence or a plain array, which is taken as discrete
+    time. A ``node`` is stripped first, by deconvolve_sigma in discrete time
+    and by deconvolve_sigma_ct in sampled continuous time. Prescaling
+    defaults to on for sampled continuous-time data and, for discrete-time
+    data, to on only when ``max |y| > 1e6``. An identically zero sequence
+    gives rank 0 and an empty spectrum, which is a valid answer, not an error.
 
-def estimate_ct_spectrum(
-    y: OutputSequence, node: NodeDynamics | None = None, opts: EstimatorOptions | None = None
-) -> SpectrumEstimate:
-    """Spectrum from sampled continuous-time outputs.
-
-    Runs the discrete pipeline on the samples (deconvolving the node factor
-    first when one is supplied); the recovered roots are ``eta_i =
-    e^{lambda_i tau}`` and are mapped back through the principal complex
-    logarithm. Roots within 1e-12 of zero are rejected as log-singular.
-    Sampling can only distinguish imaginary parts inside ``(-pi/tau,
-    pi/tau]``; any recovered eigenvalue at that boundary gets an ``aliasing``
-    warning rather than a silent unwrap.
+    Sampled continuous-time roots are ``eta_i = e^{lambda_i tau}`` and are
+    mapped back through the principal complex logarithm; roots within 1e-12
+    of zero are rejected as log-singular. Sampling can only distinguish
+    imaginary parts inside ``(-pi/tau, pi/tau]``; any recovered eigenvalue at
+    that boundary gets an ``aliasing`` warning rather than a silent unwrap.
     """
-    if not isinstance(y, OutputSequence) or y.mode != CT:
-        raise ValueError("continuous-time OutputSequence required")
-    tau = y.tau
-    values = y.values
-    if node is not None:
+    values = _sequence_values(y)
+    tau = y.tau if isinstance(y, OutputSequence) and y.mode == CT else None
+    if node is not None and tau is None:
+        values = deconvolve_sigma(values, nu_sequence(node, len(values), DT))
+    elif node is not None:
         values = deconvolve_sigma_ct(values, nu_sequence(node, len(values), CT, tau))
-    est = _estimate(values, opts, continuous=True)
+    opts = opts or EstimatorOptions()
+    prescale = opts.prescale
+    if prescale is None:
+        prescale = tau is not None or bool(np.max(np.abs(values)) > PRESCALE_TRIGGER)
+    h = build_hankel(values, prescale=prescale, rank_tolerance=opts.rank_tolerance)
+    est = roots_with_multiplicity(solve_coefficients(h), opts.cluster_tol, h.scale_rho)
+    if est.condition > ILL_CONDITION_LIMIT:
+        est.warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
+    if tau is None:
+        return est
     roots: list[tuple[complex, int]] = []
     for v, m in est.roots:
         if abs(v) <= ETA_ZERO_TOL:

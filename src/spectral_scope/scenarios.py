@@ -45,7 +45,7 @@ from .dynamics import (
     simulate_dt,
     simulate_dt_networked,
 )
-from .estimator import EstimatorOptions, SpectrumEstimate, estimate_ct_spectrum, estimate_dt_spectrum, estimate_networked_dt_spectrum
+from .estimator import EstimatorOptions, SpectrumEstimate, estimate_spectrum
 from .graphs import Graph, GraphMatrix, GraphMatrixKind, assign_uniform_weights, build_matrix, generate_preferential_attachment, generate_ring
 from .oracle import MatchReport, full_spectrum, match_spectra
 
@@ -154,23 +154,20 @@ def run_scenario(name: str, seed: int = 0, keep_artifacts: bool = False) -> Scen
         raise ValueError(f"unknown scenario {name!r}; pick one of {SCENARIOS}")
 
     setup = random_setup(g.n, seed=s_setup, observed=observed, observe_weights=mix)
-    # picked per call, not at import, so that a wrapper put on this module's
-    # names (as the benchmark's tracer does) sees every call
-    if node is not None:
-        simulate, estimate, kw = simulate_dt_networked, estimate_networked_dt_spectrum, {"node": node}
-    elif tau is not None:
-        simulate, estimate, kw = functools.partial(simulate_ct_sampled, tau=tau), estimate_ct_spectrum, {}
-    else:
-        simulate, estimate, kw = simulate_dt, estimate_dt_spectrum, {}
     try:
-        y = simulate(gm, setup=setup, K=2 * g.n, **kw)
+        if node is not None:
+            y = simulate_dt_networked(gm, node, setup, K=2 * g.n)
+        elif tau is not None:
+            y = simulate_ct_sampled(gm, setup, tau=tau, K=2 * g.n)
+        else:
+            y = simulate_dt(gm, setup, K=2 * g.n)
     except SimulationOverflowError:
         y = None
     artifacts = ScenarioArtifacts(g, gm.values, setup, node, y, tau) if keep_artifacts else None
     if y is None:
         return ScenarioResult(name, seed, False, tol, float("inf"), overflow=True, artifacts=artifacts)
 
-    est = estimate(y, opts=_OPTIONS, **kw)
+    est = estimate_spectrum(y, node, _OPTIONS)
     if truth is None:
         truth = full_spectrum(gm)
     if relative_tol:

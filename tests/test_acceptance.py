@@ -23,7 +23,7 @@ from spectral_scope import (
     EstimatorOptions,
     build_hankel,
     detect_rank_online,
-    estimate_dt_spectrum,
+    estimate_spectrum,
     match_spectra,
     matrix_exponential,
     observable_partition,
@@ -151,7 +151,7 @@ def test_criterion_5_defective_blocks_recovered_with_multiplicity(capsys):
         lam = float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
         case = make_jordan_case([(lam, m)], seed=2000 + i)
         y = simulate_dt(case.G, case.setup, K=2 * case.n)
-        est = estimate_dt_spectrum(y, opts=EstimatorOptions(cluster_tol=1e-3))
+        est = estimate_spectrum(y, opts=EstimatorOptions(cluster_tol=1e-3))
         if len(est.roots) == 1 and est.roots[0][1] == m:
             err = abs(est.roots[0][0] - lam)
             worst = max(worst, err)
@@ -179,7 +179,7 @@ def test_criterion_6_observable_partition_matches_pbh(capsys):
         n = 4 + i % 5
         G, setup, D, hidden = hidden_mode_system(n, rng, hidden_count=1 + i % 2)
         part = observable_partition(G, setup.c, setup.x0)
-        est = estimate_dt_spectrum(simulate_dt(G, setup, K=2 * n))
+        est = estimate_spectrum(simulate_dt(G, setup, K=2 * n))
         report = match_spectra(est, part.observable, tol=1e-6)
         missing = {round(v.real, 9) for v in part.missing}
         pbh_ok = missing == {round(D[j], 9) for j in hidden} and all(
@@ -215,8 +215,8 @@ def test_criterion_7_online_detection_within_the_sample_budget(capsys):
         y = simulate_dt(G, setup, K=2 * n)
         det = detect_rank_online(iter(y.values), n_hint=n)
         consumed.append(det.consumed)
-        online = estimate_dt_spectrum(det.values)
-        batch = estimate_dt_spectrum(y)
+        online = estimate_spectrum(det.values)
+        batch = estimate_spectrum(y)
         report = match_spectra(online, [(v, m) for v, m in batch.roots], tol=1e-10)
         if det.consumed <= 2 * n and report.matched_all:
             hits += 1
@@ -303,12 +303,34 @@ def benchmark_program(monkeypatch):
     return program
 
 
-def test_the_benchmark_finds_every_function_it_wraps(monkeypatch):
+def test_the_benchmark_finds_every_function_it_wraps(tmp_path, monkeypatch):
     # perfbench/program.py times layers by wrapping functions by name in the
-    # namespaces the program calls them through, and raises on a missing name
+    # namespaces the program calls them through, and raises on a missing name.
+    # A stage that went around its wrapped name would read zero instead, so
+    # each workload must reach every layer perfbench/README.md gives it.
     program = benchmark_program(monkeypatch)
-    with program.traced(program.Tracer()):
-        pass
+    estimate = {"estimator.hankel", "estimator.solve", "estimator.roots", "oracle.match"}
+    preset = estimate | {"graphs", "dynamics", "oracle.spectrum"}
+    reaches = {
+        "fig1-sweep": preset,
+        "fig2-sweep": preset,
+        # fig3's graph and true spectrum are pinned, built once per process
+        "fig3-sweep": estimate | {"dynamics", "estimator.deconvolve"},
+        "cli-roundtrip": preset | {"oracle.partition", "cli.generate", "cli.simulate",
+                                   "cli.estimate", "cli.verify"},
+    }
+    missing = {}
+    for workload, layers in reaches.items():
+        t = program.Tracer()
+        with program.traced(t), open(tmp_path / "chains.log", "w") as sink:
+            if workload == "cli-roundtrip":
+                for kind in program.CHAIN_KINDS:  # seed 3's dt chain excuses an unseen mode
+                    program.clear_chain_files(tmp_path)
+                    assert program.run_chain(kind, 3, tmp_path, sink, t) == (0, 0, 0, 0)
+            else:
+                program.run_scenario(workload.split("-")[0], 0)
+        missing[workload] = sorted(layers - t.self_times()[1].keys())
+    assert missing == dict.fromkeys(reaches, [])
 
 
 def test_every_exported_name_resolves():

@@ -13,7 +13,7 @@ import pytest
 from spectral_scope import OutputSequence, cli, read_matrix_csv, read_sequence, scenarios, write_sequence
 from spectral_scope.cli import build_parser, main
 from spectral_scope.dynamics import SimulationOverflowError
-from spectral_scope.estimator import estimate_dt_spectrum
+from spectral_scope.estimator import estimate_spectrum
 from spectral_scope.oracle import observable_partition
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -592,8 +592,10 @@ def test_verify_with_a_bad_tolerance_is_a_usage_error(tmp_path, capsys, source, 
         (lambda r: {**r, "re": 10**400}, "int too large to convert to float"),
         (lambda r: {**r, "multiplicity": 10**18}, "has multiplicity 1000000000000000000, not 1 to 5"),
         (lambda r: {**r, "multiplicity": float("inf")}, "cannot convert float infinity"),
+        (lambda r: {**r, "multiplicity": 0}, "root 0 has multiplicity 0, below 1"),
+        (lambda r: {"re": r["re"], "im": r["im"]}, "has no 'multiplicity'"),
     ],
-    ids=["huge-re", "huge-multiplicity", "inf-multiplicity"],
+    ids=["huge-re", "huge-multiplicity", "inf-multiplicity", "zero-multiplicity", "no-multiplicity"],
 )
 def test_verify_of_an_unreadable_root_is_a_usage_error(tmp_path, capsys, edit, message):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
@@ -749,6 +751,35 @@ def test_a_negative_seed_or_an_empty_sweep_is_a_usage_error(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--model", "ring", "--n", 10**12], "--n must be <= 2048, got 1000000000000"),
+        (["generate", "--model", "pa", "--n", 10**12], "--n must be <= 2048, got 1000000000000"),
+        (["simulate", "--matrix", "swap.csv", "--mode", "dt-networked", "--node-d", 100000],
+         "--node-d must be <= 2048, got 100000"),
+        (["estimate", "--y", "y.csv", "--node-d", 2049], "--node-d must be <= 2048, got 2049"),
+    ],
+    ids=["ring", "pa", "simulate-node", "estimate-node"],
+)
+def test_a_size_above_the_limit_is_a_usage_error_before_any_allocation(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    # unchecked, a ring of 10**12 nodes hangs and the others run out of memory
+    def allocate(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    for name in ("generate_ring", "generate_preferential_attachment", "read_sequence"):
+        monkeypatch.setattr(cli, name, allocate)
+    monkeypatch.setattr(cli.NodeDynamics, "random_symmetric", allocate)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "swap.csv").write_text(SWAP_CSV)
+    code, out, err = run(capsys, *argv, "--out" if argv[0] != "generate" else "--graph-out", "out")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
+
+
 def test_demo_runs_are_byte_reproducible(tmp_path, capsys):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(capsys, "demo", "fig1", "--seed", 4, "--outdir", a)[0] == 0
@@ -781,7 +812,7 @@ def test_estimate_json_matches_the_library_call_exactly(tmp_path, capsys):
     _, spectrum, _ = full_chain(tmp_path, capsys)
     cli_payload = json.loads(spectrum.read_text())
     seq = read_sequence(tmp_path / "y.csv")
-    lib_payload = estimate_dt_spectrum(seq).to_json_dict()
+    lib_payload = estimate_spectrum(seq).to_json_dict()
     assert cli_payload == lib_payload
 
 
@@ -790,9 +821,10 @@ def test_estimate_json_matches_the_library_call_exactly(tmp_path, capsys):
 # =========================================================================
 
 
-@pytest.mark.parametrize("flag", [["--conf", "{}"], ["--confi", "{}"], ["--conf={}"]])
+@pytest.mark.parametrize("flag", [["--conf", "{}"], ["--confi", "{}"], ["--conf={}"], ["-c", "{}"]])
 def test_an_abbreviated_config_flag_is_a_usage_error(tmp_path, capsys, flag):
-    # settings come from flags only: neither --config nor an abbreviation of it reads the file
+    # settings come from flags only: neither --config nor an abbreviation of it
+    # reads the file, and the error names the flag, not the file after it
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"weights": "0.5,1.5"}))
     matrix = tmp_path / "m.csv"
@@ -802,6 +834,7 @@ def test_an_abbreviated_config_flag_is_a_usage_error(tmp_path, capsys, flag):
         with pytest.raises(SystemExit) as excinfo:
             run(capsys, *tokens, *argv)
         assert excinfo.value.code == 2 and not matrix.exists()
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {tokens[0]}\n")
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from helpers import hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CT,
-    DT,
     CharacteristicPoly,
     DeconvolutionOverflowError,
     EstimatorOptions,
@@ -25,13 +24,12 @@ from spectral_scope import (
     ObservationSetup,
     OutputSequence,
     SingularDeconvolutionError,
+    SpectrumEstimate,
     build_hankel,
     deconvolve_sigma,
     deconvolve_sigma_ct,
     detect_rank_online,
-    estimate_ct_spectrum,
-    estimate_dt_spectrum,
-    estimate_networked_dt_spectrum,
+    estimate_spectrum,
     match_spectra,
     matrix_exponential,
     nu_sequence,
@@ -172,7 +170,7 @@ def test_online_rank_stops_after_three_constant_samples():
 def test_online_rank_of_zero_stream_is_zero():
     det = detect_rank_online(iter([0.0] * 50))
     assert (det.rank, det.consumed) == (0, 3)
-    assert estimate_dt_spectrum(det.values).roots == []
+    assert estimate_spectrum(det.values).roots == []
 
 
 def test_online_rank_two_modes_consumes_at_most_five():
@@ -195,9 +193,9 @@ def test_non_finite_outputs_are_rejected_with_a_typed_error(bad):
     values = [1.0, 0.5, bad, 0.125]
     node = NodeDynamics(A=np.zeros((1, 1)), beta=[1.0], gamma=[1.0])
     calls = [
-        lambda: estimate_dt_spectrum(values),
-        lambda: estimate_networked_dt_spectrum(values, node),
-        lambda: estimate_ct_spectrum(OutputSequence(values, mode=CT, tau=1.0)),
+        lambda: estimate_spectrum(values),
+        lambda: estimate_spectrum(values, node),
+        lambda: estimate_spectrum(OutputSequence(values, mode=CT, tau=1.0)),
         lambda: detect_rank_online(iter(values)),
     ]
     for call in calls:
@@ -216,9 +214,9 @@ def test_a_bad_tolerance_is_rejected_with_a_typed_error(field, bad):
     opts = EstimatorOptions(**{field: bad})
     node = NodeDynamics(A=np.zeros((1, 1)), beta=[1.0], gamma=[1.0])
     calls = [
-        lambda: estimate_dt_spectrum(values, opts),
-        lambda: estimate_networked_dt_spectrum(values, node, opts),
-        lambda: estimate_ct_spectrum(OutputSequence(values, mode=CT, tau=1.0), opts=opts),
+        lambda: estimate_spectrum(values, opts=opts),
+        lambda: estimate_spectrum(values, node, opts),
+        lambda: estimate_spectrum(OutputSequence(values, mode=CT, tau=1.0), opts=opts),
     ]
     if field == "rank_tolerance":
         calls += [
@@ -237,8 +235,8 @@ def test_online_prefix_reproduces_the_batch_spectrum(seed):
     y = simulate_dt(G, setup, K=14)
     det = detect_rank_online(iter(y.values), n_hint=7)
     assert det.consumed <= 14
-    online = estimate_dt_spectrum(det.values)
-    batch = estimate_dt_spectrum(y)
+    online = estimate_spectrum(det.values)
+    batch = estimate_spectrum(y)
     report = match_spectra(online, roots_as_pairs(batch), tol=1e-10)
     assert report.matched_all and report.max_error <= 1e-10
 
@@ -426,11 +424,9 @@ def test_refinement_stops_at_the_first_repeated_iterate(monkeypatch):
 
 
 ENTRY_POINTS = {
-    "dt": lambda y, opts: estimate_dt_spectrum(y, opts=opts),
-    "dt-networked": lambda y, opts: estimate_networked_dt_spectrum(
-        y, NodeDynamics.trivial(), opts=opts
-    ),
-    "ct": lambda y, opts: estimate_ct_spectrum(OutputSequence(y, mode=CT, tau=1.0), opts=opts),
+    "dt": lambda y, opts: estimate_spectrum(y, opts=opts),
+    "dt-networked": lambda y, opts: estimate_spectrum(y, NodeDynamics.trivial(), opts),
+    "ct": lambda y, opts: estimate_spectrum(OutputSequence(y, mode=CT, tau=1.0), opts=opts),
 }
 
 
@@ -471,7 +467,7 @@ def test_degree_one_root():
 
 
 def test_prescaled_roots_are_multiplied_back():
-    est = estimate_dt_spectrum([1.0, 2.0, 4.0, 8.0], opts=EstimatorOptions(prescale=True))
+    est = estimate_spectrum([1.0, 2.0, 4.0, 8.0], opts=EstimatorOptions(prescale=True))
     assert est.scale_rho == 2.0
     assert len(est.roots) == 1 and abs(est.roots[0][0] - 2.0) < 1e-12
 
@@ -630,7 +626,7 @@ def test_cluster_indices_matches_the_pairwise_loop(values, tol):
 
 def test_swap_spectrum_is_plus_minus_one():
     y = simulate_dt(SWAP, ObservationSetup(x0=[1, 0], c=[1, 0]), K=4)
-    est = estimate_dt_spectrum(y)
+    est = estimate_spectrum(y)
     got = sorted(est.roots, key=lambda vm: vm[0].real)
     assert [m for _, m in got] == [1, 1]
     assert abs(got[0][0] + 1) < 1e-12 and abs(got[1][0] - 1) < 1e-12
@@ -639,7 +635,7 @@ def test_swap_spectrum_is_plus_minus_one():
 def test_unobserved_diagonal_mode_is_never_reported():
     G = np.diag([2.0, 3.0])
     setup = ObservationSetup(x0=[0.7, 0.4], c=[1.0, 0.0])
-    est = estimate_dt_spectrum(simulate_dt(G, setup, K=4), opts=EstimatorOptions(prescale=True))
+    est = estimate_spectrum(simulate_dt(G, setup, K=4), opts=EstimatorOptions(prescale=True))
     assert len(est.roots) == 1 and abs(est.roots[0][0] - 2.0) < 1e-9
     oracle = observable_partition(G, setup.c, setup.x0)
     assert oracle.observable == [(2 + 0j, 1)]
@@ -647,14 +643,8 @@ def test_unobserved_diagonal_mode_is_never_reported():
 
 
 def test_zero_output_gives_the_empty_spectrum():
-    est = estimate_dt_spectrum(np.zeros(8))
+    est = estimate_spectrum(np.zeros(8))
     assert est.roots == [] and est.rank == 0
-
-
-def test_dt_estimator_rejects_ct_sequences():
-    y = OutputSequence([1.0, 0.5], mode=CT, tau=1.0)
-    with pytest.raises(ValueError):
-        estimate_dt_spectrum(y)
 
 
 @given(st.floats(0.05, 50.0), st.booleans())
@@ -664,8 +654,8 @@ def test_roots_are_invariant_to_output_scale(scale, flip):
     rng = np.random.default_rng(14)
     G = rng.standard_normal((5, 5)) * 0.6
     y = simulate_dt(G, ObservationSetup(x0=rng.uniform(0, 1, 5), c=rng.uniform(0, 1, 5)), K=10)
-    base = estimate_dt_spectrum(y)
-    scaled = estimate_dt_spectrum(s * y.values)
+    base = estimate_spectrum(y)
+    scaled = estimate_spectrum(s * y.values)
     report = match_spectra(scaled, roots_as_pairs(base), tol=1e-10)
     assert report.matched_all and report.max_error <= 1e-10
 
@@ -676,7 +666,7 @@ def test_recovered_spectra_are_exactly_conjugate_symmetric(seed):
     n = int(rng.integers(3, 8))
     G = rng.standard_normal((n, n)) * 0.8
     y = simulate_dt(G, ObservationSetup(x0=rng.uniform(0, 1, n), c=rng.uniform(0, 1, n)), K=2 * n)
-    roots = estimate_dt_spectrum(y).roots
+    roots = estimate_spectrum(y).roots
     for v, m in roots:
         if v.imag != 0.0:
             assert (v.conjugate(), m) in roots
@@ -688,8 +678,8 @@ def test_prescaling_does_not_move_well_conditioned_roots(seed):
     n = int(rng.integers(2, 7))
     G = rng.standard_normal((n, n)) * 0.6
     y = simulate_dt(G, ObservationSetup(x0=rng.uniform(0, 1, n), c=rng.uniform(0, 1, n)), K=2 * n)
-    on = estimate_dt_spectrum(y, opts=EstimatorOptions(prescale=True))
-    off = estimate_dt_spectrum(y, opts=EstimatorOptions(prescale=False))
+    on = estimate_spectrum(y, opts=EstimatorOptions(prescale=True))
+    off = estimate_spectrum(y, opts=EstimatorOptions(prescale=False))
     report = match_spectra(on, roots_as_pairs(off), tol=1e-8)
     assert report.matched_all
 
@@ -700,6 +690,36 @@ def test_detected_rank_counts_excited_chain_depths():
     for case, expected in ((full, 2), (damped, 1)):
         y = simulate_dt(case.G, case.setup, K=2 * case.n)
         assert build_hankel(y.values).rank == expected == case.expected_rank
+
+
+def test_spectrum_json_round_trips():
+    G = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    y = simulate_ct_sampled(G, ObservationSetup(x0=[1.0, 0.3], c=[1.0, 0.0]), tau=0.1, K=6)
+    d = estimate_spectrum(y).to_json_dict()
+    assert d["mode"] == "ct" and len(d["roots"]) == 2
+    assert SpectrumEstimate.from_json_dict(d).to_json_dict() == d
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["roots"][0].update(re=float("nan")), r"^root 0 is not finite: \(nan\+0j\)$"),
+        (lambda d: d["roots"][1].update(im=float("inf")), r"^root 1 is not finite"),
+        (lambda d: d["roots"][1].update(multiplicity=0), r"^root 1 has multiplicity 0, below 1$"),
+        (lambda d: d["roots"][0].update(multiplicity=-2), r"^root 0 has multiplicity -2, below 1$"),
+        (lambda d: d.update(mode="warp"), r"^mode must be 'dt' or 'ct', got 'warp'$"),
+        (lambda d: d.update(rank=-3), r"^rank must be >= 0, got -3$"),
+    ],
+    ids=["nan-root", "inf-root", "zero-multiplicity", "negative-multiplicity", "mode", "rank"],
+)
+def test_a_malformed_spectrum_json_is_rejected(edit, message):
+    d = {"schema": 1, "mode": "dt", "tau": None, "rank": 2, "residual": 0.0, "condition": 1.0,
+         "rho": 1.0, "roots": [{"re": 1.0, "im": 0.0, "multiplicity": 1},
+                               {"re": -1.0, "im": 0.0, "multiplicity": 1}], "warnings": []}
+    assert SpectrumEstimate.from_json_dict(d).roots == [(1 + 0j, 1), (-1 + 0j, 1)]
+    edit(d)
+    with pytest.raises(ValueError, match=message):
+        SpectrumEstimate.from_json_dict(d)
 
 
 # =========================================================================
@@ -859,8 +879,8 @@ def test_networked_estimate_with_trivial_node_is_bitwise_plain():
     G = rng.standard_normal((5, 5)) * 0.7
     setup = ObservationSetup(x0=rng.uniform(0, 1, 5), c=rng.uniform(0, 1, 5))
     y = simulate_dt(G, setup, K=10)
-    plain = estimate_dt_spectrum(y)
-    networked = estimate_networked_dt_spectrum(y, NodeDynamics.trivial())
+    plain = estimate_spectrum(y)
+    networked = estimate_spectrum(y, NodeDynamics.trivial())
     assert networked.roots == plain.roots
     assert networked.rank == plain.rank and networked.residual == plain.residual
 
@@ -868,7 +888,7 @@ def test_networked_estimate_with_trivial_node_is_bitwise_plain():
 def test_networked_scalar_case_recovers_the_network_rate():
     node = NodeDynamics(A=[[0.3]], beta=[1.0], gamma=[1.0])
     y = simulate_dt_networked(np.array([[0.7]]), node, ObservationSetup(x0=[1.0], c=[1.0]), K=6)
-    est = estimate_networked_dt_spectrum(y, node)
+    est = estimate_spectrum(y, node)
     assert len(est.roots) == 1 and abs(est.roots[0][0] - 0.7) < 1e-9
 
 
@@ -879,7 +899,7 @@ def test_networked_scalar_case_recovers_the_network_rate():
 
 def test_ct_scalar_decay_maps_back_through_the_log():
     y = simulate_ct_sampled(np.array([[-1.0]]), ObservationSetup(x0=[1.0], c=[1.0]), tau=1.0, K=4)
-    est = estimate_ct_spectrum(y)
+    est = estimate_spectrum(y)
     assert est.mode == CT and est.tau == 1.0
     assert len(est.roots) == 1 and abs(est.roots[0][0] + 1.0) < 1e-10
 
@@ -887,7 +907,7 @@ def test_ct_scalar_decay_maps_back_through_the_log():
 def test_ct_rotation_recovers_plus_minus_i():
     G = np.array([[0.0, 1.0], [-1.0, 0.0]])
     y = simulate_ct_sampled(G, ObservationSetup(x0=[1.0, 0.3], c=[1.0, 0.0]), tau=0.1, K=6)
-    est = estimate_ct_spectrum(y)
+    est = estimate_spectrum(y)
     got = sorted(est.roots, key=lambda vm: vm[0].imag)
     assert [m for _, m in got] == [1, 1]
     assert abs(got[0][0] + 1j) < 1e-8 and abs(got[1][0] - 1j) < 1e-8
@@ -898,7 +918,7 @@ def test_sampling_at_the_nyquist_edge_raises_the_aliasing_flag():
     # tau = pi puts e^{i pi} = -1 on the principal branch cut
     G = np.array([[0.0, 1.0], [-1.0, 0.0]])
     y = simulate_ct_sampled(G, ObservationSetup(x0=[1.0, 0.3], c=[1.0, 0.0]), tau=np.pi, K=8)
-    est = estimate_ct_spectrum(y)
+    est = estimate_spectrum(y)
     assert any("aliasing" in w for w in est.warnings)
     assert all(abs(abs(v.imag) - 1.0) < 1e-9 for v, _ in est.roots)
 
@@ -906,12 +926,7 @@ def test_sampling_at_the_nyquist_edge_raises_the_aliasing_flag():
 def test_a_vanished_discrete_root_is_log_singular():
     y = OutputSequence([1.0, 0.0, 0.0, 0.0], mode=CT, tau=1.0)
     with pytest.raises(LogSingularRootError):
-        estimate_ct_spectrum(y)
-
-
-def test_ct_estimator_requires_a_ct_sequence():
-    with pytest.raises(ValueError):
-        estimate_ct_spectrum(OutputSequence([1.0, 0.5], mode=DT))
+        estimate_spectrum(y)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -921,10 +936,10 @@ def test_ct_and_dt_pipelines_agree_through_the_log(seed):
     G = rng.standard_normal((n, n)) * 0.5
     setup = ObservationSetup(x0=rng.uniform(0, 1, n), c=rng.uniform(0, 1, n))
     tau = 0.8
-    ct = estimate_ct_spectrum(simulate_ct_sampled(G, setup, tau=tau, K=2 * n))
+    ct = estimate_spectrum(simulate_ct_sampled(G, setup, tau=tau, K=2 * n))
     if ct.warnings:
         pytest.skip("aliasing or conditioning flagged; equivalence not asserted")
-    dt = estimate_dt_spectrum(simulate_dt(matrix_exponential(G, tau), setup, K=2 * n))
+    dt = estimate_spectrum(simulate_dt(matrix_exponential(G, tau), setup, K=2 * n))
     logged = [(complex(np.log(v) / tau), m) for v, m in dt.roots]
     report = match_spectra(ct, logged, tol=1e-10)
     assert report.matched_all and report.max_error <= 1e-10

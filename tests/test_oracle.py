@@ -14,7 +14,7 @@ from spectral_scope import (
     EstimatorOptions,
     ObservationSetup,
     build_hankel,
-    estimate_dt_spectrum,
+    estimate_spectrum,
     full_spectrum,
     generate_preferential_attachment,
     assign_uniform_weights,
@@ -242,7 +242,7 @@ def test_jordan_cases_round_trip_through_the_estimator(seed):
     case = make_jordan_case([(0.9, 2), (0.4, 1)], zero_weights=[(0.9, 1)], seed=seed)
     y = simulate_dt(case.G, case.setup, K=2 * case.n)
     assert build_hankel(y.values).rank == case.expected_rank == 2
-    est = estimate_dt_spectrum(y, opts=EstimatorOptions(cluster_tol=1e-4))
+    est = estimate_spectrum(y, opts=EstimatorOptions(cluster_tol=1e-4))
     report = match_spectra(est, [(0.9 + 0j, 1), (0.4 + 0j, 1)], tol=1e-8)
     assert report.matched_all
 
@@ -294,7 +294,7 @@ def test_matching_respects_multiplicity():
 
 def test_matching_accepts_estimates_and_flat_lists():
     y = simulate_dt(SWAP, ObservationSetup(x0=[1, 0], c=[1, 0]), K=4)
-    est = estimate_dt_spectrum(y)
+    est = estimate_spectrum(y)
     report = match_spectra(est, [1 + 0j, -1 + 0j], tol=1e-9)
     assert report.matched_all and report.max_error <= 1e-12
 
