@@ -7,8 +7,8 @@ three preset experiments end to end, ``bench`` sweeps seeds and reports a
 success-rate table.
 
 Every setting is a flag; argparse rejects a missing required one, and a
-negative seed flag, or a ``--n`` or ``--node-d`` above ``MAX_DIMENSION``, is
-a usage error before any step runs.
+negative seed flag, a ``--n`` or ``--node-d`` above ``MAX_DIMENSION``, or a
+``--K`` above twice that, is a usage error before any step runs.
 
 Exit codes: 0 success, 1 estimation or verification failure, 2 usage error.
 """
@@ -67,7 +67,8 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 # Largest --n (graph nodes) or --node-d (agent dimension) a step accepts: the
-# matrices are dense, and a 2048 x 2048 one takes 32 MB.
+# matrices are dense, and a 2048 x 2048 one takes 32 MB. simulate --K may be
+# twice as large: the estimator never needs more than 2n samples.
 MAX_DIMENSION = 2048
 
 
@@ -294,6 +295,14 @@ def cmd_verify(args) -> int:
     try:
         M = read_matrix_csv(args.matrix)
         n = M.shape[0]
+        # every eigenvalue is at most n max|M_ij| in modulus; the oracle adds
+        # up to n of them, subtracts them and forms M - lambda I, and all of
+        # it must stay finite
+        limit = np.finfo(float).max / (4 * n * n)
+        if np.max(np.abs(M)) > limit:
+            raise ValueError(
+                f"matrix in {args.matrix} has an entry above {limit:.3g}, the most verify takes at n = {n}"
+            )
         try:
             roots = SpectrumEstimate.from_json_dict(json.loads(Path(args.estimate).read_text())).roots
         except KeyError as exc:  # its message is the bare key
@@ -538,10 +547,10 @@ def main(argv=None) -> int:
         seed = getattr(args, dest, None)
         if seed is not None and seed < 0:
             return _fail_usage(f"--{dest.replace('_', '-')} must be >= 0, got {seed}")
-    for dest in ("n", "node_d"):
+    for dest, limit in (("n", MAX_DIMENSION), ("node_d", MAX_DIMENSION), ("K", 2 * MAX_DIMENSION)):
         size = getattr(args, dest, None)
-        if size is not None and size > MAX_DIMENSION:
-            return _fail_usage(f"--{dest.replace('_', '-')} must be <= {MAX_DIMENSION}, got {size}")
+        if size is not None and size > limit:
+            return _fail_usage(f"--{dest.replace('_', '-')} must be <= {limit}, got {size}")
     return args.func(args)
 
 

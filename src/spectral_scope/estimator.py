@@ -235,7 +235,14 @@ def geometric_prescale(values) -> tuple[float, np.ndarray]:
     rho = float(max(1.0, np.max(np.abs(v) ** exponents)))
     if rho == 1.0:
         return 1.0, v.copy()
-    return rho, v / rho ** np.arange(len(v))
+    if (len(v) - 1) * math.log2(rho) < 1023:
+        return rho, v / rho ** np.arange(len(v))
+    # rho^k lies beyond the double range, though |y_k| / rho^k <= 1 does not:
+    # divide rho out one factor at a time
+    scaled = v.copy()
+    for k in range(1, len(v)):
+        scaled[k:] /= rho
+    return rho, scaled
 
 
 def _hankel_rank(values: np.ndarray, size: int, rel_tol: float):
@@ -390,7 +397,8 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     from there on the iterates cycle and none can beat the kept one. Iterates
     are compared by the exact integers from _dyadic that the residual takes.
     Reports the relative residual ``||H_r alpha + y_rhs|| / ||y_rhs||`` plus
-    a condition estimate. Rank 0 yields the empty polynomial.
+    a condition estimate. Rank 0 yields the empty polynomial, and a
+    coefficient beyond the double range raises ``OverflowError``.
     """
     r = h.rank
     y = h.y_scaled
@@ -402,21 +410,30 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     rhs = -y[r : 2 * r]
     U, s, Vt = np.linalg.svd(Hr)
     keep = s > h.rank_tolerance * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
+    kept = s[keep]
+    shift = 0
+    if kept.size and kept[-1] < 2.0**-1022:
+        # 1/s may overflow for a subnormal singular value, as outputs near the
+        # bottom of the double range give: solve H_r and every right-hand side
+        # scaled by the power of two that puts sigma_1 in [0.5, 1), which
+        # leaves the solution as it is
+        shift = -math.frexp(s[0])[1]
+        U, s, Vt = np.linalg.svd(np.ldexp(Hr, shift))
+        keep = s > h.rank_tolerance * s[0]
+        kept = s[keep]
     inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
+    inv[keep] = 1.0 / kept
 
     def apply_pinv(v: np.ndarray) -> np.ndarray:
-        return Vt.T @ (inv * (U.T @ v))
+        return Vt.T @ (inv * (U.T @ (np.ldexp(v, shift) if shift else v)))
 
-    alpha = apply_pinv(rhs)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        alpha = apply_pinv(rhs)
+    if not np.all(np.isfinite(alpha)):
+        raise OverflowError("a characteristic polynomial coefficient lies beyond the double range")
     alpha_hi = None
     raw = h.y_raw
-    if (
-        np.any(keep)
-        and r <= _REFINE_SIZE_CAP
-        and np.all(np.isfinite(alpha))
-        and np.all(np.isfinite(raw[: 2 * r]))
-    ):
+    if np.any(keep) and r <= _REFINE_SIZE_CAP and np.all(np.isfinite(raw[: 2 * r])):
         rows = _residual_rows(raw, h.scale_rho, r)
         best, best_norm = np.asarray(alpha, dtype=np.longdouble), float("inf")
         x = best
@@ -440,7 +457,7 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     defect = float(np.linalg.norm(Hr @ alpha - rhs))
     rhs_norm = float(np.linalg.norm(rhs))
     residual = defect / rhs_norm if rhs_norm > 0 else defect
-    smallest_kept = s[keep][-1] if np.any(keep) else 0.0
+    smallest_kept = kept[-1] if kept.size else 0.0
     condition = float(s[0] / smallest_kept) if smallest_kept > 0 else float("inf")
     return CharacteristicPoly(alpha, r, residual, condition, alpha_hi)
 
@@ -500,7 +517,7 @@ def roots_with_multiplicity(
     each other merge into their centroid with summed multiplicity, conjugate
     symmetry is made exact, and any prescaling is undone by multiplying
     through by ``scale_rho``. A NaN, infinite or negative ``cluster_tol`` is
-    a ``ValueError``.
+    a ``ValueError``, and a root beyond the double range an ``OverflowError``.
     """
     if not 0 <= cluster_tol < math.inf:
         raise ValueError(f"cluster tolerance must be a finite number >= 0, got {cluster_tol}")
@@ -516,6 +533,8 @@ def roots_with_multiplicity(
     pairs = enforce_conjugate_pairs(pairs, cluster_tol)
     if scale_rho != 1.0:
         pairs = [(v * scale_rho, m) for v, m in pairs]
+    if not all(cmath.isfinite(v) for v, _ in pairs):
+        raise OverflowError("a root lies beyond the double range")
     return SpectrumEstimate(list(pairs), DT, None, p.degree, p.residual, p.condition, scale_rho)
 
 
@@ -524,11 +543,27 @@ def roots_with_multiplicity(
 # =========================================================================
 
 
+# The last weights nu_sequence formed, under their key: a networked preset's
+# seeds share one agent, so its weights are formed once per sweep.
+_nu_memo: tuple = (None, None)
+
+
 def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = None) -> np.ndarray:
     """Node impulse weights: gamma^T A^k beta (discrete) or gamma^T e^{A k tau} beta (sampled).
 
     Raises ``OverflowError`` naming the first weight beyond the double range.
+    The weights of the last call are kept, keyed on the content of A, beta
+    and gamma (not on the node object) with K, mode and tau, and every call
+    returns its own copy.
     """
+    global _nu_memo
+    key = (node.A.tobytes(), node.beta.tobytes(), node.gamma.tobytes(), K, mode, tau)
+    if _nu_memo[0] != key:
+        _nu_memo = (key, _impulse_weights(node, K, mode, tau))
+    return _nu_memo[1].copy()
+
+
+def _impulse_weights(node: NodeDynamics, K: int, mode: str, tau: float | None) -> np.ndarray:
     if K < 1:
         raise ValueError(f"need at least one weight, got K={K}")
     if mode == CT:

@@ -260,10 +260,14 @@ def write_matrix_csv(matrix, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Dense square CSV matrix; a non-square shape, or a NaN or infinite entry,
-    is a ``ValueError`` naming it."""
+    """Dense square CSV matrix; a file with no entries, a non-square shape, or
+    a NaN or infinite entry is a ``ValueError`` naming it."""
     # an open handle skips numpy's DataSource opener; the parser is the same
     with open(path) as f:
+        # without a data line loadtxt would print a warning and return nothing
+        if not any(line.partition("#")[0].strip() for line in f):
+            raise ValueError(f"matrix in {path} has no entries")
+        f.seek(0)
         M = np.loadtxt(f, delimiter=",", ndmin=2)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix in {path} is {M.shape[0]}x{M.shape[1]}, not square")

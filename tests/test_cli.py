@@ -660,6 +660,42 @@ def test_a_non_square_matrix_is_a_usage_error(tmp_path, capsys, command):
     assert f"matrix in {matrix} is 2x3, not square" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("text", ["", "\n\n", "# a comment and no entries\n"])
+def test_a_matrix_file_without_entries_is_a_usage_error_without_a_warning(tmp_path, capsys, command, text):
+    # numpy's loadtxt used to print "UserWarning: loadtxt: input contained no data" first
+    matrix, y_csv = simulate_swap(tmp_path, capsys)
+    spectrum = tmp_path / "spectrum.json"
+    assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
+    matrix.write_text(text)
+    inputs = {
+        "simulate": (),
+        "verify": ("--estimate", spectrum, "--setup", tmp_path / "y.setup.json"),
+    }[command]
+    code, out, err = run(capsys, command, "--matrix", matrix, *inputs, "--out", tmp_path / "out")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"matrix in {matrix} has no entries" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_verify_of_a_matrix_beyond_the_oracles_range_is_a_usage_error(tmp_path, capsys):
+    # entries of 1e308 give eigenvalues whose differences overflow, and the
+    # assignment behind match_spectra raised "cost matrix is infeasible"
+    matrix, y_csv = simulate_swap(tmp_path, capsys)
+    spectrum = tmp_path / "spectrum.json"
+    assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
+    verify = ("verify", "--matrix", matrix, "--estimate", spectrum, "--setup", tmp_path / "y.setup.json")
+    limit = float(np.finfo(float).max) / 16
+    matrix.write_text(f"0,{limit!r}\n1,0\n")
+    assert run(capsys, *verify)[0] == 1  # in range: the estimate just does not match
+    matrix.write_text(f"0,{float(np.nextafter(limit, np.inf))!r}\n1,0\n")
+    code, out, err = run(capsys, *verify)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot read inputs: matrix in {matrix} has an entry above {limit:.3g}, the most verify takes at n = 2\n"
+
+
 # =========================================================================
 # demos
 # =========================================================================
@@ -778,6 +814,29 @@ def test_a_size_above_the_limit_is_a_usage_error_before_any_allocation(
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
+
+
+@pytest.mark.parametrize("K", [4097, 10**18])
+def test_a_sample_count_above_twice_the_size_limit_is_a_usage_error_before_any_read(
+    tmp_path, capsys, monkeypatch, K
+):
+    # unchecked, 10**18 samples end in numpy's _ArrayMemoryError and 10**9 run for hours
+    def read(*args, **kwargs):
+        raise AssertionError("read the matrix before the --K check")
+
+    monkeypatch.setattr(cli, "read_matrix_csv", read)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "simulate", "--matrix", "swap.csv", "--K", K, "--out", "y.csv")
+    assert code == 2 and out == ""
+    assert err == f"error: --K must be <= 4096, got {K}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_largest_sample_count_still_simulates(tmp_path, capsys):
+    (tmp_path / "swap.csv").write_text(SWAP_CSV)
+    out = tmp_path / "y.csv"
+    assert run(capsys, "simulate", "--matrix", tmp_path / "swap.csv", "--K", 4096, "--out", out)[0] == 0
+    assert len(read_sequence(out)) == 4096
 
 
 def test_demo_runs_are_byte_reproducible(tmp_path, capsys):

@@ -1,11 +1,13 @@
-"""Every CLI step that reads a JSON file ends with exit code 0, 1 or 2, whatever the file holds.
+"""Every CLI step that reads a file ends with exit code 0, 1 or 2, whatever the file holds.
 
-Each property writes one fuzzed file (sidecar, setup, estimate or node) next
-to a valid chain and runs the steps that read it in process: an exception
-escaping ``main`` is what a user would see as a traceback. The drawn values
-mix arbitrary JSON with the keys each file is expected to hold, so the checks
-past the first ``isinstance`` are reached. Settings come only from flags,
-which argparse checks, so no fuzzed file sets one.
+Each property writes one fuzzed file (sidecar, setup, estimate or node JSON,
+or a matrix or sequence CSV) next to a valid chain and runs the steps that
+read it in process: an exception escaping ``main`` is what a user would see
+as a traceback. The drawn values mix arbitrary JSON or text with the keys,
+headers and numbers each file is expected to hold, so the checks past the
+first are reached. Settings come only from flags, which argparse checks, so
+no fuzzed file sets one. No CLI step reads a graph TSV, so ``read_graph_tsv``
+is fuzzed directly: it returns a graph or raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_scope.cli import main
+from spectral_scope.graphs import read_graph_tsv
 
 
 def json_values():
@@ -133,3 +136,100 @@ def test_any_node_ends_simulate_and_estimate_with_an_exit_code(chain, node, mode
          "--K", 6, "--seed", 2, "--node", path, "--out", tmp / "y.csv"],
         ["estimate", "--y", chain / f"{mode}.csv", "--node", path, "--out", tmp / "s.json"],
     ])
+
+
+# =========================================================================
+# Text inputs: matrix CSV, sequence CSV and graph TSV
+# =========================================================================
+
+TEXT = st.text(max_size=40)
+# any double, written as the writers write it, plus the values at the range's edges
+SAMPLE = (
+    st.floats(-2.0, 2.0).map(repr)
+    | st.floats().map(repr)
+    | st.sampled_from(["0", "-0.0", "1e308", "-1e308", "1e-320", "nan", "-inf"])
+)
+CELL = SAMPLE | st.sampled_from(["", " ", "1e999", "0x1p3", "1_0", "#", "a"]) | st.text(max_size=4)
+
+
+def text_table(rows, cols, cell=CELL, sep=","):
+    row = st.lists(cell, min_size=cols[0], max_size=cols[1]).map(sep.join)
+    return st.lists(row, min_size=rows[0], max_size=rows[1]).map(lambda lines: "\n".join(lines) + "\n")
+
+
+def run_on_text(text: str, name: str, steps) -> None:
+    """Write ``text`` to a fresh ``name`` and run each step that reads it; no
+    step may raise, and none may warn, since a warning reaches the user's stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        for step in steps(path, Path(tmp)):
+            assert exit_code(step) in (0, 1, 2), step
+
+
+# square tables of numbers reach the rollouts and, at n = 3, the verify oracle
+SQUARE = st.sampled_from([1, 2, 3, 3]).flatmap(lambda n: text_table((n, n), (n, n), cell=SAMPLE))
+
+
+@pytest.mark.filterwarnings("error")
+@FUZZ
+@given(matrix=TEXT | text_table((0, 4), (0, 4)) | SQUARE, mode=st.sampled_from(["dt", "ct"]))
+@example(matrix="", mode="dt")
+@example(matrix="# no data\n", mode="dt")
+@example(matrix="1e308,1e308,1e308\n" * 3, mode="ct")
+def test_any_matrix_csv_ends_simulate_and_verify_with_an_exit_code(chain, matrix, mode):
+    run_on_text(matrix, "m.csv", lambda path, tmp: [
+        ["simulate", "--matrix", path, "--mode", mode, "--tau", 0.5, "--K", 6, "--seed", 3,
+         "--out", tmp / "y.csv"],
+        ["verify", "--matrix", path, "--estimate", chain / "spectrum.json",
+         "--setup", chain / "dt.setup.json", "--out", tmp / "v.json"],
+    ])
+
+
+INDEX = st.integers(-1, 8).map(str) | st.sampled_from(["0.0", "1e0", "2.5", "nan", ""])
+
+
+@pytest.mark.filterwarnings("error")
+@FUZZ
+@given(
+    header=st.sampled_from(["k,y", "t,y", " k , y", "y,k"]) | TEXT,
+    rows=st.lists(st.tuples(INDEX, CELL).map(",".join) | TEXT, max_size=8),
+    samples=st.lists(SAMPLE, min_size=1, max_size=12),
+    formed=st.booleans(),
+    sequence=st.sampled_from(["dt.csv", "ct.csv"]),
+)
+@example(header="k,y", rows=["0,1e308", "1,-1e308", "2,1e308", "3,-1e308"], samples=["0"],
+         formed=False, sequence="dt.csv")
+@example(header="t,y", rows=["0,1e-320", "0.5,1e-320", "1,1e-320"], samples=["0"],
+         formed=False, sequence="ct.csv")
+def test_any_sequence_csv_ends_estimate_with_an_exit_code(chain, header, rows, samples, formed, sequence):
+    if formed:  # the header and index column the sidecar asks for, so the samples reach the estimator
+        header, step = ("k,y", 1.0) if sequence == "dt.csv" else ("t,y", 0.5)
+        rows = [f"{k * step!r},{y}" for k, y in enumerate(samples)]
+    sidecar = chain / sequence.replace(".csv", ".json")
+    run_on_text("\n".join([header, *rows]) + "\n", "y.csv", lambda path, tmp: [
+        ["estimate", "--y", path, "--sidecar", sidecar, "--out", tmp / "s.json"],
+        ["estimate", "--y", path, "--sidecar", sidecar, "--node", chain / "node.json",
+         "--out", tmp / "s.json"],
+    ])
+
+
+EDGE_CELL = st.integers(-2, 5).map(str) | CELL
+
+
+@FUZZ
+@given(
+    header=st.sampled_from(["# n=4 directed=0", "# n=4 directed=1", "#n=0 directed=0", "# n=4"]) | TEXT,
+    body=text_table((0, 5), (0, 4), cell=EDGE_CELL, sep="\t") | TEXT,
+)
+@example(header="# n=4 directed=0", body="0\t1\t0.5\n2\t3\t1e999\n")
+@example(header="# n directed=0", body="")
+def test_any_graph_tsv_reads_as_a_graph_or_a_value_error(header, body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.tsv"
+        path.write_text(f"{header}\n{body}")
+        try:
+            graph = read_graph_tsv(path)
+        except ValueError:
+            return
+        assert graph.n >= 1 and all(0 <= u < graph.n and 0 <= v < graph.n for u, v, _ in graph.edges)

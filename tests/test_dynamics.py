@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from spectral_scope import dynamics
 from spectral_scope import (
     CT,
     DT,
@@ -422,6 +423,31 @@ def test_rollouts_report_the_per_step_overflow_index(G, c, K, index):
         assert outcome[: len(expected)] == expected
     weights = _outcome(lambda: nu_sequence(node, K))
     assert weights[0] == ("overflow-error" if index is not None else "ok")
+
+
+def test_a_rollout_block_holds_at_most_block_steps_and_block_bytes():
+    longdouble = np.dtype(np.longdouble).itemsize
+    assert dynamics._block_length(10 * 3 * longdouble) == dynamics._BLOCK
+    # a networked state at n = d = 2048 (64 MB of x86 long doubles) stands alone
+    assert dynamics._block_length(2048 * 2048 * longdouble) == 1
+    for nbytes in (0, 1, 2**16, 2**16 + 1, 2**20, dynamics._BLOCK_BYTES, 2**40):
+        length = dynamics._block_length(nbytes)
+        assert 1 <= length <= dynamics._BLOCK
+        assert length == 1 or length * nbytes <= dynamics._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("kind", list(SIMULATORS))
+def test_one_state_blocks_give_the_same_outputs_and_overflow_reports(monkeypatch, kind):
+    # the path a state too large to stack takes, on a small system
+    G = np.array([[3.0, 40.0], [-3.0, 4.0]])
+    node = NodeDynamics(A=[[0.5, -2.0], [1.0, 0.25]], beta=[1.0, 0.5], gamma=[1.0, -1.0])
+    setup = ObservationSetup(x0=[1.0, -0.5], c=[1.0, 0.0])
+    runs = [lambda K=K: SIMULATORS[kind](G, setup, K, node, 1.0) for K in (1, 7, 150, 400)]
+    with np.errstate(all="ignore"):
+        blocked = [_outcome(run) for run in runs]
+        monkeypatch.setattr(dynamics, "_BLOCK_BYTES", 1)
+        assert [_outcome(run) for run in runs] == blocked
+    assert [outcome[0] for outcome in blocked] == ["ok", "ok", "ok", "overflow"]
 
 
 # =========================================================================

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CT,
+    DT,
     CharacteristicPoly,
     DeconvolutionOverflowError,
     EstimatorOptions,
@@ -461,6 +462,35 @@ def test_double_root_clusters_to_multiplicity_two():
     assert mult == 2 and abs(value - 0.5) < 1e-6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_prescale_power_beyond_the_double_range_is_divided_out_one_factor_at_a_time():
+    # rho = 1e200, so rho^2 overflows while y_2 / rho^2 = 1e-100 does not
+    rho, scaled = geometric_prescale([0.0, 1e200, 1e300])
+    assert rho == 1e200
+    assert scaled[:2].tolist() == [0.0, 1.0]
+    assert abs(scaled[2] / 1e-100 - 1.0) < 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("prescale", [False, True])
+def test_outputs_near_the_bottom_of_the_double_range_are_solved(prescale):
+    # a singular value of 5e-324 used to give 1/s = inf and then a LinAlgError
+    for y in ([5e-324] * 4, [2.0**-1060 * 0.5**k for k in range(6)]):
+        est = estimate_spectrum(y, opts=EstimatorOptions(prescale=prescale))
+        assert est.rank == 1
+        assert abs(est.roots[0][0] - y[1] / y[0]) < 1e-12 and est.roots[0][1] == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_coefficients_or_roots_beyond_the_double_range_raise_overflow_errors():
+    # both used to end in numpy's LinAlgError "Array must not contain infs or NaNs"
+    with pytest.raises(OverflowError, match=r"^a characteristic polynomial coefficient lies beyond"):
+        estimate_spectrum([1e-320, -0.25])
+    y = OutputSequence([1e-320, -1.711378127094104, -2.659208373654944e33], mode=CT, tau=0.5)
+    with pytest.raises(OverflowError, match=r"^a root lies beyond the double range$"):
+        estimate_spectrum(y)
+
+
 def test_degree_one_root():
     p = CharacteristicPoly(np.array([-1.0]), 1, 0.0, 1.0)
     assert roots_with_multiplicity(p).roots == [(1 + 0j, 1)]
@@ -750,6 +780,62 @@ def test_nu_sequence_validates_mode_and_tau():
         nu_sequence(NodeDynamics.trivial(), K=3, mode=CT)
     with pytest.raises(ValueError):
         nu_sequence(NodeDynamics.trivial(), K=3, mode="hourly")
+
+
+def count_weight_builds(monkeypatch) -> list:
+    """Start nu_sequence with an empty memo and record each (K, mode, tau) it builds."""
+    builds, build = [], estimator._impulse_weights
+
+    def counted(node, K, mode, tau):
+        builds.append((K, mode, tau))
+        return build(node, K, mode, tau)
+
+    monkeypatch.setattr(estimator, "_nu_memo", (None, None))
+    monkeypatch.setattr(estimator, "_impulse_weights", counted)
+    return builds
+
+
+def test_node_weights_are_memoized_and_every_call_gets_its_own_copy(monkeypatch):
+    builds = count_weight_builds(monkeypatch)
+    node = NodeDynamics(A=[[0.5, 0.25], [0.0, 0.75]], beta=[1.0, 2.0], gamma=[1.0, -1.0])
+    first = nu_sequence(node, K=6)
+    want = first.copy()
+    first[:] = np.nan
+    assert np.array_equal(nu_sequence(node, K=6), want)
+    # an equal agent in new arrays is the same key
+    twin = NodeDynamics(A=node.A.copy(), beta=node.beta.copy(), gamma=node.gamma.copy())
+    assert np.array_equal(nu_sequence(twin, K=6), want)
+    assert builds == [(6, DT, None)]
+
+
+def test_an_agent_changed_in_place_gets_fresh_weights(monkeypatch):
+    builds = count_weight_builds(monkeypatch)
+    node = NodeDynamics(A=[[0.5]], beta=[1.0], gamma=[1.0])
+    assert np.array_equal(nu_sequence(node, K=4), 0.5 ** np.arange(4))
+    node.A[0, 0] = 0.25
+    assert np.array_equal(nu_sequence(node, K=4), 0.25 ** np.arange(4))
+    node.gamma[0] = 2.0
+    assert np.array_equal(nu_sequence(node, K=4), 2.0 * 0.25 ** np.arange(4))
+    node.beta[0] = 3.0
+    assert np.array_equal(nu_sequence(node, K=4), 6.0 * 0.25 ** np.arange(4))
+    assert len(builds) == 4
+
+
+def test_calls_that_differ_in_k_tau_or_mode_do_not_share_weights(monkeypatch):
+    builds = count_weight_builds(monkeypatch)
+    node = NodeDynamics(A=[[-0.5]], beta=[1.0], gamma=[1.0])
+    calls = [(5, CT, 0.5), (5, CT, 1.0), (5, DT, 1.0), (4, DT, 1.0), (5, CT, 1.0)]
+    for K, mode, tau in calls:
+        got = nu_sequence(node, K=K, mode=mode, tau=tau)
+        rate = -0.5 if mode == DT else math.exp(-0.5 * tau)
+        assert np.max(np.abs(got - rate ** np.arange(K))) < 1e-15, (K, mode, tau)
+    assert builds == calls
+
+
+def test_a_fig3_sweep_forms_its_node_weights_once(monkeypatch):
+    builds = count_weight_builds(monkeypatch)
+    sweep("fig3", 20)
+    assert builds == [(20, DT, None)]
 
 
 def test_unit_impulse_deconvolution_is_the_identity_bit_for_bit():
