@@ -57,6 +57,7 @@ from .graphs import (
     write_graph_tsv,
     write_matrix_csv,
 )
+from .jsontext import dumps
 from .oracle import full_spectrum, match_spectra, observable_partition
 from .scenarios import SCENARIOS, run_scenario, summarize, sweep
 
@@ -93,7 +94,7 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    text = dumps(payload) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -326,7 +327,10 @@ def cmd_verify(args) -> int:
     # needs the oracle's verdict, so it runs only then.
     unexplained = []
     if report.unmatched_true:
-        missing = observable_partition(M, c, x0).missing
+        try:
+            missing = observable_partition(M, c, x0).missing
+        except OverflowError as exc:  # x0 and c too large to weigh the modes
+            return _fail_usage(f"cannot check observability with setup {args.setup}: {exc}")
         for v in report.unmatched_true:
             if missing.size == 0 or np.min(np.abs(missing - v)) > tol:
                 unexplained.append(v)
@@ -533,14 +537,28 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def main(argv=None) -> int:
-    argv = _fuse_negative_values(list(sys.argv[1:] if argv is None else argv))
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser = _shared_parser()
     head = argv[0] if argv else ""
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if head in commands:
+        # the top level hands every argument after the command to that
+        # command's parser and rejects what it leaves; calling the command's
+        # parser directly does the same with one parse instead of two
+        args, extras = commands[head].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = head
+        return args
     # the top level takes no option but --help; argparse would read the value
     # after a stray one (--config c.json) as an invalid subcommand instead
     if head.startswith("-") and head.strip("-") and head != "-h" and not "--help".startswith(head):
-        _shared_parser().error(f"unrecognized arguments: {head}")
-    args = _shared_parser().parse_args(argv)
+        parser.error(f"unrecognized arguments: {head}")
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parse(_fuse_negative_values(list(sys.argv[1:] if argv is None else argv)))
     # numpy rejects a negative seed without naming the flag, and a step that
     # never draws (a ring without --weights) would not reject it at all
     for dest in ("seed", "seed0", "node_seed"):

@@ -18,6 +18,7 @@ from typing import Literal
 import numpy as np
 
 from .graphs import as_array
+from .jsontext import dumps
 
 __all__ = [
     "DT",
@@ -342,7 +343,7 @@ def write_sequence(seq: OutputSequence, path, sidecar=None, seed=None) -> None:
         "seed": seed,
     }
     sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
-    sidecar.write_text(json.dumps(meta, indent=2) + "\n")
+    sidecar.write_text(dumps(meta) + "\n")
 
 
 def read_sequence(path, sidecar=None) -> OutputSequence:

@@ -10,8 +10,11 @@ identical parameters reproduce identical graphs on any platform.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import accumulate, repeat
+from operator import truediv
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +112,15 @@ def generate_preferential_attachment(n: int, m_attach: int, seed=None) -> Graph:
     (uniformly while all degrees are still zero). The result is connected
     with exactly ``C(m_attach, 2) + m_attach * (n - m_attach)`` edges.
 
+    Draw contract: the graph takes ``m_attach * (n - m_attach)`` uniforms,
+    one per target in the order the targets are picked, in a single
+    ``rng.random`` call. Target ``t`` is the first node whose normalized
+    cumulative weight exceeds its uniform, with the arithmetic of
+    ``rng.choice(new, p=w / w.sum())``: each ``p_i`` rounded once, the
+    cumulative sum taken left to right and divided by its last entry. So the
+    edges, and the state a passed ``Generator`` is left in, are those of one
+    ``choice`` call per target.
+
     Parameters
     ----------
     n : int
@@ -122,33 +134,31 @@ def generate_preferential_attachment(n: int, m_attach: int, seed=None) -> Graph:
         raise ValueError(f"m_attach must be positive, got {m_attach}")
     if m_attach > n:
         raise ValueError(f"m_attach={m_attach} exceeds n={n}")
-    rng = _rng(seed)
+    uniforms = iter(_rng(seed).random(m_attach * (n - m_attach)).tolist())
 
     edges = [(i, j, 1.0) for i in range(m_attach) for j in range(i + 1, m_attach)]
-    degree = np.zeros(n)
-    for u, v, _ in edges:
-        degree[u] += 1
-        degree[v] += 1
-
+    # integer degrees, so every sum of them is exact
+    degree = [m_attach - 1] * m_attach + [0] * (n - m_attach)
     for new in range(m_attach, n):
-        avail = np.ones(new, dtype=bool)
-        targets = []
+        # all degrees are zero only before the first edge (m_attach = 1, new = 1)
+        weight = degree[:new] if edges else [1] * new
         for _ in range(m_attach):
-            w = np.where(avail, degree[:new], 0.0)
-            total = w.sum()
-            if total > 0:
-                p = w / total
-            else:
-                p = avail / avail.sum()
-            t = int(rng.choice(new, p=p))
-            avail[t] = False
-            targets.append(t)
-        for t in targets:
+            t = _pick(weight, next(uniforms))
+            weight[t] = 0  # without replacement
             edges.append((new, t, 1.0))
-            degree[new] += 1
             degree[t] += 1
+        degree[new] = m_attach
 
     return Graph(n=n, edges=tuple(edges), directed=False)
+
+
+def _pick(weight: list[int], u: float) -> int:
+    """The index ``rng.choice(len(weight), p=w / w.sum())`` returns when its
+    one uniform draw is ``u``: ``searchsorted(cdf / cdf[-1], u, side="right")``
+    with ``cdf = cumsum(p)``, in the same float operations."""
+    cdf = list(accumulate(map(truediv, weight, repeat(sum(weight)))))
+    last = cdf[-1]
+    return bisect_right(cdf, u, key=lambda c: c / last)
 
 
 def generate_ring(n: int, directed: bool = False) -> Graph:

@@ -122,7 +122,8 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
     within ``EIGEN_CLUSTER_TOL`` of each other) exceeds ``WEIGHT_ZERO_RTOL``
     times the data scale. For defective input only the x0-independent PBH
     verdict is available; recovered multiplicities beyond 1 are then not
-    identifiable here.
+    identifiable here. ``OverflowError`` when a modal weight or the data
+    scale ``|c| |x0|`` is not finite.
     """
     M = as_array(G)
     n = M.shape[0]
@@ -143,12 +144,13 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
     cond_u = np.linalg.cond(U)
     if np.isfinite(cond_u) and cond_u < DIAGONALIZABLE_COND_CAP:
         W = np.linalg.inv(U)
-        omega = (c @ U) * (W @ x0)
-        scale = max(
-            float(np.max(np.abs(omega))),
-            float(np.linalg.norm(c) * np.linalg.norm(x0)),
-            np.finfo(float).tiny,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega = (c @ U) * (W @ x0)
+            data = float(np.linalg.norm(c) * np.linalg.norm(x0))
+        # an infinite weight or scale would make every mode look unobservable
+        if not (np.all(np.isfinite(omega)) and math.isfinite(data)):
+            raise OverflowError("the modal weights (c^T u_i)(w_i^T x0) or |c| |x0| exceed the double range")
+        scale = max(float(np.max(np.abs(omega))), data, np.finfo(float).tiny)
         threshold = WEIGHT_ZERO_RTOL * scale
         weights = [np.array([complex(omega[g].sum())]) for g in groups]
         m_tilde = np.array(

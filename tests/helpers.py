@@ -11,6 +11,10 @@ pass/fail line.
 controlled pattern of excited chain depths, which is the only honest way to
 test multiplicity handling (numerically Jordan-decomposing an arbitrary
 matrix is ill-posed).
+
+``choice_preferential_attachment`` is the preferential-attachment generator
+written with one ``Generator.choice`` call per target, the reference that
+``generate_preferential_attachment`` must reproduce edge for edge.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from spectral_scope import ObservationSetup
+from spectral_scope import Graph, ObservationSetup
 
 __all__ = [
     "orthogonal",
@@ -30,6 +34,7 @@ __all__ = [
     "InfeasiblePatternError",
     "JordanTestCase",
     "make_jordan_case",
+    "choice_preferential_attachment",
 ]
 
 
@@ -305,3 +310,40 @@ def make_jordan_case(
         weight_table=tuple(table),
         m_tilde=tuple(m_tilde),
     )
+
+
+# =========================================================================
+# Reference preferential attachment
+# =========================================================================
+
+
+def choice_preferential_attachment(n: int, m_attach: int, seed=None) -> Graph:
+    """The preferential-attachment graph drawn by ``rng.choice(new, p=p)`` per
+    target, with degrees in a float array: same rules and arguments as
+    ``generate_preferential_attachment``."""
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    edges = [(i, j, 1.0) for i in range(m_attach) for j in range(i + 1, m_attach)]
+    degree = np.zeros(n)
+    for u, v, _ in edges:
+        degree[u] += 1
+        degree[v] += 1
+
+    for new in range(m_attach, n):
+        avail = np.ones(new, dtype=bool)
+        targets = []
+        for _ in range(m_attach):
+            w = np.where(avail, degree[:new], 0.0)
+            total = w.sum()
+            if total > 0:
+                p = w / total
+            else:
+                p = avail / avail.sum()
+            t = int(rng.choice(new, p=p))
+            avail[t] = False
+            targets.append(t)
+        for t in targets:
+            edges.append((new, t, 1.0))
+            degree[new] += 1
+            degree[t] += 1
+
+    return Graph(n=n, edges=tuple(edges), directed=False)

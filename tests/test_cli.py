@@ -696,6 +696,27 @@ def test_verify_of_a_matrix_beyond_the_oracles_range_is_a_usage_error(tmp_path, 
     assert err == f"error: cannot read inputs: matrix in {matrix} has an entry above {limit:.3g}, the most verify takes at n = 2\n"
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_of_a_setup_whose_modal_weights_overflow_is_a_usage_error(tmp_path, capsys):
+    # x0 and c near 1e300 made the weights (c^T u_i)(w_i^T x0) and the data
+    # scale infinite, so every mode looked unobservable and a one-root
+    # estimate passed with two true eigenvalues unmatched
+    matrix, estimate, setup = tmp_path / "m.csv", tmp_path / "s.json", tmp_path / "setup.json"
+    matrix.write_text("0.5,1,0\n0,-0.4,1\n0.3,0,0.2\n")
+    root = float(max(np.linalg.eigvals(read_matrix_csv(matrix)).real))
+    estimate.write_text(json.dumps({"schema": 1, "mode": "dt", "rank": 1, "residual": 0.0,
+                                    "roots": [{"re": root, "im": 0.0, "multiplicity": 1}]}))
+    verify = ("verify", "--matrix", matrix, "--estimate", estimate, "--setup", setup)
+    setup.write_text(json.dumps({"x0": [1.0] * 3, "c": [1.0, 0.0, 0.0]}))
+    code, out, _ = run(capsys, *verify)
+    assert code == 1 and len(json.loads(out)["unexplained_true"]) == 2
+    setup.write_text(json.dumps({"x0": [1e300] * 3, "c": [1e300, 0.0, 0.0]}))
+    code, out, err = run(capsys, *verify)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot check observability with setup {setup}: ")
+    assert err.count("\n") == 1 and "double range" in err
+
+
 # =========================================================================
 # demos
 # =========================================================================
@@ -917,21 +938,74 @@ def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     assert len(built) == 1
 
 
-def test_every_readme_command_parses(capsys):
-    # parsed only, never run: a documented flag the parser lacks fails here
+def readme_commands() -> list[list[str]]:
+    """The arguments of every ``spectral-scope`` command in the README's code blocks."""
     commands = []
     for block in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S):
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("spectral-scope "):
                 commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_every_readme_command_parses(capsys):
+    # parsed only, never run: a documented flag the parser lacks fails here
     parser, parsed = build_parser(), set()
-    for argv in commands:
+    for argv in readme_commands():
         try:
             parsed.add(parser.parse_args(cli._fuse_negative_values(argv)).command)
         except SystemExit:
             pytest.fail(f"README command does not parse: spectral-scope {shlex.join(argv)}\n"
                         f"{capsys.readouterr().err}")
     assert parsed == {"generate", "simulate", "estimate", "verify", "demo", "bench"}
+
+
+# each subcommand without a required flag or argument, with an unknown flag
+# (before and after the required ones, with and without a value), with a bad
+# value, and with --help; the top level must reject the unknown flags
+USAGE_ERRORS = [
+    ["generate", "--model", "ring"],
+    ["generate", "--model", "ring", "--n", "4", "--bogus"],
+    ["generate", "--bogus", "1", "--model", "ring", "--n", "4"],
+    ["generate", "--model", "tree", "--n", "4"],
+    ["generate", "--model", "ring", "--n", "four"],
+    ["simulate"],
+    ["simulate", "--matrix", "m.csv", "--nope", "x", "y"],
+    ["simulate", "--matrix", "m.csv", "stray"],
+    ["estimate"],
+    ["estimate", "--y", "y.csv", "--frobnicate", "3"],
+    ["estimate", "--y", "y.csv", "--", "--out"],
+    ["verify", "--matrix", "m.csv"],
+    ["verify", "--matrix", "m.csv", "--estimate", "s.json", "--setup", "u.json", "--tl", "1"],
+    ["demo"],
+    ["demo", "fig9"],
+    ["demo", "fig1", "extra", "--help=x"],
+    ["bench"],
+    ["bench", "all", "--jsn"],
+    ["bench", "all", "--jso", "-h"],
+    ["generate", "--help"],
+    ["verify", "-h", "--matrix"],
+]
+
+
+def parse_outcome(capsys, parse, argv):
+    """A parse's Namespace or exit code, with what it printed."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", readme_commands() + USAGE_ERRORS, ids=shlex.join)
+def test_dispatch_on_the_command_parses_as_the_top_level_parser_does(capsys, argv):
+    argv = cli._fuse_negative_values(argv)
+    assert argv[0] in ("generate", "simulate", "estimate", "verify", "demo", "bench")
+    direct = parse_outcome(capsys, cli._parse, argv)
+    assert direct == parse_outcome(capsys, build_parser().parse_args, argv)
+    if argv in USAGE_ERRORS:
+        assert direct[0] in (0, 2)
 
 
 # =========================================================================

@@ -5,9 +5,11 @@ or a matrix or sequence CSV) next to a valid chain and runs the steps that
 read it in process: an exception escaping ``main`` is what a user would see
 as a traceback. The drawn values mix arbitrary JSON or text with the keys,
 headers and numbers each file is expected to hold, so the checks past the
-first are reached. Settings come only from flags, which argparse checks, so
-no fuzzed file sets one. No CLI step reads a graph TSV, so ``read_graph_tsv``
-is fuzzed directly: it returns a graph or raises ``ValueError``.
+first are reached. Every property also fails on a warning, since a warning
+reaches the user's stderr. Settings come only from flags, which argparse
+checks, so no fuzzed file sets one. No CLI step reads a graph TSV, so
+``read_graph_tsv`` is fuzzed directly: it returns a graph or raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ def run_with(payload, name: str, steps) -> None:
             assert exit_code(step) in (0, 1, 2), step
 
 
+@pytest.mark.filterwarnings("error")
 @FUZZ
 @given(
     meta=ANY | st.fixed_dictionaries(
@@ -88,6 +91,7 @@ def test_any_sidecar_ends_estimate_with_an_exit_code(chain, meta, sequence, node
     ])
 
 
+@pytest.mark.filterwarnings("error")
 @FUZZ
 @given(
     setup=ANY | st.fixed_dictionaries(
@@ -109,6 +113,7 @@ ROOT = st.fixed_dictionaries(
 )
 
 
+@pytest.mark.filterwarnings("error")
 @FUZZ
 @given(estimate=ANY | st.fixed_dictionaries({"roots": st.lists(ROOT, max_size=4) | ANY}))
 @example(estimate={"roots": [{"re": 10**400, "im": 0}]})
@@ -128,6 +133,7 @@ def square_node(d: int):
     )
 
 
+@pytest.mark.filterwarnings("error")
 @FUZZ
 @given(node=ANY | st.integers(1, 3).flatmap(square_node), mode=st.sampled_from(["dt", "ct"]))
 def test_any_node_ends_simulate_and_estimate_with_an_exit_code(chain, node, mode):

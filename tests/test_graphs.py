@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import choice_preferential_attachment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from spectral_scope import (
     write_graph_tsv,
     write_matrix_csv,
 )
+from spectral_scope.graphs import _pick
 
 # =========================================================================
 # Generators
@@ -68,6 +70,45 @@ def test_pa_rejects_bad_attachment_counts():
         generate_preferential_attachment(3, 4, seed=0)
     with pytest.raises(ValueError):
         generate_preferential_attachment(3, 0, seed=0)
+
+
+@pytest.mark.parametrize("n, m", [(10, 2), (30, 3), (7, 1), (5, 5), (12, 4), (2, 1), (1, 1)])
+def test_pa_draws_the_edges_of_one_choice_call_per_target(n, m):
+    for seed in range(150):
+        assert generate_preferential_attachment(n, m, seed=seed) == choice_preferential_attachment(
+            n, m, seed=seed
+        ), seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    weight=st.lists(st.integers(0, 50), min_size=1, max_size=40).filter(any),
+    seed=st.integers(0, 2**63),
+    data=st.data(),
+)
+def test_a_pick_is_the_index_choice_returns_for_its_uniform(weight, seed, data):
+    w = np.array(weight, dtype=float)
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert _pick(weight, twin.random()) == rng.choice(len(w), p=w / w.sum())
+    # what choice does with its draw; a different rounding or side of the
+    # search shows only at the cdf's own entries and their neighbours
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
+    edges = [float(v) for c in cdf for v in (np.nextafter(c, 0), c, np.nextafter(c, 1)) if v < 1]
+    u = data.draw(st.sampled_from(edges) | st.floats(0, 1, exclude_max=True))
+    assert _pick(weight, u) == int(cdf.searchsorted(u, side="right"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 8)))),
+    seed=st.integers(0, 2**63),
+)
+def test_pa_leaves_a_passed_generator_where_choice_leaves_it(shape, seed):
+    n, m = shape
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert generate_preferential_attachment(n, m, seed=ours) == choice_preferential_attachment(n, m, seed=ref)
+    assert ours.bit_generator.state == ref.bit_generator.state
 
 
 def test_ring_directed_orients_every_edge_forward():

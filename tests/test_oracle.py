@@ -102,6 +102,19 @@ def test_generic_probe_sees_every_mode():
     assert len(part.expected_recovered) == 5 and len(part.missing) == 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x0, c", [
+    ([1e300] * 3, [1e300, 0.0, 0.0]),  # the weights overflow
+    ([1e300] * 3, [1e-300, 0.0, 0.0]),  # |x0| overflows, the weights do not
+    ([1e308, -1e308, 1e308], [1.0, 1.0, 1.0]),  # w_i^T x0 overflows
+])
+def test_an_infinite_modal_weight_or_data_scale_is_an_overflow_error(x0, c):
+    G = np.array([[0.5, 1.0, 0.0], [0.0, -0.4, 1.0], [0.3, 0.0, 0.2]])
+    assert len(observable_partition(G, c=[1.0, 0.0, 0.0], x0=[1.0] * 3).missing) == 0
+    with pytest.raises(OverflowError, match="double range"):
+        observable_partition(G, c=c, x0=x0)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_pbh_and_modal_weights_agree_on_hidden_modes(seed):
     rng = np.random.default_rng(300 + seed)
