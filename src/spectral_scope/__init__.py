@@ -49,7 +49,6 @@ from .estimator import (
 )
 from .graphs import (
     Graph,
-    GraphMatrix,
     GraphMatrixKind,
     SingularDegreeError,
     assign_uniform_weights,
@@ -80,7 +79,6 @@ __all__ = [
     "DeconvolutionOverflowError",
     "EstimatorOptions",
     "Graph",
-    "GraphMatrix",
     "GraphMatrixKind",
     "HankelAnalysis",
     "InsufficientDataError",

@@ -4,7 +4,9 @@ Every stage reads and writes plain files (TSV edge lists, CSV matrices and
 sequences, JSON reports with a top-level ``"schema": 1``), so the pipeline
 can be driven from a shell and scripted for batch runs. ``demo`` bundles the
 three preset experiments end to end, ``bench`` sweeps seeds and reports a
-success-rate table.
+success-rate table. ``--mode`` picks discrete (``dt``) or sampled continuous
+(``ct``) time; a node (``--node FILE`` or ``--node-d D``) makes ``simulate``
+and ``estimate`` networked.
 
 Every setting is a flag; argparse rejects a missing required one, and a
 negative seed flag, a ``--n`` or ``--node-d`` above ``MAX_DIMENSION``, or a
@@ -163,13 +165,13 @@ def cmd_generate(args) -> int:
             if bounds.size != 2:
                 return _fail_usage("--weights expects LO,HI")
             g = assign_uniform_weights(g, float(bounds[0]), float(bounds[1]), seed=args.seed)
-        gm = build_matrix(g, GraphMatrixKind(args.kind))
+        M = build_matrix(g, args.kind)
     except ValueError as exc:
         return _fail_usage(str(exc))
     write_graph_tsv(g, args.graph_out)
-    write_matrix_csv(gm, args.matrix_out)
+    write_matrix_csv(M, args.matrix_out)
     print(
-        f"n={g.n} edges={g.num_edges} directed={int(g.directed)} kind={gm.kind.value} "
+        f"n={g.n} edges={g.num_edges} directed={int(g.directed)} kind={args.kind} "
         f"-> {args.graph_out} {args.matrix_out}"
     )
     return EXIT_OK
@@ -203,28 +205,22 @@ def cmd_simulate(args) -> int:
         return _fail_usage(str(exc))
     n = M.shape[0]
     K = args.K if args.K is not None else 2 * n
-    networked = args.mode in ("dt-networked", "ct-networked")
-    continuous = args.mode in ("ct", "ct-networked")
-    if continuous and not args.tau:
+    if args.mode == CT and not args.tau:
         return _fail_usage(f"mode {args.mode} requires --tau")
     try:
-        node = _load_node(args)
-        if networked and node is None:
-            return _fail_usage(f"mode {args.mode} requires --node FILE or --node-d D [--node-seed S]")
+        node = _load_node(args)  # a node makes the run networked
         setup = _build_setup(args, n)
-        if args.mode == "dt":
+        if node is None and args.mode == DT:
             seq = simulate_dt(M, setup, K=K)
-        elif args.mode == "ct":
+        elif node is None:
             seq = simulate_ct_sampled(M, setup, tau=args.tau, K=K)
-        elif args.mode == "dt-networked":
+        elif args.mode == DT:
             seq = simulate_dt_networked(M, node, setup, K=K)
         else:
             seq = simulate_ct_networked(M, node, setup, tau=args.tau, K=K)
     except SimulationOverflowError as exc:
         if exc.partial.size:
-            partial = OutputSequence(
-                exc.partial, mode=CT if continuous else DT, tau=args.tau, n_hint=n
-            )
+            partial = OutputSequence(exc.partial, mode=args.mode, tau=args.tau, n_hint=n)
             write_sequence(partial, args.out, seed=args.seed)
             print(f"overflow at sample {exc.index}; partial sequence written", file=sys.stderr)
         else:
@@ -237,9 +233,9 @@ def cmd_simulate(args) -> int:
         return _fail_usage(str(exc))
     write_sequence(seq, args.out, seed=args.seed)
     setup_path = Path(args.out).with_suffix(".setup.json")
-    _write_setup_json(setup_path, setup, CT if continuous else DT, args.tau, args.seed, node)
+    _write_setup_json(setup_path, setup, seq.mode, seq.tau, args.seed, node)
     extras = f"+sidecar, {setup_path.name}"
-    if networked:
+    if node is not None:
         node_path = Path(args.out).with_suffix(".node.json")
         _write_json(_node_to_json(node), node_path)
         extras += f", {node_path.name}"
@@ -470,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="roll a system forward and record its output")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--mode", choices=("dt", "ct", "dt-networked", "ct-networked"), default="dt")
+    p.add_argument("--mode", choices=(DT, CT), default=DT,
+                   help="discrete or sampled continuous time; --node or --node-d makes it networked")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--K", type=int, default=None, help="samples (default 2n)")
     p.add_argument("--observe", default=None, help="observed node index or comma list")

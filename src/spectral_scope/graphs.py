@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "GraphMatrix",
     "GraphMatrixKind",
     "SingularDegreeError",
     "generate_preferential_attachment",
@@ -34,12 +33,6 @@ __all__ = [
     "write_matrix_csv",
     "read_matrix_csv",
 ]
-
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
 
 class SingularDegreeError(ValueError):
     """Row-stochastic matrix requested for a graph with a zero weighted degree."""
@@ -79,20 +72,9 @@ class Graph:
         return len(self.edges)
 
 
-@dataclass(frozen=True, eq=False)
-class GraphMatrix:
-    """A dense matrix derived from a graph, tagged with its kind."""
-
-    values: np.ndarray
-    kind: GraphMatrixKind
-
-
 def as_array(matrix) -> np.ndarray:
-    """Accept a GraphMatrix or a plain square array and return float values."""
-    if isinstance(matrix, GraphMatrix):
-        arr = matrix.values
-    else:
-        arr = np.asarray(matrix, dtype=float)
+    """A square array-like as float values; a float array is returned as is."""
+    arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"square matrix required, got shape {arr.shape}")
     return arr
@@ -134,7 +116,7 @@ def generate_preferential_attachment(n: int, m_attach: int, seed=None) -> Graph:
         raise ValueError(f"m_attach must be positive, got {m_attach}")
     if m_attach > n:
         raise ValueError(f"m_attach={m_attach} exceeds n={n}")
-    uniforms = iter(_rng(seed).random(m_attach * (n - m_attach)).tolist())
+    uniforms = iter(np.random.default_rng(seed).random(m_attach * (n - m_attach)).tolist())
 
     edges = [(i, j, 1.0) for i in range(m_attach) for j in range(i + 1, m_attach)]
     # integer degrees, so every sum of them is exact
@@ -180,8 +162,7 @@ def assign_uniform_weights(g: Graph, lo: float, hi: float, seed=None) -> Graph:
     """Replace every edge weight with an i.i.d. Uniform[lo, hi) draw, in edge order."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi})")
-    rng = _rng(seed)
-    w = rng.uniform(lo, hi, g.num_edges)
+    w = np.random.default_rng(seed).uniform(lo, hi, g.num_edges)
     edges = tuple((u, v, float(wi)) for (u, v, _), wi in zip(g.edges, w))
     return replace(g, edges=edges)
 
@@ -191,8 +172,8 @@ def assign_uniform_weights(g: Graph, lo: float, hi: float, seed=None) -> Graph:
 # =========================================================================
 
 
-def build_matrix(g: Graph, kind: GraphMatrixKind) -> GraphMatrix:
-    """Build the requested matrix for a graph.
+def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
+    """The requested matrix of a graph, as a dense float array.
 
     Adjacency sums parallel-edge weights; undirected edges contribute to both
     ``A[u, v]`` and ``A[v, u]`` (self loops once). Degree is the diagonal of
@@ -223,7 +204,7 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> GraphMatrix:
                     f"{kind.value} is undefined"
                 )
             M = A / deg[:, None]
-    return GraphMatrix(values=M, kind=kind)
+    return M
 
 
 # =========================================================================

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _centroid, cluster_indices, enforce_conjugate_pairs
-from .estimator import SpectrumEstimate
 from .graphs import as_array
 
 __all__ = [
@@ -80,7 +79,6 @@ class OracleSpectrum:
     never shows up in the output).
     """
 
-    eigenvalues: np.ndarray
     distinct: np.ndarray
     algebraic: np.ndarray
     m_tilde: np.ndarray
@@ -95,13 +93,6 @@ class OracleSpectrum:
         return [
             (complex(v), int(m)) for v, m in zip(self.distinct, self.m_tilde) if m > 0
         ]
-
-    @property
-    def expected_recovered(self) -> np.ndarray:
-        """Exactly what a correct estimator returns, expanded by multiplicity."""
-        return np.array(
-            [v for v, m in self.observable for _ in range(m)], dtype=complex
-        )
 
     @property
     def missing(self) -> np.ndarray:
@@ -146,7 +137,8 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
         W = np.linalg.inv(U)
         with np.errstate(over="ignore", invalid="ignore"):
             omega = (c @ U) * (W @ x0)
-            data = float(np.linalg.norm(c) * np.linalg.norm(x0))
+            # hypot scales before it squares, so it overflows only when the norm does
+            data = math.hypot(*c) * math.hypot(*x0)
         # an infinite weight or scale would make every mode look unobservable
         if not (np.all(np.isfinite(omega)) and math.isfinite(data)):
             raise OverflowError("the modal weights (c^T u_i)(w_i^T x0) or |c| |x0| exceed the double range")
@@ -162,12 +154,7 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
         m_tilde = np.array([0 if d else 1 for d in pbh], dtype=int)
         right = left = None
 
-    eigenvalues = np.array(
-        sorted((complex(v) for v in vals), key=lambda z: (-z.real, -z.imag)),
-        dtype=complex,
-    )
     return OracleSpectrum(
-        eigenvalues=eigenvalues,
         distinct=distinct,
         algebraic=algebraic,
         m_tilde=m_tilde,
@@ -218,10 +205,6 @@ class MatchReport:
 
 
 def _expand_values(spectrum) -> np.ndarray:
-    if isinstance(spectrum, SpectrumEstimate):
-        return spectrum.expanded()
-    if isinstance(spectrum, OracleSpectrum):
-        return spectrum.eigenvalues.copy()
     spectrum = list(spectrum)
     if spectrum and isinstance(spectrum[0], tuple):
         return np.array([v for v, m in spectrum for _ in range(int(m))], dtype=complex)
@@ -324,8 +307,9 @@ def match_spectra(estimated, truth, tol: float) -> MatchReport:
     """Hungarian matching on |estimated - true| with multiplicities expanded.
 
     Assignment pairs farther apart than ``tol`` are reported unmatched on
-    both sides. ``estimated`` and ``truth`` accept a SpectrumEstimate /
-    OracleSpectrum, a list of (value, multiplicity) pairs, or a flat list.
+    both sides. ``estimated`` and ``truth`` each take (value, multiplicity)
+    pairs, such as ``SpectrumEstimate.roots`` or ``OracleSpectrum.observable``,
+    or flat values, such as ``full_spectrum``'s.
 
     When there are no more estimates than true values, every estimate's
     nearest true value is strictly nearer than any other, and no two

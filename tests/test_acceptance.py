@@ -180,7 +180,7 @@ def test_criterion_6_observable_partition_matches_pbh(capsys):
         G, setup, D, hidden = hidden_mode_system(n, rng, hidden_count=1 + i % 2)
         part = observable_partition(G, setup.c, setup.x0)
         est = estimate_spectrum(simulate_dt(G, setup, K=2 * n))
-        report = match_spectra(est, part.observable, tol=1e-6)
+        report = match_spectra(est.roots, part.observable, tol=1e-6)
         missing = {round(v.real, 9) for v in part.missing}
         pbh_ok = missing == {round(D[j], 9) for j in hidden} and all(
             bool(flag) == (m == 0)
@@ -217,7 +217,7 @@ def test_criterion_7_online_detection_within_the_sample_budget(capsys):
         consumed.append(det.consumed)
         online = estimate_spectrum(det.values)
         batch = estimate_spectrum(y)
-        report = match_spectra(online, [(v, m) for v, m in batch.roots], tol=1e-10)
+        report = match_spectra(online.roots, batch.roots, tol=1e-10)
         if det.consumed <= 2 * n and report.matched_all:
             hits += 1
             worst = max(worst, report.max_error)

@@ -10,7 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spectral_scope import OutputSequence, cli, read_matrix_csv, read_sequence, scenarios, write_sequence
+from spectral_scope import (
+    NodeDynamics,
+    ObservationSetup,
+    OutputSequence,
+    cli,
+    read_matrix_csv,
+    read_sequence,
+    scenarios,
+    simulate_ct_networked,
+    simulate_dt_networked,
+    write_sequence,
+)
 from spectral_scope.cli import build_parser, main
 from spectral_scope.dynamics import SimulationOverflowError
 from spectral_scope.estimator import estimate_spectrum
@@ -129,6 +140,52 @@ def test_simulate_defaults_to_two_n_samples(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err == "error: need at least one step, got K=0\n"
     assert not zero_csv.exists()
+
+
+@pytest.mark.parametrize("mode, simulator", [("dt", simulate_dt_networked), ("ct", simulate_ct_networked)])
+def test_a_node_makes_simulate_networked(tmp_path, capsys, mode, simulator):
+    matrix = tmp_path / "rot.csv"
+    matrix.write_text(ROT_CSV)
+    base = ("simulate", "--matrix", matrix, "--mode", mode, "--tau", 0.5, "--seed", 4)
+    assert run(capsys, *base, "--out", tmp_path / "plain.csv")[0] == 0
+    assert not (tmp_path / "plain.node.json").exists()
+    code, out, _ = run(capsys, *base, "--node-d", 3, "--node-seed", 5, "--out", tmp_path / "y.csv")
+    assert code == 0 and out.endswith("(+sidecar, y.setup.json, y.node.json)\n")
+    node = NodeDynamics.random_symmetric(3, seed=5)
+    written = json.loads((tmp_path / "y.node.json").read_text())
+    assert [written[k] for k in ("A", "beta", "gamma")] == [node.A.tolist(), node.beta.tolist(), node.gamma.tolist()]
+    setup = json.loads((tmp_path / "y.setup.json").read_text())
+    assert setup["node"] == written
+    kwargs = {"tau": 0.5} if mode == "ct" else {}
+    expected = simulator(read_matrix_csv(matrix), node, ObservationSetup(setup["x0"], setup["c"]), K=4, **kwargs)
+    y = read_sequence(tmp_path / "y.csv")
+    assert y.values.tobytes() == expected.values.tobytes()
+    assert y.values.tobytes() != read_sequence(tmp_path / "plain.csv").values.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["dt-networked", "ct-networked"])
+def test_a_networked_mode_is_a_usage_error(tmp_path, capsys, mode):
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "simulate", "--matrix", matrix, "--mode", mode, "--tau", 1,
+            "--node-d", 2, "--out", tmp_path / "y.csv")
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument --mode: invalid choice: '{mode}'" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
+
+
+def test_the_setup_file_takes_mode_and_tau_from_the_sequence(tmp_path, capsys):
+    # a dt sequence has no sampling period, whatever --tau says
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    code, _, _ = run(capsys, "simulate", "--matrix", matrix, "--mode", "dt", "--tau", 0.5,
+                     "--seed", 1, "--out", tmp_path / "y.csv")
+    assert code == 0
+    sidecar = json.loads((tmp_path / "y.json").read_text())
+    setup = json.loads((tmp_path / "y.setup.json").read_text())
+    assert (setup["mode"], setup["tau"]) == (sidecar["mode"], sidecar["tau"]) == ("dt", None)
 
 
 def test_simulate_samples_continuous_decay(tmp_path, capsys):
@@ -361,7 +418,7 @@ def test_estimate_fails_cleanly_on_an_orthogonal_node(tmp_path, capsys):
     node.write_text(json.dumps({"A": [[0, 0], [0, 0]], "beta": [1, 0], "gamma": [0, 1]}))
     y_csv = tmp_path / "y.csv"
     code, _, _ = run(
-        capsys, "simulate", "--matrix", matrix, "--mode", "dt-networked", "--node", node,
+        capsys, "simulate", "--matrix", matrix, "--mode", "dt", "--node", node,
         "--x0", "1,0.4", "--observe", 0, "--K", 8, "--out", y_csv,
     )
     assert code == 0
@@ -414,7 +471,7 @@ def test_a_malformed_node_file_is_a_usage_error(tmp_path, capsys, command, node,
     out_file = tmp_path / "out.csv"
     argv = {
         "estimate": ("estimate", "--y", y_csv),
-        "simulate": ("simulate", "--matrix", matrix, "--mode", "dt-networked"),
+        "simulate": ("simulate", "--matrix", matrix, "--mode", "dt"),
     }[command]
     code, out, err = run(capsys, *argv, "--node", node_json, "--out", out_file)
     assert code == 2 and out == ""
@@ -717,6 +774,21 @@ def test_verify_of_a_setup_whose_modal_weights_overflow_is_a_usage_error(tmp_pat
     assert err.count("\n") == 1 and "double range" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e154, 1e300])
+def test_verify_weighs_a_setup_whose_norms_exceed_the_square_range(tmp_path, capsys, scale):
+    # |x0| beyond about 1.3e154 overflowed x . x, and verify called a setup
+    # with finite modal weights a usage error; it weighs it like the unscaled one
+    matrix, estimate, setup = tmp_path / "m.csv", tmp_path / "s.json", tmp_path / "setup.json"
+    matrix.write_text("0.5,1,0\n0,-0.4,1\n0.3,0,0.2\n")
+    root = float(max(np.linalg.eigvals(read_matrix_csv(matrix)).real))
+    estimate.write_text(json.dumps({"schema": 1, "mode": "dt", "rank": 1, "residual": 0.0,
+                                    "roots": [{"re": root, "im": 0.0, "multiplicity": 1}]}))
+    setup.write_text(json.dumps({"x0": [scale] * 3, "c": [1 / scale, 0.0, 0.0]}))
+    code, out, err = run(capsys, "verify", "--matrix", matrix, "--estimate", estimate, "--setup", setup)
+    assert code == 1 and err == "" and len(json.loads(out)["unexplained_true"]) == 2
+
+
 # =========================================================================
 # demos
 # =========================================================================
@@ -784,7 +856,7 @@ def test_demo_into_an_existing_file_is_a_usage_error(tmp_path, capsys):
         (["generate", "--model", "ring", "--n", 6, "--seed", -1], "--seed must be >= 0, got -1"),
         (["generate", "--model", "pa", "--n", 6, "--seed", -1], "--seed must be >= 0, got -1"),
         (["simulate", "--matrix", "swap.csv", "--seed", -1], "--seed must be >= 0, got -1"),
-        (["simulate", "--matrix", "swap.csv", "--mode", "dt-networked", "--node-d", 2,
+        (["simulate", "--matrix", "swap.csv", "--mode", "dt", "--node-d", 2,
           "--node-seed", -4], "--node-seed must be >= 0, got -4"),
     ],
     ids=["demo-seed", "bench-seed0", "bench-no-seeds", "bench-negative-seeds",
@@ -813,7 +885,7 @@ def test_a_negative_seed_or_an_empty_sweep_is_a_usage_error(
     [
         (["generate", "--model", "ring", "--n", 10**12], "--n must be <= 2048, got 1000000000000"),
         (["generate", "--model", "pa", "--n", 10**12], "--n must be <= 2048, got 1000000000000"),
-        (["simulate", "--matrix", "swap.csv", "--mode", "dt-networked", "--node-d", 100000],
+        (["simulate", "--matrix", "swap.csv", "--mode", "dt", "--node-d", 100000],
          "--node-d must be <= 2048, got 100000"),
         (["estimate", "--y", "y.csv", "--node-d", 2049], "--node-d must be <= 2048, got 2049"),
     ],

@@ -138,7 +138,7 @@ def square_node(d: int):
 @given(node=ANY | st.integers(1, 3).flatmap(square_node), mode=st.sampled_from(["dt", "ct"]))
 def test_any_node_ends_simulate_and_estimate_with_an_exit_code(chain, node, mode):
     run_with(node, "node.json", lambda path, tmp: [
-        ["simulate", "--matrix", chain / "m.csv", "--mode", f"{mode}-networked", "--tau", 0.5,
+        ["simulate", "--matrix", chain / "m.csv", "--mode", mode, "--tau", 0.5,
          "--K", 6, "--seed", 2, "--node", path, "--out", tmp / "y.csv"],
         ["estimate", "--y", chain / f"{mode}.csv", "--node", path, "--out", tmp / "s.json"],
     ])

@@ -56,10 +56,6 @@ from spectral_scope.scenarios import SCENARIOS, sweep
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def roots_as_pairs(est):
-    return [(v, m) for v, m in est.roots]
-
-
 def wide_floats(lo: int, hi: int):
     """Signed doubles m * 2^e with m in [0.5, 1) and e drawn from [lo, hi]."""
     return st.builds(
@@ -238,7 +234,7 @@ def test_online_prefix_reproduces_the_batch_spectrum(seed):
     assert det.consumed <= 14
     online = estimate_spectrum(det.values)
     batch = estimate_spectrum(y)
-    report = match_spectra(online, roots_as_pairs(batch), tol=1e-10)
+    report = match_spectra(online.roots, batch.roots, tol=1e-10)
     assert report.matched_all and report.max_error <= 1e-10
 
 
@@ -686,7 +682,7 @@ def test_roots_are_invariant_to_output_scale(scale, flip):
     y = simulate_dt(G, ObservationSetup(x0=rng.uniform(0, 1, 5), c=rng.uniform(0, 1, 5)), K=10)
     base = estimate_spectrum(y)
     scaled = estimate_spectrum(s * y.values)
-    report = match_spectra(scaled, roots_as_pairs(base), tol=1e-10)
+    report = match_spectra(scaled.roots, base.roots, tol=1e-10)
     assert report.matched_all and report.max_error <= 1e-10
 
 
@@ -710,7 +706,7 @@ def test_prescaling_does_not_move_well_conditioned_roots(seed):
     y = simulate_dt(G, ObservationSetup(x0=rng.uniform(0, 1, n), c=rng.uniform(0, 1, n)), K=2 * n)
     on = estimate_spectrum(y, opts=EstimatorOptions(prescale=True))
     off = estimate_spectrum(y, opts=EstimatorOptions(prescale=False))
-    report = match_spectra(on, roots_as_pairs(off), tol=1e-8)
+    report = match_spectra(on.roots, off.roots, tol=1e-8)
     assert report.matched_all
 
 
@@ -1027,5 +1023,5 @@ def test_ct_and_dt_pipelines_agree_through_the_log(seed):
         pytest.skip("aliasing or conditioning flagged; equivalence not asserted")
     dt = estimate_spectrum(simulate_dt(matrix_exponential(G, tau), setup, K=2 * n))
     logged = [(complex(np.log(v) / tau), m) for v, m in dt.roots]
-    report = match_spectra(ct, logged, tol=1e-10)
+    report = match_spectra(ct.roots, logged, tol=1e-10)
     assert report.matched_all and report.max_error <= 1e-10

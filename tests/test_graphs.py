@@ -167,23 +167,23 @@ SWAP_GRAPH = Graph(n=2, edges=((0, 1, 1.0),), directed=False)
 
 
 def test_adjacency_of_single_undirected_edge():
-    M = build_matrix(SWAP_GRAPH, GraphMatrixKind.ADJACENCY).values
+    M = build_matrix(SWAP_GRAPH, GraphMatrixKind.ADJACENCY)
     assert np.array_equal(M, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_laplacian_of_single_undirected_edge():
-    M = build_matrix(SWAP_GRAPH, GraphMatrixKind.LAPLACIAN).values
+    M = build_matrix(SWAP_GRAPH, GraphMatrixKind.LAPLACIAN)
     assert np.array_equal(M, [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_normalized_adjacency_of_single_undirected_edge():
-    M = build_matrix(SWAP_GRAPH, GraphMatrixKind.ROW_STOCHASTIC).values
+    M = build_matrix(SWAP_GRAPH, GraphMatrixKind.ROW_STOCHASTIC)
     assert np.array_equal(M, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_multi_edge_weights_sum():
     g = Graph(n=2, edges=((0, 1, 0.5), (0, 1, 0.25)))
-    M = build_matrix(g, GraphMatrixKind.ADJACENCY).values
+    M = build_matrix(g, GraphMatrixKind.ADJACENCY)
     assert M[0, 1] == M[1, 0] == 0.75
 
 
@@ -198,7 +198,7 @@ def test_normalized_matrix_requires_nonzero_degrees():
 def test_normalized_rows_sum_to_one_for_positive_weights(seed):
     g = generate_preferential_attachment(8, 2, seed=seed)
     g = assign_uniform_weights(g, 0.1, 2.0, seed=seed)
-    M = build_matrix(g, GraphMatrixKind.ROW_STOCHASTIC).values
+    M = build_matrix(g, GraphMatrixKind.ROW_STOCHASTIC)
     assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-12
 
 
@@ -207,7 +207,7 @@ def test_normalized_rows_sum_to_one_for_positive_weights(seed):
 def test_laplacian_annihilates_the_ones_vector(seed):
     g = generate_preferential_attachment(8, 2, seed=seed)
     g = assign_uniform_weights(g, -1.0, 1.0, seed=seed)
-    L = build_matrix(g, GraphMatrixKind.LAPLACIAN).values
+    L = build_matrix(g, GraphMatrixKind.LAPLACIAN)
     assert np.max(np.abs(L @ np.ones(8))) < 1e-12
 
 
@@ -216,7 +216,7 @@ def test_laplacian_annihilates_the_ones_vector(seed):
 def test_adjacency_sparsity_matches_edge_set(seed):
     g = generate_preferential_attachment(8, 2, seed=seed)
     g = assign_uniform_weights(g, 0.5, 1.5, seed=seed)
-    A = build_matrix(g, GraphMatrixKind.ADJACENCY).values
+    A = build_matrix(g, GraphMatrixKind.ADJACENCY)
     allowed = set()
     for u, v, _ in g.edges:
         allowed.add((u, v))
@@ -226,8 +226,8 @@ def test_adjacency_sparsity_matches_edge_set(seed):
 
 def test_degree_matrix_is_diagonal_of_row_sums():
     g = assign_uniform_weights(generate_ring(5), -1.0, 1.0, seed=9)
-    A = build_matrix(g, GraphMatrixKind.ADJACENCY).values
-    D = build_matrix(g, GraphMatrixKind.DEGREE).values
+    A = build_matrix(g, GraphMatrixKind.ADJACENCY)
+    D = build_matrix(g, GraphMatrixKind.DEGREE)
     assert np.array_equal(D, np.diag(A.sum(axis=1)))
 
 
