@@ -6,11 +6,13 @@ can be driven from a shell and scripted for batch runs. ``demo`` bundles the
 three preset experiments end to end, ``bench`` sweeps seeds and reports a
 success-rate table. ``--mode`` picks discrete (``dt``) or sampled continuous
 (``ct``) time; a node (``--node FILE`` or ``--node-d D``) makes ``simulate``
-and ``estimate`` networked.
+networked, and the sequence's sidecar records it, so ``estimate`` strips it
+with no flag.
 
-Every setting is a flag; argparse rejects a missing required one, and a
-negative seed flag, a ``--n`` or ``--node-d`` above ``MAX_DIMENSION``, or a
-``--K`` above twice that, is a usage error before any step runs.
+Every setting is a flag; argparse rejects a missing required one or both of
+``--node`` and ``--node-d``, and a negative seed flag, a ``--n`` or
+``--node-d`` above ``MAX_DIMENSION``, or a ``--K`` above twice that, is a
+usage error before any step runs.
 
 Exit codes: 0 success, 1 estimation or verification failure, 2 usage error.
 """
@@ -42,6 +44,7 @@ from .dynamics import (
     write_sequence,
 )
 from .estimator import (
+    DEFAULT_CLUSTER_TOL,
     EstimatorOptions,
     InsufficientDataError,
     LogSingularRootError,
@@ -103,15 +106,6 @@ def _write_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _node_to_json(node: NodeDynamics) -> dict:
-    return {
-        "schema": 1,
-        "A": node.A.tolist(),
-        "beta": node.beta.tolist(),
-        "gamma": node.gamma.tolist(),
-    }
-
-
 def _write_setup_json(path, setup: ObservationSetup, mode: str, tau, seed, node, **extra) -> None:
     """The setup file ``verify`` reads: the realized x0 and c, plus the run's metadata."""
     payload = {
@@ -121,30 +115,20 @@ def _write_setup_json(path, setup: ObservationSetup, mode: str, tau, seed, node,
         "seed": seed,
         "x0": setup.x0.tolist(),
         "c": setup.c.tolist(),
-        "node": _node_to_json(node) if node is not None else None,
+        "node": node.to_json_dict() if node is not None else None,
         **extra,
     }
     _write_json(payload, path)
 
 
-def _node_from_json(path) -> NodeDynamics:
-    """The node a JSON file holds; ``ValueError`` for any file that holds none."""
-    try:
-        data = json.loads(Path(path).read_text())
-        if not isinstance(data, dict):
-            raise ValueError("must hold a JSON object")
-        for key in ("A", "beta", "gamma"):
-            if key not in data:
-                raise ValueError(f"has no {key!r}")
-        return NodeDynamics(A=data["A"], beta=data["beta"], gamma=data["gamma"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"node {path}: {exc}") from None
-
-
 def _load_node(args) -> NodeDynamics | None:
-    if getattr(args, "node", None):
-        return _node_from_json(args.node)
-    if getattr(args, "node_d", None):
+    """The node ``--node`` or ``--node-d`` gives, or None; ``ValueError`` for a file that holds none."""
+    if args.node is not None:
+        try:
+            return NodeDynamics.from_json_dict(json.loads(Path(args.node).read_text()))
+        except ValueError as exc:
+            raise ValueError(f"node {args.node}: {exc}") from None
+    if args.node_d is not None:
         return NodeDynamics.random_symmetric(args.node_d, seed=args.node_seed)
     return None
 
@@ -199,6 +183,10 @@ def _build_setup(args, n: int) -> ObservationSetup:
 
 
 def cmd_simulate(args) -> int:
+    if args.node_seed is not None and args.node_d is None:
+        return _fail_usage("--node-seed needs --node-d")
+    if args.node_d is not None and args.node_d < 1:
+        return _fail_usage(f"--node-d must be >= 1, got {args.node_d}")
     try:
         M = read_matrix_csv(args.matrix)
     except (OSError, ValueError) as exc:
@@ -220,7 +208,7 @@ def cmd_simulate(args) -> int:
             seq = simulate_ct_networked(M, node, setup, tau=args.tau, K=K)
     except SimulationOverflowError as exc:
         if exc.partial.size:
-            partial = OutputSequence(exc.partial, mode=args.mode, tau=args.tau, n_hint=n)
+            partial = OutputSequence(exc.partial, mode=args.mode, tau=args.tau, n_hint=n, node=node)
             write_sequence(partial, args.out, seed=args.seed)
             print(f"overflow at sample {exc.index}; partial sequence written", file=sys.stderr)
         else:
@@ -234,12 +222,7 @@ def cmd_simulate(args) -> int:
     write_sequence(seq, args.out, seed=args.seed)
     setup_path = Path(args.out).with_suffix(".setup.json")
     _write_setup_json(setup_path, setup, seq.mode, seq.tau, args.seed, node)
-    extras = f"+sidecar, {setup_path.name}"
-    if node is not None:
-        node_path = Path(args.out).with_suffix(".node.json")
-        _write_json(_node_to_json(node), node_path)
-        extras += f", {node_path.name}"
-    print(f"{len(seq.values)} samples -> {args.out} ({extras})")
+    print(f"{len(seq.values)} samples -> {args.out} (+sidecar, {setup_path.name})")
     return EXIT_OK
 
 
@@ -255,13 +238,13 @@ def cmd_estimate(args) -> int:
         return _fail_usage(f"cannot read sequence: {exc}")
     opts = EstimatorOptions(rank_tolerance=args.rank_tolerance, cluster_tol=args.cluster_tol)
     try:
-        est = estimate_spectrum(y, _load_node(args), opts)
+        est = estimate_spectrum(y, opts)
     except (
         SingularDeconvolutionError, LogSingularRootError, InsufficientDataError, OverflowError
     ) as exc:  # OverflowError: the node's matrix exponential, its weights or the deconvolution
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (OSError, ValueError) as exc:  # bad input, such as non-finite samples or a malformed node
+    except ValueError as exc:  # bad input, such as a negative tolerance
         return _fail_usage(str(exc))
     _write_json(est.to_json_dict(), args.out)
     return EXIT_OK
@@ -430,20 +413,6 @@ def cmd_bench(args) -> int:
 # =========================================================================
 
 
-def _add_estimator_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rank-tolerance", type=float, default=None,
-                   help="relative singular-value threshold for rank detection")
-    p.add_argument("--cluster-tol", type=float, default=1e-6,
-                   help="relative distance merging nearby roots")
-
-
-def _add_node_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node", default=None, help="JSON file with node dynamics {A, beta, gamma}")
-    p.add_argument("--node-d", type=int, default=None,
-                   help="generate a random symmetric d-dimensional node instead")
-    p.add_argument("--node-seed", type=int, default=None, help="seed for --node-d")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectral-scope",
@@ -475,15 +444,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", default=None, help="explicit initial state, comma-separated")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default="output.csv")
-    _add_node_flags(p)
+    node = p.add_mutually_exclusive_group()
+    node.add_argument("--node", default=None, help="JSON file with node dynamics {A, beta, gamma}")
+    node.add_argument("--node-d", type=int, default=None,
+                      help="generate a random symmetric d-dimensional node instead")
+    p.add_argument("--node-seed", type=int, default=None, help="seed for --node-d")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="recover a spectrum from a recorded sequence")
-    p.add_argument("--y", required=True, help="sequence CSV (JSON sidecar found next to it)")
+    p.add_argument("--y", required=True,
+                   help="sequence CSV (JSON sidecar, with the node of a networked run, found next to it)")
     p.add_argument("--sidecar", default=None)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    _add_node_flags(p)
-    _add_estimator_flags(p)
+    p.add_argument("--rank-tolerance", type=float, default=None,
+                   help="relative singular-value threshold for rank detection")
+    p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL,
+                   help="relative distance merging nearby roots")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("verify", help="match an estimate against the true spectrum")

@@ -139,15 +139,34 @@ class NodeDynamics:
         A = np.tril(M) + np.tril(M, -1).T
         return cls(A=A, beta=rng.uniform(0.0, 1.0, d), gamma=rng.uniform(0.0, 1.0, d))
 
+    def to_json_dict(self) -> dict:
+        return {"schema": 1, "A": self.A.tolist(), "beta": self.beta.tolist(), "gamma": self.gamma.tolist()}
+
+    @classmethod
+    def from_json_dict(cls, d) -> "NodeDynamics":
+        """The node ``to_json_dict`` wrote. ``ValueError`` for anything but an
+        object with ``A``, ``beta`` and ``gamma`` of fitting shapes and finite entries."""
+        if not isinstance(d, dict):
+            raise ValueError("must hold a JSON object")
+        for key in ("A", "beta", "gamma"):
+            if key not in d:
+                raise ValueError(f"has no {key!r}")
+        try:
+            return cls(A=d["A"], beta=d["beta"], gamma=d["gamma"])
+        except (TypeError, OverflowError) as exc:  # such as a nested object or an int beyond the doubles
+            raise ValueError(str(exc)) from None
+
 
 @dataclass(eq=False)
 class OutputSequence:
-    """A finite scalar output record y[0..K-1] with its timing metadata."""
+    """A finite scalar output record y[0..K-1] with its timing metadata and,
+    for a networked record, the agent dynamics it was convolved with."""
 
     values: np.ndarray
     mode: TimeMode = DT
     tau: float | None = None
     n_hint: int | None = None
+    node: NodeDynamics | None = None
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -215,7 +234,7 @@ def _block_length(state_nbytes: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_BYTES // max(state_nbytes, 1)))
 
 
-def _rollout(state, step, output, K: int, mode: str, tau, n_hint: int) -> OutputSequence:
+def _rollout(state, step, output, K: int, mode: str, tau, n_hint: int, node=None) -> OutputSequence:
     # Iterated step; powers of the system matrix are never formed. The state
     # accumulates in extended precision where the platform has one (x86 long
     # double), so each emitted double carries only its final rounding instead
@@ -255,7 +274,7 @@ def _rollout(state, step, output, K: int, mode: str, tau, n_hint: int) -> Output
                 )
             if end < K:
                 state = step(states[-1])
-    return OutputSequence(ys, mode=mode, tau=tau, n_hint=n_hint)
+    return OutputSequence(ys, mode=mode, tau=tau, n_hint=n_hint, node=node)
 
 
 def simulate_dt(G, setup: ObservationSetup, K: int) -> OutputSequence:
@@ -280,7 +299,7 @@ def simulate_dt_networked(G, node: NodeDynamics, setup: ObservationSetup, K: int
     gl = node.gamma.astype(np.longdouble)
     X0 = np.outer(x0, node.beta).astype(np.longdouble)
     return _rollout(
-        X0, lambda X: np.dot(X, AnT) + np.dot(Al, X), lambda S: (S @ gl) @ c, K, DT, None, len(c)
+        X0, lambda X: np.dot(X, AnT) + np.dot(Al, X), lambda S: (S @ gl) @ c, K, DT, None, len(c), node
     )
 
 
@@ -317,7 +336,7 @@ def simulate_ct_networked(
         w0,
         lambda w: np.concatenate((np.dot(P, w[:n]), np.dot(Q, w[n:]))),
         lambda S: (S[:, :n] @ c) * (S[:, n:] @ gl),
-        K, CT, float(tau), n,
+        K, CT, float(tau), n, node,
     )
 
 
@@ -326,24 +345,20 @@ def simulate_ct_networked(
 # =========================================================================
 
 
-def write_sequence(seq: OutputSequence, path, sidecar=None, seed=None) -> None:
+def write_sequence(seq: OutputSequence, path, seed=None) -> None:
     """CSV with header ``k,y`` (discrete) or ``t,y`` (continuous, t = k tau),
-    plus a JSON sidecar ``{mode, tau, n_hint, seed}`` next to it."""
+    plus a JSON sidecar ``{mode, tau, n_hint, seed}`` next to it, which also
+    holds the ``node`` of a networked record."""
     path = Path(path)
     if seq.mode == DT:
         lines = ["k,y"] + [f"{k},{y:.17g}" for k, y in enumerate(seq.values)]
     else:
         lines = ["t,y"] + [f"{k * seq.tau:.17g},{y:.17g}" for k, y in enumerate(seq.values)]
     path.write_text("\n".join(lines) + "\n")
-    meta = {
-        "schema": 1,
-        "mode": seq.mode,
-        "tau": seq.tau,
-        "n_hint": seq.n_hint,
-        "seed": seed,
-    }
-    sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
-    sidecar.write_text(dumps(meta) + "\n")
+    meta = {"schema": 1, "mode": seq.mode, "tau": seq.tau, "n_hint": seq.n_hint, "seed": seed}
+    if seq.node is not None:
+        meta["node"] = seq.node.to_json_dict()
+    path.with_suffix(".json").write_text(dumps(meta) + "\n")
 
 
 def read_sequence(path, sidecar=None) -> OutputSequence:
@@ -353,7 +368,7 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
     must count ``k = 0, 1, ...`` (discrete) or ``t = k tau`` (continuous, to
     a relative 1e-9, so hand-written times pass); ``ValueError`` otherwise,
     for a NaN or infinite sample, and for a sidecar that holds no JSON object
-    with a valid mode and tau.
+    with a valid mode and tau, or whose ``node`` is malformed.
     """
     path = Path(path)
     sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
@@ -366,8 +381,13 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
         if len(fields) != 2:
             raise ValueError(f"{path} line {i + 2}: expected 2 columns, got {len(fields)}")
     t, y = np.array(table, dtype=float).reshape(-1, 2).T.copy()
+    node = meta.get("node")
     try:
-        seq = OutputSequence(y, mode=meta["mode"], tau=meta.get("tau"), n_hint=meta.get("n_hint"))
+        node = None if node is None else NodeDynamics.from_json_dict(node)
+    except ValueError as exc:
+        raise ValueError(f"sidecar {sidecar}: node: {exc}") from None
+    try:
+        seq = OutputSequence(y, mode=meta["mode"], tau=meta.get("tau"), n_hint=meta.get("n_hint"), node=node)
     except (TypeError, OverflowError) as exc:  # such as a tau that is no number
         raise ValueError(f"sidecar {sidecar}: {exc}") from None
     first = "k" if seq.mode == DT else "t"

@@ -6,14 +6,15 @@ r, solve the r x r Hankel system for the coefficients of a monic degree-r
 polynomial, read the roots off its balanced companion matrix, merge
 numerically split roots into (value, multiplicity) pairs, and, for sampled
 continuous-time data, map each root through the principal complex logarithm.
-Networked outputs first have the known identical per-agent dynamics stripped,
-after which the plain pipeline applies unchanged. ``estimate_spectrum`` runs
-the whole pipeline for every kind of record.
+Networked outputs first have the known identical per-agent dynamics, which
+the record carries as its ``node``, stripped, after which the plain pipeline
+applies unchanged. ``estimate_spectrum`` runs the whole pipeline for every
+kind of record.
 
 The detected rank equals the number of eigenvalues that are actually present
 in the output (weighted by how much of each Jordan chain the initial state
 and the output weighting excite), so unobservable modes simply never appear:
-no model order is assumed beyond an optional upper bound ``n_hint``.
+no model order is assumed.
 """
 
 from __future__ import annotations
@@ -683,16 +684,14 @@ def deconvolve_sigma_ct(y, nu) -> np.ndarray:
     return sigma
 
 
-def estimate_spectrum(
-    y, node: NodeDynamics | None = None, opts: EstimatorOptions | None = None
-) -> SpectrumEstimate:
+def estimate_spectrum(y, opts: EstimatorOptions | None = None) -> SpectrumEstimate:
     """The whole pipeline: node deconvolution, Hankel rank, coefficients, clustered roots.
 
     ``y`` is an OutputSequence or a plain array, which is taken as discrete
-    time. A ``node`` is stripped first, by deconvolve_sigma in discrete time
-    and by deconvolve_sigma_ct in sampled continuous time. Prescaling
-    defaults to on for sampled continuous-time data and, for discrete-time
-    data, to on only when ``max |y| > 1e6``. An identically zero sequence
+    time with no node. A sequence's ``node`` is stripped first, by
+    deconvolve_sigma in discrete time and by deconvolve_sigma_ct in sampled
+    continuous time. Prescaling defaults to on for sampled continuous-time
+    data and, for discrete-time data, to on only when ``max |y| > 1e6``. An identically zero sequence
     gives rank 0 and an empty spectrum, which is a valid answer, not an error.
 
     Sampled continuous-time roots are ``eta_i = e^{lambda_i tau}`` and are
@@ -703,6 +702,7 @@ def estimate_spectrum(
     """
     values = _sequence_values(y)
     tau = y.tau if isinstance(y, OutputSequence) and y.mode == CT else None
+    node = y.node if isinstance(y, OutputSequence) else None
     if node is not None and tau is None:
         values = deconvolve_sigma(values, nu_sequence(node, len(values), DT))
     elif node is not None:

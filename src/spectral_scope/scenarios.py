@@ -167,7 +167,7 @@ def run_scenario(name: str, seed: int = 0, keep_artifacts: bool = False) -> Scen
     if y is None:
         return ScenarioResult(name, seed, False, tol, float("inf"), overflow=True, artifacts=artifacts)
 
-    est = estimate_spectrum(y, node, _OPTIONS)
+    est = estimate_spectrum(y, _OPTIONS)
     if truth is None:
         truth = full_spectrum(M)
     if relative_tol:

@@ -24,7 +24,8 @@ from spectral_scope import (
 )
 from spectral_scope.cli import build_parser, main
 from spectral_scope.dynamics import SimulationOverflowError
-from spectral_scope.estimator import estimate_spectrum
+from spectral_scope.estimator import EstimatorOptions, estimate_spectrum
+from spectral_scope.jsontext import dumps
 from spectral_scope.oracle import observable_partition
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -148,11 +149,11 @@ def test_a_node_makes_simulate_networked(tmp_path, capsys, mode, simulator):
     matrix.write_text(ROT_CSV)
     base = ("simulate", "--matrix", matrix, "--mode", mode, "--tau", 0.5, "--seed", 4)
     assert run(capsys, *base, "--out", tmp_path / "plain.csv")[0] == 0
-    assert not (tmp_path / "plain.node.json").exists()
     code, out, _ = run(capsys, *base, "--node-d", 3, "--node-seed", 5, "--out", tmp_path / "y.csv")
-    assert code == 0 and out.endswith("(+sidecar, y.setup.json, y.node.json)\n")
+    assert code == 0 and out.endswith("(+sidecar, y.setup.json)\n")
+    assert sorted(p.name for p in tmp_path.glob("y.*")) == ["y.csv", "y.json", "y.setup.json"]
     node = NodeDynamics.random_symmetric(3, seed=5)
-    written = json.loads((tmp_path / "y.node.json").read_text())
+    written = json.loads((tmp_path / "y.json").read_text())["node"]
     assert [written[k] for k in ("A", "beta", "gamma")] == [node.A.tolist(), node.beta.tolist(), node.gamma.tolist()]
     setup = json.loads((tmp_path / "y.setup.json").read_text())
     assert setup["node"] == written
@@ -173,6 +174,55 @@ def test_a_networked_mode_is_a_usage_error(tmp_path, capsys, mode):
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"argument --mode: invalid choice: '{mode}'" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
+
+
+@pytest.mark.parametrize("mode, simulator", [("dt", simulate_dt_networked), ("ct", simulate_ct_networked)])
+def test_estimate_of_a_networked_simulate_gives_the_library_bytes(tmp_path, capsys, mode, simulator):
+    # the node reaches estimate through the sidecar alone, and the verdict holds
+    matrix, y_csv, spectrum = tmp_path / "m.csv", tmp_path / "y.csv", tmp_path / "spectrum.json"
+    steps = [
+        ("generate", "--model", "ring", "--n", 6, "--directed", "--weights", "0.5,1.5", "--seed", 3,
+         "--graph-out", tmp_path / "g.tsv", "--matrix-out", matrix),
+        ("simulate", "--matrix", matrix, "--mode", mode, "--tau", 0.5, "--node-d", 3, "--node-seed", 5,
+         "--seed", 11, "--out", y_csv),
+        ("estimate", "--y", y_csv, "--rank-tolerance", 1e-14, "--out", spectrum),
+        ("verify", "--matrix", matrix, "--estimate", spectrum, "--setup", tmp_path / "y.setup.json",
+         "--tol", 1e-6, "--out", tmp_path / "v.json"),
+    ]
+    assert [run(capsys, *argv)[0] for argv in steps] == [0, 0, 0, 0]
+    setup = json.loads((tmp_path / "y.setup.json").read_text())
+    kwargs = {"tau": 0.5} if mode == "ct" else {}
+    y = simulator(read_matrix_csv(matrix), NodeDynamics.random_symmetric(3, seed=5),
+                  ObservationSetup(setup["x0"], setup["c"]), K=12, **kwargs)
+    est = estimate_spectrum(y, EstimatorOptions(rank_tolerance=1e-14))
+    assert spectrum.read_text() == dumps(est.to_json_dict()) + "\n"
+
+
+def test_simulate_takes_one_node_source(tmp_path, capsys):
+    matrix, node = tmp_path / "swap.csv", tmp_path / "node.json"
+    matrix.write_text(SWAP_CSV)
+    node.write_text(json.dumps({"A": [[0.5]], "beta": [1], "gamma": [1]}))
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "simulate", "--matrix", matrix, "--node", node, "--node-d", 3, "--out", tmp_path / "y.csv")
+    assert info.value.code == 2
+    assert "argument --node-d: not allowed with argument --node" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["node.json", "swap.csv"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [(("--node-seed", 5), "--node-seed needs --node-d"),
+     (("--node-d", 0), "--node-d must be >= 1, got 0"),
+     (("--node-d", -2, "--node-seed", 5), "--node-d must be >= 1, got -2")],
+    ids=["seed-alone", "zero-d", "negative-d"],
+)
+def test_a_node_flag_that_gives_no_node_is_a_usage_error(tmp_path, capsys, flags, message):
+    # each of these ran once as a plain simulation, its node flag dropped
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    code, out, err = run(capsys, "simulate", "--matrix", matrix, *flags, "--seed", 1, "--out", tmp_path / "y.csv")
+    assert code == 2 and out == "" and err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
 
 
@@ -222,6 +272,20 @@ def test_simulate_reports_overflow_and_keeps_the_partial_trace(tmp_path, capsys)
     partial = read_sequence(out_csv)
     assert 0 < len(partial.values) < 200
     assert np.all(np.isfinite(partial.values))
+
+
+def test_a_networked_partial_trace_keeps_its_node(tmp_path, capsys):
+    matrix, node = tmp_path / "hot.csv", tmp_path / "node.json"
+    matrix.write_text("1000\n")
+    node.write_text(json.dumps({"A": [[0.5]], "beta": [1.0], "gamma": [2.0]}))
+    out_csv = tmp_path / "y.csv"
+    code, _, err = run(
+        capsys, "simulate", "--matrix", matrix, "--node", node, "--x0", "1", "--observe", 0,
+        "--K", 200, "--out", out_csv,
+    )
+    assert code == 1 and "partial sequence written" in err
+    partial = read_sequence(out_csv)
+    assert 0 < len(partial) < 200 and partial.node.gamma.tolist() == [2.0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds one line
@@ -422,7 +486,8 @@ def test_estimate_fails_cleanly_on_an_orthogonal_node(tmp_path, capsys):
         "--x0", "1,0.4", "--observe", 0, "--K", 8, "--out", y_csv,
     )
     assert code == 0
-    code, _, err = run(capsys, "estimate", "--y", y_csv, "--node", node)
+    # the sidecar carries the node; without it the swap roots would be recovered
+    code, _, err = run(capsys, "estimate", "--y", y_csv)
     assert code == 1 and "estimation failed" in err
 
 
@@ -443,11 +508,9 @@ def test_estimate_fails_cleanly_on_an_orthogonal_node(tmp_path, capsys):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_estimate_reports_an_overflow_as_a_failure(tmp_path, capsys, mode, values, node, message):
     y_csv = tmp_path / "y.csv"
-    write_sequence(OutputSequence(np.array(values), mode=mode, tau=1.0 if mode == "ct" else None),
-                   y_csv)
-    node_json = tmp_path / "node.json"
-    node_json.write_text(json.dumps(node))
-    code, out, err = run(capsys, "estimate", "--y", y_csv, "--node", node_json)
+    tau = 1.0 if mode == "ct" else None
+    write_sequence(OutputSequence(np.array(values), mode=mode, tau=tau, node=NodeDynamics(**node)), y_csv)
+    code, out, err = run(capsys, "estimate", "--y", y_csv)
     assert code == 1 and out == ""
     assert err == f"estimation failed: {message}\n"
 
@@ -461,21 +524,28 @@ def test_estimate_reports_an_overflow_as_a_failure(tmp_path, capsys, mode, value
         ({"A": [[1, 0]], "beta": [1], "gamma": [1]}, "A must be square, got (1, 2)"),
         ({"A": [[1]], "beta": [1, 2], "gamma": [1]}, "beta and gamma must match"),
         ({"A": [[float("nan")]], "beta": [1], "gamma": [1]}, "A, beta and gamma must be finite"),
+        ({"A": {"a": 1}, "beta": [1], "gamma": [1]}, "float() argument must be"),
+        ({"A": [[10**400]], "beta": [1], "gamma": [1]}, "int too large to convert to float"),
     ],
-    ids=["no-A", "list", "non-square-A", "long-beta", "nan-A"],
+    ids=["no-A", "list", "non-square-A", "long-beta", "nan-A", "object-A", "huge-A"],
 )
 def test_a_malformed_node_file_is_a_usage_error(tmp_path, capsys, command, node, message):
+    # simulate reads a node file; estimate reads the node in the sequence's sidecar
     matrix, y_csv = simulate_swap(tmp_path, capsys)
-    node_json = tmp_path / "node.json"
-    node_json.write_text(json.dumps(node))
     out_file = tmp_path / "out.csv"
-    argv = {
-        "estimate": ("estimate", "--y", y_csv),
-        "simulate": ("simulate", "--matrix", matrix, "--mode", "dt"),
-    }[command]
-    code, out, err = run(capsys, *argv, "--node", node_json, "--out", out_file)
+    if command == "simulate":
+        source = tmp_path / "node.json"
+        source.write_text(json.dumps(node))
+        argv = ("simulate", "--matrix", matrix, "--mode", "dt", "--node", source)
+        prefix = f"error: node {source}: "
+    else:
+        source = y_csv.with_suffix(".json")
+        source.write_text(json.dumps({**json.loads(source.read_text()), "node": node}))
+        argv = ("estimate", "--y", y_csv)
+        prefix = f"error: cannot read sequence: sidecar {source}: node: "
+    code, out, err = run(capsys, *argv, "--out", out_file)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: node {node_json}: {message}") and err.count("\n") == 1
+    assert err.startswith(prefix + message) and err.count("\n") == 1
     assert not out_file.exists()
 
 
@@ -836,6 +906,19 @@ def test_demo_reports_a_simulation_overflow(tmp_path, capsys, monkeypatch, name,
     assert written == ["graph.tsv", "match.json", "matrix.csv", "setup.json"]
 
 
+def test_a_demo_output_estimates_and_verifies_with_no_node_flag(tmp_path, capsys):
+    # fig3 is networked: output.json carries its node to estimate
+    outdir, spectrum = tmp_path / "fig3", tmp_path / "spectrum.json"
+    steps = [
+        ("demo", "fig3", "--seed", 0, "--outdir", outdir),
+        ("estimate", "--y", outdir / "output.csv", "--rank-tolerance", 1e-14, "--out", spectrum),
+        ("verify", "--matrix", outdir / "matrix.csv", "--estimate", spectrum,
+         "--setup", outdir / "setup.json", "--out", tmp_path / "v.json"),
+    ]
+    assert [run(capsys, *argv)[0] for argv in steps] == [0, 0, 0]
+    assert "node" in json.loads((outdir / "output.json").read_text())
+
+
 def test_demo_into_an_existing_file_is_a_usage_error(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
@@ -887,9 +970,8 @@ def test_a_negative_seed_or_an_empty_sweep_is_a_usage_error(
         (["generate", "--model", "pa", "--n", 10**12], "--n must be <= 2048, got 1000000000000"),
         (["simulate", "--matrix", "swap.csv", "--mode", "dt", "--node-d", 100000],
          "--node-d must be <= 2048, got 100000"),
-        (["estimate", "--y", "y.csv", "--node-d", 2049], "--node-d must be <= 2048, got 2049"),
     ],
-    ids=["ring", "pa", "simulate-node", "estimate-node"],
+    ids=["ring", "pa", "simulate-node"],
 )
 def test_a_size_above_the_limit_is_a_usage_error_before_any_allocation(
     tmp_path, capsys, monkeypatch, argv, message
@@ -1010,14 +1092,29 @@ def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
     assert len(built) == 1
 
 
+def readme_blocks() -> list[list[list[str]]]:
+    """The arguments of every ``spectral-scope`` command in each of the README's code blocks."""
+    return [
+        [shlex.split(line, comments=True)[1:]
+         for line in block.replace("\\\n", " ").splitlines() if line.startswith("spectral-scope ")]
+        for block in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    ]
+
+
 def readme_commands() -> list[list[str]]:
-    """The arguments of every ``spectral-scope`` command in the README's code blocks."""
-    commands = []
-    for block in re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(), flags=re.M | re.S):
-        for line in block.replace("\\\n", " ").splitlines():
-            if line.startswith("spectral-scope "):
-                commands.append(shlex.split(line, comments=True)[1:])
-    return commands
+    return [argv for block in readme_blocks() for argv in block]
+
+
+def test_the_readme_chains_run(tmp_path, capsys, monkeypatch):
+    # the quick start and the networked chain, in README order in one
+    # directory: a documented flag or file that no longer works fails here
+    monkeypatch.chdir(tmp_path)
+    pipeline = {"generate", "simulate", "estimate", "verify"}
+    chains = [block for block in readme_blocks() if block and {argv[0] for argv in block} <= pipeline]
+    assert len(chains) == 2
+    for argv in (argv for block in chains for argv in block):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, f"spectral-scope {shlex.join(argv)} exited {code}\n{err}"
 
 
 def test_every_readme_command_parses(capsys):

@@ -2,8 +2,9 @@
 
 Each property writes one fuzzed file (sidecar, setup, estimate or node JSON,
 or a matrix or sequence CSV) next to a valid chain and runs the steps that
-read it in process: an exception escaping ``main`` is what a user would see
-as a traceback. The drawn values mix arbitrary JSON or text with the keys,
+read it in process; ``simulate`` reads a node file, ``estimate`` the node in
+a sidecar. An exception escaping ``main`` is what a user would see as a
+traceback. The drawn values mix arbitrary JSON or text with the keys,
 headers and numbers each file is expected to hold, so the checks past the
 first are reached. Every property also fails on a warning, since a warning
 reaches the user's stderr. Settings come only from flags, which argparse
@@ -40,6 +41,7 @@ NUMBER = st.integers() | st.floats()
 FINITE = st.floats(-2.0, 2.0)
 VECTOR = st.lists(FINITE, min_size=3, max_size=3) | st.lists(NUMBER, min_size=3, max_size=3) | ANY
 FUZZ = settings(max_examples=80, deadline=None)
+NODE = {"A": [[-0.5]], "beta": [1.0], "gamma": [1.0]}
 
 
 def exit_code(argv) -> int:
@@ -51,18 +53,33 @@ def exit_code(argv) -> int:
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
-    """A valid 3-node chain: matrix, DT and CT sequences with sidecars, setup, estimate, node."""
+    """A valid 3-node chain: matrix, DT and CT sequences with sidecars (plain,
+    and networked ``dtn``/``ctn`` whose sidecars carry ``NODE``), setup, estimate."""
     d = tmp_path_factory.mktemp("chain")
     (d / "m.csv").write_text("0.5,1,0\n0,-0.4,1\n0.3,0,0.2\n")
-    (d / "node.json").write_text(json.dumps({"A": [[-0.5]], "beta": [1.0], "gamma": [1.0]}))
+    (d / "node.json").write_text(json.dumps(NODE))
     steps = [
         ["simulate", "--matrix", d / "m.csv", "--seed", 1, "--K", 8, "--out", d / "dt.csv"],
         ["simulate", "--matrix", d / "m.csv", "--mode", "ct", "--tau", 0.5, "--seed", 1,
          "--K", 8, "--out", d / "ct.csv"],
+        ["simulate", "--matrix", d / "m.csv", "--seed", 1, "--K", 8, "--node", d / "node.json",
+         "--out", d / "dtn.csv"],
+        ["simulate", "--matrix", d / "m.csv", "--mode", "ct", "--tau", 0.5, "--seed", 1,
+         "--K", 8, "--node", d / "node.json", "--out", d / "ctn.csv"],
         ["estimate", "--y", d / "dt.csv", "--out", d / "spectrum.json"],
     ]
-    assert [exit_code(argv) for argv in steps] == [0, 0, 0]
+    assert [exit_code(argv) for argv in steps] == [0, 0, 0, 0, 0]
+    for name in ("dtn.json", "ctn.json"):
+        assert json.loads((d / name).read_text())["node"] == {"schema": 1, **NODE}
     return d
+
+
+def sidecar_with_node(chain, mode: str, node, tmp: Path) -> Path:
+    """The sidecar of the chain's ``mode`` sequence with ``node`` as its node."""
+    path = tmp / "with-node.json"
+    meta = json.loads((chain / f"{mode}.json").read_text())
+    path.write_text(json.dumps({**meta, "node": node}))
+    return path
 
 
 def run_with(payload, name: str, steps) -> None:
@@ -74,20 +91,29 @@ def run_with(payload, name: str, steps) -> None:
             assert exit_code(step) in (0, 1, 2), step
 
 
+def square_node(d: int):
+    entry = FINITE | NUMBER
+    vector = st.lists(entry, min_size=d, max_size=d)
+    return st.fixed_dictionaries(
+        {"A": st.lists(vector, min_size=d, max_size=d) | ANY, "beta": vector | ANY, "gamma": vector | ANY},
+    )
+
+
 @pytest.mark.filterwarnings("error")
 @FUZZ
 @given(
     meta=ANY | st.fixed_dictionaries(
         {"mode": st.sampled_from(["dt", "ct"]) | ANY},
-        optional={"tau": st.sampled_from([0.5, 1.0]) | ANY, "n_hint": ANY, "seed": ANY},
+        optional={
+            "tau": st.sampled_from([0.5, 1.0]) | ANY, "n_hint": ANY, "seed": ANY,
+            "node": st.just(NODE) | st.integers(1, 3).flatmap(square_node) | ANY,
+        },
     ),
     sequence=st.sampled_from(["dt.csv", "ct.csv"]),
-    node=st.booleans(),
 )
-def test_any_sidecar_ends_estimate_with_an_exit_code(chain, meta, sequence, node):
-    with_node = ("--node", chain / "node.json") if node else ()
+def test_any_sidecar_ends_estimate_with_an_exit_code(chain, meta, sequence):
     run_with(meta, "sidecar.json", lambda path, tmp: [
-        ["estimate", "--y", chain / sequence, "--sidecar", path, *with_node, "--out", tmp / "s.json"],
+        ["estimate", "--y", chain / sequence, "--sidecar", path, "--out", tmp / "s.json"],
     ])
 
 
@@ -125,22 +151,16 @@ def test_any_estimate_ends_verify_with_an_exit_code(chain, estimate):
     ])
 
 
-def square_node(d: int):
-    entry = FINITE | NUMBER
-    vector = st.lists(entry, min_size=d, max_size=d)
-    return st.fixed_dictionaries(
-        {"A": st.lists(vector, min_size=d, max_size=d) | ANY, "beta": vector | ANY, "gamma": vector | ANY},
-    )
-
-
 @pytest.mark.filterwarnings("error")
 @FUZZ
 @given(node=ANY | st.integers(1, 3).flatmap(square_node), mode=st.sampled_from(["dt", "ct"]))
 def test_any_node_ends_simulate_and_estimate_with_an_exit_code(chain, node, mode):
+    # simulate reads the node from --node, estimate from the sidecar's "node"
     run_with(node, "node.json", lambda path, tmp: [
         ["simulate", "--matrix", chain / "m.csv", "--mode", mode, "--tau", 0.5,
          "--K", 6, "--seed", 2, "--node", path, "--out", tmp / "y.csv"],
-        ["estimate", "--y", chain / f"{mode}.csv", "--node", path, "--out", tmp / "s.json"],
+        ["estimate", "--y", chain / f"{mode}.csv", "--sidecar", sidecar_with_node(chain, mode, node, tmp),
+         "--out", tmp / "s.json"],
     ])
 
 
@@ -212,11 +232,10 @@ def test_any_sequence_csv_ends_estimate_with_an_exit_code(chain, header, rows, s
     if formed:  # the header and index column the sidecar asks for, so the samples reach the estimator
         header, step = ("k,y", 1.0) if sequence == "dt.csv" else ("t,y", 0.5)
         rows = [f"{k * step!r},{y}" for k, y in enumerate(samples)]
-    sidecar = chain / sequence.replace(".csv", ".json")
+    sidecar, networked = (chain / sequence.replace(".csv", suffix) for suffix in (".json", "n.json"))
     run_on_text("\n".join([header, *rows]) + "\n", "y.csv", lambda path, tmp: [
         ["estimate", "--y", path, "--sidecar", sidecar, "--out", tmp / "s.json"],
-        ["estimate", "--y", path, "--sidecar", sidecar, "--node", chain / "node.json",
-         "--out", tmp / "s.json"],
+        ["estimate", "--y", path, "--sidecar", networked, "--out", tmp / "s.json"],
     ])
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -496,3 +497,21 @@ def test_sequence_files_roundtrip_exactly(tmp_path, mode, tau):
         path.write_text("\n".join([*lines[:2], f"{t},{bad}", *lines[3:]]) + "\n")
         with pytest.raises(ValueError, match=f"{path} line 3: y = {bad} is not finite"):
             read_sequence(path)
+
+
+def test_a_plain_sidecar_holds_no_node(tmp_path):
+    write_sequence(OutputSequence([1.0, 0.5]), tmp_path / "y.csv")
+    assert "node" not in json.loads((tmp_path / "y.json").read_text())
+    assert read_sequence(tmp_path / "y.csv").node is None
+
+
+@pytest.mark.parametrize("mode,tau", [(DT, None), (CT, 0.25)])
+def test_a_networked_sidecar_roundtrips_its_node_bit_for_bit(tmp_path, mode, tau):
+    rng = np.random.default_rng(5)
+    A, beta = rng.standard_normal((3, 3)), rng.standard_normal(3)
+    A[0, 0], beta[1] = -0.0, 5e-324  # a signed zero and the smallest subnormal keep their bits too
+    node = NodeDynamics(A=A, beta=beta, gamma=rng.standard_normal(3))
+    write_sequence(OutputSequence(rng.standard_normal(6), mode=mode, tau=tau, node=node), tmp_path / "y.csv")
+    back = read_sequence(tmp_path / "y.csv").node
+    for got, want in ((back.A, node.A), (back.beta, node.beta), (back.gamma, node.gamma)):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

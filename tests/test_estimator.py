@@ -191,7 +191,7 @@ def test_non_finite_outputs_are_rejected_with_a_typed_error(bad):
     node = NodeDynamics(A=np.zeros((1, 1)), beta=[1.0], gamma=[1.0])
     calls = [
         lambda: estimate_spectrum(values),
-        lambda: estimate_spectrum(values, node),
+        lambda: estimate_spectrum(OutputSequence(values, node=node)),
         lambda: estimate_spectrum(OutputSequence(values, mode=CT, tau=1.0)),
         lambda: detect_rank_online(iter(values)),
     ]
@@ -212,7 +212,7 @@ def test_a_bad_tolerance_is_rejected_with_a_typed_error(field, bad):
     node = NodeDynamics(A=np.zeros((1, 1)), beta=[1.0], gamma=[1.0])
     calls = [
         lambda: estimate_spectrum(values, opts=opts),
-        lambda: estimate_spectrum(values, node, opts),
+        lambda: estimate_spectrum(OutputSequence(values, node=node), opts),
         lambda: estimate_spectrum(OutputSequence(values, mode=CT, tau=1.0), opts=opts),
     ]
     if field == "rank_tolerance":
@@ -422,7 +422,7 @@ def test_refinement_stops_at_the_first_repeated_iterate(monkeypatch):
 
 ENTRY_POINTS = {
     "dt": lambda y, opts: estimate_spectrum(y, opts=opts),
-    "dt-networked": lambda y, opts: estimate_spectrum(y, NodeDynamics.trivial(), opts),
+    "dt-networked": lambda y, opts: estimate_spectrum(OutputSequence(y, node=NodeDynamics.trivial()), opts),
     "ct": lambda y, opts: estimate_spectrum(OutputSequence(y, mode=CT, tau=1.0), opts=opts),
 }
 
@@ -962,7 +962,7 @@ def test_networked_estimate_with_trivial_node_is_bitwise_plain():
     setup = ObservationSetup(x0=rng.uniform(0, 1, 5), c=rng.uniform(0, 1, 5))
     y = simulate_dt(G, setup, K=10)
     plain = estimate_spectrum(y)
-    networked = estimate_spectrum(y, NodeDynamics.trivial())
+    networked = estimate_spectrum(OutputSequence(y.values, node=NodeDynamics.trivial()))
     assert networked.roots == plain.roots
     assert networked.rank == plain.rank and networked.residual == plain.residual
 
@@ -970,7 +970,8 @@ def test_networked_estimate_with_trivial_node_is_bitwise_plain():
 def test_networked_scalar_case_recovers_the_network_rate():
     node = NodeDynamics(A=[[0.3]], beta=[1.0], gamma=[1.0])
     y = simulate_dt_networked(np.array([[0.7]]), node, ObservationSetup(x0=[1.0], c=[1.0]), K=6)
-    est = estimate_spectrum(y, node)
+    assert y.node is node  # the networked rollout records its node for the estimator
+    est = estimate_spectrum(y)
     assert len(est.roots) == 1 and abs(est.roots[0][0] - 0.7) < 1e-9
 
 
