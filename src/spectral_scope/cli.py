@@ -106,19 +106,10 @@ def _write_json(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_setup_json(path, setup: ObservationSetup, mode: str, tau, seed, node, **extra) -> None:
-    """The setup file ``verify`` reads: the realized x0 and c, plus the run's metadata."""
-    payload = {
-        "schema": 1,
-        "mode": mode,
-        "tau": tau,
-        "seed": seed,
-        "x0": setup.x0.tolist(),
-        "c": setup.c.tolist(),
-        "node": node.to_json_dict() if node is not None else None,
-        **extra,
-    }
-    _write_json(payload, path)
+def _write_setup_json(path, setup: ObservationSetup, **extra) -> None:
+    """The setup file ``verify`` reads: the realized x0 and c. The run's mode,
+    tau, seed and node are the sequence sidecar's to record."""
+    _write_json({"schema": 1, "x0": setup.x0.tolist(), "c": setup.c.tolist(), **extra}, path)
 
 
 def _load_node(args) -> NodeDynamics | None:
@@ -208,7 +199,7 @@ def cmd_simulate(args) -> int:
             seq = simulate_ct_networked(M, node, setup, tau=args.tau, K=K)
     except SimulationOverflowError as exc:
         if exc.partial.size:
-            partial = OutputSequence(exc.partial, mode=args.mode, tau=args.tau, n_hint=n, node=node)
+            partial = OutputSequence(exc.partial, mode=args.mode, tau=args.tau, node=node)
             write_sequence(partial, args.out, seed=args.seed)
             print(f"overflow at sample {exc.index}; partial sequence written", file=sys.stderr)
         else:
@@ -221,7 +212,7 @@ def cmd_simulate(args) -> int:
         return _fail_usage(str(exc))
     write_sequence(seq, args.out, seed=args.seed)
     setup_path = Path(args.out).with_suffix(".setup.json")
-    _write_setup_json(setup_path, setup, seq.mode, seq.tau, args.seed, node)
+    _write_setup_json(setup_path, setup)
     print(f"{len(seq.values)} samples -> {args.out} (+sidecar, {setup_path.name})")
     return EXIT_OK
 
@@ -353,10 +344,7 @@ def cmd_demo(args) -> int:
 
     write_graph_tsv(art.graph, outdir / "graph.tsv")
     write_matrix_csv(art.matrix, outdir / "matrix.csv")
-    _write_setup_json(
-        outdir / "setup.json", art.setup, DT if art.tau is None else CT, art.tau, args.seed,
-        art.node, scenario=result.name, tol=result.tol,
-    )
+    _write_setup_json(outdir / "setup.json", art.setup, scenario=result.name, tol=result.tol)
     if art.sequence is not None:
         write_sequence(art.sequence, outdir / "output.csv", seed=args.seed)
     if result.estimate is not None:

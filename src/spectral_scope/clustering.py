@@ -7,6 +7,9 @@ max(1, |value|) so unit-scale and large spectra behave alike.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 __all__ = ["cluster_indices", "cluster_complex", "enforce_conjugate_pairs"]
@@ -47,10 +50,23 @@ def cluster_indices(values, tol: float) -> list[np.ndarray]:
 
 
 def _centroid(group: np.ndarray) -> complex:
-    """``complex(group.mean())`` bit for bit; a lone value skips np.mean but keeps its
-    zero-started sum and, if complex, Smith's division by 1: both send a -0.0 real part to +0.0."""
+    """``complex(group.mean())`` bit for bit, unless the sum of finite values overflows;
+    a lone value skips np.mean but keeps its zero-started sum and, if complex, Smith's
+    division by 1: both send a -0.0 real part to +0.0."""
     if len(group) > 1:
-        return complex(group.mean())
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = complex(group.mean())
+        if not cmath.isfinite(mean) and np.isfinite(group).all():
+            # A part of the sum overflowed (and numpy's complex division by len
+            # may turn the other part into inf * 0 = nan), but the mean lies
+            # within the doubles. Scaling by a power of two at most 1/len keeps
+            # the sum in range and is exact down to subnormals.
+            s = 0.5 ** len(group).bit_length()
+            scaled = complex((group * s).mean())
+            re = mean.real if math.isfinite(mean.real) else scaled.real / s
+            im = mean.imag if math.isfinite(mean.imag) else scaled.imag / s
+            mean = complex(re, im)
+        return mean
     z = complex(group[0])
     a, b = 0.0 + z.real, 0.0 + z.imag
     return complex(a + b * 0.0, b - a * 0.0) if np.iscomplexobj(group) else complex(a)

@@ -110,9 +110,7 @@ class ScenarioArtifacts:
     graph: Graph
     matrix: np.ndarray
     setup: ObservationSetup
-    node: NodeDynamics | None
-    sequence: OutputSequence | None  # None when the simulation overflowed
-    tau: float | None  # the sampling period of a continuous-time preset
+    sequence: OutputSequence | None  # None when the simulation overflowed; holds tau and node
 
 
 @dataclass(eq=False)
@@ -163,7 +161,7 @@ def run_scenario(name: str, seed: int = 0, keep_artifacts: bool = False) -> Scen
             y = simulate_dt(M, setup, K=2 * g.n)
     except SimulationOverflowError:
         y = None
-    artifacts = ScenarioArtifacts(g, M, setup, node, y, tau) if keep_artifacts else None
+    artifacts = ScenarioArtifacts(g, M, setup, y) if keep_artifacts else None
     if y is None:
         return ScenarioResult(name, seed, False, tol, float("inf"), overflow=True, artifacts=artifacts)
 

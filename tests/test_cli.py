@@ -118,14 +118,15 @@ def test_simulate_writes_the_swap_trace_verbatim(tmp_path, capsys):
     out_csv = tmp_path / "y.csv"
     code, _, _ = run(
         capsys, "simulate", "--matrix", matrix, "--x0", "1,0", "--observe", 0,
-        "--K", 4, "--out", out_csv,
+        "--K", 4, "--tau", 0.5, "--out", out_csv,
     )
     assert code == 0
     assert out_csv.read_text() == "k,y\n0,1\n1,0\n2,1\n3,0\n"
     sidecar = json.loads((tmp_path / "y.json").read_text())
-    assert sidecar["mode"] == "dt" and sidecar["n_hint"] == 2
+    # a dt record has no sampling period, whatever --tau says
+    assert sidecar == {"schema": 1, "mode": "dt", "tau": None, "seed": None}
     setup = json.loads((tmp_path / "y.setup.json").read_text())
-    assert setup["x0"] == [1.0, 0.0] and setup["c"] == [1.0, 0.0]
+    assert setup == {"schema": 1, "x0": [1.0, 0.0], "c": [1.0, 0.0]}
 
 
 def test_simulate_defaults_to_two_n_samples(tmp_path, capsys):
@@ -156,7 +157,7 @@ def test_a_node_makes_simulate_networked(tmp_path, capsys, mode, simulator):
     written = json.loads((tmp_path / "y.json").read_text())["node"]
     assert [written[k] for k in ("A", "beta", "gamma")] == [node.A.tolist(), node.beta.tolist(), node.gamma.tolist()]
     setup = json.loads((tmp_path / "y.setup.json").read_text())
-    assert setup["node"] == written
+    assert sorted(setup) == ["c", "schema", "x0"]  # the node is the sidecar's alone
     kwargs = {"tau": 0.5} if mode == "ct" else {}
     expected = simulator(read_matrix_csv(matrix), node, ObservationSetup(setup["x0"], setup["c"]), K=4, **kwargs)
     y = read_sequence(tmp_path / "y.csv")
@@ -224,18 +225,6 @@ def test_a_node_flag_that_gives_no_node_is_a_usage_error(tmp_path, capsys, flags
     code, out, err = run(capsys, "simulate", "--matrix", matrix, *flags, "--seed", 1, "--out", tmp_path / "y.csv")
     assert code == 2 and out == "" and err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
-
-
-def test_the_setup_file_takes_mode_and_tau_from_the_sequence(tmp_path, capsys):
-    # a dt sequence has no sampling period, whatever --tau says
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    code, _, _ = run(capsys, "simulate", "--matrix", matrix, "--mode", "dt", "--tau", 0.5,
-                     "--seed", 1, "--out", tmp_path / "y.csv")
-    assert code == 0
-    sidecar = json.loads((tmp_path / "y.json").read_text())
-    setup = json.loads((tmp_path / "y.setup.json").read_text())
-    assert (setup["mode"], setup["tau"]) == (sidecar["mode"], sidecar["tau"]) == ("dt", None)
 
 
 def test_simulate_samples_continuous_decay(tmp_path, capsys):
@@ -547,6 +536,59 @@ def test_a_malformed_node_file_is_a_usage_error(tmp_path, capsys, command, node,
     assert code == 2 and out == ""
     assert err.startswith(prefix + message) and err.count("\n") == 1
     assert not out_file.exists()
+
+
+# One chain's files as they were written while the sidecar carried "n_hint"
+# and the setup repeated the sidecar's mode, tau, seed and node: OLD_MATRIX,
+# then ``simulate --x0 1,0.5,0.25 --observe 0 --K 6 --seed 1``, plain in
+# discrete time and, in continuous time at tau = 0.5, with the node OLD_NODE.
+OLD_MATRIX = "0.5,1,0\n0,-0.4,1\n0.3,0,0.2\n"
+OLD_NODE = {"schema": 1, "A": [[-0.5]], "beta": [1.0], "gamma": [1.0]}
+OLD_FILES = {
+    "dt": (
+        "k,y\n0,1\n1,1\n2,0.55000000000000004\n3,0.60499999999999998\n4,0.54049999999999998\n"
+        "5,0.41404999999999997\n",
+        {"schema": 1, "mode": "dt", "tau": None, "n_hint": 3, "seed": 1},
+        {"schema": 1, "mode": "dt", "tau": None, "seed": 1, "x0": [1.0, 0.5, 0.25], "c": [1.0, 0.0, 0.0],
+         "node": None},
+    ),
+    "ct": (
+        "t,y\n0,1\n0.5,1.2327468613553405\n1,1.4571313491863391\n1.5,1.70363085114113\n"
+        "2,1.9944888918012769\n2.5,2.3472706241444272\n",
+        {"schema": 1, "mode": "ct", "tau": 0.5, "n_hint": 3, "seed": 1, "node": OLD_NODE},
+        {"schema": 1, "mode": "ct", "tau": 0.5, "seed": 1, "x0": [1.0, 0.5, 0.25], "c": [1.0, 0.0, 0.0],
+         "node": OLD_NODE},
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", ["dt", "ct"])
+def test_files_of_the_older_schema_give_the_same_results(tmp_path, capsys, mode):
+    csv, sidecar, setup = OLD_FILES[mode]
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+        (d / "m.csv").write_text(OLD_MATRIX)
+    (old / "y.csv").write_text(csv)
+    (old / "y.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+    (old / "y.setup.json").write_text(json.dumps(setup, indent=2) + "\n")
+    (new / "node.json").write_text(json.dumps(OLD_NODE))
+    flags = ("--mode", "ct", "--tau", 0.5, "--node", new / "node.json") if mode == "ct" else ()
+    code, _, _ = run(capsys, "simulate", "--matrix", new / "m.csv", "--x0", "1,0.5,0.25", "--observe", 0,
+                     "--K", 6, "--seed", 1, *flags, "--out", new / "y.csv")
+    assert code == 0 and (new / "y.csv").read_text() == csv
+    assert json.loads((new / "y.json").read_text()) == {k: v for k, v in sidecar.items() if k != "n_hint"}
+    assert json.loads((new / "y.setup.json").read_text()) == {k: setup[k] for k in ("schema", "x0", "c")}
+    results = []
+    for d in (old, new):
+        steps = [
+            ("estimate", "--y", d / "y.csv", "--out", d / "spectrum.json"),
+            ("verify", "--matrix", d / "m.csv", "--estimate", d / "spectrum.json", "--setup", d / "y.setup.json",
+             "--out", d / "match.json"),
+        ]
+        assert [run(capsys, *argv)[0] for argv in steps] == [0, 0]
+        results.append([(d / name).read_bytes() for name in ("spectrum.json", "match.json")])
+    assert results[0] == results[1]
 
 
 # =========================================================================
@@ -883,8 +925,8 @@ def test_demo_presets_pass_and_write_artifacts(tmp_path, capsys, name):
         assert (outdir / fname).is_file(), fname
     match = json.loads((outdir / "match.json").read_text())
     assert match["pass"] is True and match["overflow"] is False
-    setup = json.loads((outdir / "setup.json").read_text())
-    assert (setup["mode"], setup["tau"], setup["node"] is not None) == PRESET_SETUPS[name]
+    sidecar = json.loads((outdir / "output.json").read_text())
+    assert (sidecar["mode"], sidecar["tau"], "node" in sidecar) == PRESET_SETUPS[name]
 
 
 @pytest.mark.parametrize(
@@ -1037,7 +1079,7 @@ def test_fig3_builds_its_pinned_system_once_and_shares_it_read_only(tmp_path, ca
     assert spectra == []  # the warm seeds reuse the pinned true spectrum
 
     result = scenarios.run_scenario("fig3", 0, keep_artifacts=True)
-    for shared in (result.artifacts.matrix, result.truth, result.artifacts.node.A):
+    for shared in (result.artifacts.matrix, result.truth, result.artifacts.sequence.node.A):
         with pytest.raises(ValueError, match="read-only"):
             shared[0] = 0.0
 
@@ -1127,6 +1169,42 @@ def test_every_readme_command_parses(capsys):
             pytest.fail(f"README command does not parse: spectral-scope {shlex.join(argv)}\n"
                         f"{capsys.readouterr().err}")
     assert parsed == {"generate", "simulate", "estimate", "verify", "demo", "bench"}
+
+
+def readme_file_row(name: str) -> str:
+    """The format cell of the README file table's row for ``name``."""
+    (row,) = re.findall(rf"^\| {name} \| (.*) \|$", README.read_text(), flags=re.M)
+    return row
+
+
+def readme_keys(row: str) -> list[str]:
+    """The keys of the first JSON object a file-table cell names, as in ``{schema, mode, node?}``."""
+    return re.search(r"`\{([^}]*)\}`", row).group(1).split(", ")
+
+
+def test_the_readme_file_table_names_the_keys_simulate_and_demo_write(tmp_path, capsys):
+    sidecar_keys = readme_keys(readme_file_row("sequence sidecar"))
+    always = {k for k in sidecar_keys if not k.endswith("?")}
+    networked = always | {k.rstrip("?") for k in sidecar_keys}
+    setup_row = readme_file_row("setup")
+    setup_keys = set(readme_keys(setup_row))
+    demo_adds = set(re.findall(r"`(\w+)`", re.search(r"`demo` adds ((?:`\w+`(?:, | and )?)+)", setup_row).group(1)))
+
+    matrix = tmp_path / "rot.csv"
+    matrix.write_text(ROT_CSV)
+    steps = [
+        ("simulate", "--matrix", matrix, "--seed", 1, "--out", tmp_path / "y.csv"),
+        ("simulate", "--matrix", matrix, "--node-d", 2, "--seed", 1, "--out", tmp_path / "n.csv"),
+        ("demo", "fig3", "--outdir", tmp_path / "fig3"),
+    ]
+    assert [run(capsys, *argv)[0] for argv in steps] == [0, 0, 0]
+
+    def keys(name: str) -> set[str]:
+        return set(json.loads((tmp_path / name).read_text()))
+
+    assert keys("y.json") == always and keys("n.json") == keys("fig3/output.json") == networked
+    assert keys("y.setup.json") == keys("n.setup.json") == setup_keys
+    assert keys("fig3/setup.json") == setup_keys | demo_adds and demo_adds == {"scenario", "tol"}
 
 
 # each subcommand without a required flag or argument, with an unknown flag

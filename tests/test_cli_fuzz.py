@@ -104,7 +104,7 @@ def square_node(d: int):
 @given(
     meta=ANY | st.fixed_dictionaries(
         {"mode": st.sampled_from(["dt", "ct"]) | ANY},
-        optional={
+        optional={  # n_hint: a key that older sidecars carry and no step reads
             "tau": st.sampled_from([0.5, 1.0]) | ANY, "n_hint": ANY, "seed": ANY,
             "node": st.just(NODE) | st.integers(1, 3).flatmap(square_node) | ANY,
         },

@@ -42,7 +42,7 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 def test_identity_dynamics_hold_the_output_constant():
     y = simulate_dt(np.eye(2), ObservationSetup(x0=[1, 2], c=[1, 1]), K=4)
     assert np.array_equal(y.values, [3.0, 3.0, 3.0, 3.0])
-    assert y.mode == DT and y.n_hint == 2
+    assert y.mode == DT
 
 
 def test_swap_dynamics_alternate():
@@ -288,7 +288,7 @@ def test_overflow_reports_index_and_partial_prefix(mode):
 # these loops' results bit for bit, overflow reports included.
 
 
-def _per_step_rollout(state, step, output, K, mode, tau, n_hint):
+def _per_step_rollout(state, step, output, K, mode, tau):
     ys = np.empty(K)
     for k in range(K):
         ys[k] = float(output(state))
@@ -298,7 +298,7 @@ def _per_step_rollout(state, step, output, K, mode, tau, n_hint):
             )
         if k + 1 < K:
             state = step(state)
-    return OutputSequence(ys, mode=mode, tau=tau, n_hint=n_hint)
+    return OutputSequence(ys, mode=mode, tau=tau)
 
 
 def _per_step_simulation(kind, G, setup, K, node, tau):
@@ -321,7 +321,7 @@ def _per_step_simulation(kind, G, setup, K, node, tau):
         output = lambda w: (c @ w[:n]) * (gl @ w[n:])
     mode = "dt" if kind.startswith("dt") else "ct"
     tau = None if mode == "dt" else float(tau)
-    return _per_step_rollout(state, step, output, K, mode, tau, n)
+    return _per_step_rollout(state, step, output, K, mode, tau)
 
 
 def _per_step_nu(node, K, mode, tau):
@@ -356,7 +356,7 @@ def _outcome(run):
     except OverflowError as exc:
         return "overflow-error", str(exc)
     if isinstance(result, OutputSequence):
-        return "ok", result.values.tobytes(), result.mode, result.tau, result.n_hint
+        return "ok", result.values.tobytes(), result.mode, result.tau
     return "ok", result.dtype, result.tobytes()
 
 
@@ -482,12 +482,12 @@ def test_sequence_metadata_is_validated():
 @pytest.mark.parametrize("mode,tau", [(DT, None), (CT, 0.25)])
 def test_sequence_files_roundtrip_exactly(tmp_path, mode, tau):
     rng = np.random.default_rng(2)
-    seq = OutputSequence(rng.standard_normal(9), mode=mode, tau=tau, n_hint=4)
+    seq = OutputSequence(rng.standard_normal(9), mode=mode, tau=tau)
     path = tmp_path / "y.csv"
     write_sequence(seq, path, seed=42)
     back = read_sequence(path)
     assert np.array_equal(back.values, seq.values)
-    assert back.mode == seq.mode and back.tau == seq.tau and back.n_hint == 4
+    assert back.mode == seq.mode and back.tau == seq.tau
     header = path.read_text().splitlines()[0]
     assert header == ("k,y" if mode == DT else "t,y")
     # a NaN or infinite sample is rejected at its line, not left to the estimator

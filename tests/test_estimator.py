@@ -43,7 +43,7 @@ from spectral_scope import (
     solve_coefficients,
 )
 from spectral_scope import estimator
-from spectral_scope.clustering import _centroid, cluster_indices
+from spectral_scope.clustering import _centroid, cluster_complex, cluster_indices
 from spectral_scope.estimator import (
     _REFINE_SWEEPS,
     _exact_residual,
@@ -619,12 +619,33 @@ centroid_parts = st.one_of(
 @example([complex(-0.0, -0.0)], True)
 @example([complex(INF, 1.0)], True)
 @example([complex(-INF, 0.0)], False)
+@example([complex(1.7976931348623157e308, 1.0)] * 2, False)
+@example([complex(1.7976931348623157e308, 0.0), complex(1.7976931348623157e308, 5e-324)], False)
+@example([complex(-1e308, 0.0), complex(-1e308, 0.0)], True)
 @settings(max_examples=300, deadline=None)
 def test_centroid_gives_the_bits_of_np_mean(group, real):
+    # every part whose sum stays in range keeps np.mean's bits; a part whose
+    # finite values overflow the sum gets a finite mean within rounding of
+    # the exact one instead of np.mean's inf or nan
     values = np.array([z.real for z in group]) if real else np.array(group, dtype=complex)
     with np.errstate(all="ignore"):  # np.mean of two or more values may overflow or meet inf - inf
         want, got = complex(values.mean()), _centroid(values)
-    assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+    finite = np.isfinite(values).all()
+    for w, g, part in ((want.real, got.real, values.real), (want.imag, got.imag, values.imag)):
+        if finite and not math.isfinite(w):
+            exact = [Fraction(float(x)) for x in part]
+            assert math.isfinite(g)
+            bound = sum(map(abs, exact)) * Fraction(2.0**-51) + Fraction(2.0**-1072)  # + 4 subnormal ulps
+            assert abs(Fraction(g) - sum(exact) / len(exact)) <= bound
+        else:
+            assert g.hex() == w.hex()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_cluster_whose_sum_overflows_has_its_finite_mean():
+    # np.mean of the two values would overflow its sum and warn
+    assert cluster_complex([-1e308, -1e308], 1e-6) == [(complex(-1e308, 0.0), 2)]
+    assert cluster_complex([complex(-1e308, 1.0), complex(-1e308, 3.0)], 1e-6) == [(complex(-1e308, 2.0), 2)]
 
 
 @given(
