@@ -6,6 +6,10 @@ identical higher-dimensional linear agents at the nodes. Powers of the system
 matrix are never formed; every rollout is an iterated matrix-vector product,
 and networked rollouts work blockwise so the Kronecker-stacked matrix is
 never materialized.
+
+This module alone owns the rollout arithmetic and the matrix exponential.
+The estimator's node weights ``gamma^T A^k beta`` are an agent's own rollout
+through ``simulate_dt`` or ``simulate_ct_sampled``, so they share it.
 """
 
 from __future__ import annotations
@@ -238,8 +242,9 @@ def _rollout(state, step, output, K: int, mode: str, tau, node=None) -> OutputSe
     # accumulates in extended precision where the platform has one (x86 long
     # double), so each emitted double carries only its final rounding instead
     # of K steps of drift. The presets depend on it: with np.longdouble
-    # replaced by float64 in this module they pass 279/268/298 of 300 seeds
-    # instead of 287/276/299, and acceptance criterion 2 falls to 89 of 100
+    # replaced by float64 in this module, fig3's node weights included, they
+    # pass 279/268/298 of 300 seeds instead of 287/276/299, acceptance
+    # criterion 1 sits at its floor of 95 of 100 and criterion 2 falls to 89
     # against its floor of 90 (numpy 2.4.6 on x86-64).
     #
     # The states of a block are stacked, and ``output`` maps the stack to the

@@ -8,8 +8,10 @@ numerically split roots into (value, multiplicity) pairs, and, for sampled
 continuous-time data, map each root through the principal complex logarithm.
 Networked outputs first have the known identical per-agent dynamics, which
 the record carries as its ``node``, stripped, after which the plain pipeline
-applies unchanged. ``estimate_spectrum`` runs the whole pipeline for every
-kind of record.
+applies unchanged. The node weights that stripping divides out are the
+agent's own output sequence, which the simulators in ``dynamics`` roll out;
+this module runs no rollout of its own. ``estimate_spectrum`` runs the whole
+pipeline for every kind of record.
 
 The detected rank equals the number of eigenvalues that are actually present
 in the output (weighted by how much of each Jordan chain the initial state
@@ -29,7 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import cluster_complex, enforce_conjugate_pairs
-from .dynamics import CT, DT, NodeDynamics, OutputSequence, matrix_exponential
+from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence,
+                       SimulationOverflowError, simulate_ct_sampled, simulate_dt)
 
 __all__ = [
     "EstimatorOptions",
@@ -552,6 +555,9 @@ _nu_memo: tuple = (None, None)
 def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = None) -> np.ndarray:
     """Node impulse weights: gamma^T A^k beta (discrete) or gamma^T e^{A k tau} beta (sampled).
 
+    They are the agent's own output sequence: ``simulate_dt`` (or
+    ``simulate_ct_sampled``) of ``A`` from ``x0 = beta`` through ``c =
+    gamma``, with its precision and its memory bound of one rollout block.
     Raises ``OverflowError`` naming the first weight beyond the double range.
     The weights of the last call are kept, keyed on the content of A, beta
     and gamma (not on the node object) with K, mode and tau, and every call
@@ -567,26 +573,17 @@ def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = 
 def _impulse_weights(node: NodeDynamics, K: int, mode: str, tau: float | None) -> np.ndarray:
     if K < 1:
         raise ValueError(f"need at least one weight, got K={K}")
-    if mode == CT:
-        if tau is None or not tau > 0:
-            raise ValueError("sampled node weights need tau > 0")
-        P = matrix_exponential(node.A, tau)
-    elif mode == DT:
-        P = node.A
-    else:
+    if mode not in (DT, CT):
         raise ValueError(f"mode must be {DT!r} or {CT!r}, got {mode!r}")
-    Pl = P.astype(np.longdouble)
-    # the K node states A^k beta as rows, then every weight in one product
-    V = np.empty((K, node.d), dtype=np.longdouble)
-    V[0] = node.beta
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, with the k it hit
-        for k in range(1, K):
-            np.matmul(Pl, V[k - 1], out=V[k])
-        out = (V @ node.gamma.astype(np.longdouble)).astype(float)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        raise OverflowError(f"node weight nu[{bad[0]}] lies beyond the double range")
-    return out
+    if mode == CT and (tau is None or not tau > 0):
+        raise ValueError("sampled node weights need tau > 0")
+    setup = ObservationSetup(x0=node.beta, c=node.gamma)
+    try:
+        if mode == DT:
+            return simulate_dt(node.A, setup, K).values
+        return simulate_ct_sampled(node.A, setup, tau, K).values
+    except SimulationOverflowError as exc:
+        raise OverflowError(f"node weight nu[{exc.index}] lies beyond the double range") from None
 
 
 def _node_weights(nu, K: int) -> np.ndarray:

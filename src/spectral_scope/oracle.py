@@ -322,14 +322,6 @@ def match_spectra(estimated, truth, tol: float) -> MatchReport:
     """
     est = _expand_values(estimated)
     true = _expand_values(truth)
-    if est.size == 0 or true.size == 0:
-        return MatchReport(
-            pairs=[],
-            unmatched_true=[complex(v) for v in true],
-            unmatched_estimated=[complex(v) for v in est],
-            max_error=0.0,
-            mean_error=0.0,
-        )
     cost = np.abs(est[:, None] - true[None, :])
     rows, cols = _assignment(cost)
     pairs: list[tuple[complex, complex, float]] = []

@@ -96,8 +96,9 @@ def test_generate_without_n_is_a_usage_error(tmp_path, capsys):
         (("--model", "pa", "--n", 5, "--m", 0), "m_attach must be positive"),
         (("--model", "pa", "--n", 5, "--weights", "1,1"), "need lo < hi"),
         (("--model", "ring", "--n", 0), "ring needs at least 2 nodes"),
+        (("--model", "ring", "--n", 4, "--weights", "1"), "--weights expects LO,HI"),
     ],
-    ids=["n-1", "n-negative", "m-above-n", "m-0", "empty-weight-range", "ring-n-0"],
+    ids=["n-1", "n-negative", "m-above-n", "m-0", "empty-weight-range", "ring-n-0", "one-weight-bound"],
 )
 def test_a_graph_the_generators_reject_is_a_usage_error(tmp_path, capsys, argv, message):
     graph, matrix = tmp_path / "g.tsv", tmp_path / "m.csv"
@@ -311,8 +312,9 @@ def test_simulate_of_an_observed_node_out_of_range_is_a_usage_error(tmp_path, ca
         (("simulate", "--matrix", "swap.csv", "--x0", "nan,1", "--observe", 0), "nan,1"),
         (("simulate", "--matrix", "swap.csv", "--observe", 0, "--observe-weights", "inf"), "inf"),
         (("generate", "--model", "ring", "--n", 2, "--weights", "nan,1"), "nan,1"),
+        (("simulate", "--matrix", "swap.csv", "--x0", "a,1", "--observe", 0), "a,1"),
     ],
-    ids=["x0", "observe-weights", "weights"],
+    ids=["x0", "observe-weights", "weights", "x0-not-a-number"],
 )
 def test_a_non_finite_list_value_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, text):
     monkeypatch.chdir(tmp_path)
@@ -323,6 +325,28 @@ def test_a_non_finite_list_value_is_a_usage_error(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: expected comma-separated finite numbers, got {text!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
+
+
+def test_an_x0_of_the_wrong_length_is_a_usage_error(tmp_path, capsys):
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "simulate", "--matrix", matrix, "--x0", "1,2,3", "--out", tmp_path / "y.csv")
+    assert info.value.code == 2
+    assert capsys.readouterr() == ("", "error: --x0 has 3 entries, matrix is 2x2\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds one line
+def test_simulate_that_overflows_at_the_first_sample_records_nothing(tmp_path, capsys):
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    code, out, err = run(
+        capsys, "simulate", "--matrix", matrix, "--x0", "1e308,1e308", "--observe", "0,1",
+        "--out", tmp_path / "y.csv",
+    )
+    assert (code, out, err) == (1, "", "overflow at sample 0; nothing recorded\n")
     assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
 
 
@@ -961,6 +985,11 @@ def test_a_demo_output_estimates_and_verifies_with_no_node_flag(tmp_path, capsys
     assert "node" in json.loads((outdir / "output.json").read_text())
 
 
+def test_an_unknown_scenario_is_named():
+    with pytest.raises(ValueError, match=r"^unknown scenario 'fig4'; pick one of \('fig1', 'fig2', 'fig3'\)$"):
+        scenarios.run_scenario("fig4")
+
+
 def test_demo_into_an_existing_file_is_a_usage_error(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
@@ -1111,6 +1140,14 @@ def test_an_abbreviated_config_flag_is_a_usage_error(tmp_path, capsys, flag):
             run(capsys, *tokens, *argv)
         assert excinfo.value.code == 2 and not matrix.exists()
         assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {tokens[0]}\n")
+
+
+def test_no_arguments_at_all_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main([])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "the following arguments are required: command" in captured.err
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

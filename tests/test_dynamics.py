@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,10 @@ def test_dimension_mismatch_is_rejected():
         simulate_dt(SWAP, ObservationSetup(x0=[1, 0, 0], c=[1, 0, 0]), K=3)
     with pytest.raises(ValueError):
         simulate_dt(SWAP, ObservationSetup(x0=[1, 0], c=[1, 0]), K=0)
+    with pytest.raises(ValueError, match=r"^x0 and c must be equal-length vectors, got \(2,\) and \(1,\)$"):
+        ObservationSetup(x0=[1, 2], c=[1])
+    with pytest.raises(ValueError, match=r"^square matrix required, got shape \(2, 3\)$"):
+        simulate_dt(np.zeros((2, 3)), ObservationSetup(x0=[1, 0], c=[1, 0]), K=3)
 
 
 @given(st.floats(0.05, 20.0), st.booleans())
@@ -210,6 +216,8 @@ def test_exponential_rejects_bad_inputs():
         matrix_exponential(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         matrix_exponential(np.zeros((2, 2)), float("nan"))
+    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+        matrix_exponential([[float("nan")]])
 
 
 def test_ct_zero_matrix_holds_constant():
@@ -246,6 +254,8 @@ def test_ct_sampling_equals_dt_on_the_exponential():
 def test_ct_requires_positive_tau():
     with pytest.raises(ValueError):
         simulate_ct_sampled(SWAP, ObservationSetup(x0=[1, 0], c=[1, 0]), tau=0.0, K=4)
+    with pytest.raises(ValueError, match=r"^sampling period must be positive, got tau=0.0$"):
+        simulate_ct_networked(SWAP, NodeDynamics.trivial(), ObservationSetup(x0=[1, 0], c=[1, 0]), tau=0.0, K=4)
 
 
 # =========================================================================
@@ -283,9 +293,10 @@ def test_overflow_reports_index_and_partial_prefix(mode):
 
 
 # Reference loops that test each step's state and output for overflow before
-# taking the next step. The simulators test all outputs once, after their
-# loop, and nu_sequence forms every weight in one product; both must give
-# these loops' results bit for bit, overflow reports included.
+# taking the next step. The simulators test a block's outputs once, after its
+# loop, and nu_sequence is the node's own simulate_dt or simulate_ct_sampled
+# rollout; both must give these loops' results bit for bit, overflow reports
+# included.
 
 
 def _per_step_rollout(state, step, output, K, mode, tau):
@@ -451,6 +462,55 @@ def test_one_state_blocks_give_the_same_outputs_and_overflow_reports(monkeypatch
     assert [outcome[0] for outcome in blocked] == ["ok", "ok", "ok", "overflow"]
 
 
+# The estimator's extended-precision refinement and root polish: the one
+# long-double arithmetic in src/ outside dynamics.py.
+ESTIMATOR_LONG_DOUBLE = ("solve_coefficients", "roots_with_multiplicity", "_polish_roots")
+
+
+def named(tree: ast.AST, names: set[str]) -> list[int]:
+    """Lines of ``tree`` that name one of ``names``: as a name, an attribute, an import or a definition."""
+    lines = []
+    for node in ast.walk(tree):
+        name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if name in names:
+            lines.append(node.lineno)
+    return lines
+
+
+def rollout_arithmetic(path: Path, source: str) -> list[int]:
+    """Lines of a ``src/`` module, other than dynamics.py, that take over the
+    rollouts' arithmetic: ``matrix_exponential`` anywhere, and in
+    estimator.py long doubles outside ``ESTIMATOR_LONG_DOUBLE``."""
+    tree = ast.parse(source)
+    lines = named(tree, {"matrix_exponential"})
+    if path.name == "estimator.py":
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name in ESTIMATOR_LONG_DOUBLE):
+                lines += named(node, {"longdouble", "clongdouble"})
+    return sorted(lines)
+
+
+def test_dynamics_alone_owns_the_rollout_arithmetic():
+    src = Path(dynamics.__file__).resolve().parent
+    # the package root only re-exports matrix_exponential
+    modules = [p for p in sorted(src.glob("*.py")) if p.name not in ("dynamics.py", "__init__.py")]
+    found = {p.name: rollout_arithmetic(p, p.read_text()) for p in modules}
+    assert "estimator.py" in found and all(not lines for lines in found.values()), found
+    # and the guard sees what it is there to catch
+    estimator_py = src / "estimator.py"
+    planted = {
+        "from .dynamics import matrix_exponential": [1],
+        "P = dynamics.matrix_exponential(A, tau)": [1],
+        "def _impulse_weights(node):\n    return node.A.astype(np.longdouble)": [2],
+        "V = np.empty(3, dtype=np.clongdouble)": [1],
+        "from numpy import longdouble": [1],
+        "def solve_coefficients(h):\n    return np.longdouble(1)": [],
+    }
+    for source, lines in planted.items():
+        assert rollout_arithmetic(estimator_py, source) == lines, source
+    assert rollout_arithmetic(src / "oracle.py", "x = np.longdouble(1)") == []
+
+
 # =========================================================================
 # Setup drawing and file formats
 # =========================================================================
@@ -469,6 +529,8 @@ def test_random_setup_is_deterministic_and_validates_indices():
     assert np.array_equal(a.x0, b.x0) and np.array_equal(a.c, b.c)
     with pytest.raises(ValueError):
         random_setup(5, seed=0, observed=[5])
+    with pytest.raises(ValueError, match="^one weight per observed node required$"):
+        random_setup(3, observed=[0, 1], observe_weights=[1.0])
 
 
 def test_sequence_metadata_is_validated():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -199,6 +200,12 @@ def test_non_finite_outputs_are_rejected_with_a_typed_error(bad):
         # numpy's LinAlgError is a ValueError too, so the message is what tells them apart
         with pytest.raises(ValueError, match=r"^output y\[2\] is not finite$"):
             call()
+
+
+@pytest.mark.parametrize("values", [[], np.ones((2, 2))], ids=["empty", "2-d"])
+def test_an_empty_or_2d_sequence_is_rejected_with_a_typed_error(values):
+    with pytest.raises(ValueError, match="^a non-empty 1-d sequence of outputs is required$"):
+        estimate_spectrum(values)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
@@ -849,6 +856,23 @@ def test_calls_that_differ_in_k_tau_or_mode_do_not_share_weights(monkeypatch):
     assert builds == calls
 
 
+def test_node_weights_stay_within_one_rollout_block(monkeypatch):
+    # the weights are the agent's own rollout, so they hold one block of
+    # states at a time, not all K of them (8.5 MiB of long doubles here)
+    monkeypatch.setattr(estimator, "_nu_memo", (None, None))
+    rng = np.random.default_rng(0)
+    node = NodeDynamics(A=rng.uniform(-1, 1, (128, 128)) / 16, beta=rng.uniform(-1, 1, 128),
+                        gamma=rng.uniform(-1, 1, 128))
+    tracemalloc.start()
+    try:
+        nu = nu_sequence(node, K=4096)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nu.shape == (4096,) and np.isfinite(nu).all()
+    assert peak < 2 * 2**20, peak
+
+
 def test_a_fig3_sweep_forms_its_node_weights_once(monkeypatch):
     builds = count_weight_builds(monkeypatch)
     sweep("fig3", 20)
@@ -967,6 +991,12 @@ def test_non_finite_node_weights_are_named():
     for deconvolve in (deconvolve_sigma, deconvolve_sigma_ct):
         with pytest.raises(ValueError, match=r"^node weight nu\[1\] is not finite$"):
             deconvolve([1.0, 2.0, 3.0], [1.0, float("nan"), 0.5])
+
+
+def test_too_few_node_weights_are_counted():
+    for deconvolve in (deconvolve_sigma, deconvolve_sigma_ct):
+        with pytest.raises(ValueError, match="^need 3 node weights, got 2$"):
+            deconvolve([1, 2, 3], [1, 0.5])
 
 
 def test_ct_deconvolution_divides_pointwise():

@@ -132,6 +132,11 @@ def test_norms_beyond_the_square_range_leave_the_partition_finite(x0, c):
     assert np.array_equal(part.m_tilde, plain.m_tilde) and len(part.missing) == 0
 
 
+def test_a_vector_of_the_wrong_length_is_named():
+    with pytest.raises(ValueError, match="^c and x0 must be length-3 vectors$"):
+        observable_partition(CHAIN3, c=[1.0, 0.0], x0=[1.0] * 3)
+
+
 def estimator_imports(source: str) -> list[int]:
     """Lines of ``source`` that import the estimator module or a name from it."""
     lines = []
@@ -343,6 +348,23 @@ def test_matching_reports_spurious_modes():
 def test_matching_respects_multiplicity():
     report = match_spectra([(2 + 0j, 1)], [(2 + 0j, 2)], tol=1e-9)
     assert not report.matched_all
+
+
+@pytest.mark.parametrize(
+    "estimated, truth, unmatched_estimated, unmatched_true",
+    [
+        ([], [(2 + 0j, 1), (-1j, 2)], [], [2 + 0j, -1j, -1j]),
+        ([(0.5 + 0j, 2)], [], [0.5 + 0j, 0.5 + 0j], []),
+        ([], [], [], []),
+    ],
+    ids=["empty-estimate", "empty-truth", "both-empty"],
+)
+def test_an_empty_side_leaves_every_value_unmatched(estimated, truth, unmatched_estimated, unmatched_true):
+    report = match_spectra(estimated, truth, tol=1e-9)
+    assert report.pairs == []
+    assert report.unmatched_estimated == unmatched_estimated
+    assert report.unmatched_true == unmatched_true
+    assert (report.max_error, report.mean_error) == (0.0, 0.0)
 
 
 def test_matching_accepts_estimates_and_flat_lists():
