@@ -9,121 +9,27 @@ point, ``estimate_spectrum``, for discrete, sampled continuous and networked
 records), simulators that produce such sequences, random graph generators
 for test networks, and oracle machinery to verify estimates against dense
 eigensolvers.
+
+A public name is declared once, in the ``__all__`` of the module that defines
+it; the package re-exports the ``__all__`` of its six core modules. The
+command line (``cli``) and the JSON writer (``jsontext``) are not re-exported.
 """
 
-from .clustering import cluster_complex, enforce_conjugate_pairs
-from .dynamics import (
-    CT,
-    DT,
-    NodeDynamics,
-    ObservationSetup,
-    OutputSequence,
-    SimulationOverflowError,
-    matrix_exponential,
-    random_setup,
-    read_sequence,
-    simulate_ct_networked,
-    simulate_ct_sampled,
-    simulate_dt,
-    simulate_dt_networked,
-    write_sequence,
-)
-from .estimator import (
-    CharacteristicPoly,
-    DeconvolutionOverflowError,
-    EstimatorOptions,
-    HankelAnalysis,
-    InsufficientDataError,
-    LogSingularRootError,
-    OnlineRankDetection,
-    SingularDeconvolutionError,
-    SpectrumEstimate,
-    build_hankel,
-    deconvolve_sigma,
-    deconvolve_sigma_ct,
-    detect_rank_online,
-    estimate_spectrum,
-    nu_sequence,
-    roots_with_multiplicity,
-    solve_coefficients,
-)
-from .graphs import (
-    Graph,
-    GraphMatrixKind,
-    SingularDegreeError,
-    assign_uniform_weights,
-    build_matrix,
-    generate_preferential_attachment,
-    generate_ring,
-    read_graph_tsv,
-    read_matrix_csv,
-    write_graph_tsv,
-    write_matrix_csv,
-)
-from .oracle import (
-    MatchReport,
-    OracleSpectrum,
-    full_spectrum,
-    match_spectra,
-    observable_partition,
-    pbh_deficiency,
-)
-from .scenarios import run_scenario, sweep, summarize
+from . import clustering, dynamics, estimator, graphs, oracle, scenarios
+from .clustering import *
+from .dynamics import *
+from .estimator import *
+from .graphs import *
+from .oracle import *
+from .scenarios import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CT",
-    "DT",
-    "CharacteristicPoly",
-    "DeconvolutionOverflowError",
-    "EstimatorOptions",
-    "Graph",
-    "GraphMatrixKind",
-    "HankelAnalysis",
-    "InsufficientDataError",
-    "LogSingularRootError",
-    "MatchReport",
-    "NodeDynamics",
-    "ObservationSetup",
-    "OnlineRankDetection",
-    "OracleSpectrum",
-    "OutputSequence",
-    "SimulationOverflowError",
-    "SingularDeconvolutionError",
-    "SingularDegreeError",
-    "SpectrumEstimate",
-    "assign_uniform_weights",
-    "build_hankel",
-    "build_matrix",
-    "cluster_complex",
-    "deconvolve_sigma",
-    "deconvolve_sigma_ct",
-    "detect_rank_online",
-    "enforce_conjugate_pairs",
-    "estimate_spectrum",
-    "full_spectrum",
-    "generate_preferential_attachment",
-    "generate_ring",
-    "match_spectra",
-    "matrix_exponential",
-    "nu_sequence",
-    "observable_partition",
-    "pbh_deficiency",
-    "random_setup",
-    "read_graph_tsv",
-    "read_matrix_csv",
-    "read_sequence",
-    "roots_with_multiplicity",
-    "run_scenario",
-    "simulate_ct_networked",
-    "simulate_ct_sampled",
-    "simulate_dt",
-    "simulate_dt_networked",
-    "solve_coefficients",
-    "summarize",
-    "sweep",
-    "write_graph_tsv",
-    "write_matrix_csv",
-    "write_sequence",
+    *clustering.__all__,
+    *dynamics.__all__,
+    *estimator.__all__,
+    *graphs.__all__,
+    *oracle.__all__,
+    *scenarios.__all__,
 ]

@@ -530,7 +530,10 @@ def main(argv=None) -> int:
         size = getattr(args, dest, None)
         if size is not None and size > limit:
             return _fail_usage(f"--{dest.replace('_', '-')} must be <= {limit}, got {size}")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # each step reports its own read errors, so this is a write
+        return _fail_usage(f"cannot write output: {exc}")
 
 
 if __name__ == "__main__":

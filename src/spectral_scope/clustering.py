@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["cluster_indices", "cluster_complex", "enforce_conjugate_pairs"]
+__all__ = ["cluster_complex", "enforce_conjugate_pairs"]
 
 
 def cluster_indices(values, tol: float) -> list[np.ndarray]:

@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .graphs import as_array
+from .graphs import _require_finite, as_array
 from .jsontext import dumps
 
 __all__ = [
@@ -61,7 +61,8 @@ class SimulationOverflowError(OverflowError):
 
 @dataclass(frozen=True, eq=False)
 class ObservationSetup:
-    """Initial condition x0 and output weighting c for one rollout."""
+    """Initial condition x0 and output weighting c for one rollout: finite,
+    equal-length vectors, or a ``ValueError`` naming what is not."""
 
     x0: np.ndarray
     c: np.ndarray
@@ -73,6 +74,8 @@ class ObservationSetup:
             raise ValueError(
                 f"x0 and c must be equal-length vectors, got {x0.shape} and {c.shape}"
             )
+        _require_finite(x0, "x0")
+        _require_finite(c, "c")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "c", c)
 
@@ -203,13 +206,9 @@ def matrix_exponential(M, t: float = 1.0) -> np.ndarray:
     """
     import scipy.linalg
 
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"square matrix required, got shape {A.shape}")
+    A = as_array(M)
     if not np.isfinite(t):
         raise ValueError(f"non-finite time {t}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
     # the finiteness check below reports overflow; numpy's warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         E = scipy.linalg.expm(A * float(t))

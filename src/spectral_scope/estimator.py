@@ -25,6 +25,7 @@ import cmath
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -44,8 +45,6 @@ __all__ = [
     "DeconvolutionOverflowError",
     "LogSingularRootError",
     "InsufficientDataError",
-    "default_rank_tolerance",
-    "geometric_prescale",
     "build_hankel",
     "detect_rank_online",
     "solve_coefficients",
@@ -108,11 +107,6 @@ class EstimatorOptions:
     rank_tolerance: float | None = None
     cluster_tol: float = DEFAULT_CLUSTER_TOL
     prescale: bool | None = None
-
-
-def default_rank_tolerance(r_max: int) -> float:
-    """Relative threshold used when none is supplied: 1e-10 * max(1, r_max)."""
-    return RANK_TOL_BASE * max(1, r_max)
 
 
 @dataclass(eq=False)
@@ -182,28 +176,55 @@ class SpectrumEstimate:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SpectrumEstimate":
         """The estimate ``to_json_dict`` wrote. ``ValueError`` for a non-finite
-        root, a multiplicity below 1, a mode other than DT or CT, or a negative rank."""
-        roots = [(complex(r["re"], r["im"]), int(r["multiplicity"])) for r in d["roots"]]
-        for k, (v, m) in enumerate(roots):
+        root, a multiplicity below 1, a mode other than DT or CT, a negative
+        rank, a multiplicity or rank that is not a whole number, a tau on a DT
+        spectrum, a CT tau or a rho that is not a positive finite number, or
+        warnings that are not a list of strings."""
+        roots = []
+        for k, r in enumerate(d["roots"]):
+            v, m = complex(r["re"], r["im"]), _whole(r["multiplicity"], f"root {k} multiplicity")
             if not cmath.isfinite(v):
                 raise ValueError(f"root {k} is not finite: {v}")
             if m < 1:
                 raise ValueError(f"root {k} has multiplicity {m}, below 1")
+            roots.append((v, m))
         if d["mode"] not in (DT, CT):
             raise ValueError(f"mode must be {DT!r} or {CT!r}, got {d['mode']!r}")
-        rank = int(d["rank"])
+        tau = d.get("tau")
+        if d["mode"] == CT:
+            tau = _positive(tau, "tau")
+        elif tau is not None:
+            raise ValueError(f"a {DT!r} spectrum has no tau, got {tau!r}")
+        rank = _whole(d["rank"], "rank")
         if rank < 0:
             raise ValueError(f"rank must be >= 0, got {rank}")
+        warnings = d.get("warnings", [])
+        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+            raise ValueError(f"warnings must be a list of strings, got {warnings!r}")
         return cls(
             roots=roots,
             mode=d["mode"],
-            tau=d.get("tau"),
+            tau=tau,
             rank=rank,
             residual=float(d["residual"]),
             condition=float("inf") if d.get("condition") is None else float(d["condition"]),
-            scale_rho=float(d.get("rho", 1.0)),
-            warnings=list(d.get("warnings", [])),
+            scale_rho=_positive(d.get("rho", 1.0), "rho"),
+            warnings=list(warnings),
         )
+
+
+def _whole(value, name: str) -> int:
+    """A JSON whole number as an int; ``ValueError`` for a fraction, a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name: str) -> float:
+    """A JSON number as a positive finite float; ``ValueError`` for anything else."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(eq=False)
@@ -249,7 +270,12 @@ def geometric_prescale(values) -> tuple[float, np.ndarray]:
     return rho, scaled
 
 
-def _hankel_rank(values: np.ndarray, size: int, rel_tol: float):
+def _hankel_rank(values: np.ndarray, size: int, rel_tol: float | None):
+    """The size x size Hankel matrix of ``values``, its singular values, its
+    rank and the relative tolerance that rank used: ``rel_tol``, or by default
+    ``1e-10 * max(1, size)``."""
+    if rel_tol is None:
+        rel_tol = RANK_TOL_BASE * max(1, size)
     # a NaN, infinite or negative cut would silently give rank 0 or full rank
     if not 0 <= rel_tol < math.inf:
         raise ValueError(f"rank tolerance must be a finite number >= 0, got {rel_tol}")
@@ -257,7 +283,7 @@ def _hankel_rank(values: np.ndarray, size: int, rel_tol: float):
     H = values[idx[:, None] + idx]  # H[i, j] = values[i + j], a copy
     s = np.linalg.svd(H, compute_uv=False)
     rank = int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0 else 0
-    return H, s, rank
+    return H, s, rank, rel_tol
 
 
 def build_hankel(y, prescale: bool = False, rank_tolerance: float | None = None) -> HankelAnalysis:
@@ -273,8 +299,7 @@ def build_hankel(y, prescale: bool = False, rank_tolerance: float | None = None)
     else:
         rho, scaled = 1.0, values.astype(float)
     r_max = (len(values) + 1) // 2
-    tol = rank_tolerance if rank_tolerance is not None else default_rank_tolerance(r_max)
-    H, s, rank = _hankel_rank(scaled, r_max, tol)
+    H, s, rank, tol = _hankel_rank(scaled, r_max, rank_tolerance)
     return HankelAnalysis(
         matrix=H,
         singular_values=s,
@@ -314,13 +339,9 @@ def detect_rank_online(stream, n_hint: int | None = None, rank_tolerance: float 
     while True:
         if not pull(2 * k - 1):
             size = (len(buf) + 1) // 2
-            rank = 0
-            if size >= 1:
-                tol = rank_tolerance if rank_tolerance is not None else default_rank_tolerance(size)
-                _, _, rank = _hankel_rank(np.asarray(buf), size, tol)
+            rank = _hankel_rank(np.asarray(buf), size, rank_tolerance)[2] if size >= 1 else 0
             return OnlineRankDetection(rank, len(buf), False, np.asarray(buf, dtype=float))
-        tol = rank_tolerance if rank_tolerance is not None else default_rank_tolerance(k)
-        _, _, rk = _hankel_rank(np.asarray(buf[: 2 * k - 1]), k, tol)
+        rk = _hankel_rank(np.asarray(buf[: 2 * k - 1]), k, rank_tolerance)[2]
         if prev is not None and rk == prev:
             return OnlineRankDetection(rk, len(buf), True, np.asarray(buf, dtype=float))
         if n_hint is not None and k >= n_hint:

@@ -27,7 +27,6 @@ __all__ = [
     "generate_ring",
     "assign_uniform_weights",
     "build_matrix",
-    "as_array",
     "write_graph_tsv",
     "read_graph_tsv",
     "write_matrix_csv",
@@ -73,11 +72,20 @@ class Graph:
 
 
 def as_array(matrix) -> np.ndarray:
-    """A square array-like as float values; a float array is returned as is."""
+    """A square array-like of finite values as floats; a float array is returned
+    as is. ``ValueError`` for another shape, or naming the first NaN or infinite entry."""
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"square matrix required, got shape {arr.shape}")
+    _require_finite(arr, "matrix")
     return arr
+
+
+def _require_finite(arr: np.ndarray, name: str) -> None:
+    """``ValueError`` naming the first NaN or infinite entry of ``arr``, as ``name[i, ...]``."""
+    if not np.isfinite(arr).all():
+        index = np.argwhere(~np.isfinite(arr))[0].tolist()
+        raise ValueError(f"{name}{index} is not finite: {arr[tuple(index)]}")
 
 
 # =========================================================================

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _centroid, cluster_indices, enforce_conjugate_pairs
-from .graphs import as_array
+from .graphs import _require_finite, as_array
 
 __all__ = [
     "OracleSpectrum",
@@ -113,8 +113,9 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
     within ``EIGEN_CLUSTER_TOL`` of each other) exceeds ``WEIGHT_ZERO_RTOL``
     times the data scale. For defective input only the x0-independent PBH
     verdict is available; recovered multiplicities beyond 1 are then not
-    identifiable here. ``OverflowError`` when a modal weight or the data
-    scale ``|c| |x0|`` is not finite.
+    identifiable here. ``ValueError`` naming a NaN or infinite entry of G, c
+    or x0; ``OverflowError`` when a modal weight or the data scale
+    ``|c| |x0|`` is not finite.
     """
     M = as_array(G)
     n = M.shape[0]
@@ -122,6 +123,8 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
     x0 = np.asarray(x0, dtype=float)
     if c.shape != (n,) or x0.shape != (n,):
         raise ValueError(f"c and x0 must be length-{n} vectors")
+    _require_finite(c, "c")
+    _require_finite(x0, "x0")
 
     vals, U = np.linalg.eig(M)
     groups = cluster_indices(vals, EIGEN_CLUSTER_TOL)

@@ -50,10 +50,6 @@ from .graphs import Graph, GraphMatrixKind, assign_uniform_weights, build_matrix
 from .oracle import MatchReport, full_spectrum, match_spectra
 
 __all__ = [
-    "SCENARIOS",
-    "ScenarioArtifacts",
-    "ScenarioResult",
-    "SweepSummary",
     "run_scenario",
     "sweep",
     "summarize",

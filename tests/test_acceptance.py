@@ -12,6 +12,7 @@ import json
 import pkgutil
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,35 @@ def test_every_exported_name_resolves():
     stale = [f"{mod.__name__}.{name}" for mod in modules
              for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert stale == []
+
+
+CORE_MODULES = ("clustering", "dynamics", "estimator", "graphs", "oracle", "scenarios")
+
+
+def names_declared_twice(modules) -> list[str]:
+    """Names that more than one of ``modules`` lists in its ``__all__``, or
+    that one lists twice: a star re-export would silently keep one object."""
+    seen: set[str] = set()
+    twice = []
+    for mod in modules:
+        for name in mod.__all__:
+            if name in seen:
+                twice.append(name)
+            seen.add(name)
+    return twice
+
+
+def test_each_public_name_is_declared_once():
+    core = [importlib.import_module(f"spectral_scope.{m}") for m in CORE_MODULES]
+    assert names_declared_twice(core) == []
+    assert len(spectral_scope.__all__) == len(set(spectral_scope.__all__))
+    # the package exports exactly its core modules' names, as their own objects
+    owner = {name: mod for mod in core for name in mod.__all__}
+    assert sorted(spectral_scope.__all__) == sorted(owner)
+    assert all(getattr(spectral_scope, name) is getattr(mod, name) for name, mod in owner.items())
+    # and the guard sees the collision it is there to catch
+    planted = types.SimpleNamespace(__all__=["cluster_complex"])
+    assert names_declared_twice([*core, planted]) == ["cluster_complex"]
 
 
 def test_cli_chains_match_the_benchmark_reference_verdicts(tmp_path, capsys, monkeypatch):

@@ -787,8 +787,12 @@ def test_verify_with_a_bad_tolerance_is_a_usage_error(tmp_path, capsys, source, 
         (lambda r: {**r, "multiplicity": float("inf")}, "cannot convert float infinity"),
         (lambda r: {**r, "multiplicity": 0}, "root 0 has multiplicity 0, below 1"),
         (lambda r: {"re": r["re"], "im": r["im"]}, "has no 'multiplicity'"),
+        (lambda r: {**r, "multiplicity": 1.5}, "root 0 multiplicity must be a whole number, got 1.5"),
+        (lambda r: {**r, "multiplicity": "2"}, "root 0 multiplicity must be a whole number, got '2'"),
+        (lambda r: {**r, "multiplicity": True}, "root 0 multiplicity must be a whole number, got True"),
     ],
-    ids=["huge-re", "huge-multiplicity", "inf-multiplicity", "zero-multiplicity", "no-multiplicity"],
+    ids=["huge-re", "huge-multiplicity", "inf-multiplicity", "zero-multiplicity", "no-multiplicity",
+         "fractional-multiplicity", "string-multiplicity", "bool-multiplicity"],
 )
 def test_verify_of_an_unreadable_root_is_a_usage_error(tmp_path, capsys, edit, message):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
@@ -997,6 +1001,24 @@ def test_demo_into_an_existing_file_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot create --outdir") and err.count("\n") == 1
     assert afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("step", ["generate", "simulate", "estimate", "verify", "bench"])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, step):
+    matrix, spectrum, setup = full_chain(tmp_path, capsys)
+    missing = tmp_path / "no-such-dir" / "out.csv"
+    argv = {
+        "generate": ["generate", "--model", "ring", "--n", 3, "--graph-out", missing],
+        "simulate": ["simulate", "--matrix", matrix, "--out", missing],
+        "estimate": ["estimate", "--y", tmp_path / "y.csv", "--out", missing],
+        "verify": ["verify", "--matrix", matrix, "--estimate", spectrum, "--setup", setup,
+                   "--out", missing],
+        "bench": ["bench", "fig1", "--seeds", 1, "--json", "--out", missing],
+    }[step]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert str(missing) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

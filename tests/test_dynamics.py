@@ -80,6 +80,10 @@ def test_dimension_mismatch_is_rejected():
         ObservationSetup(x0=[1, 2], c=[1])
     with pytest.raises(ValueError, match=r"^square matrix required, got shape \(2, 3\)$"):
         simulate_dt(np.zeros((2, 3)), ObservationSetup(x0=[1, 0], c=[1, 0]), K=3)
+    with pytest.raises(ValueError, match=r"^matrix\[0, 1\] is not finite: inf$"):
+        simulate_dt([[0.0, math.inf], [1.0, 0.0]], ObservationSetup(x0=[1, 0], c=[1, 0]), K=3)
+    with pytest.raises(ValueError, match=r"^x0\[0\] is not finite: nan$"):
+        ObservationSetup(x0=[math.nan, 1.0], c=[1.0, 1.0])
 
 
 @given(st.floats(0.05, 20.0), st.booleans())
@@ -216,7 +220,7 @@ def test_exponential_rejects_bad_inputs():
         matrix_exponential(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         matrix_exponential(np.zeros((2, 2)), float("nan"))
-    with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+    with pytest.raises(ValueError, match=r"^matrix\[0, 0\] is not finite: nan$"):
         matrix_exponential([[float("nan")]])
 
 
@@ -531,6 +535,8 @@ def test_random_setup_is_deterministic_and_validates_indices():
         random_setup(5, seed=0, observed=[5])
     with pytest.raises(ValueError, match="^one weight per observed node required$"):
         random_setup(3, observed=[0, 1], observe_weights=[1.0])
+    with pytest.raises(ValueError, match=r"^c\[0\] is not finite: nan$"):
+        random_setup(3, observed=[0], observe_weights=[math.nan])
 
 
 def test_sequence_metadata_is_validated():

@@ -146,9 +146,9 @@ def test_online_detection_builds_scipys_hankel_matrices(values, n_hint):
     original = estimator._hankel_rank
 
     def checked(vals, size, rel_tol):
-        H, s, rank = original(vals, size, rel_tol)
-        assert H.tobytes() == scipy_hankel(vals, size).tobytes()
-        return H, s, rank
+        result = original(vals, size, rel_tol)
+        assert result[0].tobytes() == scipy_hankel(vals, size).tobytes()
+        return result
 
     with mock.patch.object(estimator, "_hankel_rank", side_effect=checked) as spy:
         detect_rank_online(iter(values), n_hint=n_hint)
@@ -752,6 +752,10 @@ def test_spectrum_json_round_trips():
     d = estimate_spectrum(y).to_json_dict()
     assert d["mode"] == "ct" and len(d["roots"]) == 2
     assert SpectrumEstimate.from_json_dict(d).to_json_dict() == d
+    # an unsolvable system's infinite residual and condition read back too
+    d = SpectrumEstimate([(0.5 + 0j, 2)], rank=2, residual=np.inf, condition=np.inf,
+                         scale_rho=3.0, warnings=["ill-conditioned"]).to_json_dict()
+    assert SpectrumEstimate.from_json_dict(d).to_json_dict() == d
 
 
 @pytest.mark.parametrize(
@@ -763,8 +767,23 @@ def test_spectrum_json_round_trips():
         (lambda d: d["roots"][0].update(multiplicity=-2), r"^root 0 has multiplicity -2, below 1$"),
         (lambda d: d.update(mode="warp"), r"^mode must be 'dt' or 'ct', got 'warp'$"),
         (lambda d: d.update(rank=-3), r"^rank must be >= 0, got -3$"),
+        (lambda d: d["roots"][0].update(multiplicity=1.5),
+         r"^root 0 multiplicity must be a whole number, got 1.5$"),
+        (lambda d: d["roots"][1].update(multiplicity="2"),
+         r"^root 1 multiplicity must be a whole number, got '2'$"),
+        (lambda d: d["roots"][0].update(multiplicity=True),
+         r"^root 0 multiplicity must be a whole number, got True$"),
+        (lambda d: d.update(rank=2.7), r"^rank must be a whole number, got 2.7$"),
+        (lambda d: d.update(tau=1.0), r"^a 'dt' spectrum has no tau, got 1.0$"),
+        (lambda d: d.update(mode="ct", tau=-1.0), r"^tau must be a positive finite number, got -1.0$"),
+        (lambda d: d.update(mode="ct", tau="x"), r"^tau must be a positive finite number, got 'x'$"),
+        (lambda d: d.update(mode="ct"), r"^tau must be a positive finite number, got None$"),
+        (lambda d: d.update(rho=float("nan")), r"^rho must be a positive finite number, got nan$"),
+        (lambda d: d.update(warnings="abc"), r"^warnings must be a list of strings, got 'abc'$"),
     ],
-    ids=["nan-root", "inf-root", "zero-multiplicity", "negative-multiplicity", "mode", "rank"],
+    ids=["nan-root", "inf-root", "zero-multiplicity", "negative-multiplicity", "mode", "rank",
+         "fractional-multiplicity", "string-multiplicity", "bool-multiplicity", "fractional-rank",
+         "dt-tau", "negative-tau", "string-tau", "ct-without-tau", "nan-rho", "string-warnings"],
 )
 def test_a_malformed_spectrum_json_is_rejected(edit, message):
     d = {"schema": 1, "mode": "dt", "tau": None, "rank": 2, "residual": 0.0, "condition": 1.0,
