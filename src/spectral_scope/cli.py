@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -42,6 +41,7 @@ from .dynamics import (
     simulate_dt,
     simulate_dt_networked,
     write_sequence,
+    _matrix_for,
 )
 from .estimator import (
     DEFAULT_CLUSTER_TOL,
@@ -61,6 +61,7 @@ from .graphs import (
     read_matrix_csv,
     write_graph_tsv,
     write_matrix_csv,
+    _tolerance,
 )
 from .jsontext import dumps
 from .oracle import full_spectrum, match_spectra, observable_partition
@@ -184,8 +185,6 @@ def cmd_simulate(args) -> int:
         return _fail_usage(str(exc))
     n = M.shape[0]
     K = args.K if args.K is not None else 2 * n
-    if args.mode == CT and not args.tau:
-        return _fail_usage(f"mode {args.mode} requires --tau")
     try:
         node = _load_node(args)  # a node makes the run networked
         setup = _build_setup(args, n)
@@ -246,20 +245,17 @@ def cmd_estimate(args) -> int:
 # =========================================================================
 
 
-def _setup_from_json(path, n: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """The setup object with its ``x0`` and ``c`` as finite length-n vectors."""
+def _setup_from_json(path, M: np.ndarray) -> tuple[dict, ObservationSetup]:
+    """The setup object, and its ``x0`` and ``c`` as the observation of M they must be."""
     setup = json.loads(Path(path).read_text())
     if not isinstance(setup, dict):
         raise ValueError(f"setup {path} must hold a JSON object")
-    vectors = []
     for key in ("x0", "c"):
         if key not in setup:
             raise ValueError(f"setup {path} has no {key!r}")
-        v = np.asarray(setup[key], dtype=float)
-        if v.shape != (n,) or not np.all(np.isfinite(v)):
-            raise ValueError(f"{key!r} in {path} must be {n} finite numbers, one per node")
-        vectors.append(v)
-    return setup, *vectors
+    observation = ObservationSetup(x0=setup["x0"], c=setup["c"])
+    _matrix_for(M, observation)
+    return setup, observation
 
 
 def cmd_verify(args) -> int:
@@ -282,12 +278,13 @@ def cmd_verify(args) -> int:
         for k, (_, m) in enumerate(roots):
             if m > n:
                 raise ValueError(f"root {k} in {args.estimate} has multiplicity {m}, not 1 to {n}")
-        setup, x0, c = _setup_from_json(args.setup, n)
-        tol = args.tol if args.tol is not None else float(setup.get("tol", 1e-6))
+        setup, observation = _setup_from_json(args.setup, M)
     except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         return _fail_usage(f"cannot read inputs: {exc}")
-    if not 0 <= tol < math.inf:
-        return _fail_usage(f"tolerance must be a finite number >= 0, got {tol}")
+    try:
+        tol = _tolerance(args.tol if args.tol is not None else setup.get("tol", 1e-6), "tolerance")
+    except ValueError as exc:
+        return _fail_usage(str(exc))
     truth = full_spectrum(M)
     report = match_spectra(roots, truth, tol)
 
@@ -298,7 +295,7 @@ def cmd_verify(args) -> int:
     unexplained = []
     if report.unmatched_true:
         try:
-            missing = observable_partition(M, c, x0).missing
+            missing = observable_partition(M, observation.c, observation.x0).missing
         except OverflowError as exc:  # x0 and c too large to weigh the modes
             return _fail_usage(f"cannot check observability with setup {args.setup}: {exc}")
         for v in report.unmatched_true:

@@ -21,7 +21,7 @@ from typing import Literal
 
 import numpy as np
 
-from .graphs import _require_finite, as_array
+from .graphs import _positive, _require_finite, as_array
 from .jsontext import dumps
 
 __all__ = [
@@ -109,7 +109,12 @@ def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> Obse
 
 @dataclass(frozen=True, eq=False)
 class NodeDynamics:
-    """Identical per-agent dynamics: state matrix A, input direction beta, readout gamma."""
+    """Identical per-agent dynamics: state matrix A, input direction beta, readout gamma.
+
+    A is d x d with d >= 1, beta and gamma have d entries, and every entry is
+    finite; ``ValueError`` naming the shape or the first NaN or infinite entry
+    otherwise.
+    """
 
     A: np.ndarray
     beta: np.ndarray
@@ -119,12 +124,14 @@ class NodeDynamics:
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
         beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
         gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
-        if A.shape[0] != A.shape[1]:
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
+        if A.shape[0] < 1:
+            raise ValueError("a node needs state dimension d >= 1, got 0")
         if beta.shape != (A.shape[0],) or gamma.shape != (A.shape[0],):
             raise ValueError("beta and gamma must match the state dimension of A")
-        if not (np.isfinite(A).all() and np.isfinite(beta).all() and np.isfinite(gamma).all()):
-            raise ValueError("A, beta and gamma must be finite")
+        for arr, name in ((A, "A"), (beta, "beta"), (gamma, "gamma")):
+            _require_finite(arr, name)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
@@ -166,8 +173,9 @@ class NodeDynamics:
 
 @dataclass(eq=False)
 class OutputSequence:
-    """A finite scalar output record y[0..K-1] with its timing metadata and,
-    for a networked record, the agent dynamics it was convolved with."""
+    """A non-empty, 1-d, finite output record y[0..K-1] with its timing metadata
+    (a positive finite tau for ``ct``, none for ``dt``) and, for a networked
+    record, the agent dynamics it was convolved with; ``ValueError`` otherwise."""
 
     values: np.ndarray
     mode: TimeMode = DT
@@ -177,15 +185,11 @@ class OutputSequence:
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size < 1:
-            raise ValueError("values must be a non-empty 1-d array")
+            raise ValueError("a non-empty 1-d sequence of outputs is required")
+        _require_finite(self.values, "output y")
         if self.mode not in (DT, CT):
             raise ValueError(f"mode must be {DT!r} or {CT!r}, got {self.mode!r}")
-        if self.mode == CT:
-            if self.tau is None or not self.tau > 0:
-                raise ValueError("continuous-time sequences need a sampling period tau > 0")
-            self.tau = float(self.tau)
-        else:
-            self.tau = None
+        self.tau = _positive(self.tau, "tau") if self.mode == CT else None
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -217,11 +221,16 @@ def matrix_exponential(M, t: float = 1.0) -> np.ndarray:
     return E
 
 
-def _setup_arrays(G, setup: ObservationSetup, K: int):
+def _matrix_for(G, setup: ObservationSetup) -> np.ndarray:
+    """``as_array(G)``, which must have one row per component of ``setup``."""
     A = as_array(G)
-    n = A.shape[0]
-    if setup.n != n:
-        raise ValueError(f"matrix is {n}x{n} but the setup has {setup.n} components")
+    if setup.n != len(A):
+        raise ValueError(f"matrix is {len(A)}x{len(A)} but the setup has {setup.n} components")
+    return A
+
+
+def _setup_arrays(G, setup: ObservationSetup, K: int):
+    A = _matrix_for(G, setup)
     if K < 1:
         raise ValueError(f"need at least one step, got K={K}")
     return A, setup.x0, setup.c.astype(np.longdouble)
@@ -304,11 +313,10 @@ def simulate_dt_networked(G, node: NodeDynamics, setup: ObservationSetup, K: int
 
 def simulate_ct_sampled(G, setup: ObservationSetup, tau: float, K: int) -> OutputSequence:
     """y[k] = c^T e^{G k tau} x0: one matrix exponential, then the DT rollout path."""
-    if not tau > 0:
-        raise ValueError(f"sampling period must be positive, got tau={tau}")
+    tau = _positive(tau, "tau")
     A, x0, c = _setup_arrays(G, setup, K)
     P = matrix_exponential(A, tau).astype(np.longdouble)
-    return _rollout(x0.astype(np.longdouble), lambda x: np.dot(P, x), lambda S: S @ c, K, CT, float(tau))
+    return _rollout(x0.astype(np.longdouble), lambda x: np.dot(P, x), lambda S: S @ c, K, CT, tau)
 
 
 def simulate_ct_networked(
@@ -320,8 +328,7 @@ def simulate_ct_networked(
     exactly into (network part) * (node part); each factor is iterated with
     its own one-step propagator.
     """
-    if not tau > 0:
-        raise ValueError(f"sampling period must be positive, got tau={tau}")
+    tau = _positive(tau, "tau")
     A, x0, c = _setup_arrays(G, setup, K)
     n = len(c)
     P = matrix_exponential(A, tau).astype(np.longdouble)
@@ -333,7 +340,7 @@ def simulate_ct_networked(
         w0,
         lambda w: np.concatenate((np.dot(P, w[:n]), np.dot(Q, w[n:]))),
         lambda S: (S[:, :n] @ c) * (S[:, n:] @ gl),
-        K, CT, float(tau), node,
+        K, CT, tau, node,
     )
 
 
@@ -379,15 +386,16 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
         if len(fields) != 2:
             raise ValueError(f"{path} line {i + 2}: expected 2 columns, got {len(fields)}")
     t, y = np.array(table, dtype=float).reshape(-1, 2).T.copy()
+    off = np.flatnonzero(~np.isfinite(y))
+    if off.size:
+        i = off[0]
+        raise ValueError(f"{path} line {i + 2}: y = {float(y[i])!r} is not finite")
     node = meta.get("node")
     try:
         node = None if node is None else NodeDynamics.from_json_dict(node)
     except ValueError as exc:
         raise ValueError(f"sidecar {sidecar}: node: {exc}") from None
-    try:
-        seq = OutputSequence(y, mode=meta["mode"], tau=meta.get("tau"), node=node)
-    except (TypeError, OverflowError) as exc:  # such as a tau that is no number
-        raise ValueError(f"sidecar {sidecar}: {exc}") from None
+    seq = OutputSequence(y, mode=meta["mode"], tau=meta.get("tau"), node=node)
     first = "k" if seq.mode == DT else "t"
     if [h.strip() for h in header.split(",")] != [first, "y"]:
         raise ValueError(f"{path}: header {header!r} does not fit mode {seq.mode!r} ({first},y)")
@@ -396,8 +404,4 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
     if off.size:
         i = off[0]
         raise ValueError(f"{path} line {i + 2}: {first} = {float(t[i])!r}, expected {float(expected[i])!r}")
-    off = np.flatnonzero(~np.isfinite(y))
-    if off.size:
-        i = off[0]
-        raise ValueError(f"{path} line {i + 2}: y = {float(y[i])!r} is not finite")
     return seq

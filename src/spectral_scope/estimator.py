@@ -34,6 +34,7 @@ import numpy as np
 from .clustering import cluster_complex, enforce_conjugate_pairs
 from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence,
                        SimulationOverflowError, simulate_ct_sampled, simulate_dt)
+from .graphs import _positive, _real, _tolerance
 
 __all__ = [
     "EstimatorOptions",
@@ -175,10 +176,12 @@ class SpectrumEstimate:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SpectrumEstimate":
-        """The estimate ``to_json_dict`` wrote. ``ValueError`` for a non-finite
-        root, a multiplicity below 1, a mode other than DT or CT, a negative
-        rank, a multiplicity or rank that is not a whole number, a tau on a DT
-        spectrum, a CT tau or a rho that is not a positive finite number, or
+        """The estimate ``to_json_dict`` wrote. ``ValueError`` for a schema
+        other than 1, a non-finite root, a multiplicity below 1, a mode other
+        than DT or CT, a negative rank, a multiplicity or rank that is not a
+        whole number, a tau on a DT spectrum, a CT tau or a rho that is not a
+        positive finite number, a residual that is not a number >= 0 (infinity
+        included), a condition that is neither null nor a number >= 1, or
         warnings that are not a list of strings."""
         roots = []
         for k, r in enumerate(d["roots"]):
@@ -201,13 +204,22 @@ class SpectrumEstimate:
         warnings = d.get("warnings", [])
         if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
             raise ValueError(f"warnings must be a list of strings, got {warnings!r}")
+        # NaN fails both tests, and _real gives it for a bool, a string or a huge int
+        residual = _real(d["residual"])
+        if not residual >= 0:
+            raise ValueError(f"residual must be a number >= 0, got {d['residual']!r}")
+        condition = math.inf if d.get("condition") is None else _real(d["condition"])
+        if not condition >= 1:
+            raise ValueError(f"condition must be null or a number >= 1, got {d['condition']!r}")
+        if (schema := d.get("schema")) != 1 or isinstance(schema, bool):
+            raise ValueError(f"schema must be 1, got {schema!r}")
         return cls(
             roots=roots,
             mode=d["mode"],
             tau=tau,
             rank=rank,
-            residual=float(d["residual"]),
-            condition=float("inf") if d.get("condition") is None else float(d["condition"]),
+            residual=residual,
+            condition=condition,
             scale_rho=_positive(d.get("rho", 1.0), "rho"),
             warnings=list(warnings),
         )
@@ -218,13 +230,6 @@ def _whole(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(value)
-
-
-def _positive(value, name: str) -> float:
-    """A JSON number as a positive finite float; ``ValueError`` for anything else."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-    return float(value)
 
 
 @dataclass(eq=False)
@@ -238,14 +243,7 @@ class OnlineRankDetection:
 
 
 def _sequence_values(y) -> np.ndarray:
-    vals = y.values if isinstance(y, OutputSequence) else np.asarray(y, dtype=float)
-    vals = np.atleast_1d(vals)
-    if vals.ndim != 1 or vals.size < 1:
-        raise ValueError("a non-empty 1-d sequence of outputs is required")
-    vals = vals.astype(float, copy=False)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"output y[{int(np.argmin(np.isfinite(vals)))}] is not finite")
-    return vals
+    return (y if isinstance(y, OutputSequence) else OutputSequence(y)).values
 
 
 def geometric_prescale(values) -> tuple[float, np.ndarray]:
@@ -274,11 +272,8 @@ def _hankel_rank(values: np.ndarray, size: int, rel_tol: float | None):
     """The size x size Hankel matrix of ``values``, its singular values, its
     rank and the relative tolerance that rank used: ``rel_tol``, or by default
     ``1e-10 * max(1, size)``."""
-    if rel_tol is None:
-        rel_tol = RANK_TOL_BASE * max(1, size)
     # a NaN, infinite or negative cut would silently give rank 0 or full rank
-    if not 0 <= rel_tol < math.inf:
-        raise ValueError(f"rank tolerance must be a finite number >= 0, got {rel_tol}")
+    rel_tol = RANK_TOL_BASE * max(1, size) if rel_tol is None else _tolerance(rel_tol, "rank tolerance")
     idx = np.arange(size)
     H = values[idx[:, None] + idx]  # H[i, j] = values[i + j], a copy
     s = np.linalg.svd(H, compute_uv=False)
@@ -330,7 +325,7 @@ def detect_rank_online(stream, n_hint: int | None = None, rank_tolerance: float 
             except StopIteration:
                 return False
             if not math.isfinite(v):
-                raise ValueError(f"output y[{len(buf)}] is not finite")
+                raise ValueError(f"output y[{len(buf)}] is not finite: {v}")
             buf.append(v)
         return True
 
@@ -544,8 +539,7 @@ def roots_with_multiplicity(
     through by ``scale_rho``. A NaN, infinite or negative ``cluster_tol`` is
     a ``ValueError``, and a root beyond the double range an ``OverflowError``.
     """
-    if not 0 <= cluster_tol < math.inf:
-        raise ValueError(f"cluster tolerance must be a finite number >= 0, got {cluster_tol}")
+    cluster_tol = _tolerance(cluster_tol, "cluster tolerance")
     if p.degree == 0:
         return SpectrumEstimate([], DT, None, 0, p.residual, p.condition, scale_rho)
     monic = np.concatenate(([1.0], p.coefficients[::-1]))
@@ -585,6 +579,8 @@ def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = 
     returns its own copy.
     """
     global _nu_memo
+    if mode == CT:  # before the memo, whose key would take True for 1.0
+        tau = _positive(tau, "tau")
     key = (node.A.tobytes(), node.beta.tobytes(), node.gamma.tobytes(), K, mode, tau)
     if _nu_memo[0] != key:
         _nu_memo = (key, _impulse_weights(node, K, mode, tau))
@@ -596,8 +592,6 @@ def _impulse_weights(node: NodeDynamics, K: int, mode: str, tau: float | None) -
         raise ValueError(f"need at least one weight, got K={K}")
     if mode not in (DT, CT):
         raise ValueError(f"mode must be {DT!r} or {CT!r}, got {mode!r}")
-    if mode == CT and (tau is None or not tau > 0):
-        raise ValueError("sampled node weights need tau > 0")
     setup = ObservationSetup(x0=node.beta, c=node.gamma)
     try:
         if mode == DT:
@@ -622,6 +616,10 @@ def _node_weights(nu, K: int) -> np.ndarray:
 # K(K+1)/2 integers of up to about 64K bits, 0.87 MB at K = 64 and 32 MB at
 # K = 200, so longer ones are built per call and dropped.
 _DECONVOLUTION_MEMO_CAP = 64
+# Most samples deconvolve_sigma takes. Building fig3's operator takes 0.5 s
+# of CPU and 12 MiB at K = 128 and 3.7 s and 53 MiB at K = 192 (one core of
+# a Xeon VM), and the cost grows faster than K^3.
+_DECONVOLUTION_SIZE_CAP = 128
 
 
 @functools.lru_cache(maxsize=1)
@@ -654,10 +652,15 @@ def deconvolve_sigma(y, nu) -> np.ndarray:
     most ``_DECONVOLUTION_MEMO_CAP`` samples (a networked preset's seeds share
     one agent); a call multiplies them by its own sample integers and rounds
     each ``sigma_k`` once. For the trivial node (nu = 1, 0, 0, ...) this
-    returns ``y`` itself, bit for bit.
+    returns ``y`` itself, bit for bit. More than ``_DECONVOLUTION_SIZE_CAP``
+    samples is a ``ValueError``, raised before anything is built.
     """
     values = _sequence_values(y)
     K = len(values)
+    if K > _DECONVOLUTION_SIZE_CAP:
+        raise ValueError(
+            f"exact deconvolution takes at most {_DECONVOLUTION_SIZE_CAP} samples, got {K}"
+        )
     nu = _node_weights(nu, K)
     scale = float(np.max(np.abs(nu)))
     if abs(nu[0]) <= NU_ZERO_RTOL * scale:
@@ -718,9 +721,8 @@ def estimate_spectrum(y, opts: EstimatorOptions | None = None) -> SpectrumEstima
     imaginary parts inside ``(-pi/tau, pi/tau]``; any recovered eigenvalue at
     that boundary gets an ``aliasing`` warning rather than a silent unwrap.
     """
-    values = _sequence_values(y)
-    tau = y.tau if isinstance(y, OutputSequence) and y.mode == CT else None
-    node = y.node if isinstance(y, OutputSequence) else None
+    seq = y if isinstance(y, OutputSequence) else OutputSequence(y)
+    values, tau, node = seq.values, seq.tau, seq.node
     if node is not None and tau is None:
         values = deconvolve_sigma(values, nu_sequence(node, len(values), DT))
     elif node is not None:

@@ -9,7 +9,9 @@ identical parameters reproduce identical graphs on any platform.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -50,7 +52,8 @@ class Graph:
 
     Each edge is stored once as ``(src, dst, weight)``; undirected graphs are
     symmetrized only when a matrix is built. Parallel edges are allowed and
-    their weights sum.
+    their weights sum. An edge outside ``0..n-1`` or with a NaN or infinite
+    weight is a ``ValueError`` naming it.
     """
 
     n: int
@@ -62,9 +65,11 @@ class Graph:
             raise ValueError(f"need at least one node, got n={self.n}")
         edges = tuple((int(u), int(v), float(w)) for u, v, w in self.edges)
         object.__setattr__(self, "edges", edges)
-        for u, v, _ in edges:
+        for u, v, w in edges:
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not math.isfinite(w):
+                raise ValueError(f"edge ({u},{v}) weight is not finite: {w}")
 
     @property
     def num_edges(self) -> int:
@@ -86,6 +91,29 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         index = np.argwhere(~np.isfinite(arr))[0].tolist()
         raise ValueError(f"{name}{index} is not finite: {arr[tuple(index)]}")
+
+
+def _real(value) -> float:
+    """A real number that is not a bool, as a float; NaN, which fails every
+    range test, for anything else, an int beyond the doubles included."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    return math.nan
+
+
+def _positive(value, name: str) -> float:
+    """The sampling-period rule: a positive finite real, or ``ValueError``."""
+    if not 0 < (x := _real(value)) < math.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return x
+
+
+def _tolerance(value, name: str) -> float:
+    """The tolerance rule: a finite real >= 0, or ``ValueError``."""
+    if not 0 <= (x := _real(value)) < math.inf:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return x
 
 
 # =========================================================================
@@ -167,9 +195,10 @@ def generate_ring(n: int, directed: bool = False) -> Graph:
 
 
 def assign_uniform_weights(g: Graph, lo: float, hi: float, seed=None) -> Graph:
-    """Replace every edge weight with an i.i.d. Uniform[lo, hi) draw, in edge order."""
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi})")
+    """Replace every edge weight with an i.i.d. Uniform[lo, hi) draw, in edge
+    order; the bounds must be finite with ``lo < hi``."""
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"need lo < hi, both finite, got [{lo}, {hi})")
     w = np.random.default_rng(seed).uniform(lo, hi, g.num_edges)
     edges = tuple((u, v, float(wi)) for (u, v, _), wi in zip(g.edges, w))
     return replace(g, edges=edges)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _centroid, cluster_indices, enforce_conjugate_pairs
-from .graphs import _require_finite, as_array
+from .dynamics import ObservationSetup, _matrix_for
+from .graphs import _tolerance, as_array
 
 __all__ = [
     "OracleSpectrum",
@@ -113,18 +114,13 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
     within ``EIGEN_CLUSTER_TOL`` of each other) exceeds ``WEIGHT_ZERO_RTOL``
     times the data scale. For defective input only the x0-independent PBH
     verdict is available; recovered multiplicities beyond 1 are then not
-    identifiable here. ``ValueError`` naming a NaN or infinite entry of G, c
-    or x0; ``OverflowError`` when a modal weight or the data scale
-    ``|c| |x0|`` is not finite.
+    identifiable here. ``ValueError`` from ``ObservationSetup`` for c and x0
+    that are not finite vectors of one entry per row of G; ``OverflowError``
+    when a modal weight or the data scale ``|c| |x0|`` is not finite.
     """
-    M = as_array(G)
-    n = M.shape[0]
-    c = np.asarray(c, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    if c.shape != (n,) or x0.shape != (n,):
-        raise ValueError(f"c and x0 must be length-{n} vectors")
-    _require_finite(c, "c")
-    _require_finite(x0, "x0")
+    setup = ObservationSetup(x0=x0, c=c)
+    M = _matrix_for(G, setup)
+    c, x0 = setup.c, setup.x0
 
     vals, U = np.linalg.eig(M)
     groups = cluster_indices(vals, EIGEN_CLUSTER_TOL)
@@ -310,7 +306,8 @@ def match_spectra(estimated, truth, tol: float) -> MatchReport:
     """Hungarian matching on |estimated - true| with multiplicities expanded.
 
     Assignment pairs farther apart than ``tol`` are reported unmatched on
-    both sides. ``estimated`` and ``truth`` each take (value, multiplicity)
+    both sides; a ``tol`` that is not a finite number >= 0 is a
+    ``ValueError``. ``estimated`` and ``truth`` each take (value, multiplicity)
     pairs, such as ``SpectrumEstimate.roots`` or ``OracleSpectrum.observable``,
     or flat values, such as ``full_spectrum``'s.
 
@@ -323,6 +320,7 @@ def match_spectra(estimated, truth, tol: float) -> MatchReport:
     the remaining cases. Both give the pairs that
     ``scipy.optimize.linear_sum_assignment`` gives, without loading it.
     """
+    tol = _tolerance(tol, "tolerance")
     est = _expand_values(estimated)
     true = _expand_values(truth)
     cost = np.abs(est[:, None] - true[None, :])

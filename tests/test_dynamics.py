@@ -84,6 +84,11 @@ def test_dimension_mismatch_is_rejected():
         simulate_dt([[0.0, math.inf], [1.0, 0.0]], ObservationSetup(x0=[1, 0], c=[1, 0]), K=3)
     with pytest.raises(ValueError, match=r"^x0\[0\] is not finite: nan$"):
         ObservationSetup(x0=[math.nan, 1.0], c=[1.0, 1.0])
+    # a 0-dimensional node would only fail later, as a singular deconvolution
+    with pytest.raises(ValueError, match=r"^a node needs state dimension d >= 1, got 0$"):
+        NodeDynamics.random_symmetric(0)
+    with pytest.raises(ValueError, match=r"^gamma\[1\] is not finite: inf$"):
+        NodeDynamics(A=np.eye(2), beta=[1.0, 1.0], gamma=[1.0, math.inf])
 
 
 @given(st.floats(0.05, 20.0), st.booleans())
@@ -258,7 +263,7 @@ def test_ct_sampling_equals_dt_on_the_exponential():
 def test_ct_requires_positive_tau():
     with pytest.raises(ValueError):
         simulate_ct_sampled(SWAP, ObservationSetup(x0=[1, 0], c=[1, 0]), tau=0.0, K=4)
-    with pytest.raises(ValueError, match=r"^sampling period must be positive, got tau=0.0$"):
+    with pytest.raises(ValueError, match=r"^tau must be a positive finite number, got 0.0$"):
         simulate_ct_networked(SWAP, NodeDynamics.trivial(), ObservationSetup(x0=[1, 0], c=[1, 0]), tau=0.0, K=4)
 
 

@@ -198,7 +198,7 @@ def test_non_finite_outputs_are_rejected_with_a_typed_error(bad):
     ]
     for call in calls:
         # numpy's LinAlgError is a ValueError too, so the message is what tells them apart
-        with pytest.raises(ValueError, match=r"^output y\[2\] is not finite$"):
+        with pytest.raises(ValueError, match=rf"^output y\[2\] is not finite: {bad}$"):
             call()
 
 
@@ -780,10 +780,24 @@ def test_spectrum_json_round_trips():
         (lambda d: d.update(mode="ct"), r"^tau must be a positive finite number, got None$"),
         (lambda d: d.update(rho=float("nan")), r"^rho must be a positive finite number, got nan$"),
         (lambda d: d.update(warnings="abc"), r"^warnings must be a list of strings, got 'abc'$"),
+        (lambda d: d.update(schema=99), r"^schema must be 1, got 99$"),
+        (lambda d: d.update(schema=True), r"^schema must be 1, got True$"),
+        (lambda d: d.pop("schema"), r"^schema must be 1, got None$"),
+        (lambda d: d.update(residual="1e-3"), r"^residual must be a number >= 0, got '1e-3'$"),
+        (lambda d: d.update(residual=True), r"^residual must be a number >= 0, got True$"),
+        (lambda d: d.update(residual=-1.0), r"^residual must be a number >= 0, got -1.0$"),
+        (lambda d: d.update(residual=float("nan")), r"^residual must be a number >= 0, got nan$"),
+        (lambda d: d.update(condition="7"), r"^condition must be null or a number >= 1, got '7'$"),
+        (lambda d: d.update(condition=0.5), r"^condition must be null or a number >= 1, got 0.5$"),
+        (lambda d: d.update(condition=-1.0), r"^condition must be null or a number >= 1, got -1.0$"),
+        (lambda d: d.update(rho=10**400), r"^rho must be a positive finite number, got 10{400}$"),
+        (lambda d: d.update(mode="ct", tau=10**400), r"^tau must be a positive finite number, got 10{400}$"),
     ],
     ids=["nan-root", "inf-root", "zero-multiplicity", "negative-multiplicity", "mode", "rank",
          "fractional-multiplicity", "string-multiplicity", "bool-multiplicity", "fractional-rank",
-         "dt-tau", "negative-tau", "string-tau", "ct-without-tau", "nan-rho", "string-warnings"],
+         "dt-tau", "negative-tau", "string-tau", "ct-without-tau", "nan-rho", "string-warnings",
+         "schema-99", "bool-schema", "no-schema", "string-residual", "bool-residual", "negative-residual",
+         "nan-residual", "string-condition", "condition-below-1", "negative-condition", "huge-rho", "huge-tau"],
 )
 def test_a_malformed_spectrum_json_is_rejected(edit, message):
     d = {"schema": 1, "mode": "dt", "tau": None, "rank": 2, "residual": 0.0, "condition": 1.0,
@@ -970,6 +984,18 @@ def test_a_long_nu_is_deconvolved_exactly_without_being_memoized():
     got = deconvolve_sigma(y, nu)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
     assert memo.cache_info() == kept
+
+
+def test_a_deconvolution_beyond_its_size_bound_is_rejected_before_it_builds(monkeypatch):
+    # the operator's cost grows faster than K^3: 129 samples are refused before it is built
+    cap = estimator._DECONVOLUTION_SIZE_CAP
+    assert cap == 128
+    impulse = [1.0] + [0.0] * cap
+    y = np.random.default_rng(10).standard_normal(cap + 1)
+    assert np.array_equal(deconvolve_sigma(y[:cap], impulse[:cap]), y[:cap])
+    monkeypatch.setattr(estimator, "_deconvolution_operator", mock.Mock(side_effect=AssertionError("built")))
+    with pytest.raises(ValueError, match=r"^exact deconvolution takes at most 128 samples, got 129$"):
+        deconvolve_sigma(y, impulse)
 
 
 def test_a_fig3_sweep_builds_the_deconvolution_operator_once():

@@ -150,6 +150,9 @@ def test_uniform_weights_degenerate_interval_pins_weights():
 def test_uniform_weights_reject_empty_interval():
     with pytest.raises(ValueError):
         assign_uniform_weights(generate_ring(3), 1.0, 1.0, seed=0)
+    # numpy would raise OverflowError for an infinite bound
+    with pytest.raises(ValueError, match=r"^need lo < hi, both finite, got \[0.0, inf\)$"):
+        assign_uniform_weights(generate_ring(3), 0.0, float("inf"), seed=0)
 
 
 def test_graph_rejects_out_of_range_edges():
@@ -157,6 +160,10 @@ def test_graph_rejects_out_of_range_edges():
         Graph(n=2, edges=((0, 2, 1.0),))
     with pytest.raises(ValueError):
         Graph(n=0, edges=())
+    with pytest.raises(ValueError, match=r"^edge \(0,1\) weight is not finite: nan$"):
+        Graph(n=2, edges=((0, 1, float("nan")),))
+    with pytest.raises(ValueError, match=r"^edge \(1,0\) weight is not finite: -inf$"):
+        Graph(n=2, edges=((0, 1, 1.0), (1, 0, -float("inf"))))
 
 
 # =========================================================================

@@ -1,0 +1,175 @@
+"""Each input rule has one owner, and every entry point applies the owner's rule.
+
+A sampling period ``tau`` must be a positive finite real and a tolerance a
+finite real >= 0, neither a bool; ``graphs._positive`` and
+``graphs._tolerance`` own these rules and their one message. The tests feed
+each bad value to every entry point that takes such an input, and an ``ast``
+guard keeps the range test itself from being written anywhere else in
+``src/``.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+from spectral_scope import (
+    CT,
+    CharacteristicPoly,
+    NodeDynamics,
+    ObservationSetup,
+    OutputSequence,
+    SpectrumEstimate,
+    build_hankel,
+    match_spectra,
+    nu_sequence,
+    roots_with_multiplicity,
+    simulate_ct_networked,
+    simulate_ct_sampled,
+)
+from spectral_scope.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "spectral_scope"
+RULE_HELPERS = ("_positive", "_tolerance")
+
+BAD = {
+    "None": None,
+    "0": 0,
+    "-1.0": -1.0,
+    "nan": math.nan,
+    "inf": math.inf,
+    "True": True,
+    "'1'": "1",
+    "10**400": 10**400,
+}
+# zero is a valid tolerance: an exact match
+BAD_TOLERANCE = {k: v for k, v in BAD.items() if k != "0"}
+
+SWAP = [[0.0, 1.0], [1.0, 0.0]]
+SETUP = ObservationSetup(x0=[1.0, 0.5], c=[1.0, 0.0])
+
+
+def _nu_after_a_memo_at_one(tau):
+    # True == 1.0 and hashes alike, so the memo must not answer before the rule
+    nu_sequence(NodeDynamics.trivial(), 4, CT, 1.0)
+    return nu_sequence(NodeDynamics.trivial(), 4, CT, tau)
+
+
+TAU_ENTRY_POINTS = {
+    "OutputSequence": lambda tau: OutputSequence([1.0, 0.5], mode=CT, tau=tau),
+    "simulate_ct_sampled": lambda tau: simulate_ct_sampled(SWAP, SETUP, tau, 4),
+    "simulate_ct_networked": lambda tau: simulate_ct_networked(SWAP, NodeDynamics.trivial(), SETUP, tau, 4),
+    "nu_sequence": _nu_after_a_memo_at_one,
+    "from_json_dict": lambda tau: SpectrumEstimate.from_json_dict(
+        {**SpectrumEstimate([], CT, 1.0).to_json_dict(), "tau": tau}
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", BAD)
+@pytest.mark.parametrize("entry", TAU_ENTRY_POINTS)
+def test_every_entry_point_takes_tau_by_the_one_rule(entry, bad):
+    message = f"^tau must be a positive finite number, got {re.escape(repr(BAD[bad]))}$"
+    with pytest.raises(ValueError, match=message):
+        TAU_ENTRY_POINTS[entry](BAD[bad])
+
+
+def _verify(tmp_path, capsys, tol, source: str) -> tuple[int, str]:
+    """Exit code and stderr of ``verify`` on a 1 x 1 system whose one root the
+    estimate holds, with ``tol`` given by the flag or by the setup."""
+    matrix, spectrum, setup = tmp_path / "m.csv", tmp_path / "s.json", tmp_path / "setup.json"
+    matrix.write_text("0.5\n")
+    spectrum.write_text(json.dumps(SpectrumEstimate([(0.5 + 0j, 1)], rank=1).to_json_dict()))
+    payload = {"schema": 1, "x0": [1.0], "c": [1.0]}
+    flag = ("--tol", str(tol)) if source == "flag" else ()
+    if source == "setup":
+        payload["tol"] = tol
+    setup.write_text(json.dumps(payload))
+    code = main(["verify", "--matrix", str(matrix), "--estimate", str(spectrum), "--setup", str(setup), *flag])
+    return code, capsys.readouterr().err
+
+
+def test_a_valid_tolerance_verifies(tmp_path, capsys):
+    assert _verify(tmp_path, capsys, 0, "setup") == (0, "")
+    assert _verify(tmp_path, capsys, 0.0, "flag") == (0, "")
+
+
+POLY = CharacteristicPoly([-0.5], 1, 0.0, 1.0)
+
+# each entry point with the name its message gives the tolerance
+TOLERANCE_ENTRY_POINTS = {
+    "build_hankel": ("rank tolerance", lambda tol: build_hankel([1.0, 0.5, 0.25], rank_tolerance=tol)),
+    "roots_with_multiplicity": ("cluster tolerance", lambda tol: roots_with_multiplicity(POLY, tol)),
+    "match_spectra": ("tolerance", lambda tol: match_spectra([0.5], [0.5], tol)),
+}
+
+
+TOLERANCE_CASES = [
+    (entry, bad)
+    for entry in [*TOLERANCE_ENTRY_POINTS, "verify --tol", "verify setup tol"]
+    for bad in BAD_TOLERANCE
+    # None asks build_hankel for its default; the flag's text is a float to argparse first
+    if not (entry == "build_hankel" and bad == "None")
+    and not (entry == "verify --tol" and bad in ("None", "True", "'1'"))
+]
+
+
+@pytest.mark.parametrize("entry, bad", TOLERANCE_CASES)
+def test_every_entry_point_takes_a_tolerance_by_the_one_rule(tmp_path, capsys, entry, bad):
+    value = BAD_TOLERANCE[bad]
+    if entry == "verify --tol":
+        # the rule gets the float argparse made of the flag's text
+        code, err = _verify(tmp_path, capsys, value, "flag")
+        assert (code, err) == (2, f"error: tolerance must be a finite number >= 0, got {float(str(value))!r}\n")
+    elif entry == "verify setup tol":
+        code, err = _verify(tmp_path, capsys, value, "setup")
+        assert (code, err) == (2, f"error: tolerance must be a finite number >= 0, got {value!r}\n")
+    else:
+        name, call = TOLERANCE_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got {re.escape(repr(value))}$"):
+            call(value)
+
+
+# =========================================================================
+# The guard: a range rule is written only in its helper
+# =========================================================================
+
+
+def _is_range_check(node: ast.AST) -> bool:
+    """``0 < x < inf`` or ``0 <= x < inf``, with ``inf`` as ``math.inf`` or ``np.inf``."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Constant) and node.left.value == 0
+        and len(node.ops) == 2 and isinstance(node.ops[0], (ast.Lt, ast.LtE)) and isinstance(node.ops[1], ast.Lt)
+        and isinstance(node.comparators[1], ast.Attribute) and node.comparators[1].attr == "inf"
+    )
+
+
+def range_checks(source: str, allowed=RULE_HELPERS) -> list[int]:
+    """Lines of ``source`` holding a range check outside the functions named in ``allowed``."""
+    found = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        if _is_range_check(node) and not inside:
+            found.append(node.lineno)
+        inside = inside or isinstance(node, ast.FunctionDef) and node.name in allowed
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_each_range_rule_is_written_once():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert {name: range_checks(text) for name, text in sources.items() if range_checks(text)} == {}
+    # the two helpers hold one check each, so the guard is not looking at nothing
+    assert len(range_checks(sources["graphs.py"], allowed=())) == 2
+    # and it flags a copy planted outside them
+    planted = "import math\n\ndef check(tol):\n    if not 0 <= tol < math.inf:\n        raise ValueError(tol)\n"
+    assert range_checks(planted) == [4]

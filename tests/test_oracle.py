@@ -133,8 +133,10 @@ def test_norms_beyond_the_square_range_leave_the_partition_finite(x0, c):
 
 
 def test_a_vector_of_the_wrong_length_is_named():
-    with pytest.raises(ValueError, match="^c and x0 must be length-3 vectors$"):
+    with pytest.raises(ValueError, match=r"^x0 and c must be equal-length vectors, got \(3,\) and \(2,\)$"):
         observable_partition(CHAIN3, c=[1.0, 0.0], x0=[1.0] * 3)
+    with pytest.raises(ValueError, match="^matrix is 3x3 but the setup has 2 components$"):
+        observable_partition(CHAIN3, c=[1.0, 0.0], x0=[1.0] * 2)
     with pytest.raises(ValueError, match=r"^c\[0\] is not finite: nan$"):
         observable_partition(np.eye(2), c=[np.nan, 1.0], x0=[1.0, 1.0])
     with pytest.raises(ValueError, match=r"^matrix\[0, 0\] is not finite: nan$"):
