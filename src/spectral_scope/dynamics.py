@@ -46,6 +46,13 @@ CT = "ct"
 TimeMode = Literal["dt", "ct"]
 
 
+def _mode(mode) -> str:
+    """``mode`` when it is ``DT`` or ``CT``; ``ValueError`` otherwise."""
+    if mode not in (DT, CT):
+        raise ValueError(f"mode must be {DT!r} or {CT!r}, got {mode!r}")
+    return mode
+
+
 class SimulationOverflowError(OverflowError):
     """The floating range was exhausted mid-rollout.
 
@@ -171,7 +178,7 @@ class NodeDynamics:
             raise ValueError(str(exc)) from None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OutputSequence:
     """A non-empty, 1-d, finite output record y[0..K-1] with its timing metadata
     (a positive finite tau for ``ct``, none for ``dt``) and, for a networked
@@ -183,13 +190,12 @@ class OutputSequence:
     node: NodeDynamics | None = None
 
     def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.size < 1:
+        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        if values.ndim != 1 or values.size < 1:
             raise ValueError("a non-empty 1-d sequence of outputs is required")
-        _require_finite(self.values, "output y")
-        if self.mode not in (DT, CT):
-            raise ValueError(f"mode must be {DT!r} or {CT!r}, got {self.mode!r}")
-        self.tau = _positive(self.tau, "tau") if self.mode == CT else None
+        _require_finite(values, "output y")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "tau", _positive(self.tau, "tau") if _mode(self.mode) == CT else None)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -355,9 +361,9 @@ def write_sequence(seq: OutputSequence, path, seed=None) -> None:
     holds the ``node`` of a networked record."""
     path = Path(path)
     if seq.mode == DT:
-        lines = ["k,y"] + [f"{k},{y:.17g}" for k, y in enumerate(seq.values)]
+        lines = ["k,y"] + [f"{k},{y:.17g}" for k, y in enumerate(seq.values.tolist())]
     else:
-        lines = ["t,y"] + [f"{k * seq.tau:.17g},{y:.17g}" for k, y in enumerate(seq.values)]
+        lines = ["t,y"] + [f"{k * seq.tau:.17g},{y:.17g}" for k, y in enumerate(seq.values.tolist())]
     path.write_text("\n".join(lines) + "\n")
     meta = {"schema": 1, "mode": seq.mode, "tau": seq.tau, "seed": seed}
     if seq.node is not None:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .clustering import cluster_complex, enforce_conjugate_pairs
 from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence,
-                       SimulationOverflowError, simulate_ct_sampled, simulate_dt)
+                       SimulationOverflowError, _mode, simulate_ct_sampled, simulate_dt)
 from .graphs import _positive, _real, _tolerance
 
 __all__ = [
@@ -127,14 +127,13 @@ class HankelAnalysis:
 class CharacteristicPoly:
     """Monic polynomial whose roots are the recoverable eigenvalues.
 
-    ``coefficients`` holds alpha_0 .. alpha_{degree-1} in ascending order;
-    the leading coefficient is an implicit 1. ``residual`` is the relative
-    norm of the solved Hankel system's defect and ``condition`` estimates
-    the conditioning of that solve.
+    ``coefficients`` holds alpha_0 .. alpha_{r-1} in ascending order, so its
+    length is the degree r; the leading coefficient is an implicit 1.
+    ``residual`` is the relative norm of the solved Hankel system's defect and
+    ``condition`` estimates the conditioning of that solve.
     """
 
     coefficients: np.ndarray
-    degree: int
     residual: float
     condition: float
     # same coefficients kept in extended precision when the solve refined
@@ -178,11 +177,12 @@ class SpectrumEstimate:
     def from_json_dict(cls, d: dict) -> "SpectrumEstimate":
         """The estimate ``to_json_dict`` wrote. ``ValueError`` for a schema
         other than 1, a non-finite root, a multiplicity below 1, a mode other
-        than DT or CT, a negative rank, a multiplicity or rank that is not a
-        whole number, a tau on a DT spectrum, a CT tau or a rho that is not a
-        positive finite number, a residual that is not a number >= 0 (infinity
-        included), a condition that is neither null nor a number >= 1, or
-        warnings that are not a list of strings."""
+        than DT or CT, a negative rank or one other than the sum of the root
+        multiplicities, a multiplicity or rank that is not a whole number, a
+        tau on a DT spectrum, a CT tau or a rho that is not a positive finite
+        number, a residual that is not a number >= 0 (infinity included), a
+        condition that is neither null nor a number >= 1, or warnings that are
+        not a list of strings."""
         roots = []
         for k, r in enumerate(d["roots"]):
             v, m = complex(r["re"], r["im"]), _whole(r["multiplicity"], f"root {k} multiplicity")
@@ -191,16 +191,16 @@ class SpectrumEstimate:
             if m < 1:
                 raise ValueError(f"root {k} has multiplicity {m}, below 1")
             roots.append((v, m))
-        if d["mode"] not in (DT, CT):
-            raise ValueError(f"mode must be {DT!r} or {CT!r}, got {d['mode']!r}")
         tau = d.get("tau")
-        if d["mode"] == CT:
+        if _mode(d["mode"]) == CT:
             tau = _positive(tau, "tau")
         elif tau is not None:
             raise ValueError(f"a {DT!r} spectrum has no tau, got {tau!r}")
         rank = _whole(d["rank"], "rank")
         if rank < 0:
             raise ValueError(f"rank must be >= 0, got {rank}")
+        if rank != (total := sum(m for _, m in roots)):
+            raise ValueError(f"rank {rank} is not the sum of the root multiplicities, {total}")
         warnings = d.get("warnings", [])
         if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
             raise ValueError(f"warnings must be a list of strings, got {warnings!r}")
@@ -234,10 +234,11 @@ def _whole(value, name: str) -> int:
 
 @dataclass(eq=False)
 class OnlineRankDetection:
-    """Result of streaming rank detection: rank, samples consumed, and the prefix read."""
+    """Result of streaming rank detection: the rank, whether it stabilized
+    before the stream ran dry, and the prefix read, whose length is the number
+    of samples consumed."""
 
     rank: int
-    consumed: int
     stabilized: bool
     values: np.ndarray
 
@@ -256,8 +257,6 @@ def geometric_prescale(values) -> tuple[float, np.ndarray]:
     v = np.asarray(values, dtype=float)
     exponents = 1.0 / np.maximum(np.arange(len(v)), 1)
     rho = float(max(1.0, np.max(np.abs(v) ** exponents)))
-    if rho == 1.0:
-        return 1.0, v.copy()
     if (len(v) - 1) * math.log2(rho) < 1023:
         return rho, v / rho ** np.arange(len(v))
     # rho^k lies beyond the double range, though |y_k| / rho^k <= 1 does not:
@@ -335,14 +334,14 @@ def detect_rank_online(stream, n_hint: int | None = None, rank_tolerance: float 
         if not pull(2 * k - 1):
             size = (len(buf) + 1) // 2
             rank = _hankel_rank(np.asarray(buf), size, rank_tolerance)[2] if size >= 1 else 0
-            return OnlineRankDetection(rank, len(buf), False, np.asarray(buf, dtype=float))
+            return OnlineRankDetection(rank, False, np.asarray(buf, dtype=float))
         rk = _hankel_rank(np.asarray(buf[: 2 * k - 1]), k, rank_tolerance)[2]
         if prev is not None and rk == prev:
-            return OnlineRankDetection(rk, len(buf), True, np.asarray(buf, dtype=float))
+            return OnlineRankDetection(rk, True, np.asarray(buf, dtype=float))
         if n_hint is not None and k >= n_hint:
             # the solve needs y[0..2r-1]; fetch the tail while the stream lasts
             got = pull(max(2 * rk, len(buf)))
-            return OnlineRankDetection(rk, len(buf), got, np.asarray(buf, dtype=float))
+            return OnlineRankDetection(rk, got, np.asarray(buf, dtype=float))
         prev = rk
         k += 1
 
@@ -423,7 +422,7 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     r = h.rank
     y = h.y_scaled
     if r == 0:
-        return CharacteristicPoly(np.zeros(0), 0, 0.0, 1.0)
+        return CharacteristicPoly(np.zeros(0), 0.0, 1.0)
     if len(y) < 2 * r:
         raise InsufficientDataError(f"need {2 * r} samples to solve at rank {r}, have {len(y)}")
     Hr = h.matrix[:r, :r]
@@ -479,7 +478,7 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     residual = defect / rhs_norm if rhs_norm > 0 else defect
     smallest_kept = kept[-1] if kept.size else 0.0
     condition = float(s[0] / smallest_kept) if smallest_kept > 0 else float("inf")
-    return CharacteristicPoly(alpha, r, residual, condition, alpha_hi)
+    return CharacteristicPoly(alpha, residual, condition, alpha_hi)
 
 
 def _polish_roots(monic: np.ndarray, raw: np.ndarray) -> np.ndarray:
@@ -540,7 +539,7 @@ def roots_with_multiplicity(
     a ``ValueError``, and a root beyond the double range an ``OverflowError``.
     """
     cluster_tol = _tolerance(cluster_tol, "cluster tolerance")
-    if p.degree == 0:
+    if len(p.coefficients) == 0:
         return SpectrumEstimate([], DT, None, 0, p.residual, p.condition, scale_rho)
     monic = np.concatenate(([1.0], p.coefficients[::-1]))
     if p.coefficients_hi is not None:
@@ -554,7 +553,7 @@ def roots_with_multiplicity(
         pairs = [(v * scale_rho, m) for v, m in pairs]
     if not all(cmath.isfinite(v) for v, _ in pairs):
         raise OverflowError("a root lies beyond the double range")
-    return SpectrumEstimate(list(pairs), DT, None, p.degree, p.residual, p.condition, scale_rho)
+    return SpectrumEstimate(list(pairs), DT, None, len(p.coefficients), p.residual, p.condition, scale_rho)
 
 
 # =========================================================================
@@ -579,7 +578,7 @@ def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = 
     returns its own copy.
     """
     global _nu_memo
-    if mode == CT:  # before the memo, whose key would take True for 1.0
+    if _mode(mode) == CT:  # before the memo, whose key would take True for 1.0
         tau = _positive(tau, "tau")
     key = (node.A.tobytes(), node.beta.tobytes(), node.gamma.tobytes(), K, mode, tau)
     if _nu_memo[0] != key:
@@ -588,10 +587,6 @@ def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = 
 
 
 def _impulse_weights(node: NodeDynamics, K: int, mode: str, tau: float | None) -> np.ndarray:
-    if K < 1:
-        raise ValueError(f"need at least one weight, got K={K}")
-    if mode not in (DT, CT):
-        raise ValueError(f"mode must be {DT!r} or {CT!r}, got {mode!r}")
     setup = ObservationSetup(x0=node.beta, c=node.gamma)
     try:
         if mode == DT:

@@ -77,16 +77,17 @@ class OracleSpectrum:
     ``m_tilde[i]`` is the multiplicity the estimator should report for
     ``distinct[i]``: the excited depth of the deepest Jordan chain (1 for an
     observable eigenvalue of a diagonalizable matrix, 0 when the eigenvalue
-    never shows up in the output).
+    never shows up in the output). ``modal_weights[i]`` is the summed modal
+    weight of ``distinct[i]``, so that ``y_k = sum_i modal_weights[i]
+    distinct[i]^k``; it is ``None`` when the matrix is not numerically
+    diagonalizable.
     """
 
     distinct: np.ndarray
     algebraic: np.ndarray
     m_tilde: np.ndarray
     pbh_deficient: np.ndarray
-    modal_weights: list[np.ndarray]
-    right_vectors: np.ndarray | None
-    left_vectors: np.ndarray | None
+    modal_weights: np.ndarray | None
 
     @property
     def observable(self) -> list[tuple[complex, int]]:
@@ -143,15 +144,11 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
             raise OverflowError("the modal weights (c^T u_i)(w_i^T x0) or |c| |x0| exceed the double range")
         scale = max(float(np.max(np.abs(omega))), data, np.finfo(float).tiny)
         threshold = WEIGHT_ZERO_RTOL * scale
-        weights = [np.array([complex(omega[g].sum())]) for g in groups]
-        m_tilde = np.array(
-            [1 if abs(w[0]) > threshold else 0 for w in weights], dtype=int
-        )
-        right, left = U, W
+        weights = np.array([omega[g].sum() for g in groups], dtype=complex)
+        m_tilde = np.array([1 if abs(w) > threshold else 0 for w in weights], dtype=int)
     else:
-        weights = [np.zeros(0, dtype=complex) for _ in groups]
+        weights = None
         m_tilde = np.array([0 if d else 1 for d in pbh], dtype=int)
-        right = left = None
 
     return OracleSpectrum(
         distinct=distinct,
@@ -159,8 +156,6 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
         m_tilde=m_tilde,
         pbh_deficient=pbh,
         modal_weights=weights,
-        right_vectors=right,
-        left_vectors=left,
     )
 
 

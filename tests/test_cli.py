@@ -714,8 +714,18 @@ def test_verify_fails_under_an_impossible_tolerance(tmp_path, capsys):
 def test_verify_calls_out_a_dropped_mode(tmp_path, capsys, oracle_calls):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
     payload = json.loads(spectrum.read_text())
-    payload["roots"] = payload["roots"][1:]
+    dropped = payload["roots"].pop(0)
     tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(payload))
+    # the file still states the old rank, which its roots no longer sum to
+    code, out, err = run(
+        capsys, "verify", "--matrix", matrix, "--estimate", tampered, "--setup", setup,
+    )
+    rank = payload["rank"]
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read inputs: rank {rank} is not the sum of the root multiplicities, "
+                   f"{rank - dropped['multiplicity']}\n")
+    payload["rank"] -= dropped["multiplicity"]
     tampered.write_text(json.dumps(payload))
     code, out, _ = run(
         capsys, "verify", "--matrix", matrix, "--estimate", tampered, "--setup", setup,
@@ -730,6 +740,7 @@ def test_verify_fails_an_estimate_with_a_spurious_root(tmp_path, capsys):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
     payload = json.loads(spectrum.read_text())
     payload["roots"].append({"re": 42, "im": 0, "multiplicity": 1})
+    payload["rank"] += 1
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(payload))
     code, out, _ = run(
@@ -806,7 +817,11 @@ def test_verify_with_a_bad_tolerance_is_a_usage_error(tmp_path, capsys, source, 
 def test_verify_of_an_unreadable_root_is_a_usage_error(tmp_path, capsys, edit, message):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
     payload = json.loads(spectrum.read_text())
+    before = payload["roots"][0]["multiplicity"]
     payload["roots"][0] = edit(payload["roots"][0])
+    after = payload["roots"][0].get("multiplicity")
+    if type(after) is int:  # the rank follows, so that the root's own rule speaks
+        payload["rank"] += after - before
     spectrum.write_text(json.dumps(payload))
     code, out, err = run(
         capsys, "verify", "--matrix", matrix, "--estimate", spectrum, "--setup", setup,

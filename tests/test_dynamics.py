@@ -57,7 +57,7 @@ def test_swap_output_matches_eigendecomposition_oracle():
     setup = ObservationSetup(x0=[1, 0], c=[1, 0])
     y = simulate_dt(SWAP, setup, K=8)
     oracle = observable_partition(SWAP, setup.c, setup.x0)
-    omega = np.array([w[0] for w in oracle.modal_weights])
+    omega = oracle.modal_weights
     recon = np.array(
         [np.real(np.sum(omega * oracle.distinct**k)) for k in range(8)]
     )

@@ -2,15 +2,18 @@
 
 A sampling period ``tau`` must be a positive finite real and a tolerance a
 finite real >= 0, neither a bool; ``graphs._positive`` and
-``graphs._tolerance`` own these rules and their one message. The tests feed
-each bad value to every entry point that takes such an input, and an ``ast``
-guard keeps the range test itself from being written anywhere else in
-``src/``.
+``graphs._tolerance`` own these rules and their one message. A time mode
+must be ``DT`` or ``CT``, which ``dynamics._mode`` owns. The tests feed each
+bad value to every entry point that takes such an input, and ``ast`` guards
+keep the range and mode tests themselves from being written anywhere else in
+``src/``. An ``OutputSequence`` is frozen, so no field of it can be
+reassigned past its rules.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import json
 import math
 import re
@@ -20,6 +23,7 @@ import pytest
 
 from spectral_scope import (
     CT,
+    DT,
     CharacteristicPoly,
     NodeDynamics,
     ObservationSetup,
@@ -28,6 +32,7 @@ from spectral_scope import (
     build_hankel,
     match_spectra,
     nu_sequence,
+    read_sequence,
     roots_with_multiplicity,
     simulate_ct_networked,
     simulate_ct_sampled,
@@ -36,6 +41,7 @@ from spectral_scope.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectral_scope"
 RULE_HELPERS = ("_positive", "_tolerance")
+MODE_HELPER = ("_mode",)
 
 BAD = {
     "None": None,
@@ -79,6 +85,40 @@ def test_every_entry_point_takes_tau_by_the_one_rule(entry, bad):
         TAU_ENTRY_POINTS[entry](BAD[bad])
 
 
+def test_a_sequence_cannot_be_changed_after_its_rules_run():
+    seq = OutputSequence([1.0, 0.5, 0.25, 0.125], mode=CT, tau=1.0)
+    # an infinite tau assigned here would give a root at -0 with no error
+    for name, value in (("tau", math.inf), ("mode", "hourly"), ("values", [math.nan]), ("node", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(seq, name, value)
+    assert (seq.mode, seq.tau) == (CT, 1.0)
+
+
+def _read_with_sidecar_mode(tmp_path, mode):
+    (tmp_path / "y.csv").write_text("k,y\n0,1\n1,0.5\n")
+    (tmp_path / "y.json").write_text(json.dumps({"schema": 1, "mode": mode, "tau": None}))
+    return read_sequence(tmp_path / "y.csv")
+
+
+MODE_ENTRY_POINTS = {
+    "OutputSequence": lambda tmp_path, mode: OutputSequence([1.0, 0.5], mode=mode),
+    "read_sequence": _read_with_sidecar_mode,
+    "nu_sequence": lambda tmp_path, mode: nu_sequence(NodeDynamics.trivial(), 4, mode),
+    "from_json_dict": lambda tmp_path, mode: SpectrumEstimate.from_json_dict(
+        {**SpectrumEstimate([]).to_json_dict(), "mode": mode}
+    ),
+}
+BAD_MODE = {"None": None, "'DT'": "DT", "'hourly'": "hourly", "1": 1, "True": True}
+
+
+@pytest.mark.parametrize("bad", BAD_MODE)
+@pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
+def test_every_entry_point_takes_a_mode_by_the_one_rule(tmp_path, entry, bad):
+    message = f"^mode must be {DT!r} or {CT!r}, got {re.escape(repr(BAD_MODE[bad]))}$"
+    with pytest.raises(ValueError, match=message):
+        MODE_ENTRY_POINTS[entry](tmp_path, BAD_MODE[bad])
+
+
 def _verify(tmp_path, capsys, tol, source: str) -> tuple[int, str]:
     """Exit code and stderr of ``verify`` on a 1 x 1 system whose one root the
     estimate holds, with ``tol`` given by the flag or by the setup."""
@@ -99,7 +139,7 @@ def test_a_valid_tolerance_verifies(tmp_path, capsys):
     assert _verify(tmp_path, capsys, 0.0, "flag") == (0, "")
 
 
-POLY = CharacteristicPoly([-0.5], 1, 0.0, 1.0)
+POLY = CharacteristicPoly([-0.5], 0.0, 1.0)
 
 # each entry point with the name its message gives the tolerance
 TOLERANCE_ENTRY_POINTS = {
@@ -136,7 +176,7 @@ def test_every_entry_point_takes_a_tolerance_by_the_one_rule(tmp_path, capsys, e
 
 
 # =========================================================================
-# The guard: a range rule is written only in its helper
+# The guards: a range or mode rule is written only in its helper
 # =========================================================================
 
 
@@ -150,12 +190,31 @@ def _is_range_check(node: ast.AST) -> bool:
     )
 
 
-def range_checks(source: str, allowed=RULE_HELPERS) -> list[int]:
-    """Lines of ``source`` holding a range check outside the functions named in ``allowed``."""
+def _is_mode_check(node: ast.AST) -> bool:
+    """A membership test (``in`` or ``not in``) against a literal holding
+    ``DT`` and ``CT``, by name or as the strings ``"dt"`` and ``"ct"``."""
+
+    def label(elt: ast.AST):
+        return elt.id if isinstance(elt, ast.Name) else getattr(elt, "value", None)
+
+    return (
+        isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
+        and any(
+            isinstance(c, (ast.Tuple, ast.List, ast.Set))
+            and {str(label(e)).upper() for e in c.elts} == {"DT", "CT"}
+            for c in node.comparators
+        )
+    )
+
+
+def rule_checks(source: str, allowed=RULE_HELPERS, is_check=_is_range_check) -> list[int]:
+    """Lines of ``source`` holding a check (by default a range check) outside
+    the functions named in ``allowed``."""
     found = []
 
     def visit(node: ast.AST, inside: bool) -> None:
-        if _is_range_check(node) and not inside:
+        if is_check(node) and not inside:
             found.append(node.lineno)
         inside = inside or isinstance(node, ast.FunctionDef) and node.name in allowed
         for child in ast.iter_child_nodes(node):
@@ -167,9 +226,29 @@ def range_checks(source: str, allowed=RULE_HELPERS) -> list[int]:
 
 def test_each_range_rule_is_written_once():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert {name: range_checks(text) for name, text in sources.items() if range_checks(text)} == {}
+    assert {name: rule_checks(text) for name, text in sources.items() if rule_checks(text)} == {}
     # the two helpers hold one check each, so the guard is not looking at nothing
-    assert len(range_checks(sources["graphs.py"], allowed=())) == 2
+    assert len(rule_checks(sources["graphs.py"], allowed=())) == 2
     # and it flags a copy planted outside them
     planted = "import math\n\ndef check(tol):\n    if not 0 <= tol < math.inf:\n        raise ValueError(tol)\n"
-    assert range_checks(planted) == [4]
+    assert rule_checks(planted) == [4]
+
+
+def mode_checks(source: str, allowed=MODE_HELPER) -> list[int]:
+    """Lines of ``source`` holding a mode check outside the functions named in ``allowed``."""
+    return rule_checks(source, allowed, _is_mode_check)
+
+
+def test_the_mode_rule_is_written_once():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert {name: mode_checks(text) for name, text in sources.items() if mode_checks(text)} == {}
+    # the helper holds the one check, so the guard is not looking at nothing
+    assert len(mode_checks(sources["dynamics.py"], allowed=())) == 1
+    # and it flags copies planted outside it, by name or by the strings
+    planted = (
+        "def check(mode):\n"
+        "    if mode not in (DT, CT):\n"
+        "        raise ValueError(mode)\n"
+        "    return mode in ['ct', 'dt']\n"
+    )
+    assert mode_checks(planted) == [2, 4]
