@@ -45,7 +45,6 @@ from .dynamics import (
 )
 from .estimator import (
     DEFAULT_CLUSTER_TOL,
-    EstimatorOptions,
     InsufficientDataError,
     LogSingularRootError,
     SingularDeconvolutionError,
@@ -226,9 +225,8 @@ def cmd_estimate(args) -> int:
         y = read_sequence(args.y, sidecar=args.sidecar)
     except (OSError, ValueError, KeyError) as exc:
         return _fail_usage(f"cannot read sequence: {exc}")
-    opts = EstimatorOptions(rank_tolerance=args.rank_tolerance, cluster_tol=args.cluster_tol)
     try:
-        est = estimate_spectrum(y, opts)
+        est = estimate_spectrum(y, rank_tolerance=args.rank_tolerance, cluster_tol=args.cluster_tol)
     except (
         SingularDeconvolutionError, LogSingularRootError, InsufficientDataError, OverflowError
     ) as exc:  # OverflowError: the node's matrix exponential, its weights or the deconvolution

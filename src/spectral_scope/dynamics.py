@@ -190,10 +190,12 @@ class OutputSequence:
     node: NodeDynamics | None = None
 
     def __post_init__(self):
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        # a read-only copy, so that the caller's array cannot change a checked record
+        values = np.array(self.values, dtype=float, ndmin=1)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("a non-empty 1-d sequence of outputs is required")
         _require_finite(values, "output y")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tau", _positive(self.tau, "tau") if _mode(self.mode) == CT else None)
 

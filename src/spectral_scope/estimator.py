@@ -37,7 +37,6 @@ from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence,
 from .graphs import _positive, _real, _tolerance
 
 __all__ = [
-    "EstimatorOptions",
     "HankelAnalysis",
     "CharacteristicPoly",
     "SpectrumEstimate",
@@ -83,31 +82,6 @@ class LogSingularRootError(ValueError):
 
 class InsufficientDataError(ValueError):
     """Fewer observations than the detected rank requires for the coefficient solve."""
-
-
-@dataclass
-class EstimatorOptions:
-    """Tunables for ``estimate_spectrum``; ``None`` picks the documented default.
-
-    rank_tolerance
-        Relative singular-value threshold for rank detection. Default
-        ``1e-10 * max(1, r_max)``.
-    cluster_tol
-        Roots within ``cluster_tol * max(1, |root|)`` of each other merge
-        into one root with summed multiplicity. Default 1e-6; widen to ~1e-3
-        when hunting defective eigenvalues, whose computed roots split at
-        order ``eps^(1/multiplicity)``.
-    prescale
-        Geometric prescaling of the outputs. Default: on for continuous-time
-        data, off for discrete-time unless ``max |y| > 1e6``.
-
-    Both tolerances must be finite and non-negative; the pipeline raises
-    ``ValueError`` for any other value.
-    """
-
-    rank_tolerance: float | None = None
-    cluster_tol: float = DEFAULT_CLUSTER_TOL
-    prescale: bool | None = None
 
 
 @dataclass(eq=False)
@@ -607,13 +581,10 @@ def _node_weights(nu, K: int) -> np.ndarray:
     return nu
 
 
-# Longest nu whose operator deconvolve_sigma keeps: the operator holds
-# K(K+1)/2 integers of up to about 64K bits, 0.87 MB at K = 64 and 32 MB at
-# K = 200, so longer ones are built per call and dropped.
-_DECONVOLUTION_MEMO_CAP = 64
 # Most samples deconvolve_sigma takes. Building fig3's operator takes 0.5 s
 # of CPU and 12 MiB at K = 128 and 3.7 s and 53 MiB at K = 192 (one core of
-# a Xeon VM), and the cost grows faster than K^3.
+# a Xeon VM), and the cost grows faster than K^3. The same bound caps the
+# one operator _deconvolution_operator keeps.
 _DECONVOLUTION_SIZE_CAP = 128
 
 
@@ -643,12 +614,12 @@ def deconvolve_sigma(y, nu) -> np.ndarray:
     ``sigma_k = Z_k 2^(a-b) / V_0^(k+1)`` with integers ``Z_k = sum_s
     binom(k, s) M_{k-s} V_0^s Y_s``, where ``M_0 = 1`` and ``M_k = -sum_{s<k}
     binom(k, s) V_{k-s} V_0^(k-s-1) M_s`` invert the binomial mixing by nu.
-    Those integers depend on nu alone and are memoized for the last nu of at
-    most ``_DECONVOLUTION_MEMO_CAP`` samples (a networked preset's seeds share
-    one agent); a call multiplies them by its own sample integers and rounds
-    each ``sigma_k`` once. For the trivial node (nu = 1, 0, 0, ...) this
-    returns ``y`` itself, bit for bit. More than ``_DECONVOLUTION_SIZE_CAP``
-    samples is a ``ValueError``, raised before anything is built.
+    Those integers depend on nu alone and are memoized for the last nu (a
+    networked preset's seeds share one agent); a call multiplies them by its
+    own sample integers and rounds each ``sigma_k`` once. For the trivial
+    node (nu = 1, 0, 0, ...) this returns ``y`` itself, bit for bit. More
+    than ``_DECONVOLUTION_SIZE_CAP`` samples is a ``ValueError``, raised
+    before anything is built.
     """
     values = _sequence_values(y)
     K = len(values)
@@ -664,10 +635,7 @@ def deconvolve_sigma(y, nu) -> np.ndarray:
             "the node dynamics cannot be deconvolved"
         )
     Y, a = _dyadic(values.tolist())
-    build = _deconvolution_operator
-    if K > _DECONVOLUTION_MEMO_CAP:
-        build = build.__wrapped__
-    rows, dens, b = build(tuple(nu.tolist()))
+    rows, dens, b = _deconvolution_operator(tuple(nu.tolist()))
     sigma = np.empty(K)
     for k, (row, den) in enumerate(zip(rows, dens)):
         try:
@@ -700,15 +668,36 @@ def deconvolve_sigma_ct(y, nu) -> np.ndarray:
     return sigma
 
 
-def estimate_spectrum(y, opts: EstimatorOptions | None = None) -> SpectrumEstimate:
+def estimate_spectrum(
+    y,
+    *,
+    rank_tolerance: float | None = None,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    prescale: bool | None = None,
+) -> SpectrumEstimate:
     """The whole pipeline: node deconvolution, Hankel rank, coefficients, clustered roots.
 
     ``y`` is an OutputSequence or a plain array, which is taken as discrete
     time with no node. A sequence's ``node`` is stripped first, by
     deconvolve_sigma in discrete time and by deconvolve_sigma_ct in sampled
-    continuous time. Prescaling defaults to on for sampled continuous-time
-    data and, for discrete-time data, to on only when ``max |y| > 1e6``. An identically zero sequence
-    gives rank 0 and an empty spectrum, which is a valid answer, not an error.
+    continuous time. An identically zero sequence gives rank 0 and an empty
+    spectrum, which is a valid answer, not an error.
+
+    rank_tolerance
+        Relative singular-value threshold for rank detection. Default
+        ``1e-10 * max(1, r_max)``.
+    cluster_tol
+        Roots within ``cluster_tol * max(1, |root|)`` of each other merge
+        into one root with summed multiplicity. Default 1e-6; widen to ~1e-3
+        when hunting defective eigenvalues, whose computed roots split at
+        order ``eps^(1/multiplicity)``.
+    prescale
+        Geometric prescaling of the outputs. Default: on for sampled
+        continuous-time data, off for discrete-time data unless
+        ``max |y| > 1e6``.
+
+    Both tolerances must be finite and non-negative; any other value is a
+    ``ValueError``.
 
     Sampled continuous-time roots are ``eta_i = e^{lambda_i tau}`` and are
     mapped back through the principal complex logarithm; roots within 1e-12
@@ -722,12 +711,10 @@ def estimate_spectrum(y, opts: EstimatorOptions | None = None) -> SpectrumEstima
         values = deconvolve_sigma(values, nu_sequence(node, len(values), DT))
     elif node is not None:
         values = deconvolve_sigma_ct(values, nu_sequence(node, len(values), CT, tau))
-    opts = opts or EstimatorOptions()
-    prescale = opts.prescale
     if prescale is None:
         prescale = tau is not None or bool(np.max(np.abs(values)) > PRESCALE_TRIGGER)
-    h = build_hankel(values, prescale=prescale, rank_tolerance=opts.rank_tolerance)
-    est = roots_with_multiplicity(solve_coefficients(h), opts.cluster_tol, h.scale_rho)
+    h = build_hankel(values, prescale=prescale, rank_tolerance=rank_tolerance)
+    est = roots_with_multiplicity(solve_coefficients(h), cluster_tol, h.scale_rho)
     if est.condition > ILL_CONDITION_LIMIT:
         est.warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
     if tau is None:

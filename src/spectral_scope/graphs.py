@@ -258,25 +258,37 @@ def write_graph_tsv(g: Graph, path) -> None:
 
 
 def read_graph_tsv(path) -> Graph:
-    """The edge list ``write_graph_tsv`` writes; a header without ``n=`` or
-    ``directed=``, or a NaN or infinite weight, is a ``ValueError`` naming it."""
+    """The edge list ``write_graph_tsv`` writes; a header without integer
+    ``n=`` and ``directed=`` values, a row that is not two integer node ids
+    and a weight, or a NaN or infinite weight is a ``ValueError`` naming the
+    file and line."""
     lines = Path(path).read_text().strip().splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ValueError(f"{path}: missing '# n=... directed=...' header")
-    fields = dict(tok.split("=", 1) for tok in lines[0].lstrip("# ").split())
+    fields = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("# ").split())
     for key in ("n", "directed"):
         if key not in fields:
             raise ValueError(f"{path}: header {lines[0]!r} has no '{key}='")
-    n = int(fields["n"])
-    directed = bool(int(fields["directed"]))
+    try:
+        n, directed = int(fields["n"]), bool(int(fields["directed"]))
+    except ValueError:
+        raise ValueError(
+            f"{path} line 1: header {lines[0]!r} needs integer 'n=' and 'directed=' values"
+        ) from None
     edges = []
     for i, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        u, v, w = line.split("\t")
-        if not math.isfinite(float(w)):
+        try:
+            u, v, w = line.split("\t")
+            edge = (int(u), int(v), float(w))
+        except ValueError:
+            raise ValueError(
+                f"{path} line {i}: {line!r} is not 'src<TAB>dst<TAB>weight' with integer node ids"
+            ) from None
+        if not math.isfinite(edge[2]):
             raise ValueError(f"{path} line {i}: weight {w!r} is not finite")
-        edges.append((int(u), int(v), float(w)))
+        edges.append(edge)
     return Graph(n=n, edges=tuple(edges), directed=directed)
 
 

@@ -2,8 +2,8 @@
 
 ``full_spectrum`` and ``observable_partition`` answer "what is there" and
 "what can this output weighting and initial state actually reach", with a
-PBH rank test per distinct eigenvalue (``pbh_deficiency``) and, for a
-numerically diagonalizable matrix, the modal weights of each eigenvalue.
+PBH rank test per distinct eigenvalue and, for a numerically diagonalizable
+matrix, the modal weights of each eigenvalue.
 ``match_spectra`` scores an estimate against a truth list by minimum-cost
 bipartite matching.
 """
@@ -23,7 +23,6 @@ __all__ = [
     "OracleSpectrum",
     "MatchReport",
     "full_spectrum",
-    "pbh_deficiency",
     "observable_partition",
     "match_spectra",
 ]
@@ -47,20 +46,14 @@ def full_spectrum(G) -> np.ndarray:
     return np.array([v for v, _ in pairs], dtype=complex)
 
 
-def pbh_deficiency(G, c, lam: complex) -> int:
-    """Column-rank deficiency of the stacked (n+1) x n matrix [G - lam I; c^T].
+def _pbh_deficiencies(M: np.ndarray, c, lams) -> np.ndarray:
+    """Column-rank deficiency of the stacked (n+1) x n matrix
+    ``[M - lam I; c^T]`` at each of ``lams``, by one batched SVD.
 
     Singular values below ``PBH_RANK_RTOL`` times the largest count as zero.
     Zero means every eigenvector at ``lam`` is visible from ``c``; any
     deficiency means an unobservable mode sits at ``lam``.
     """
-    return int(_pbh_deficiencies(as_array(G), c, [lam])[0])
-
-
-def _pbh_deficiencies(M: np.ndarray, c, lams) -> np.ndarray:
-    """``pbh_deficiency`` at each of ``lams``: one batched SVD of the stacked
-    (len(lams), n+1, n) array, each slice built as ``[M - lam I; c^T]`` in the
-    dtype of ``lams`` so that it equals the unbatched matrix bit for bit."""
     n = M.shape[0]
     lams = np.asarray(lams)
     top = M - lams[:, None, None] * np.eye(n)

@@ -45,7 +45,7 @@ from .dynamics import (
     simulate_dt,
     simulate_dt_networked,
 )
-from .estimator import EstimatorOptions, SpectrumEstimate, estimate_spectrum
+from .estimator import SpectrumEstimate, estimate_spectrum
 from .graphs import Graph, GraphMatrixKind, assign_uniform_weights, build_matrix, generate_preferential_attachment, generate_ring
 from .oracle import MatchReport, full_spectrum, match_spectra
 
@@ -70,8 +70,6 @@ FIG3_SHAPE_SEED = 74
 FIG3_WEIGHT_SEED = 55
 FIG3_NODE_SEED = 2
 FIG3_OBSERVED = (0, 9)
-
-_OPTIONS = EstimatorOptions(prescale=True, rank_tolerance=1e-14)
 
 
 @functools.cache
@@ -161,7 +159,7 @@ def run_scenario(name: str, seed: int = 0, keep_artifacts: bool = False) -> Scen
     if y is None:
         return ScenarioResult(name, seed, False, tol, float("inf"), overflow=True, artifacts=artifacts)
 
-    est = estimate_spectrum(y, _OPTIONS)
+    est = estimate_spectrum(y, rank_tolerance=1e-14, prescale=True)
     if truth is None:
         truth = full_spectrum(M)
     if relative_tol:

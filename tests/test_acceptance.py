@@ -21,7 +21,6 @@ import spectral_scope
 from helpers import hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CharacteristicPoly,
-    EstimatorOptions,
     build_hankel,
     detect_rank_online,
     estimate_spectrum,
@@ -152,7 +151,7 @@ def test_criterion_5_defective_blocks_recovered_with_multiplicity(capsys):
         lam = float(rng.uniform(0.2, 1.5) * rng.choice([-1.0, 1.0]))
         case = make_jordan_case([(lam, m)], seed=2000 + i)
         y = simulate_dt(case.G, case.setup, K=2 * case.n)
-        est = estimate_spectrum(y, opts=EstimatorOptions(cluster_tol=1e-3))
+        est = estimate_spectrum(y, cluster_tol=1e-3)
         if len(est.roots) == 1 and est.roots[0][1] == m:
             err = abs(est.roots[0][0] - lam)
             worst = max(worst, err)

@@ -24,7 +24,7 @@ from spectral_scope import (
 )
 from spectral_scope.cli import build_parser, main
 from spectral_scope.dynamics import SimulationOverflowError
-from spectral_scope.estimator import EstimatorOptions, estimate_spectrum
+from spectral_scope.estimator import estimate_spectrum
 from spectral_scope.jsontext import dumps
 from spectral_scope.oracle import observable_partition
 
@@ -197,7 +197,7 @@ def test_estimate_of_a_networked_simulate_gives_the_library_bytes(tmp_path, caps
     kwargs = {"tau": 0.5} if mode == "ct" else {}
     y = simulator(read_matrix_csv(matrix), NodeDynamics.random_symmetric(3, seed=5),
                   ObservationSetup(setup["x0"], setup["c"]), K=12, **kwargs)
-    est = estimate_spectrum(y, EstimatorOptions(rank_tolerance=1e-14))
+    est = estimate_spectrum(y, rank_tolerance=1e-14)
     assert spectrum.read_text() == dumps(est.to_json_dict()) + "\n"
 
 
@@ -1261,8 +1261,10 @@ def readme_file_row(name: str) -> str:
 
 
 def readme_keys(row: str) -> list[str]:
-    """The keys of the first JSON object a file-table cell names, as in ``{schema, mode, node?}``."""
-    return re.search(r"`\{([^}]*)\}`", row).group(1).split(", ")
+    """The top-level keys of the first JSON object a file-table cell names, as
+    in ``{schema, mode, node?}`` or ``{rank, roots: [{re, im}], rho}``."""
+    body = re.search(r"`\{(.*?)\}`", row).group(1)
+    return re.sub(r": \[.*?\]", "", body).split(", ")
 
 
 def test_the_readme_file_table_names_the_keys_simulate_and_demo_write(tmp_path, capsys):
@@ -1279,8 +1281,11 @@ def test_the_readme_file_table_names_the_keys_simulate_and_demo_write(tmp_path, 
         ("simulate", "--matrix", matrix, "--seed", 1, "--out", tmp_path / "y.csv"),
         ("simulate", "--matrix", matrix, "--node-d", 2, "--seed", 1, "--out", tmp_path / "n.csv"),
         ("demo", "fig3", "--outdir", tmp_path / "fig3"),
+        ("estimate", "--y", tmp_path / "y.csv", "--out", tmp_path / "spectrum.json"),
+        ("verify", "--matrix", matrix, "--estimate", tmp_path / "spectrum.json",
+         "--setup", tmp_path / "y.setup.json", "--out", tmp_path / "verify.json"),
     ]
-    assert [run(capsys, *argv)[0] for argv in steps] == [0, 0, 0]
+    assert [run(capsys, *argv)[0] for argv in steps] == [0, 0, 0, 0, 0]
 
     def keys(name: str) -> set[str]:
         return set(json.loads((tmp_path / name).read_text()))
@@ -1288,6 +1293,12 @@ def test_the_readme_file_table_names_the_keys_simulate_and_demo_write(tmp_path, 
     assert keys("y.json") == always and keys("n.json") == keys("fig3/output.json") == networked
     assert keys("y.setup.json") == keys("n.setup.json") == setup_keys
     assert keys("fig3/setup.json") == setup_keys | demo_adds and demo_adds == {"scenario", "tol"}
+    spectrum_row = readme_file_row("spectrum")
+    assert keys("spectrum.json") == keys("fig3/spectrum.json") == set(readme_keys(spectrum_row))
+    root_keys = re.search(r"roots: \[\{(.*?)\}\]", spectrum_row).group(1).split(", ")
+    assert set(json.loads((tmp_path / "spectrum.json").read_text())["roots"][0]) == set(root_keys)
+    assert keys("verify.json") == set(readme_keys(readme_file_row("verify report")))
+    assert keys("fig3/match.json") == set(readme_keys(readme_file_row("demo match")))
 
 
 # each subcommand without a required flag or argument, with an unknown flag

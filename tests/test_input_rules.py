@@ -6,8 +6,8 @@ finite real >= 0, neither a bool; ``graphs._positive`` and
 must be ``DT`` or ``CT``, which ``dynamics._mode`` owns. The tests feed each
 bad value to every entry point that takes such an input, and ``ast`` guards
 keep the range and mode tests themselves from being written anywhere else in
-``src/``. An ``OutputSequence`` is frozen, so no field of it can be
-reassigned past its rules.
+``src/``. An ``OutputSequence`` is frozen and keeps a read-only copy of its
+samples, so neither a field nor a sample of it can be changed past its rules.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spectral_scope import (
@@ -36,6 +37,7 @@ from spectral_scope import (
     roots_with_multiplicity,
     simulate_ct_networked,
     simulate_ct_sampled,
+    write_sequence,
 )
 from spectral_scope.cli import main
 
@@ -92,6 +94,20 @@ def test_a_sequence_cannot_be_changed_after_its_rules_run():
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(seq, name, value)
     assert (seq.mode, seq.tau) == (CT, 1.0)
+
+
+def test_a_sequence_keeps_a_read_only_copy_of_its_samples(tmp_path):
+    y = np.array([1.0, 0.5, 0.25, 0.125])
+    seq = OutputSequence(y)
+    write_sequence(seq, tmp_path / "before.csv")
+    # without the copy this NaN would reach the file, which read_sequence refuses
+    y[1] = math.nan
+    assert seq.values.tolist() == [1.0, 0.5, 0.25, 0.125]
+    write_sequence(seq, tmp_path / "after.csv")
+    assert (tmp_path / "after.csv").read_text() == (tmp_path / "before.csv").read_text()
+    assert read_sequence(tmp_path / "after.csv").values.tolist() == seq.values.tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        seq.values[1] = math.nan
 
 
 def _read_with_sidecar_mode(tmp_path, mode):
