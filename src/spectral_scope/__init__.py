@@ -12,7 +12,7 @@ eigensolvers.
 
 A public name is declared once, in the ``__all__`` of the module that defines
 it; the package re-exports the ``__all__`` of its six core modules. The
-command line (``cli``) and the JSON writer (``jsontext``) are not re-exported.
+command line (``cli``) is not re-exported.
 """
 
 from . import clustering, dynamics, estimator, graphs, oracle, scenarios

@@ -62,7 +62,6 @@ from .graphs import (
     write_matrix_csv,
     _tolerance,
 )
-from .jsontext import dumps
 from .oracle import full_spectrum, match_spectra, observable_partition
 from .scenarios import SCENARIOS, run_scenario, summarize, sweep
 
@@ -99,7 +98,10 @@ def _parse_floats(text: str) -> np.ndarray:
 
 
 def _write_json(payload: dict, out: str | None) -> None:
-    text = dumps(payload) + "\n"
+    _write_text(json.dumps(payload) + "\n", out)
+
+
+def _write_text(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
@@ -161,7 +163,12 @@ def _build_setup(args, n: int) -> ObservationSetup:
     observed = None
     weights = None
     if args.observe is not None:
-        observed = [int(v) for v in str(args.observe).split(",")]
+        try:
+            observed = [int(v) for v in str(args.observe).split(",")]
+        except ValueError:
+            raise SystemExit(_fail_usage(
+                f"--observe expects comma-separated node indices, got {args.observe!r}"
+            )) from None
     if args.observe_weights is not None:
         weights = _parse_floats(args.observe_weights)
     setup = random_setup(n, seed=args.seed, observed=observed, observe_weights=weights)
@@ -379,7 +386,8 @@ def cmd_bench(args) -> int:
         summaries.append(summarize(results))
     if args.json:
         payload = {"schema": 1, "sweeps": [s.to_json_dict() for s in summaries]}
-        _write_json(payload, args.out)
+        # perfbench/reference/bench_all_300.json pins these bytes; compact with its re-record (ROADMAP item 1)
+        _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         print(f"{'scenario':<10}{'seeds':>6}{'passes':>8}{'rate':>8}"
               f"{'max err (pass)':>16}{'overflow':>10}")

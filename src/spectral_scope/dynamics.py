@@ -22,7 +22,6 @@ from typing import Literal
 import numpy as np
 
 from .graphs import _positive, _require_finite, as_array
-from .jsontext import dumps
 
 __all__ = [
     "DT",
@@ -96,11 +95,14 @@ def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> Obse
 
     ``observed`` selects nodes: a single index or a sequence of indices gives
     ``c`` with ones (or ``observe_weights``) at those positions; ``None``
-    draws a fully random ``c ~ Uniform[0,1)^n`` after ``x0``.
+    draws a fully random ``c ~ Uniform[0,1)^n`` after ``x0``, and takes no
+    ``observe_weights``.
     """
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 1.0, n)
     if observed is None:
+        if observe_weights is not None:
+            raise ValueError("observe_weights given without observed nodes")
         c = rng.uniform(0.0, 1.0, n)
     else:
         idx = np.atleast_1d(np.asarray(observed, dtype=int))
@@ -370,7 +372,7 @@ def write_sequence(seq: OutputSequence, path, seed=None) -> None:
     meta = {"schema": 1, "mode": seq.mode, "tau": seq.tau, "seed": seed}
     if seq.node is not None:
         meta["node"] = seq.node.to_json_dict()
-    path.with_suffix(".json").write_text(dumps(meta) + "\n")
+    path.with_suffix(".json").write_text(json.dumps(meta) + "\n")
 
 
 def read_sequence(path, sidecar=None) -> OutputSequence:
@@ -385,10 +387,11 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
     """
     path = Path(path)
     sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
+    text = path.read_text()  # first, so a missing CSV is the file the error names
     meta = json.loads(sidecar.read_text())
     if not isinstance(meta, dict) or "mode" not in meta:
         raise ValueError(f"sidecar {sidecar} must hold a JSON object with a 'mode'")
-    header, *rows = path.read_text().strip().splitlines() or [""]
+    header, *rows = text.strip().splitlines() or [""]
     table = [line.split(",") for line in rows]
     for i, fields in enumerate(table):
         if len(fields) != 2:

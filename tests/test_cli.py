@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 import shlex
@@ -25,7 +26,6 @@ from spectral_scope import (
 from spectral_scope.cli import build_parser, main
 from spectral_scope.dynamics import SimulationOverflowError
 from spectral_scope.estimator import estimate_spectrum
-from spectral_scope.jsontext import dumps
 from spectral_scope.oracle import observable_partition
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -198,7 +198,7 @@ def test_estimate_of_a_networked_simulate_gives_the_library_bytes(tmp_path, caps
     y = simulator(read_matrix_csv(matrix), NodeDynamics.random_symmetric(3, seed=5),
                   ObservationSetup(setup["x0"], setup["c"]), K=12, **kwargs)
     est = estimate_spectrum(y, rank_tolerance=1e-14)
-    assert spectrum.read_text() == dumps(est.to_json_dict()) + "\n"
+    assert spectrum.read_text() == json.dumps(est.to_json_dict()) + "\n"
 
 
 def test_simulate_takes_one_node_source(tmp_path, capsys):
@@ -306,6 +306,28 @@ def test_simulate_of_an_observed_node_out_of_range_is_a_usage_error(tmp_path, ca
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("observe", ["a", "1,,2"])
+def test_simulate_of_an_observe_that_is_not_a_node_list_is_a_usage_error(tmp_path, capsys, observe):
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    with pytest.raises(SystemExit) as info:
+        run(capsys, "simulate", "--matrix", matrix, "--observe", observe, "--out", tmp_path / "y.csv")
+    assert info.value.code == 2
+    assert capsys.readouterr() == (
+        "", f"error: --observe expects comma-separated node indices, got {observe!r}\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
+
+
+def test_simulate_of_observe_weights_without_observed_nodes_is_a_usage_error(tmp_path, capsys):
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    code, out, err = run(capsys, "simulate", "--matrix", matrix, "--observe-weights", 2,
+                         "--out", tmp_path / "y.csv")
+    assert (code, out, err) == (2, "", "error: observe_weights given without observed nodes\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -390,6 +412,14 @@ def test_estimate_without_input_is_a_usage_error(tmp_path, capsys):
         run(capsys, "estimate")
     assert info.value.code == 2
     assert "the following arguments are required: --y" in capsys.readouterr().err
+
+
+def test_estimate_of_a_missing_sequence_names_the_csv(tmp_path, capsys):
+    # the sidecar is missing too, but the CSV is the file the user named
+    y_csv = tmp_path / "nope.csv"
+    code, out, err = run(capsys, "estimate", "--y", y_csv)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read sequence: [Errno 2] No such file or directory: {str(y_csv)!r}\n"
 
 
 def test_estimate_surfaces_the_aliasing_warning(tmp_path, capsys):
@@ -1301,6 +1331,77 @@ def test_the_readme_file_table_names_the_keys_simulate_and_demo_write(tmp_path, 
     assert keys("fig3/match.json") == set(readme_keys(readme_file_row("demo match")))
 
 
+# the pipeline's JSON files each run writes: a DT and a CT chain as in the
+# README quick start, and demo fig3
+JSON_RUNS = {
+    "dt": (["--model", "pa", "--n", 10, "--m", 2], ["--mode", "dt"]),
+    "ct": (["--model", "ring", "--n", 8, "--directed"], ["--mode", "ct", "--tau", 1.0, "--K", 16]),
+}
+
+
+@pytest.mark.parametrize("kind", ["dt", "ct", "demo"])
+def test_every_pipeline_json_file_is_one_compact_line(tmp_path, capsys, kind):
+    if kind == "demo":
+        steps = [("demo", "fig3", "--seed", 0, "--outdir", tmp_path)]
+        names = ["match.json", "output.json", "setup.json", "spectrum.json"]
+    else:
+        gen, sim = JSON_RUNS[kind]
+        matrix, y_csv, spectrum = tmp_path / "m.csv", tmp_path / "y.csv", tmp_path / "spectrum.json"
+        steps = [
+            ("generate", *gen, "--weights", "-1,1", "--seed", 0, "--graph-out", tmp_path / "g.tsv",
+             "--matrix-out", matrix),
+            ("simulate", "--matrix", matrix, *sim, "--seed", 0, "--out", y_csv),
+            ("estimate", "--y", y_csv, "--rank-tolerance", 1e-14, "--out", spectrum),
+            ("verify", "--matrix", matrix, "--estimate", spectrum, "--setup", tmp_path / "y.setup.json",
+             "--tol", 1e-3, "--out", tmp_path / "verify.json"),
+        ]
+        names = ["spectrum.json", "verify.json", "y.json", "y.setup.json"]
+    assert [run(capsys, *argv)[0] for argv in steps] == [0] * len(steps)
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == names
+    for name in names:
+        text = (tmp_path / name).read_text()
+        assert text == json.dumps(json.loads(text)) + "\n", name
+
+
+# json writes int, float and None keys as strings; these it cannot write at all
+@pytest.mark.parametrize("payload", [
+    np.int64(1), np.bool_(True), {(1, 2): 3}, [set()], {"a": object()}, np.array([1.0]), 1j,
+])
+def test_any_other_type_is_a_type_error(tmp_path, payload):
+    out = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        cli._write_json({"schema": 1, "value": payload}, str(out))
+    assert not out.exists()  # encoded before the file is opened: nothing half-written
+
+
+def indented_json_dumps(source: str) -> list[str]:
+    """The function (``<module>`` at the top level) around each ``dump`` or
+    ``dumps`` call in ``source`` that passes an ``indent`` keyword."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) in ("dump", "dumps"):
+                found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_bench_json_writes_indented_json():
+    src = Path(cli.__file__).resolve().parent
+    found = {p.name: indented_json_dumps(p.read_text()) for p in sorted(src.rglob("*.py"))}
+    assert "cli.py" in found
+    assert {name: where for name, where in found.items() if where} == {"cli.py": ["cmd_bench"]}
+    # and the guard sees the call it is there to catch
+    assert indented_json_dumps("import json\ndef f(x, out):\n    json.dump(x, out, indent=2)\n") == ["f"]
+
+
 # each subcommand without a required flag or argument, with an unknown flag
 # (before and after the required ones, with and without a value), with a bad
 # value, and with --help; the top level must reject the unknown flags
@@ -1363,6 +1464,11 @@ def test_bench_emits_a_parseable_json_summary(tmp_path, capsys):
     assert len(sweeps) == 1
     assert sweeps[0]["scenario"] == "fig1" and sweeps[0]["seeds"] == 3
     assert 0.0 <= sweeps[0]["pass_rate"] <= 1.0
+    # the one indented JSON file, as the README's file table says
+    assert out_json.read_text() == json.dumps(payload, indent=2) + "\n"
+    row = readme_file_row("bench summary")
+    assert set(payload) == set(readme_keys(row))
+    assert set(sweeps[0]) == set(readme_keys(row[row.index("one sweep"):]))
 
 
 def test_bench_prints_a_table(tmp_path, capsys):

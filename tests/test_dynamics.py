@@ -542,6 +542,8 @@ def test_random_setup_is_deterministic_and_validates_indices():
         random_setup(3, observed=[0, 1], observe_weights=[1.0])
     with pytest.raises(ValueError, match=r"^c\[0\] is not finite: nan$"):
         random_setup(3, observed=[0], observe_weights=[math.nan])
+    with pytest.raises(ValueError, match="^observe_weights given without observed nodes$"):
+        random_setup(3, seed=0, observe_weights=[2.0])
 
 
 def test_sequence_metadata_is_validated():
