@@ -5,9 +5,9 @@ sequences, JSON reports with a top-level ``"schema": 1``), so the pipeline
 can be driven from a shell and scripted for batch runs. ``demo`` bundles the
 three preset experiments end to end, ``bench`` sweeps seeds and reports a
 success-rate table. ``--mode`` picks discrete (``dt``) or sampled continuous
-(``ct``) time; a node (``--node FILE`` or ``--node-d D``) makes ``simulate``
-networked, and the sequence's sidecar records it, so ``estimate`` strips it
-with no flag.
+(``ct``) time, which alone takes a ``--tau``; a node (``--node FILE`` or
+``--node-d D``) makes ``simulate`` networked, and the sequence's sidecar
+records it, so ``estimate`` strips it with no flag.
 
 Every setting is a flag; argparse rejects a missing required one or both of
 ``--node`` and ``--node-d``, and a negative seed flag, a ``--n`` or
@@ -183,6 +183,8 @@ def _build_setup(args, n: int) -> ObservationSetup:
 def cmd_simulate(args) -> int:
     if args.node_seed is not None and args.node_d is None:
         return _fail_usage("--node-seed needs --node-d")
+    if args.tau is not None and args.mode == DT:
+        return _fail_usage("--tau needs --mode ct")
     if args.node_d is not None and args.node_d < 1:
         return _fail_usage(f"--node-d must be >= 1, got {args.node_d}")
     try:
@@ -204,7 +206,7 @@ def cmd_simulate(args) -> int:
             seq = simulate_ct_networked(M, node, setup, tau=args.tau, K=K)
     except SimulationOverflowError as exc:
         if exc.partial.size:
-            partial = OutputSequence(exc.partial, mode=args.mode, tau=args.tau, node=node)
+            partial = OutputSequence(exc.partial, tau=args.tau, node=node)
             write_sequence(partial, args.out, seed=args.seed)
             print(f"overflow at sample {exc.index}; partial sequence written", file=sys.stderr)
         else:
@@ -380,22 +382,19 @@ def cmd_bench(args) -> int:
     if args.seeds < 1:
         return _fail_usage(f"--seeds must be >= 1, got {args.seeds}")
     names = list(SCENARIOS) if args.name == "all" else [args.name]
-    summaries = []
-    for name in names:
-        results = sweep(name, seeds=args.seeds, seed0=args.seed0)
-        summaries.append(summarize(results))
+    summaries = [summarize(sweep(name, seeds=args.seeds, seed0=args.seed0)) for name in names]
     if args.json:
-        payload = {"schema": 1, "sweeps": [s.to_json_dict() for s in summaries]}
+        payload = {"schema": 1, "sweeps": summaries}
         # perfbench/reference/bench_all_300.json pins these bytes; compact with its re-record (ROADMAP item 1)
         _write_text(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         print(f"{'scenario':<10}{'seeds':>6}{'passes':>8}{'rate':>8}"
               f"{'max err (pass)':>16}{'overflow':>10}")
         for s in summaries:
-            print(f"{s.name:<10}{s.total:>6}{s.passes:>8}{s.pass_rate:>8.2f}"
-                  f"{s.max_error_passing:>16.3e}{len(s.overflow_seeds):>10}")
-            if s.overflow_seeds:
-                print(f"  overflow seeds: {s.overflow_seeds}")
+            print(f"{s['scenario']:<10}{s['seeds']:>6}{s['passes']:>8}{s['pass_rate']:>8.2f}"
+                  f"{s['max_error_passing']:>16.3e}{len(s['overflow_seeds']):>10}")
+            if s["overflow_seeds"]:
+                print(f"  overflow seeds: {s['overflow_seeds']}")
     return EXIT_OK
 
 
@@ -428,9 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--mode", choices=(DT, CT), default=DT,
                    help="discrete or sampled continuous time; --node or --node-d makes it networked")
-    p.add_argument("--tau", type=float, default=None)
+    p.add_argument("--tau", type=float, default=None, help="sampling period (--mode ct only)")
     p.add_argument("--K", type=int, default=None, help="samples (default 2n)")
-    p.add_argument("--observe", default=None, help="observed node index or comma list")
+    p.add_argument("--observe", default=None, help="observed node index or comma list of distinct ones")
     p.add_argument("--observe-weights", default=None, help="weights for the observed nodes")
     p.add_argument("--x0", default=None, help="explicit initial state, comma-separated")
     p.add_argument("--seed", type=int, default=None)

@@ -15,9 +15,9 @@ through ``simulate_dt`` or ``simulate_ct_sampled``, so they share it.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Literal
 
 import numpy as np
 
@@ -42,14 +42,23 @@ __all__ = [
 
 DT = "dt"
 CT = "ct"
-TimeMode = Literal["dt", "ct"]
 
 
-def _mode(mode) -> str:
-    """``mode`` when it is ``DT`` or ``CT``; ``ValueError`` otherwise."""
+def _mode_of(tau) -> str:
+    """The time mode of a record: ``CT`` when it has a sampling period tau,
+    ``DT`` when not."""
+    return DT if tau is None else CT
+
+
+def _recorded_tau(mode, tau, record: str) -> float | None:
+    """The tau of a file's ``record`` in the ``mode`` the file names, which
+    must be ``DT``, with no tau, or ``CT``, with a positive one; ``ValueError``
+    otherwise."""
     if mode not in (DT, CT):
         raise ValueError(f"mode must be {DT!r} or {CT!r}, got {mode!r}")
-    return mode
+    if mode == DT and tau is not None:
+        raise ValueError(f"a {DT!r} {record} has no tau, got {tau!r}")
+    return None if mode == DT else _positive(tau, "tau")
 
 
 class SimulationOverflowError(OverflowError):
@@ -93,10 +102,10 @@ class ObservationSetup:
 def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> ObservationSetup:
     """Draw ``x0 ~ Uniform[0,1)^n`` and build the output weighting.
 
-    ``observed`` selects nodes: a single index or a sequence of indices gives
-    ``c`` with ones (or ``observe_weights``) at those positions; ``None``
-    draws a fully random ``c ~ Uniform[0,1)^n`` after ``x0``, and takes no
-    ``observe_weights``.
+    ``observed`` selects nodes: one integer index or a sequence of distinct
+    ones gives ``c`` with ones (or ``observe_weights``) at those positions,
+    and any other index is a ``ValueError``; ``None`` draws a fully random
+    ``c ~ Uniform[0,1)^n`` after ``x0``, and takes no ``observe_weights``.
     """
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 1.0, n)
@@ -105,14 +114,21 @@ def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> Obse
             raise ValueError("observe_weights given without observed nodes")
         c = rng.uniform(0.0, 1.0, n)
     else:
-        idx = np.atleast_1d(np.asarray(observed, dtype=int))
-        if idx.size == 0 or np.any(idx < 0) or np.any(idx >= n):
-            raise ValueError(f"observed nodes {idx.tolist()} out of range for n={n}")
-        w = np.ones(idx.size) if observe_weights is None else np.asarray(observe_weights, float)
-        if w.shape != idx.shape:
+        nodes: list[int] = []
+        for v in np.atleast_1d(np.asarray(observed, dtype=object)).tolist():
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"observed node {v!r} is not an integer index")
+            if int(v) in nodes:
+                raise ValueError(f"observed node {int(v)} is repeated; observed nodes must be distinct")
+            nodes.append(int(v))
+        # in Python ints, so that an index beyond int64 is out of range too
+        if not nodes or min(nodes) < 0 or max(nodes) >= n:
+            raise ValueError(f"observed nodes {nodes} out of range for n={n}")
+        w = np.ones(len(nodes)) if observe_weights is None else np.asarray(observe_weights, float)
+        if w.shape != (len(nodes),):
             raise ValueError("one weight per observed node required")
         c = np.zeros(n)
-        np.add.at(c, idx, w)
+        c[nodes] = w
     return ObservationSetup(x0=x0, c=c)
 
 
@@ -144,10 +160,6 @@ class NodeDynamics:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def d(self) -> int:
-        return self.A.shape[0]
 
     @classmethod
     def trivial(cls) -> "NodeDynamics":
@@ -182,12 +194,11 @@ class NodeDynamics:
 
 @dataclass(frozen=True, eq=False)
 class OutputSequence:
-    """A non-empty, 1-d, finite output record y[0..K-1] with its timing metadata
-    (a positive finite tau for ``ct``, none for ``dt``) and, for a networked
-    record, the agent dynamics it was convolved with; ``ValueError`` otherwise."""
+    """A non-empty, 1-d, finite output record y[0..K-1] with, when sampled
+    (``mode`` ``CT``), its positive finite tau and, for a networked record,
+    the agent dynamics it was convolved with; ``ValueError`` otherwise."""
 
     values: np.ndarray
-    mode: TimeMode = DT
     tau: float | None = None
     node: NodeDynamics | None = None
 
@@ -199,7 +210,11 @@ class OutputSequence:
         _require_finite(values, "output y")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "tau", _positive(self.tau, "tau") if _mode(self.mode) == CT else None)
+        object.__setattr__(self, "tau", None if self.tau is None else _positive(self.tau, "tau"))
+
+    @property
+    def mode(self) -> str:
+        return _mode_of(self.tau)
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -255,7 +270,7 @@ def _block_length(state_nbytes: int) -> int:
     return max(1, min(_BLOCK, _BLOCK_BYTES // max(state_nbytes, 1)))
 
 
-def _rollout(state, step, output, K: int, mode: str, tau, node=None) -> OutputSequence:
+def _rollout(state, step, output, K: int, tau=None, node=None) -> OutputSequence:
     # Iterated step; powers of the system matrix are never formed. The state
     # accumulates in extended precision where the platform has one (x86 long
     # double), so each emitted double carries only its final rounding instead
@@ -296,14 +311,14 @@ def _rollout(state, step, output, K: int, mode: str, tau, node=None) -> OutputSe
                 )
             if end < K:
                 state = step(states[-1])
-    return OutputSequence(ys, mode=mode, tau=tau, node=node)
+    return OutputSequence(ys, tau=tau, node=node)
 
 
 def simulate_dt(G, setup: ObservationSetup, K: int) -> OutputSequence:
     """y[k] = c^T G^k x0 for k = 0..K-1."""
     A, x0, c = _setup_arrays(G, setup, K)
     P = A.astype(np.longdouble)
-    return _rollout(x0.astype(np.longdouble), lambda x: np.dot(P, x), lambda S: S @ c, K, DT, None)
+    return _rollout(x0.astype(np.longdouble), lambda x: np.dot(P, x), lambda S: S @ c, K)
 
 
 def simulate_dt_networked(G, node: NodeDynamics, setup: ObservationSetup, K: int) -> OutputSequence:
@@ -318,7 +333,7 @@ def simulate_dt_networked(G, node: NodeDynamics, setup: ObservationSetup, K: int
     AnT = node.A.T.astype(np.longdouble)
     gl = node.gamma.astype(np.longdouble)
     X0 = np.outer(x0, node.beta).astype(np.longdouble)
-    return _rollout(X0, lambda X: np.dot(X, AnT) + np.dot(Al, X), lambda S: (S @ gl) @ c, K, DT, None, node)
+    return _rollout(X0, lambda X: np.dot(X, AnT) + np.dot(Al, X), lambda S: (S @ gl) @ c, K, node=node)
 
 
 def simulate_ct_sampled(G, setup: ObservationSetup, tau: float, K: int) -> OutputSequence:
@@ -326,7 +341,7 @@ def simulate_ct_sampled(G, setup: ObservationSetup, tau: float, K: int) -> Outpu
     tau = _positive(tau, "tau")
     A, x0, c = _setup_arrays(G, setup, K)
     P = matrix_exponential(A, tau).astype(np.longdouble)
-    return _rollout(x0.astype(np.longdouble), lambda x: np.dot(P, x), lambda S: S @ c, K, CT, tau)
+    return _rollout(x0.astype(np.longdouble), lambda x: np.dot(P, x), lambda S: S @ c, K, tau)
 
 
 def simulate_ct_networked(
@@ -350,7 +365,7 @@ def simulate_ct_networked(
         w0,
         lambda w: np.concatenate((np.dot(P, w[:n]), np.dot(Q, w[n:]))),
         lambda S: (S[:, :n] @ c) * (S[:, n:] @ gl),
-        K, CT, tau, node,
+        K, tau, node,
     )
 
 
@@ -364,10 +379,8 @@ def write_sequence(seq: OutputSequence, path, seed=None) -> None:
     plus a JSON sidecar ``{schema, mode, tau, seed}`` next to it, which also
     holds the ``node`` of a networked record."""
     path = Path(path)
-    if seq.mode == DT:
-        lines = ["k,y"] + [f"{k},{y:.17g}" for k, y in enumerate(seq.values.tolist())]
-    else:
-        lines = ["t,y"] + [f"{k * seq.tau:.17g},{y:.17g}" for k, y in enumerate(seq.values.tolist())]
+    first, step = ("k", 1) if seq.tau is None else ("t", seq.tau)
+    lines = [f"{first},y"] + [f"{k * step:.17g},{y:.17g}" for k, y in enumerate(seq.values.tolist())]
     path.write_text("\n".join(lines) + "\n")
     meta = {"schema": 1, "mode": seq.mode, "tau": seq.tau, "seed": seed}
     if seq.node is not None:
@@ -382,8 +395,9 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
     must count ``k = 0, 1, ...`` (discrete) or ``t = k tau`` (continuous, to
     a relative 1e-9, so hand-written times pass); ``ValueError`` otherwise,
     for a NaN or infinite sample, and for a sidecar that holds no JSON object
-    with a valid mode and tau, or whose ``node`` is malformed. Other keys are
-    ignored, such as the ``n_hint`` that older sidecars carry.
+    with a valid mode and tau (none for ``dt``), or whose ``node`` is
+    malformed. Other keys are ignored, such as the ``n_hint`` that older
+    sidecars carry.
     """
     path = Path(path)
     sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
@@ -406,7 +420,7 @@ def read_sequence(path, sidecar=None) -> OutputSequence:
         node = None if node is None else NodeDynamics.from_json_dict(node)
     except ValueError as exc:
         raise ValueError(f"sidecar {sidecar}: node: {exc}") from None
-    seq = OutputSequence(y, mode=meta["mode"], tau=meta.get("tau"), node=node)
+    seq = OutputSequence(y, tau=_recorded_tau(meta["mode"], meta.get("tau"), "sequence"), node=node)
     first = "k" if seq.mode == DT else "t"
     if [h.strip() for h in header.split(",")] != [first, "y"]:
         raise ValueError(f"{path}: header {header!r} does not fit mode {seq.mode!r} ({first},y)")

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import cluster_complex, enforce_conjugate_pairs
-from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence,
-                       SimulationOverflowError, _mode, simulate_ct_sampled, simulate_dt)
+from .dynamics import (NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
+                       _mode_of, _recorded_tau, simulate_ct_sampled, simulate_dt)
 from .graphs import _positive, _real, _tolerance
 
 __all__ = [
@@ -117,16 +117,23 @@ class CharacteristicPoly:
 
 @dataclass(eq=False)
 class SpectrumEstimate:
-    """Recovered eigenvalues with multiplicities plus solve diagnostics."""
+    """Recovered eigenvalues with multiplicities plus solve diagnostics. The
+    ``rank`` sums the multiplicities, and the ``mode`` is ``CT`` with a tau."""
 
     roots: list[tuple[complex, int]]
-    mode: str = DT
     tau: float | None = None
-    rank: int = 0
     residual: float = 0.0
     condition: float = 1.0
     scale_rho: float = 1.0
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def mode(self) -> str:
+        return _mode_of(self.tau)
+
+    @property
+    def rank(self) -> int:
+        return sum(m for _, m in self.roots)
 
     def expanded(self) -> np.ndarray:
         """Roots repeated by multiplicity, as a flat complex array."""
@@ -165,11 +172,7 @@ class SpectrumEstimate:
             if m < 1:
                 raise ValueError(f"root {k} has multiplicity {m}, below 1")
             roots.append((v, m))
-        tau = d.get("tau")
-        if _mode(d["mode"]) == CT:
-            tau = _positive(tau, "tau")
-        elif tau is not None:
-            raise ValueError(f"a {DT!r} spectrum has no tau, got {tau!r}")
+        tau = _recorded_tau(d["mode"], d.get("tau"), "spectrum")
         rank = _whole(d["rank"], "rank")
         if rank < 0:
             raise ValueError(f"rank must be >= 0, got {rank}")
@@ -189,9 +192,7 @@ class SpectrumEstimate:
             raise ValueError(f"schema must be 1, got {schema!r}")
         return cls(
             roots=roots,
-            mode=d["mode"],
             tau=tau,
-            rank=rank,
             residual=residual,
             condition=condition,
             scale_rho=_positive(d.get("rho", 1.0), "rho"),
@@ -514,7 +515,7 @@ def roots_with_multiplicity(
     """
     cluster_tol = _tolerance(cluster_tol, "cluster tolerance")
     if len(p.coefficients) == 0:
-        return SpectrumEstimate([], DT, None, 0, p.residual, p.condition, scale_rho)
+        return SpectrumEstimate([], None, p.residual, p.condition, scale_rho)
     monic = np.concatenate(([1.0], p.coefficients[::-1]))
     if p.coefficients_hi is not None:
         monic_hi = np.concatenate((np.ones(1, dtype=np.longdouble), p.coefficients_hi[::-1]))
@@ -527,7 +528,7 @@ def roots_with_multiplicity(
         pairs = [(v * scale_rho, m) for v, m in pairs]
     if not all(cmath.isfinite(v) for v, _ in pairs):
         raise OverflowError("a root lies beyond the double range")
-    return SpectrumEstimate(list(pairs), DT, None, len(p.coefficients), p.residual, p.condition, scale_rho)
+    return SpectrumEstimate(list(pairs), None, p.residual, p.condition, scale_rho)
 
 
 # =========================================================================
@@ -540,30 +541,30 @@ def roots_with_multiplicity(
 _nu_memo: tuple = (None, None)
 
 
-def nu_sequence(node: NodeDynamics, K: int, mode: str = DT, tau: float | None = None) -> np.ndarray:
-    """Node impulse weights: gamma^T A^k beta (discrete) or gamma^T e^{A k tau} beta (sampled).
+def nu_sequence(node: NodeDynamics, K: int, tau: float | None = None) -> np.ndarray:
+    """Node impulse weights: gamma^T A^k beta (discrete, no tau) or gamma^T e^{A k tau} beta (sampled).
 
     They are the agent's own output sequence: ``simulate_dt`` (or
     ``simulate_ct_sampled``) of ``A`` from ``x0 = beta`` through ``c =
     gamma``, with its precision and its memory bound of one rollout block.
     Raises ``OverflowError`` naming the first weight beyond the double range.
     The weights of the last call are kept, keyed on the content of A, beta
-    and gamma (not on the node object) with K, mode and tau, and every call
+    and gamma (not on the node object) with K and tau, and every call
     returns its own copy.
     """
     global _nu_memo
-    if _mode(mode) == CT:  # before the memo, whose key would take True for 1.0
+    if tau is not None:  # before the memo, whose key would take True for 1.0
         tau = _positive(tau, "tau")
-    key = (node.A.tobytes(), node.beta.tobytes(), node.gamma.tobytes(), K, mode, tau)
+    key = (node.A.tobytes(), node.beta.tobytes(), node.gamma.tobytes(), K, tau)
     if _nu_memo[0] != key:
-        _nu_memo = (key, _impulse_weights(node, K, mode, tau))
+        _nu_memo = (key, _impulse_weights(node, K, tau))
     return _nu_memo[1].copy()
 
 
-def _impulse_weights(node: NodeDynamics, K: int, mode: str, tau: float | None) -> np.ndarray:
+def _impulse_weights(node: NodeDynamics, K: int, tau: float | None) -> np.ndarray:
     setup = ObservationSetup(x0=node.beta, c=node.gamma)
     try:
-        if mode == DT:
+        if tau is None:
             return simulate_dt(node.A, setup, K).values
         return simulate_ct_sampled(node.A, setup, tau, K).values
     except SimulationOverflowError as exc:
@@ -679,8 +680,8 @@ def estimate_spectrum(
 
     ``y`` is an OutputSequence or a plain array, which is taken as discrete
     time with no node. A sequence's ``node`` is stripped first, by
-    deconvolve_sigma in discrete time and by deconvolve_sigma_ct in sampled
-    continuous time. An identically zero sequence gives rank 0 and an empty
+    deconvolve_sigma without a tau and by deconvolve_sigma_ct with one (sampled
+    continuous time). An identically zero sequence gives rank 0 and an empty
     spectrum, which is a valid answer, not an error.
 
     rank_tolerance
@@ -707,10 +708,9 @@ def estimate_spectrum(
     """
     seq = y if isinstance(y, OutputSequence) else OutputSequence(y)
     values, tau, node = seq.values, seq.tau, seq.node
-    if node is not None and tau is None:
-        values = deconvolve_sigma(values, nu_sequence(node, len(values), DT))
-    elif node is not None:
-        values = deconvolve_sigma_ct(values, nu_sequence(node, len(values), CT, tau))
+    if node is not None:
+        nu = nu_sequence(node, len(values), tau)
+        values = deconvolve_sigma(values, nu) if tau is None else deconvolve_sigma_ct(values, nu)
     if prescale is None:
         prescale = tau is not None or bool(np.max(np.abs(values)) > PRESCALE_TRIGGER)
     h = build_hankel(values, prescale=prescale, rank_tolerance=rank_tolerance)
@@ -728,7 +728,7 @@ def estimate_spectrum(
             )
         roots.append((complex(np.log(complex(v)) / tau), m))
     roots.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
-    est.roots, est.mode, est.tau = roots, CT, tau
+    est.roots, est.tau = roots, tau
     boundary = (np.pi / tau) * (1.0 - ALIAS_MARGIN)
     if any(abs(v.imag) >= boundary for v, _ in roots):
         est.warnings.append(

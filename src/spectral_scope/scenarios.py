@@ -184,42 +184,17 @@ def sweep(name: str, seeds: int = 100, seed0: int = 0) -> list[ScenarioResult]:
     return [run_scenario(name, s) for s in range(seed0, seed0 + seeds)]
 
 
-@dataclass(eq=False)
-class SweepSummary:
-    name: str
-    total: int
-    passes: int
-    failed_seeds: list[int]
-    overflow_seeds: list[int]
-    max_error_passing: float
-    mean_error_passing: float
-
-    @property
-    def pass_rate(self) -> float:
-        return self.passes / self.total if self.total else 0.0
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "scenario": self.name,
-            "seeds": self.total,
-            "passes": self.passes,
-            "pass_rate": self.pass_rate,
-            "failed_seeds": self.failed_seeds,
-            "overflow_seeds": self.overflow_seeds,
-            "max_error_passing": self.max_error_passing,
-            "mean_error_passing": self.mean_error_passing,
-        }
-
-
-def summarize(results: list[ScenarioResult]) -> SweepSummary:
+def summarize(results: list[ScenarioResult]) -> dict:
+    """The ``bench --json`` object of one sweep; the errors are over its passing seeds."""
     passing = [r for r in results if r.ok]
-    return SweepSummary(
-        name=results[0].name if results else "",
-        total=len(results),
-        passes=len(passing),
-        failed_seeds=[r.seed for r in results if not r.ok],
-        overflow_seeds=[r.seed for r in results if r.overflow],
-        max_error_passing=max((r.max_error for r in passing), default=0.0),
-        mean_error_passing=float(np.mean([r.max_error for r in passing])) if passing else 0.0,
-    )
+    return {
+        "schema": 1,
+        "scenario": results[0].name if results else "",
+        "seeds": len(results),
+        "passes": len(passing),
+        "pass_rate": len(passing) / len(results) if results else 0.0,
+        "failed_seeds": [r.seed for r in results if not r.ok],
+        "overflow_seeds": [r.seed for r in results if r.overflow],
+        "max_error_passing": max((r.max_error for r in passing), default=0.0),
+        "mean_error_passing": float(np.mean([r.max_error for r in passing])) if passing else 0.0,
+    }

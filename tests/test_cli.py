@@ -119,15 +119,24 @@ def test_simulate_writes_the_swap_trace_verbatim(tmp_path, capsys):
     out_csv = tmp_path / "y.csv"
     code, _, _ = run(
         capsys, "simulate", "--matrix", matrix, "--x0", "1,0", "--observe", 0,
-        "--K", 4, "--tau", 0.5, "--out", out_csv,
+        "--K", 4, "--out", out_csv,
     )
     assert code == 0
     assert out_csv.read_text() == "k,y\n0,1\n1,0\n2,1\n3,0\n"
     sidecar = json.loads((tmp_path / "y.json").read_text())
-    # a dt record has no sampling period, whatever --tau says
     assert sidecar == {"schema": 1, "mode": "dt", "tau": None, "seed": None}
     setup = json.loads((tmp_path / "y.setup.json").read_text())
     assert setup == {"schema": 1, "x0": [1.0, 0.0], "c": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize("mode", [("--mode", "dt"), ()], ids=["dt", "default"])
+def test_simulate_of_a_tau_in_discrete_time_is_a_usage_error(tmp_path, capsys, mode):
+    # a dt record has no sampling period, so a --tau would be dropped unread
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    code, out, err = run(capsys, "simulate", "--matrix", matrix, *mode, "--tau", 0.5, "--out", tmp_path / "y.csv")
+    assert (code, out, err) == (2, "", "error: --tau needs --mode ct\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
 
 
 def test_simulate_defaults_to_two_n_samples(tmp_path, capsys):
@@ -149,7 +158,8 @@ def test_simulate_defaults_to_two_n_samples(tmp_path, capsys):
 def test_a_node_makes_simulate_networked(tmp_path, capsys, mode, simulator):
     matrix = tmp_path / "rot.csv"
     matrix.write_text(ROT_CSV)
-    base = ("simulate", "--matrix", matrix, "--mode", mode, "--tau", 0.5, "--seed", 4)
+    tau = ("--tau", 0.5) if mode == "ct" else ()
+    base = ("simulate", "--matrix", matrix, "--mode", mode, *tau, "--seed", 4)
     assert run(capsys, *base, "--out", tmp_path / "plain.csv")[0] == 0
     code, out, _ = run(capsys, *base, "--node-d", 3, "--node-seed", 5, "--out", tmp_path / "y.csv")
     assert code == 0 and out.endswith("(+sidecar, y.setup.json)\n")
@@ -183,10 +193,11 @@ def test_a_networked_mode_is_a_usage_error(tmp_path, capsys, mode):
 def test_estimate_of_a_networked_simulate_gives_the_library_bytes(tmp_path, capsys, mode, simulator):
     # the node reaches estimate through the sidecar alone, and the verdict holds
     matrix, y_csv, spectrum = tmp_path / "m.csv", tmp_path / "y.csv", tmp_path / "spectrum.json"
+    tau = ("--tau", 0.5) if mode == "ct" else ()
     steps = [
         ("generate", "--model", "ring", "--n", 6, "--directed", "--weights", "0.5,1.5", "--seed", 3,
          "--graph-out", tmp_path / "g.tsv", "--matrix-out", matrix),
-        ("simulate", "--matrix", matrix, "--mode", mode, "--tau", 0.5, "--node-d", 3, "--node-seed", 5,
+        ("simulate", "--matrix", matrix, "--mode", mode, *tau, "--node-d", 3, "--node-seed", 5,
          "--seed", 11, "--out", y_csv),
         ("estimate", "--y", y_csv, "--rank-tolerance", 1e-14, "--out", spectrum),
         ("verify", "--matrix", matrix, "--estimate", spectrum, "--setup", tmp_path / "y.setup.json",
@@ -293,7 +304,7 @@ def test_simulate_reports_an_overflowing_matrix_exponential(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("x0", [(), ("--x0", "1,0")], ids=["drawn-x0", "given-x0"])
-@pytest.mark.parametrize("node", [5, -1])
+@pytest.mark.parametrize("node", [5, -1, 10**20])  # 10**20 is beyond int64
 def test_simulate_of_an_observed_node_out_of_range_is_a_usage_error(tmp_path, capsys, node, x0):
     matrix = tmp_path / "swap.csv"
     matrix.write_text(SWAP_CSV)
@@ -304,6 +315,16 @@ def test_simulate_of_an_observed_node_out_of_range_is_a_usage_error(tmp_path, ca
     assert code == 2 and out == ""
     assert err == f"error: observed nodes [{node}] out of range for n=2\n"
     assert not out_csv.exists()
+
+
+def test_simulate_of_a_repeated_observed_node_is_a_usage_error(tmp_path, capsys):
+    # a repeated node once summed its weights: c = [2, 0], without a word
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    code, out, err = run(capsys, "simulate", "--matrix", matrix, "--observe", "0,0", "--out", tmp_path / "y.csv")
+    assert (code, out) == (2, "")
+    assert err == "error: observed node 0 is repeated; observed nodes must be distinct\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
 
 
 @pytest.mark.parametrize("observe", ["a", "1,,2"])
@@ -464,7 +485,7 @@ def test_estimate_of_a_sequence_file_that_contradicts_its_sidecar_is_a_usage_err
     tmp_path, capsys, mode, edit, message
 ):
     y_csv = tmp_path / "y.csv"
-    write_sequence(OutputSequence([1.0, 0.5, 0.25, 0.125], mode=mode, tau=0.5), y_csv)
+    write_sequence(OutputSequence([1.0, 0.5, 0.25, 0.125], tau=0.5 if mode == "ct" else None), y_csv)
     y_csv.write_text("\n".join(edit(y_csv.read_text().splitlines())) + "\n")
     code, out, err = run(capsys, "estimate", "--y", y_csv)
     assert code == 2 and out == ""
@@ -478,8 +499,9 @@ def test_estimate_of_a_sequence_file_that_contradicts_its_sidecar_is_a_usage_err
         ({"tau": 1.0}, "must hold a JSON object with a 'mode'"),
         ({"mode": "ct", "tau": "x"}, "tau must be a positive finite number, got 'x'"),
         ({"mode": "ct", "tau": 10**400}, f"tau must be a positive finite number, got {10**400}"),
+        ({"mode": "dt", "tau": 0.5}, "a 'dt' sequence has no tau, got 0.5"),
     ],
-    ids=["list", "no-mode", "text-tau", "huge-tau"],
+    ids=["list", "no-mode", "text-tau", "huge-tau", "dt-tau"],
 )
 def test_estimate_with_a_malformed_sidecar_is_a_usage_error(tmp_path, capsys, meta, message):
     _, y_csv = simulate_swap(tmp_path, capsys)
@@ -510,7 +532,7 @@ def test_estimate_with_a_bad_tolerance_is_a_usage_error(tmp_path, capsys, flag, 
 def test_estimate_reads_hand_written_sample_times(tmp_path, capsys):
     # 0.1 * 3 is 0.30000000000000004, not 0.3: a small relative slack is allowed
     y_csv = tmp_path / "y.csv"
-    write_sequence(OutputSequence([1.0, 0.5, 0.25, 0.125], mode="ct", tau=0.1), y_csv)
+    write_sequence(OutputSequence([1.0, 0.5, 0.25, 0.125], tau=0.1), y_csv)
     written = read_sequence(y_csv)
     y_csv.write_text("t, y\n0,1\n0.1,0.5\n0.2,0.25\n0.3,0.125\n")
     back = read_sequence(y_csv)
@@ -561,7 +583,7 @@ def test_estimate_fails_cleanly_on_an_orthogonal_node(tmp_path, capsys):
 def test_estimate_reports_an_overflow_as_a_failure(tmp_path, capsys, mode, values, node, message):
     y_csv = tmp_path / "y.csv"
     tau = 1.0 if mode == "ct" else None
-    write_sequence(OutputSequence(np.array(values), mode=mode, tau=tau, node=NodeDynamics(**node)), y_csv)
+    write_sequence(OutputSequence(np.array(values), tau=tau, node=NodeDynamics(**node)), y_csv)
     code, out, err = run(capsys, "estimate", "--y", y_csv)
     assert code == 1 and out == ""
     assert err == f"estimation failed: {message}\n"

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -308,7 +309,7 @@ def test_overflow_reports_index_and_partial_prefix(mode):
 # included.
 
 
-def _per_step_rollout(state, step, output, K, mode, tau):
+def _per_step_rollout(state, step, output, K, tau):
     ys = np.empty(K)
     for k in range(K):
         ys[k] = float(output(state))
@@ -318,7 +319,7 @@ def _per_step_rollout(state, step, output, K, mode, tau):
             )
         if k + 1 < K:
             state = step(state)
-    return OutputSequence(ys, mode=mode, tau=tau)
+    return OutputSequence(ys, tau=tau)
 
 
 def _per_step_simulation(kind, G, setup, K, node, tau):
@@ -339,13 +340,12 @@ def _per_step_simulation(kind, G, setup, K, node, tau):
         state = np.concatenate((x0, node.beta)).astype(np.longdouble)
         step = lambda w: np.concatenate((P @ w[:n], Q @ w[n:]))
         output = lambda w: (c @ w[:n]) * (gl @ w[n:])
-    mode = "dt" if kind.startswith("dt") else "ct"
-    tau = None if mode == "dt" else float(tau)
-    return _per_step_rollout(state, step, output, K, mode, tau)
+    tau = None if kind.startswith("dt") else float(tau)
+    return _per_step_rollout(state, step, output, K, tau)
 
 
-def _per_step_nu(node, K, mode, tau):
-    P = node.A if mode == DT else matrix_exponential(node.A, tau)
+def _per_step_nu(node, K, tau):
+    P = node.A if tau is None else matrix_exponential(node.A, tau)
     v = node.beta.astype(np.longdouble)
     Pl = P.astype(np.longdouble)
     gl = node.gamma.astype(np.longdouble)
@@ -385,10 +385,10 @@ def _assert_same_as_per_step(G, setup, K, node, tau):
         with np.errstate(all="ignore"):
             expected = _outcome(lambda: _per_step_simulation(kind, G, setup, K, node, tau))
         assert _outcome(lambda: simulate(G, setup, K, node, tau)) == expected, kind
-    for mode in (DT, CT):
+    for sampling in (None, tau):
         with np.errstate(all="ignore"):
-            expected = _outcome(lambda: _per_step_nu(node, K, mode, tau))
-        assert _outcome(lambda: nu_sequence(node, K, mode, tau)) == expected, mode
+            expected = _outcome(lambda: _per_step_nu(node, K, sampling))
+        assert _outcome(lambda: nu_sequence(node, K, sampling)) == expected, sampling
 
 
 # scales from decaying to overflowing within a few steps, in either time mode
@@ -546,18 +546,34 @@ def test_random_setup_is_deterministic_and_validates_indices():
         random_setup(3, seed=0, observe_weights=[2.0])
 
 
+@pytest.mark.parametrize(
+    "observed, message",
+    [
+        ([1.5], "observed node 1.5 is not an integer index"),
+        ([True], "observed node True is not an integer index"),
+        (np.array([0, 1]) == 1, "observed node False is not an integer index"),
+        ([0, 2, 0], "observed node 0 is repeated; observed nodes must be distinct"),
+    ],
+    ids=["fraction", "bool", "bool-array", "repeat"],
+)
+def test_random_setup_rejects_an_observed_node_that_is_not_a_distinct_index(observed, message):
+    # each of these once picked a node silently: 1.5 and True gave node 1, and
+    # a repeated node summed its weights
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        random_setup(3, seed=0, observed=observed)
+
+
 def test_sequence_metadata_is_validated():
-    with pytest.raises(ValueError):
-        OutputSequence([1.0, 2.0], mode=CT)  # tau missing
-    with pytest.raises(ValueError):
-        OutputSequence([1.0], mode="weekly")
-    assert OutputSequence([1.0, 2.0], mode=DT).tau is None
+    with pytest.raises(ValueError, match="^tau must be a positive finite number, got 0.0$"):
+        OutputSequence([1.0, 2.0], tau=0.0)
+    assert OutputSequence([1.0, 2.0]).mode == DT
+    assert OutputSequence([1.0, 2.0], tau=0.5).mode == CT
 
 
 @pytest.mark.parametrize("mode,tau", [(DT, None), (CT, 0.25)])
 def test_sequence_files_roundtrip_exactly(tmp_path, mode, tau):
     rng = np.random.default_rng(2)
-    seq = OutputSequence(rng.standard_normal(9), mode=mode, tau=tau)
+    seq = OutputSequence(rng.standard_normal(9), tau=tau)
     path = tmp_path / "y.csv"
     write_sequence(seq, path, seed=42)
     back = read_sequence(path)
@@ -586,7 +602,7 @@ def test_a_networked_sidecar_roundtrips_its_node_bit_for_bit(tmp_path, mode, tau
     A, beta = rng.standard_normal((3, 3)), rng.standard_normal(3)
     A[0, 0], beta[1] = -0.0, 5e-324  # a signed zero and the smallest subnormal keep their bits too
     node = NodeDynamics(A=A, beta=beta, gamma=rng.standard_normal(3))
-    write_sequence(OutputSequence(rng.standard_normal(6), mode=mode, tau=tau, node=node), tmp_path / "y.csv")
+    write_sequence(OutputSequence(rng.standard_normal(6), tau=tau, node=node), tmp_path / "y.csv")
     back = read_sequence(tmp_path / "y.csv").node
     for got, want in ((back.A, node.A), (back.beta, node.beta), (back.gamma, node.gamma)):
         assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from helpers import hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CT,
-    DT,
     CharacteristicPoly,
     DeconvolutionOverflowError,
     InsufficientDataError,
@@ -192,7 +192,7 @@ def test_non_finite_outputs_are_rejected_with_a_typed_error(bad):
     calls = [
         lambda: estimate_spectrum(values),
         lambda: estimate_spectrum(OutputSequence(values, node=node)),
-        lambda: estimate_spectrum(OutputSequence(values, mode=CT, tau=1.0)),
+        lambda: estimate_spectrum(OutputSequence(values, tau=1.0)),
         lambda: detect_rank_online(iter(values)),
     ]
     for call in calls:
@@ -219,7 +219,7 @@ def test_a_bad_tolerance_is_rejected_with_a_typed_error(field, bad):
     calls = [
         lambda: estimate_spectrum(values, **opts),
         lambda: estimate_spectrum(OutputSequence(values, node=node), **opts),
-        lambda: estimate_spectrum(OutputSequence(values, mode=CT, tau=1.0), **opts),
+        lambda: estimate_spectrum(OutputSequence(values, tau=1.0), **opts),
     ]
     if field == "rank_tolerance":
         calls += [
@@ -429,7 +429,7 @@ def test_refinement_stops_at_the_first_repeated_iterate(monkeypatch):
 ENTRY_POINTS = {
     "dt": lambda y, **opts: estimate_spectrum(y, **opts),
     "dt-networked": lambda y, **opts: estimate_spectrum(OutputSequence(y, node=NodeDynamics.trivial()), **opts),
-    "ct": lambda y, **opts: estimate_spectrum(OutputSequence(y, mode=CT, tau=1.0), **opts),
+    "ct": lambda y, **opts: estimate_spectrum(OutputSequence(y, tau=1.0), **opts),
 }
 
 
@@ -488,7 +488,7 @@ def test_coefficients_or_roots_beyond_the_double_range_raise_overflow_errors():
     # both used to end in numpy's LinAlgError "Array must not contain infs or NaNs"
     with pytest.raises(OverflowError, match=r"^a characteristic polynomial coefficient lies beyond"):
         estimate_spectrum([1e-320, -0.25])
-    y = OutputSequence([1e-320, -1.711378127094104, -2.659208373654944e33], mode=CT, tau=0.5)
+    y = OutputSequence([1e-320, -1.711378127094104, -2.659208373654944e33], tau=0.5)
     with pytest.raises(OverflowError, match=r"^a root lies beyond the double range$"):
         estimate_spectrum(y)
 
@@ -752,9 +752,37 @@ def test_spectrum_json_round_trips():
     assert d["mode"] == "ct" and len(d["roots"]) == 2
     assert SpectrumEstimate.from_json_dict(d).to_json_dict() == d
     # an unsolvable system's infinite residual and condition read back too
-    d = SpectrumEstimate([(0.5 + 0j, 2)], rank=2, residual=np.inf, condition=np.inf,
+    d = SpectrumEstimate([(0.5 + 0j, 2)], residual=np.inf, condition=np.inf,
                          scale_rho=3.0, warnings=["ill-conditioned"]).to_json_dict()
     assert SpectrumEstimate.from_json_dict(d).to_json_dict() == d
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def spectra(draw) -> SpectrumEstimate:
+    """Any estimate of valid values: finite roots of multiplicity >= 1, no tau
+    or a positive one, a residual >= 0, a condition >= 1 (both up to
+    infinity), a positive rho and string warnings."""
+    roots = st.tuples(st.complex_numbers(allow_nan=False, allow_infinity=False), st.integers(1, 5))
+    return SpectrumEstimate(
+        roots=draw(st.lists(roots, max_size=6)),
+        tau=draw(st.none() | POSITIVE),
+        residual=draw(st.floats(min_value=0.0)),
+        condition=draw(st.floats(min_value=1.0)),
+        scale_rho=draw(POSITIVE),
+        warnings=draw(st.lists(st.text(), max_size=3)),
+    )
+
+
+@given(spectra())
+@example(SpectrumEstimate([(0.5 + 0j, 1)]))
+@settings(max_examples=200, deadline=None)
+def test_every_valid_spectrum_reads_back_as_itself(est):
+    # mode and rank are read off tau and the roots, so no two fields can disagree
+    d = est.to_json_dict()
+    assert json.dumps(SpectrumEstimate.from_json_dict(d).to_json_dict()) == json.dumps(d)
 
 
 @pytest.mark.parametrize(
@@ -826,26 +854,24 @@ def test_scalar_node_weights_are_powers():
 
 def test_sampled_weights_of_a_static_node_are_constant():
     node = NodeDynamics(A=np.zeros((3, 3)), beta=[1.0, 2.0, 0.5], gamma=[0.25, 1.0, 1.0])
-    nu = nu_sequence(node, K=4, mode=CT, tau=0.7)
+    nu = nu_sequence(node, K=4, tau=0.7)
     assert np.max(np.abs(nu - node.gamma @ node.beta)) < 1e-15
 
 
 def test_nu_sequence_validates_mode_and_tau():
     with pytest.raises(ValueError):
         nu_sequence(NodeDynamics.trivial(), K=0)
-    with pytest.raises(ValueError):
-        nu_sequence(NodeDynamics.trivial(), K=3, mode=CT)
-    with pytest.raises(ValueError):
-        nu_sequence(NodeDynamics.trivial(), K=3, mode="hourly")
+    with pytest.raises(ValueError, match="^tau must be a positive finite number, got 0.0$"):
+        nu_sequence(NodeDynamics.trivial(), K=3, tau=0.0)
 
 
 def count_weight_builds(monkeypatch) -> list:
-    """Start nu_sequence with an empty memo and record each (K, mode, tau) it builds."""
+    """Start nu_sequence with an empty memo and record each (K, tau) it builds."""
     builds, build = [], estimator._impulse_weights
 
-    def counted(node, K, mode, tau):
-        builds.append((K, mode, tau))
-        return build(node, K, mode, tau)
+    def counted(node, K, tau):
+        builds.append((K, tau))
+        return build(node, K, tau)
 
     monkeypatch.setattr(estimator, "_nu_memo", (None, None))
     monkeypatch.setattr(estimator, "_impulse_weights", counted)
@@ -862,7 +888,7 @@ def test_node_weights_are_memoized_and_every_call_gets_its_own_copy(monkeypatch)
     # an equal agent in new arrays is the same key
     twin = NodeDynamics(A=node.A.copy(), beta=node.beta.copy(), gamma=node.gamma.copy())
     assert np.array_equal(nu_sequence(twin, K=6), want)
-    assert builds == [(6, DT, None)]
+    assert builds == [(6, None)]
 
 
 def test_an_agent_changed_in_place_gets_fresh_weights(monkeypatch):
@@ -881,11 +907,12 @@ def test_an_agent_changed_in_place_gets_fresh_weights(monkeypatch):
 def test_calls_that_differ_in_k_tau_or_mode_do_not_share_weights(monkeypatch):
     builds = count_weight_builds(monkeypatch)
     node = NodeDynamics(A=[[-0.5]], beta=[1.0], gamma=[1.0])
-    calls = [(5, CT, 0.5), (5, CT, 1.0), (5, DT, 1.0), (4, DT, 1.0), (5, CT, 1.0)]
-    for K, mode, tau in calls:
-        got = nu_sequence(node, K=K, mode=mode, tau=tau)
-        rate = -0.5 if mode == DT else math.exp(-0.5 * tau)
-        assert np.max(np.abs(got - rate ** np.arange(K))) < 1e-15, (K, mode, tau)
+    # a call without a tau is discrete time
+    calls = [(5, 0.5), (5, 1.0), (5, None), (4, None), (5, 1.0)]
+    for K, tau in calls:
+        got = nu_sequence(node, K=K, tau=tau)
+        rate = -0.5 if tau is None else math.exp(-0.5 * tau)
+        assert np.max(np.abs(got - rate ** np.arange(K))) < 1e-15, (K, tau)
     assert builds == calls
 
 
@@ -909,7 +936,7 @@ def test_node_weights_stay_within_one_rollout_block(monkeypatch):
 def test_a_fig3_sweep_forms_its_node_weights_once(monkeypatch):
     builds = count_weight_builds(monkeypatch)
     sweep("fig3", 20)
-    assert builds == [(20, DT, None)]
+    assert builds == [(20, None)]
 
 
 def test_unit_impulse_deconvolution_is_the_identity_bit_for_bit():
@@ -1099,7 +1126,7 @@ def test_sampling_at_the_nyquist_edge_raises_the_aliasing_flag():
 
 
 def test_a_vanished_discrete_root_is_log_singular():
-    y = OutputSequence([1.0, 0.0, 0.0, 0.0], mode=CT, tau=1.0)
+    y = OutputSequence([1.0, 0.0, 0.0, 0.0], tau=1.0)
     with pytest.raises(LogSingularRootError):
         estimate_spectrum(y)
 

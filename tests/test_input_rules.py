@@ -2,12 +2,17 @@
 
 A sampling period ``tau`` must be a positive finite real and a tolerance a
 finite real >= 0, neither a bool; ``graphs._positive`` and
-``graphs._tolerance`` own these rules and their one message. A time mode
-must be ``DT`` or ``CT``, which ``dynamics._mode`` owns. The tests feed each
-bad value to every entry point that takes such an input, and ``ast`` guards
-keep the range and mode tests themselves from being written anywhere else in
-``src/``. An ``OutputSequence`` is frozen and keeps a read-only copy of its
-samples, so neither a field nor a sample of it can be changed past its rules.
+``graphs._tolerance`` own these rules and their one message. A record's time
+mode is no input: it is ``CT`` when the record has a tau and ``DT`` when not,
+which ``dynamics._mode_of`` owns. Only the files name a mode, which must be
+``DT`` or ``CT``, with a tau for ``CT`` alone; ``dynamics._recorded_tau``
+owns that rule, behind ``read_sequence`` and
+``SpectrumEstimate.from_json_dict``. The tests feed each bad value to
+every entry point that takes such an input, and ``ast`` guards keep the
+range tests, the mode test and the choice between ``DT`` and ``CT`` from
+being written anywhere else in ``src/``. An ``OutputSequence`` is frozen and
+keeps a read-only copy of its samples, so neither a field nor a sample of it
+can be changed past its rules.
 """
 
 from __future__ import annotations
@@ -43,7 +48,8 @@ from spectral_scope.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectral_scope"
 RULE_HELPERS = ("_positive", "_tolerance")
-MODE_HELPER = ("_mode",)
+MODE_HELPER = ("_recorded_tau",)
+MODE_CHOICE_HELPER = ("_mode_of",)
 
 BAD = {
     "None": None,
@@ -64,31 +70,39 @@ SETUP = ObservationSetup(x0=[1.0, 0.5], c=[1.0, 0.0])
 
 def _nu_after_a_memo_at_one(tau):
     # True == 1.0 and hashes alike, so the memo must not answer before the rule
-    nu_sequence(NodeDynamics.trivial(), 4, CT, 1.0)
-    return nu_sequence(NodeDynamics.trivial(), 4, CT, tau)
+    nu_sequence(NodeDynamics.trivial(), 4, 1.0)
+    return nu_sequence(NodeDynamics.trivial(), 4, tau)
 
 
 TAU_ENTRY_POINTS = {
-    "OutputSequence": lambda tau: OutputSequence([1.0, 0.5], mode=CT, tau=tau),
+    "OutputSequence": lambda tau: OutputSequence([1.0, 0.5], tau=tau),
     "simulate_ct_sampled": lambda tau: simulate_ct_sampled(SWAP, SETUP, tau, 4),
     "simulate_ct_networked": lambda tau: simulate_ct_networked(SWAP, NodeDynamics.trivial(), SETUP, tau, 4),
     "nu_sequence": _nu_after_a_memo_at_one,
     "from_json_dict": lambda tau: SpectrumEstimate.from_json_dict(
-        {**SpectrumEstimate([], CT, 1.0).to_json_dict(), "tau": tau}
+        {**SpectrumEstimate([], tau=1.0).to_json_dict(), "tau": tau}
     ),
+}
+# a record or node weights without a tau are discrete time: None is no bad tau there
+NO_TAU_IS_DT = {
+    "OutputSequence": lambda seq: seq.mode == DT,
+    "nu_sequence": lambda nu: nu.tolist() == [1.0, 0.0, 0.0, 0.0],  # not the memo's [1, 1, 1, 1]
 }
 
 
 @pytest.mark.parametrize("bad", BAD)
 @pytest.mark.parametrize("entry", TAU_ENTRY_POINTS)
 def test_every_entry_point_takes_tau_by_the_one_rule(entry, bad):
+    if bad == "None" and entry in NO_TAU_IS_DT:
+        assert NO_TAU_IS_DT[entry](TAU_ENTRY_POINTS[entry](None))
+        return
     message = f"^tau must be a positive finite number, got {re.escape(repr(BAD[bad]))}$"
     with pytest.raises(ValueError, match=message):
         TAU_ENTRY_POINTS[entry](BAD[bad])
 
 
 def test_a_sequence_cannot_be_changed_after_its_rules_run():
-    seq = OutputSequence([1.0, 0.5, 0.25, 0.125], mode=CT, tau=1.0)
+    seq = OutputSequence([1.0, 0.5, 0.25, 0.125], tau=1.0)
     # an infinite tau assigned here would give a root at -0 with no error
     for name, value in (("tau", math.inf), ("mode", "hourly"), ("values", [math.nan]), ("node", None)):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -117,9 +131,7 @@ def _read_with_sidecar_mode(tmp_path, mode):
 
 
 MODE_ENTRY_POINTS = {
-    "OutputSequence": lambda tmp_path, mode: OutputSequence([1.0, 0.5], mode=mode),
     "read_sequence": _read_with_sidecar_mode,
-    "nu_sequence": lambda tmp_path, mode: nu_sequence(NodeDynamics.trivial(), 4, mode),
     "from_json_dict": lambda tmp_path, mode: SpectrumEstimate.from_json_dict(
         {**SpectrumEstimate([]).to_json_dict(), "mode": mode}
     ),
@@ -140,7 +152,7 @@ def _verify(tmp_path, capsys, tol, source: str) -> tuple[int, str]:
     estimate holds, with ``tol`` given by the flag or by the setup."""
     matrix, spectrum, setup = tmp_path / "m.csv", tmp_path / "s.json", tmp_path / "setup.json"
     matrix.write_text("0.5\n")
-    spectrum.write_text(json.dumps(SpectrumEstimate([(0.5 + 0j, 1)], rank=1).to_json_dict()))
+    spectrum.write_text(json.dumps(SpectrumEstimate([(0.5 + 0j, 1)]).to_json_dict()))
     payload = {"schema": 1, "x0": [1.0], "c": [1.0]}
     flag = ("--tol", str(tol)) if source == "flag" else ()
     if source == "setup":
@@ -206,22 +218,36 @@ def _is_range_check(node: ast.AST) -> bool:
     )
 
 
+def _mode_label(node: ast.AST) -> str:
+    """``"DT"`` or ``"CT"`` for the name or the string of a mode, upper-cased."""
+    return str(node.id if isinstance(node, ast.Name) else getattr(node, "value", None)).upper()
+
+
 def _is_mode_check(node: ast.AST) -> bool:
     """A membership test (``in`` or ``not in``) against a literal holding
     ``DT`` and ``CT``, by name or as the strings ``"dt"`` and ``"ct"``."""
-
-    def label(elt: ast.AST):
-        return elt.id if isinstance(elt, ast.Name) else getattr(elt, "value", None)
-
     return (
         isinstance(node, ast.Compare)
         and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)
         and any(
             isinstance(c, (ast.Tuple, ast.List, ast.Set))
-            and {str(label(e)).upper() for e in c.elts} == {"DT", "CT"}
+            and {_mode_label(e) for e in c.elts} == {"DT", "CT"}
             for c in node.comparators
         )
     )
+
+
+def _is_mode_choice(node: ast.AST) -> bool:
+    """A conditional that gives ``DT`` one way and ``CT`` the other: an ``x if
+    c else y`` expression, or an ``if``/``else`` of one return or assignment
+    each."""
+    if isinstance(node, ast.IfExp):
+        branches = [node.body, node.orelse]
+    elif isinstance(node, ast.If) and len(node.body) == len(node.orelse) == 1:
+        branches = [getattr(b[0], "value", None) for b in (node.body, node.orelse)]
+    else:
+        return False
+    return {_mode_label(b) for b in branches} == {"DT", "CT"}
 
 
 def rule_checks(source: str, allowed=RULE_HELPERS, is_check=_is_range_check) -> list[int]:
@@ -250,21 +276,35 @@ def test_each_range_rule_is_written_once():
     assert rule_checks(planted) == [4]
 
 
-def mode_checks(source: str, allowed=MODE_HELPER) -> list[int]:
-    """Lines of ``source`` holding a mode check outside the functions named in ``allowed``."""
-    return rule_checks(source, allowed, _is_mode_check)
+def mode_checks(source: str, allowed=MODE_HELPER, choice_allowed=MODE_CHOICE_HELPER) -> list[int]:
+    """Lines of ``source`` holding a mode check outside the functions named in
+    ``allowed``, or a choice between ``DT`` and ``CT`` outside those named in
+    ``choice_allowed``."""
+    return sorted(rule_checks(source, allowed, _is_mode_check)
+                  + rule_checks(source, choice_allowed, _is_mode_choice))
 
 
 def test_the_mode_rule_is_written_once():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert {name: mode_checks(text) for name, text in sources.items() if mode_checks(text)} == {}
-    # the helper holds the one check, so the guard is not looking at nothing
-    assert len(mode_checks(sources["dynamics.py"], allowed=())) == 1
-    # and it flags copies planted outside it, by name or by the strings
+    # the helpers hold the one check and the one choice, so the guard is not
+    # looking at nothing
+    assert len(mode_checks(sources["dynamics.py"], allowed=(), choice_allowed=())) == 2
+    # and it flags copies planted outside them, by name or by the strings
     planted = (
         "def check(mode):\n"
         "    if mode not in (DT, CT):\n"
         "        raise ValueError(mode)\n"
         "    return mode in ['ct', 'dt']\n"
+        "\n"
+        "def mode_of(tau):\n"
+        "    return 'dt' if tau is None else CT\n"
+        "\n"
+        "def mode_again(tau):\n"
+        "    if tau is not None:\n"
+        "        mode = CT\n"
+        "    else:\n"
+        "        mode = 'dt'\n"
+        "    return mode\n"
     )
-    assert mode_checks(planted) == [2, 4]
+    assert mode_checks(planted) == [2, 4, 7, 10]
