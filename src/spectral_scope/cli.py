@@ -62,7 +62,7 @@ from .graphs import (
     write_matrix_csv,
     _tolerance,
 )
-from .oracle import full_spectrum, match_spectra, observable_partition
+from .oracle import _expand_values, full_spectrum, match_spectra, observable_partition
 from .scenarios import SCENARIOS, run_scenario, summarize, sweep
 
 __all__ = ["main"]
@@ -279,8 +279,10 @@ def cmd_verify(args) -> int:
             )
         try:
             roots = SpectrumEstimate.from_json_dict(json.loads(Path(args.estimate).read_text())).roots
-        except KeyError as exc:  # its message is the bare key
-            raise ValueError(f"estimate {args.estimate} has no {exc}") from None
+        except ValueError as exc:  # a fault of the whole file names no field, so name the file
+            if str(exc).startswith(("has no ", "must hold ")):
+                raise ValueError(f"estimate {args.estimate} {exc}") from None
+            raise
         # an n x n matrix has n eigenvalues, so no root can repeat more often
         for k, (_, m) in enumerate(roots):
             if m > n:
@@ -332,7 +334,7 @@ def _write_eigenvalue_csv(path, truth, estimate) -> None:
     for v in np.sort_complex(np.asarray(truth)):
         lines.append(f"{v.real:.17g},{v.imag:.17g},true")
     if estimate is not None:
-        for v in np.sort_complex(estimate.expanded()):
+        for v in np.sort_complex(_expand_values(estimate.roots)):
             lines.append(f"{v.real:.17g},{v.imag:.17g},estimated")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -72,15 +72,20 @@ def _centroid(group: np.ndarray) -> complex:
     return complex(a + b * 0.0, b - a * 0.0) if np.iscomplexobj(group) else complex(a)
 
 
+def _spectral_order(v: complex) -> tuple[float, float]:
+    """The sort key of every spectrum listing: descending real part, then
+    descending imaginary part, which keeps conjugate partners adjacent."""
+    return -v.real, -v.imag
+
+
 def cluster_complex(values, tol: float) -> list[tuple[complex, int]]:
     """Merge nearby complex values into (centroid, count) pairs.
 
-    Pairs are sorted by descending real part, then descending imaginary part,
-    which keeps conjugate partners adjacent in the output.
+    Pairs are sorted by ``_spectral_order`` of their centroids.
     """
     vals = np.asarray(values, dtype=complex)
     out = [(_centroid(vals[idx]), len(idx)) for idx in cluster_indices(vals, tol)]
-    out.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
+    out.sort(key=lambda vm: _spectral_order(vm[0]))
     return out
 
 
@@ -118,5 +123,5 @@ def enforce_conjugate_pairs(
             avg = (v + snapped[best][0].conjugate()) / 2.0
             out[i] = (avg, m)
             out[best] = (avg.conjugate(), snapped[best][1])
-    out.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
+    out.sort(key=lambda vm: _spectral_order(vm[0]))
     return out

@@ -27,11 +27,11 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import cluster_complex, enforce_conjugate_pairs
+from .clustering import _spectral_order, cluster_complex, enforce_conjugate_pairs
 from .dynamics import (NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
                        _mode_of, _recorded_tau, simulate_ct_sampled, simulate_dt)
 from .graphs import _positive, _real, _tolerance
@@ -84,7 +84,7 @@ class InsufficientDataError(ValueError):
     """Fewer observations than the detected rank requires for the coefficient solve."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HankelAnalysis:
     """A square Hankel matrix of outputs with its SVD-based rank decision."""
 
@@ -97,7 +97,7 @@ class HankelAnalysis:
     y_raw: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CharacteristicPoly:
     """Monic polynomial whose roots are the recoverable eigenvalues.
 
@@ -115,17 +115,40 @@ class CharacteristicPoly:
     coefficients_hi: np.ndarray | None = None
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SpectrumEstimate:
     """Recovered eigenvalues with multiplicities plus solve diagnostics. The
-    ``rank`` sums the multiplicities, and the ``mode`` is ``CT`` with a tau."""
+    ``rank`` sums the multiplicities, and the ``mode`` is ``CT`` with a tau.
+    ``ValueError`` for a non-finite root, a multiplicity that is not a whole
+    number >= 1, a tau or rho that is not positive and finite, a residual
+    below 0 or a condition below 1 (both may be infinite) or a non-string warning."""
 
     roots: list[tuple[complex, int]]
     tau: float | None = None
     residual: float = 0.0
     condition: float = 1.0
     scale_rho: float = 1.0
-    warnings: list[str] = field(default_factory=list)
+    warnings: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        roots = []
+        for k, (v, m) in enumerate(self.roots):
+            v, m = complex(v), m if type(m) is int else _whole(m, f"root {k} multiplicity")
+            if not cmath.isfinite(v):
+                raise ValueError(f"root {k} is not finite: {v}")
+            if m < 1:
+                raise ValueError(f"root {k} has multiplicity {m}, below 1")
+            roots.append((v, m))
+        # NaN fails both tests, and _real gives it for a bool, a string or a huge int
+        if not (residual := _real(self.residual)) >= 0:
+            raise ValueError(f"residual must be a number >= 0, got {self.residual!r}")
+        if not (condition := _real(self.condition)) >= 1:
+            raise ValueError(f"condition must be null or a number >= 1, got {self.condition!r}")
+        if not (isinstance(self.warnings, (list, tuple)) and all(isinstance(w, str) for w in self.warnings)):
+            raise ValueError(f"warnings must be a list of strings, got {self.warnings!r}")
+        vars(self).update(  # frozen: the checked values are set here, once
+            roots=roots, tau=None if self.tau is None else _positive(self.tau, "tau"), residual=residual,
+            condition=condition, scale_rho=_positive(self.scale_rho, "rho"), warnings=tuple(self.warnings))
 
     @property
     def mode(self) -> str:
@@ -134,10 +157,6 @@ class SpectrumEstimate:
     @property
     def rank(self) -> int:
         return sum(m for _, m in self.roots)
-
-    def expanded(self) -> np.ndarray:
-        """Roots repeated by multiplicity, as a flat complex array."""
-        return np.array([v for v, m in self.roots for _ in range(m)], dtype=complex)
 
     def to_json_dict(self) -> dict:
         return {
@@ -155,59 +174,52 @@ class SpectrumEstimate:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "SpectrumEstimate":
-        """The estimate ``to_json_dict`` wrote. ``ValueError`` for a schema
-        other than 1, a non-finite root, a multiplicity below 1, a mode other
-        than DT or CT, a negative rank or one other than the sum of the root
-        multiplicities, a multiplicity or rank that is not a whole number, a
-        tau on a DT spectrum, a CT tau or a rho that is not a positive finite
-        number, a residual that is not a number >= 0 (infinity included), a
-        condition that is neither null nor a number >= 1, or warnings that are
-        not a list of strings."""
-        roots = []
-        for k, r in enumerate(d["roots"]):
-            v, m = complex(r["re"], r["im"]), _whole(r["multiplicity"], f"root {k} multiplicity")
-            if not cmath.isfinite(v):
-                raise ValueError(f"root {k} is not finite: {v}")
-            if m < 1:
-                raise ValueError(f"root {k} has multiplicity {m}, below 1")
-            roots.append((v, m))
-        tau = _recorded_tau(d["mode"], d.get("tau"), "spectrum")
-        rank = _whole(d["rank"], "rank")
-        if rank < 0:
-            raise ValueError(f"rank must be >= 0, got {rank}")
-        if rank != (total := sum(m for _, m in roots)):
-            raise ValueError(f"rank {rank} is not the sum of the root multiplicities, {total}")
-        warnings = d.get("warnings", [])
-        if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
-            raise ValueError(f"warnings must be a list of strings, got {warnings!r}")
-        # NaN fails both tests, and _real gives it for a bool, a string or a huge int
-        residual = _real(d["residual"])
-        if not residual >= 0:
-            raise ValueError(f"residual must be a number >= 0, got {d['residual']!r}")
-        condition = math.inf if d.get("condition") is None else _real(d["condition"])
-        if not condition >= 1:
-            raise ValueError(f"condition must be null or a number >= 1, got {d['condition']!r}")
+    def from_json_dict(cls, d) -> "SpectrumEstimate":
+        """The estimate ``to_json_dict`` wrote. ``ValueError`` for anything
+        the record refuses, and for a file that is not a JSON object with
+        ``roots``, ``mode``, ``rank`` and ``residual``, of schema 1, whose
+        roots are not objects of numbers ``re``, ``im`` and ``multiplicity``,
+        whose mode and tau break ``_recorded_tau``, or whose rank is not the
+        sum of the multiplicities. A null condition is an infinite one."""
+        if not isinstance(d, dict):
+            raise ValueError("must hold a JSON object")
+        if missing := [key for key in ("roots", "mode", "rank", "residual") if key not in d]:
+            raise ValueError(f"has no {missing[0]!r}")
         if (schema := d.get("schema")) != 1 or isinstance(schema, bool):
             raise ValueError(f"schema must be 1, got {schema!r}")
-        return cls(
-            roots=roots,
-            tau=tau,
-            residual=residual,
-            condition=condition,
-            scale_rho=_positive(d.get("rho", 1.0), "rho"),
-            warnings=list(warnings),
-        )
+        if not isinstance(d["roots"], list):
+            raise ValueError(f"roots must be a list, got {d['roots']!r}")
+        roots = []
+        for k, r in enumerate(d["roots"]):
+            if not isinstance(r, dict):
+                raise ValueError(f"root {k} must be an object, got {r!r}")
+            if missing := [key for key in ("re", "im", "multiplicity") if key not in r]:
+                raise ValueError(f"root {k} has no {missing[0]!r}")
+            if not (type(r["re"]) in (int, float) and type(r["im"]) in (int, float)):  # JSON numbers, no bool
+                raise ValueError(f"root {k} re and im must be numbers, got {r['re']!r} and {r['im']!r}")
+            try:
+                roots.append((complex(r["re"], r["im"]), r["multiplicity"]))
+            except OverflowError as exc:  # an int beyond the doubles
+                raise ValueError(f"root {k}: {exc}") from None
+        est = cls(roots, tau=_recorded_tau(d["mode"], d.get("tau"), "spectrum"), residual=d["residual"],
+                  condition=math.inf if d.get("condition") is None else d["condition"],
+                  scale_rho=d.get("rho", 1.0), warnings=d.get("warnings", []))
+        if (rank := _whole(d["rank"], "rank")) != est.rank:
+            raise ValueError(f"rank {rank} is not the sum of the root multiplicities, {est.rank}")
+        return est
 
 
 def _whole(value, name: str) -> int:
-    """A JSON whole number as an int; ``ValueError`` for a fraction, a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or int(value) != value:
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    """A whole number as an int; ``ValueError`` for a fraction, a bool, a string or an infinity."""
+    try:
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and int(value) == value:
+            return int(value)
+    except OverflowError as exc:  # an infinity; int() of a NaN raises a ValueError itself
+        raise ValueError(str(exc)) from None
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OnlineRankDetection:
     """Result of streaming rank detection: the rank, whether it stabilized
     before the stream ran dry, and the prefix read, whose length is the number
@@ -503,7 +515,7 @@ def roots_with_multiplicity(
     p: CharacteristicPoly,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     scale_rho: float = 1.0,
-) -> SpectrumEstimate:
+) -> list[tuple[complex, int]]:
     """Roots of the monic polynomial as (value, multiplicity) pairs.
 
     Roots come from the eigenvalues of the balanced companion matrix with a
@@ -515,7 +527,7 @@ def roots_with_multiplicity(
     """
     cluster_tol = _tolerance(cluster_tol, "cluster tolerance")
     if len(p.coefficients) == 0:
-        return SpectrumEstimate([], None, p.residual, p.condition, scale_rho)
+        return []
     monic = np.concatenate(([1.0], p.coefficients[::-1]))
     if p.coefficients_hi is not None:
         monic_hi = np.concatenate((np.ones(1, dtype=np.longdouble), p.coefficients_hi[::-1]))
@@ -528,7 +540,7 @@ def roots_with_multiplicity(
         pairs = [(v * scale_rho, m) for v, m in pairs]
     if not all(cmath.isfinite(v) for v, _ in pairs):
         raise OverflowError("a root lies beyond the double range")
-    return SpectrumEstimate(list(pairs), None, p.residual, p.condition, scale_rho)
+    return pairs
 
 
 # =========================================================================
@@ -714,25 +726,24 @@ def estimate_spectrum(
     if prescale is None:
         prescale = tau is not None or bool(np.max(np.abs(values)) > PRESCALE_TRIGGER)
     h = build_hankel(values, prescale=prescale, rank_tolerance=rank_tolerance)
-    est = roots_with_multiplicity(solve_coefficients(h), cluster_tol, h.scale_rho)
-    if est.condition > ILL_CONDITION_LIMIT:
-        est.warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
-    if tau is None:
-        return est
-    roots: list[tuple[complex, int]] = []
-    for v, m in est.roots:
-        if abs(v) <= ETA_ZERO_TOL:
-            raise LogSingularRootError(
-                f"recovered discrete root {v} is numerically zero; "
-                "no finite continuous eigenvalue maps to it"
+    p = solve_coefficients(h)
+    roots = roots_with_multiplicity(p, cluster_tol, h.scale_rho)
+    warnings = []
+    if p.condition > ILL_CONDITION_LIMIT:
+        warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
+    if tau is not None:
+        for v, _ in roots:
+            if abs(v) <= ETA_ZERO_TOL:
+                raise LogSingularRootError(
+                    f"recovered discrete root {v} is numerically zero; "
+                    "no finite continuous eigenvalue maps to it"
+                )
+        roots = sorted(((complex(np.log(complex(v)) / tau), m) for v, m in roots),
+                       key=lambda vm: _spectral_order(vm[0]))
+        boundary = (np.pi / tau) * (1.0 - ALIAS_MARGIN)
+        if any(abs(v.imag) >= boundary for v, _ in roots):
+            warnings.append(
+                f"aliasing: an eigenvalue sits at the principal-strip boundary |Im| = pi/tau;"
+                f" frequencies beyond {np.pi / tau:.6g} are indistinguishable at this tau"
             )
-        roots.append((complex(np.log(complex(v)) / tau), m))
-    roots.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
-    est.roots, est.tau = roots, tau
-    boundary = (np.pi / tau) * (1.0 - ALIAS_MARGIN)
-    if any(abs(v.imag) >= boundary for v, _ in roots):
-        est.warnings.append(
-            f"aliasing: an eigenvalue sits at the principal-strip boundary |Im| = pi/tau;"
-            f" frequencies beyond {np.pi / tau:.6g} are indistinguishable at this tau"
-        )
-    return est
+    return SpectrumEstimate(roots, tau, p.residual, p.condition, h.scale_rho, warnings)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import _centroid, cluster_indices, enforce_conjugate_pairs
+from .clustering import _centroid, _spectral_order, cluster_indices, enforce_conjugate_pairs
 from .dynamics import ObservationSetup, _matrix_for
 from .graphs import _tolerance, as_array
 
@@ -63,7 +63,7 @@ def _pbh_deficiencies(M: np.ndarray, c, lams) -> np.ndarray:
     return n - np.count_nonzero(s > PBH_RANK_RTOL * s[:, :1], axis=1)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OracleSpectrum:
     """Eigenvalues of one (G, c, x0) triple, split by what the output can reach.
 
@@ -119,7 +119,7 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
     vals, U = np.linalg.eig(M)
     groups = cluster_indices(vals, EIGEN_CLUSTER_TOL)
     means = [_centroid(vals[g]) for g in groups]
-    order = sorted(range(len(groups)), key=lambda i: (-means[i].real, -means[i].imag))
+    order = sorted(range(len(groups)), key=lambda i: _spectral_order(means[i]))
     groups = [groups[i] for i in order]
     distinct = np.array([means[i] for i in order], dtype=complex)
     algebraic = np.array([len(g) for g in groups], dtype=int)
@@ -157,19 +157,27 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
 # =========================================================================
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MatchReport:
-    """Minimum-cost pairing of an estimated spectrum against a truth list."""
+    """Minimum-cost pairing of an estimated spectrum against a truth list:
+    the (estimated, true, distance) ``pairs`` within the tolerance and the
+    values left unmatched on each side. The error statistics read off the pairs."""
 
     pairs: list[tuple[complex, complex, float]]
     unmatched_true: list[complex]
     unmatched_estimated: list[complex]
-    max_error: float
-    mean_error: float
 
     @property
     def matched_all(self) -> bool:
         return not self.unmatched_true and not self.unmatched_estimated
+
+    @property
+    def max_error(self) -> float:
+        return max((d for _, _, d in self.pairs), default=0.0)
+
+    @property
+    def mean_error(self) -> float:
+        return float(np.mean([d for _, _, d in self.pairs])) if self.pairs else 0.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -322,11 +330,8 @@ def match_spectra(estimated, truth, tol: float) -> MatchReport:
             pairs.append((complex(est[r]), complex(true[ccol]), d))
             un_e.discard(int(r))
             un_t.discard(int(ccol))
-    errors = [d for _, _, d in pairs]
     return MatchReport(
         pairs=pairs,
         unmatched_true=[complex(true[i]) for i in sorted(un_t)],
         unmatched_estimated=[complex(est[i]) for i in sorted(un_e)],
-        max_error=max(errors) if errors else 0.0,
-        mean_error=float(np.mean(errors)) if errors else 0.0,
     )

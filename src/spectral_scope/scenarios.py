@@ -31,6 +31,7 @@ threshold would misread the dynamic range as rank deficiency.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,7 @@ def _fig3_system() -> tuple[Graph, np.ndarray, NodeDynamics, np.ndarray]:
     return g, M, node, truth
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScenarioArtifacts:
     """Everything a demo writes to disk for one run."""
 
@@ -107,18 +108,32 @@ class ScenarioArtifacts:
     sequence: OutputSequence | None  # None when the simulation overflowed; holds tau and node
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScenarioResult:
+    """One seed of a preset. ``estimate``, ``truth`` and ``report`` are None
+    exactly when the simulation overflowed; the verdict is read off the report."""
+
     name: str
     seed: int
-    ok: bool
     tol: float
-    max_error: float
-    overflow: bool = False
     estimate: SpectrumEstimate | None = None
     truth: np.ndarray | None = None
     report: MatchReport | None = None
     artifacts: ScenarioArtifacts | None = None
+
+    @property
+    def overflow(self) -> bool:
+        return self.report is None
+
+    @property
+    def ok(self) -> bool:
+        # every pair match_spectra reports is within tol, so matching all is the verdict
+        return self.report is not None and self.report.matched_all
+
+    @property
+    def max_error(self) -> float:
+        """The largest matched error, infinite when nothing matched."""
+        return self.report.max_error if self.report is not None and self.report.pairs else math.inf
 
 
 def run_scenario(name: str, seed: int = 0, keep_artifacts: bool = False) -> ScenarioResult:
@@ -157,26 +172,15 @@ def run_scenario(name: str, seed: int = 0, keep_artifacts: bool = False) -> Scen
         y = None
     artifacts = ScenarioArtifacts(g, M, setup, y) if keep_artifacts else None
     if y is None:
-        return ScenarioResult(name, seed, False, tol, float("inf"), overflow=True, artifacts=artifacts)
+        return ScenarioResult(name, seed, tol, artifacts=artifacts)
 
     est = estimate_spectrum(y, rank_tolerance=1e-14, prescale=True)
     if truth is None:
         truth = full_spectrum(M)
     if relative_tol:
         tol *= max(1.0, float(np.max(np.abs(truth))))
-    # every pair match_spectra reports is within tol, so matching all is the verdict
     report = match_spectra(est.roots, truth, tol)
-    return ScenarioResult(
-        name=name,
-        seed=seed,
-        ok=report.matched_all,
-        tol=tol,
-        max_error=report.max_error if report.pairs else float("inf"),
-        estimate=est,
-        truth=truth,
-        report=report,
-        artifacts=artifacts,
-    )
+    return ScenarioResult(name, seed, tol, est, truth, report, artifacts)
 
 
 def sweep(name: str, seeds: int = 100, seed0: int = 0) -> list[ScenarioResult]:

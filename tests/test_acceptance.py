@@ -257,7 +257,7 @@ def test_criterion_8_kernels_match_reference_constructions(capsys):
         worst = max(worst, np.linalg.norm(got - reference) / np.linalg.norm(reference))
 
     poly = CharacteristicPoly(np.array([0.25, -1.0]), 0.0, 1.0)
-    roots = roots_with_multiplicity(poly).roots
+    roots = roots_with_multiplicity(poly)
     companion_ok = len(roots) == 1 and roots[0][1] == 2 and abs(roots[0][0] - 0.5) <= 1e-6
 
     ok = worst <= 1e-10 and companion_ok

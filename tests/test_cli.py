@@ -898,6 +898,24 @@ def test_verify_of_a_nan_root_is_a_usage_error(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (lambda payload: [], "must hold a JSON object"),
+        (lambda payload: {k: v for k, v in payload.items() if k != "roots"}, "has no 'roots'"),
+    ],
+    ids=["list", "no-roots"],
+)
+def test_verify_of_an_estimate_that_is_no_spectrum_names_the_file(tmp_path, capsys, edit, fault):
+    # a JSON list used to end as "list indices must be integers or slices, not str"
+    matrix, spectrum, setup = full_chain(tmp_path, capsys)
+    spectrum.write_text(json.dumps(edit(json.loads(spectrum.read_text()))))
+    code, out, err = run(
+        capsys, "verify", "--matrix", matrix, "--estimate", spectrum, "--setup", setup,
+    )
+    assert (code, out, err) == (2, "", f"error: cannot read inputs: estimate {spectrum} {fault}\n")
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify"])
 def test_a_non_finite_matrix_entry_is_a_usage_error(tmp_path, capsys, command):
     matrix, y_csv = simulate_swap(tmp_path, capsys)

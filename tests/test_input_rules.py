@@ -10,9 +10,10 @@ owns that rule, behind ``read_sequence`` and
 ``SpectrumEstimate.from_json_dict``. The tests feed each bad value to
 every entry point that takes such an input, and ``ast`` guards keep the
 range tests, the mode test and the choice between ``DT`` and ``CT`` from
-being written anywhere else in ``src/``. An ``OutputSequence`` is frozen and
-keeps a read-only copy of its samples, so neither a field nor a sample of it
-can be changed past its rules.
+being written anywhere else in ``src/``. Every record is a frozen dataclass,
+which an ``ast`` guard keeps so; an ``OutputSequence`` also keeps a
+read-only copy of its samples, so neither a field nor a sample of it can be
+changed past its rules.
 """
 
 from __future__ import annotations
@@ -308,3 +309,50 @@ def test_the_mode_rule_is_written_once():
         "    return mode\n"
     )
     assert mode_checks(planted) == [2, 4, 7, 10]
+
+
+def _dataclasses(source: str) -> dict[int, bool]:
+    """For each class of ``source`` declared ``@dataclass`` (bare, called or
+    as ``dataclasses.dataclass``), its line and whether it is ``frozen=True``."""
+    found = {}
+    classes = (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef))
+    for node in classes:
+        for d in node.decorator_list:
+            target = d.func if isinstance(d, ast.Call) else d
+            if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                found[node.lineno] = isinstance(d, ast.Call) and any(
+                    k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                    for k in d.keywords
+                )
+    return found
+
+
+def test_every_record_is_frozen():
+    # a record is built once from checked values, so no field may be set past its rules
+    records = {path.name: _dataclasses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: [line for line, frozen in found.items() if not frozen]
+            for name, found in records.items() if not all(found.values())} == {}
+    # the guard sees every record of the package, so it is not looking at nothing
+    assert sum(map(len, records.values())) == 12
+    # and it flags a copy planted without frozen=True, in each spelling
+    planted = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "\n"
+        "@dataclass(eq=False)\n"
+        "class Loose:\n"
+        "    x: int\n"
+        "\n"
+        "@dataclasses.dataclass\n"
+        "class Bare:\n"
+        "    y: int\n"
+        "\n"
+        "@dataclass(frozen=False)\n"
+        "class Thawed:\n"
+        "    z: int\n"
+        "\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class Record:\n"
+        "    w: int\n"
+    )
+    assert _dataclasses(planted) == {5: False, 9: False, 13: False, 17: True}
