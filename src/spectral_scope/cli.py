@@ -60,6 +60,8 @@ from .graphs import (
     read_matrix_csv,
     write_graph_tsv,
     write_matrix_csv,
+    _json_object,
+    _reading,
     _tolerance,
 )
 from .oracle import _expand_values, full_spectrum, match_spectra, observable_partition
@@ -117,10 +119,8 @@ def _write_setup_json(path, setup: ObservationSetup, **extra) -> None:
 def _load_node(args) -> NodeDynamics | None:
     """The node ``--node`` or ``--node-d`` gives, or None; ``ValueError`` for a file that holds none."""
     if args.node is not None:
-        try:
+        with _reading("node", args.node):
             return NodeDynamics.from_json_dict(json.loads(Path(args.node).read_text()))
-        except ValueError as exc:
-            raise ValueError(f"node {args.node}: {exc}") from None
     if args.node_d is not None:
         return NodeDynamics.random_symmetric(args.node_d, seed=args.node_seed)
     return None
@@ -231,8 +231,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     try:
-        y = read_sequence(args.y, sidecar=args.sidecar)
-    except (OSError, ValueError, KeyError) as exc:
+        y = read_sequence(args.y)
+    except (OSError, ValueError) as exc:
         return _fail_usage(f"cannot read sequence: {exc}")
     try:
         est = estimate_spectrum(y, rank_tolerance=args.rank_tolerance, cluster_tol=args.cluster_tol)
@@ -252,19 +252,6 @@ def cmd_estimate(args) -> int:
 # =========================================================================
 
 
-def _setup_from_json(path, M: np.ndarray) -> tuple[dict, ObservationSetup]:
-    """The setup object, and its ``x0`` and ``c`` as the observation of M they must be."""
-    setup = json.loads(Path(path).read_text())
-    if not isinstance(setup, dict):
-        raise ValueError(f"setup {path} must hold a JSON object")
-    for key in ("x0", "c"):
-        if key not in setup:
-            raise ValueError(f"setup {path} has no {key!r}")
-    observation = ObservationSetup(x0=setup["x0"], c=setup["c"])
-    _matrix_for(M, observation)
-    return setup, observation
-
-
 def cmd_verify(args) -> int:
     try:
         M = read_matrix_csv(args.matrix)
@@ -273,22 +260,20 @@ def cmd_verify(args) -> int:
         # up to n of them, subtracts them and forms M - lambda I, and all of
         # it must stay finite
         limit = np.finfo(float).max / (4 * n * n)
-        if np.max(np.abs(M)) > limit:
-            raise ValueError(
-                f"matrix in {args.matrix} has an entry above {limit:.3g}, the most verify takes at n = {n}"
-            )
-        try:
+        with _reading("matrix", args.matrix):
+            if np.max(np.abs(M)) > limit:
+                raise ValueError(f"has an entry above {limit:.3g}, the most verify takes at n = {n}")
+        with _reading("estimate", args.estimate):
             roots = SpectrumEstimate.from_json_dict(json.loads(Path(args.estimate).read_text())).roots
-        except ValueError as exc:  # a fault of the whole file names no field, so name the file
-            if str(exc).startswith(("has no ", "must hold ")):
-                raise ValueError(f"estimate {args.estimate} {exc}") from None
-            raise
-        # an n x n matrix has n eigenvalues, so no root can repeat more often
-        for k, (_, m) in enumerate(roots):
-            if m > n:
-                raise ValueError(f"root {k} in {args.estimate} has multiplicity {m}, not 1 to {n}")
-        setup, observation = _setup_from_json(args.setup, M)
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
+            # an n x n matrix has n eigenvalues, so no root can repeat more often
+            for k, (_, m) in enumerate(roots):
+                if m > n:
+                    raise ValueError(f"root {k} has multiplicity {m}, not 1 to {n}")
+        with _reading("setup", args.setup):  # x0 and c, as the observation of M they must be
+            setup = _json_object(json.loads(Path(args.setup).read_text()), ("x0", "c"))
+            observation = ObservationSetup(x0=setup["x0"], c=setup["c"])
+            _matrix_for(M, observation)
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         return _fail_usage(f"cannot read inputs: {exc}")
     try:
         tol = _tolerance(args.tol if args.tol is not None else setup.get("tol", 1e-6), "tolerance")
@@ -446,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="recover a spectrum from a recorded sequence")
     p.add_argument("--y", required=True,
                    help="sequence CSV (JSON sidecar, with the node of a networked run, found next to it)")
-    p.add_argument("--sidecar", default=None)
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.add_argument("--rank-tolerance", type=float, default=None,
                    help="relative singular-value threshold for rank detection")

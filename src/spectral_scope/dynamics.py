@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import _positive, _require_finite, as_array
+from .graphs import _json_object, _positive, _reading, _require_finite, as_array
 
 __all__ = [
     "DT",
@@ -181,11 +181,7 @@ class NodeDynamics:
     def from_json_dict(cls, d) -> "NodeDynamics":
         """The node ``to_json_dict`` wrote. ``ValueError`` for anything but an
         object with ``A``, ``beta`` and ``gamma`` of fitting shapes and finite entries."""
-        if not isinstance(d, dict):
-            raise ValueError("must hold a JSON object")
-        for key in ("A", "beta", "gamma"):
-            if key not in d:
-                raise ValueError(f"has no {key!r}")
+        _json_object(d, ("A", "beta", "gamma"))
         try:
             return cls(A=d["A"], beta=d["beta"], gamma=d["gamma"])
         except (TypeError, OverflowError) as exc:  # such as a nested object or an int beyond the doubles
@@ -388,45 +384,43 @@ def write_sequence(seq: OutputSequence, path, seed=None) -> None:
     path.with_suffix(".json").write_text(json.dumps(meta) + "\n")
 
 
-def read_sequence(path, sidecar=None) -> OutputSequence:
-    """Read a sequence CSV and its sidecar, as ``write_sequence`` writes them.
+def read_sequence(path) -> OutputSequence:
+    """Read a sequence CSV and its sidecar, the ``.json`` next to it, as ``write_sequence`` writes them.
 
     The header must be the one for the sidecar's mode, and the first column
     must count ``k = 0, 1, ...`` (discrete) or ``t = k tau`` (continuous, to
-    a relative 1e-9, so hand-written times pass); ``ValueError`` otherwise,
-    for a NaN or infinite sample, and for a sidecar that holds no JSON object
-    with a valid mode and tau (none for ``dt``), or whose ``node`` is
-    malformed. Other keys are ignored, such as the ``n_hint`` that older
-    sidecars carry.
+    a relative 1e-9, so hand-written times pass); ``ValueError`` naming the
+    file otherwise, for a sample that is not a finite number, and for a
+    sidecar that holds no JSON object with a valid mode and tau (none for
+    ``dt``), or whose ``node`` is malformed. Other keys are ignored, such as
+    the ``n_hint`` that older sidecars carry.
     """
     path = Path(path)
-    sidecar = Path(sidecar) if sidecar is not None else path.with_suffix(".json")
+    sidecar = path.with_suffix(".json")
     text = path.read_text()  # first, so a missing CSV is the file the error names
-    meta = json.loads(sidecar.read_text())
-    if not isinstance(meta, dict) or "mode" not in meta:
-        raise ValueError(f"sidecar {sidecar} must hold a JSON object with a 'mode'")
-    header, *rows = text.strip().splitlines() or [""]
-    table = [line.split(",") for line in rows]
-    for i, fields in enumerate(table):
-        if len(fields) != 2:
-            raise ValueError(f"{path} line {i + 2}: expected 2 columns, got {len(fields)}")
-    t, y = np.array(table, dtype=float).reshape(-1, 2).T.copy()
-    off = np.flatnonzero(~np.isfinite(y))
-    if off.size:
-        i = off[0]
-        raise ValueError(f"{path} line {i + 2}: y = {float(y[i])!r} is not finite")
-    node = meta.get("node")
-    try:
-        node = None if node is None else NodeDynamics.from_json_dict(node)
-    except ValueError as exc:
-        raise ValueError(f"sidecar {sidecar}: node: {exc}") from None
-    seq = OutputSequence(y, tau=_recorded_tau(meta["mode"], meta.get("tau"), "sequence"), node=node)
-    first = "k" if seq.mode == DT else "t"
-    if [h.strip() for h in header.split(",")] != [first, "y"]:
-        raise ValueError(f"{path}: header {header!r} does not fit mode {seq.mode!r} ({first},y)")
-    expected = np.arange(len(seq)) * (1.0 if seq.mode == DT else seq.tau)
-    off = np.flatnonzero(~(np.abs(t - expected) <= 1e-9 * expected))
-    if off.size:
-        i = off[0]
-        raise ValueError(f"{path} line {i + 2}: {first} = {float(t[i])!r}, expected {float(expected[i])!r}")
+    with _reading("sidecar", sidecar):
+        meta = _json_object(json.loads(sidecar.read_text()), ("mode",))
+        tau = _recorded_tau(meta["mode"], meta.get("tau"), "sequence")
+    with _reading("node in sidecar", sidecar):
+        node = None if meta.get("node") is None else NodeDynamics.from_json_dict(meta["node"])
+    with _reading("sequence", path):
+        header, *rows = text.strip().splitlines() or [""]
+        table = [line.split(",") for line in rows]
+        for i, fields in enumerate(table):
+            if len(fields) != 2:
+                raise ValueError(f"line {i + 2}: expected 2 columns, got {len(fields)}")
+        t, y = np.array(table, dtype=float).reshape(-1, 2).T.copy()
+        off = np.flatnonzero(~np.isfinite(y))
+        if off.size:
+            i = off[0]
+            raise ValueError(f"line {i + 2}: y = {float(y[i])!r} is not finite")
+        seq = OutputSequence(y, tau=tau, node=node)
+        first = "k" if seq.mode == DT else "t"
+        if [h.strip() for h in header.split(",")] != [first, "y"]:
+            raise ValueError(f"header {header!r} does not fit mode {seq.mode!r} ({first},y)")
+        expected = np.arange(len(seq)) * (1.0 if seq.mode == DT else seq.tau)
+        off = np.flatnonzero(~(np.abs(t - expected) <= 1e-9 * expected))
+        if off.size:
+            i = off[0]
+            raise ValueError(f"line {i + 2}: {first} = {float(t[i])!r}, expected {float(expected[i])!r}")
     return seq

@@ -34,7 +34,7 @@ import numpy as np
 from .clustering import _spectral_order, cluster_complex, enforce_conjugate_pairs
 from .dynamics import (NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
                        _mode_of, _recorded_tau, simulate_ct_sampled, simulate_dt)
-from .graphs import _positive, _real, _tolerance
+from .graphs import _json_object, _positive, _reading, _real, _tolerance
 
 __all__ = [
     "HankelAnalysis",
@@ -119,9 +119,10 @@ class CharacteristicPoly:
 class SpectrumEstimate:
     """Recovered eigenvalues with multiplicities plus solve diagnostics. The
     ``rank`` sums the multiplicities, and the ``mode`` is ``CT`` with a tau.
-    ``ValueError`` for a non-finite root, a multiplicity that is not a whole
-    number >= 1, a tau or rho that is not positive and finite, a residual
-    below 0 or a condition below 1 (both may be infinite) or a non-string warning."""
+    ``ValueError`` for a root that is not a pair of a finite number and a whole
+    multiplicity >= 1, a tau or rho that is not positive and finite, a residual
+    below 0 or a condition below 1 (both may be infinite, a None one too) or a
+    non-string warning."""
 
     roots: list[tuple[complex, int]]
     tau: float | None = None
@@ -132,7 +133,10 @@ class SpectrumEstimate:
 
     def __post_init__(self):
         roots = []
-        for k, (v, m) in enumerate(self.roots):
+        for k, root in enumerate(self.roots):
+            v, m = root if isinstance(root, (tuple, list)) and len(root) == 2 else (None, None)
+            if type(v) is not complex and (isinstance(v, bool) or not isinstance(v, numbers.Number)):
+                raise ValueError(f"root {k} must be a pair of a number and a multiplicity, got {root!r}")
             v, m = complex(v), m if type(m) is int else _whole(m, f"root {k} multiplicity")
             if not cmath.isfinite(v):
                 raise ValueError(f"root {k} is not finite: {v}")
@@ -142,7 +146,7 @@ class SpectrumEstimate:
         # NaN fails both tests, and _real gives it for a bool, a string or a huge int
         if not (residual := _real(self.residual)) >= 0:
             raise ValueError(f"residual must be a number >= 0, got {self.residual!r}")
-        if not (condition := _real(self.condition)) >= 1:
+        if not (condition := math.inf if self.condition is None else _real(self.condition)) >= 1:
             raise ValueError(f"condition must be null or a number >= 1, got {self.condition!r}")
         if not (isinstance(self.warnings, (list, tuple)) and all(isinstance(w, str) for w in self.warnings)):
             raise ValueError(f"warnings must be a list of strings, got {self.warnings!r}")
@@ -181,29 +185,23 @@ class SpectrumEstimate:
         roots are not objects of numbers ``re``, ``im`` and ``multiplicity``,
         whose mode and tau break ``_recorded_tau``, or whose rank is not the
         sum of the multiplicities. A null condition is an infinite one."""
-        if not isinstance(d, dict):
-            raise ValueError("must hold a JSON object")
-        if missing := [key for key in ("roots", "mode", "rank", "residual") if key not in d]:
-            raise ValueError(f"has no {missing[0]!r}")
+        _json_object(d, ("roots", "mode", "rank", "residual"))
         if (schema := d.get("schema")) != 1 or isinstance(schema, bool):
             raise ValueError(f"schema must be 1, got {schema!r}")
         if not isinstance(d["roots"], list):
             raise ValueError(f"roots must be a list, got {d['roots']!r}")
         roots = []
         for k, r in enumerate(d["roots"]):
-            if not isinstance(r, dict):
-                raise ValueError(f"root {k} must be an object, got {r!r}")
-            if missing := [key for key in ("re", "im", "multiplicity") if key not in r]:
-                raise ValueError(f"root {k} has no {missing[0]!r}")
-            if not (type(r["re"]) in (int, float) and type(r["im"]) in (int, float)):  # JSON numbers, no bool
-                raise ValueError(f"root {k} re and im must be numbers, got {r['re']!r} and {r['im']!r}")
-            try:
-                roots.append((complex(r["re"], r["im"]), r["multiplicity"]))
-            except OverflowError as exc:  # an int beyond the doubles
-                raise ValueError(f"root {k}: {exc}") from None
+            with _reading("root", k):
+                _json_object(r, ("re", "im", "multiplicity"))
+                if not (type(r["re"]) in (int, float) and type(r["im"]) in (int, float)):  # JSON numbers, no bool
+                    raise ValueError(f"re and im must be numbers, got {r['re']!r} and {r['im']!r}")
+                try:
+                    roots.append((complex(r["re"], r["im"]), r["multiplicity"]))
+                except OverflowError as exc:  # an int beyond the doubles
+                    raise ValueError(str(exc)) from None
         est = cls(roots, tau=_recorded_tau(d["mode"], d.get("tau"), "spectrum"), residual=d["residual"],
-                  condition=math.inf if d.get("condition") is None else d["condition"],
-                  scale_rho=d.get("rho", 1.0), warnings=d.get("warnings", []))
+                  condition=d.get("condition"), scale_rho=d.get("rho", 1.0), warnings=d.get("warnings", []))
         if (rank := _whole(d["rank"], "rank")) != est.rank:
             raise ValueError(f"rank {rank} is not the sum of the root multiplicities, {est.rank}")
         return est
@@ -300,7 +298,10 @@ def detect_rank_online(stream, n_hint: int | None = None, rank_tolerance: float 
     2 * n_hint samples, including the extra sample the coefficient solve
     needs when the rank is still full at the cap). If the stream dries up
     first, the best-effort rank is returned with ``stabilized=False``.
+    ``n_hint`` must be a whole number >= 1; ``ValueError`` otherwise.
     """
+    if n_hint is not None and _whole(n_hint, "n_hint") < 1:
+        raise ValueError(f"n_hint must be a whole number >= 1, got {n_hint!r}")
     it = iter(stream)
     buf: list[float] = []
 
@@ -710,7 +711,7 @@ def estimate_spectrum(
         ``max |y| > 1e6``.
 
     Both tolerances must be finite and non-negative; any other value is a
-    ``ValueError``.
+    ``ValueError``, raised before any other work.
 
     Sampled continuous-time roots are ``eta_i = e^{lambda_i tau}`` and are
     mapped back through the principal complex logarithm; roots within 1e-12
@@ -718,6 +719,8 @@ def estimate_spectrum(
     imaginary parts inside ``(-pi/tau, pi/tau]``; any recovered eigenvalue at
     that boundary gets an ``aliasing`` warning rather than a silent unwrap.
     """
+    rank_tolerance = None if rank_tolerance is None else _tolerance(rank_tolerance, "rank tolerance")
+    cluster_tol = _tolerance(cluster_tol, "cluster tolerance")
     seq = y if isinstance(y, OutputSequence) else OutputSequence(y)
     values, tau, node = seq.values, seq.tau, seq.node
     if node is not None:

@@ -249,6 +249,31 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
 # =========================================================================
 
 
+@contextlib.contextmanager
+def _reading(what: str, path):
+    """A ``ValueError`` raised inside names the file, or root, read: ``"{what} {path}: {message}"``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{what} {path}: {exc}") from None
+
+
+def _json_object(value, keys) -> dict:
+    """``value``, which must be a JSON object holding every key of ``keys``,
+    with no true or false in a list under one; ``ValueError`` otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError("must hold a JSON object")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"has no {key!r}")
+        items = value[key][:] if isinstance(value[key], list) else []
+        while items:
+            if isinstance(item := items.pop(), bool):
+                raise ValueError(f"{key} holds {item!r}, which is not a number")
+            items.extend(item if isinstance(item, list) else ())
+    return value
+
+
 def write_graph_tsv(g: Graph, path) -> None:
     """Edge list: header ``# n=<count> directed=<0|1>``, then src<TAB>dst<TAB>weight."""
     lines = [f"# n={g.n} directed={int(g.directed)}"]
@@ -262,34 +287,33 @@ def read_graph_tsv(path) -> Graph:
     ``n=`` and ``directed=`` values, a row that is not two integer node ids
     and a weight, or a NaN or infinite weight is a ``ValueError`` naming the
     file and line."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError(f"{path}: missing '# n=... directed=...' header")
-    fields = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("# ").split())
-    for key in ("n", "directed"):
-        if key not in fields:
-            raise ValueError(f"{path}: header {lines[0]!r} has no '{key}='")
-    try:
-        n, directed = int(fields["n"]), bool(int(fields["directed"]))
-    except ValueError:
-        raise ValueError(
-            f"{path} line 1: header {lines[0]!r} needs integer 'n=' and 'directed=' values"
-        ) from None
-    edges = []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    with _reading("graph", path):
+        lines = Path(path).read_text().strip().splitlines()
+        if not lines or not lines[0].startswith("#"):
+            raise ValueError("missing '# n=... directed=...' header")
+        fields = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("# ").split())
+        for key in ("n", "directed"):
+            if key not in fields:
+                raise ValueError(f"header {lines[0]!r} has no '{key}='")
         try:
-            u, v, w = line.split("\t")
-            edge = (int(u), int(v), float(w))
+            n, directed = int(fields["n"]), bool(int(fields["directed"]))
         except ValueError:
-            raise ValueError(
-                f"{path} line {i}: {line!r} is not 'src<TAB>dst<TAB>weight' with integer node ids"
-            ) from None
-        if not math.isfinite(edge[2]):
-            raise ValueError(f"{path} line {i}: weight {w!r} is not finite")
-        edges.append(edge)
-    return Graph(n=n, edges=tuple(edges), directed=directed)
+            raise ValueError(f"line 1: header {lines[0]!r} needs integer 'n=' and 'directed=' values") from None
+        edges = []
+        for i, line in enumerate(lines[1:], start=2):
+            if not line.strip():
+                continue
+            try:
+                u, v, w = line.split("\t")
+                edge = (int(u), int(v), float(w))
+            except ValueError:
+                raise ValueError(
+                    f"line {i}: {line!r} is not 'src<TAB>dst<TAB>weight' with integer node ids"
+                ) from None
+            if not math.isfinite(edge[2]):
+                raise ValueError(f"line {i}: weight {w!r} is not finite")
+            edges.append(edge)
+        return Graph(n=n, edges=tuple(edges), directed=directed)
 
 
 def write_matrix_csv(matrix, path) -> None:
@@ -300,19 +324,13 @@ def write_matrix_csv(matrix, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Dense square CSV matrix; a file with no entries, a non-square shape, or
-    a NaN or infinite entry is a ``ValueError`` naming it."""
+    """Dense CSV matrix, which ``as_array`` checks; a file with no entries, a
+    token that is not a number or a ragged row is a ``ValueError`` too, and
+    each names the file."""
     # an open handle skips numpy's DataSource opener; the parser is the same
-    with open(path) as f:
+    with open(path) as f, _reading("matrix", path):
         # without a data line loadtxt would print a warning and return nothing
         if not any(line.partition("#")[0].strip() for line in f):
-            raise ValueError(f"matrix in {path} has no entries")
+            raise ValueError("has no entries")
         f.seek(0)
-        M = np.loadtxt(f, delimiter=",", ndmin=2)
-    if M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix in {path} is {M.shape[0]}x{M.shape[1]}, not square")
-    bad = np.argwhere(~np.isfinite(M))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise ValueError(f"matrix entry ({i}, {j}) in {path} is not finite: {M[i, j]}")
-    return M
+        return as_array(np.loadtxt(f, delimiter=",", ndmin=2))

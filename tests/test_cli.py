@@ -467,7 +467,7 @@ def test_estimate_of_a_non_finite_sample_is_a_usage_error(tmp_path, capsys, bad)
     y_csv.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "estimate", "--y", y_csv)
     assert code == 2 and out == ""
-    assert err == f"error: cannot read sequence: {y_csv} line 3: y = {bad} is not finite\n"
+    assert err == f"error: cannot read sequence: sequence {y_csv}: line 3: y = {bad} is not finite\n"
 
 
 @pytest.mark.parametrize(
@@ -478,8 +478,9 @@ def test_estimate_of_a_non_finite_sample_is_a_usage_error(tmp_path, capsys, bad)
         ("dt", lambda lines: [*lines[:2], "5,0", *lines[3:]], "line 3: k = 5.0, expected 1.0"),
         ("ct", lambda lines: [*lines[:2], "0.6,0", *lines[3:]], "line 3: t = 0.6, expected 0.5"),
         ("ct", lambda lines: [*lines[:2], "0.5", *lines[3:]], "line 3: expected 2 columns"),
+        ("dt", lambda lines: [*lines[:2], "1,x", *lines[3:]], "could not convert string to float: 'x'"),
     ],
-    ids=["dt-header", "ct-header", "dt-k", "ct-t", "one-column"],
+    ids=["dt-header", "ct-header", "dt-k", "ct-t", "one-column", "text-sample"],
 )
 def test_estimate_of_a_sequence_file_that_contradicts_its_sidecar_is_a_usage_error(
     tmp_path, capsys, mode, edit, message
@@ -489,28 +490,29 @@ def test_estimate_of_a_sequence_file_that_contradicts_its_sidecar_is_a_usage_err
     y_csv.write_text("\n".join(edit(y_csv.read_text().splitlines())) + "\n")
     code, out, err = run(capsys, "estimate", "--y", y_csv)
     assert code == 2 and out == ""
-    assert err.startswith("error: cannot read sequence: ") and message in err
+    assert err.startswith(f"error: cannot read sequence: sequence {y_csv}: ") and message in err
 
 
 @pytest.mark.parametrize(
-    "meta, message",
+    "text, message",
     [
-        ([1], "must hold a JSON object with a 'mode'"),
-        ({"tau": 1.0}, "must hold a JSON object with a 'mode'"),
-        ({"mode": "ct", "tau": "x"}, "tau must be a positive finite number, got 'x'"),
-        ({"mode": "ct", "tau": 10**400}, f"tau must be a positive finite number, got {10**400}"),
-        ({"mode": "dt", "tau": 0.5}, "a 'dt' sequence has no tau, got 0.5"),
+        ("[1]", "must hold a JSON object"),
+        ('{"tau": 1.0}', "has no 'mode'"),
+        ('{"mode": "ct", "tau": "x"}', "tau must be a positive finite number, got 'x'"),
+        (f'{{"mode": "ct", "tau": {10**400}}}', f"tau must be a positive finite number, got {10**400}"),
+        ('{"mode": "dt", "tau": 0.5}', "a 'dt' sequence has no tau, got 0.5"),
+        ('{"mode": "xt", "tau": null}', "mode must be 'dt' or 'ct', got 'xt'"),
+        ("mode: dt", "Expecting value: line 1 column 1 (char 0)"),
     ],
-    ids=["list", "no-mode", "text-tau", "huge-tau", "dt-tau"],
+    ids=["list", "no-mode", "text-tau", "huge-tau", "dt-tau", "xt-mode", "not-json"],
 )
-def test_estimate_with_a_malformed_sidecar_is_a_usage_error(tmp_path, capsys, meta, message):
+def test_estimate_with_a_malformed_sidecar_is_a_usage_error(tmp_path, capsys, text, message):
+    # the sidecar is the .json file next to the sequence, and the message names it
     _, y_csv = simulate_swap(tmp_path, capsys)
-    sidecar = tmp_path / "bad.json"
-    sidecar.write_text(json.dumps(meta))
-    code, out, err = run(capsys, "estimate", "--y", y_csv, "--sidecar", sidecar)
-    assert code == 2 and out == ""
-    assert err.startswith("error: cannot read sequence: ") and err.count("\n") == 1
-    assert message in err
+    sidecar = y_csv.with_suffix(".json")
+    sidecar.write_text(text)
+    code, out, err = run(capsys, "estimate", "--y", y_csv)
+    assert (code, out, err) == (2, "", f"error: cannot read sequence: sidecar {sidecar}: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -600,8 +602,10 @@ def test_estimate_reports_an_overflow_as_a_failure(tmp_path, capsys, mode, value
         ({"A": [[float("nan")]], "beta": [1], "gamma": [1]}, "A[0, 0] is not finite: nan"),
         ({"A": {"a": 1}, "beta": [1], "gamma": [1]}, "float() argument must be"),
         ({"A": [[10**400]], "beta": [1], "gamma": [1]}, "int too large to convert to float"),
+        ({"A": [[True]], "beta": [1], "gamma": [1]}, "A holds True, which is not a number"),
+        ({"A": [[1]], "beta": [1], "gamma": [False]}, "gamma holds False, which is not a number"),
     ],
-    ids=["no-A", "list", "non-square-A", "long-beta", "nan-A", "object-A", "huge-A"],
+    ids=["no-A", "list", "non-square-A", "long-beta", "nan-A", "object-A", "huge-A", "bool-A", "bool-gamma"],
 )
 def test_a_malformed_node_file_is_a_usage_error(tmp_path, capsys, command, node, message):
     # simulate reads a node file; estimate reads the node in the sequence's sidecar
@@ -616,7 +620,7 @@ def test_a_malformed_node_file_is_a_usage_error(tmp_path, capsys, command, node,
         source = y_csv.with_suffix(".json")
         source.write_text(json.dumps({**json.loads(source.read_text()), "node": node}))
         argv = ("estimate", "--y", y_csv)
-        prefix = f"error: cannot read sequence: sidecar {source}: node: "
+        prefix = f"error: cannot read sequence: node in sidecar {source}: "
     code, out, err = run(capsys, *argv, "--out", out_file)
     assert code == 2 and out == ""
     assert err.startswith(prefix + message) and err.count("\n") == 1
@@ -775,7 +779,7 @@ def test_verify_calls_out_a_dropped_mode(tmp_path, capsys, oracle_calls):
     )
     rank = payload["rank"]
     assert (code, out) == (2, "")
-    assert err == (f"error: cannot read inputs: rank {rank} is not the sum of the root multiplicities, "
+    assert err == (f"error: cannot read inputs: estimate {tampered}: rank {rank} is not the sum of the root multiplicities, "
                    f"{rank - dropped['multiplicity']}\n")
     payload["rank"] -= dropped["multiplicity"]
     tampered.write_text(json.dumps(payload))
@@ -808,14 +812,16 @@ def test_verify_fails_an_estimate_with_a_spurious_root(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda s: {k: v for k, v in s.items() if k != "x0"}, "setup {setup} has no 'x0'"),
+        (lambda s: {k: v for k, v in s.items() if k != "x0"}, "has no 'x0'"),
         (lambda s: {**s, "c": s["c"][:2]}, "x0 and c must be equal-length vectors, got (5,) and (2,)"),
         (lambda s: {**s, "x0": [float("nan")] + s["x0"][1:]}, "x0[0] is not finite: nan"),
         (lambda s: {**s, "x0": s["x0"][:4], "c": s["c"][:4]}, "matrix is 5x5 but the setup has 4 components"),
         (lambda s: {**s, "c": "probe"}, "could not convert string to float: 'probe'"),
-        (lambda s: [s["x0"], s["c"]], "setup {setup} must hold a JSON object"),
+        (lambda s: [s["x0"], s["c"]], "must hold a JSON object"),
+        (lambda s: {**s, "x0": [True] + s["x0"][1:]}, "x0 holds True, which is not a number"),
+        (lambda s: {**s, "c": [[0.0, False]] + s["c"][1:]}, "c holds False, which is not a number"),
     ],
-    ids=["no-x0", "short-c", "nan-x0", "short-x0-and-c", "text-c", "list"],
+    ids=["no-x0", "short-c", "nan-x0", "short-x0-and-c", "text-c", "list", "bool-x0", "bool-c"],
 )
 def test_verify_of_a_malformed_setup_is_a_usage_error(tmp_path, capsys, edit, message):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
@@ -825,9 +831,7 @@ def test_verify_of_a_malformed_setup_is_a_usage_error(tmp_path, capsys, edit, me
         capsys, "verify", "--matrix", matrix, "--estimate", spectrum,
         "--setup", setup, "--out", report,
     )
-    assert code == 2 and out == ""
-    assert err.startswith("error: cannot read inputs: ") and err.count("\n") == 1
-    assert message.format(setup=setup) in err
+    assert (code, out, err) == (2, "", f"error: cannot read inputs: setup {setup}: {message}\n")
     assert not report.exists()
 
 
@@ -862,9 +866,10 @@ def test_verify_with_a_bad_tolerance_is_a_usage_error(tmp_path, capsys, source, 
         (lambda r: {**r, "multiplicity": 1.5}, "root 0 multiplicity must be a whole number, got 1.5"),
         (lambda r: {**r, "multiplicity": "2"}, "root 0 multiplicity must be a whole number, got '2'"),
         (lambda r: {**r, "multiplicity": True}, "root 0 multiplicity must be a whole number, got True"),
+        (lambda r: {**r, "multiplicity": 0.5}, "root 0 multiplicity must be a whole number, got 0.5"),
     ],
     ids=["huge-re", "huge-multiplicity", "inf-multiplicity", "zero-multiplicity", "no-multiplicity",
-         "fractional-multiplicity", "string-multiplicity", "bool-multiplicity"],
+         "fractional-multiplicity", "string-multiplicity", "bool-multiplicity", "half-multiplicity"],
 )
 def test_verify_of_an_unreadable_root_is_a_usage_error(tmp_path, capsys, edit, message):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
@@ -879,7 +884,7 @@ def test_verify_of_an_unreadable_root_is_a_usage_error(tmp_path, capsys, edit, m
         capsys, "verify", "--matrix", matrix, "--estimate", spectrum, "--setup", setup,
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: cannot read inputs: ") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read inputs: estimate {spectrum}: ") and err.count("\n") == 1
     assert message in err
 
 
@@ -901,19 +906,20 @@ def test_verify_of_a_nan_root_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "edit, fault",
     [
-        (lambda payload: [], "must hold a JSON object"),
-        (lambda payload: {k: v for k, v in payload.items() if k != "roots"}, "has no 'roots'"),
+        (lambda text: "[]", "must hold a JSON object"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "roots"}), "has no 'roots'"),
+        (lambda text: "spectrum", "Expecting value: line 1 column 1 (char 0)"),
     ],
-    ids=["list", "no-roots"],
+    ids=["list", "no-roots", "not-json"],
 )
 def test_verify_of_an_estimate_that_is_no_spectrum_names_the_file(tmp_path, capsys, edit, fault):
     # a JSON list used to end as "list indices must be integers or slices, not str"
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
-    spectrum.write_text(json.dumps(edit(json.loads(spectrum.read_text()))))
+    spectrum.write_text(edit(spectrum.read_text()))
     code, out, err = run(
         capsys, "verify", "--matrix", matrix, "--estimate", spectrum, "--setup", setup,
     )
-    assert (code, out, err) == (2, "", f"error: cannot read inputs: estimate {spectrum} {fault}\n")
+    assert (code, out, err) == (2, "", f"error: cannot read inputs: estimate {spectrum}: {fault}\n")
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -931,16 +937,25 @@ def test_a_non_finite_matrix_entry_is_a_usage_error(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "--matrix", matrix, *inputs, "--out", out_file)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"matrix entry (1, 1) in {matrix} is not finite: nan" in err
+    assert f"matrix {matrix}: matrix[1, 1] is not finite: nan" in err
     assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_a_non_square_matrix_is_a_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("0,1,0\n1,0,0\n", "square matrix required, got shape (2, 3)"),
+        ("0,1\n1,x\n", "could not convert string 'x' to float64 at row 1, column 2."),
+        ("0,1\n1\n", "the number of columns changed from 2 to 1 at row 2"),
+    ],
+    ids=["non-square", "text-entry", "ragged-row"],
+)
+def test_a_matrix_that_is_no_square_of_numbers_is_a_usage_error(tmp_path, capsys, command, text, message):
     matrix, y_csv = simulate_swap(tmp_path, capsys)
     spectrum = tmp_path / "spectrum.json"
     assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
-    matrix.write_text("0,1,0\n1,0,0\n")
+    matrix.write_text(text)
     inputs = {
         "simulate": (),
         "verify": ("--estimate", spectrum, "--setup", tmp_path / "y.setup.json"),
@@ -948,7 +963,7 @@ def test_a_non_square_matrix_is_a_usage_error(tmp_path, capsys, command):
     code, out, err = run(capsys, command, "--matrix", matrix, *inputs)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"matrix in {matrix} is 2x3, not square" in err
+    assert f"matrix {matrix}: {message}" in err
 
 
 @pytest.mark.filterwarnings("error")
@@ -967,7 +982,7 @@ def test_a_matrix_file_without_entries_is_a_usage_error_without_a_warning(tmp_pa
     code, out, err = run(capsys, command, "--matrix", matrix, *inputs, "--out", tmp_path / "out")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"matrix in {matrix} has no entries" in err
+    assert f"matrix {matrix}: has no entries" in err
 
 
 @pytest.mark.filterwarnings("error")
@@ -984,7 +999,7 @@ def test_verify_of_a_matrix_beyond_the_oracles_range_is_a_usage_error(tmp_path, 
     matrix.write_text(f"0,{float(np.nextafter(limit, np.inf))!r}\n1,0\n")
     code, out, err = run(capsys, *verify)
     assert code == 2 and out == ""
-    assert err == f"error: cannot read inputs: matrix in {matrix} has an entry above {limit:.3g}, the most verify takes at n = 2\n"
+    assert err == f"error: cannot read inputs: matrix {matrix}: has an entry above {limit:.3g}, the most verify takes at n = 2\n"
 
 
 @pytest.mark.filterwarnings("error")

@@ -3,14 +3,14 @@
 Each property writes one fuzzed file (sidecar, setup, estimate or node JSON,
 or a matrix or sequence CSV) next to a valid chain and runs the steps that
 read it in process; ``simulate`` reads a node file, ``estimate`` the node in
-a sidecar. An exception escaping ``main`` is what a user would see as a
-traceback. The drawn values mix arbitrary JSON or text with the keys,
-headers and numbers each file is expected to hold, so the checks past the
-first are reached. Every property also fails on a warning, since a warning
-reaches the user's stderr. Settings come only from flags, which argparse
-checks, so no fuzzed file sets one. No CLI step reads a graph TSV, so
-``read_graph_tsv`` is fuzzed directly: it returns a graph or raises
-``ValueError``.
+a sidecar, which is the ``.json`` file next to its sequence CSV. An
+exception escaping ``main`` is what a user would see as a traceback. The
+drawn values mix arbitrary JSON or text with the keys, headers and numbers
+each file is expected to hold, so the checks past the first are reached.
+Every property also fails on a warning, since a warning reaches the user's
+stderr. Settings come only from flags, which argparse checks, so no fuzzed
+file sets one. No CLI step reads a graph TSV, so ``read_graph_tsv`` is
+fuzzed directly: it returns a graph or raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -74,12 +74,18 @@ def chain(tmp_path_factory):
     return d
 
 
-def sidecar_with_node(chain, mode: str, node, tmp: Path) -> Path:
-    """The sidecar of the chain's ``mode`` sequence with ``node`` as its node."""
-    path = tmp / "with-node.json"
+def beside(csv: Path, sidecar: Path, dest: Path) -> Path:
+    """``dest``, holding the sequence ``csv``, with ``sidecar`` copied next to it."""
+    dest.write_bytes(csv.read_bytes())
+    dest.with_suffix(".json").write_bytes(sidecar.read_bytes())
+    return dest
+
+
+def sequence_with_node(chain, mode: str, node, tmp: Path) -> Path:
+    """A copy of the chain's ``mode`` sequence whose sidecar has ``node`` as its node."""
     meta = json.loads((chain / f"{mode}.json").read_text())
-    path.write_text(json.dumps({**meta, "node": node}))
-    return path
+    (tmp / "with-node.json").write_text(json.dumps({**meta, "node": node}))
+    return beside(chain / f"{mode}.csv", tmp / "with-node.json", tmp / "with-node.csv")
 
 
 def run_with(payload, name: str, steps) -> None:
@@ -112,8 +118,8 @@ def square_node(d: int):
     sequence=st.sampled_from(["dt.csv", "ct.csv"]),
 )
 def test_any_sidecar_ends_estimate_with_an_exit_code(chain, meta, sequence):
-    run_with(meta, "sidecar.json", lambda path, tmp: [
-        ["estimate", "--y", chain / sequence, "--sidecar", path, "--out", tmp / "s.json"],
+    run_with(meta, "y.json", lambda path, tmp: [
+        ["estimate", "--y", beside(chain / sequence, path, tmp / "y.csv"), "--out", tmp / "s.json"],
     ])
 
 
@@ -159,8 +165,7 @@ def test_any_node_ends_simulate_and_estimate_with_an_exit_code(chain, node, mode
     run_with(node, "node.json", lambda path, tmp: [
         ["simulate", "--matrix", chain / "m.csv", "--mode", mode, "--tau", 0.5,
          "--K", 6, "--seed", 2, "--node", path, "--out", tmp / "y.csv"],
-        ["estimate", "--y", chain / f"{mode}.csv", "--sidecar", sidecar_with_node(chain, mode, node, tmp),
-         "--out", tmp / "s.json"],
+        ["estimate", "--y", sequence_with_node(chain, mode, node, tmp), "--out", tmp / "s.json"],
     ])
 
 
@@ -234,8 +239,8 @@ def test_any_sequence_csv_ends_estimate_with_an_exit_code(chain, header, rows, s
         rows = [f"{k * step!r},{y}" for k, y in enumerate(samples)]
     sidecar, networked = (chain / sequence.replace(".csv", suffix) for suffix in (".json", "n.json"))
     run_on_text("\n".join([header, *rows]) + "\n", "y.csv", lambda path, tmp: [
-        ["estimate", "--y", path, "--sidecar", sidecar, "--out", tmp / "s.json"],
-        ["estimate", "--y", path, "--sidecar", networked, "--out", tmp / "s.json"],
+        ["estimate", "--y", beside(path, sidecar, path), "--out", tmp / "s.json"],
+        ["estimate", "--y", beside(path, networked, tmp / "yn.csv"), "--out", tmp / "s.json"],
     ])
 
 

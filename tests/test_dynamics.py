@@ -586,7 +586,7 @@ def test_sequence_files_roundtrip_exactly(tmp_path, mode, tau):
     for bad in ("nan", "inf", "-inf"):
         t, _ = lines[2].split(",")
         path.write_text("\n".join([*lines[:2], f"{t},{bad}", *lines[3:]]) + "\n")
-        with pytest.raises(ValueError, match=f"{path} line 3: y = {bad} is not finite"):
+        with pytest.raises(ValueError, match=f"^sequence {re.escape(str(path))}: line 3: y = {bad} is not finite$"):
             read_sequence(path)
 
 

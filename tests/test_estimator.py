@@ -177,6 +177,13 @@ def test_online_rank_two_modes_consumes_at_most_five():
     assert det.rank == 2 and len(det.values) <= 5
 
 
+@pytest.mark.parametrize("bad", [0, -2, True, 1.5, "3"])
+def test_online_detection_refuses_an_n_hint_that_is_no_whole_number_from_one(bad):
+    # an n_hint of 0, -2 or True used to stop the detection after two samples
+    with pytest.raises(ValueError, match=rf"^n_hint must be a whole number( >= 1)?, got {re.escape(repr(bad))}$"):
+        detect_rank_online(iter([3.0] * 50), n_hint=bad)
+
+
 def test_online_rank_flags_a_dried_up_stream():
     rng = np.random.default_rng(8)
     G = rng.standard_normal((3, 3)) * 0.5
@@ -221,6 +228,8 @@ def test_a_bad_tolerance_is_rejected_with_a_typed_error(field, bad):
         lambda: estimate_spectrum(values, **opts),
         lambda: estimate_spectrum(OutputSequence(values, node=node), **opts),
         lambda: estimate_spectrum(OutputSequence(values, tau=1.0), **opts),
+        # before any other work: a one-sample record cannot be solved at rank 1
+        lambda: estimate_spectrum(values[:1], **opts),
     ]
     if field == "rank_tolerance":
         calls += [
@@ -824,10 +833,10 @@ def test_every_valid_spectrum_reads_back_as_itself(est):
         (lambda d: [], r"^must hold a JSON object$"),
         (lambda d: d.pop("roots"), r"^has no 'roots'$"),
         (lambda d: d.update(roots=5), r"^roots must be a list, got 5$"),
-        (lambda d: d.update(roots=[5]), r"^root 0 must be an object, got 5$"),
-        (lambda d: d["roots"][1].pop("multiplicity"), r"^root 1 has no 'multiplicity'$"),
-        (lambda d: d["roots"][0].update(re="a"), r"^root 0 re and im must be numbers, got 'a' and 0.0$"),
-        (lambda d: d["roots"][1].update(im=True), r"^root 1 re and im must be numbers, got -1.0 and True$"),
+        (lambda d: d.update(roots=[5]), r"^root 0: must hold a JSON object$"),
+        (lambda d: d["roots"][1].pop("multiplicity"), r"^root 1: has no 'multiplicity'$"),
+        (lambda d: d["roots"][0].update(re="a"), r"^root 0: re and im must be numbers, got 'a' and 0.0$"),
+        (lambda d: d["roots"][1].update(im=True), r"^root 1: re and im must be numbers, got -1.0 and True$"),
         (lambda d: d["roots"][0].update(re=10**400), r"^root 0: int too large to convert to float$"),
         (lambda d: d["roots"][0].update(multiplicity=float("inf")),
          r"^cannot convert float infinity to integer$"),
@@ -871,6 +880,24 @@ def test_the_record_refuses_what_its_reader_refuses(fields, message):
          "roots": [{"re": v.real, "im": v.imag, "multiplicity": m} for v, m in roots], "warnings": []}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SpectrumEstimate.from_json_dict(d)
+
+
+@pytest.mark.parametrize(
+    "root", [(None, 1), 0.5, ("1", 1), (True, 1), (1.0, 1, 1)],
+    ids=["none-value", "no-pair", "string-value", "bool-value", "triple"],
+)
+def test_a_root_that_is_no_pair_of_a_number_and_a_multiplicity_is_a_value_error(root):
+    # None and 0.5 used to raise a TypeError, from complex() and from unpacking
+    message = f"^root 0 must be a pair of a number and a multiplicity, got {re.escape(repr(root))}$"
+    with pytest.raises(ValueError, match=message):
+        SpectrumEstimate([root])
+
+
+def test_a_none_condition_is_an_infinite_one():
+    # as the file's null is; the record used to refuse it with a message that allows null
+    est = SpectrumEstimate([(0.5 + 0j, 1)], condition=None)
+    assert est.condition == math.inf and est.to_json_dict()["condition"] is None
+    assert SpectrumEstimate.from_json_dict(est.to_json_dict()).condition == math.inf
 
 
 # =========================================================================

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from helpers import choice_preferential_attachment
@@ -260,14 +262,14 @@ def test_graph_tsv_roundtrip_is_exact(tmp_path):
         ("# n=2 directed=0\n0\t1\t1\n1\t0\t-inf\n", r"line 3: weight '-inf' is not finite"),
         ("# directed=0\n0\t1\t1\n", r"has no 'n='"),
         ("# n=2\n0\t1\t1\n", r"has no 'directed='"),
-        ("# n=x directed=0\n0\t1\t1\n", r"g\.tsv line 1: header '# n=x directed=0' needs integer"),
-        ("# n=2 directed=yes\n0\t1\t1\n", r"g\.tsv line 1: header .* needs integer"),
-        ("# n directed=0\n0\t1\t1\n", r"g\.tsv line 1: header '# n directed=0' needs integer"),
-        ("# n=2 directed=0\n0\t1\t1\n0 1\n", r"g\.tsv line 3: '0 1' is not 'src<TAB>dst<TAB>weight'"),
-        ("# n=2 directed=0\n0\t1\t1\t2\n", r"g\.tsv line 2: .* is not 'src<TAB>dst<TAB>weight'"),
-        ("# n=2 directed=0\n0\tx\t1\n", r"g\.tsv line 2: '0\\tx\\t1' is not .* integer node ids"),
-        ("# n=2 directed=0\n0.5\t1\t1\n", r"g\.tsv line 2: .* integer node ids"),
-        ("# n=2 directed=0\n0\t1\tw\n", r"g\.tsv line 2: .* is not 'src<TAB>dst<TAB>weight'"),
+        ("# n=x directed=0\n0\t1\t1\n", r"line 1: header '# n=x directed=0' needs integer"),
+        ("# n=2 directed=yes\n0\t1\t1\n", r"line 1: header .* needs integer"),
+        ("# n directed=0\n0\t1\t1\n", r"line 1: header '# n directed=0' needs integer"),
+        ("# n=2 directed=0\n0\t1\t1\n0 1\n", r"line 3: '0 1' is not 'src<TAB>dst<TAB>weight'"),
+        ("# n=2 directed=0\n0\t1\t1\t2\n", r"line 2: .* is not 'src<TAB>dst<TAB>weight'"),
+        ("# n=2 directed=0\n0\tx\t1\n", r"line 2: '0\\tx\\t1' is not .* integer node ids"),
+        ("# n=2 directed=0\n0.5\t1\t1\n", r"line 2: .* integer node ids"),
+        ("# n=2 directed=0\n0\t1\tw\n", r"line 2: .* is not 'src<TAB>dst<TAB>weight'"),
     ],
     ids=["nan-weight", "inf-weight", "no-n", "no-directed", "n-not-int", "directed-not-int",
          "n-without-value", "two-fields", "four-fields", "node-not-int", "node-fractional",
@@ -276,7 +278,7 @@ def test_graph_tsv_roundtrip_is_exact(tmp_path):
 def test_a_malformed_graph_tsv_is_a_value_error(tmp_path, text, message):
     path = tmp_path / "g.tsv"
     path.write_text(text)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^graph {re.escape(str(path))}: .*{message}"):
         read_graph_tsv(path)
 
 

@@ -13,7 +13,9 @@ range tests, the mode test and the choice between ``DT`` and ``CT`` from
 being written anywhere else in ``src/``. Every record is a frozen dataclass,
 which an ``ast`` guard keeps so; an ``OutputSequence`` also keeps a
 read-only copy of its samples, so neither a field nor a sample of it can be
-changed past its rules.
+changed past its rules. A JSON record must be an object holding its keys,
+which ``graphs._json_object`` owns, and a reader's message names its file
+through ``graphs._reading``; ``ast`` guards keep both rules in their helpers.
 """
 
 from __future__ import annotations
@@ -143,7 +145,9 @@ BAD_MODE = {"None": None, "'DT'": "DT", "'hourly'": "hourly", "1": 1, "True": Tr
 @pytest.mark.parametrize("bad", BAD_MODE)
 @pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
 def test_every_entry_point_takes_a_mode_by_the_one_rule(tmp_path, entry, bad):
-    message = f"^mode must be {DT!r} or {CT!r}, got {re.escape(repr(BAD_MODE[bad]))}$"
+    # the reader names the file the mode is in
+    prefix = re.escape(f"sidecar {tmp_path / 'y.json'}: ") if entry == "read_sequence" else ""
+    message = f"^{prefix}mode must be {DT!r} or {CT!r}, got {re.escape(repr(BAD_MODE[bad]))}$"
     with pytest.raises(ValueError, match=message):
         MODE_ENTRY_POINTS[entry](tmp_path, BAD_MODE[bad])
 
@@ -356,3 +360,56 @@ def test_every_record_is_frozen():
         "    w: int\n"
     )
     assert _dataclasses(planted) == {5: False, 9: False, 13: False, 17: True}
+
+
+def _is_dict_check(node: ast.AST) -> bool:
+    """``isinstance(x, dict)``, with ``dict`` alone or in a tuple of types."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2):
+        return False
+    types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return any(getattr(t, "id", None) == "dict" for t in types)
+
+
+# a reader's path, and the CLI flags that name an input file
+FILE_NAMES = ("path", "sidecar")
+FILE_FLAGS = ("matrix", "estimate", "setup", "node", "y")
+
+
+def _names_a_file(node: ast.AST) -> bool:
+    """A ``raise`` whose expression formats a reader's ``path`` or ``sidecar``,
+    or an input file flag of ``args``, into an f-string."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    formatted = [n for f in ast.walk(node.exc) if isinstance(f, ast.FormattedValue) for n in ast.walk(f.value)]
+    return any(
+        isinstance(n, ast.Name) and n.id in FILE_NAMES
+        or isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "args" and n.attr in FILE_FLAGS
+        for n in formatted
+    )
+
+
+def file_rule_checks(source: str) -> list[int]:
+    """Lines of ``source`` holding a JSON object check outside ``_json_object``
+    or a raise that names a file outside ``_reading``."""
+    return sorted(rule_checks(source, ("_json_object",), _is_dict_check)
+                  + rule_checks(source, ("_reading",), _names_a_file))
+
+
+def test_the_file_rules_are_written_once():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert {name: file_rule_checks(text) for name, text in sources.items() if file_rule_checks(text)} == {}
+    # each helper holds its one check, so the guard is not looking at nothing
+    assert len(rule_checks(sources["graphs.py"], (), _is_dict_check)) == 1
+    assert len(rule_checks(sources["graphs.py"], (), _names_a_file)) == 1
+    # and it flags copies planted outside them, as the readers wrote them before
+    planted = (
+        "def read(path, sidecar, args):\n"
+        "    if not isinstance(meta, dict) or 'mode' not in meta:\n"
+        "        raise ValueError(f'sidecar {sidecar} must hold a JSON object')\n"
+        "    raise ValueError(f'{path} line {i}: weight {w!r} is not finite')\n"
+        "    raise ValueError(f'root {k} in {args.estimate} has multiplicity {m}')\n"
+        "    raise ValueError(f'matrix in {str(path)} has no entries') from None\n"
+        "    if isinstance(r, (list, dict)):\n"
+        "        raise ValueError(f'--observe expects node indices, got {args.observe!r}')\n"
+    )
+    assert file_rule_checks(planted) == [2, 3, 4, 5, 6, 7]
