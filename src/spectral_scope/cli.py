@@ -273,7 +273,7 @@ def cmd_verify(args) -> int:
             setup = _json_object(json.loads(Path(args.setup).read_text()), ("x0", "c"))
             observation = ObservationSetup(x0=setup["x0"], c=setup["c"])
             _matrix_for(M, observation)
-    except (OSError, ValueError, TypeError, OverflowError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail_usage(f"cannot read inputs: {exc}")
     try:
         tol = _tolerance(args.tol if args.tol is not None else setup.get("tol", 1e-6), "tolerance")

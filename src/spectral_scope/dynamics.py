@@ -61,6 +61,17 @@ def _recorded_tau(mode, tau, record: str) -> float | None:
     return None if mode == DT else _positive(tau, "tau")
 
 
+def _floats(value, name: str) -> np.ndarray:
+    """``value`` as a float array; ``ValueError`` for a bare bool, which numpy
+    reads as 0 or 1, and for what is no number or lies beyond the doubles."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} is {value!r}, which is not a number")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, OverflowError) as exc:  # such as a nested object or an int beyond the doubles
+        raise ValueError(str(exc)) from None
+
+
 class SimulationOverflowError(OverflowError):
     """The floating range was exhausted mid-rollout.
 
@@ -83,8 +94,8 @@ class ObservationSetup:
     c: np.ndarray
 
     def __post_init__(self):
-        x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
+        x0 = np.atleast_1d(_floats(self.x0, "x0"))
+        c = np.atleast_1d(_floats(self.c, "c"))
         if x0.ndim != 1 or c.ndim != 1 or x0.shape != c.shape:
             raise ValueError(
                 f"x0 and c must be equal-length vectors, got {x0.shape} and {c.shape}"
@@ -137,8 +148,8 @@ class NodeDynamics:
     """Identical per-agent dynamics: state matrix A, input direction beta, readout gamma.
 
     A is d x d with d >= 1, beta and gamma have d entries, and every entry is
-    finite; ``ValueError`` naming the shape or the first NaN or infinite entry
-    otherwise.
+    a finite number; ``ValueError`` naming the shape, a value that is no
+    number, or the first NaN or infinite entry otherwise.
     """
 
     A: np.ndarray
@@ -146,9 +157,9 @@ class NodeDynamics:
     gamma: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
+        A = np.atleast_2d(_floats(self.A, "A"))
+        beta = np.atleast_1d(_floats(self.beta, "beta"))
+        gamma = np.atleast_1d(_floats(self.gamma, "gamma"))
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
         if A.shape[0] < 1:
@@ -182,10 +193,7 @@ class NodeDynamics:
         """The node ``to_json_dict`` wrote. ``ValueError`` for anything but an
         object with ``A``, ``beta`` and ``gamma`` of fitting shapes and finite entries."""
         _json_object(d, ("A", "beta", "gamma"))
-        try:
-            return cls(A=d["A"], beta=d["beta"], gamma=d["gamma"])
-        except (TypeError, OverflowError) as exc:  # such as a nested object or an int beyond the doubles
-            raise ValueError(str(exc)) from None
+        return cls(A=d["A"], beta=d["beta"], gamma=d["gamma"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -389,6 +389,9 @@ _REFINE_SWEEPS = 6
 _REFINE_SIZE_CAP = 64
 
 
+# an overflow or NaN here is reported, ends the refinement, or is the figure
+# itself (an infinite residual); numpy need not print a warning first
+@np.errstate(over="ignore", invalid="ignore")
 def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     """Solve ``H_r alpha = -(y[r..2r-1])`` for the monic polynomial coefficients.
 
@@ -434,8 +437,7 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     def apply_pinv(v: np.ndarray) -> np.ndarray:
         return Vt.T @ (inv * (U.T @ (np.ldexp(v, shift) if shift else v)))
 
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        alpha = apply_pinv(rhs)
+    alpha = apply_pinv(rhs)
     if not np.all(np.isfinite(alpha)):
         raise OverflowError("a characteristic polynomial coefficient lies beyond the double range")
     alpha_hi = None

@@ -80,34 +80,6 @@ def test_generate_writes_the_row_stochastic_matrix(tmp_path, capsys):
     assert info.value.code == 2
 
 
-def test_generate_without_n_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "generate", "--model", "pa")
-    assert info.value.code == 2
-    assert "the following arguments are required: --n" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("--model", "pa", "--n", 1), "m_attach=2 exceeds n=1"),
-        (("--model", "pa", "--n", -3), "m_attach=2 exceeds n=-3"),
-        (("--model", "pa", "--n", 5, "--m", 9), "m_attach=9 exceeds n=5"),
-        (("--model", "pa", "--n", 5, "--m", 0), "m_attach must be positive"),
-        (("--model", "pa", "--n", 5, "--weights", "1,1"), "need lo < hi"),
-        (("--model", "ring", "--n", 0), "ring needs at least 2 nodes"),
-        (("--model", "ring", "--n", 4, "--weights", "1"), "--weights expects LO,HI"),
-    ],
-    ids=["n-1", "n-negative", "m-above-n", "m-0", "empty-weight-range", "ring-n-0", "one-weight-bound"],
-)
-def test_a_graph_the_generators_reject_is_a_usage_error(tmp_path, capsys, argv, message):
-    graph, matrix = tmp_path / "g.tsv", tmp_path / "m.csv"
-    code, out, err = run(capsys, "generate", *argv, "--graph-out", graph, "--matrix-out", matrix)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err and err.count("\n") == 1
-    assert not graph.exists() and not matrix.exists()
-
-
 # =========================================================================
 # simulate
 # =========================================================================
@@ -129,16 +101,6 @@ def test_simulate_writes_the_swap_trace_verbatim(tmp_path, capsys):
     assert setup == {"schema": 1, "x0": [1.0, 0.0], "c": [1.0, 0.0]}
 
 
-@pytest.mark.parametrize("mode", [("--mode", "dt"), ()], ids=["dt", "default"])
-def test_simulate_of_a_tau_in_discrete_time_is_a_usage_error(tmp_path, capsys, mode):
-    # a dt record has no sampling period, so a --tau would be dropped unread
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    code, out, err = run(capsys, "simulate", "--matrix", matrix, *mode, "--tau", 0.5, "--out", tmp_path / "y.csv")
-    assert (code, out, err) == (2, "", "error: --tau needs --mode ct\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
-
-
 def test_simulate_defaults_to_two_n_samples(tmp_path, capsys):
     matrix = tmp_path / "swap.csv"
     matrix.write_text(SWAP_CSV)
@@ -146,12 +108,6 @@ def test_simulate_defaults_to_two_n_samples(tmp_path, capsys):
     code, _, _ = run(capsys, "simulate", "--matrix", matrix, "--seed", 1, "--out", out_csv)
     assert code == 0
     assert len(out_csv.read_text().splitlines()) == 1 + 4
-    # an explicit --K 0 is not the default but a usage error, like any K < 1
-    zero_csv = tmp_path / "zero.csv"
-    code, out, err = run(capsys, "simulate", "--matrix", matrix, "--K", 0, "--out", zero_csv)
-    assert code == 2 and out == ""
-    assert err == "error: need at least one step, got K=0\n"
-    assert not zero_csv.exists()
 
 
 @pytest.mark.parametrize("mode, simulator", [("dt", simulate_dt_networked), ("ct", simulate_ct_networked)])
@@ -174,19 +130,6 @@ def test_a_node_makes_simulate_networked(tmp_path, capsys, mode, simulator):
     y = read_sequence(tmp_path / "y.csv")
     assert y.values.tobytes() == expected.values.tobytes()
     assert y.values.tobytes() != read_sequence(tmp_path / "plain.csv").values.tobytes()
-
-
-@pytest.mark.parametrize("mode", ["dt-networked", "ct-networked"])
-def test_a_networked_mode_is_a_usage_error(tmp_path, capsys, mode):
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "simulate", "--matrix", matrix, "--mode", mode, "--tau", 1,
-            "--node-d", 2, "--out", tmp_path / "y.csv")
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and f"argument --mode: invalid choice: '{mode}'" in captured.err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
 
 
 @pytest.mark.parametrize("mode, simulator", [("dt", simulate_dt_networked), ("ct", simulate_ct_networked)])
@@ -212,33 +155,6 @@ def test_estimate_of_a_networked_simulate_gives_the_library_bytes(tmp_path, caps
     assert spectrum.read_text() == json.dumps(est.to_json_dict()) + "\n"
 
 
-def test_simulate_takes_one_node_source(tmp_path, capsys):
-    matrix, node = tmp_path / "swap.csv", tmp_path / "node.json"
-    matrix.write_text(SWAP_CSV)
-    node.write_text(json.dumps({"A": [[0.5]], "beta": [1], "gamma": [1]}))
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "simulate", "--matrix", matrix, "--node", node, "--node-d", 3, "--out", tmp_path / "y.csv")
-    assert info.value.code == 2
-    assert "argument --node-d: not allowed with argument --node" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["node.json", "swap.csv"]
-
-
-@pytest.mark.parametrize(
-    "flags, message",
-    [(("--node-seed", 5), "--node-seed needs --node-d"),
-     (("--node-d", 0), "--node-d must be >= 1, got 0"),
-     (("--node-d", -2, "--node-seed", 5), "--node-d must be >= 1, got -2")],
-    ids=["seed-alone", "zero-d", "negative-d"],
-)
-def test_a_node_flag_that_gives_no_node_is_a_usage_error(tmp_path, capsys, flags, message):
-    # each of these ran once as a plain simulation, its node flag dropped
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    code, out, err = run(capsys, "simulate", "--matrix", matrix, *flags, "--seed", 1, "--out", tmp_path / "y.csv")
-    assert code == 2 and out == "" and err == f"error: {message}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
-
-
 def test_simulate_samples_continuous_decay(tmp_path, capsys):
     matrix = tmp_path / "decay.csv"
     matrix.write_text("-1\n")
@@ -252,13 +168,6 @@ def test_simulate_samples_continuous_decay(tmp_path, capsys):
     assert seq.mode == "ct" and seq.tau == 1.0
     assert np.max(np.abs(seq.values - np.exp(-np.arange(4)))) < 1e-15
     assert out_csv.read_text().startswith("t,y\n0,1\n1,0.36787944117144233\n")
-
-
-def test_simulate_ct_without_tau_is_a_usage_error(tmp_path, capsys):
-    matrix = tmp_path / "decay.csv"
-    matrix.write_text("-1\n")
-    code, _, err = run(capsys, "simulate", "--matrix", matrix, "--mode", "ct")
-    assert code == 2 and err == "error: tau must be a positive finite number, got None\n"
 
 
 def test_simulate_reports_overflow_and_keeps_the_partial_trace(tmp_path, capsys):
@@ -287,110 +196,6 @@ def test_a_networked_partial_trace_keeps_its_node(tmp_path, capsys):
     assert code == 1 and "partial sequence written" in err
     partial = read_sequence(out_csv)
     assert 0 < len(partial) < 200 and partial.node.gamma.tolist() == [2.0]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds one line
-def test_simulate_reports_an_overflowing_matrix_exponential(tmp_path, capsys):
-    matrix = tmp_path / "one.csv"
-    matrix.write_text("1\n")
-    out_csv = tmp_path / "y.csv"
-    code, out, err = run(
-        capsys, "simulate", "--matrix", matrix, "--mode", "ct", "--tau", 1000,
-        "--x0", "1", "--observe", 0, "--out", out_csv,
-    )
-    assert code == 1 and out == ""
-    assert err == "overflow: matrix exponential exceeded the floating range; nothing recorded\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.csv"]
-
-
-@pytest.mark.parametrize("x0", [(), ("--x0", "1,0")], ids=["drawn-x0", "given-x0"])
-@pytest.mark.parametrize("node", [5, -1, 10**20])  # 10**20 is beyond int64
-def test_simulate_of_an_observed_node_out_of_range_is_a_usage_error(tmp_path, capsys, node, x0):
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    out_csv = tmp_path / "y.csv"
-    code, out, err = run(
-        capsys, "simulate", "--matrix", matrix, *x0, "--observe", node, "--out", out_csv
-    )
-    assert code == 2 and out == ""
-    assert err == f"error: observed nodes [{node}] out of range for n=2\n"
-    assert not out_csv.exists()
-
-
-def test_simulate_of_a_repeated_observed_node_is_a_usage_error(tmp_path, capsys):
-    # a repeated node once summed its weights: c = [2, 0], without a word
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    code, out, err = run(capsys, "simulate", "--matrix", matrix, "--observe", "0,0", "--out", tmp_path / "y.csv")
-    assert (code, out) == (2, "")
-    assert err == "error: observed node 0 is repeated; observed nodes must be distinct\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
-
-
-@pytest.mark.parametrize("observe", ["a", "1,,2"])
-def test_simulate_of_an_observe_that_is_not_a_node_list_is_a_usage_error(tmp_path, capsys, observe):
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "simulate", "--matrix", matrix, "--observe", observe, "--out", tmp_path / "y.csv")
-    assert info.value.code == 2
-    assert capsys.readouterr() == (
-        "", f"error: --observe expects comma-separated node indices, got {observe!r}\n"
-    )
-    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
-
-
-def test_simulate_of_observe_weights_without_observed_nodes_is_a_usage_error(tmp_path, capsys):
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    code, out, err = run(capsys, "simulate", "--matrix", matrix, "--observe-weights", 2,
-                         "--out", tmp_path / "y.csv")
-    assert (code, out, err) == (2, "", "error: observe_weights given without observed nodes\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
-
-
-@pytest.mark.parametrize(
-    "argv, text",
-    [
-        (("simulate", "--matrix", "swap.csv", "--x0", "nan,1", "--observe", 0), "nan,1"),
-        (("simulate", "--matrix", "swap.csv", "--observe", 0, "--observe-weights", "inf"), "inf"),
-        (("generate", "--model", "ring", "--n", 2, "--weights", "nan,1"), "nan,1"),
-        (("simulate", "--matrix", "swap.csv", "--x0", "a,1", "--observe", 0), "a,1"),
-    ],
-    ids=["x0", "observe-weights", "weights", "x0-not-a-number"],
-)
-def test_a_non_finite_list_value_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, text):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "swap.csv").write_text(SWAP_CSV)
-    with pytest.raises(SystemExit) as info:
-        main([str(a) for a in argv])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: expected comma-separated finite numbers, got {text!r}\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
-
-
-def test_an_x0_of_the_wrong_length_is_a_usage_error(tmp_path, capsys):
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "simulate", "--matrix", matrix, "--x0", "1,2,3", "--out", tmp_path / "y.csv")
-    assert info.value.code == 2
-    assert capsys.readouterr() == ("", "error: --x0 has 3 entries, matrix is 2x2\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds one line
-def test_simulate_that_overflows_at_the_first_sample_records_nothing(tmp_path, capsys):
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    code, out, err = run(
-        capsys, "simulate", "--matrix", matrix, "--x0", "1e308,1e308", "--observe", "0,1",
-        "--out", tmp_path / "y.csv",
-    )
-    assert (code, out, err) == (1, "", "overflow at sample 0; nothing recorded\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["swap.csv"]
 
 
 # =========================================================================
@@ -428,21 +233,6 @@ def test_estimate_of_a_dead_output_is_empty(tmp_path, capsys):
     assert payload["roots"] == [] and payload["rank"] == 0
 
 
-def test_estimate_without_input_is_a_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as info:
-        run(capsys, "estimate")
-    assert info.value.code == 2
-    assert "the following arguments are required: --y" in capsys.readouterr().err
-
-
-def test_estimate_of_a_missing_sequence_names_the_csv(tmp_path, capsys):
-    # the sidecar is missing too, but the CSV is the file the user named
-    y_csv = tmp_path / "nope.csv"
-    code, out, err = run(capsys, "estimate", "--y", y_csv)
-    assert (code, out) == (2, "")
-    assert err == f"error: cannot read sequence: [Errno 2] No such file or directory: {str(y_csv)!r}\n"
-
-
 def test_estimate_surfaces_the_aliasing_warning(tmp_path, capsys):
     matrix = tmp_path / "rot.csv"
     matrix.write_text(ROT_CSV)
@@ -458,79 +248,6 @@ def test_estimate_surfaces_the_aliasing_warning(tmp_path, capsys):
     assert any("aliasing" in w for w in payload["warnings"])
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-def test_estimate_of_a_non_finite_sample_is_a_usage_error(tmp_path, capsys, bad):
-    _, y_csv = simulate_swap(tmp_path, capsys)
-    lines = y_csv.read_text().splitlines()
-    k, _ = lines[2].split(",")
-    lines[2] = f"{k},{bad}"
-    y_csv.write_text("\n".join(lines) + "\n")
-    code, out, err = run(capsys, "estimate", "--y", y_csv)
-    assert code == 2 and out == ""
-    assert err == f"error: cannot read sequence: sequence {y_csv}: line 3: y = {bad} is not finite\n"
-
-
-@pytest.mark.parametrize(
-    "mode, edit, message",
-    [
-        ("dt", lambda lines: ["t,y", *lines[1:]], "does not fit mode 'dt'"),
-        ("ct", lambda lines: ["k,y", *lines[1:]], "does not fit mode 'ct'"),
-        ("dt", lambda lines: [*lines[:2], "5,0", *lines[3:]], "line 3: k = 5.0, expected 1.0"),
-        ("ct", lambda lines: [*lines[:2], "0.6,0", *lines[3:]], "line 3: t = 0.6, expected 0.5"),
-        ("ct", lambda lines: [*lines[:2], "0.5", *lines[3:]], "line 3: expected 2 columns"),
-        ("dt", lambda lines: [*lines[:2], "1,x", *lines[3:]], "could not convert string to float: 'x'"),
-    ],
-    ids=["dt-header", "ct-header", "dt-k", "ct-t", "one-column", "text-sample"],
-)
-def test_estimate_of_a_sequence_file_that_contradicts_its_sidecar_is_a_usage_error(
-    tmp_path, capsys, mode, edit, message
-):
-    y_csv = tmp_path / "y.csv"
-    write_sequence(OutputSequence([1.0, 0.5, 0.25, 0.125], tau=0.5 if mode == "ct" else None), y_csv)
-    y_csv.write_text("\n".join(edit(y_csv.read_text().splitlines())) + "\n")
-    code, out, err = run(capsys, "estimate", "--y", y_csv)
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot read sequence: sequence {y_csv}: ") and message in err
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("[1]", "must hold a JSON object"),
-        ('{"tau": 1.0}', "has no 'mode'"),
-        ('{"mode": "ct", "tau": "x"}', "tau must be a positive finite number, got 'x'"),
-        (f'{{"mode": "ct", "tau": {10**400}}}', f"tau must be a positive finite number, got {10**400}"),
-        ('{"mode": "dt", "tau": 0.5}', "a 'dt' sequence has no tau, got 0.5"),
-        ('{"mode": "xt", "tau": null}', "mode must be 'dt' or 'ct', got 'xt'"),
-        ("mode: dt", "Expecting value: line 1 column 1 (char 0)"),
-    ],
-    ids=["list", "no-mode", "text-tau", "huge-tau", "dt-tau", "xt-mode", "not-json"],
-)
-def test_estimate_with_a_malformed_sidecar_is_a_usage_error(tmp_path, capsys, text, message):
-    # the sidecar is the .json file next to the sequence, and the message names it
-    _, y_csv = simulate_swap(tmp_path, capsys)
-    sidecar = y_csv.with_suffix(".json")
-    sidecar.write_text(text)
-    code, out, err = run(capsys, "estimate", "--y", y_csv)
-    assert (code, out, err) == (2, "", f"error: cannot read sequence: sidecar {sidecar}: {message}\n")
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--rank-tolerance", "nan"), ("--rank-tolerance", "inf"), ("--rank-tolerance", "-1"),
-     ("--cluster-tol", "nan"), ("--cluster-tol", "-1")],
-)
-def test_estimate_with_a_bad_tolerance_is_a_usage_error(tmp_path, capsys, flag, value):
-    # unchecked, a NaN or infinite rank cut gives rank 0 and exit 0
-    _, y_csv = simulate_swap(tmp_path, capsys)
-    spectrum = tmp_path / "spectrum.json"
-    code, out, err = run(capsys, "estimate", "--y", y_csv, flag, value, "--out", spectrum)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "tolerance must be a finite number >= 0" in err
-    assert not spectrum.exists()
-
-
 def test_estimate_reads_hand_written_sample_times(tmp_path, capsys):
     # 0.1 * 3 is 0.30000000000000004, not 0.3: a small relative slack is allowed
     y_csv = tmp_path / "y.csv"
@@ -540,91 +257,6 @@ def test_estimate_reads_hand_written_sample_times(tmp_path, capsys):
     back = read_sequence(y_csv)
     assert np.array_equal(back.values, written.values) and back.tau == 0.1
     assert run(capsys, "estimate", "--y", y_csv)[0] == 0
-
-
-def test_estimate_of_a_networked_dt_record_beyond_the_deconvolution_bound_is_a_usage_error(tmp_path, capsys):
-    # a long networked record would spend minutes building the exact deconvolution
-    y_csv = tmp_path / "y.csv"
-    write_sequence(OutputSequence(np.ones(129), node=NodeDynamics(A=[[0.5]], beta=[1], gamma=[1])), y_csv)
-    code, out, err = run(capsys, "estimate", "--y", y_csv)
-    assert (code, out) == (2, "")
-    assert err == "error: exact deconvolution takes at most 128 samples, got 129\n"
-
-
-def test_estimate_fails_cleanly_on_an_orthogonal_node(tmp_path, capsys):
-    matrix = tmp_path / "swap.csv"
-    matrix.write_text(SWAP_CSV)
-    node = tmp_path / "node.json"
-    node.write_text(json.dumps({"A": [[0, 0], [0, 0]], "beta": [1, 0], "gamma": [0, 1]}))
-    y_csv = tmp_path / "y.csv"
-    code, _, _ = run(
-        capsys, "simulate", "--matrix", matrix, "--mode", "dt", "--node", node,
-        "--x0", "1,0.4", "--observe", 0, "--K", 8, "--out", y_csv,
-    )
-    assert code == 0
-    # the sidecar carries the node; without it the swap roots would be recovered
-    code, _, err = run(capsys, "estimate", "--y", y_csv)
-    assert code == 1 and "estimation failed" in err
-
-
-@pytest.mark.parametrize(
-    "mode, values, node, message",
-    [
-        ("ct", [1.0, 0.5, 0.25, 0.125], {"A": [[1000]], "beta": [1], "gamma": [1]},
-         "matrix exponential exceeded the floating range"),
-        ("dt", [1e308, 1e308, 1.0], {"A": [[1]], "beta": [1e-10], "gamma": [1]},
-         "deconvolved sample sigma[0] lies beyond the double range"),
-        ("ct", [1.0, 1e308, 1.0, 1.0], {"A": [[-1]], "beta": [1e-10], "gamma": [1]},
-         "deconvolved sample sigma[1] lies beyond the double range"),
-        ("dt", [1.0, 0.5, 0.25, 0.125], {"A": [[1e200]], "beta": [1], "gamma": [1]},
-         "node weight nu[2] lies beyond the double range"),
-    ],
-    ids=["node-expm", "deconvolution", "ct-deconvolution", "node-weights"],
-)
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_estimate_reports_an_overflow_as_a_failure(tmp_path, capsys, mode, values, node, message):
-    y_csv = tmp_path / "y.csv"
-    tau = 1.0 if mode == "ct" else None
-    write_sequence(OutputSequence(np.array(values), tau=tau, node=NodeDynamics(**node)), y_csv)
-    code, out, err = run(capsys, "estimate", "--y", y_csv)
-    assert code == 1 and out == ""
-    assert err == f"estimation failed: {message}\n"
-
-
-@pytest.mark.parametrize("command", ["estimate", "simulate"])
-@pytest.mark.parametrize(
-    "node, message",
-    [
-        ({"beta": [1], "gamma": [1]}, "has no 'A'"),
-        ([[1]], "must hold a JSON object"),
-        ({"A": [[1, 0]], "beta": [1], "gamma": [1]}, "A must be square, got (1, 2)"),
-        ({"A": [[1]], "beta": [1, 2], "gamma": [1]}, "beta and gamma must match"),
-        ({"A": [[float("nan")]], "beta": [1], "gamma": [1]}, "A[0, 0] is not finite: nan"),
-        ({"A": {"a": 1}, "beta": [1], "gamma": [1]}, "float() argument must be"),
-        ({"A": [[10**400]], "beta": [1], "gamma": [1]}, "int too large to convert to float"),
-        ({"A": [[True]], "beta": [1], "gamma": [1]}, "A holds True, which is not a number"),
-        ({"A": [[1]], "beta": [1], "gamma": [False]}, "gamma holds False, which is not a number"),
-    ],
-    ids=["no-A", "list", "non-square-A", "long-beta", "nan-A", "object-A", "huge-A", "bool-A", "bool-gamma"],
-)
-def test_a_malformed_node_file_is_a_usage_error(tmp_path, capsys, command, node, message):
-    # simulate reads a node file; estimate reads the node in the sequence's sidecar
-    matrix, y_csv = simulate_swap(tmp_path, capsys)
-    out_file = tmp_path / "out.csv"
-    if command == "simulate":
-        source = tmp_path / "node.json"
-        source.write_text(json.dumps(node))
-        argv = ("simulate", "--matrix", matrix, "--mode", "dt", "--node", source)
-        prefix = f"error: node {source}: "
-    else:
-        source = y_csv.with_suffix(".json")
-        source.write_text(json.dumps({**json.loads(source.read_text()), "node": node}))
-        argv = ("estimate", "--y", y_csv)
-        prefix = f"error: cannot read sequence: node in sidecar {source}: "
-    code, out, err = run(capsys, *argv, "--out", out_file)
-    assert code == 2 and out == ""
-    assert err.startswith(prefix + message) and err.count("\n") == 1
-    assert not out_file.exists()
 
 
 # One chain's files as they were written while the sidecar carried "n_hint"
@@ -770,18 +402,8 @@ def test_verify_fails_under_an_impossible_tolerance(tmp_path, capsys):
 def test_verify_calls_out_a_dropped_mode(tmp_path, capsys, oracle_calls):
     matrix, spectrum, setup = full_chain(tmp_path, capsys)
     payload = json.loads(spectrum.read_text())
-    dropped = payload["roots"].pop(0)
+    payload["rank"] -= payload["roots"].pop(0)["multiplicity"]
     tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(payload))
-    # the file still states the old rank, which its roots no longer sum to
-    code, out, err = run(
-        capsys, "verify", "--matrix", matrix, "--estimate", tampered, "--setup", setup,
-    )
-    rank = payload["rank"]
-    assert (code, out) == (2, "")
-    assert err == (f"error: cannot read inputs: estimate {tampered}: rank {rank} is not the sum of the root multiplicities, "
-                   f"{rank - dropped['multiplicity']}\n")
-    payload["rank"] -= dropped["multiplicity"]
     tampered.write_text(json.dumps(payload))
     code, out, _ = run(
         capsys, "verify", "--matrix", matrix, "--estimate", tampered, "--setup", setup,
@@ -809,222 +431,21 @@ def test_verify_fails_an_estimate_with_a_spurious_root(tmp_path, capsys):
     assert report["unmatched_true"] == [] and report["unexplained_true"] == []
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda s: {k: v for k, v in s.items() if k != "x0"}, "has no 'x0'"),
-        (lambda s: {**s, "c": s["c"][:2]}, "x0 and c must be equal-length vectors, got (5,) and (2,)"),
-        (lambda s: {**s, "x0": [float("nan")] + s["x0"][1:]}, "x0[0] is not finite: nan"),
-        (lambda s: {**s, "x0": s["x0"][:4], "c": s["c"][:4]}, "matrix is 5x5 but the setup has 4 components"),
-        (lambda s: {**s, "c": "probe"}, "could not convert string to float: 'probe'"),
-        (lambda s: [s["x0"], s["c"]], "must hold a JSON object"),
-        (lambda s: {**s, "x0": [True] + s["x0"][1:]}, "x0 holds True, which is not a number"),
-        (lambda s: {**s, "c": [[0.0, False]] + s["c"][1:]}, "c holds False, which is not a number"),
-    ],
-    ids=["no-x0", "short-c", "nan-x0", "short-x0-and-c", "text-c", "list", "bool-x0", "bool-c"],
-)
-def test_verify_of_a_malformed_setup_is_a_usage_error(tmp_path, capsys, edit, message):
-    matrix, spectrum, setup = full_chain(tmp_path, capsys)
-    setup.write_text(json.dumps(edit(json.loads(setup.read_text()))))
-    report = tmp_path / "report.json"
-    code, out, err = run(
-        capsys, "verify", "--matrix", matrix, "--estimate", spectrum,
-        "--setup", setup, "--out", report,
-    )
-    assert (code, out, err) == (2, "", f"error: cannot read inputs: setup {setup}: {message}\n")
-    assert not report.exists()
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-@pytest.mark.parametrize("source", ["flag", "setup"])
-def test_verify_with_a_bad_tolerance_is_a_usage_error(tmp_path, capsys, source, tol):
-    # unchecked, a NaN tolerance matches nothing and ends as a verification failure
-    matrix, spectrum, setup = full_chain(tmp_path, capsys)
-    if source == "flag":
-        argv = ("--tol", tol)
-    else:
-        setup.write_text(json.dumps({**json.loads(setup.read_text()), "tol": float(tol)}))
-        argv = ()
-    report = tmp_path / "report.json"
-    code, out, err = run(
-        capsys, "verify", "--matrix", matrix, "--estimate", spectrum,
-        "--setup", setup, "--out", report, *argv,
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error: tolerance must be a finite number >= 0") and err.count("\n") == 1
-    assert not report.exists()
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda r: {**r, "re": 10**400}, "int too large to convert to float"),
-        (lambda r: {**r, "multiplicity": 10**18}, "has multiplicity 1000000000000000000, not 1 to 5"),
-        (lambda r: {**r, "multiplicity": float("inf")}, "cannot convert float infinity"),
-        (lambda r: {**r, "multiplicity": 0}, "root 0 has multiplicity 0, below 1"),
-        (lambda r: {"re": r["re"], "im": r["im"]}, "has no 'multiplicity'"),
-        (lambda r: {**r, "multiplicity": 1.5}, "root 0 multiplicity must be a whole number, got 1.5"),
-        (lambda r: {**r, "multiplicity": "2"}, "root 0 multiplicity must be a whole number, got '2'"),
-        (lambda r: {**r, "multiplicity": True}, "root 0 multiplicity must be a whole number, got True"),
-        (lambda r: {**r, "multiplicity": 0.5}, "root 0 multiplicity must be a whole number, got 0.5"),
-    ],
-    ids=["huge-re", "huge-multiplicity", "inf-multiplicity", "zero-multiplicity", "no-multiplicity",
-         "fractional-multiplicity", "string-multiplicity", "bool-multiplicity", "half-multiplicity"],
-)
-def test_verify_of_an_unreadable_root_is_a_usage_error(tmp_path, capsys, edit, message):
-    matrix, spectrum, setup = full_chain(tmp_path, capsys)
-    payload = json.loads(spectrum.read_text())
-    before = payload["roots"][0]["multiplicity"]
-    payload["roots"][0] = edit(payload["roots"][0])
-    after = payload["roots"][0].get("multiplicity")
-    if type(after) is int:  # the rank follows, so that the root's own rule speaks
-        payload["rank"] += after - before
-    spectrum.write_text(json.dumps(payload))
-    code, out, err = run(
-        capsys, "verify", "--matrix", matrix, "--estimate", spectrum, "--setup", setup,
-    )
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot read inputs: estimate {spectrum}: ") and err.count("\n") == 1
-    assert message in err
-
-
-def test_verify_of_a_nan_root_is_a_usage_error(tmp_path, capsys):
-    matrix, spectrum, setup = full_chain(tmp_path, capsys)
-    payload = json.loads(spectrum.read_text())
-    payload["roots"][0]["re"] = float("nan")
-    spectrum.write_text(json.dumps(payload))
-    report = tmp_path / "report.json"
-    code, out, err = run(
-        capsys, "verify", "--matrix", matrix, "--estimate", spectrum,
-        "--setup", setup, "--out", report,
-    )
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "root 0" in err
-    assert not report.exists()
-
-
-@pytest.mark.parametrize(
-    "edit, fault",
-    [
-        (lambda text: "[]", "must hold a JSON object"),
-        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "roots"}), "has no 'roots'"),
-        (lambda text: "spectrum", "Expecting value: line 1 column 1 (char 0)"),
-    ],
-    ids=["list", "no-roots", "not-json"],
-)
-def test_verify_of_an_estimate_that_is_no_spectrum_names_the_file(tmp_path, capsys, edit, fault):
-    # a JSON list used to end as "list indices must be integers or slices, not str"
-    matrix, spectrum, setup = full_chain(tmp_path, capsys)
-    spectrum.write_text(edit(spectrum.read_text()))
-    code, out, err = run(
-        capsys, "verify", "--matrix", matrix, "--estimate", spectrum, "--setup", setup,
-    )
-    assert (code, out, err) == (2, "", f"error: cannot read inputs: estimate {spectrum}: {fault}\n")
-
-
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_a_non_finite_matrix_entry_is_a_usage_error(tmp_path, capsys, command):
-    matrix, y_csv = simulate_swap(tmp_path, capsys)
-    spectrum = tmp_path / "spectrum.json"
-    assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
-    matrix.write_text("0,1\n1,nan\n")
-    before = sorted(tmp_path.iterdir())
-    out_file = tmp_path / "out.csv"
-    inputs = {
-        "simulate": (),
-        "verify": ("--estimate", spectrum, "--setup", tmp_path / "y.setup.json"),
-    }[command]
-    code, out, err = run(capsys, command, "--matrix", matrix, *inputs, "--out", out_file)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"matrix {matrix}: matrix[1, 1] is not finite: nan" in err
-    assert sorted(tmp_path.iterdir()) == before
-
-
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("0,1,0\n1,0,0\n", "square matrix required, got shape (2, 3)"),
-        ("0,1\n1,x\n", "could not convert string 'x' to float64 at row 1, column 2."),
-        ("0,1\n1\n", "the number of columns changed from 2 to 1 at row 2"),
-    ],
-    ids=["non-square", "text-entry", "ragged-row"],
-)
-def test_a_matrix_that_is_no_square_of_numbers_is_a_usage_error(tmp_path, capsys, command, text, message):
-    matrix, y_csv = simulate_swap(tmp_path, capsys)
-    spectrum = tmp_path / "spectrum.json"
-    assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
-    matrix.write_text(text)
-    inputs = {
-        "simulate": (),
-        "verify": ("--estimate", spectrum, "--setup", tmp_path / "y.setup.json"),
-    }[command]
-    code, out, err = run(capsys, command, "--matrix", matrix, *inputs)
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"matrix {matrix}: {message}" in err
-
-
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["simulate", "verify"])
-@pytest.mark.parametrize("text", ["", "\n\n", "# a comment and no entries\n"])
-def test_a_matrix_file_without_entries_is_a_usage_error_without_a_warning(tmp_path, capsys, command, text):
-    # numpy's loadtxt used to print "UserWarning: loadtxt: input contained no data" first
-    matrix, y_csv = simulate_swap(tmp_path, capsys)
-    spectrum = tmp_path / "spectrum.json"
-    assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
-    matrix.write_text(text)
-    inputs = {
-        "simulate": (),
-        "verify": ("--estimate", spectrum, "--setup", tmp_path / "y.setup.json"),
-    }[command]
-    code, out, err = run(capsys, command, "--matrix", matrix, *inputs, "--out", tmp_path / "out")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"matrix {matrix}: has no entries" in err
-
-
-@pytest.mark.filterwarnings("error")
-def test_verify_of_a_matrix_beyond_the_oracles_range_is_a_usage_error(tmp_path, capsys):
+def test_verify_takes_a_matrix_entry_at_the_oracles_limit(tmp_path, capsys):
     # entries of 1e308 give eigenvalues whose differences overflow, and the
-    # assignment behind match_spectra raised "cost matrix is infeasible"
+    # assignment behind match_spectra raised "cost matrix is infeasible"; the
+    # next double above this limit is a usage error
     matrix, y_csv = simulate_swap(tmp_path, capsys)
     spectrum = tmp_path / "spectrum.json"
     assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
-    verify = ("verify", "--matrix", matrix, "--estimate", spectrum, "--setup", tmp_path / "y.setup.json")
-    limit = float(np.finfo(float).max) / 16
-    matrix.write_text(f"0,{limit!r}\n1,0\n")
-    assert run(capsys, *verify)[0] == 1  # in range: the estimate just does not match
-    matrix.write_text(f"0,{float(np.nextafter(limit, np.inf))!r}\n1,0\n")
-    code, out, err = run(capsys, *verify)
-    assert code == 2 and out == ""
-    assert err == f"error: cannot read inputs: matrix {matrix}: has an entry above {limit:.3g}, the most verify takes at n = 2\n"
+    matrix.write_text(f"0,{float(np.finfo(float).max) / 16!r}\n1,0\n")
+    code, _, err = run(capsys, "verify", "--matrix", matrix, "--estimate", spectrum, "--setup", tmp_path / "y.setup.json")
+    assert (code, err) == (1, "")  # in range: the estimate just does not match
 
 
 @pytest.mark.filterwarnings("error")
-def test_verify_of_a_setup_whose_modal_weights_overflow_is_a_usage_error(tmp_path, capsys):
-    # x0 and c near 1e300 made the weights (c^T u_i)(w_i^T x0) and the data
-    # scale infinite, so every mode looked unobservable and a one-root
-    # estimate passed with two true eigenvalues unmatched
-    matrix, estimate, setup = tmp_path / "m.csv", tmp_path / "s.json", tmp_path / "setup.json"
-    matrix.write_text("0.5,1,0\n0,-0.4,1\n0.3,0,0.2\n")
-    root = float(max(np.linalg.eigvals(read_matrix_csv(matrix)).real))
-    estimate.write_text(json.dumps({"schema": 1, "mode": "dt", "rank": 1, "residual": 0.0,
-                                    "roots": [{"re": root, "im": 0.0, "multiplicity": 1}]}))
-    verify = ("verify", "--matrix", matrix, "--estimate", estimate, "--setup", setup)
-    setup.write_text(json.dumps({"x0": [1.0] * 3, "c": [1.0, 0.0, 0.0]}))
-    code, out, _ = run(capsys, *verify)
-    assert code == 1 and len(json.loads(out)["unexplained_true"]) == 2
-    setup.write_text(json.dumps({"x0": [1e300] * 3, "c": [1e300, 0.0, 0.0]}))
-    code, out, err = run(capsys, *verify)
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: cannot check observability with setup {setup}: ")
-    assert err.count("\n") == 1 and "double range" in err
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale", [1e154, 1e300])
+@pytest.mark.parametrize("scale", [1.0, 1e154, 1e300])
 def test_verify_weighs_a_setup_whose_norms_exceed_the_square_range(tmp_path, capsys, scale):
     # |x0| beyond about 1.3e154 overflowed x . x, and verify called a setup
     # with finite modal weights a usage error; it weighs it like the unscaled one
@@ -1103,68 +524,6 @@ def test_an_unknown_scenario_is_named():
         scenarios.run_scenario("fig4")
 
 
-def test_demo_into_an_existing_file_is_a_usage_error(tmp_path, capsys):
-    afile = tmp_path / "afile"
-    afile.write_text("kept\n")
-    code, out, err = run(capsys, "demo", "fig1", "--outdir", afile)
-    assert code == 2 and out == ""
-    assert err.startswith("error: cannot create --outdir") and err.count("\n") == 1
-    assert afile.read_text() == "kept\n"
-
-
-@pytest.mark.parametrize("step", ["generate", "simulate", "estimate", "verify", "bench"])
-def test_an_output_path_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, step):
-    matrix, spectrum, setup = full_chain(tmp_path, capsys)
-    missing = tmp_path / "no-such-dir" / "out.csv"
-    argv = {
-        "generate": ["generate", "--model", "ring", "--n", 3, "--graph-out", missing],
-        "simulate": ["simulate", "--matrix", matrix, "--out", missing],
-        "estimate": ["estimate", "--y", tmp_path / "y.csv", "--out", missing],
-        "verify": ["verify", "--matrix", matrix, "--estimate", spectrum, "--setup", setup,
-                   "--out", missing],
-        "bench": ["bench", "fig1", "--seeds", 1, "--json", "--out", missing],
-    }[step]
-    code, out, err = run(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
-    assert str(missing) in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["demo", "fig1", "--seed", -1], "--seed must be >= 0, got -1"),
-        (["bench", "fig1", "--seed0", -5], "--seed0 must be >= 0, got -5"),
-        (["bench", "fig1", "--seeds", 0], "--seeds must be >= 1, got 0"),
-        (["bench", "fig1", "--seeds", -2], "--seeds must be >= 1, got -2"),
-        # a ring without --weights never draws from its seed
-        (["generate", "--model", "ring", "--n", 6, "--seed", -1], "--seed must be >= 0, got -1"),
-        (["generate", "--model", "pa", "--n", 6, "--seed", -1], "--seed must be >= 0, got -1"),
-        (["simulate", "--matrix", "swap.csv", "--seed", -1], "--seed must be >= 0, got -1"),
-        (["simulate", "--matrix", "swap.csv", "--mode", "dt", "--node-d", 2,
-          "--node-seed", -4], "--node-seed must be >= 0, got -4"),
-    ],
-    ids=["demo-seed", "bench-seed0", "bench-no-seeds", "bench-negative-seeds",
-         "generate-ring-seed", "generate-pa-seed", "simulate-seed", "simulate-node-seed"],
-)
-def test_a_negative_seed_or_an_empty_sweep_is_a_usage_error(
-    tmp_path, capsys, monkeypatch, argv, message
-):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "swap.csv").write_text(SWAP_CSV)
-    outdir = tmp_path / "out"
-    extra = {
-        "demo": ["--outdir", outdir],
-        "bench": ["--json", "--out", outdir],
-        "generate": ["--graph-out", outdir, "--matrix-out", outdir],
-        "simulate": ["--out", outdir],
-    }[argv[0]]
-    code, out, err = run(capsys, *argv, *extra)
-    assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -1191,22 +550,6 @@ def test_a_size_above_the_limit_is_a_usage_error_before_any_allocation(
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["swap.csv"]
-
-
-@pytest.mark.parametrize("K", [4097, 10**18])
-def test_a_sample_count_above_twice_the_size_limit_is_a_usage_error_before_any_read(
-    tmp_path, capsys, monkeypatch, K
-):
-    # unchecked, 10**18 samples end in numpy's _ArrayMemoryError and 10**9 run for hours
-    def read(*args, **kwargs):
-        raise AssertionError("read the matrix before the --K check")
-
-    monkeypatch.setattr(cli, "read_matrix_csv", read)
-    monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, "simulate", "--matrix", "swap.csv", "--K", K, "--out", "y.csv")
-    assert code == 2 and out == ""
-    assert err == f"error: --K must be <= 4096, got {K}\n"
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_the_largest_sample_count_still_simulates(tmp_path, capsys):
@@ -1255,30 +598,6 @@ def test_estimate_json_matches_the_library_call_exactly(tmp_path, capsys):
 # =========================================================================
 # parser
 # =========================================================================
-
-
-@pytest.mark.parametrize("flag", [["--conf", "{}"], ["--confi", "{}"], ["--conf={}"], ["-c", "{}"]])
-def test_an_abbreviated_config_flag_is_a_usage_error(tmp_path, capsys, flag):
-    # settings come from flags only: neither --config nor an abbreviation of it
-    # reads the file, and the error names the flag, not the file after it
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"weights": "0.5,1.5"}))
-    matrix = tmp_path / "m.csv"
-    argv = ["generate", "--model", "ring", "--n", 5, "--graph-out", tmp_path / "g.tsv",
-            "--matrix-out", matrix]
-    for tokens in ([tok.format(config) for tok in flag], ["--config", config]):
-        with pytest.raises(SystemExit) as excinfo:
-            run(capsys, *tokens, *argv)
-        assert excinfo.value.code == 2 and not matrix.exists()
-        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {tokens[0]}\n")
-
-
-def test_no_arguments_at_all_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "the following arguments are required: command" in captured.err
 
 
 def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
