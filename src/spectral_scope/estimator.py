@@ -22,6 +22,7 @@ no model order is assumed.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import itertools
 import math
@@ -208,12 +209,10 @@ class SpectrumEstimate:
 
 
 def _whole(value, name: str) -> int:
-    """A whole number as an int; ``ValueError`` for a fraction, a bool, a string or an infinity."""
-    try:
+    """A whole number as an int; ``ValueError`` for a fraction, a bool, a string, an infinity or a NaN."""
+    with contextlib.suppress(OverflowError, ValueError):  # int() of an infinity or a NaN
         if not isinstance(value, bool) and isinstance(value, numbers.Real) and int(value) == value:
             return int(value)
-    except OverflowError as exc:  # an infinity; int() of a NaN raises a ValueError itself
-        raise ValueError(str(exc)) from None
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "assign_uniform_weights",
     "build_matrix",
     "write_graph_tsv",
-    "read_graph_tsv",
     "write_matrix_csv",
     "read_matrix_csv",
 ]
@@ -282,40 +281,6 @@ def write_graph_tsv(g: Graph, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_graph_tsv(path) -> Graph:
-    """The edge list ``write_graph_tsv`` writes; a header without integer
-    ``n=`` and ``directed=`` values, a row that is not two integer node ids
-    and a weight, or a NaN or infinite weight is a ``ValueError`` naming the
-    file and line."""
-    with _reading("graph", path):
-        lines = Path(path).read_text().strip().splitlines()
-        if not lines or not lines[0].startswith("#"):
-            raise ValueError("missing '# n=... directed=...' header")
-        fields = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("# ").split())
-        for key in ("n", "directed"):
-            if key not in fields:
-                raise ValueError(f"header {lines[0]!r} has no '{key}='")
-        try:
-            n, directed = int(fields["n"]), bool(int(fields["directed"]))
-        except ValueError:
-            raise ValueError(f"line 1: header {lines[0]!r} needs integer 'n=' and 'directed=' values") from None
-        edges = []
-        for i, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            try:
-                u, v, w = line.split("\t")
-                edge = (int(u), int(v), float(w))
-            except ValueError:
-                raise ValueError(
-                    f"line {i}: {line!r} is not 'src<TAB>dst<TAB>weight' with integer node ids"
-                ) from None
-            if not math.isfinite(edge[2]):
-                raise ValueError(f"line {i}: weight {w!r} is not finite")
-            edges.append(edge)
-        return Graph(n=n, edges=tuple(edges), directed=directed)
-
-
 def write_matrix_csv(matrix, path) -> None:
     """Dense CSV, one row per line, 17 significant digits (round-trip exact)."""
     # Python floats format faster than numpy scalars, to the same text
@@ -325,12 +290,25 @@ def write_matrix_csv(matrix, path) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     """Dense CSV matrix, which ``as_array`` checks; a file with no entries, a
-    token that is not a number or a ragged row is a ``ValueError`` too, and
-    each names the file."""
+    token that is not a number or a ragged row is a ``ValueError`` too, each
+    naming the file, and a ragged row its line. Blank lines and ``#``
+    comments are skipped."""
     # an open handle skips numpy's DataSource opener; the parser is the same
     with open(path) as f, _reading("matrix", path):
         # without a data line loadtxt would print a warning and return nothing
         if not any(line.partition("#")[0].strip() for line in f):
             raise ValueError("has no entries")
         f.seek(0)
-        return as_array(np.loadtxt(f, delimiter=",", ndmin=2))
+        try:
+            matrix = np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError:
+            # loadtxt counts a ragged row among the data rows only, and names a
+            # parameter no caller sets; a file that reads is never scanned twice
+            f.seek(0)
+            widths = [(i, data.count(",") + 1) for i, line in enumerate(f, start=1)
+                      if (data := line.partition("#")[0].strip())]
+            for i, columns in widths:
+                if columns != widths[0][1]:
+                    raise ValueError(f"line {i}: expected {widths[0][1]} columns, got {columns}") from None
+            raise
+        return as_array(matrix)

@@ -9,8 +9,7 @@ drawn values mix arbitrary JSON or text with the keys, headers and numbers
 each file is expected to hold, so the checks past the first are reached.
 Every property also fails on a warning, since a warning reaches the user's
 stderr. Settings come only from flags, which argparse checks, so no fuzzed
-file sets one. No CLI step reads a graph TSV, so ``read_graph_tsv`` is
-fuzzed directly: it returns a graph or raises ``ValueError``.
+file sets one.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectral_scope.cli import main
-from spectral_scope.graphs import read_graph_tsv
 
 
 def json_values():
@@ -170,7 +168,7 @@ def test_any_node_ends_simulate_and_estimate_with_an_exit_code(chain, node, mode
 
 
 # =========================================================================
-# Text inputs: matrix CSV, sequence CSV and graph TSV
+# Text inputs: matrix CSV and sequence CSV
 # =========================================================================
 
 TEXT = st.text(max_size=40)
@@ -183,8 +181,8 @@ SAMPLE = (
 CELL = SAMPLE | st.sampled_from(["", " ", "1e999", "0x1p3", "1_0", "#", "a"]) | st.text(max_size=4)
 
 
-def text_table(rows, cols, cell=CELL, sep=","):
-    row = st.lists(cell, min_size=cols[0], max_size=cols[1]).map(sep.join)
+def text_table(rows, cols, cell=CELL):
+    row = st.lists(cell, min_size=cols[0], max_size=cols[1]).map(",".join)
     return st.lists(row, min_size=rows[0], max_size=rows[1]).map(lambda lines: "\n".join(lines) + "\n")
 
 
@@ -242,24 +240,3 @@ def test_any_sequence_csv_ends_estimate_with_an_exit_code(chain, header, rows, s
         ["estimate", "--y", beside(path, sidecar, path), "--out", tmp / "s.json"],
         ["estimate", "--y", beside(path, networked, tmp / "yn.csv"), "--out", tmp / "s.json"],
     ])
-
-
-EDGE_CELL = st.integers(-2, 5).map(str) | CELL
-
-
-@FUZZ
-@given(
-    header=st.sampled_from(["# n=4 directed=0", "# n=4 directed=1", "#n=0 directed=0", "# n=4"]) | TEXT,
-    body=text_table((0, 5), (0, 4), cell=EDGE_CELL, sep="\t") | TEXT,
-)
-@example(header="# n=4 directed=0", body="0\t1\t0.5\n2\t3\t1e999\n")
-@example(header="# n directed=0", body="")
-def test_any_graph_tsv_reads_as_a_graph_or_a_value_error(header, body):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "g.tsv"
-        path.write_text(f"{header}\n{body}")
-        try:
-            graph = read_graph_tsv(path)
-        except ValueError:
-            return
-        assert graph.n >= 1 and all(0 <= u < graph.n and 0 <= v < graph.n for u, v, _ in graph.edges)

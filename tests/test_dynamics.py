@@ -5,7 +5,6 @@ from __future__ import annotations
 import ast
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -70,26 +69,6 @@ def test_defective_block_grows_polynomially():
     G = np.array([[0.5, 1.0], [0.0, 0.5]])
     y = simulate_dt(G, ObservationSetup(x0=[0, 1], c=[1, 0]), K=4)
     assert np.array_equal(y.values, [0.0, 1.0, 1.0, 0.75])
-
-
-def test_dimension_mismatch_is_rejected():
-    with pytest.raises(ValueError):
-        simulate_dt(SWAP, ObservationSetup(x0=[1, 0, 0], c=[1, 0, 0]), K=3)
-    with pytest.raises(ValueError):
-        simulate_dt(SWAP, ObservationSetup(x0=[1, 0], c=[1, 0]), K=0)
-    with pytest.raises(ValueError, match=r"^x0 and c must be equal-length vectors, got \(2,\) and \(1,\)$"):
-        ObservationSetup(x0=[1, 2], c=[1])
-    with pytest.raises(ValueError, match=r"^square matrix required, got shape \(2, 3\)$"):
-        simulate_dt(np.zeros((2, 3)), ObservationSetup(x0=[1, 0], c=[1, 0]), K=3)
-    with pytest.raises(ValueError, match=r"^matrix\[0, 1\] is not finite: inf$"):
-        simulate_dt([[0.0, math.inf], [1.0, 0.0]], ObservationSetup(x0=[1, 0], c=[1, 0]), K=3)
-    with pytest.raises(ValueError, match=r"^x0\[0\] is not finite: nan$"):
-        ObservationSetup(x0=[math.nan, 1.0], c=[1.0, 1.0])
-    # a 0-dimensional node would only fail later, as a singular deconvolution
-    with pytest.raises(ValueError, match=r"^a node needs state dimension d >= 1, got 0$"):
-        NodeDynamics.random_symmetric(0)
-    with pytest.raises(ValueError, match=r"^gamma\[1\] is not finite: inf$"):
-        NodeDynamics(A=np.eye(2), beta=[1.0, 1.0], gamma=[1.0, math.inf])
 
 
 @given(st.floats(0.05, 20.0), st.booleans())
@@ -221,15 +200,6 @@ def test_exponential_of_rotation_generator_is_a_rotation():
     assert np.max(np.abs(E - np.array([[0.0, 1.0], [-1.0, 0.0]]))) < 1e-12
 
 
-def test_exponential_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        matrix_exponential(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        matrix_exponential(np.zeros((2, 2)), float("nan"))
-    with pytest.raises(ValueError, match=r"^matrix\[0, 0\] is not finite: nan$"):
-        matrix_exponential([[float("nan")]])
-
-
 def test_ct_zero_matrix_holds_constant():
     y = simulate_ct_sampled(np.zeros((2, 2)), ObservationSetup(x0=[1, 2], c=[1, 1]), tau=0.7, K=5)
     assert np.array_equal(y.values, np.full(5, 3.0))
@@ -261,13 +231,6 @@ def test_ct_sampling_equals_dt_on_the_exponential():
     assert np.array_equal(ct.values, dt.values)
 
 
-def test_ct_requires_positive_tau():
-    with pytest.raises(ValueError):
-        simulate_ct_sampled(SWAP, ObservationSetup(x0=[1, 0], c=[1, 0]), tau=0.0, K=4)
-    with pytest.raises(ValueError, match=r"^tau must be a positive finite number, got 0.0$"):
-        simulate_ct_networked(SWAP, NodeDynamics.trivial(), ObservationSetup(x0=[1, 0], c=[1, 0]), tau=0.0, K=4)
-
-
 # =========================================================================
 # Overflow reporting
 # =========================================================================
@@ -294,7 +257,7 @@ OVERFLOWING = {
 def test_overflow_reports_index_and_partial_prefix(mode):
     simulate, index = OVERFLOWING[mode]
     setup = ObservationSetup(x0=[1.0], c=[1.0])
-    with pytest.raises(SimulationOverflowError) as info:
+    with pytest.raises(SimulationOverflowError, match=f"^state overflowed the floating range at step {index}$") as info:
         simulate(setup, 200)
     err = info.value
     assert err.index == index and err.partial.size == index
@@ -532,42 +495,10 @@ def test_random_setup_places_observation_weights():
     assert np.all((0 <= s.x0) & (s.x0 < 1))
 
 
-def test_random_setup_is_deterministic_and_validates_indices():
+def test_random_setup_is_deterministic():
     a = random_setup(5, seed=11)
     b = random_setup(5, seed=11)
     assert np.array_equal(a.x0, b.x0) and np.array_equal(a.c, b.c)
-    with pytest.raises(ValueError):
-        random_setup(5, seed=0, observed=[5])
-    with pytest.raises(ValueError, match="^one weight per observed node required$"):
-        random_setup(3, observed=[0, 1], observe_weights=[1.0])
-    with pytest.raises(ValueError, match=r"^c\[0\] is not finite: nan$"):
-        random_setup(3, observed=[0], observe_weights=[math.nan])
-    with pytest.raises(ValueError, match="^observe_weights given without observed nodes$"):
-        random_setup(3, seed=0, observe_weights=[2.0])
-
-
-@pytest.mark.parametrize(
-    "observed, message",
-    [
-        ([1.5], "observed node 1.5 is not an integer index"),
-        ([True], "observed node True is not an integer index"),
-        (np.array([0, 1]) == 1, "observed node False is not an integer index"),
-        ([0, 2, 0], "observed node 0 is repeated; observed nodes must be distinct"),
-    ],
-    ids=["fraction", "bool", "bool-array", "repeat"],
-)
-def test_random_setup_rejects_an_observed_node_that_is_not_a_distinct_index(observed, message):
-    # each of these once picked a node silently: 1.5 and True gave node 1, and
-    # a repeated node summed its weights
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        random_setup(3, seed=0, observed=observed)
-
-
-def test_sequence_metadata_is_validated():
-    with pytest.raises(ValueError, match="^tau must be a positive finite number, got 0.0$"):
-        OutputSequence([1.0, 2.0], tau=0.0)
-    assert OutputSequence([1.0, 2.0]).mode == DT
-    assert OutputSequence([1.0, 2.0], tau=0.5).mode == CT
 
 
 @pytest.mark.parametrize("mode,tau", [(DT, None), (CT, 0.25)])
@@ -581,13 +512,6 @@ def test_sequence_files_roundtrip_exactly(tmp_path, mode, tau):
     assert back.mode == seq.mode and back.tau == seq.tau
     header = path.read_text().splitlines()[0]
     assert header == ("k,y" if mode == DT else "t,y")
-    # a NaN or infinite sample is rejected at its line, not left to the estimator
-    lines = path.read_text().splitlines()
-    for bad in ("nan", "inf", "-inf"):
-        t, _ = lines[2].split(",")
-        path.write_text("\n".join([*lines[:2], f"{t},{bad}", *lines[3:]]) + "\n")
-        with pytest.raises(ValueError, match=f"^sequence {re.escape(str(path))}: line 3: y = {bad} is not finite$"):
-            read_sequence(path)
 
 
 def test_a_plain_sidecar_holds_no_node(tmp_path):

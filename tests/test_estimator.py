@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -20,12 +19,9 @@ from spectral_scope import (
     CT,
     CharacteristicPoly,
     DeconvolutionOverflowError,
-    InsufficientDataError,
-    LogSingularRootError,
     NodeDynamics,
     ObservationSetup,
     OutputSequence,
-    SingularDeconvolutionError,
     SpectrumEstimate,
     build_hankel,
     deconvolve_sigma,
@@ -177,13 +173,6 @@ def test_online_rank_two_modes_consumes_at_most_five():
     assert det.rank == 2 and len(det.values) <= 5
 
 
-@pytest.mark.parametrize("bad", [0, -2, True, 1.5, "3"])
-def test_online_detection_refuses_an_n_hint_that_is_no_whole_number_from_one(bad):
-    # an n_hint of 0, -2 or True used to stop the detection after two samples
-    with pytest.raises(ValueError, match=rf"^n_hint must be a whole number( >= 1)?, got {re.escape(repr(bad))}$"):
-        detect_rank_online(iter([3.0] * 50), n_hint=bad)
-
-
 def test_online_rank_flags_a_dried_up_stream():
     rng = np.random.default_rng(8)
     G = rng.standard_normal((3, 3)) * 0.5
@@ -191,54 +180,6 @@ def test_online_rank_flags_a_dried_up_stream():
     det = detect_rank_online(iter(y.values))
     assert not det.stabilized
     assert len(det.values) == 4
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-def test_non_finite_outputs_are_rejected_with_a_typed_error(bad):
-    values = [1.0, 0.5, bad, 0.125]
-    node = NodeDynamics(A=np.zeros((1, 1)), beta=[1.0], gamma=[1.0])
-    calls = [
-        lambda: estimate_spectrum(values),
-        lambda: estimate_spectrum(OutputSequence(values, node=node)),
-        lambda: estimate_spectrum(OutputSequence(values, tau=1.0)),
-        lambda: detect_rank_online(iter(values)),
-    ]
-    for call in calls:
-        # numpy's LinAlgError is a ValueError too, so the message is what tells them apart
-        with pytest.raises(ValueError, match=rf"^output y\[2\] is not finite: {bad}$"):
-            call()
-
-
-@pytest.mark.parametrize("values", [[], np.ones((2, 2))], ids=["empty", "2-d"])
-def test_an_empty_or_2d_sequence_is_rejected_with_a_typed_error(values):
-    with pytest.raises(ValueError, match="^a non-empty 1-d sequence of outputs is required$"):
-        estimate_spectrum(values)
-
-
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-@pytest.mark.parametrize("field", ["rank_tolerance", "cluster_tol"])
-def test_a_bad_tolerance_is_rejected_with_a_typed_error(field, bad):
-    # unchecked, a negative rank cut keeps every singular value (rank 2 and a
-    # spurious root near 7.23 here), a NaN or infinite one keeps none, and a
-    # NaN cluster_tol merges nothing
-    values = [1.0, 2.0, 4.0, 8.0]
-    opts = {field: bad}
-    node = NodeDynamics(A=np.zeros((1, 1)), beta=[1.0], gamma=[1.0])
-    calls = [
-        lambda: estimate_spectrum(values, **opts),
-        lambda: estimate_spectrum(OutputSequence(values, node=node), **opts),
-        lambda: estimate_spectrum(OutputSequence(values, tau=1.0), **opts),
-        # before any other work: a one-sample record cannot be solved at rank 1
-        lambda: estimate_spectrum(values[:1], **opts),
-    ]
-    if field == "rank_tolerance":
-        calls += [
-            lambda: build_hankel(values, rank_tolerance=bad),
-            lambda: detect_rank_online(iter(values), rank_tolerance=bad),
-        ]
-    for call in calls:
-        with pytest.raises(ValueError, match=r"tolerance must be a finite number >= 0"):
-            call()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -276,11 +217,6 @@ def test_coefficients_of_the_constant_sequence():
 def test_coefficients_of_the_defective_block():
     p = solve_coefficients(build_hankel([0.0, 1.0, 1.0, 0.75]))
     assert np.max(np.abs(p.coefficients - [0.25, -1.0])) < 1e-14
-
-
-def test_solve_needs_two_samples_per_mode():
-    with pytest.raises(InsufficientDataError):
-        solve_coefficients(build_hankel([1.0, 0.0, 1.0]))
 
 
 def fraction_residual(raw, rho, x) -> list[Fraction]:
@@ -491,16 +427,6 @@ def test_outputs_near_the_bottom_of_the_double_range_are_solved(prescale):
         est = estimate_spectrum(y, prescale=prescale)
         assert est.rank == 1
         assert abs(est.roots[0][0] - y[1] / y[0]) < 1e-12 and est.roots[0][1] == 1
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_coefficients_or_roots_beyond_the_double_range_raise_overflow_errors():
-    # both used to end in numpy's LinAlgError "Array must not contain infs or NaNs"
-    with pytest.raises(OverflowError, match=r"^a characteristic polynomial coefficient lies beyond"):
-        estimate_spectrum([1e-320, -0.25])
-    y = OutputSequence([1e-320, -1.711378127094104, -2.659208373654944e33], tau=0.5)
-    with pytest.raises(OverflowError, match=r"^a root lies beyond the double range$"):
-        estimate_spectrum(y)
 
 
 def test_degree_one_root():
@@ -795,104 +721,6 @@ def test_every_valid_spectrum_reads_back_as_itself(est):
     assert json.dumps(SpectrumEstimate.from_json_dict(d).to_json_dict()) == json.dumps(d)
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda d: d["roots"][0].update(re=float("nan")), r"^root 0 is not finite: \(nan\+0j\)$"),
-        (lambda d: d["roots"][1].update(im=float("inf")), r"^root 1 is not finite"),
-        (lambda d: d["roots"][1].update(multiplicity=0), r"^root 1 has multiplicity 0, below 1$"),
-        (lambda d: d["roots"][0].update(multiplicity=-2), r"^root 0 has multiplicity -2, below 1$"),
-        (lambda d: d.update(mode="warp"), r"^mode must be 'dt' or 'ct', got 'warp'$"),
-        (lambda d: d.update(rank=-3), r"^rank -3 is not the sum of the root multiplicities, 2$"),
-        (lambda d: d.update(rank=3), r"^rank 3 is not the sum of the root multiplicities, 2$"),
-        (lambda d: d["roots"][0].update(multiplicity=1.5),
-         r"^root 0 multiplicity must be a whole number, got 1.5$"),
-        (lambda d: d["roots"][1].update(multiplicity="2"),
-         r"^root 1 multiplicity must be a whole number, got '2'$"),
-        (lambda d: d["roots"][0].update(multiplicity=True),
-         r"^root 0 multiplicity must be a whole number, got True$"),
-        (lambda d: d.update(rank=2.7), r"^rank must be a whole number, got 2.7$"),
-        (lambda d: d.update(tau=1.0), r"^a 'dt' spectrum has no tau, got 1.0$"),
-        (lambda d: d.update(mode="ct", tau=-1.0), r"^tau must be a positive finite number, got -1.0$"),
-        (lambda d: d.update(mode="ct", tau="x"), r"^tau must be a positive finite number, got 'x'$"),
-        (lambda d: d.update(mode="ct"), r"^tau must be a positive finite number, got None$"),
-        (lambda d: d.update(rho=float("nan")), r"^rho must be a positive finite number, got nan$"),
-        (lambda d: d.update(warnings="abc"), r"^warnings must be a list of strings, got 'abc'$"),
-        (lambda d: d.update(schema=99), r"^schema must be 1, got 99$"),
-        (lambda d: d.update(schema=True), r"^schema must be 1, got True$"),
-        (lambda d: d.pop("schema"), r"^schema must be 1, got None$"),
-        (lambda d: d.update(residual="1e-3"), r"^residual must be a number >= 0, got '1e-3'$"),
-        (lambda d: d.update(residual=True), r"^residual must be a number >= 0, got True$"),
-        (lambda d: d.update(residual=-1.0), r"^residual must be a number >= 0, got -1.0$"),
-        (lambda d: d.update(residual=float("nan")), r"^residual must be a number >= 0, got nan$"),
-        (lambda d: d.update(condition="7"), r"^condition must be null or a number >= 1, got '7'$"),
-        (lambda d: d.update(condition=0.5), r"^condition must be null or a number >= 1, got 0.5$"),
-        (lambda d: d.update(condition=-1.0), r"^condition must be null or a number >= 1, got -1.0$"),
-        (lambda d: d.update(rho=10**400), r"^rho must be a positive finite number, got 10{400}$"),
-        (lambda d: d.update(mode="ct", tau=10**400), r"^tau must be a positive finite number, got 10{400}$"),
-        (lambda d: [], r"^must hold a JSON object$"),
-        (lambda d: d.pop("roots"), r"^has no 'roots'$"),
-        (lambda d: d.update(roots=5), r"^roots must be a list, got 5$"),
-        (lambda d: d.update(roots=[5]), r"^root 0: must hold a JSON object$"),
-        (lambda d: d["roots"][1].pop("multiplicity"), r"^root 1: has no 'multiplicity'$"),
-        (lambda d: d["roots"][0].update(re="a"), r"^root 0: re and im must be numbers, got 'a' and 0.0$"),
-        (lambda d: d["roots"][1].update(im=True), r"^root 1: re and im must be numbers, got -1.0 and True$"),
-        (lambda d: d["roots"][0].update(re=10**400), r"^root 0: int too large to convert to float$"),
-        (lambda d: d["roots"][0].update(multiplicity=float("inf")),
-         r"^cannot convert float infinity to integer$"),
-    ],
-    ids=["nan-root", "inf-root", "zero-multiplicity", "negative-multiplicity", "mode", "rank", "rank-not-sum",
-         "fractional-multiplicity", "string-multiplicity", "bool-multiplicity", "fractional-rank",
-         "dt-tau", "negative-tau", "string-tau", "ct-without-tau", "nan-rho", "string-warnings",
-         "schema-99", "bool-schema", "no-schema", "string-residual", "bool-residual", "negative-residual",
-         "nan-residual", "string-condition", "condition-below-1", "negative-condition", "huge-rho", "huge-tau",
-         "list", "no-roots", "int-roots", "int-root", "no-multiplicity", "string-re", "bool-im", "huge-re",
-         "inf-multiplicity"],
-)
-def test_a_malformed_spectrum_json_is_rejected(edit, message):
-    d = {"schema": 1, "mode": "dt", "tau": None, "rank": 2, "residual": 0.0, "condition": 1.0,
-         "rho": 1.0, "roots": [{"re": 1.0, "im": 0.0, "multiplicity": 1},
-                               {"re": -1.0, "im": 0.0, "multiplicity": 1}], "warnings": []}
-    assert SpectrumEstimate.from_json_dict(d).roots == [(1 + 0j, 1), (-1 + 0j, 1)]
-    # an edit changes d in place, but for the one that replaces the whole file by []
-    d = [] if edit(d) == [] else d
-    with pytest.raises(ValueError, match=message):
-        SpectrumEstimate.from_json_dict(d)
-
-
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        ({"roots": [(0.5 + 0j, 0)]}, "root 0 has multiplicity 0, below 1"),
-        ({"roots": [(0.5 + 0j, 1)], "tau": -1.0}, "tau must be a positive finite number, got -1.0"),
-        ({"roots": [(complex(math.nan, 0.0), 1)]}, "root 0 is not finite: (nan+0j)"),
-        ({"roots": [(0.5 + 0j, 1)], "scale_rho": 0.0}, "rho must be a positive finite number, got 0.0"),
-    ],
-    ids=["zero-multiplicity", "negative-tau", "nan-root", "zero-rho"],
-)
-def test_the_record_refuses_what_its_reader_refuses(fields, message):
-    # an estimate that builds can always be written and read back
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        SpectrumEstimate(**fields)
-    tau, roots = fields.get("tau"), fields["roots"]
-    d = {"schema": 1, "mode": "dt" if tau is None else "ct", "tau": tau, "rank": sum(m for _, m in roots),
-         "residual": 0.0, "condition": 1.0, "rho": fields.get("scale_rho", 1.0),
-         "roots": [{"re": v.real, "im": v.imag, "multiplicity": m} for v, m in roots], "warnings": []}
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        SpectrumEstimate.from_json_dict(d)
-
-
-@pytest.mark.parametrize(
-    "root", [(None, 1), 0.5, ("1", 1), (True, 1), (1.0, 1, 1)],
-    ids=["none-value", "no-pair", "string-value", "bool-value", "triple"],
-)
-def test_a_root_that_is_no_pair_of_a_number_and_a_multiplicity_is_a_value_error(root):
-    # None and 0.5 used to raise a TypeError, from complex() and from unpacking
-    message = f"^root 0 must be a pair of a number and a multiplicity, got {re.escape(repr(root))}$"
-    with pytest.raises(ValueError, match=message):
-        SpectrumEstimate([root])
-
-
 def test_a_none_condition_is_an_infinite_one():
     # as the file's null is; the record used to refuse it with a message that allows null
     est = SpectrumEstimate([(0.5 + 0j, 1)], condition=None)
@@ -919,13 +747,6 @@ def test_sampled_weights_of_a_static_node_are_constant():
     node = NodeDynamics(A=np.zeros((3, 3)), beta=[1.0, 2.0, 0.5], gamma=[0.25, 1.0, 1.0])
     nu = nu_sequence(node, K=4, tau=0.7)
     assert np.max(np.abs(nu - node.gamma @ node.beta)) < 1e-15
-
-
-def test_nu_sequence_validates_mode_and_tau():
-    with pytest.raises(ValueError):
-        nu_sequence(NodeDynamics.trivial(), K=0)
-    with pytest.raises(ValueError, match="^tau must be a positive finite number, got 0.0$"):
-        nu_sequence(NodeDynamics.trivial(), K=3, tau=0.0)
 
 
 def count_weight_builds(monkeypatch) -> list:
@@ -1091,51 +912,22 @@ def test_a_fig3_sweep_builds_the_deconvolution_operator_once():
     assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 19)
 
 
-def test_orthogonal_node_directions_cannot_be_deconvolved():
-    with pytest.raises(SingularDeconvolutionError):
-        deconvolve_sigma([1.0, 2.0, 3.0], [0.0, 1.0, 1.0])
-    node = NodeDynamics(A=np.zeros((2, 2)), beta=[1.0, 0.0], gamma=[0.0, 1.0])
-    assert nu_sequence(node, K=3)[0] == 0.0
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_deconvolved_sample_beyond_the_double_range_is_named():
-    with pytest.raises(DeconvolutionOverflowError, match=r"^deconvolved sample sigma\[1\] lies"):
-        deconvolve_sigma([1.0, 1e308, 1.0], [1e-10, 0.0, 0.0])
-    with pytest.raises(DeconvolutionOverflowError, match=r"^deconvolved sample sigma\[2\] ") as e:
-        deconvolve_sigma_ct([1.0, 1.0, 1e308], [1.0, 1.0, 1e-10])
-    assert e.value.index == 2
-    assert issubclass(DeconvolutionOverflowError, OverflowError)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_an_overflowing_node_weight_is_named():
-    with pytest.raises(OverflowError, match=r"^node weight nu\[2\] lies beyond the double range$"):
-        nu_sequence(NodeDynamics(A=[[1e200]], beta=[1.0], gamma=[1.0]), K=4)
-    # the readout cancels while the state outgrows even long double
-    cancelling = NodeDynamics(A=np.full((2, 2), 1e300), beta=[1.0, 1.0], gamma=[1.0, -1.0])
-    with pytest.raises(OverflowError, match=r"^node weight nu\[\d+\] lies beyond the double range$"):
-        nu_sequence(cancelling, K=40)
-
-
-def test_non_finite_node_weights_are_named():
-    for deconvolve in (deconvolve_sigma, deconvolve_sigma_ct):
-        with pytest.raises(ValueError, match=r"^node weight nu\[1\] is not finite$"):
-            deconvolve([1.0, 2.0, 3.0], [1.0, float("nan"), 0.5])
-
-
-def test_too_few_node_weights_are_counted():
-    for deconvolve in (deconvolve_sigma, deconvolve_sigma_ct):
-        with pytest.raises(ValueError, match="^need 3 node weights, got 2$"):
-            deconvolve([1, 2, 3], [1, 0.5])
-
-
 def test_ct_deconvolution_divides_pointwise():
     values = np.array([2.0, 4.0, 8.0])
     nu = np.array([2.0, 2.0, 2.0])
     assert np.array_equal(deconvolve_sigma_ct(values, nu), [1.0, 2.0, 4.0])
-    with pytest.raises(SingularDeconvolutionError):
-        deconvolve_sigma_ct(values, [1.0, 0.0, 1.0])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("deconvolve, values, nu, index", [
+    (deconvolve_sigma, [1.0, 1e308, 1.0], [1e-10, 0.0, 0.0], 1),
+    (deconvolve_sigma_ct, [1.0, 1.0, 1e308], [1.0, 1.0, 1e-10], 2),
+])
+def test_a_deconvolution_overflow_is_an_overflow_error_that_carries_its_index(deconvolve, values, nu, index):
+    message = rf"^deconvolved sample sigma\[{index}\] lies beyond the double range$"
+    with pytest.raises(OverflowError, match=message) as info:
+        deconvolve(values, nu)
+    assert type(info.value) is DeconvolutionOverflowError and info.value.index == index
 
 
 def test_networked_estimate_with_trivial_node_is_bitwise_plain():
@@ -1186,12 +978,6 @@ def test_sampling_at_the_nyquist_edge_raises_the_aliasing_flag():
     est = estimate_spectrum(y)
     assert any("aliasing" in w for w in est.warnings)
     assert all(abs(abs(v.imag) - 1.0) < 1e-9 for v, _ in est.roots)
-
-
-def test_a_vanished_discrete_root_is_log_singular():
-    y = OutputSequence([1.0, 0.0, 0.0, 0.0], tau=1.0)
-    with pytest.raises(LogSingularRootError):
-        estimate_spectrum(y)
 
 
 @pytest.mark.parametrize("seed", range(6))

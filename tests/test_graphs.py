@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 import pytest
 from helpers import choice_preferential_attachment
@@ -13,12 +11,10 @@ from hypothesis import strategies as st
 from spectral_scope import (
     Graph,
     GraphMatrixKind,
-    SingularDegreeError,
     assign_uniform_weights,
     build_matrix,
     generate_preferential_attachment,
     generate_ring,
-    read_graph_tsv,
     read_matrix_csv,
     write_graph_tsv,
     write_matrix_csv,
@@ -65,13 +61,6 @@ def test_pa_is_connected(seed):
                 seen.add(w)
                 stack.append(w)
     assert seen == set(range(g.n))
-
-
-def test_pa_rejects_bad_attachment_counts():
-    with pytest.raises(ValueError):
-        generate_preferential_attachment(3, 4, seed=0)
-    with pytest.raises(ValueError):
-        generate_preferential_attachment(3, 0, seed=0)
 
 
 @pytest.mark.parametrize("n, m", [(10, 2), (30, 3), (7, 1), (5, 5), (12, 4), (2, 1), (1, 1)])
@@ -129,11 +118,6 @@ def test_ring_two_nodes_undirected_is_one_edge():
     assert [(u, v) for u, v, _ in g.edges] == [(0, 1)]
 
 
-def test_ring_rejects_fewer_than_two_nodes():
-    with pytest.raises(ValueError):
-        generate_ring(1)
-
-
 def test_uniform_weights_stay_in_range_and_repeat():
     g = generate_ring(8, directed=True)
     w1 = assign_uniform_weights(g, -1.0, 1.0, seed=3)
@@ -147,25 +131,6 @@ def test_uniform_weights_degenerate_interval_pins_weights():
     g = generate_ring(5)
     w = assign_uniform_weights(g, 1.0, 1.0 + 1e-12, seed=0)
     assert all(abs(wi - 1.0) < 1e-11 for _, _, wi in w.edges)
-
-
-def test_uniform_weights_reject_empty_interval():
-    with pytest.raises(ValueError):
-        assign_uniform_weights(generate_ring(3), 1.0, 1.0, seed=0)
-    # numpy would raise OverflowError for an infinite bound
-    with pytest.raises(ValueError, match=r"^need lo < hi, both finite, got \[0.0, inf\)$"):
-        assign_uniform_weights(generate_ring(3), 0.0, float("inf"), seed=0)
-
-
-def test_graph_rejects_out_of_range_edges():
-    with pytest.raises(ValueError):
-        Graph(n=2, edges=((0, 2, 1.0),))
-    with pytest.raises(ValueError):
-        Graph(n=0, edges=())
-    with pytest.raises(ValueError, match=r"^edge \(0,1\) weight is not finite: nan$"):
-        Graph(n=2, edges=((0, 1, float("nan")),))
-    with pytest.raises(ValueError, match=r"^edge \(1,0\) weight is not finite: -inf$"):
-        Graph(n=2, edges=((0, 1, 1.0), (1, 0, -float("inf"))))
 
 
 # =========================================================================
@@ -194,12 +159,6 @@ def test_multi_edge_weights_sum():
     g = Graph(n=2, edges=((0, 1, 0.5), (0, 1, 0.25)))
     M = build_matrix(g, GraphMatrixKind.ADJACENCY)
     assert M[0, 1] == M[1, 0] == 0.75
-
-
-def test_normalized_matrix_requires_nonzero_degrees():
-    lonely = Graph(n=3, edges=((0, 1, 1.0),))
-    with pytest.raises(SingularDegreeError):
-        build_matrix(lonely, GraphMatrixKind.ROW_STOCHASTIC)
 
 
 @given(st.integers(0, 500))
@@ -245,41 +204,10 @@ def test_degree_matrix_is_diagonal_of_row_sums():
 # =========================================================================
 
 
-def test_graph_tsv_roundtrip_is_exact(tmp_path):
-    g = assign_uniform_weights(generate_preferential_attachment(7, 2, seed=4), -1, 1, seed=4)
-    path = tmp_path / "g.tsv"
-    write_graph_tsv(g, path)
-    back = read_graph_tsv(path)
-    assert back.n == g.n and back.directed == g.directed
-    assert back.edges == g.edges
-    assert path.read_text().splitlines()[0] == "# n=7 directed=0"
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("# n=2 directed=0\n0\t1\tnan\n", r"line 2: weight 'nan' is not finite"),
-        ("# n=2 directed=0\n0\t1\t1\n1\t0\t-inf\n", r"line 3: weight '-inf' is not finite"),
-        ("# directed=0\n0\t1\t1\n", r"has no 'n='"),
-        ("# n=2\n0\t1\t1\n", r"has no 'directed='"),
-        ("# n=x directed=0\n0\t1\t1\n", r"line 1: header '# n=x directed=0' needs integer"),
-        ("# n=2 directed=yes\n0\t1\t1\n", r"line 1: header .* needs integer"),
-        ("# n directed=0\n0\t1\t1\n", r"line 1: header '# n directed=0' needs integer"),
-        ("# n=2 directed=0\n0\t1\t1\n0 1\n", r"line 3: '0 1' is not 'src<TAB>dst<TAB>weight'"),
-        ("# n=2 directed=0\n0\t1\t1\t2\n", r"line 2: .* is not 'src<TAB>dst<TAB>weight'"),
-        ("# n=2 directed=0\n0\tx\t1\n", r"line 2: '0\\tx\\t1' is not .* integer node ids"),
-        ("# n=2 directed=0\n0.5\t1\t1\n", r"line 2: .* integer node ids"),
-        ("# n=2 directed=0\n0\t1\tw\n", r"line 2: .* is not 'src<TAB>dst<TAB>weight'"),
-    ],
-    ids=["nan-weight", "inf-weight", "no-n", "no-directed", "n-not-int", "directed-not-int",
-         "n-without-value", "two-fields", "four-fields", "node-not-int", "node-fractional",
-         "weight-not-number"],
-)
-def test_a_malformed_graph_tsv_is_a_value_error(tmp_path, text, message):
-    path = tmp_path / "g.tsv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=f"^graph {re.escape(str(path))}: .*{message}"):
-        read_graph_tsv(path)
+def test_graph_tsv_holds_the_header_and_every_edge_to_17_digits(tmp_path):
+    g = Graph(n=3, edges=((0, 1, 0.1), (2, 0, -1.5), (0, 1, 1e-300)), directed=True)
+    write_graph_tsv(g, tmp_path / "g.tsv")
+    assert (tmp_path / "g.tsv").read_text() == "# n=3 directed=1\n0\t1\t0.10000000000000001\n2\t0\t-1.5\n0\t1\t1e-300\n"
 
 
 def test_matrix_csv_roundtrip_is_exact(tmp_path):

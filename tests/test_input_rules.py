@@ -7,13 +7,13 @@ mode is no input: it is ``CT`` when the record has a tau and ``DT`` when not,
 which ``dynamics._mode_of`` owns. Only the files name a mode, which must be
 ``DT`` or ``CT``, with a tau for ``CT`` alone; ``dynamics._recorded_tau``
 owns that rule, behind ``read_sequence`` and
-``SpectrumEstimate.from_json_dict``. The tests feed each bad value to
-every entry point that takes such an input, and ``ast`` guards keep the
-range tests, the mode test and the choice between ``DT`` and ``CT`` from
-being written anywhere else in ``src/``. Every record is a frozen dataclass,
-which an ``ast`` guard keeps so; an ``OutputSequence`` also keeps a
-read-only copy of its samples, so neither a field nor a sample of it can be
-changed past its rules. A JSON record must be an object holding its keys,
+``SpectrumEstimate.from_json_dict``. The catalogues of library refusals
+and CLI error lines feed each bad value to every entry point that takes such
+an input; here, ``ast`` guards keep the range tests, the mode test and the
+choice between ``DT`` and ``CT`` from being written anywhere else in
+``src/``. Every record is a frozen dataclass, which an ``ast`` guard keeps
+so; an ``OutputSequence`` also keeps a read-only copy of its samples, so
+neither a field nor a sample of it can be changed past its rules. A JSON record must be an object holding its keys,
 which ``graphs._json_object`` owns, and a reader's message names its file
 through ``graphs._reading``; ``ast`` guards keep both rules in their helpers.
 """
@@ -24,7 +24,6 @@ import ast
 import dataclasses
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
@@ -33,18 +32,11 @@ import pytest
 from spectral_scope import (
     CT,
     DT,
-    CharacteristicPoly,
     NodeDynamics,
-    ObservationSetup,
     OutputSequence,
     SpectrumEstimate,
-    build_hankel,
-    match_spectra,
     nu_sequence,
     read_sequence,
-    roots_with_multiplicity,
-    simulate_ct_networked,
-    simulate_ct_sampled,
     write_sequence,
 )
 from spectral_scope.cli import main
@@ -54,54 +46,13 @@ RULE_HELPERS = ("_positive", "_tolerance")
 MODE_HELPER = ("_recorded_tau",)
 MODE_CHOICE_HELPER = ("_mode_of",)
 
-BAD = {
-    "None": None,
-    "0": 0,
-    "-1.0": -1.0,
-    "nan": math.nan,
-    "inf": math.inf,
-    "True": True,
-    "'1'": "1",
-    "10**400": 10**400,
-}
-# zero is a valid tolerance: an exact match
-BAD_TOLERANCE = {k: v for k, v in BAD.items() if k != "0"}
 
-SWAP = [[0.0, 1.0], [1.0, 0.0]]
-SETUP = ObservationSetup(x0=[1.0, 0.5], c=[1.0, 0.0])
-
-
-def _nu_after_a_memo_at_one(tau):
-    # True == 1.0 and hashes alike, so the memo must not answer before the rule
+def test_no_tau_is_discrete_time():
+    # None is no bad tau for a record or node weights: without one, even after
+    # a memo of the weights at tau = 1, they are the discrete-time weights
+    assert OutputSequence([1.0, 0.5]).mode == DT and SpectrumEstimate([]).mode == DT
     nu_sequence(NodeDynamics.trivial(), 4, 1.0)
-    return nu_sequence(NodeDynamics.trivial(), 4, tau)
-
-
-TAU_ENTRY_POINTS = {
-    "OutputSequence": lambda tau: OutputSequence([1.0, 0.5], tau=tau),
-    "simulate_ct_sampled": lambda tau: simulate_ct_sampled(SWAP, SETUP, tau, 4),
-    "simulate_ct_networked": lambda tau: simulate_ct_networked(SWAP, NodeDynamics.trivial(), SETUP, tau, 4),
-    "nu_sequence": _nu_after_a_memo_at_one,
-    "from_json_dict": lambda tau: SpectrumEstimate.from_json_dict(
-        {**SpectrumEstimate([], tau=1.0).to_json_dict(), "tau": tau}
-    ),
-}
-# a record or node weights without a tau are discrete time: None is no bad tau there
-NO_TAU_IS_DT = {
-    "OutputSequence": lambda seq: seq.mode == DT,
-    "nu_sequence": lambda nu: nu.tolist() == [1.0, 0.0, 0.0, 0.0],  # not the memo's [1, 1, 1, 1]
-}
-
-
-@pytest.mark.parametrize("bad", BAD)
-@pytest.mark.parametrize("entry", TAU_ENTRY_POINTS)
-def test_every_entry_point_takes_tau_by_the_one_rule(entry, bad):
-    if bad == "None" and entry in NO_TAU_IS_DT:
-        assert NO_TAU_IS_DT[entry](TAU_ENTRY_POINTS[entry](None))
-        return
-    message = f"^tau must be a positive finite number, got {re.escape(repr(BAD[bad]))}$"
-    with pytest.raises(ValueError, match=message):
-        TAU_ENTRY_POINTS[entry](BAD[bad])
+    assert nu_sequence(NodeDynamics.trivial(), 4).tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_a_sequence_cannot_be_changed_after_its_rules_run():
@@ -127,31 +78,6 @@ def test_a_sequence_keeps_a_read_only_copy_of_its_samples(tmp_path):
         seq.values[1] = math.nan
 
 
-def _read_with_sidecar_mode(tmp_path, mode):
-    (tmp_path / "y.csv").write_text("k,y\n0,1\n1,0.5\n")
-    (tmp_path / "y.json").write_text(json.dumps({"schema": 1, "mode": mode, "tau": None}))
-    return read_sequence(tmp_path / "y.csv")
-
-
-MODE_ENTRY_POINTS = {
-    "read_sequence": _read_with_sidecar_mode,
-    "from_json_dict": lambda tmp_path, mode: SpectrumEstimate.from_json_dict(
-        {**SpectrumEstimate([]).to_json_dict(), "mode": mode}
-    ),
-}
-BAD_MODE = {"None": None, "'DT'": "DT", "'hourly'": "hourly", "1": 1, "True": True}
-
-
-@pytest.mark.parametrize("bad", BAD_MODE)
-@pytest.mark.parametrize("entry", MODE_ENTRY_POINTS)
-def test_every_entry_point_takes_a_mode_by_the_one_rule(tmp_path, entry, bad):
-    # the reader names the file the mode is in
-    prefix = re.escape(f"sidecar {tmp_path / 'y.json'}: ") if entry == "read_sequence" else ""
-    message = f"^{prefix}mode must be {DT!r} or {CT!r}, got {re.escape(repr(BAD_MODE[bad]))}$"
-    with pytest.raises(ValueError, match=message):
-        MODE_ENTRY_POINTS[entry](tmp_path, BAD_MODE[bad])
-
-
 def _verify(tmp_path, capsys, tol, source: str) -> tuple[int, str]:
     """Exit code and stderr of ``verify`` on a 1 x 1 system whose one root the
     estimate holds, with ``tol`` given by the flag or by the setup."""
@@ -170,42 +96,6 @@ def _verify(tmp_path, capsys, tol, source: str) -> tuple[int, str]:
 def test_a_valid_tolerance_verifies(tmp_path, capsys):
     assert _verify(tmp_path, capsys, 0, "setup") == (0, "")
     assert _verify(tmp_path, capsys, 0.0, "flag") == (0, "")
-
-
-POLY = CharacteristicPoly([-0.5], 0.0, 1.0)
-
-# each entry point with the name its message gives the tolerance
-TOLERANCE_ENTRY_POINTS = {
-    "build_hankel": ("rank tolerance", lambda tol: build_hankel([1.0, 0.5, 0.25], rank_tolerance=tol)),
-    "roots_with_multiplicity": ("cluster tolerance", lambda tol: roots_with_multiplicity(POLY, tol)),
-    "match_spectra": ("tolerance", lambda tol: match_spectra([0.5], [0.5], tol)),
-}
-
-
-TOLERANCE_CASES = [
-    (entry, bad)
-    for entry in [*TOLERANCE_ENTRY_POINTS, "verify --tol", "verify setup tol"]
-    for bad in BAD_TOLERANCE
-    # None asks build_hankel for its default; the flag's text is a float to argparse first
-    if not (entry == "build_hankel" and bad == "None")
-    and not (entry == "verify --tol" and bad in ("None", "True", "'1'"))
-]
-
-
-@pytest.mark.parametrize("entry, bad", TOLERANCE_CASES)
-def test_every_entry_point_takes_a_tolerance_by_the_one_rule(tmp_path, capsys, entry, bad):
-    value = BAD_TOLERANCE[bad]
-    if entry == "verify --tol":
-        # the rule gets the float argparse made of the flag's text
-        code, err = _verify(tmp_path, capsys, value, "flag")
-        assert (code, err) == (2, f"error: tolerance must be a finite number >= 0, got {float(str(value))!r}\n")
-    elif entry == "verify setup tol":
-        code, err = _verify(tmp_path, capsys, value, "setup")
-        assert (code, err) == (2, f"error: tolerance must be a finite number >= 0, got {value!r}\n")
-    else:
-        name, call = TOLERANCE_ENTRY_POINTS[entry]
-        with pytest.raises(ValueError, match=f"^{name} must be a finite number >= 0, got {re.escape(repr(value))}$"):
-            call(value)
 
 
 # =========================================================================

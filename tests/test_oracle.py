@@ -107,17 +107,6 @@ CHAIN3 = np.array([[0.5, 1.0, 0.0], [0.0, -0.4, 1.0], [0.3, 0.0, 0.2]])
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("x0, c", [
-    ([1e300] * 3, [1e300, 0.0, 0.0]),  # the weights overflow
-    ([1e308, -1e308, 1e308], [1.0, 1.0, 1.0]),  # w_i^T x0 overflows
-])
-def test_an_infinite_modal_weight_or_data_scale_is_an_overflow_error(x0, c):
-    assert len(observable_partition(CHAIN3, c=[1.0, 0.0, 0.0], x0=[1.0] * 3).missing) == 0
-    with pytest.raises(OverflowError, match="double range"):
-        observable_partition(CHAIN3, c=c, x0=x0)
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("x0, c", [
     ([1e300] * 3, [1e-300, 0.0, 0.0]),
     ([1e154] * 3, [1e-154, 0.0, 0.0]),
 ])
@@ -127,17 +116,6 @@ def test_norms_beyond_the_square_range_leave_the_partition_finite(x0, c):
     plain = observable_partition(CHAIN3, c=[1.0, 0.0, 0.0], x0=[1.0] * 3)
     assert np.isfinite(part.modal_weights).all()
     assert np.array_equal(part.m_tilde, plain.m_tilde) and len(part.missing) == 0
-
-
-def test_a_vector_of_the_wrong_length_is_named():
-    with pytest.raises(ValueError, match=r"^x0 and c must be equal-length vectors, got \(3,\) and \(2,\)$"):
-        observable_partition(CHAIN3, c=[1.0, 0.0], x0=[1.0] * 3)
-    with pytest.raises(ValueError, match="^matrix is 3x3 but the setup has 2 components$"):
-        observable_partition(CHAIN3, c=[1.0, 0.0], x0=[1.0] * 2)
-    with pytest.raises(ValueError, match=r"^c\[0\] is not finite: nan$"):
-        observable_partition(np.eye(2), c=[np.nan, 1.0], x0=[1.0, 1.0])
-    with pytest.raises(ValueError, match=r"^matrix\[0, 0\] is not finite: nan$"):
-        full_spectrum([[np.nan, 0.0], [0.0, 1.0]])
 
 
 def estimator_imports(source: str) -> list[int]:
