@@ -52,7 +52,6 @@ __all__ = [
     "roots_with_multiplicity",
     "nu_sequence",
     "deconvolve_sigma",
-    "deconvolve_sigma_ct",
     "estimate_spectrum",
 ]
 
@@ -227,10 +226,6 @@ class OnlineRankDetection:
     values: np.ndarray
 
 
-def _sequence_values(y) -> np.ndarray:
-    return (y if isinstance(y, OutputSequence) else OutputSequence(y)).values
-
-
 def geometric_prescale(values) -> tuple[float, np.ndarray]:
     """Scale out geometric growth: rho = max(1, max_k |y_k|^(1/max(k,1))).
 
@@ -260,6 +255,8 @@ def _hankel_rank(values: np.ndarray, size: int, rel_tol: float | None):
     idx = np.arange(size)
     H = values[idx[:, None] + idx]  # H[i, j] = values[i + j], a copy
     s = np.linalg.svd(H, compute_uv=False)
+    if s.size and not math.isfinite(s[0]):  # an infinite cut would pass none of them: rank 0
+        raise OverflowError("the largest Hankel singular value lies beyond the double range")
     rank = int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0 else 0
     return H, s, rank, rel_tol
 
@@ -271,7 +268,7 @@ def build_hankel(y, prescale: bool = False, rank_tolerance: float | None = None)
     ``y[i + j]`` exists; rank counts singular values above
     ``rank_tolerance * sigma_1`` (an all-zero sequence has rank 0).
     """
-    values = _sequence_values(y)
+    values = (y if isinstance(y, OutputSequence) else OutputSequence(y)).values
     if prescale:
         rho, scaled = geometric_prescale(values)
     else:
@@ -585,17 +582,6 @@ def _impulse_weights(node: NodeDynamics, K: int, tau: float | None) -> np.ndarra
         raise OverflowError(f"node weight nu[{exc.index}] lies beyond the double range") from None
 
 
-def _node_weights(nu, K: int) -> np.ndarray:
-    """The first K node weights, which must exist and be finite."""
-    nu = np.asarray(nu, dtype=float)
-    if len(nu) < K:
-        raise ValueError(f"need {K} node weights, got {len(nu)}")
-    nu = nu[:K]
-    if not np.all(np.isfinite(nu)):
-        raise ValueError(f"node weight nu[{int(np.argmin(np.isfinite(nu)))}] is not finite")
-    return nu
-
-
 # Most samples deconvolve_sigma takes. Building fig3's operator takes 0.5 s
 # of CPU and 12 MiB at K = 128 and 3.7 s and 53 MiB at K = 192 (one core of
 # a Xeon VM), and the cost grows faster than K^3. The same bound caps the
@@ -618,13 +604,14 @@ def _deconvolution_operator(nu: tuple[float, ...]) -> tuple[list[list[int]], lis
     return rows, pow0[1:], b
 
 
-def deconvolve_sigma(y, nu) -> np.ndarray:
-    """Strip discrete-time node dynamics from the outputs.
+def deconvolve_sigma(y: OutputSequence) -> np.ndarray:
+    """The network's own output of a networked record: ``y`` with its ``node`` stripped.
 
-    Solves the lower-triangular system ``sum_s binom(k, s) nu_{k-s} sigma_s
-    = y_k`` exactly (the binomial weights reach ~1e5 by k = 20 and would
-    otherwise amplify rounding ahead of the Hankel stage), invertible exactly
-    when ``nu_0 = gamma^T beta`` is nonzero. On common power-of-two
+    The node weights are ``nu_sequence(y.node, len(y), y.tau)``. Without a
+    tau this solves the lower-triangular system ``sum_s binom(k, s) nu_{k-s}
+    sigma_s = y_k`` exactly (the binomial weights reach ~1e5 by k = 20 and
+    would otherwise amplify rounding ahead of the Hankel stage), invertible
+    exactly when ``nu_0 = gamma^T beta`` is nonzero. On common power-of-two
     denominators ``y_k = Y_k 2^a`` and ``nu_k = V_k 2^b`` the solution is
     ``sigma_k = Z_k 2^(a-b) / V_0^(k+1)`` with integers ``Z_k = sum_s
     binom(k, s) M_{k-s} V_0^s Y_s``, where ``M_0 = 1`` and ``M_k = -sum_{s<k}
@@ -632,24 +619,41 @@ def deconvolve_sigma(y, nu) -> np.ndarray:
     Those integers depend on nu alone and are memoized for the last nu (a
     networked preset's seeds share one agent); a call multiplies them by its
     own sample integers and rounds each ``sigma_k`` once. For the trivial
-    node (nu = 1, 0, 0, ...) this returns ``y`` itself, bit for bit. More
-    than ``_DECONVOLUTION_SIZE_CAP`` samples is a ``ValueError``, raised
-    before anything is built.
+    node this returns the samples themselves, bit for bit. More than
+    ``_DECONVOLUTION_SIZE_CAP`` samples is a ``ValueError``, raised before
+    the weights are formed.
+
+    With a tau (sampled continuous time) the node factor multiplies the
+    network factor sample by sample (the two Kronecker terms commute), so
+    stripping it is pointwise division, and every ``nu_k`` must be nonzero.
+
+    ``ValueError`` for a record with no node, ``SingularDeconvolutionError``
+    naming a weight the mode needs that is numerically zero, and
+    ``DeconvolutionOverflowError`` naming a sample beyond the double range.
     """
-    values = _sequence_values(y)
-    K = len(values)
-    if K > _DECONVOLUTION_SIZE_CAP:
+    if not isinstance(y, OutputSequence) or y.node is None:
+        raise ValueError("deconvolve_sigma takes a networked record: an OutputSequence with a node")
+    K = len(y)
+    if y.tau is None and K > _DECONVOLUTION_SIZE_CAP:
         raise ValueError(
             f"exact deconvolution takes at most {_DECONVOLUTION_SIZE_CAP} samples, got {K}"
         )
-    nu = _node_weights(nu, K)
-    scale = float(np.max(np.abs(nu)))
-    if abs(nu[0]) <= NU_ZERO_RTOL * scale:
+    nu = nu_sequence(y.node, K, y.tau)
+    # discrete time divides by nu_0 alone, sampled continuous time by every nu_k
+    needed = nu[:1] if y.tau is None else nu
+    zero = np.abs(needed) <= NU_ZERO_RTOL * max(float(np.max(np.abs(nu))), np.finfo(float).tiny)
+    if np.any(zero):
+        k = int(np.argmax(zero))
         raise SingularDeconvolutionError(
-            f"nu_0 = gamma^T beta = {nu[0]:.3e} is numerically zero; "
-            "the node dynamics cannot be deconvolved"
+            f"node weight nu[{k}] = {nu[k]:.3e} is numerically zero; the node dynamics cannot be deconvolved"
         )
-    Y, a = _dyadic(values.tolist())
+    if y.tau is not None:
+        with np.errstate(over="ignore"):  # reported below, with the sample it hit
+            sigma = y.values / nu
+        if np.any(big := ~np.isfinite(sigma)):
+            raise DeconvolutionOverflowError(int(np.argmax(big)))
+        return sigma
+    Y, a = _dyadic(y.values.tolist())
     rows, dens, b = _deconvolution_operator(tuple(nu.tolist()))
     sigma = np.empty(K)
     for k, (row, den) in enumerate(zip(rows, dens)):
@@ -657,29 +661,6 @@ def deconvolve_sigma(y, nu) -> np.ndarray:
             sigma[k] = _ratio_to_float(sum(map(operator.mul, row, Y)), a - b, den)
         except OverflowError:
             raise DeconvolutionOverflowError(k) from None
-    return sigma
-
-
-def deconvolve_sigma_ct(y, nu) -> np.ndarray:
-    """Strip sampled continuous-time node dynamics.
-
-    In continuous time the node factor multiplies the network factor sample
-    by sample (the two Kronecker terms commute), so stripping it is pointwise
-    division; every ``nu_k`` must be nonzero.
-    """
-    values = _sequence_values(y)
-    nu = _node_weights(nu, len(values))
-    scale = float(np.max(np.abs(nu)))
-    bad = np.abs(nu) <= NU_ZERO_RTOL * max(scale, np.finfo(float).tiny)
-    if scale == 0.0 or np.any(bad):
-        raise SingularDeconvolutionError(
-            f"node factor vanishes at sample {int(np.argmax(bad))}; cannot deconvolve"
-        )
-    with np.errstate(over="ignore"):  # reported below, with the sample it hit
-        sigma = values / nu
-    big = ~np.isfinite(sigma)
-    if np.any(big):
-        raise DeconvolutionOverflowError(int(np.argmax(big)))
     return sigma
 
 
@@ -694,8 +675,7 @@ def estimate_spectrum(
 
     ``y`` is an OutputSequence or a plain array, which is taken as discrete
     time with no node. A sequence's ``node`` is stripped first, by
-    deconvolve_sigma without a tau and by deconvolve_sigma_ct with one (sampled
-    continuous time). An identically zero sequence gives rank 0 and an empty
+    deconvolve_sigma. An identically zero sequence gives rank 0 and an empty
     spectrum, which is a valid answer, not an error.
 
     rank_tolerance
@@ -716,17 +696,16 @@ def estimate_spectrum(
 
     Sampled continuous-time roots are ``eta_i = e^{lambda_i tau}`` and are
     mapped back through the principal complex logarithm; roots within 1e-12
-    of zero are rejected as log-singular. Sampling can only distinguish
+    of zero are rejected as log-singular, and a log divided by tau beyond the
+    double range is an ``OverflowError``. Sampling can only distinguish
     imaginary parts inside ``(-pi/tau, pi/tau]``; any recovered eigenvalue at
     that boundary gets an ``aliasing`` warning rather than a silent unwrap.
     """
     rank_tolerance = None if rank_tolerance is None else _tolerance(rank_tolerance, "rank tolerance")
     cluster_tol = _tolerance(cluster_tol, "cluster tolerance")
     seq = y if isinstance(y, OutputSequence) else OutputSequence(y)
-    values, tau, node = seq.values, seq.tau, seq.node
-    if node is not None:
-        nu = nu_sequence(node, len(values), tau)
-        values = deconvolve_sigma(values, nu) if tau is None else deconvolve_sigma_ct(values, nu)
+    values = seq.values if seq.node is None else deconvolve_sigma(seq)
+    tau = seq.tau
     if prescale is None:
         prescale = tau is not None or bool(np.max(np.abs(values)) > PRESCALE_TRIGGER)
     h = build_hankel(values, prescale=prescale, rank_tolerance=rank_tolerance)
@@ -736,14 +715,18 @@ def estimate_spectrum(
     if p.condition > ILL_CONDITION_LIMIT:
         warnings.append("ill-conditioned coefficient solve; roots may be inaccurate")
     if tau is not None:
-        for v, _ in roots:
-            if abs(v) <= ETA_ZERO_TOL:
-                raise LogSingularRootError(
-                    f"recovered discrete root {v} is numerically zero; "
-                    "no finite continuous eigenvalue maps to it"
-                )
-        roots = sorted(((complex(np.log(complex(v)) / tau), m) for v, m in roots),
-                       key=lambda vm: _spectral_order(vm[0]))
+        logged = []
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported with its root
+            for v, m in roots:
+                if abs(v) <= ETA_ZERO_TOL:
+                    raise LogSingularRootError(
+                        f"recovered discrete root {v} is numerically zero; "
+                        "no finite continuous eigenvalue maps to it"
+                    )
+                if not cmath.isfinite(lam := complex(np.log(complex(v)) / tau)):
+                    raise OverflowError(f"recovered discrete root {v} maps beyond the double range at tau = {tau!r}")
+                logged.append((lam, m))
+        roots = sorted(logged, key=lambda vm: _spectral_order(vm[0]))
         boundary = (np.pi / tau) * (1.0 - ALIAS_MARGIN)
         if any(abs(v.imag) >= boundary for v, _ in roots):
             warnings.append(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .clustering import _centroid, _spectral_order, cluster_indices, enforce_conjugate_pairs
 from .dynamics import ObservationSetup, _matrix_for
-from .graphs import _tolerance, as_array
+from .graphs import _require_finite, _tolerance, as_array
 
 __all__ = [
     "OracleSpectrum",
@@ -301,11 +301,12 @@ def _shortest_augmenting_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def match_spectra(estimated, truth, tol: float) -> MatchReport:
     """Hungarian matching on |estimated - true| with multiplicities expanded.
 
-    Assignment pairs farther apart than ``tol`` are reported unmatched on
-    both sides; a ``tol`` that is not a finite number >= 0 is a
-    ``ValueError``. ``estimated`` and ``truth`` each take (value, multiplicity)
-    pairs, such as ``SpectrumEstimate.roots`` or ``OracleSpectrum.observable``,
-    or flat values, such as ``full_spectrum``'s.
+    Assignment pairs farther apart than ``tol``, or beyond the double range,
+    are reported unmatched on both sides; a ``tol`` that is not a finite
+    number >= 0, or a value that is not finite, is a ``ValueError``.
+    ``estimated`` and ``truth`` each take (value, multiplicity) pairs, such
+    as ``SpectrumEstimate.roots`` or ``OracleSpectrum.observable``, or flat
+    values, such as ``full_spectrum``'s.
 
     When there are no more estimates than true values, every estimate's
     nearest true value is strictly nearer than any other, and no two
@@ -319,8 +320,18 @@ def match_spectra(estimated, truth, tol: float) -> MatchReport:
     tol = _tolerance(tol, "tolerance")
     est = _expand_values(estimated)
     true = _expand_values(truth)
-    cost = np.abs(est[:, None] - true[None, :])
-    rows, cols = _assignment(cost)
+    with np.errstate(over="ignore", invalid="ignore"):  # read below
+        cost = np.abs(est[:, None] - true[None, :])
+    scaled = cost
+    if cost.size == 0 or not np.isfinite(cost).all():
+        # a NaN or an infinity on either side is refused; with neither, some
+        # distance lies beyond the double range, and so beyond every tol
+        _require_finite(est, "estimated")
+        _require_finite(true, "truth")
+        # the assignment weighs such a distance too, in units of 2^64, where
+        # the solver's sums of distances stay finite
+        scaled = np.abs(est[:, None] / 2.0**64 - true[None, :] / 2.0**64)
+    rows, cols = _assignment(scaled)
     pairs: list[tuple[complex, complex, float]] = []
     un_e = set(range(est.size))
     un_t = set(range(true.size))

@@ -21,6 +21,8 @@ import spectral_scope
 from helpers import hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CharacteristicPoly,
+    NodeDynamics,
+    ObservationSetup,
     build_hankel,
     detect_rank_online,
     estimate_spectrum,
@@ -28,7 +30,9 @@ from spectral_scope import (
     matrix_exponential,
     observable_partition,
     roots_with_multiplicity,
+    simulate_ct_networked,
     simulate_dt,
+    simulate_dt_networked,
     sweep,
     summarize,
 )
@@ -331,6 +335,16 @@ def test_the_benchmark_finds_every_function_it_wraps(tmp_path, monkeypatch):
                 program.run_scenario(workload.split("-")[0], 0)
         missing[workload] = sorted(layers - t.self_times()[1].keys())
     assert missing == dict.fromkeys(reaches, [])
+    # a networked estimate is timed alike in both time modes: a CT one once
+    # divided its node out in no span
+    node, setup = NodeDynamics(A=[[0.3]], beta=[1.0], gamma=[1.0]), ObservationSetup(x0=[1.0], c=[1.0])
+    spans = []
+    for y in (simulate_dt_networked([[0.7]], node, setup, 6), simulate_ct_networked([[-0.7]], node, setup, 0.5, 6)):
+        t = program.Tracer()
+        with program.traced(t):
+            estimate_spectrum(y)
+        spans.append(t.self_times()[1].get("estimator.deconvolve", 0))
+    assert spans[0] == spans[1] > 0, spans
 
 
 def test_every_exported_name_resolves():

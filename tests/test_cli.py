@@ -442,6 +442,23 @@ def test_verify_takes_a_matrix_entry_at_the_oracles_limit(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_verify_fails_a_root_whose_distance_to_every_eigenvalue_overflows(tmp_path, capsys):
+    # |1.79e308 - (-4e307)| is beyond the doubles: numpy warned, and the
+    # assignment raised "cost matrix is infeasible" on the row of infs
+    matrix, estimate, setup = tmp_path / "m.csv", tmp_path / "s.json", tmp_path / "setup.json"
+    matrix.write_text("-4e307\n")  # inside verify's entry limit for n = 1
+    estimate.write_text(json.dumps({"schema": 1, "mode": "dt", "rank": 1, "residual": 0.0,
+                                    "roots": [{"re": 1.79e308, "im": 0.0, "multiplicity": 1}]}))
+    setup.write_text(json.dumps({"x0": [1.0], "c": [1.0]}))
+    code, out, err = run(capsys, "verify", "--matrix", matrix, "--estimate", estimate, "--setup", setup,
+                         "--tol", "1e-6")
+    report = json.loads(out)
+    assert (code, err, report["pass"], report["pairs"]) == (1, "", False, [])
+    assert report["unmatched_estimated"] == [{"re": 1.79e308, "im": 0.0}]
+    assert report["unexplained_true"] == report["unmatched_true"] == [{"re": -4e307, "im": 0.0}]
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale", [1.0, 1e154, 1e300])
 def test_verify_weighs_a_setup_whose_norms_exceed_the_square_range(tmp_path, capsys, scale):
     # |x0| beyond about 1.3e154 overflowed x . x, and verify called a setup

@@ -167,7 +167,7 @@ ROWS = [
         "error: exact deconvolution takes at most 128 samples, got 129"),
     Row("estimate-orthogonal-node", "estimate --y y.csv",
         sequence([0.0] * 8, node={"A": [[0, 0], [0, 0]], "beta": [1, 0], "gamma": [0, 1]}),
-        "estimation failed: nu_0 = gamma^T beta = 0.000e+00 is numerically zero; "
+        "estimation failed: node weight nu[0] = 0.000e+00 is numerically zero; "
         "the node dynamics cannot be deconvolved", code=1),
     *(Row(f"estimate-{id}-overflow", "estimate --y y.csv", sequence(values, tau=tau, node=node),
           f"estimation failed: {line}", code=1)
@@ -185,6 +185,10 @@ ROWS = [
         sequence([-1.5869749083707733e-18] * 13, tau=1.0),
         "estimation failed: recovered discrete root (6.024656351716352e-51+0j) is numerically zero; "
         "no finite continuous eigenvalue maps to it", code=1),
+    # a positive finite tau, but log(0.5) / tau is beyond the doubles
+    Row("estimate-log-map-overflow", "estimate --y y.csv", sequence([1.0, 0.5, 0.25, 0.125], tau=1e-320),
+        "estimation failed: recovered discrete root (0.5+0j) maps beyond the double range at tau = 1e-320",
+        code=1),
     Row("estimate-cannot-write", "estimate --y y.csv --out no-such-dir/s.json", SWAP_Y,
         "error: cannot write output: [Errno 2] No such file or directory: 'no-such-dir/s.json'"),
     # a node: simulate reads a node file, estimate the node in a sequence's sidecar

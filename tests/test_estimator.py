@@ -25,7 +25,6 @@ from spectral_scope import (
     SpectrumEstimate,
     build_hankel,
     deconvolve_sigma,
-    deconvolve_sigma_ct,
     detect_rank_online,
     estimate_spectrum,
     match_spectra,
@@ -122,6 +121,12 @@ def scipy_hankel(values, size):
 
 
 HANKEL_SAMPLES = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+HANKEL_OVERFLOW = r"^the largest Hankel singular value lies beyond the double range$"
+
+
+def overflows(matrix) -> bool:
+    """Whether the matrix's largest singular value lies beyond the doubles, where the rank refuses."""
+    return not math.isfinite(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
 @given(st.lists(HANKEL_SAMPLES, min_size=1, max_size=22))
@@ -129,25 +134,43 @@ HANKEL_SAMPLES = st.floats(allow_nan=False, allow_infinity=False, allow_subnorma
 @example([0.5])
 @example([-0.0, 5e-324, 1.0, -2.2250738585072014e-308])
 @example([1.0, -0.0, 3e-310, -5e-324, 2.0, -0.0, 7.0])
+@example([1e308, 0.0, 0.0])
+@example([1.7e308] * 6)
 def test_the_hankel_matrix_equals_scipys_bit_for_bit(values):
     y = np.asarray(values)
-    m = (len(y) + 1) // 2
-    assert build_hankel(y).matrix.tobytes() == scipy_hankel(y, m).tobytes()
+    want = scipy_hankel(y, (len(y) + 1) // 2)
+    if overflows(want):
+        with pytest.raises(OverflowError, match=HANKEL_OVERFLOW):
+            build_hankel(y)
+    else:
+        assert build_hankel(y).matrix.tobytes() == want.tobytes()
 
 
 @given(st.lists(HANKEL_SAMPLES, min_size=1, max_size=30), st.sampled_from([None, 3, 8]))
 @settings(max_examples=50, deadline=None)
 @example([-0.0, 5e-324, -5e-324, 1.0, 2.0, 4.0], None)
+@example([1e308, 0.0, 0.0, 0.0, 0.0], None)
+@example([1.0, 1.7e308, 1.7e308, 1.7e308, 1.7e308], None)
 def test_online_detection_builds_scipys_hankel_matrices(values, n_hint):
     original = estimator._hankel_rank
+    refused = []
 
     def checked(vals, size, rel_tol):
+        want = scipy_hankel(vals, size)
+        if overflows(want):
+            refused.append(size)
+            with pytest.raises(OverflowError, match=HANKEL_OVERFLOW) as refusal:
+                original(vals, size, rel_tol)
+            raise refusal.value
         result = original(vals, size, rel_tol)
-        assert result[0].tobytes() == scipy_hankel(vals, size).tobytes()
+        assert result[0].tobytes() == want.tobytes()
         return result
 
     with mock.patch.object(estimator, "_hankel_rank", side_effect=checked) as spy:
-        detect_rank_online(iter(values), n_hint=n_hint)
+        try:
+            detect_rank_online(iter(values), n_hint=n_hint)
+        except OverflowError:
+            assert refused
     assert spy.called
 
 
@@ -823,10 +846,21 @@ def test_a_fig3_sweep_forms_its_node_weights_once(monkeypatch):
     assert builds == [(20, None)]
 
 
+def shift_node(nu) -> NodeDynamics:
+    """The nilpotent shift, whose discrete-time node weights are ``nu`` bit for
+    bit: ``A^k e_0 = e_k`` exactly, so each weight is the one term ``gamma_k``."""
+    return NodeDynamics(A=np.eye(len(nu), k=-1), beta=np.eye(len(nu))[0], gamma=nu)
+
+
+def stripped(y, nu) -> np.ndarray:
+    """``deconvolve_sigma`` of the discrete-time record ``y`` with node weights ``nu``."""
+    return deconvolve_sigma(OutputSequence(y, node=shift_node(nu)))
+
+
 def test_unit_impulse_deconvolution_is_the_identity_bit_for_bit():
     rng = np.random.default_rng(1)
     y = rng.standard_normal(12)
-    sigma = deconvolve_sigma(y, [1.0] + [0.0] * 11)
+    sigma = deconvolve_sigma(OutputSequence(y, node=NodeDynamics.trivial()))
     assert np.array_equal(sigma, y)
 
 
@@ -834,7 +868,7 @@ def test_deconvolution_inverts_the_binomial_mixing():
     # scalar network g with scalar node a: y_k = (a+g)^k unmixes to g^k
     node = NodeDynamics(A=[[0.3]], beta=[1.0], gamma=[1.0])
     y = simulate_dt_networked(np.array([[0.7]]), node, ObservationSetup(x0=[1.0], c=[1.0]), K=6)
-    sigma = deconvolve_sigma(y, nu_sequence(node, K=6))
+    sigma = deconvolve_sigma(y)
     truth = 0.7 ** np.arange(6)
     assert np.max(np.abs(sigma - truth) / truth) < 1e-12
 
@@ -860,7 +894,7 @@ def fraction_deconvolution(y, nu) -> list[float]:
 def test_deconvolution_matches_rational_arithmetic_bit_for_bit(case):
     y, nu0, tail = case
     nu = [nu0] + tail
-    got = deconvolve_sigma(y, nu)
+    got = stripped(y, nu)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
 
 
@@ -871,14 +905,14 @@ def test_the_deconvolution_operator_is_memoized_for_the_last_nu():
     rng = np.random.default_rng(8)
     nu = [0.75] + rng.uniform(-1.0, 1.0, 9).tolist()
     for y in (rng.standard_normal(10), rng.standard_normal(10) * 1e5):
-        got = deconvolve_sigma(y, nu)
+        got = stripped(y, nu)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
     assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
     # a nu that differs only in its last entry builds its own operator
     other = nu[:-1] + [nu[-1] + 2.0**-30]
     want = fraction_deconvolution(y, other)
     assert want[-1] != fraction_deconvolution(y, nu)[-1]
-    assert [v.hex() for v in deconvolve_sigma(y, other).tolist()] == [v.hex() for v in want]
+    assert [v.hex() for v in stripped(y, other).tolist()] == [v.hex() for v in want]
     assert memo.cache_info().misses == 2
 
 
@@ -888,21 +922,22 @@ def test_a_long_nu_is_deconvolved_exactly_and_memoized():
     rng = np.random.default_rng(9)
     nu = [0.75] + rng.uniform(-1.0, 1.0, 99).tolist()
     for y in (rng.standard_normal(100), rng.standard_normal(100) * 1e-5):
-        got = deconvolve_sigma(y, nu)
+        got = stripped(y, nu)
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
     assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
 
 
 def test_a_deconvolution_beyond_its_size_bound_is_rejected_before_it_builds(monkeypatch):
-    # the operator's cost grows faster than K^3: 129 samples are refused before it is built
+    # the operator's cost grows faster than K^3: 129 samples are refused
+    # before the node weights are formed or the operator is built
     cap = estimator._DECONVOLUTION_SIZE_CAP
     assert cap == 128
-    impulse = [1.0] + [0.0] * cap
     y = np.random.default_rng(10).standard_normal(cap + 1)
-    assert np.array_equal(deconvolve_sigma(y[:cap], impulse[:cap]), y[:cap])
-    monkeypatch.setattr(estimator, "_deconvolution_operator", mock.Mock(side_effect=AssertionError("built")))
+    assert np.array_equal(deconvolve_sigma(OutputSequence(y[:cap], node=NodeDynamics.trivial())), y[:cap])
+    for name in ("nu_sequence", "_deconvolution_operator"):
+        monkeypatch.setattr(estimator, name, mock.Mock(side_effect=AssertionError(name)))
     with pytest.raises(ValueError, match=r"^exact deconvolution takes at most 128 samples, got 129$"):
-        deconvolve_sigma(y, impulse)
+        deconvolve_sigma(OutputSequence(y, node=NodeDynamics.trivial()))
 
 
 def test_a_fig3_sweep_builds_the_deconvolution_operator_once():
@@ -913,20 +948,22 @@ def test_a_fig3_sweep_builds_the_deconvolution_operator_once():
 
 
 def test_ct_deconvolution_divides_pointwise():
-    values = np.array([2.0, 4.0, 8.0])
-    nu = np.array([2.0, 2.0, 2.0])
-    assert np.array_equal(deconvolve_sigma_ct(values, nu), [1.0, 2.0, 4.0])
+    # a static scalar node: every sampled weight is gamma beta = 2
+    node = NodeDynamics(A=[[0.0]], beta=[1.0], gamma=[2.0])
+    assert np.array_equal(deconvolve_sigma(OutputSequence([2.0, 4.0, 8.0], tau=1.0, node=node)), [1.0, 2.0, 4.0])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("deconvolve, values, nu, index", [
-    (deconvolve_sigma, [1.0, 1e308, 1.0], [1e-10, 0.0, 0.0], 1),
-    (deconvolve_sigma_ct, [1.0, 1.0, 1e308], [1.0, 1.0, 1e-10], 2),
+@pytest.mark.parametrize("tau, values, node, index", [
+    # nu = 1e-10, 0, 0
+    (None, [1.0, 1e308, 1.0], NodeDynamics(A=[[0.0]], beta=[1.0], gamma=[1e-10]), 1),
+    # nu_k = e^-k, and 1e308 / e^-2 is beyond the doubles
+    (1.0, [1.0, 1.0, 1e308], NodeDynamics(A=[[-1.0]], beta=[1.0], gamma=[1.0]), 2),
 ])
-def test_a_deconvolution_overflow_is_an_overflow_error_that_carries_its_index(deconvolve, values, nu, index):
+def test_a_deconvolution_overflow_is_an_overflow_error_that_carries_its_index(tau, values, node, index):
     message = rf"^deconvolved sample sigma\[{index}\] lies beyond the double range$"
     with pytest.raises(OverflowError, match=message) as info:
-        deconvolve(values, nu)
+        deconvolve_sigma(OutputSequence(values, tau=tau, node=node))
     assert type(info.value) is DeconvolutionOverflowError and info.value.index == index
 
 

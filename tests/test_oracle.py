@@ -342,6 +342,21 @@ def test_an_empty_side_leaves_every_value_unmatched(estimated, truth, unmatched_
     assert (report.max_error, report.mean_error) == (0.0, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("estimated, truth", [
+    ([1.79e308], [-4e307]),
+    ([0.5, 1.79e308, -1.7e308], [-4e307, 0.5 + 1e-12j]),
+    ([1.79e308], [-1.79e308, 1.0, 2.0]),
+])
+def test_a_distance_beyond_the_double_range_is_unmatched_on_both_sides(estimated, truth):
+    # the distance overflowed to inf, and the assignment refused a row of infs
+    report = match_spectra(estimated, truth, tol=1e300)
+    finite = [(0.5 + 0j, 0.5 + 1e-12j, 1e-12)] if 0.5 in estimated else []
+    assert report.pairs == finite
+    assert report.unmatched_estimated == [complex(v) for v in estimated if v != 0.5]
+    assert report.unmatched_true == [complex(v) for v in truth if v != 0.5 + 1e-12j]
+
+
 def test_matching_accepts_estimates_and_flat_lists():
     y = simulate_dt(SWAP, ObservationSetup(x0=[1, 0], c=[1, 0]), K=4)
     est = estimate_spectrum(y)
