@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 estimation or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -60,6 +61,7 @@ from .graphs import (
     read_matrix_csv,
     write_graph_tsv,
     write_matrix_csv,
+    _csv_table,
     _json_object,
     _reading,
     _tolerance,
@@ -90,13 +92,11 @@ def _fail_usage(message: str) -> int:
 
 
 def _parse_floats(text: str) -> np.ndarray:
-    try:
-        values = np.array([float(tok) for tok in text.split(",") if tok.strip() != ""])
-    except ValueError:
-        values = None
-    if values is None or not np.all(np.isfinite(values)):
-        raise SystemExit(_fail_usage(f"expected comma-separated finite numbers, got {text!r}"))
-    return values
+    """A list flag's finite numbers: one line of a CSV table, where ``#`` starts no comment."""
+    with contextlib.suppress(ValueError):
+        if "#" not in text:
+            return _csv_table([text])[0][0]
+    raise SystemExit(_fail_usage(f"expected comma-separated finite numbers, got {text!r}"))
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -161,16 +161,15 @@ def cmd_generate(args) -> int:
 
 def _build_setup(args, n: int) -> ObservationSetup:
     observed = None
-    weights = None
     if args.observe is not None:
-        try:
-            observed = [int(v) for v in str(args.observe).split(",")]
+        try:  # integers, which must be numbers to the list flags' rule
+            _csv_table([args.observe])
+            observed = [int(v) for v in args.observe.split(",")]
         except ValueError:
             raise SystemExit(_fail_usage(
                 f"--observe expects comma-separated node indices, got {args.observe!r}"
             )) from None
-    if args.observe_weights is not None:
-        weights = _parse_floats(args.observe_weights)
+    weights = None if args.observe_weights is None else _parse_floats(args.observe_weights)
     setup = random_setup(n, seed=args.seed, observed=observed, observe_weights=weights)
     if args.x0 is None:
         return setup

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import _json_object, _positive, _reading, _require_finite, as_array
+from .graphs import _csv_table, _json_object, _positive, _reading, _require_finite, as_array
 
 __all__ = [
     "DT",
@@ -61,15 +61,23 @@ def _recorded_tau(mode, tau, record: str) -> float | None:
     return None if mode == DT else _positive(tau, "tau")
 
 
-def _floats(value, name: str) -> np.ndarray:
-    """``value`` as a float array; ``ValueError`` for a bare bool, which numpy
-    reads as 0 or 1, and for what is no number or lies beyond the doubles."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} is {value!r}, which is not a number")
+def _floats(value, name: str, ndmin: int = 1) -> np.ndarray:
+    """``value`` as a float array of at least ``ndmin`` dimensions: a real
+    number or an array, or a list or tuple, nested ones too, of only those.
+    ``ValueError`` naming a bool (numpy reads it as 0 or 1), a string, an
+    object, None or an entry that is not finite, or a number beyond the doubles."""
+    items = [value]
+    while items:  # depth first, in order, so the first such value is named
+        if isinstance(item := items.pop(), (list, tuple)):
+            items.extend(reversed(item))
+        elif not isinstance(item, np.ndarray) and (isinstance(item, bool) or not isinstance(item, numbers.Real)):
+            raise ValueError(f"{name} {'is' if item is value else 'holds'} {item!r}, which is not a number")
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, OverflowError) as exc:  # such as a nested object or an int beyond the doubles
+        arr = np.array(value, dtype=float, ndmin=ndmin)  # a copy, which the caller cannot change
+    except (TypeError, OverflowError) as exc:  # such as an array of objects or an int beyond the doubles
         raise ValueError(str(exc)) from None
+    _require_finite(arr, name)
+    return arr
 
 
 class SimulationOverflowError(OverflowError):
@@ -94,14 +102,11 @@ class ObservationSetup:
     c: np.ndarray
 
     def __post_init__(self):
-        x0 = np.atleast_1d(_floats(self.x0, "x0"))
-        c = np.atleast_1d(_floats(self.c, "c"))
+        x0, c = _floats(self.x0, "x0"), _floats(self.c, "c")
         if x0.ndim != 1 or c.ndim != 1 or x0.shape != c.shape:
             raise ValueError(
                 f"x0 and c must be equal-length vectors, got {x0.shape} and {c.shape}"
             )
-        _require_finite(x0, "x0")
-        _require_finite(c, "c")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "c", c)
 
@@ -135,7 +140,7 @@ def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> Obse
         # in Python ints, so that an index beyond int64 is out of range too
         if not nodes or min(nodes) < 0 or max(nodes) >= n:
             raise ValueError(f"observed nodes {nodes} out of range for n={n}")
-        w = np.ones(len(nodes)) if observe_weights is None else np.asarray(observe_weights, float)
+        w = np.ones(len(nodes)) if observe_weights is None else _floats(observe_weights, "observe_weights")
         if w.shape != (len(nodes),):
             raise ValueError("one weight per observed node required")
         c = np.zeros(n)
@@ -157,17 +162,13 @@ class NodeDynamics:
     gamma: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(_floats(self.A, "A"))
-        beta = np.atleast_1d(_floats(self.beta, "beta"))
-        gamma = np.atleast_1d(_floats(self.gamma, "gamma"))
+        A, beta, gamma = _floats(self.A, "A", ndmin=2), _floats(self.beta, "beta"), _floats(self.gamma, "gamma")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
         if A.shape[0] < 1:
             raise ValueError("a node needs state dimension d >= 1, got 0")
         if beta.shape != (A.shape[0],) or gamma.shape != (A.shape[0],):
             raise ValueError("beta and gamma must match the state dimension of A")
-        for arr, name in ((A, "A"), (beta, "beta"), (gamma, "gamma")):
-            _require_finite(arr, name)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
@@ -207,12 +208,10 @@ class OutputSequence:
     node: NodeDynamics | None = None
 
     def __post_init__(self):
-        # a read-only copy, so that the caller's array cannot change a checked record
-        values = np.array(self.values, dtype=float, ndmin=1)
+        values = _floats(self.values, "output y")
         if values.ndim != 1 or values.size < 1:
             raise ValueError("a non-empty 1-d sequence of outputs is required")
-        _require_finite(values, "output y")
-        values.flags.writeable = False
+        values.flags.writeable = False  # and a copy, so that the caller's array cannot change a checked record
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tau", None if self.tau is None else _positive(self.tau, "tau"))
 
@@ -395,10 +394,11 @@ def write_sequence(seq: OutputSequence, path, seed=None) -> None:
 def read_sequence(path) -> OutputSequence:
     """Read a sequence CSV and its sidecar, the ``.json`` next to it, as ``write_sequence`` writes them.
 
-    The header must be the one for the sidecar's mode, and the first column
+    The first line is the header, which must fit the sidecar's mode, and the
+    rest is a table of two columns that ``_csv_table`` reads, whose first
     must count ``k = 0, 1, ...`` (discrete) or ``t = k tau`` (continuous, to
     a relative 1e-9, so hand-written times pass); ``ValueError`` naming the
-    file otherwise, for a sample that is not a finite number, and for a
+    file, and a line by the file's own number, otherwise, and for a
     sidecar that holds no JSON object with a valid mode and tau (none for
     ``dt``), or whose ``node`` is malformed. Other keys are ignored, such as
     the ``n_hint`` that older sidecars carry.
@@ -412,16 +412,9 @@ def read_sequence(path) -> OutputSequence:
     with _reading("node in sidecar", sidecar):
         node = None if meta.get("node") is None else NodeDynamics.from_json_dict(meta["node"])
     with _reading("sequence", path):
-        header, *rows = text.strip().splitlines() or [""]
-        table = [line.split(",") for line in rows]
-        for i, fields in enumerate(table):
-            if len(fields) != 2:
-                raise ValueError(f"line {i + 2}: expected 2 columns, got {len(fields)}")
-        t, y = np.array(table, dtype=float).reshape(-1, 2).T.copy()
-        off = np.flatnonzero(~np.isfinite(y))
-        if off.size:
-            i = off[0]
-            raise ValueError(f"line {i + 2}: y = {float(y[i])!r} is not finite")
+        header, *rows = text.split("\n")
+        table, lines = _csv_table(rows, first=2, width=2)
+        t, y = table.T
         seq = OutputSequence(y, tau=tau, node=node)
         first = "k" if seq.mode == DT else "t"
         if [h.strip() for h in header.split(",")] != [first, "y"]:
@@ -430,5 +423,5 @@ def read_sequence(path) -> OutputSequence:
         off = np.flatnonzero(~(np.abs(t - expected) <= 1e-9 * expected))
         if off.size:
             i = off[0]
-            raise ValueError(f"line {i + 2}: {first} = {float(t[i])!r}, expected {float(expected[i])!r}")
+            raise ValueError(f"line {lines[i]}: {first} = {float(t[i])!r}, expected {float(expected[i])!r}")
     return seq

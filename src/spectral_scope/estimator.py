@@ -255,10 +255,18 @@ def _hankel_rank(values: np.ndarray, size: int, rel_tol: float | None):
     idx = np.arange(size)
     H = values[idx[:, None] + idx]  # H[i, j] = values[i + j], a copy
     s = np.linalg.svd(H, compute_uv=False)
-    if s.size and not math.isfinite(s[0]):  # an infinite cut would pass none of them: rank 0
-        raise OverflowError("the largest Hankel singular value lies beyond the double range")
-    rank = int(np.count_nonzero(s > rel_tol * s[0])) if s.size and s[0] > 0 else 0
+    # outputs near the top of the double range can put sigma_1 beyond it, where
+    # the cut would pass none: the rank is then that of H scaled by the power
+    # of two that puts max |H| in [0.5, 1)
+    cut = s if not s.size or math.isfinite(s[0]) else np.linalg.svd(_scaled(H), compute_uv=False)
+    rank = int(np.count_nonzero(cut > rel_tol * cut[0])) if s.size and cut[0] > 0 else 0
     return H, s, rank, rel_tol
+
+
+def _scaled(a: np.ndarray) -> np.ndarray:
+    """``a`` times the power of two that puts ``max |a|`` in [0.5, 1): exact,
+    but for entries that become subnormal."""
+    return np.ldexp(a, -math.frexp(np.max(np.abs(a)))[1])
 
 
 def build_hankel(y, prescale: bool = False, rank_tolerance: float | None = None) -> HankelAnalysis:
@@ -418,12 +426,13 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     keep = s > h.rank_tolerance * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
     kept = s[keep]
     shift = 0
-    if kept.size and kept[-1] < 2.0**-1022:
+    if not math.isfinite(s[0]) or kept.size and kept[-1] < 2.0**-1022:
         # 1/s may overflow for a subnormal singular value, as outputs near the
-        # bottom of the double range give: solve H_r and every right-hand side
-        # scaled by the power of two that puts sigma_1 in [0.5, 1), which
-        # leaves the solution as it is
-        shift = -math.frexp(s[0])[1]
+        # bottom of the double range give, and sigma_1 may itself overflow
+        # near the top: solve H_r and every right-hand side scaled by the
+        # power of two that puts sigma_1 (or, when it is infinite, max |H_r|)
+        # in [0.5, 1), which leaves the solution as it is
+        shift = -math.frexp(s[0] if math.isfinite(s[0]) else np.max(np.abs(Hr)))[1]
         U, s, Vt = np.linalg.svd(np.ldexp(Hr, shift))
         keep = s > h.rank_tolerance * s[0]
         kept = s[keep]
@@ -448,7 +457,10 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
             if (key := (parts[1], *parts[0])) in seen:
                 break
             seen.add(key)
-            res = _exact_residual(rows, x, parts)
+            try:
+                res = _exact_residual(rows, x, parts)
+            except OverflowError:  # a residual beyond the doubles: this iterate is no better
+                break
             rnorm = float(np.linalg.norm(res))
             if rnorm < best_norm:
                 best, best_norm = x, rnorm
@@ -459,12 +471,20 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
                 break
         alpha_hi = best
         alpha = best.astype(float)
-    defect = float(np.linalg.norm(Hr @ alpha - rhs))
-    rhs_norm = float(np.linalg.norm(rhs))
-    residual = defect / rhs_norm if rhs_norm > 0 else defect
+    residual = _relative_defect(Hr, alpha, rhs)
+    if not math.isfinite(residual):  # such as inf / inf, of norms beyond the doubles: the same ratio, scaled
+        system = _scaled(np.column_stack((Hr, rhs)))
+        residual = _relative_defect(system[:, :r], alpha, system[:, r])
     smallest_kept = kept[-1] if kept.size else 0.0
     condition = float(s[0] / smallest_kept) if smallest_kept > 0 else float("inf")
     return CharacteristicPoly(alpha, residual, condition, alpha_hi)
+
+
+def _relative_defect(Hr: np.ndarray, alpha: np.ndarray, rhs: np.ndarray) -> float:
+    """``||H_r alpha - rhs|| / ||rhs||``, or the defect's norm alone for a zero ``rhs``."""
+    defect = float(np.linalg.norm(Hr @ alpha - rhs))
+    rhs_norm = float(np.linalg.norm(rhs))
+    return defect / rhs_norm if rhs_norm > 0 else defect
 
 
 def _polish_roots(monic: np.ndarray, raw: np.ndarray) -> np.ndarray:

@@ -258,19 +258,44 @@ def _reading(what: str, path):
 
 
 def _json_object(value, keys) -> dict:
-    """``value``, which must be a JSON object holding every key of ``keys``,
-    with no true or false in a list under one; ``ValueError`` otherwise."""
+    """``value``, which must be a JSON object holding every key of ``keys``;
+    ``ValueError`` otherwise."""
     if not isinstance(value, dict):
         raise ValueError("must hold a JSON object")
     for key in keys:
         if key not in value:
             raise ValueError(f"has no {key!r}")
-        items = value[key][:] if isinstance(value[key], list) else []
-        while items:
-            if isinstance(item := items.pop(), bool):
-                raise ValueError(f"{key} holds {item!r}, which is not a number")
-            items.extend(item if isinstance(item, list) else ())
     return value
+
+
+def _csv_table(lines, first: int = 1, width: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """The CSV ``lines``, the first of which is line ``first`` of its file, as
+    a 2-d array of ``width`` columns (by default the first row's) with the
+    file's line of each row. Blank lines and ``#`` comments are skipped, and
+    each field must be a finite number as numpy's text reader reads one: not
+    empty, no underscore. ``ValueError`` for no row, or naming a fault's line."""
+    rows = [(i, data) for i, line in enumerate(lines, first) if (data := line.partition("#")[0].strip())]
+    if not rows:
+        raise ValueError("has no entries")
+    # numpy's C reader keeps a large file fast, but its message counts rows
+    # from 0 and names no row of another width: only then is the file rescanned
+    table = _finite([data for _, data in rows])
+    if table is not None and table.shape[1] == (width or table.shape[1]):
+        return table, [i for i, _ in rows]
+    for i, data in rows:
+        fields = data.split(",")
+        if len(fields) != (width := width or len(fields)):
+            raise ValueError(f"line {i}: expected {width} columns, got {len(fields)}")
+        if _finite([data]) is None:  # one call a line, then one a field of the line it refuses
+            j = next(j for j, field in enumerate(fields, 1) if not field.strip() or _finite([field]) is None)
+            raise ValueError(f"line {i}, column {j}: {fields[j - 1].strip()!r} is not a finite number")
+
+
+def _finite(lines: list[str]) -> np.ndarray | None:
+    """The 2-d table numpy's text reader reads from CSV ``lines`` of data, if all of it is finite."""
+    with contextlib.suppress(ValueError):
+        if np.isfinite(table := np.loadtxt(lines, delimiter=",", ndmin=2)).all():
+            return table
 
 
 def write_graph_tsv(g: Graph, path) -> None:
@@ -289,26 +314,7 @@ def write_matrix_csv(matrix, path) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    """Dense CSV matrix, which ``as_array`` checks; a file with no entries, a
-    token that is not a number or a ragged row is a ``ValueError`` too, each
-    naming the file, and a ragged row its line. Blank lines and ``#``
-    comments are skipped."""
-    # an open handle skips numpy's DataSource opener; the parser is the same
-    with open(path) as f, _reading("matrix", path):
-        # without a data line loadtxt would print a warning and return nothing
-        if not any(line.partition("#")[0].strip() for line in f):
-            raise ValueError("has no entries")
-        f.seek(0)
-        try:
-            matrix = np.loadtxt(f, delimiter=",", ndmin=2)
-        except ValueError:
-            # loadtxt counts a ragged row among the data rows only, and names a
-            # parameter no caller sets; a file that reads is never scanned twice
-            f.seek(0)
-            widths = [(i, data.count(",") + 1) for i, line in enumerate(f, start=1)
-                      if (data := line.partition("#")[0].strip())]
-            for i, columns in widths:
-                if columns != widths[0][1]:
-                    raise ValueError(f"line {i}: expected {widths[0][1]} columns, got {columns}") from None
-            raise
-        return as_array(matrix)
+    """Dense CSV matrix, as ``_csv_table`` reads it and ``as_array`` checks
+    it; its ``ValueError`` names the file."""
+    with open(path) as f, _reading("matrix", path):  # its lines one at a time: a large file reads faster
+        return as_array(_csv_table(f)[0])

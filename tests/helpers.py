@@ -15,6 +15,9 @@ matrix is ill-posed).
 ``choice_preferential_attachment`` is the preferential-attachment generator
 written with one ``Generator.choice`` call per target, the reference that
 ``generate_preferential_attachment`` must reproduce edge for edge.
+
+``FINITE_DOUBLES`` draws any finite double, with the ends of the range, the
+smallest subnormal and both zeros drawn often, for the file round trips.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from spectral_scope import Graph, ObservationSetup
@@ -35,7 +39,13 @@ __all__ = [
     "JordanTestCase",
     "make_jordan_case",
     "choice_preferential_attachment",
+    "FINITE_DOUBLES",
 ]
+
+FINITE_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -83,6 +83,10 @@ ROWS = [
           ("one-weight-bound", "--model ring --n 4 --weights 1", "--weights expects LO,HI"),
           ("nan-weights", "--model ring --n 2 --weights nan,1",
            "expected comma-separated finite numbers, got 'nan,1'"),
+          # each of these once read as LO,HI = -1,1
+          *((f"weights-{id}", f"--model ring --n 2 --weights {bad}",
+             f"expected comma-separated finite numbers, got {bad!r}")
+            for id, bad in (("trailing-comma", "-1,1,"), ("empty-field", "-1,,1"), ("comment", "-1,1#2"))),
       ]),
     Row("generate-unknown-kind", "generate --model ring --n 5 --kind normalized-laplacian", {},
         "spectral-scope generate: error: argument --kind: invalid choice: 'normalized-laplacian' "
@@ -104,11 +108,18 @@ ROWS = [
            "observed node 0 is repeated; observed nodes must be distinct"),
           ("observe-a", "--observe a", "--observe expects comma-separated node indices, got 'a'"),
           ("observe-empty-entry", "--observe 1,,2", "--observe expects comma-separated node indices, got '1,,2'"),
+          # Python's int() reads 1_0 as 10
+          ("observe-underscore", "--observe 1_0", "--observe expects comma-separated node indices, got '1_0'"),
           ("observe-weights-alone", "--observe-weights 2", "observe_weights given without observed nodes"),
           ("nan-x0", "--x0 nan,1 --observe 0", "expected comma-separated finite numbers, got 'nan,1'"),
           ("inf-observe-weights", "--observe 0 --observe-weights inf",
            "expected comma-separated finite numbers, got 'inf'"),
           ("text-x0", "--x0 a,1 --observe 0", "expected comma-separated finite numbers, got 'a,1'"),
+          # the empty field was once dropped, and float() reads 1_0 as 10
+          ("x0-empty-field", "--x0 1,,2 --observe 0", "expected comma-separated finite numbers, got '1,,2'"),
+          ("x0-underscore", "--x0 1_0,1 --observe 0", "expected comma-separated finite numbers, got '1_0,1'"),
+          ("observe-weights-underscore", "--observe 0 --observe-weights 2_0",
+           "expected comma-separated finite numbers, got '2_0'"),
           ("long-x0", "--x0 1,2,3", "--x0 has 3 entries, matrix is 2x2"),
           ("seed", "--seed -1", "--seed must be >= 0, got -1"),
           ("node-seed", "--mode dt --node-d 2 --node-seed -4", "--node-seed must be >= 0, got -4"),
@@ -134,7 +145,7 @@ ROWS = [
     Row("estimate-missing-sequence", "estimate --y nope.csv", {},  # the sidecar is missing too
         "error: cannot read sequence: [Errno 2] No such file or directory: 'nope.csv'"),
     *(Row(f"estimate-{id}-sample", "estimate --y y.csv", sequence([1.0, bad, 1.0, 0.0]),
-          f"error: cannot read sequence: sequence y.csv: line 3: y = {bad!r} is not finite")
+          f"error: cannot read sequence: sequence y.csv: line 3, column 2: {str(bad)!r} is not a finite number")
       for id, bad in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf))),
     *(Row(f"estimate-{id}", "estimate --y y.csv", {**files, "y.csv": csv},
           f"error: cannot read sequence: sequence y.csv: {line}")
@@ -144,7 +155,14 @@ ROWS = [
           ("dt-k", DT_Y, "k,y\n0,1\n5,0\n2,0.25\n3,0.125\n", "line 3: k = 5.0, expected 1.0"),
           ("ct-t", CT_Y, "t,y\n0,1\n0.6,0\n1,0.25\n1.5,0.125\n", "line 3: t = 0.6, expected 0.5"),
           ("one-column", CT_Y, "t,y\n0,1\n0.5\n1,0.25\n1.5,0.125\n", "line 3: expected 2 columns, got 1"),
-          ("text-sample", DT_Y, "k,y\n0,1\n1,x\n2,0.25\n3,0.125\n", "could not convert string to float: 'x'"),
+          ("text-sample", DT_Y, "k,y\n0,1\n1,x\n2,0.25\n3,0.125\n", "line 3, column 2: 'x' is not a finite number"),
+          # float() read 0_5 as 5.0; blank lines and comments are skipped, and a line is the file's own
+          ("underscore-sample", DT_Y, "k,y\n0,1\n# the second sample\n\n1,0_5\n2,0.25\n3,0.125\n",
+           "line 5, column 2: '0_5' is not a finite number"),
+          ("nan-sample-after-a-comment", DT_Y, "k,y\n# a comment\n0,1\n1,nan\n2,0.25\n3,0.125\n",
+           "line 4, column 2: 'nan' is not a finite number"),
+          ("three-columns", DT_Y, "k,y\n0,1,2\n1,0.5,2\n", "line 2: expected 2 columns, got 3"),
+          ("no-samples", DT_Y, "k,y\n", "has no entries"),
       ]),
     *(Row(f"estimate-sidecar-{id}", "estimate --y y.csv", {**SWAP_Y, "y.json": text},
           f"error: cannot read sequence: sidecar y.json: {line}")
@@ -198,7 +216,11 @@ ROWS = [
         ("non-square-A", {**NODE, "A": [[1, 0]]}, "A must be square, got (1, 2)"),
         ("long-beta", {**NODE, "beta": [1, 2]}, "beta and gamma must match the state dimension of A"),
         ("nan-A", {**NODE, "A": [[np.nan]]}, "A[0, 0] is not finite: nan"),
-        ("object-A", {**NODE, "A": {"a": 1}}, "float() argument must be a string or a real number, not 'dict'"),
+        ("object-A", {**NODE, "A": {"a": 1}}, "A is {'a': 1}, which is not a number"),
+        # numpy read each of these strings as a number
+        ("string-gamma", {**NODE, "gamma": "2"}, "gamma is '2', which is not a number"),
+        ("string-in-A", {**NODE, "A": [["1_0"]]}, "A holds '1_0', which is not a number"),
+        ("null-beta", {**NODE, "beta": [None]}, "beta holds None, which is not a number"),
         ("huge-A", {**NODE, "A": [[10**400]]}, "int too large to convert to float"),
         ("bool-A", {**NODE, "A": [[True]]}, "A holds True, which is not a number"),
         ("bool-gamma", {**NODE, "gamma": [False]}, "gamma holds False, which is not a number"),
@@ -221,13 +243,14 @@ ROWS = [
           ("nan-x0", CHAIN, {**SETUP, "x0": [np.nan, 1.0, 1.0]}, "x0[0] is not finite: nan"),
           ("short-x0-and-c", CHAIN, {"x0": [1.0, 1.0], "c": [1.0, 0.0]},
            "matrix is 3x3 but the setup has 2 components"),
-          ("text-c", CHAIN, {**SETUP, "c": "probe"}, "could not convert string to float: 'probe'"),
+          ("text-c", CHAIN, {**SETUP, "c": "probe"}, "c is 'probe', which is not a number"),
+          # verify once read this x0 as [1, 20]
+          ("string-x0", CHAIN, {"x0": ["1", "2_0"], "c": ["1", "0"]}, "x0 holds '1', which is not a number"),
           ("list", CHAIN, [SETUP["x0"], SETUP["c"]], "must hold a JSON object"),
           ("bool-x0", CHAIN, {**SETUP, "x0": [True, 1.0, 1.0]}, "x0 holds True, which is not a number"),
           ("bool-c", CHAIN, {**SETUP, "c": [[0.0, False], 0.0, 0.0]}, "c holds False, which is not a number"),
           ("bare-bools", ONE, {"x0": True, "c": True}, "x0 is True, which is not a number"),
-          ("object-x0", ONE, {"x0": [{"a": 1}], "c": [1]},
-           "float() argument must be a string or a real number, not 'dict'"),
+          ("object-x0", ONE, {"x0": [{"a": 1}], "c": [1]}, "x0 holds {'a': 1}, which is not a number"),
           ("huge-x0", ONE, {"x0": [10**400], "c": [1]}, "int too large to convert to float"),
       ]),
     *(Row(f"verify-{source}-tol-{tol}", f"{VERIFY} --out v.json" + (f" --tol {tol}" if source == "flag" else ""),
@@ -275,9 +298,11 @@ ROWS = [
         "error: cannot write output: [Errno 2] No such file or directory: 'no-such-dir/v.json'"),
     # a matrix file, which simulate and verify read
     *(row for id, text, message in [
-        ("nan-entry", "0,1\n1,nan\n", "matrix[1, 1] is not finite: nan"),
+        ("nan-entry", "0,1\n1,nan\n", "line 2, column 2: 'nan' is not a finite number"),
         ("non-square", "0,1,0\n1,0,0\n", "square matrix required, got shape (2, 3)"),
-        ("text-entry", "0,1\n1,x\n", "could not convert string 'x' to float64 at row 1, column 2."),
+        ("text-entry", "0,1\n1,x\n", "line 2, column 2: 'x' is not a finite number"),
+        ("underscore-entry", "# a 2 x 2 matrix\n0,1\n1_0,0\n", "line 3, column 1: '1_0' is not a finite number"),
+        ("empty-field", "0,1\n1,\n", "line 2, column 2: '' is not a finite number"),
         ("ragged-row", "0,1\n\n# the second row\n1\n", "line 4: expected 2 columns, got 1"),
         ("empty", "", "has no entries"),
         ("blank-lines", "\n\n", "has no entries"),  # loadtxt once warned first that it read no data

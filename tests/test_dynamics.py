@@ -5,10 +5,12 @@ from __future__ import annotations
 import ast
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import FINITE_DOUBLES
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -502,16 +504,25 @@ def test_random_setup_is_deterministic():
 
 
 @pytest.mark.parametrize("mode,tau", [(DT, None), (CT, 0.25)])
-def test_sequence_files_roundtrip_exactly(tmp_path, mode, tau):
-    rng = np.random.default_rng(2)
-    seq = OutputSequence(rng.standard_normal(9), tau=tau)
-    path = tmp_path / "y.csv"
-    write_sequence(seq, path, seed=42)
-    back = read_sequence(path)
-    assert np.array_equal(back.values, seq.values)
+@given(st.lists(FINITE_DOUBLES, min_size=1, max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_sequence_files_roundtrip_exactly(mode, tau, values):
+    seq = OutputSequence(values, tau=tau)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "y.csv"
+        write_sequence(seq, path, seed=42)
+        back = read_sequence(path)
+        header = path.read_text().splitlines()[0]
+    # tobytes, since array_equal takes -0.0 for 0.0
+    assert back.values.tobytes() == seq.values.tobytes()
     assert back.mode == seq.mode and back.tau == seq.tau
-    header = path.read_text().splitlines()[0]
     assert header == ("k,y" if mode == DT else "t,y")
+
+
+def test_a_sequence_skips_blank_lines_and_comments(tmp_path):
+    (tmp_path / "y.json").write_text('{"mode": "dt"}')
+    (tmp_path / "y.csv").write_text("k,y\n# a comment\n0,1\n\n1,0.5 # a half\n  \n2,0.25\n")
+    assert read_sequence(tmp_path / "y.csv").values.tolist() == [1.0, 0.5, 0.25]
 
 
 def test_a_plain_sidecar_holds_no_node(tmp_path):

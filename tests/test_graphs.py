@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from helpers import choice_preferential_attachment
+from helpers import FINITE_DOUBLES, choice_preferential_attachment
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,9 +213,13 @@ def test_graph_tsv_holds_the_header_and_every_edge_to_17_digits(tmp_path):
     assert (tmp_path / "g.tsv").read_text() == "# n=3 directed=1\n0\t1\t0.10000000000000001\n2\t0\t-1.5\n0\t1\t1e-300\n"
 
 
-def test_matrix_csv_roundtrip_is_exact(tmp_path):
-    rng = np.random.default_rng(11)
-    M = rng.standard_normal((6, 6))
-    path = tmp_path / "m.csv"
-    write_matrix_csv(M, path)
-    assert np.array_equal(read_matrix_csv(path), M)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(FINITE_DOUBLES, min_size=n, max_size=n), min_size=n, max_size=n)))
+@settings(max_examples=100, deadline=None)
+def test_matrix_csv_roundtrip_is_exact(rows):
+    M = np.array(rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_matrix_csv(M, Path(tmp) / "m.csv")
+        back = read_matrix_csv(Path(tmp) / "m.csv")
+    # tobytes, since array_equal takes -0.0 for 0.0
+    assert back.shape == M.shape and back.tobytes() == M.tobytes()

@@ -7,7 +7,9 @@ mode is no input: it is ``CT`` when the record has a tau and ``DT`` when not,
 which ``dynamics._mode_of`` owns. Only the files name a mode, which must be
 ``DT`` or ``CT``, with a tau for ``CT`` alone; ``dynamics._recorded_tau``
 owns that rule, behind ``read_sequence`` and
-``SpectrumEstimate.from_json_dict``. The catalogues of library refusals
+``SpectrumEstimate.from_json_dict``. What a number is in text is the rule of
+numpy's C reader, which ``graphs._csv_table`` alone applies: both CSV readers
+and the list flags read a token alike or refuse it alike. The catalogues of library refusals
 and CLI error lines feed each bad value to every entry point that takes such
 an input; here, ``ast`` guards keep the range tests, the mode test and the
 choice between ``DT`` and ``CT`` from being written anywhere else in
@@ -24,10 +26,14 @@ import ast
 import dataclasses
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_scope import (
     CT,
@@ -39,7 +45,9 @@ from spectral_scope import (
     read_sequence,
     write_sequence,
 )
+from spectral_scope import cli
 from spectral_scope.cli import main
+from spectral_scope.graphs import _csv_table, read_matrix_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectral_scope"
 RULE_HELPERS = ("_positive", "_tolerance")
@@ -96,6 +104,64 @@ def _verify(tmp_path, capsys, tol, source: str) -> tuple[int, str]:
 def test_a_valid_tolerance_verifies(tmp_path, capsys):
     assert _verify(tmp_path, capsys, 0, "setup") == (0, "")
     assert _verify(tmp_path, capsys, 0.0, "flag") == (0, "")
+
+
+# each of these was a number to some readers and no number to others
+NUMBERS = {"1": 1.0, " 2 ": 2.0, "-0": -0.0, "+1e5": 1e5, ".5": 0.5, "5.": 5.0, "1e-400": 0.0,
+           "4.9406564584124654e-324": 5e-324}
+NOT_NUMBERS = ["1_0", "", " ", "0x10", "\u0661", "1d5", "1.5j", '"1"', "+-1", "nan(1)", "1 2"]
+
+
+def read_by_every_text_reader(tmp_path, token: str) -> list:
+    """``token`` as the matrix reader, the sequence reader and a list flag
+    read it: the float of each, or the error each raises."""
+    (tmp_path / "m.csv").write_text(f"{token},1\n1,1\n")
+    (tmp_path / "y.csv").write_text(f"k,y\n0,{token}\n")
+    (tmp_path / "y.json").write_text('{"mode": "dt"}')
+    out = []
+    for read in (lambda: read_matrix_csv(tmp_path / "m.csv")[0, 0], lambda: read_sequence(tmp_path / "y.csv").values[0],
+                 lambda: cli._parse_floats(f"{token},1")[0]):
+        try:
+            out.append(float(read()))
+        except (ValueError, SystemExit) as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("token", NUMBERS)
+def test_every_text_reader_reads_a_number_alike(tmp_path, token):
+    got = read_by_every_text_reader(tmp_path, token)
+    assert [np.float64(v).tobytes() for v in got] == [np.float64(NUMBERS[token]).tobytes()] * 3  # -0.0 too
+
+
+@pytest.mark.parametrize("token", NOT_NUMBERS)
+def test_every_text_reader_refuses_what_is_no_number(tmp_path, token, capsys):
+    matrix, sequence, flag = read_by_every_text_reader(tmp_path, token)
+    assert str(matrix) == f"matrix {tmp_path / 'm.csv'}: line 1, column 1: {token.strip()!r} is not a finite number"
+    assert str(sequence) == f"sequence {tmp_path / 'y.csv'}: line 2, column 2: {token.strip()!r} is not a finite number"
+    assert isinstance(flag, SystemExit) and flag.code == 2
+    assert capsys.readouterr().err == f"error: expected comma-separated finite numbers, got {token + ',1'!r}\n"
+
+
+TABLE_TEXT = st.lists(st.lists(st.sampled_from(
+    list("0123456789.,-+eE #_\t\r\x0b\x00") + ["nan", "inf", "1e400", "x", "\u0661"]), max_size=12).map("".join),
+    max_size=4)
+
+
+@given(TABLE_TEXT, st.sampled_from([None, 1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_the_table_reader_reads_every_data_line_or_names_its_fault(lines, width):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's reader warns of a table with no data
+        try:
+            table, at = _csv_table(lines, first=3, width=width)
+        except ValueError as exc:
+            assert re.fullmatch(r"has no entries|line \d+: expected \d+ columns, got \d+"
+                                r"|line \d+, column \d+: '.*' is not a finite number", str(exc), re.S), exc
+            return
+    data = [(i, d) for i, line in enumerate(lines, 3) if (d := line.partition("#")[0].strip())]
+    assert table.shape == (len(data), width or data[0][1].count(",") + 1) and np.isfinite(table).all()
+    assert at == [i for i, _ in data]
 
 
 # =========================================================================
