@@ -335,7 +335,8 @@ def simulate_dt_networked(G, node: NodeDynamics, setup: ObservationSetup, K: int
     Al = A.astype(np.longdouble)
     AnT = node.A.T.astype(np.longdouble)
     gl = node.gamma.astype(np.longdouble)
-    X0 = np.outer(x0, node.beta).astype(np.longdouble)
+    with np.errstate(over="ignore"):  # an infinite entry is the rollout's overflow at sample 0
+        X0 = np.outer(x0, node.beta).astype(np.longdouble)
     return _rollout(X0, lambda X: np.dot(X, AnT) + np.dot(Al, X), lambda S: (S @ gl) @ c, K, node=node)
 
 

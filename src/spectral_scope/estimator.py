@@ -86,7 +86,9 @@ class InsufficientDataError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class HankelAnalysis:
-    """A square Hankel matrix of outputs with its SVD-based rank decision."""
+    """A square Hankel matrix of outputs with its SVD-based rank decision.
+    ``singular_values`` are those of ``matrix`` times the power of two that
+    puts its largest |entry| in [1, 2), so they do not move with the scale."""
 
     matrix: np.ndarray
     singular_values: np.ndarray
@@ -247,26 +249,25 @@ def geometric_prescale(values) -> tuple[float, np.ndarray]:
 
 
 def _hankel_rank(values: np.ndarray, size: int, rel_tol: float | None):
-    """The size x size Hankel matrix of ``values``, its singular values, its
-    rank and the relative tolerance that rank used: ``rel_tol``, or by default
-    ``1e-10 * max(1, size)``."""
+    """The size x size Hankel matrix of ``values``, the singular values of
+    that matrix scaled by ``_binade``, its rank and the relative tolerance
+    that rank used: ``rel_tol``, or by default ``1e-10 * max(1, size)``."""
     # a NaN, infinite or negative cut would silently give rank 0 or full rank
     rel_tol = RANK_TOL_BASE * max(1, size) if rel_tol is None else _tolerance(rel_tol, "rank tolerance")
     idx = np.arange(size)
     H = values[idx[:, None] + idx]  # H[i, j] = values[i + j], a copy
-    s = np.linalg.svd(H, compute_uv=False)
-    # outputs near the top of the double range can put sigma_1 beyond it, where
-    # the cut would pass none: the rank is then that of H scaled by the power
-    # of two that puts max |H| in [0.5, 1)
-    cut = s if not s.size or math.isfinite(s[0]) else np.linalg.svd(_scaled(H), compute_uv=False)
-    rank = int(np.count_nonzero(cut > rel_tol * cut[0])) if s.size and cut[0] > 0 else 0
+    s = np.linalg.svd(np.ldexp(H, _binade(H)), compute_uv=False)
+    rank = int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0 else 0
     return H, s, rank, rel_tol
 
 
-def _scaled(a: np.ndarray) -> np.ndarray:
-    """``a`` times the power of two that puts ``max |a|`` in [0.5, 1): exact,
-    but for entries that become subnormal."""
-    return np.ldexp(a, -math.frexp(np.max(np.abs(a)))[1])
+def _binade(a: np.ndarray) -> int:
+    """The e that puts ``max |a|`` in [1, 2) once ``a`` is multiplied by 2^e.
+    Every SVD and norm here takes its matrix or vector so scaled: the scaling
+    is exact, short of entries that become subnormal, and it keeps LAPACK's
+    own rescaling near either end of the double range from running, so an
+    unprescaled estimate has the same bits at every power-of-two scale of y."""
+    return 1 - math.frexp(np.abs(a).max())[1]
 
 
 def build_hankel(y, prescale: bool = False, rank_tolerance: float | None = None) -> HankelAnalysis:
@@ -350,7 +351,7 @@ def _ratio_to_float(n: int, e: int, d: int) -> float:
     return (n << e) / d if e >= 0 else n / (d << -e)
 
 
-def _residual_rows(raw: np.ndarray, rho: float, r: int) -> tuple:
+def _residual_rows(raw: np.ndarray, rho: float, r: int, scale: int = 0) -> tuple:
     """Integer constants of the scaled Hankel system, in its Hankel structure.
 
     With ``rho = p / 2^t`` and ``raw[k] = R_k 2^q``, row i of the residual
@@ -358,14 +359,15 @@ def _residual_rows(raw: np.ndarray, rho: float, r: int) -> tuple:
     ``2^(q+ti) (R_{r+i} 2^(tr) + sum_j R_{i+j} w_j x_j) / p^(r+i)`` with
     column weights ``w_j = p^(r-j) 2^(tj)``: one common denominator per row.
     Returns the 2r sample integers R, the weights, and per row its head
-    ``R_{r+i} 2^(tr)``, exponent ``q + ti`` and denominator ``p^(r+i)``.
+    ``R_{r+i} 2^(tr)``, exponent ``q + ti + scale`` and denominator
+    ``p^(r+i)``: the residual comes out times ``2^scale``, rounded once.
     """
     p, d = float(rho).as_integer_ratio()
     t = d.bit_length() - 1
     R, q = _dyadic(np.asarray(raw[: 2 * r], dtype=float).tolist())
     powers = list(itertools.accumulate([p] * (2 * r - 1), operator.mul, initial=1))
     weights = [powers[r - j] << (t * j) for j in range(r)]
-    return R, weights, [v << (t * r) for v in R[r:]], [q + t * i for i in range(r)], powers[r:]
+    return R, weights, [v << (t * r) for v in R[r:]], [q + t * i + scale for i in range(r)], powers[r:]
 
 
 def _exact_residual(rows: tuple, x: np.ndarray, parts: tuple | None = None) -> np.ndarray:
@@ -411,8 +413,10 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     from there on the iterates cycle and none can beat the kept one. Iterates
     are compared by the exact integers from _dyadic that the residual takes.
     Reports the relative residual ``||H_r alpha + y_rhs|| / ||y_rhs||`` plus
-    a condition estimate. Rank 0 yields the empty polynomial, and a
-    coefficient beyond the double range raises ``OverflowError``.
+    a condition estimate. H_r and the right-hand side are taken scaled by
+    H_r's ``_binade``, which leaves all three as they are. Rank 0 yields the
+    empty polynomial, and a coefficient beyond the double range raises
+    ``OverflowError``.
     """
     r = h.rank
     y = h.y_scaled
@@ -420,27 +424,19 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
         return CharacteristicPoly(np.zeros(0), 0.0, 1.0)
     if len(y) < 2 * r:
         raise InsufficientDataError(f"need {2 * r} samples to solve at rank {r}, have {len(y)}")
+    # H_r's binade alone: one taken from rhs too flushes H_r to zero once |rhs| /
+    # |H_r| passes 2^1074. rhs is its own array: BLAS sums a strided one otherwise
     Hr = h.matrix[:r, :r]
-    rhs = -y[r : 2 * r]
+    e = _binade(Hr)
+    Hr, rhs = np.ldexp(Hr, e), np.ldexp(-y[r : 2 * r], e)
     U, s, Vt = np.linalg.svd(Hr)
     keep = s > h.rank_tolerance * s[0] if s[0] > 0 else np.zeros_like(s, dtype=bool)
     kept = s[keep]
-    shift = 0
-    if not math.isfinite(s[0]) or kept.size and kept[-1] < 2.0**-1022:
-        # 1/s may overflow for a subnormal singular value, as outputs near the
-        # bottom of the double range give, and sigma_1 may itself overflow
-        # near the top: solve H_r and every right-hand side scaled by the
-        # power of two that puts sigma_1 (or, when it is infinite, max |H_r|)
-        # in [0.5, 1), which leaves the solution as it is
-        shift = -math.frexp(s[0] if math.isfinite(s[0]) else np.max(np.abs(Hr)))[1]
-        U, s, Vt = np.linalg.svd(np.ldexp(Hr, shift))
-        keep = s > h.rank_tolerance * s[0]
-        kept = s[keep]
     inv = np.zeros_like(s)
     inv[keep] = 1.0 / kept
 
     def apply_pinv(v: np.ndarray) -> np.ndarray:
-        return Vt.T @ (inv * (U.T @ (np.ldexp(v, shift) if shift else v)))
+        return Vt.T @ (inv * (U.T @ v))
 
     alpha = apply_pinv(rhs)
     if not np.all(np.isfinite(alpha)):
@@ -448,7 +444,7 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     alpha_hi = None
     raw = h.y_raw
     if np.any(keep) and r <= _REFINE_SIZE_CAP and np.all(np.isfinite(raw[: 2 * r])):
-        rows = _residual_rows(raw, h.scale_rho, r)
+        rows = _residual_rows(raw, h.scale_rho, r, e)
         best, best_norm = np.asarray(alpha, dtype=np.longdouble), float("inf")
         x = best
         seen: set[tuple[int, ...]] = set()
@@ -461,7 +457,7 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
                 res = _exact_residual(rows, x, parts)
             except OverflowError:  # a residual beyond the doubles: this iterate is no better
                 break
-            rnorm = float(np.linalg.norm(res))
+            rnorm = math.sqrt(res @ res)  # np.linalg.norm's sum and root, without its dispatch
             if rnorm < best_norm:
                 best, best_norm = x, rnorm
             if rnorm == 0.0 or sweep == _REFINE_SWEEPS:
@@ -472,19 +468,20 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
         alpha_hi = best
         alpha = best.astype(float)
     residual = _relative_defect(Hr, alpha, rhs)
-    if not math.isfinite(residual):  # such as inf / inf, of norms beyond the doubles: the same ratio, scaled
-        system = _scaled(np.column_stack((Hr, rhs)))
-        residual = _relative_defect(system[:, :r], alpha, system[:, r])
     smallest_kept = kept[-1] if kept.size else 0.0
     condition = float(s[0] / smallest_kept) if smallest_kept > 0 else float("inf")
     return CharacteristicPoly(alpha, residual, condition, alpha_hi)
 
 
 def _relative_defect(Hr: np.ndarray, alpha: np.ndarray, rhs: np.ndarray) -> float:
-    """``||H_r alpha - rhs|| / ||rhs||``, or the defect's norm alone for a zero ``rhs``."""
-    defect = float(np.linalg.norm(Hr @ alpha - rhs))
-    rhs_norm = float(np.linalg.norm(rhs))
-    return defect / rhs_norm if rhs_norm > 0 else defect
+    """``||H_r alpha - rhs|| / ||rhs||``, or the defect's norm alone for a zero
+    ``rhs`` (whose defect is zero too). Both vectors are scaled by ``rhs``'s
+    ``_binade`` first, so ``||rhs||`` never squares its entries past the
+    double range, and a ratio beyond it comes out infinite."""
+    e = _binade(rhs)
+    defect, rhs = np.ldexp(Hr @ alpha - rhs, e), np.ldexp(rhs, e)
+    defect_norm, rhs_norm = math.sqrt(defect @ defect), math.sqrt(rhs @ rhs)
+    return defect_norm / rhs_norm if rhs_norm > 0 else defect_norm
 
 
 def _polish_roots(monic: np.ndarray, raw: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import truediv
 from pathlib import Path
 
@@ -273,25 +273,38 @@ def _csv_table(lines, first: int = 1, width: int | None = None) -> tuple[np.ndar
     a 2-d array of ``width`` columns (by default the first row's) with the
     file's line of each row. Blank lines and ``#`` comments are skipped, and
     each field must be a finite number as numpy's text reader reads one: not
-    empty, no underscore. ``ValueError`` for no row, or naming a fault's line."""
-    rows = [(i, data) for i, line in enumerate(lines, first) if (data := line.partition("#")[0].strip())]
-    if not rows:
+    empty, no underscore, no line break inside. ``ValueError`` for no row, or
+    naming a fault's line. ``lines`` is a list, or an open file, which is
+    streamed once and read again from its start only to name a fault."""
+    def data_lines(numbers: list[int]):  # each data line, with its line number put on ``numbers``
+        for i, line in enumerate(lines, first):
+            if data := line.partition("#")[0].strip():
+                numbers.append(i)
+                yield data
+
+    # numpy's C reader keeps a large file fast and small, but its message
+    # counts rows from 0 and names no row of another width: only then is the
+    # file rescanned, one call a line, then one a field of the line it refuses
+    numbers: list[int] = []
+    stream = data_lines(numbers)
+    if (head := next(stream, None)) is None:  # numpy would warn of a table with no data
         raise ValueError("has no entries")
-    # numpy's C reader keeps a large file fast, but its message counts rows
-    # from 0 and names no row of another width: only then is the file rescanned
-    table = _finite([data for _, data in rows])
+    table = _finite(chain((head,), stream))
     if table is not None and table.shape[1] == (width or table.shape[1]):
-        return table, [i for i, _ in rows]
-    for i, data in rows:
-        fields = data.split(",")
+        return table, numbers
+    if hasattr(lines, "seek"):
+        lines.seek(0)
+    for data in data_lines(numbers := []):
+        i, fields = numbers[-1], data.split(",")
         if len(fields) != (width := width or len(fields)):
             raise ValueError(f"line {i}: expected {width} columns, got {len(fields)}")
-        if _finite([data]) is None:  # one call a line, then one a field of the line it refuses
-            j = next(j for j, field in enumerate(fields, 1) if not field.strip() or _finite([field]) is None)
-            raise ValueError(f"line {i}, column {j}: {fields[j - 1].strip()!r} is not a finite number")
+        if _finite([data]) is None:  # a line break ends numpy's line, though its field may read alone
+            j = next(j for j, f in enumerate(fields, 1)
+                     if not f.strip() or "\r" in f or "\n" in f or _finite([f]) is None)
+            raise ValueError(f"line {i}, column {j}: {fields[j - 1]!r} is not a finite number")
 
 
-def _finite(lines: list[str]) -> np.ndarray | None:
+def _finite(lines) -> np.ndarray | None:
     """The 2-d table numpy's text reader reads from CSV ``lines`` of data, if all of it is finite."""
     with contextlib.suppress(ValueError):
         if np.isfinite(table := np.loadtxt(lines, delimiter=",", ndmin=2)).all():
@@ -316,5 +329,5 @@ def write_matrix_csv(matrix, path) -> None:
 def read_matrix_csv(path) -> np.ndarray:
     """Dense CSV matrix, as ``_csv_table`` reads it and ``as_array`` checks
     it; its ``ValueError`` names the file."""
-    with open(path) as f, _reading("matrix", path):  # its lines one at a time: a large file reads faster
+    with open(path) as f, _reading("matrix", path):  # streamed: a large file reads faster and smaller
         return as_array(_csv_table(f)[0])

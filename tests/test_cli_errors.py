@@ -87,6 +87,9 @@ ROWS = [
           *((f"weights-{id}", f"--model ring --n 2 --weights {bad}",
              f"expected comma-separated finite numbers, got {bad!r}")
             for id, bad in (("trailing-comma", "-1,1,"), ("empty-field", "-1,,1"), ("comment", "-1,1#2"))),
+          # numpy's reader ends the line at the \r, though each field reads alone: this was a traceback
+          ("weights-carriage-return", "--model ring --n 2 --weights '0\r,1'",
+           "expected comma-separated finite numbers, got '0\\r,1'"),
       ]),
     Row("generate-unknown-kind", "generate --model ring --n 5 --kind normalized-laplacian", {},
         "spectral-scope generate: error: argument --kind: invalid choice: 'normalized-laplacian' "
@@ -118,6 +121,7 @@ ROWS = [
           # the empty field was once dropped, and float() reads 1_0 as 10
           ("x0-empty-field", "--x0 1,,2 --observe 0", "expected comma-separated finite numbers, got '1,,2'"),
           ("x0-underscore", "--x0 1_0,1 --observe 0", "expected comma-separated finite numbers, got '1_0,1'"),
+          ("x0-carriage-return", "--x0 '0\r,0' --observe 0", "expected comma-separated finite numbers, got '0\\r,0'"),
           ("observe-weights-underscore", "--observe 0 --observe-weights 2_0",
            "expected comma-separated finite numbers, got '2_0'"),
           ("long-x0", "--x0 1,2,3", "--x0 has 3 entries, matrix is 2x2"),
@@ -136,6 +140,11 @@ ROWS = [
           f"error: --K must be <= 4096, got {K}") for K in (4097, 10**18)),
     Row("simulate-overflow-at-the-first-sample", "simulate --matrix swap.csv --x0 1e308,1e308 --observe 0,1 --out y.csv",
         SWAP, "overflow at sample 0; nothing recorded", code=1),
+    # the agents' initial states, x0 beta^T, overflow before the rollout: numpy once warned first
+    Row("simulate-node-overflow-at-the-first-sample",
+        "simulate --matrix half.csv --node node.json --x0 1e300 --observe 0 --out y.csv",
+        {"half.csv": "0.5\n", "node.json": json.dumps({"A": [[0.5]], "beta": [1e10], "gamma": [1.0]})},
+        "overflow at sample 0; nothing recorded", code=1),
     Row("simulate-overflowing-matrix-exponential", "simulate --matrix one.csv --mode ct --tau 1000 --x0 1 --observe 0",
         {"one.csv": "1\n"}, "overflow: matrix exponential exceeded the floating range; nothing recorded", code=1),
     Row("simulate-partial-trace", "simulate --matrix hot.csv --x0 1 --observe 0 --K 200 --out y.csv",

@@ -694,6 +694,46 @@ def test_roots_are_invariant_to_output_scale(scale, flip):
     assert report.matched_all and report.max_error <= 1e-10
 
 
+def scalable_record(spec) -> np.ndarray:
+    """A preset's outputs, for (name, seed), or those of a random stable system, for (n, seed)."""
+    kind, seed = spec
+    if isinstance(kind, str):
+        return run_scenario(kind, seed, keep_artifacts=True).artifacts.sequence.values
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((kind, kind))
+    A *= rng.uniform(0.2, 0.98) / np.max(np.abs(np.linalg.eigvals(A)))
+    c, v = rng.uniform(-1.0, 1.0, kind), rng.uniform(0.0, 1.0, kind)
+    y = []
+    for _ in range(2 * kind):
+        y.append(float(c @ v))
+        v = A @ v
+    return np.array(y)
+
+
+def estimate_bits(y) -> tuple:
+    est = estimate_spectrum(y, prescale=False)
+    roots = [(v.real.hex(), v.imag.hex(), m) for v, m in est.roots]
+    return roots, est.residual.hex(), est.condition.hex(), est.warnings
+
+
+@given(st.one_of(st.tuples(st.sampled_from(SCENARIOS), st.integers(0, 999)),
+                 st.tuples(st.integers(1, 10), st.integers(0, 2**32 - 1))),
+       st.integers(-600, 600))
+@settings(max_examples=60, deadline=None)
+@example(("fig1", 0), 600)
+@example(("fig2", 1), -600)
+@example((6, 3), 600)
+@example((4, 8), -600)
+def test_roots_are_invariant_to_output_scale_by_a_power_of_two(spec, e):
+    # scaling by 2^e is exact for samples that stay normal doubles, and the
+    # estimator scales each matrix by a power of two before its SVD, so no bit
+    # may move; LAPACK rescales entries past about 1e+-130 by other factors
+    y = scalable_record(spec)
+    nonzero = np.abs(y[y != 0])
+    assume(nonzero.size and math.ldexp(nonzero.min(), e) >= 2.0**-1022 and math.ldexp(nonzero.max(), e) < 2.0**1023)
+    assert estimate_bits(np.ldexp(y, e)) == estimate_bits(y)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_recovered_spectra_are_exactly_conjugate_symmetric(seed):
     rng = np.random.default_rng(40 + seed)

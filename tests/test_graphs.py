@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -223,3 +224,22 @@ def test_matrix_csv_roundtrip_is_exact(rows):
         back = read_matrix_csv(Path(tmp) / "m.csv")
     # tobytes, since array_equal takes -0.0 for 0.0
     assert back.shape == M.shape and back.tobytes() == M.tobytes()
+
+
+def test_a_matrix_csv_is_streamed_not_held_as_text(tmp_path):
+    # the lines go to numpy's reader one at a time, so the text, 2.5 times
+    # the array here, is never held whole; only a refusal reads it again
+    write_matrix_csv(np.random.default_rng(0).standard_normal((300, 300)), tmp_path / "m.csv")
+    text = (tmp_path / "m.csv").stat().st_size
+    tracemalloc.start()
+    try:
+        M = read_matrix_csv(tmp_path / "m.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (300, 300) and text > 2 * M.nbytes
+    assert peak < M.nbytes + text // 4, (peak, text)
+    with open(tmp_path / "m.csv", "a") as f:
+        f.write("# the faulty last line\n1," + "0," * 298 + "x\n")
+    with pytest.raises(ValueError, match=r": line 302, column 300: 'x' is not a finite number$"):
+        read_matrix_csv(tmp_path / "m.csv")
