@@ -11,12 +11,12 @@ for test networks, and oracle machinery to verify estimates against dense
 eigensolvers.
 
 A public name is declared once, in the ``__all__`` of the module that defines
-it; the package re-exports the ``__all__`` of its six core modules. The
-command line (``cli``) is not re-exported.
+it; the package re-exports the ``__all__`` of its five core modules. The
+command line (``cli``) and the clustering helpers (``clustering``) are not
+re-exported.
 """
 
-from . import clustering, dynamics, estimator, graphs, oracle, scenarios
-from .clustering import *
+from . import dynamics, estimator, graphs, oracle, scenarios
 from .dynamics import *
 from .estimator import *
 from .graphs import *
@@ -26,7 +26,6 @@ from .scenarios import *
 __version__ = "0.1.0"
 
 __all__ = [
-    *clustering.__all__,
     *dynamics.__all__,
     *estimator.__all__,
     *graphs.__all__,

@@ -12,14 +12,13 @@ import math
 
 import numpy as np
 
-__all__ = ["cluster_complex", "enforce_conjugate_pairs"]
-
 
 def cluster_indices(values, tol: float) -> list[np.ndarray]:
     """Group indices of ``values`` whose entries sit within ``tol`` of each other.
 
     Entries i and j are near when ``|v_i - v_j| <= tol * max(1, |v_i|, |v_j|)``
-    (a NaN modulus drops out of the max, a NaN distance is never near).
+    (a NaN modulus drops out of the max, and a NaN distance, or one beyond
+    the double range, is never near).
     Merging is transitive (union-find), so chains of nearby points collapse
     into a single group. Groups come back ordered by first member index.
     """
@@ -27,7 +26,7 @@ def cluster_indices(values, tol: float) -> list[np.ndarray]:
     # np.hypot is libm's hypot, as Python's abs(complex) is; np.abs of a
     # complex array can differ from it in the last bit
     mod = np.hypot(vals.real, vals.imag)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         diff = vals[:, None] - vals[None, :]
         near = np.hypot(diff.real, diff.imag) <= tol * np.fmax(1.0, np.fmax.outer(mod, mod))
     parent = list(range(len(vals)))

@@ -30,7 +30,6 @@ __all__ = [
     "NodeDynamics",
     "OutputSequence",
     "SimulationOverflowError",
-    "matrix_exponential",
     "simulate_dt",
     "simulate_dt_networked",
     "simulate_ct_sampled",

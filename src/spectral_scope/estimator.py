@@ -38,18 +38,12 @@ from .dynamics import (NodeDynamics, ObservationSetup, OutputSequence, Simulatio
 from .graphs import _json_object, _positive, _reading, _real, _tolerance
 
 __all__ = [
-    "HankelAnalysis",
-    "CharacteristicPoly",
     "SpectrumEstimate",
     "OnlineRankDetection",
     "SingularDeconvolutionError",
-    "DeconvolutionOverflowError",
     "LogSingularRootError",
     "InsufficientDataError",
-    "build_hankel",
     "detect_rank_online",
-    "solve_coefficients",
-    "roots_with_multiplicity",
     "nu_sequence",
     "deconvolve_sigma",
     "estimate_spectrum",
@@ -251,9 +245,9 @@ def geometric_prescale(values) -> tuple[float, np.ndarray]:
 def _hankel_rank(values: np.ndarray, size: int, rel_tol: float | None):
     """The size x size Hankel matrix of ``values``, the singular values of
     that matrix scaled by ``_binade``, its rank and the relative tolerance
-    that rank used: ``rel_tol``, or by default ``1e-10 * max(1, size)``."""
-    # a NaN, infinite or negative cut would silently give rank 0 or full rank
-    rel_tol = RANK_TOL_BASE * max(1, size) if rel_tol is None else _tolerance(rel_tol, "rank tolerance")
+    that rank used: ``rel_tol``, which the caller has checked, or by default
+    ``1e-10 * max(1, size)``."""
+    rel_tol = RANK_TOL_BASE * max(1, size) if rel_tol is None else rel_tol
     idx = np.arange(size)
     H = values[idx[:, None] + idx]  # H[i, j] = values[i + j], a copy
     s = np.linalg.svd(np.ldexp(H, _binade(H)), compute_uv=False)
@@ -271,17 +265,15 @@ def _binade(a: np.ndarray) -> int:
 
 
 def build_hankel(y, prescale: bool = False, rank_tolerance: float | None = None) -> HankelAnalysis:
-    """Largest square Hankel matrix from K outputs, with numerical rank.
+    """Largest square Hankel matrix from K finite outputs, with numerical rank.
 
     The matrix has order ``r_max = floor((K + 1) / 2)`` so every entry
     ``y[i + j]`` exists; rank counts singular values above
-    ``rank_tolerance * sigma_1`` (an all-zero sequence has rank 0).
+    ``rank_tolerance * sigma_1`` (an all-zero sequence has rank 0). The
+    samples and the tolerance are taken as estimate_spectrum checked them.
     """
-    values = (y if isinstance(y, OutputSequence) else OutputSequence(y)).values
-    if prescale:
-        rho, scaled = geometric_prescale(values)
-    else:
-        rho, scaled = 1.0, values.astype(float)
+    values = np.asarray(y, dtype=float)
+    rho, scaled = geometric_prescale(values) if prescale else (1.0, values)
     r_max = (len(values) + 1) // 2
     H, s, rank, tol = _hankel_rank(scaled, r_max, rank_tolerance)
     return HankelAnalysis(
@@ -303,10 +295,13 @@ def detect_rank_online(stream, n_hint: int | None = None, rank_tolerance: float 
     2 * n_hint samples, including the extra sample the coefficient solve
     needs when the rank is still full at the cap). If the stream dries up
     first, the best-effort rank is returned with ``stabilized=False``.
-    ``n_hint`` must be a whole number >= 1; ``ValueError`` otherwise.
+    ``n_hint`` must be a whole number >= 1 and ``rank_tolerance`` a finite
+    number >= 0; ``ValueError`` otherwise, before any sample is read.
     """
     if n_hint is not None and _whole(n_hint, "n_hint") < 1:
         raise ValueError(f"n_hint must be a whole number >= 1, got {n_hint!r}")
+    if rank_tolerance is not None:
+        rank_tolerance = _tolerance(rank_tolerance, "rank tolerance")
     it = iter(stream)
     buf: list[float] = []
 
@@ -443,7 +438,7 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
         raise OverflowError("a characteristic polynomial coefficient lies beyond the double range")
     alpha_hi = None
     raw = h.y_raw
-    if np.any(keep) and r <= _REFINE_SIZE_CAP and np.all(np.isfinite(raw[: 2 * r])):
+    if np.any(keep) and r <= _REFINE_SIZE_CAP:
         rows = _residual_rows(raw, h.scale_rho, r, e)
         best, best_norm = np.asarray(alpha, dtype=np.longdouble), float("inf")
         x = best
@@ -538,10 +533,9 @@ def roots_with_multiplicity(
     short Newton polish; roots within ``cluster_tol * max(1, |root|)`` of
     each other merge into their centroid with summed multiplicity, conjugate
     symmetry is made exact, and any prescaling is undone by multiplying
-    through by ``scale_rho``. A NaN, infinite or negative ``cluster_tol`` is
-    a ``ValueError``, and a root beyond the double range an ``OverflowError``.
+    through by ``scale_rho``. ``cluster_tol`` is taken as estimate_spectrum
+    checked it; a root beyond the double range is an ``OverflowError``.
     """
-    cluster_tol = _tolerance(cluster_tol, "cluster tolerance")
     if len(p.coefficients) == 0:
         return []
     monic = np.concatenate(([1.0], p.coefficients[::-1]))

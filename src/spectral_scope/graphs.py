@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Graph",
     "GraphMatrixKind",
-    "SingularDegreeError",
     "generate_preferential_attachment",
     "generate_ring",
     "assign_uniform_weights",
@@ -33,9 +32,6 @@ __all__ = [
     "write_matrix_csv",
     "read_matrix_csv",
 ]
-
-class SingularDegreeError(ValueError):
-    """Row-stochastic matrix requested for a graph with a zero weighted degree."""
 
 
 class GraphMatrixKind(Enum):
@@ -215,7 +211,7 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
     ``A[u, v]`` and ``A[v, u]`` (self loops once). Degree is the diagonal of
     weighted row sums, the Laplacian is ``D - A``, and the row-stochastic
     matrix is ``D^{-1} A``, which requires every weighted degree to be
-    nonzero.
+    nonzero: a zero one is a ``ValueError`` naming its nodes.
     """
     kind = GraphMatrixKind(kind)
     A = np.zeros((g.n, g.n))
@@ -235,7 +231,7 @@ def build_matrix(g: Graph, kind: GraphMatrixKind) -> np.ndarray:
         else:
             zero = np.flatnonzero(deg == 0.0)
             if zero.size:
-                raise SingularDegreeError(
+                raise ValueError(
                     f"nodes {zero.tolist()} have zero weighted degree; "
                     f"{kind.value} is undefined"
                 )

@@ -52,11 +52,16 @@ def _pbh_deficiencies(M: np.ndarray, c, lams) -> np.ndarray:
 
     Singular values below ``PBH_RANK_RTOL`` times the largest count as zero.
     Zero means every eigenvector at ``lam`` is visible from ``c``; any
-    deficiency means an unobservable mode sits at ``lam``.
+    deficiency means an unobservable mode sits at ``lam``. ``OverflowError``
+    when ``M - lam I`` is not finite, which would make every mode look
+    unobservable.
     """
     n = M.shape[0]
     lams = np.asarray(lams)
-    top = M - lams[:, None, None] * np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        top = M - lams[:, None, None] * np.eye(n)
+    if not np.all(np.isfinite(top)):
+        raise OverflowError("M - lambda I exceeds the double range")
     row = np.broadcast_to(np.asarray(c, dtype=float), (lams.size, 1, n))
     s = np.linalg.svd(np.concatenate((top, row), axis=1), compute_uv=False)
     # a zero or NaN largest singular value leaves no entry above the cut: rank 0
@@ -110,11 +115,15 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
     verdict is available; recovered multiplicities beyond 1 are then not
     identifiable here. ``ValueError`` from ``ObservationSetup`` for c and x0
     that are not finite vectors of one entry per row of G; ``OverflowError``
-    when a modal weight or the data scale ``|c| |x0|`` is not finite.
+    when ``M - lambda I`` at an eigenvalue, a modal weight or the data scale
+    ``|c| |x0|`` is not finite. A 0 x 0 G has an empty spectrum.
     """
     setup = ObservationSetup(x0=x0, c=c)
     M = _matrix_for(G, setup)
     c, x0 = setup.c, setup.x0
+    if not M.size:  # numpy's cond refuses an empty matrix
+        empty = np.zeros(0, dtype=int)
+        return OracleSpectrum(empty.astype(complex), empty, empty, empty.astype(bool), empty.astype(complex))
 
     vals, U = np.linalg.eig(M)
     groups = cluster_indices(vals, EIGEN_CLUSTER_TOL)

@@ -23,7 +23,6 @@ from spectral_scope import (
     ObservationSetup,
     OutputSequence,
     SimulationOverflowError,
-    matrix_exponential,
     nu_sequence,
     observable_partition,
     random_setup,
@@ -34,6 +33,7 @@ from spectral_scope import (
     simulate_dt_networked,
     write_sequence,
 )
+from spectral_scope.dynamics import matrix_exponential
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -466,7 +466,7 @@ def rollout_arithmetic(path: Path, source: str) -> list[int]:
 
 def test_dynamics_alone_owns_the_rollout_arithmetic():
     src = Path(dynamics.__file__).resolve().parent
-    # the package root only re-exports matrix_exponential
+    # the package root only re-exports names
     modules = [p for p in sorted(src.glob("*.py")) if p.name not in ("dynamics.py", "__init__.py")]
     found = {p.name: rollout_arithmetic(p, p.read_text()) for p in modules}
     assert "estimator.py" in found and all(not lines for lines in found.values()), found

@@ -19,8 +19,6 @@ from hypothesis import strategies as st
 from helpers import hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CT,
-    CharacteristicPoly,
-    DeconvolutionOverflowError,
     InsufficientDataError,
     LogSingularRootError,
     NodeDynamics,
@@ -28,29 +26,31 @@ from spectral_scope import (
     OutputSequence,
     SingularDeconvolutionError,
     SpectrumEstimate,
-    build_hankel,
     deconvolve_sigma,
     detect_rank_online,
     estimate_spectrum,
     match_spectra,
-    matrix_exponential,
     nu_sequence,
     observable_partition,
-    roots_with_multiplicity,
     run_scenario,
     simulate_ct_sampled,
     simulate_dt,
     simulate_dt_networked,
-    solve_coefficients,
 )
 from spectral_scope import estimator
 from spectral_scope.clustering import _centroid, cluster_complex, cluster_indices
+from spectral_scope.dynamics import matrix_exponential
 from spectral_scope.estimator import (
     _REFINE_SWEEPS,
+    CharacteristicPoly,
+    DeconvolutionOverflowError,
     _exact_residual,
     _polish_roots,
     _residual_rows,
+    build_hankel,
     geometric_prescale,
+    roots_with_multiplicity,
+    solve_coefficients,
 )
 from spectral_scope.scenarios import SCENARIOS, sweep
 
@@ -406,7 +406,7 @@ def test_refinement_stops_at_the_first_repeated_iterate(monkeypatch):
     rng = np.random.default_rng(5)
     A = rng.uniform(0.0, 1.0, (6, 6))
     y = simulate_dt(A, ObservationSetup(x0=rng.uniform(0.0, 1.0, 6), c=np.ones(6)), K=12)
-    h = build_hankel(y, prescale=True)
+    h = build_hankel(y.values, prescale=True)
     want = solve_with_every_sweep(h)
     calls = []
     real = estimator._exact_residual
@@ -633,6 +633,12 @@ def test_a_cluster_whose_sum_overflows_has_its_finite_mean():
     # np.mean of the two values would overflow its sum and warn
     assert cluster_complex([-1e308, -1e308], 1e-6) == [(complex(-1e308, 0.0), 2)]
     assert cluster_complex([complex(-1e308, 1.0), complex(-1e308, 3.0)], 1e-6) == [(complex(-1e308, 2.0), 2)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_distance_beyond_the_double_range_is_never_near():
+    # 1e308 - (-1e308) once overflowed with a numpy warning on its way to "not near"
+    assert [g.tolist() for g in cluster_indices([1e308, -1e308, 1e308], 1e-8)] == [[0, 2], [1]]
 
 
 @given(

@@ -18,6 +18,10 @@ so; an ``OutputSequence`` also keeps a read-only copy of its samples, so
 neither a field nor a sample of it can be changed past its rules. A JSON record must be an object holding its keys,
 which ``graphs._json_object`` owns, and a reader's message names its file
 through ``graphs._reading``; ``ast`` guards keep both rules in their helpers.
+The estimator checks its inputs once, at its doors: ``estimate_spectrum``
+checks both tolerances and builds the record, ``detect_rank_online`` checks
+its own tolerance, and an ``ast`` guard keeps the stages behind them from
+checking again.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spectral_scope"
 RULE_HELPERS = ("_positive", "_tolerance")
 MODE_HELPER = ("_recorded_tau",)
 MODE_CHOICE_HELPER = ("_mode_of",)
+# the estimator's doors: each checks the tolerances it takes, and
+# estimate_spectrum alone builds the record; the stages behind them take both as given
+ESTIMATOR_DOORS = ("estimate_spectrum", "detect_rank_online")
 
 
 def test_no_tau_is_discrete_time():
@@ -236,6 +243,21 @@ def test_each_range_rule_is_written_once():
     # and it flags a copy planted outside them
     planted = "import math\n\ndef check(tol):\n    if not 0 <= tol < math.inf:\n        raise ValueError(tol)\n"
     assert rule_checks(planted) == [4]
+
+
+def _is_estimator_input_check(node: ast.AST) -> bool:
+    """A call of the tolerance rule, or a construction of the output record."""
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_tolerance", "OutputSequence")
+
+
+def test_each_estimator_input_is_checked_once_at_its_door():
+    source = (SRC / "estimator.py").read_text()
+    assert rule_checks(source, ESTIMATOR_DOORS, _is_estimator_input_check) == []
+    # two tolerances and the record at estimate_spectrum, one tolerance at detect_rank_online
+    assert len(rule_checks(source, (), _is_estimator_input_check)) == 4
+    # and it flags a stage that checks again
+    planted = "def build_hankel(y, tol):\n    return OutputSequence(y).values, _tolerance(tol, 'rank tolerance')\n"
+    assert rule_checks(planted, ESTIMATOR_DOORS, _is_estimator_input_check) == [2, 2]
 
 
 def mode_checks(source: str, allowed=MODE_HELPER, choice_allowed=MODE_CHOICE_HELPER) -> list[int]:

@@ -33,8 +33,6 @@ import pytest
 import spectral_scope
 import test_cli_errors as cli_catalogue
 from spectral_scope import (
-    CharacteristicPoly,
-    DeconvolutionOverflowError,
     Graph,
     GraphMatrixKind,
     InsufficientDataError,
@@ -42,10 +40,8 @@ from spectral_scope import (
     ObservationSetup,
     OutputSequence,
     SingularDeconvolutionError,
-    SingularDegreeError,
     SpectrumEstimate,
     assign_uniform_weights,
-    build_hankel,
     build_matrix,
     deconvolve_sigma,
     detect_rank_online,
@@ -53,18 +49,17 @@ from spectral_scope import (
     full_spectrum,
     generate_ring,
     match_spectra,
-    matrix_exponential,
     nu_sequence,
     observable_partition,
     random_setup,
     read_sequence,
-    roots_with_multiplicity,
     run_scenario,
     simulate_ct_networked,
     simulate_ct_sampled,
     simulate_dt,
-    solve_coefficients,
 )
+from spectral_scope.dynamics import matrix_exponential
+from spectral_scope.estimator import DeconvolutionOverflowError
 
 SRC = Path(spectral_scope.__file__).parent
 
@@ -80,10 +75,11 @@ class Row(NamedTuple):
 SWAP = [[0.0, 1.0], [1.0, 0.0]]
 SETUP = ObservationSetup(x0=[1.0, 0.5], c=[1.0, 0.0])
 CHAIN3 = [[0.5, 1.0, 0.0], [0.0, -0.4, 1.0], [0.3, 0.0, 0.2]]
+# numpy gives this matrix an infinite eigenvalue
+HUGE_SWAP = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.7976931348623157e308], [0.0, 1.7976931348623157e308, 0.0]]
 TRIVIAL = NodeDynamics.trivial()
 ORTHOGONAL = NodeDynamics(A=np.zeros((2, 2)), beta=[1.0, 0.0], gamma=[0.0, 1.0])  # nu_0 = 0
 VANISHING = OutputSequence([1.0, 0.0, 0.0, 0.0], tau=1.0)  # its one discrete root is 0
-POLY = CharacteristicPoly([-0.5], 0.0, 1.0)
 ROOTS = [{"re": 1.0, "im": 0.0, "multiplicity": 1}, {"re": -1.0, "im": 0.0, "multiplicity": 1}]
 SPECTRUM = {"schema": 1, "mode": "dt", "tau": None, "rank": 2, "residual": 0.0, "condition": 1.0,
             "rho": 1.0, "roots": ROOTS, "warnings": []}
@@ -123,12 +119,12 @@ BAD_MODE = {"None": None, "'DT'": "DT", "'hourly'": "hourly", "1": 1, "True": Tr
 # each entry point with the name its message gives the tolerance; zero is a
 # valid tolerance, an exact match, and None asks for the default rank cut
 TOLERANCE_ENTRY_POINTS = {
-    "build_hankel": ("rank tolerance", lambda tol: build_hankel([1.0, 0.5, 0.25], rank_tolerance=tol)),
     "detect_rank_online": ("rank tolerance", lambda tol: detect_rank_online([1.0, 0.5, 0.25], rank_tolerance=tol)),
+    # before any sample is read: an empty stream once gave rank 0 for every value
+    "detect_rank_online-empty": ("rank tolerance", lambda tol: detect_rank_online([], rank_tolerance=tol)),
     # before any other work: a one-sample record cannot be solved at rank 1
     "estimate_spectrum": ("rank tolerance", lambda tol: estimate_spectrum([1.0], rank_tolerance=tol)),
     "estimate_spectrum-cluster": ("cluster tolerance", lambda tol: estimate_spectrum([1.0], cluster_tol=tol)),
-    "roots_with_multiplicity": ("cluster tolerance", lambda tol: roots_with_multiplicity(POLY, tol)),
     "match_spectra": ("tolerance", lambda tol: match_spectra([0.5], [0.5], tol)),
 }
 
@@ -164,7 +160,7 @@ ROWS = [
         ValueError, "need lo < hi, both finite, got [0.0, inf)"),
     Row("build_matrix-zero-degree", partial(build_matrix, Graph(n=3, edges=((0, 1, 1.0),)),
                                             GraphMatrixKind.ROW_STOCHASTIC),
-        SingularDegreeError, "nodes [2] have zero weighted degree; row-stochastic is undefined"),
+        ValueError, "nodes [2] have zero weighted degree; row-stochastic is undefined"),
     # dynamics
     Row("random_setup-nan-weight", partial(random_setup, 3, observed=[0], observe_weights=[math.nan]), ValueError,
         "observe_weights[0] is not finite: nan"),
@@ -202,7 +198,7 @@ ROWS = [
           f"output y[2] is not finite: {bad}")
       for entry, call in (("estimate_spectrum", estimate_spectrum), ("detect_rank_online", detect_rank_online))
       for bad in (math.nan, math.inf, -math.inf)),
-    Row("solve_coefficients-two-samples-per-mode", partial(solve_coefficients, build_hankel([1.0, 0.0, 1.0])),
+    Row("estimate_spectrum-two-samples-per-mode", partial(estimate_spectrum, [1.0, 0.0, 1.0]),
         InsufficientDataError, "need 4 samples to solve at rank 2, have 3"),
     # both once ended in numpy's LinAlgError "Array must not contain infs or NaNs"
     Row("estimate_spectrum-coefficient-overflow", partial(estimate_spectrum, [1e-320, -0.25]), OverflowError,
@@ -281,6 +277,13 @@ ROWS = [
     Row("observable_partition-overflowing-projection", partial(observable_partition, CHAIN3, c=[1.0, 1.0, 1.0],
                                                                x0=[1e308, -1e308, 1e308]),
         OverflowError, "the modal weights (c^T u_i)(w_i^T x0) or |c| |x0| exceed the double range"),
+    # both eigenvalues once looked unobservable beside modal weights of 5e307, after two numpy warnings
+    Row("observable_partition-overflowing-shift", partial(observable_partition, [[1e308, 1e308], [0.0, -1e308]],
+                                                          c=[1.0, 1.0], x0=[1.0, 1e308]),
+        OverflowError, "M - lambda I exceeds the double range"),
+    # numpy's eigenvalue inf once gave inf * 0 = nan in M - lambda I, and the SVD failed on it
+    Row("observable_partition-infinite-eigenvalue", partial(observable_partition, HUGE_SWAP, c=[1.0] * 3, x0=[1.0] * 3),
+        OverflowError, "M - lambda I exceeds the double range"),
     Row("observable_partition-short-c", partial(observable_partition, CHAIN3, c=[1.0, 0.0], x0=[1.0] * 3),
         ValueError, "x0 and c must be equal-length vectors, got (3,) and (2,)"),
     Row("observable_partition-short-setup", partial(observable_partition, CHAIN3, c=[1.0, 0.0], x0=[1.0] * 2),

@@ -15,7 +15,6 @@ from scipy.optimize import linear_sum_assignment
 from helpers import InfeasiblePatternError, hidden_mode_system, make_jordan_case, orthogonal
 from spectral_scope import (
     ObservationSetup,
-    build_hankel,
     estimate_spectrum,
     full_spectrum,
     generate_preferential_attachment,
@@ -27,6 +26,7 @@ from spectral_scope import (
 )
 from spectral_scope import oracle
 from spectral_scope.clustering import cluster_indices
+from spectral_scope.estimator import build_hankel
 from spectral_scope.oracle import _assignment, _shortest_augmenting_path
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -100,6 +100,16 @@ def test_generic_probe_sees_every_mode():
     G = rng.standard_normal((5, 5)) * 0.7
     part = observable_partition(G, c=rng.uniform(0.5, 1.5, 5), x0=rng.uniform(0.5, 1.5, 5))
     assert sum(m for _, m in part.observable) == 5 and len(part.missing) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_empty_matrix_has_an_empty_partition_as_it_has_an_empty_spectrum():
+    # numpy's cond once refused the 0 x 0 eigenvector matrix with a LinAlgError
+    part = observable_partition(np.zeros((0, 0)), c=[], x0=[])
+    assert full_spectrum(np.zeros((0, 0))).size == 0
+    assert (part.observable, part.missing.size) == ([], 0)
+    assert [a.size for a in (part.distinct, part.algebraic, part.m_tilde, part.pbh_deficient,
+                             part.modal_weights)] == [0] * 5
 
 
 CHAIN3 = np.array([[0.5, 1.0, 0.0], [0.0, -0.4, 1.0], [0.3, 0.0, 0.2]])
