@@ -1,13 +1,13 @@
 """Command-line front end: generate -> simulate -> estimate -> verify.
 
-Every stage reads and writes plain files (TSV edge lists, CSV matrices and
-sequences, JSON reports with a top-level ``"schema": 1``), so the pipeline
+Every stage reads and writes plain files (TSV edge lists, CSV matrices, JSON
+sequence records and reports with a top-level ``"schema": 1``), so the pipeline
 can be driven from a shell and scripted for batch runs. ``demo`` bundles the
 three preset experiments end to end, ``bench`` sweeps seeds and reports a
 success-rate table. ``--mode`` picks discrete (``dt``) or sampled continuous
 (``ct``) time, which alone takes a ``--tau``; a node (``--node FILE`` or
-``--node-d D``) makes ``simulate`` networked, and the sequence's sidecar
-records it, so ``estimate`` strips it with no flag.
+``--node-d D``) makes ``simulate`` networked, and the sequence record holds
+it, so ``estimate`` strips it with no flag.
 
 Every setting is a flag; argparse rejects a missing required one or both of
 ``--node`` and ``--node-d``, and a negative seed flag, a ``--n`` or
@@ -95,7 +95,7 @@ def _parse_floats(text: str) -> np.ndarray:
     """A list flag's finite numbers: one line of a CSV table, where ``#`` starts no comment."""
     with contextlib.suppress(ValueError):
         if "#" not in text:
-            return _csv_table([text])[0][0]
+            return _csv_table([text])[0]
     raise SystemExit(_fail_usage(f"expected comma-separated finite numbers, got {text!r}"))
 
 
@@ -111,8 +111,8 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _write_setup_json(path, setup: ObservationSetup, **extra) -> None:
-    """The setup file ``verify`` reads: the realized x0 and c. The run's mode,
-    tau, seed and node are the sequence sidecar's to record."""
+    """The setup file ``verify`` reads: the realized x0 and c. The run's tau,
+    seed and node are the sequence record's to hold."""
     _write_json({"schema": 1, "x0": setup.x0.tolist(), "c": setup.c.tolist(), **extra}, path)
 
 
@@ -219,7 +219,7 @@ def cmd_simulate(args) -> int:
     write_sequence(seq, args.out, seed=args.seed)
     setup_path = Path(args.out).with_suffix(".setup.json")
     _write_setup_json(setup_path, setup)
-    print(f"{len(seq.values)} samples -> {args.out} (+sidecar, {setup_path.name})")
+    print(f"{len(seq.values)} samples -> {args.out} ({setup_path.name})")
     return EXIT_OK
 
 
@@ -336,7 +336,7 @@ def cmd_demo(args) -> int:
     write_matrix_csv(art.matrix, outdir / "matrix.csv")
     _write_setup_json(outdir / "setup.json", art.setup, scenario=result.name, tol=result.tol)
     if art.sequence is not None:
-        write_sequence(art.sequence, outdir / "output.csv", seed=args.seed)
+        write_sequence(art.sequence, outdir / "output.json", seed=args.seed)
     if result.estimate is not None:
         _write_json(result.estimate.to_json_dict(), outdir / "spectrum.json")
     match_payload = result.report.to_json_dict() if result.report else {"schema": 1}
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observe-weights", default=None, help="weights for the observed nodes")
     p.add_argument("--x0", default=None, help="explicit initial state, comma-separated")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default="output.csv")
+    p.add_argument("--out", default="output.json")
     node = p.add_mutually_exclusive_group()
     node.add_argument("--node", default=None, help="JSON file with node dynamics {A, beta, gamma}")
     node.add_argument("--node-d", type=int, default=None,
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="recover a spectrum from a recorded sequence")
     p.add_argument("--y", required=True,
-                   help="sequence CSV (JSON sidecar, with the node of a networked run, found next to it)")
+                   help="sequence record (JSON, with the node of a networked run)")
     p.add_argument("--out", default=None, help="write JSON here instead of stdout")
     p.add_argument("--rank-tolerance", type=float, default=None,
                    help="relative singular-value threshold for rank detection")

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import _csv_table, _json_object, _positive, _reading, _require_finite, as_array
+from .graphs import _json_object, _positive, _reading, _require_finite, as_array
 
 __all__ = [
     "DT",
@@ -47,17 +47,6 @@ def _mode_of(tau) -> str:
     """The time mode of a record: ``CT`` when it has a sampling period tau,
     ``DT`` when not."""
     return DT if tau is None else CT
-
-
-def _recorded_tau(mode, tau, record: str) -> float | None:
-    """The tau of a file's ``record`` in the ``mode`` the file names, which
-    must be ``DT``, with no tau, or ``CT``, with a positive one; ``ValueError``
-    otherwise."""
-    if mode not in (DT, CT):
-        raise ValueError(f"mode must be {DT!r} or {CT!r}, got {mode!r}")
-    if mode == DT and tau is not None:
-        raise ValueError(f"a {DT!r} {record} has no tau, got {tau!r}")
-    return None if mode == DT else _positive(tau, "tau")
 
 
 def _floats(value, name: str, ndmin: int = 1) -> np.ndarray:
@@ -231,18 +220,18 @@ def matrix_exponential(M, t: float = 1.0) -> np.ndarray:
     """Dense ``e^{M t}`` by scaling-and-squaring with a Pade approximant.
 
     Thin wrapper over scipy's expm (Al-Mohy/Higham order selection with
-    norm-based scaling), plus explicit finiteness checks so overflow surfaces
-    as an error instead of silent inf entries. scipy is imported here, on
-    first use, so that discrete-time runs never load it.
+    norm-based scaling), plus an explicit finiteness check so overflow
+    surfaces as an error instead of silent inf entries. The inputs come in
+    checked: ``M`` is a square float array of finite entries, from
+    ``_setup_arrays`` or ``NodeDynamics``, and ``t`` is a positive finite
+    tau. scipy is imported here, on first use, so that discrete-time runs
+    never load it.
     """
     import scipy.linalg
 
-    A = as_array(M)
-    if not np.isfinite(t):
-        raise ValueError(f"non-finite time {t}")
     # the finiteness check below reports overflow; numpy's warnings would repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(A * float(t))
+        E = scipy.linalg.expm(M * float(t))
     if not np.all(np.isfinite(E)):
         raise OverflowError("matrix exponential exceeded the floating range")
     return E
@@ -378,50 +367,21 @@ def simulate_ct_networked(
 
 
 def write_sequence(seq: OutputSequence, path, seed=None) -> None:
-    """CSV with header ``k,y`` (discrete) or ``t,y`` (continuous, t = k tau),
-    plus a JSON sidecar ``{schema, mode, tau, seed}`` next to it, which also
-    holds the ``node`` of a networked record."""
-    path = Path(path)
-    first, step = ("k", 1) if seq.tau is None else ("t", seq.tau)
-    lines = [f"{first},y"] + [f"{k * step:.17g},{y:.17g}" for k, y in enumerate(seq.values.tolist())]
-    path.write_text("\n".join(lines) + "\n")
-    meta = {"schema": 1, "mode": seq.mode, "tau": seq.tau, "seed": seed}
+    """One JSON record ``{schema, tau, values, seed}`` on one line, which also
+    holds the ``node`` of a networked record. ``json`` writes each double's
+    shortest repr that round-trips, so ``read_sequence`` reads every value back exactly."""
+    record = {"schema": 1, "tau": seq.tau, "values": seq.values.tolist(), "seed": seed}
     if seq.node is not None:
-        meta["node"] = seq.node.to_json_dict()
-    path.with_suffix(".json").write_text(json.dumps(meta) + "\n")
+        record["node"] = seq.node.to_json_dict()
+    Path(path).write_text(json.dumps(record) + "\n")
 
 
 def read_sequence(path) -> OutputSequence:
-    """Read a sequence CSV and its sidecar, the ``.json`` next to it, as ``write_sequence`` writes them.
-
-    The first line is the header, which must fit the sidecar's mode, and the
-    rest is a table of two columns that ``_csv_table`` reads, whose first
-    must count ``k = 0, 1, ...`` (discrete) or ``t = k tau`` (continuous, to
-    a relative 1e-9, so hand-written times pass); ``ValueError`` naming the
-    file, and a line by the file's own number, otherwise, and for a
-    sidecar that holds no JSON object with a valid mode and tau (none for
-    ``dt``), or whose ``node`` is malformed. Other keys are ignored, such as
-    the ``n_hint`` that older sidecars carry.
-    """
-    path = Path(path)
-    sidecar = path.with_suffix(".json")
-    text = path.read_text()  # first, so a missing CSV is the file the error names
-    with _reading("sidecar", sidecar):
-        meta = _json_object(json.loads(sidecar.read_text()), ("mode",))
-        tau = _recorded_tau(meta["mode"], meta.get("tau"), "sequence")
-    with _reading("node in sidecar", sidecar):
-        node = None if meta.get("node") is None else NodeDynamics.from_json_dict(meta["node"])
+    """The record ``write_sequence`` wrote: a JSON object with ``values``, a
+    ``tau`` for a sampled record and a ``node`` for a networked one, as
+    ``OutputSequence`` and ``NodeDynamics`` check them; their ``ValueError``,
+    or the JSON decoder's, names the file. Other keys are ignored."""
     with _reading("sequence", path):
-        header, *rows = text.split("\n")
-        table, lines = _csv_table(rows, first=2, width=2)
-        t, y = table.T
-        seq = OutputSequence(y, tau=tau, node=node)
-        first = "k" if seq.mode == DT else "t"
-        if [h.strip() for h in header.split(",")] != [first, "y"]:
-            raise ValueError(f"header {header!r} does not fit mode {seq.mode!r} ({first},y)")
-        expected = np.arange(len(seq)) * (1.0 if seq.mode == DT else seq.tau)
-        off = np.flatnonzero(~(np.abs(t - expected) <= 1e-9 * expected))
-        if off.size:
-            i = off[0]
-            raise ValueError(f"line {lines[i]}: {first} = {float(t[i])!r}, expected {float(expected[i])!r}")
-    return seq
+        record = _json_object(json.loads(Path(path).read_text()), ("values",))
+        node = None if record.get("node") is None else NodeDynamics.from_json_dict(record["node"])
+        return OutputSequence(record["values"], tau=record.get("tau"), node=node)

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import _spectral_order, cluster_complex, enforce_conjugate_pairs
-from .dynamics import (NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
-                       _mode_of, _recorded_tau, simulate_ct_sampled, simulate_dt)
+from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
+                       _mode_of, simulate_ct_sampled, simulate_dt)
 from .graphs import _json_object, _positive, _reading, _real, _tolerance
 
 __all__ = [
@@ -179,8 +179,9 @@ class SpectrumEstimate:
         the record refuses, and for a file that is not a JSON object with
         ``roots``, ``mode``, ``rank`` and ``residual``, of schema 1, whose
         roots are not objects of numbers ``re``, ``im`` and ``multiplicity``,
-        whose mode and tau break ``_recorded_tau``, or whose rank is not the
-        sum of the multiplicities. A null condition is an infinite one."""
+        whose mode is not ``DT``, with no tau, or ``CT``, with a positive
+        one, or whose rank is not the sum of the multiplicities. A null
+        condition is an infinite one."""
         _json_object(d, ("roots", "mode", "rank", "residual"))
         if (schema := d.get("schema")) != 1 or isinstance(schema, bool):
             raise ValueError(f"schema must be 1, got {schema!r}")
@@ -196,7 +197,12 @@ class SpectrumEstimate:
                     roots.append((complex(r["re"], r["im"]), r["multiplicity"]))
                 except OverflowError as exc:  # an int beyond the doubles
                     raise ValueError(str(exc)) from None
-        est = cls(roots, tau=_recorded_tau(d["mode"], d.get("tau"), "spectrum"), residual=d["residual"],
+        mode, tau = d["mode"], d.get("tau")
+        if mode not in (DT, CT):
+            raise ValueError(f"mode must be {DT!r} or {CT!r}, got {mode!r}")
+        if mode == DT and tau is not None:
+            raise ValueError(f"a {DT!r} spectrum has no tau, got {tau!r}")
+        est = cls(roots, tau=None if mode == DT else _positive(tau, "tau"), residual=d["residual"],
                   condition=d.get("condition"), scale_rho=d.get("rho", 1.0), warnings=d.get("warnings", []))
         if (rank := _whole(d["rank"], "rank")) != est.rank:
             raise ValueError(f"rank {rank} is not the sum of the root multiplicities, {est.rank}")

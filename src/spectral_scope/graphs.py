@@ -264,34 +264,31 @@ def _json_object(value, keys) -> dict:
     return value
 
 
-def _csv_table(lines, first: int = 1, width: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """The CSV ``lines``, the first of which is line ``first`` of its file, as
-    a 2-d array of ``width`` columns (by default the first row's) with the
-    file's line of each row. Blank lines and ``#`` comments are skipped, and
-    each field must be a finite number as numpy's text reader reads one: not
-    empty, no underscore, no line break inside. ``ValueError`` for no row, or
-    naming a fault's line. ``lines`` is a list, or an open file, which is
-    streamed once and read again from its start only to name a fault."""
-    def data_lines(numbers: list[int]):  # each data line, with its line number put on ``numbers``
-        for i, line in enumerate(lines, first):
+def _csv_table(lines) -> np.ndarray:
+    """The CSV ``lines`` as a 2-d array of as many columns as its first row.
+    Blank lines and ``#`` comments are skipped, and each field must be a
+    finite number as numpy's text reader reads one: not empty, no underscore,
+    no line break inside. ``ValueError`` for no row, or naming a fault's line,
+    counted from 1. ``lines`` is a list, or an open file, which is streamed
+    once and read again from its start only to name a fault."""
+    def data_lines():  # each data line, with its line number
+        for i, line in enumerate(lines, 1):
             if data := line.partition("#")[0].strip():
-                numbers.append(i)
-                yield data
+                yield i, data
 
     # numpy's C reader keeps a large file fast and small, but its message
     # counts rows from 0 and names no row of another width: only then is the
     # file rescanned, one call a line, then one a field of the line it refuses
-    numbers: list[int] = []
-    stream = data_lines(numbers)
+    stream = (data for _, data in data_lines())
     if (head := next(stream, None)) is None:  # numpy would warn of a table with no data
         raise ValueError("has no entries")
-    table = _finite(chain((head,), stream))
-    if table is not None and table.shape[1] == (width or table.shape[1]):
-        return table, numbers
+    if (table := _finite(chain((head,), stream))) is not None:
+        return table
     if hasattr(lines, "seek"):
         lines.seek(0)
-    for data in data_lines(numbers := []):
-        i, fields = numbers[-1], data.split(",")
+    width = None
+    for i, data in data_lines():
+        fields = data.split(",")
         if len(fields) != (width := width or len(fields)):
             raise ValueError(f"line {i}: expected {width} columns, got {len(fields)}")
         if _finite([data]) is None:  # a line break ends numpy's line, though its field may read alone
@@ -326,4 +323,4 @@ def read_matrix_csv(path) -> np.ndarray:
     """Dense CSV matrix, as ``_csv_table`` reads it and ``as_array`` checks
     it; its ``ValueError`` names the file."""
     with open(path) as f, _reading("matrix", path):  # streamed: a large file reads faster and smaller
-        return as_array(_csv_table(f)[0])
+        return as_array(_csv_table(f))

@@ -115,8 +115,9 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
     verdict is available; recovered multiplicities beyond 1 are then not
     identifiable here. ``ValueError`` from ``ObservationSetup`` for c and x0
     that are not finite vectors of one entry per row of G; ``OverflowError``
-    when ``M - lambda I`` at an eigenvalue, a modal weight or the data scale
-    ``|c| |x0|`` is not finite. A 0 x 0 G has an empty spectrum.
+    when an eigenvalue's modulus, ``M - lambda I`` at an eigenvalue, a modal
+    weight or the data scale ``|c| |x0|`` is not finite. A 0 x 0 G has an
+    empty spectrum.
     """
     setup = ObservationSetup(x0=x0, c=c)
     M = _matrix_for(G, setup)
@@ -126,6 +127,10 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
         return OracleSpectrum(empty.astype(complex), empty, empty, empty.astype(bool), empty.astype(complex))
 
     vals, U = np.linalg.eig(M)
+    # an infinite modulus would make every distance near in cluster_indices
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.hypot(vals.real, vals.imag)).all():
+            raise OverflowError("an eigenvalue's modulus exceeds the double range")
     groups = cluster_indices(vals, EIGEN_CLUSTER_TOL)
     means = [_centroid(vals[g]) for g in groups]
     order = sorted(range(len(groups)), key=lambda i: _spectral_order(means[i]))

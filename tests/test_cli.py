@@ -14,14 +14,12 @@ import pytest
 from spectral_scope import (
     NodeDynamics,
     ObservationSetup,
-    OutputSequence,
     cli,
     read_matrix_csv,
     read_sequence,
     scenarios,
     simulate_ct_networked,
     simulate_dt_networked,
-    write_sequence,
 )
 from spectral_scope.cli import build_parser, main
 from spectral_scope.dynamics import SimulationOverflowError
@@ -85,15 +83,13 @@ def test_generate_writes_the_row_stochastic_matrix(tmp_path, capsys):
 def test_simulate_writes_the_swap_trace_verbatim(tmp_path, capsys):
     matrix = tmp_path / "swap.csv"
     matrix.write_text(SWAP_CSV)
-    out_csv = tmp_path / "y.csv"
+    out_y = tmp_path / "y.json"
     code, _, _ = run(
         capsys, "simulate", "--matrix", matrix, "--x0", "1,0", "--observe", 0,
-        "--K", 4, "--out", out_csv,
+        "--K", 4, "--out", out_y,
     )
     assert code == 0
-    assert out_csv.read_text() == "k,y\n0,1\n1,0\n2,1\n3,0\n"
-    sidecar = json.loads((tmp_path / "y.json").read_text())
-    assert sidecar == {"schema": 1, "mode": "dt", "tau": None, "seed": None}
+    assert out_y.read_text() == '{"schema": 1, "tau": null, "values": [1.0, 0.0, 1.0, 0.0], "seed": null}\n'
     setup = json.loads((tmp_path / "y.setup.json").read_text())
     assert setup == {"schema": 1, "x0": [1.0, 0.0], "c": [1.0, 0.0]}
 
@@ -101,10 +97,10 @@ def test_simulate_writes_the_swap_trace_verbatim(tmp_path, capsys):
 def test_simulate_defaults_to_two_n_samples(tmp_path, capsys):
     matrix = tmp_path / "swap.csv"
     matrix.write_text(SWAP_CSV)
-    out_csv = tmp_path / "y.csv"
-    code, _, _ = run(capsys, "simulate", "--matrix", matrix, "--seed", 1, "--out", out_csv)
+    out_y = tmp_path / "y.json"
+    code, _, _ = run(capsys, "simulate", "--matrix", matrix, "--seed", 1, "--out", out_y)
     assert code == 0
-    assert len(out_csv.read_text().splitlines()) == 1 + 4
+    assert len(read_sequence(out_y)) == 4
 
 
 @pytest.mark.parametrize("mode, simulator", [("dt", simulate_dt_networked), ("ct", simulate_ct_networked)])
@@ -113,33 +109,33 @@ def test_a_node_makes_simulate_networked(tmp_path, capsys, mode, simulator):
     matrix.write_text(ROT_CSV)
     tau = ("--tau", 0.5) if mode == "ct" else ()
     base = ("simulate", "--matrix", matrix, "--mode", mode, *tau, "--seed", 4)
-    assert run(capsys, *base, "--out", tmp_path / "plain.csv")[0] == 0
-    code, out, _ = run(capsys, *base, "--node-d", 3, "--node-seed", 5, "--out", tmp_path / "y.csv")
-    assert code == 0 and out.endswith("(+sidecar, y.setup.json)\n")
-    assert sorted(p.name for p in tmp_path.glob("y.*")) == ["y.csv", "y.json", "y.setup.json"]
+    assert run(capsys, *base, "--out", tmp_path / "plain.json")[0] == 0
+    code, out, _ = run(capsys, *base, "--node-d", 3, "--node-seed", 5, "--out", tmp_path / "y.json")
+    assert code == 0 and out.endswith(" (y.setup.json)\n")
+    assert sorted(p.name for p in tmp_path.glob("y.*")) == ["y.json", "y.setup.json"]
     node = NodeDynamics.random_symmetric(3, seed=5)
     written = json.loads((tmp_path / "y.json").read_text())["node"]
     assert [written[k] for k in ("A", "beta", "gamma")] == [node.A.tolist(), node.beta.tolist(), node.gamma.tolist()]
     setup = json.loads((tmp_path / "y.setup.json").read_text())
-    assert sorted(setup) == ["c", "schema", "x0"]  # the node is the sidecar's alone
+    assert sorted(setup) == ["c", "schema", "x0"]  # the node is the sequence record's alone
     kwargs = {"tau": 0.5} if mode == "ct" else {}
     expected = simulator(read_matrix_csv(matrix), node, ObservationSetup(setup["x0"], setup["c"]), K=4, **kwargs)
-    y = read_sequence(tmp_path / "y.csv")
+    y = read_sequence(tmp_path / "y.json")
     assert y.values.tobytes() == expected.values.tobytes()
-    assert y.values.tobytes() != read_sequence(tmp_path / "plain.csv").values.tobytes()
+    assert y.values.tobytes() != read_sequence(tmp_path / "plain.json").values.tobytes()
 
 
 @pytest.mark.parametrize("mode, simulator", [("dt", simulate_dt_networked), ("ct", simulate_ct_networked)])
 def test_estimate_of_a_networked_simulate_gives_the_library_bytes(tmp_path, capsys, mode, simulator):
-    # the node reaches estimate through the sidecar alone, and the verdict holds
-    matrix, y_csv, spectrum = tmp_path / "m.csv", tmp_path / "y.csv", tmp_path / "spectrum.json"
+    # the node reaches estimate through the sequence record alone, and the verdict holds
+    matrix, y_path, spectrum = tmp_path / "m.csv", tmp_path / "y.json", tmp_path / "spectrum.json"
     tau = ("--tau", 0.5) if mode == "ct" else ()
     steps = [
         ("generate", "--model", "ring", "--n", 6, "--directed", "--weights", "0.5,1.5", "--seed", 3,
          "--graph-out", tmp_path / "g.tsv", "--matrix-out", matrix),
         ("simulate", "--matrix", matrix, "--mode", mode, *tau, "--node-d", 3, "--node-seed", 5,
-         "--seed", 11, "--out", y_csv),
-        ("estimate", "--y", y_csv, "--rank-tolerance", 1e-14, "--out", spectrum),
+         "--seed", 11, "--out", y_path),
+        ("estimate", "--y", y_path, "--rank-tolerance", 1e-14, "--out", spectrum),
         ("verify", "--matrix", matrix, "--estimate", spectrum, "--setup", tmp_path / "y.setup.json",
          "--tol", 1e-6, "--out", tmp_path / "v.json"),
     ]
@@ -155,28 +151,28 @@ def test_estimate_of_a_networked_simulate_gives_the_library_bytes(tmp_path, caps
 def test_simulate_samples_continuous_decay(tmp_path, capsys):
     matrix = tmp_path / "decay.csv"
     matrix.write_text("-1\n")
-    out_csv = tmp_path / "y.csv"
+    out_y = tmp_path / "y.json"
     code, _, _ = run(
         capsys, "simulate", "--matrix", matrix, "--mode", "ct", "--tau", 1.0,
-        "--x0", "1", "--observe", 0, "--K", 4, "--out", out_csv,
+        "--x0", "1", "--observe", 0, "--K", 4, "--out", out_y,
     )
     assert code == 0
-    seq = read_sequence(out_csv)
+    seq = read_sequence(out_y)
     assert seq.mode == "ct" and seq.tau == 1.0
     assert np.max(np.abs(seq.values - np.exp(-np.arange(4)))) < 1e-15
-    assert out_csv.read_text().startswith("t,y\n0,1\n1,0.36787944117144233\n")
+    assert out_y.read_text().startswith('{"schema": 1, "tau": 1.0, "values": [1.0, 0.36787944117144233, ')
 
 
 def test_simulate_reports_overflow_and_keeps_the_partial_trace(tmp_path, capsys):
     matrix = tmp_path / "hot.csv"
     matrix.write_text("1000\n")
-    out_csv = tmp_path / "y.csv"
+    out_y = tmp_path / "y.json"
     code, _, err = run(
         capsys, "simulate", "--matrix", matrix, "--x0", "1", "--observe", 0,
-        "--K", 200, "--out", out_csv,
+        "--K", 200, "--out", out_y,
     )
     assert code == 1 and "overflow" in err
-    partial = read_sequence(out_csv)
+    partial = read_sequence(out_y)
     assert 0 < len(partial.values) < 200
     assert np.all(np.isfinite(partial.values))
 
@@ -185,13 +181,13 @@ def test_a_networked_partial_trace_keeps_its_node(tmp_path, capsys):
     matrix, node = tmp_path / "hot.csv", tmp_path / "node.json"
     matrix.write_text("1000\n")
     node.write_text(json.dumps({"A": [[0.5]], "beta": [1.0], "gamma": [2.0]}))
-    out_csv = tmp_path / "y.csv"
+    out_y = tmp_path / "y.json"
     code, _, err = run(
         capsys, "simulate", "--matrix", matrix, "--node", node, "--x0", "1", "--observe", 0,
-        "--K", 200, "--out", out_csv,
+        "--K", 200, "--out", out_y,
     )
     assert code == 1 and "partial sequence written" in err
-    partial = read_sequence(out_csv)
+    partial = read_sequence(out_y)
     assert 0 < len(partial) < 200 and partial.node.gamma.tolist() == [2.0]
 
 
@@ -203,18 +199,18 @@ def test_a_networked_partial_trace_keeps_its_node(tmp_path, capsys):
 def simulate_swap(tmp_path, capsys, x0="1,0"):
     matrix = tmp_path / "swap.csv"
     matrix.write_text(SWAP_CSV)
-    out_csv = tmp_path / "y.csv"
+    out_y = tmp_path / "y.json"
     code, _, _ = run(
         capsys, "simulate", "--matrix", matrix, "--x0", x0, "--observe", 0,
-        "--K", 4, "--out", out_csv,
+        "--K", 4, "--out", out_y,
     )
     assert code == 0
-    return matrix, out_csv
+    return matrix, out_y
 
 
 def test_estimate_recovers_the_swap_roots(tmp_path, capsys):
-    _, y_csv = simulate_swap(tmp_path, capsys)
-    code, out, _ = run(capsys, "estimate", "--y", y_csv)
+    _, y_path = simulate_swap(tmp_path, capsys)
+    code, out, _ = run(capsys, "estimate", "--y", y_path)
     assert code == 0
     payload = json.loads(out)
     roots = [(r["re"], r["im"], r["multiplicity"]) for r in payload["roots"]]
@@ -223,8 +219,8 @@ def test_estimate_recovers_the_swap_roots(tmp_path, capsys):
 
 
 def test_estimate_of_a_dead_output_is_empty(tmp_path, capsys):
-    _, y_csv = simulate_swap(tmp_path, capsys, x0="0,0")
-    code, out, _ = run(capsys, "estimate", "--y", y_csv)
+    _, y_path = simulate_swap(tmp_path, capsys, x0="0,0")
+    code, out, _ = run(capsys, "estimate", "--y", y_path)
     assert code == 0
     payload = json.loads(out)
     assert payload["roots"] == [] and payload["rank"] == 0
@@ -233,74 +229,51 @@ def test_estimate_of_a_dead_output_is_empty(tmp_path, capsys):
 def test_estimate_surfaces_the_aliasing_warning(tmp_path, capsys):
     matrix = tmp_path / "rot.csv"
     matrix.write_text(ROT_CSV)
-    y_csv = tmp_path / "y.csv"
+    y_path = tmp_path / "y.json"
     code, _, _ = run(
         capsys, "simulate", "--matrix", matrix, "--mode", "ct",
-        "--tau", np.pi, "--x0", "1,0.3", "--observe", 0, "--K", 8, "--out", y_csv,
+        "--tau", np.pi, "--x0", "1,0.3", "--observe", 0, "--K", 8, "--out", y_path,
     )
     assert code == 0
-    code, out, _ = run(capsys, "estimate", "--y", y_csv)
+    code, out, _ = run(capsys, "estimate", "--y", y_path)
     assert code == 0
     payload = json.loads(out)
     assert any("aliasing" in w for w in payload["warnings"])
 
 
-def test_estimate_reads_hand_written_sample_times(tmp_path, capsys):
-    # 0.1 * 3 is 0.30000000000000004, not 0.3: a small relative slack is allowed
-    y_csv = tmp_path / "y.csv"
-    write_sequence(OutputSequence([1.0, 0.5, 0.25, 0.125], tau=0.1), y_csv)
-    written = read_sequence(y_csv)
-    y_csv.write_text("t, y\n0,1\n0.1,0.5\n0.2,0.25\n0.3,0.125\n")
-    back = read_sequence(y_csv)
-    assert np.array_equal(back.values, written.values) and back.tau == 0.1
-    assert run(capsys, "estimate", "--y", y_csv)[0] == 0
-
-
-# One chain's files as they were written while the sidecar carried "n_hint"
-# and the setup repeated the sidecar's mode, tau, seed and node: OLD_MATRIX,
-# then ``simulate --x0 1,0.5,0.25 --observe 0 --K 6 --seed 1``, plain in
-# discrete time and, in continuous time at tau = 0.5, with the node OLD_NODE.
+# One chain's setup files as they were written while the setup repeated the
+# sequence's mode, tau, seed and node: OLD_MATRIX, then ``simulate --x0
+# 1,0.5,0.25 --observe 0 --K 6 --seed 1``, plain in discrete time and, in
+# continuous time at tau = 0.5, with the node OLD_NODE.
 OLD_MATRIX = "0.5,1,0\n0,-0.4,1\n0.3,0,0.2\n"
 OLD_NODE = {"schema": 1, "A": [[-0.5]], "beta": [1.0], "gamma": [1.0]}
-OLD_FILES = {
-    "dt": (
-        "k,y\n0,1\n1,1\n2,0.55000000000000004\n3,0.60499999999999998\n4,0.54049999999999998\n"
-        "5,0.41404999999999997\n",
-        {"schema": 1, "mode": "dt", "tau": None, "n_hint": 3, "seed": 1},
-        {"schema": 1, "mode": "dt", "tau": None, "seed": 1, "x0": [1.0, 0.5, 0.25], "c": [1.0, 0.0, 0.0],
-         "node": None},
-    ),
-    "ct": (
-        "t,y\n0,1\n0.5,1.2327468613553405\n1,1.4571313491863391\n1.5,1.70363085114113\n"
-        "2,1.9944888918012769\n2.5,2.3472706241444272\n",
-        {"schema": 1, "mode": "ct", "tau": 0.5, "n_hint": 3, "seed": 1, "node": OLD_NODE},
-        {"schema": 1, "mode": "ct", "tau": 0.5, "seed": 1, "x0": [1.0, 0.5, 0.25], "c": [1.0, 0.0, 0.0],
-         "node": OLD_NODE},
-    ),
+OLD_SETUPS = {
+    "dt": {"schema": 1, "mode": "dt", "tau": None, "seed": 1, "x0": [1.0, 0.5, 0.25], "c": [1.0, 0.0, 0.0],
+           "node": None},
+    "ct": {"schema": 1, "mode": "ct", "tau": 0.5, "seed": 1, "x0": [1.0, 0.5, 0.25], "c": [1.0, 0.0, 0.0],
+           "node": OLD_NODE},
 }
 
 
 @pytest.mark.parametrize("mode", ["dt", "ct"])
-def test_files_of_the_older_schema_give_the_same_results(tmp_path, capsys, mode):
-    csv, sidecar, setup = OLD_FILES[mode]
+def test_setups_of_the_older_schema_give_the_same_results(tmp_path, capsys, mode):
+    setup = OLD_SETUPS[mode]
     old, new = tmp_path / "old", tmp_path / "new"
     for d in (old, new):
         d.mkdir()
         (d / "m.csv").write_text(OLD_MATRIX)
-    (old / "y.csv").write_text(csv)
-    (old / "y.json").write_text(json.dumps(sidecar, indent=2) + "\n")
-    (old / "y.setup.json").write_text(json.dumps(setup, indent=2) + "\n")
     (new / "node.json").write_text(json.dumps(OLD_NODE))
     flags = ("--mode", "ct", "--tau", 0.5, "--node", new / "node.json") if mode == "ct" else ()
     code, _, _ = run(capsys, "simulate", "--matrix", new / "m.csv", "--x0", "1,0.5,0.25", "--observe", 0,
-                     "--K", 6, "--seed", 1, *flags, "--out", new / "y.csv")
-    assert code == 0 and (new / "y.csv").read_text() == csv
-    assert json.loads((new / "y.json").read_text()) == {k: v for k, v in sidecar.items() if k != "n_hint"}
+                     "--K", 6, "--seed", 1, *flags, "--out", new / "y.json")
+    assert code == 0
     assert json.loads((new / "y.setup.json").read_text()) == {k: setup[k] for k in ("schema", "x0", "c")}
+    (old / "y.json").write_bytes((new / "y.json").read_bytes())
+    (old / "y.setup.json").write_text(json.dumps(setup, indent=2) + "\n")
     results = []
     for d in (old, new):
         steps = [
-            ("estimate", "--y", d / "y.csv", "--out", d / "spectrum.json"),
+            ("estimate", "--y", d / "y.json", "--out", d / "spectrum.json"),
             ("verify", "--matrix", d / "m.csv", "--estimate", d / "spectrum.json", "--setup", d / "y.setup.json",
              "--out", d / "match.json"),
         ]
@@ -320,11 +293,11 @@ def full_chain(tmp_path, capsys):
         capsys, "generate", "--model", "ring", "--n", 5, "--weights", "0.5,1.5",
         "--seed", 3, "--graph-out", graph, "--matrix-out", matrix,
     )
-    y_csv = tmp_path / "y.csv"
-    code, _, _ = run(capsys, "simulate", "--matrix", matrix, "--seed", 11, "--out", y_csv)
+    y_path = tmp_path / "y.json"
+    code, _, _ = run(capsys, "simulate", "--matrix", matrix, "--seed", 11, "--out", y_path)
     assert code == 0
     spectrum = tmp_path / "spectrum.json"
-    code, _, _ = run(capsys, "estimate", "--y", y_csv, "--out", spectrum)
+    code, _, _ = run(capsys, "estimate", "--y", y_path, "--out", spectrum)
     assert code == 0
     return matrix, spectrum, tmp_path / "y.setup.json"
 
@@ -337,15 +310,15 @@ def test_quick_start_chain_passes_verbatim(tmp_path, capsys):
         "--weights", "0.5,1.5", "--seed", 3, "--graph-out", graph, "--matrix-out", matrix,
     )
     assert code == 0
-    y_csv = tmp_path / "y.csv"
+    y_path = tmp_path / "y.json"
     code, _, _ = run(
         capsys, "simulate", "--matrix", matrix, "--mode", "ct", "--tau", 1.0,
-        "--K", 16, "--seed", 11, "--out", y_csv,
+        "--K", 16, "--seed", 11, "--out", y_path,
     )
     assert code == 0
     spectrum = tmp_path / "spectrum.json"
     code, _, _ = run(
-        capsys, "estimate", "--y", y_csv, "--rank-tolerance", 1e-14, "--out", spectrum,
+        capsys, "estimate", "--y", y_path, "--rank-tolerance", 1e-14, "--out", spectrum,
     )
     assert code == 0
     assert json.loads(spectrum.read_text())["rank"] == 8
@@ -433,9 +406,9 @@ def test_verify_takes_a_matrix_entry_at_the_oracles_limit(tmp_path, capsys):
     # entries of 1e308 give eigenvalues whose differences overflow, and the
     # assignment behind match_spectra raised "cost matrix is infeasible"; the
     # next double above this limit is a usage error
-    matrix, y_csv = simulate_swap(tmp_path, capsys)
+    matrix, y_path = simulate_swap(tmp_path, capsys)
     spectrum = tmp_path / "spectrum.json"
-    assert run(capsys, "estimate", "--y", y_csv, "--out", spectrum)[0] == 0
+    assert run(capsys, "estimate", "--y", y_path, "--out", spectrum)[0] == 0
     matrix.write_text(f"0,{float(np.finfo(float).max) / 16!r}\n1,0\n")
     code, _, err = run(capsys, "verify", "--matrix", matrix, "--estimate", spectrum, "--setup", tmp_path / "y.setup.json")
     assert (code, err) == (1, "")  # in range: the estimate just does not match
@@ -478,8 +451,8 @@ def test_verify_weighs_a_setup_whose_norms_exceed_the_square_range(tmp_path, cap
 # =========================================================================
 
 ARTIFACTS = (
-    "graph.tsv", "matrix.csv", "setup.json", "output.csv",
-    "output.json", "spectrum.json", "match.json", "eigenvalues.csv",
+    "graph.tsv", "matrix.csv", "setup.json", "output.json",
+    "spectrum.json", "match.json", "eigenvalues.csv",
 )
 
 
@@ -497,8 +470,8 @@ def test_demo_presets_pass_and_write_artifacts(tmp_path, capsys, name):
         assert (outdir / fname).is_file(), fname
     match = json.loads((outdir / "match.json").read_text())
     assert match["pass"] is True and match["overflow"] is False
-    sidecar = json.loads((outdir / "output.json").read_text())
-    assert (sidecar["mode"], sidecar["tau"], "node" in sidecar) == PRESET_SETUPS[name]
+    y = read_sequence(outdir / "output.json")
+    assert (y.mode, y.tau, y.node is not None) == PRESET_SETUPS[name]
 
 
 @pytest.mark.parametrize(
@@ -525,7 +498,7 @@ def test_a_demo_output_estimates_and_verifies_with_no_node_flag(tmp_path, capsys
     outdir, spectrum = tmp_path / "fig3", tmp_path / "spectrum.json"
     steps = [
         ("demo", "fig3", "--seed", 0, "--outdir", outdir),
-        ("estimate", "--y", outdir / "output.csv", "--rank-tolerance", 1e-14, "--out", spectrum),
+        ("estimate", "--y", outdir / "output.json", "--rank-tolerance", 1e-14, "--out", spectrum),
         ("verify", "--matrix", outdir / "matrix.csv", "--estimate", spectrum,
          "--setup", outdir / "setup.json", "--out", tmp_path / "v.json"),
     ]
@@ -563,7 +536,7 @@ def test_a_size_above_the_limit_is_a_usage_error_before_any_allocation(
 
 def test_the_largest_sample_count_still_simulates(tmp_path, capsys):
     (tmp_path / "swap.csv").write_text(SWAP_CSV)
-    out = tmp_path / "y.csv"
+    out = tmp_path / "y.json"
     assert run(capsys, "simulate", "--matrix", tmp_path / "swap.csv", "--K", 4096, "--out", out)[0] == 0
     assert len(read_sequence(out)) == 4096
 
@@ -599,7 +572,7 @@ def test_fig3_builds_its_pinned_system_once_and_shares_it_read_only(tmp_path, ca
 def test_estimate_json_matches_the_library_call_exactly(tmp_path, capsys):
     _, spectrum, _ = full_chain(tmp_path, capsys)
     cli_payload = json.loads(spectrum.read_text())
-    seq = read_sequence(tmp_path / "y.csv")
+    seq = read_sequence(tmp_path / "y.json")
     lib_payload = estimate_spectrum(seq).to_json_dict()
     assert cli_payload == lib_payload
 
@@ -683,9 +656,9 @@ def readme_keys(row: str) -> list[str]:
 
 
 def test_the_readme_file_table_names_the_keys_simulate_and_demo_write(tmp_path, capsys):
-    sidecar_keys = readme_keys(readme_file_row("sequence sidecar"))
-    always = {k for k in sidecar_keys if not k.endswith("?")}
-    networked = always | {k.rstrip("?") for k in sidecar_keys}
+    sequence_keys = readme_keys(readme_file_row("sequence"))
+    always = {k for k in sequence_keys if not k.endswith("?")}
+    networked = always | {k.rstrip("?") for k in sequence_keys}
     setup_row = readme_file_row("setup")
     setup_keys = set(readme_keys(setup_row))
     demo_adds = set(re.findall(r"`(\w+)`", re.search(r"`demo` adds ((?:`\w+`(?:, | and )?)+)", setup_row).group(1)))
@@ -693,10 +666,10 @@ def test_the_readme_file_table_names_the_keys_simulate_and_demo_write(tmp_path, 
     matrix = tmp_path / "rot.csv"
     matrix.write_text(ROT_CSV)
     steps = [
-        ("simulate", "--matrix", matrix, "--seed", 1, "--out", tmp_path / "y.csv"),
-        ("simulate", "--matrix", matrix, "--node-d", 2, "--seed", 1, "--out", tmp_path / "n.csv"),
+        ("simulate", "--matrix", matrix, "--seed", 1, "--out", tmp_path / "y.json"),
+        ("simulate", "--matrix", matrix, "--node-d", 2, "--seed", 1, "--out", tmp_path / "n.json"),
         ("demo", "fig3", "--outdir", tmp_path / "fig3"),
-        ("estimate", "--y", tmp_path / "y.csv", "--out", tmp_path / "spectrum.json"),
+        ("estimate", "--y", tmp_path / "y.json", "--out", tmp_path / "spectrum.json"),
         ("verify", "--matrix", matrix, "--estimate", tmp_path / "spectrum.json",
          "--setup", tmp_path / "y.setup.json", "--out", tmp_path / "verify.json"),
     ]
@@ -731,12 +704,12 @@ def test_every_pipeline_json_file_is_one_compact_line(tmp_path, capsys, kind):
         names = ["match.json", "output.json", "setup.json", "spectrum.json"]
     else:
         gen, sim = JSON_RUNS[kind]
-        matrix, y_csv, spectrum = tmp_path / "m.csv", tmp_path / "y.csv", tmp_path / "spectrum.json"
+        matrix, y_path, spectrum = tmp_path / "m.csv", tmp_path / "y.json", tmp_path / "spectrum.json"
         steps = [
             ("generate", *gen, "--weights", "-1,1", "--seed", 0, "--graph-out", tmp_path / "g.tsv",
              "--matrix-out", matrix),
-            ("simulate", "--matrix", matrix, *sim, "--seed", 0, "--out", y_csv),
-            ("estimate", "--y", y_csv, "--rank-tolerance", 1e-14, "--out", spectrum),
+            ("simulate", "--matrix", matrix, *sim, "--seed", 0, "--out", y_path),
+            ("estimate", "--y", y_path, "--rank-tolerance", 1e-14, "--out", spectrum),
             ("verify", "--matrix", matrix, "--estimate", spectrum, "--setup", tmp_path / "y.setup.json",
              "--tol", 1e-3, "--out", tmp_path / "verify.json"),
         ]
@@ -803,8 +776,8 @@ USAGE_ERRORS = [
     ["simulate", "--matrix", "m.csv", "--nope", "x", "y"],
     ["simulate", "--matrix", "m.csv", "stray"],
     ["estimate"],
-    ["estimate", "--y", "y.csv", "--frobnicate", "3"],
-    ["estimate", "--y", "y.csv", "--", "--out"],
+    ["estimate", "--y", "y.json", "--frobnicate", "3"],
+    ["estimate", "--y", "y.json", "--", "--out"],
     ["verify", "--matrix", "m.csv"],
     ["verify", "--matrix", "m.csv", "--estimate", "s.json", "--setup", "u.json", "--tl", "1"],
     ["demo"],

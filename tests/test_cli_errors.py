@@ -44,11 +44,8 @@ class Row(NamedTuple):
 
 
 def sequence(values, tau=None, node=None) -> dict:
-    """``y.csv`` and its sidecar ``y.json``, for the record ``values``."""
-    head, step = ("k", 1) if tau is None else ("t", tau)
-    csv = f"{head},y\n" + "".join(f"{k * step!r},{v!r}\n" for k, v in enumerate(values))
-    sidecar = {"mode": "dt" if tau is None else "ct", "tau": tau, **({"node": node} if node else {})}
-    return {"y.csv": csv, "y.json": json.dumps(sidecar)}
+    """``y.json``, the sequence record of ``values``."""
+    return {"y.json": json.dumps({"schema": 1, "tau": tau, "values": values, **({"node": node} if node else {})})}
 
 
 def spectrum(root, rank=1) -> str:
@@ -57,7 +54,6 @@ def spectrum(root, rank=1) -> str:
 
 SWAP = {"swap.csv": "0,1\n1,0\n"}
 SWAP_Y = sequence([1.0, 0.0, 1.0, 0.0])
-DT_Y, CT_Y = sequence([1.0, 0.5, 0.25, 0.125]), sequence([1.0, 0.5, 0.25, 0.125], tau=0.5)
 ROOT = {"re": 1.0, "im": 0.0, "multiplicity": 1}
 SETUP = {"x0": [1.0, 1.0, 1.0], "c": [1.0, 0.0, 0.0]}
 CHAIN = {"m.csv": "0.5,1,0\n0,-0.4,1\n0.3,0,0.2\n", "s.json": spectrum(ROOT), "setup.json": json.dumps(SETUP)}
@@ -95,7 +91,7 @@ ROWS = [
         "spectral-scope generate: error: argument --kind: invalid choice: 'normalized-laplacian' "
         "(choose from 'adjacency', 'degree', 'laplacian', 'row-stochastic')"),
     # simulate
-    *(Row(f"simulate-{id}", f"simulate --matrix swap.csv {argv} --out y.csv", SWAP, f"error: {line}")
+    *(Row(f"simulate-{id}", f"simulate --matrix swap.csv {argv} --out y.json", SWAP, f"error: {line}")
       for id, argv, line in [
           ("dt-tau", "--mode dt --tau 0.5", "--tau needs --mode ct"),
           ("default-mode-tau", "--tau 0.5", "--tau needs --mode ct"),
@@ -128,75 +124,65 @@ ROWS = [
           ("seed", "--seed -1", "--seed must be >= 0, got -1"),
           ("node-seed", "--mode dt --node-d 2 --node-seed -4", "--node-seed must be >= 0, got -4"),
       ]),
-    Row("simulate-cannot-write", "simulate --matrix swap.csv --out no-such-dir/y.csv", SWAP,
-        "error: cannot write output: [Errno 2] No such file or directory: 'no-such-dir/y.csv'"),
-    *(Row(f"simulate-{mode}-mode", f"simulate --matrix swap.csv --mode {mode} --tau 1 --node-d 2 --out y.csv", SWAP,
+    Row("simulate-cannot-write", "simulate --matrix swap.csv --out no-such-dir/y.json", SWAP,
+        "error: cannot write output: [Errno 2] No such file or directory: 'no-such-dir/y.json'"),
+    *(Row(f"simulate-{mode}-mode", f"simulate --matrix swap.csv --mode {mode} --tau 1 --node-d 2 --out y.json", SWAP,
           f"spectral-scope simulate: error: argument --mode: invalid choice: '{mode}' (choose from 'dt', 'ct')")
       for mode in ("dt-networked", "ct-networked")),
-    Row("simulate-two-node-sources", "simulate --matrix swap.csv --node node.json --node-d 3 --out y.csv",
+    Row("simulate-two-node-sources", "simulate --matrix swap.csv --node node.json --node-d 3 --out y.json",
         {**SWAP, "node.json": json.dumps({"A": [[0.5]], "beta": [1], "gamma": [1]})},
         "spectral-scope simulate: error: argument --node-d: not allowed with argument --node"),
-    *(Row(f"simulate-K-{K}", f"simulate --matrix swap.csv --K {K} --out y.csv", {},  # before the matrix is read
+    *(Row(f"simulate-K-{K}", f"simulate --matrix swap.csv --K {K} --out y.json", {},  # before the matrix is read
           f"error: --K must be <= 4096, got {K}") for K in (4097, 10**18)),
-    Row("simulate-overflow-at-the-first-sample", "simulate --matrix swap.csv --x0 1e308,1e308 --observe 0,1 --out y.csv",
-        SWAP, "overflow at sample 0; nothing recorded", code=1),
+    Row("simulate-overflow-at-the-first-sample",
+        "simulate --matrix swap.csv --x0 1e308,1e308 --observe 0,1 --out y.json", SWAP,
+        "overflow at sample 0; nothing recorded", code=1),
     # the agents' initial states, x0 beta^T, overflow before the rollout: numpy once warned first
     Row("simulate-node-overflow-at-the-first-sample",
-        "simulate --matrix half.csv --node node.json --x0 1e300 --observe 0 --out y.csv",
+        "simulate --matrix half.csv --node node.json --x0 1e300 --observe 0 --out y.json",
         {"half.csv": "0.5\n", "node.json": json.dumps({"A": [[0.5]], "beta": [1e10], "gamma": [1.0]})},
         "overflow at sample 0; nothing recorded", code=1),
     Row("simulate-overflowing-matrix-exponential", "simulate --matrix one.csv --mode ct --tau 1000 --x0 1 --observe 0",
         {"one.csv": "1\n"}, "overflow: matrix exponential exceeded the floating range; nothing recorded", code=1),
-    Row("simulate-partial-trace", "simulate --matrix hot.csv --x0 1 --observe 0 --K 200 --out y.csv",
-        {"hot.csv": "1000\n"}, "overflow at sample 103; partial sequence written", code=1, writes=("y.csv", "y.json")),
+    Row("simulate-partial-trace", "simulate --matrix hot.csv --x0 1 --observe 0 --K 200 --out y.json",
+        {"hot.csv": "1000\n"}, "overflow at sample 103; partial sequence written", code=1, writes=("y.json",)),
     # estimate
     Row("estimate-no-y", "estimate", {}, "spectral-scope estimate: error: the following arguments are required: --y"),
-    Row("estimate-missing-sequence", "estimate --y nope.csv", {},  # the sidecar is missing too
-        "error: cannot read sequence: [Errno 2] No such file or directory: 'nope.csv'"),
-    *(Row(f"estimate-{id}-sample", "estimate --y y.csv", sequence([1.0, bad, 1.0, 0.0]),
-          f"error: cannot read sequence: sequence y.csv: line 3, column 2: {str(bad)!r} is not a finite number")
+    Row("estimate-missing-sequence", "estimate --y nope.json", {},
+        "error: cannot read sequence: [Errno 2] No such file or directory: 'nope.json'"),
+    *(Row(f"estimate-{id}-sample", "estimate --y y.json", sequence([1.0, bad, 1.0, 0.0]),
+          f"error: cannot read sequence: sequence y.json: output y[1] is not finite: {bad}")
       for id, bad in (("nan", np.nan), ("inf", np.inf), ("minus-inf", -np.inf))),
-    *(Row(f"estimate-{id}", "estimate --y y.csv", {**files, "y.csv": csv},
-          f"error: cannot read sequence: sequence y.csv: {line}")
-      for id, files, csv, line in [
-          ("dt-header", DT_Y, "t,y\n0,1\n1,0.5\n2,0.25\n3,0.125\n", "header 't,y' does not fit mode 'dt' (k,y)"),
-          ("ct-header", CT_Y, "k,y\n0,1\n0.5,0.5\n1,0.25\n1.5,0.125\n", "header 'k,y' does not fit mode 'ct' (t,y)"),
-          ("dt-k", DT_Y, "k,y\n0,1\n5,0\n2,0.25\n3,0.125\n", "line 3: k = 5.0, expected 1.0"),
-          ("ct-t", CT_Y, "t,y\n0,1\n0.6,0\n1,0.25\n1.5,0.125\n", "line 3: t = 0.6, expected 0.5"),
-          ("one-column", CT_Y, "t,y\n0,1\n0.5\n1,0.25\n1.5,0.125\n", "line 3: expected 2 columns, got 1"),
-          ("text-sample", DT_Y, "k,y\n0,1\n1,x\n2,0.25\n3,0.125\n", "line 3, column 2: 'x' is not a finite number"),
-          # float() read 0_5 as 5.0; blank lines and comments are skipped, and a line is the file's own
-          ("underscore-sample", DT_Y, "k,y\n0,1\n# the second sample\n\n1,0_5\n2,0.25\n3,0.125\n",
-           "line 5, column 2: '0_5' is not a finite number"),
-          ("nan-sample-after-a-comment", DT_Y, "k,y\n# a comment\n0,1\n1,nan\n2,0.25\n3,0.125\n",
-           "line 4, column 2: 'nan' is not a finite number"),
-          ("three-columns", DT_Y, "k,y\n0,1,2\n1,0.5,2\n", "line 2: expected 2 columns, got 3"),
-          ("no-samples", DT_Y, "k,y\n", "has no entries"),
-      ]),
-    *(Row(f"estimate-sidecar-{id}", "estimate --y y.csv", {**SWAP_Y, "y.json": text},
-          f"error: cannot read sequence: sidecar y.json: {line}")
+    *(Row(f"estimate-{id}", "estimate --y y.json", {"y.json": text},
+          f"error: cannot read sequence: sequence y.json: {line}")
       for id, text, line in [
-          ("list", "[1]", "must hold a JSON object"),
-          ("no-mode", '{"tau": 1.0}', "has no 'mode'"),
-          ("text-tau", '{"mode": "ct", "tau": "x"}', "tau must be a positive finite number, got 'x'"),
-          ("huge-tau", f'{{"mode": "ct", "tau": {10**400}}}', f"tau must be a positive finite number, got {10**400}"),
-          ("dt-tau", '{"mode": "dt", "tau": 0.5}', "a 'dt' sequence has no tau, got 0.5"),
-          ("xt-mode", '{"mode": "xt", "tau": null}', "mode must be 'dt' or 'ct', got 'xt'"),
-          ("not-json", "mode: dt", EXPECTING),
+          ("text-sample", '{"values": [1, "x", 0.25]}', "output y holds 'x', which is not a number"),
+          ("no-samples", '{"values": []}', "a non-empty 1-d sequence of outputs is required"),
+          ("nested-samples", '{"values": [[1, 0.5], [0.25, 0.125]]}',
+           "a non-empty 1-d sequence of outputs is required"),
+          ("record-list", "[1]", "must hold a JSON object"),
+          ("record-no-values", '{"tau": 1.0}', "has no 'values'"),
+          ("record-text-tau", '{"values": [1, 0], "tau": "x"}', "tau must be a positive finite number, got 'x'"),
+          ("record-huge-tau", f'{{"values": [1, 0], "tau": {10**400}}}',
+           f"tau must be a positive finite number, got {10**400}"),
+          ("record-not-json", "values: 1, 0", EXPECTING),
       ]),
-    *(Row(f"estimate-{flag}-{value}", f"estimate --y y.csv --{flag} {value} --out s.json", SWAP_Y,
+    # a sequence file is one JSON record; the CSV an older simulate wrote is no JSON
+    Row("estimate-older-sequence-csv", "estimate --y y.csv", {"y.csv": "k,y\n0,1\n1,0.5\n"},
+        f"error: cannot read sequence: sequence y.csv: {EXPECTING}"),
+    *(Row(f"estimate-{flag}-{value}", f"estimate --y y.json --{flag} {value} --out s.json", SWAP_Y,
           f"error: {name} must be a finite number >= 0, got {float(value)!r}")
       for flag, name, values in (("rank-tolerance", "rank tolerance", ("nan", "inf", "-1")),
                                  ("cluster-tol", "cluster tolerance", ("nan", "-1")))
       for value in values),
-    Row("estimate-long-networked-record", "estimate --y y.csv",  # the exact deconvolution would take minutes
+    Row("estimate-long-networked-record", "estimate --y y.json",  # the exact deconvolution would take minutes
         sequence([1.0] * 129, node={"A": [[0.5]], "beta": [1], "gamma": [1]}),
         "error: exact deconvolution takes at most 128 samples, got 129"),
-    Row("estimate-orthogonal-node", "estimate --y y.csv",
+    Row("estimate-orthogonal-node", "estimate --y y.json",
         sequence([0.0] * 8, node={"A": [[0, 0], [0, 0]], "beta": [1, 0], "gamma": [0, 1]}),
         "estimation failed: node weight nu[0] = 0.000e+00 is numerically zero; "
         "the node dynamics cannot be deconvolved", code=1),
-    *(Row(f"estimate-{id}-overflow", "estimate --y y.csv", sequence(values, tau=tau, node=node),
+    *(Row(f"estimate-{id}-overflow", "estimate --y y.json", sequence(values, tau=tau, node=node),
           f"estimation failed: {line}", code=1)
       for id, values, tau, node, line in [
           ("node-expm", [1.0, 0.5, 0.25, 0.125], 1.0, {**NODE, "A": [[1000]]},
@@ -208,17 +194,17 @@ ROWS = [
           ("node-weights", [1.0, 0.5, 0.25, 0.125], None, {**NODE, "A": [[1e200]]},
            "node weight nu[2] lies beyond the double range"),
       ]),
-    Row("estimate-no-warning-before-the-failure", "estimate --y y.csv --rank-tolerance 0",
+    Row("estimate-no-warning-before-the-failure", "estimate --y y.json --rank-tolerance 0",
         sequence([-1.5869749083707733e-18] * 13, tau=1.0),
         "estimation failed: recovered discrete root (6.024656351716352e-51+0j) is numerically zero; "
         "no finite continuous eigenvalue maps to it", code=1),
     # a positive finite tau, but log(0.5) / tau is beyond the doubles
-    Row("estimate-log-map-overflow", "estimate --y y.csv", sequence([1.0, 0.5, 0.25, 0.125], tau=1e-320),
+    Row("estimate-log-map-overflow", "estimate --y y.json", sequence([1.0, 0.5, 0.25, 0.125], tau=1e-320),
         "estimation failed: recovered discrete root (0.5+0j) maps beyond the double range at tau = 1e-320",
         code=1),
-    Row("estimate-cannot-write", "estimate --y y.csv --out no-such-dir/s.json", SWAP_Y,
+    Row("estimate-cannot-write", "estimate --y y.json --out no-such-dir/s.json", SWAP_Y,
         "error: cannot write output: [Errno 2] No such file or directory: 'no-such-dir/s.json'"),
-    # a node: simulate reads a node file, estimate the node in a sequence's sidecar
+    # a node: simulate reads a node file, estimate the node in a sequence record
     *(row for id, node, message in [
         ("no-A", {"beta": [1], "gamma": [1]}, "has no 'A'"),
         ("list", [[1]], "must hold a JSON object"),
@@ -235,10 +221,10 @@ ROWS = [
         ("bool-gamma", {**NODE, "gamma": [False]}, "gamma holds False, which is not a number"),
         ("bare-bool-A", {"A": True, "beta": True, "gamma": 1}, "A is True, which is not a number"),
     ] for row in (
-        Row(f"simulate-node-{id}", "simulate --matrix swap.csv --mode dt --node node.json --K 4 --out y.csv",
+        Row(f"simulate-node-{id}", "simulate --matrix swap.csv --mode dt --node node.json --K 4 --out y.json",
             {**SWAP, "node.json": json.dumps(node)}, f"error: node node.json: {message}"),
-        Row(f"estimate-node-{id}", "estimate --y y.csv --out s.json", {**SWAP_Y, "y.json": json.dumps(
-            {"mode": "dt", "node": node})}, f"error: cannot read sequence: node in sidecar y.json: {message}"),
+        Row(f"estimate-node-{id}", "estimate --y y.json --out s.json", {"y.json": json.dumps(
+            {"values": [1.0, 0.0], "node": node})}, f"error: cannot read sequence: sequence y.json: {message}"),
     )),
     # verify
     Row("verify-no-estimate", "verify --matrix m.csv", {},
@@ -317,7 +303,7 @@ ROWS = [
         ("blank-lines", "\n\n", "has no entries"),  # loadtxt once warned first that it read no data
         ("comment-only", "# a comment and no entries\n", "has no entries"),
     ] for row in (
-        Row(f"simulate-matrix-{id}", "simulate --matrix m.csv --out y.csv", {"m.csv": text},
+        Row(f"simulate-matrix-{id}", "simulate --matrix m.csv --out y.json", {"m.csv": text},
             f"error: matrix m.csv: {message}"),
         Row(f"verify-matrix-{id}", f"{VERIFY} --out v.json", {**CHAIN, "m.csv": text},
             f"error: cannot read inputs: matrix m.csv: {message}"),

@@ -1,12 +1,11 @@
 """Every CLI step that reads a file ends with exit code 0, 1 or 2, whatever the file holds.
 
-Each property writes one fuzzed file (sidecar, setup, estimate or node JSON,
-or a matrix or sequence CSV) next to a valid chain and runs the steps that
-read it in process; ``simulate`` reads a node file, ``estimate`` the node in
-a sidecar, which is the ``.json`` file next to its sequence CSV. An
-exception escaping ``main`` is what a user would see as a traceback. The
-drawn values mix arbitrary JSON or text with the keys, headers and numbers
-each file is expected to hold, so the checks past the first are reached.
+Each property writes one fuzzed file (sequence, setup, estimate or node
+JSON, or a matrix CSV) next to a valid chain and runs the steps that read it
+in process; ``simulate`` reads a node file, ``estimate`` the node in a
+sequence record. An exception escaping ``main`` is what a user would see as
+a traceback. The drawn values mix arbitrary JSON or text with the keys and
+numbers each file is expected to hold, so the checks past the first are reached.
 Every property also fails on a warning, since a warning reaches the user's
 stderr. Settings come only from flags, which argparse checks, so no fuzzed
 file sets one.
@@ -51,20 +50,20 @@ def exit_code(argv) -> int:
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory):
-    """A valid 3-node chain: matrix, DT and CT sequences with sidecars (plain,
-    and networked ``dtn``/``ctn`` whose sidecars carry ``NODE``), setup, estimate."""
+    """A valid 3-node chain: matrix, DT and CT sequence records (plain, and
+    networked ``dtn``/``ctn``, which carry ``NODE``), setup, estimate."""
     d = tmp_path_factory.mktemp("chain")
     (d / "m.csv").write_text("0.5,1,0\n0,-0.4,1\n0.3,0,0.2\n")
     (d / "node.json").write_text(json.dumps(NODE))
     steps = [
-        ["simulate", "--matrix", d / "m.csv", "--seed", 1, "--K", 8, "--out", d / "dt.csv"],
+        ["simulate", "--matrix", d / "m.csv", "--seed", 1, "--K", 8, "--out", d / "dt.json"],
         ["simulate", "--matrix", d / "m.csv", "--mode", "ct", "--tau", 0.5, "--seed", 1,
-         "--K", 8, "--out", d / "ct.csv"],
+         "--K", 8, "--out", d / "ct.json"],
         ["simulate", "--matrix", d / "m.csv", "--seed", 1, "--K", 8, "--node", d / "node.json",
-         "--out", d / "dtn.csv"],
+         "--out", d / "dtn.json"],
         ["simulate", "--matrix", d / "m.csv", "--mode", "ct", "--tau", 0.5, "--seed", 1,
-         "--K", 8, "--node", d / "node.json", "--out", d / "ctn.csv"],
-        ["estimate", "--y", d / "dt.csv", "--out", d / "spectrum.json"],
+         "--K", 8, "--node", d / "node.json", "--out", d / "ctn.json"],
+        ["estimate", "--y", d / "dt.json", "--out", d / "spectrum.json"],
     ]
     assert [exit_code(argv) for argv in steps] == [0, 0, 0, 0, 0]
     for name in ("dtn.json", "ctn.json"):
@@ -72,18 +71,11 @@ def chain(tmp_path_factory):
     return d
 
 
-def beside(csv: Path, sidecar: Path, dest: Path) -> Path:
-    """``dest``, holding the sequence ``csv``, with ``sidecar`` copied next to it."""
-    dest.write_bytes(csv.read_bytes())
-    dest.with_suffix(".json").write_bytes(sidecar.read_bytes())
-    return dest
-
-
 def sequence_with_node(chain, mode: str, node, tmp: Path) -> Path:
-    """A copy of the chain's ``mode`` sequence whose sidecar has ``node`` as its node."""
-    meta = json.loads((chain / f"{mode}.json").read_text())
-    (tmp / "with-node.json").write_text(json.dumps({**meta, "node": node}))
-    return beside(chain / f"{mode}.csv", tmp / "with-node.json", tmp / "with-node.csv")
+    """A copy of the chain's ``mode`` sequence record with ``node`` as its node."""
+    record = json.loads((chain / f"{mode}.json").read_text())
+    (tmp / "with-node.json").write_text(json.dumps({**record, "node": node}))
+    return tmp / "with-node.json"
 
 
 def run_with(payload, name: str, steps) -> None:
@@ -103,21 +95,27 @@ def square_node(d: int):
     )
 
 
+# any double, as a JSON number, plus the values at the range's edges
+SAMPLE = st.floats(-2.0, 2.0) | st.floats() | st.sampled_from([0.0, -0.0, 1e308, -1e308, 1e-320])
+
+
 @pytest.mark.filterwarnings("error")
 @FUZZ
 @given(
-    meta=ANY | st.fixed_dictionaries(
-        {"mode": st.sampled_from(["dt", "ct"]) | ANY},
-        optional={  # n_hint: a key that older sidecars carry and no step reads
-            "tau": st.sampled_from([0.5, 1.0]) | ANY, "n_hint": ANY, "seed": ANY,
+    record=ANY | st.fixed_dictionaries(
+        {"values": st.lists(SAMPLE, min_size=1, max_size=12) | ANY},
+        optional={
+            "tau": st.sampled_from([0.5, 1.0]) | ANY, "seed": ANY,
             "node": st.just(NODE) | st.integers(1, 3).flatmap(square_node) | ANY,
         },
     ),
-    sequence=st.sampled_from(["dt.csv", "ct.csv"]),
 )
-def test_any_sidecar_ends_estimate_with_an_exit_code(chain, meta, sequence):
-    run_with(meta, "y.json", lambda path, tmp: [
-        ["estimate", "--y", beside(chain / sequence, path, tmp / "y.csv"), "--out", tmp / "s.json"],
+@example(record={"values": [1e308, -1e308, 1e308, -1e308]})
+@example(record={"values": [1e-320] * 3, "tau": 0.5})
+@example(record={"values": [1e308, -1e308, 1e308, -1e308], "node": NODE})
+def test_any_sequence_record_ends_estimate_with_an_exit_code(record):
+    run_with(record, "y.json", lambda path, tmp: [
+        ["estimate", "--y", path, "--out", tmp / "s.json"],
     ])
 
 
@@ -159,26 +157,26 @@ def test_any_estimate_ends_verify_with_an_exit_code(chain, estimate):
 @FUZZ
 @given(node=ANY | st.integers(1, 3).flatmap(square_node), mode=st.sampled_from(["dt", "ct"]))
 def test_any_node_ends_simulate_and_estimate_with_an_exit_code(chain, node, mode):
-    # simulate reads the node from --node, estimate from the sidecar's "node"
+    # simulate reads the node from --node, estimate from the sequence record's "node"
     run_with(node, "node.json", lambda path, tmp: [
         ["simulate", "--matrix", chain / "m.csv", "--mode", mode, "--tau", 0.5,
-         "--K", 6, "--seed", 2, "--node", path, "--out", tmp / "y.csv"],
+         "--K", 6, "--seed", 2, "--node", path, "--out", tmp / "y.json"],
         ["estimate", "--y", sequence_with_node(chain, mode, node, tmp), "--out", tmp / "s.json"],
     ])
 
 
 # =========================================================================
-# Text inputs: matrix CSV and sequence CSV
+# Text inputs: matrix CSV
 # =========================================================================
 
 TEXT = st.text(max_size=40)
 # any double, written as the writers write it, plus the values at the range's edges
-SAMPLE = (
+NUMERAL = (
     st.floats(-2.0, 2.0).map(repr)
     | st.floats().map(repr)
     | st.sampled_from(["0", "-0.0", "1e308", "-1e308", "1e-320", "nan", "-inf"])
 )
-CELL = SAMPLE | st.sampled_from(["", " ", "1e999", "0x1p3", "1_0", "#", "a"]) | st.text(max_size=4)
+CELL = NUMERAL | st.sampled_from(["", " ", "1e999", "0x1p3", "1_0", "#", "a"]) | st.text(max_size=4)
 
 
 def text_table(rows, cols, cell=CELL):
@@ -197,7 +195,7 @@ def run_on_text(text: str, name: str, steps) -> None:
 
 
 # square tables of numbers reach the rollouts and, at n = 3, the verify oracle
-SQUARE = st.sampled_from([1, 2, 3, 3]).flatmap(lambda n: text_table((n, n), (n, n), cell=SAMPLE))
+SQUARE = st.sampled_from([1, 2, 3, 3]).flatmap(lambda n: text_table((n, n), (n, n), cell=NUMERAL))
 
 
 @pytest.mark.filterwarnings("error")
@@ -209,34 +207,7 @@ SQUARE = st.sampled_from([1, 2, 3, 3]).flatmap(lambda n: text_table((n, n), (n, 
 def test_any_matrix_csv_ends_simulate_and_verify_with_an_exit_code(chain, matrix, mode):
     run_on_text(matrix, "m.csv", lambda path, tmp: [
         ["simulate", "--matrix", path, "--mode", mode, "--tau", 0.5, "--K", 6, "--seed", 3,
-         "--out", tmp / "y.csv"],
+         "--out", tmp / "y.json"],
         ["verify", "--matrix", path, "--estimate", chain / "spectrum.json",
          "--setup", chain / "dt.setup.json", "--out", tmp / "v.json"],
-    ])
-
-
-INDEX = st.integers(-1, 8).map(str) | st.sampled_from(["0.0", "1e0", "2.5", "nan", ""])
-
-
-@pytest.mark.filterwarnings("error")
-@FUZZ
-@given(
-    header=st.sampled_from(["k,y", "t,y", " k , y", "y,k"]) | TEXT,
-    rows=st.lists(st.tuples(INDEX, CELL).map(",".join) | TEXT, max_size=8),
-    samples=st.lists(SAMPLE, min_size=1, max_size=12),
-    formed=st.booleans(),
-    sequence=st.sampled_from(["dt.csv", "ct.csv"]),
-)
-@example(header="k,y", rows=["0,1e308", "1,-1e308", "2,1e308", "3,-1e308"], samples=["0"],
-         formed=False, sequence="dt.csv")
-@example(header="t,y", rows=["0,1e-320", "0.5,1e-320", "1,1e-320"], samples=["0"],
-         formed=False, sequence="ct.csv")
-def test_any_sequence_csv_ends_estimate_with_an_exit_code(chain, header, rows, samples, formed, sequence):
-    if formed:  # the header and index column the sidecar asks for, so the samples reach the estimator
-        header, step = ("k,y", 1.0) if sequence == "dt.csv" else ("t,y", 0.5)
-        rows = [f"{k * step!r},{y}" for k, y in enumerate(samples)]
-    sidecar, networked = (chain / sequence.replace(".csv", suffix) for suffix in (".json", "n.json"))
-    run_on_text("\n".join([header, *rows]) + "\n", "y.csv", lambda path, tmp: [
-        ["estimate", "--y", beside(path, sidecar, path), "--out", tmp / "s.json"],
-        ["estimate", "--y", beside(path, networked, tmp / "yn.csv"), "--out", tmp / "s.json"],
     ])

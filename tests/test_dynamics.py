@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import FINITE_DOUBLES
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -503,41 +503,35 @@ def test_random_setup_is_deterministic():
     assert np.array_equal(a.x0, b.x0) and np.array_equal(a.c, b.c)
 
 
-@pytest.mark.parametrize("mode,tau", [(DT, None), (CT, 0.25)])
-@given(st.lists(FINITE_DOUBLES, min_size=1, max_size=20))
+# a signed zero, the smallest subnormal and the largest double keep their bits too
+EDGES = [-0.0, 5e-324, 1.7976931348623157e308]
+NODES = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    arrays(float, (d, d), elements=FINITE_DOUBLES), *[arrays(float, d, elements=FINITE_DOUBLES)] * 2))
+
+
+@given(values=st.lists(FINITE_DOUBLES, min_size=1, max_size=20),
+       tau=st.none() | st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+       node=st.none() | NODES, seed=st.none() | st.integers(0, 2**64))
+@example(values=EDGES, tau=None, node=None, seed=None)
+@example(values=EDGES, tau=0.25, node=None, seed=42)
+@example(values=EDGES, tau=5e-324, node=([[-0.0]], [5e-324], [1.7976931348623157e308]), seed=0)
+@example(values=EDGES, tau=None, node=([EDGES] * 3, EDGES, EDGES), seed=None)
 @settings(max_examples=100, deadline=None)
-def test_sequence_files_roundtrip_exactly(mode, tau, values):
-    seq = OutputSequence(values, tau=tau)
+def test_a_sequence_record_roundtrips_its_values_tau_and_node_bit_for_bit(values, tau, node, seed):
+    seq = OutputSequence(values, tau=tau, node=None if node is None else NodeDynamics(*node))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "y.csv"
-        write_sequence(seq, path, seed=42)
+        path = Path(tmp) / "y.json"
+        write_sequence(seq, path, seed=seed)
         back = read_sequence(path)
-        header = path.read_text().splitlines()[0]
+        (line,) = path.read_text().splitlines()  # one compact line
+    record = json.loads(line)
+    assert (record["schema"], record["seed"], "node" in record) == (1, seed, node is not None)
     # tobytes, since array_equal takes -0.0 for 0.0
     assert back.values.tobytes() == seq.values.tobytes()
-    assert back.mode == seq.mode and back.tau == seq.tau
-    assert header == ("k,y" if mode == DT else "t,y")
-
-
-def test_a_sequence_skips_blank_lines_and_comments(tmp_path):
-    (tmp_path / "y.json").write_text('{"mode": "dt"}')
-    (tmp_path / "y.csv").write_text("k,y\n# a comment\n0,1\n\n1,0.5 # a half\n  \n2,0.25\n")
-    assert read_sequence(tmp_path / "y.csv").values.tolist() == [1.0, 0.5, 0.25]
-
-
-def test_a_plain_sidecar_holds_no_node(tmp_path):
-    write_sequence(OutputSequence([1.0, 0.5]), tmp_path / "y.csv")
-    assert "node" not in json.loads((tmp_path / "y.json").read_text())
-    assert read_sequence(tmp_path / "y.csv").node is None
-
-
-@pytest.mark.parametrize("mode,tau", [(DT, None), (CT, 0.25)])
-def test_a_networked_sidecar_roundtrips_its_node_bit_for_bit(tmp_path, mode, tau):
-    rng = np.random.default_rng(5)
-    A, beta = rng.standard_normal((3, 3)), rng.standard_normal(3)
-    A[0, 0], beta[1] = -0.0, 5e-324  # a signed zero and the smallest subnormal keep their bits too
-    node = NodeDynamics(A=A, beta=beta, gamma=rng.standard_normal(3))
-    write_sequence(OutputSequence(rng.standard_normal(6), tau=tau, node=node), tmp_path / "y.csv")
-    back = read_sequence(tmp_path / "y.csv").node
-    for got, want in ((back.A, node.A), (back.beta, node.beta), (back.gamma, node.gamma)):
-        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert back.tau == seq.tau and back.mode == seq.mode
+    if node is None:
+        assert back.node is None
+    else:
+        for got, want in ((back.node.A, seq.node.A), (back.node.beta, seq.node.beta),
+                          (back.node.gamma, seq.node.gamma)):
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -16,7 +16,7 @@ import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import hidden_mode_system, make_jordan_case
+from helpers import FINITE_DOUBLES, hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CT,
     InsufficientDataError,
@@ -1137,3 +1137,25 @@ def test_every_finite_record_gets_an_estimate_or_a_typed_refusal(values, tau, no
                               prescale=prescale)
         except REFUSALS as exc:  # no record check's ValueError, no LinAlgError, no Python overflow
             assert type(exc) is not OverflowError or re.search("beyond the double range|floating range", str(exc))
+
+
+def finite_nodes(d: int):
+    """Nodes of dimension ``d`` with any finite entries, zeros and the range's ends included."""
+    vector = st.lists(FINITE_DOUBLES, min_size=d, max_size=d)
+    return st.builds(NodeDynamics, st.lists(vector, min_size=d, max_size=d), vector, vector)
+
+
+@given(finite_records(), st.none() | st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+       st.integers(1, 3).flatmap(finite_nodes))
+@settings(max_examples=80, deadline=None)
+@example([1.0, 2.0, 3.0], None, NodeDynamics(A=[[0.0]], beta=[1.0], gamma=[0.0]))  # nu_0 = 0
+@example([1.0, 2.0], 1.0, NodeDynamics(A=[[1.7976931348623157e308]], beta=[1.0], gamma=[1.0]))  # expm overflows
+def test_every_finite_networked_record_gets_a_deconvolution_or_a_typed_refusal(values, tau, node):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sigma = deconvolve_sigma(OutputSequence(values, tau=tau, node=node))
+        except (SingularDeconvolutionError, OverflowError) as exc:  # no LinAlgError, no Python overflow
+            assert type(exc) is not OverflowError or re.search("beyond the double range|floating range", str(exc))
+            return
+    assert sigma.shape == (len(values),) and np.isfinite(sigma).all()

@@ -37,12 +37,12 @@ GUARD = textwrap.dedent(
 
     assert run_scenario("fig1", 0).ok
     assert run_scenario("fig3", 0).ok
-    p = {f: str(Path(sys.argv[1]) / f) for f in ("g.tsv", "m.csv", "y.csv", "s.json", "v.json")}
+    p = {f: str(Path(sys.argv[1]) / f) for f in ("g.tsv", "m.csv", "y.json", "s.json", "v.json")}
     chain = [
         ["generate", "--model", "pa", "--n", "10", "--m", "2", "--weights", "-1,1",
          "--seed", "0", "--graph-out", p["g.tsv"], "--matrix-out", p["m.csv"]],
-        ["simulate", "--matrix", p["m.csv"], "--mode", "dt", "--seed", "0", "--out", p["y.csv"]],
-        ["estimate", "--y", p["y.csv"], "--rank-tolerance", "1e-14", "--out", p["s.json"]],
+        ["simulate", "--matrix", p["m.csv"], "--mode", "dt", "--seed", "0", "--out", p["y.json"]],
+        ["estimate", "--y", p["y.json"], "--rank-tolerance", "1e-14", "--out", p["s.json"]],
         ["verify", "--matrix", p["m.csv"], "--estimate", p["s.json"],
          "--setup", str(Path(sys.argv[1]) / "y.setup.json"), "--tol", "1e-6", "--out", p["v.json"]],
     ]

@@ -4,12 +4,12 @@ A sampling period ``tau`` must be a positive finite real and a tolerance a
 finite real >= 0, neither a bool; ``graphs._positive`` and
 ``graphs._tolerance`` own these rules and their one message. A record's time
 mode is no input: it is ``CT`` when the record has a tau and ``DT`` when not,
-which ``dynamics._mode_of`` owns. Only the files name a mode, which must be
-``DT`` or ``CT``, with a tau for ``CT`` alone; ``dynamics._recorded_tau``
-owns that rule, behind ``read_sequence`` and
-``SpectrumEstimate.from_json_dict``. What a number is in text is the rule of
-numpy's C reader, which ``graphs._csv_table`` alone applies: both CSV readers
-and the list flags read a token alike or refuse it alike. The catalogues of library refusals
+which ``dynamics._mode_of`` owns. Only a spectrum file names a mode, which
+must be ``DT`` or ``CT``, with a tau for ``CT`` alone;
+``SpectrumEstimate.from_json_dict`` owns that rule (a sequence record has a
+tau or none). What a number is in text is the rule of numpy's C reader,
+which ``graphs._csv_table`` alone applies: the matrix reader and the list
+flags read a token alike or refuse it alike. The catalogues of library refusals
 and CLI error lines feed each bad value to every entry point that takes such
 an input; here, ``ast`` guards keep the range tests, the mode test and the
 choice between ``DT`` and ``CT`` from being written anywhere else in
@@ -55,7 +55,7 @@ from spectral_scope.graphs import _csv_table, read_matrix_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spectral_scope"
 RULE_HELPERS = ("_positive", "_tolerance")
-MODE_HELPER = ("_recorded_tau",)
+MODE_HELPER = ("from_json_dict",)
 MODE_CHOICE_HELPER = ("_mode_of",)
 # the estimator's doors: each checks the tolerances it takes, and
 # estimate_spectrum alone builds the record; the stages behind them take both as given
@@ -82,13 +82,13 @@ def test_a_sequence_cannot_be_changed_after_its_rules_run():
 def test_a_sequence_keeps_a_read_only_copy_of_its_samples(tmp_path):
     y = np.array([1.0, 0.5, 0.25, 0.125])
     seq = OutputSequence(y)
-    write_sequence(seq, tmp_path / "before.csv")
+    write_sequence(seq, tmp_path / "before.json")
     # without the copy this NaN would reach the file, which read_sequence refuses
     y[1] = math.nan
     assert seq.values.tolist() == [1.0, 0.5, 0.25, 0.125]
-    write_sequence(seq, tmp_path / "after.csv")
-    assert (tmp_path / "after.csv").read_text() == (tmp_path / "before.csv").read_text()
-    assert read_sequence(tmp_path / "after.csv").values.tolist() == seq.values.tolist()
+    write_sequence(seq, tmp_path / "after.json")
+    assert (tmp_path / "after.json").read_text() == (tmp_path / "before.json").read_text()
+    assert read_sequence(tmp_path / "after.json").values.tolist() == seq.values.tolist()
     with pytest.raises(ValueError, match="read-only"):
         seq.values[1] = math.nan
 
@@ -120,14 +120,11 @@ NOT_NUMBERS = ["1_0", "", " ", "0x10", "\u0661", "1d5", "1.5j", '"1"', "+-1", "n
 
 
 def read_by_every_text_reader(tmp_path, token: str) -> list:
-    """``token`` as the matrix reader, the sequence reader and a list flag
-    read it: the float of each, or the error each raises."""
+    """``token`` as the matrix reader and a list flag read it: the float of
+    each, or the error each raises."""
     (tmp_path / "m.csv").write_text(f"{token},1\n1,1\n")
-    (tmp_path / "y.csv").write_text(f"k,y\n0,{token}\n")
-    (tmp_path / "y.json").write_text('{"mode": "dt"}')
     out = []
-    for read in (lambda: read_matrix_csv(tmp_path / "m.csv")[0, 0], lambda: read_sequence(tmp_path / "y.csv").values[0],
-                 lambda: cli._parse_floats(f"{token},1")[0]):
+    for read in (lambda: read_matrix_csv(tmp_path / "m.csv")[0, 0], lambda: cli._parse_floats(f"{token},1")[0]):
         try:
             out.append(float(read()))
         except (ValueError, SystemExit) as exc:
@@ -138,14 +135,13 @@ def read_by_every_text_reader(tmp_path, token: str) -> list:
 @pytest.mark.parametrize("token", NUMBERS)
 def test_every_text_reader_reads_a_number_alike(tmp_path, token):
     got = read_by_every_text_reader(tmp_path, token)
-    assert [np.float64(v).tobytes() for v in got] == [np.float64(NUMBERS[token]).tobytes()] * 3  # -0.0 too
+    assert [np.float64(v).tobytes() for v in got] == [np.float64(NUMBERS[token]).tobytes()] * 2  # -0.0 too
 
 
 @pytest.mark.parametrize("token", NOT_NUMBERS)
 def test_every_text_reader_refuses_what_is_no_number(tmp_path, token, capsys):
-    matrix, sequence, flag = read_by_every_text_reader(tmp_path, token)
+    matrix, flag = read_by_every_text_reader(tmp_path, token)
     assert str(matrix) == f"matrix {tmp_path / 'm.csv'}: line 1, column 1: {token.strip()!r} is not a finite number"
-    assert str(sequence) == f"sequence {tmp_path / 'y.csv'}: line 2, column 2: {token.strip()!r} is not a finite number"
     assert isinstance(flag, SystemExit) and flag.code == 2
     assert capsys.readouterr().err == f"error: expected comma-separated finite numbers, got {token + ',1'!r}\n"
 
@@ -155,21 +151,22 @@ TABLE_TEXT = st.lists(st.lists(st.sampled_from(
     max_size=4)
 
 
-@given(TABLE_TEXT, st.sampled_from([None, 1, 2]))
+@given(TABLE_TEXT)
 @settings(max_examples=300, deadline=None)
-@example(["0\r,0"], None)  # numpy ends the line at the \r, though each field reads alone
-def test_the_table_reader_reads_every_data_line_or_names_its_fault(lines, width):
+@example(["0\r,0"])  # numpy ends the line at the \r, though each field reads alone
+def test_the_table_reader_reads_every_data_line_or_names_its_fault(lines):
+    data = [(i, d) for i, line in enumerate(lines, 1) if (d := line.partition("#")[0].strip())]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's reader warns of a table with no data
         try:
-            table, at = _csv_table(lines, first=3, width=width)
+            table = _csv_table(lines)
         except ValueError as exc:
-            assert re.fullmatch(r"has no entries|line \d+: expected \d+ columns, got \d+"
-                                r"|line \d+, column \d+: '.*' is not a finite number", str(exc), re.S), exc
+            # a fault's line is a data line, counted from 1
+            assert (m := re.fullmatch(r"has no entries|line (\d+): expected \d+ columns, got \d+"
+                                      r"|line (\d+), column \d+: '.*' is not a finite number", str(exc), re.S)), exc
+            assert (m[1] or m[2]) is None or int(m[1] or m[2]) in [i for i, _ in data]
             return
-    data = [(i, d) for i, line in enumerate(lines, 3) if (d := line.partition("#")[0].strip())]
-    assert table.shape == (len(data), width or data[0][1].count(",") + 1) and np.isfinite(table).all()
-    assert at == [i for i, _ in data]
+    assert table.shape == (len(data), data[0][1].count(",") + 1) and np.isfinite(table).all()
 
 
 # =========================================================================
@@ -273,7 +270,8 @@ def test_the_mode_rule_is_written_once():
     assert {name: mode_checks(text) for name, text in sources.items() if mode_checks(text)} == {}
     # the helpers hold the one check and the one choice, so the guard is not
     # looking at nothing
-    assert len(mode_checks(sources["dynamics.py"], allowed=(), choice_allowed=())) == 2
+    assert len(rule_checks(sources["estimator.py"], (), _is_mode_check)) == 1
+    assert len(rule_checks(sources["dynamics.py"], (), _is_mode_choice)) == 1
     # and it flags copies planted outside them, by name or by the strings
     planted = (
         "def check(mode):\n"
@@ -350,13 +348,13 @@ def _is_dict_check(node: ast.AST) -> bool:
 
 
 # a reader's path, and the CLI flags that name an input file
-FILE_NAMES = ("path", "sidecar")
+FILE_NAMES = ("path",)
 FILE_FLAGS = ("matrix", "estimate", "setup", "node", "y")
 
 
 def _names_a_file(node: ast.AST) -> bool:
-    """A ``raise`` whose expression formats a reader's ``path`` or ``sidecar``,
-    or an input file flag of ``args``, into an f-string."""
+    """A ``raise`` whose expression formats a reader's ``path``, or an input
+    file flag of ``args``, into an f-string."""
     if not isinstance(node, ast.Raise) or node.exc is None:
         return False
     formatted = [n for f in ast.walk(node.exc) if isinstance(f, ast.FormattedValue) for n in ast.walk(f.value)]
@@ -382,9 +380,9 @@ def test_the_file_rules_are_written_once():
     assert len(rule_checks(sources["graphs.py"], (), _names_a_file)) == 1
     # and it flags copies planted outside them, as the readers wrote them before
     planted = (
-        "def read(path, sidecar, args):\n"
+        "def read(path, args):\n"
         "    if not isinstance(meta, dict) or 'mode' not in meta:\n"
-        "        raise ValueError(f'sidecar {sidecar} must hold a JSON object')\n"
+        "        raise ValueError(f'sidecar {path} must hold a JSON object')\n"
         "    raise ValueError(f'{path} line {i}: weight {w!r} is not finite')\n"
         "    raise ValueError(f'root {k} in {args.estimate} has multiplicity {m}')\n"
         "    raise ValueError(f'matrix in {str(path)} has no entries') from None\n"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from helpers import InfeasiblePatternError, hidden_mode_system, make_jordan_case, orthogonal
+from helpers import FINITE_DOUBLES, InfeasiblePatternError, hidden_mode_system, make_jordan_case, orthogonal
 from spectral_scope import (
     ObservationSetup,
     estimate_spectrum,
@@ -25,9 +25,9 @@ from spectral_scope import (
     simulate_dt,
 )
 from spectral_scope import oracle
-from spectral_scope.clustering import cluster_indices
+from spectral_scope.clustering import _spectral_order, cluster_indices
 from spectral_scope.estimator import build_hankel
-from spectral_scope.oracle import _assignment, _shortest_augmenting_path
+from spectral_scope.oracle import _assignment, _expand_values, _shortest_augmenting_path
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -365,6 +365,26 @@ def test_a_distance_beyond_the_double_range_is_unmatched_on_both_sides(estimated
     assert report.pairs == finite
     assert report.unmatched_estimated == [complex(v) for v in estimated if v != 0.5]
     assert report.unmatched_true == [complex(v) for v in truth if v != 0.5 + 1e-12j]
+
+
+FINITE_COMPLEX = st.builds(complex, FINITE_DOUBLES, FINITE_DOUBLES)
+SPECTRA = st.lists(FINITE_COMPLEX, max_size=6) | st.lists(st.tuples(FINITE_COMPLEX, st.integers(1, 3)), max_size=4)
+
+
+@pytest.mark.filterwarnings("error")
+@given(SPECTRA, SPECTRA, st.sampled_from([0.0, 1e-9, 1e200]) | st.floats(0.0, 1.7976931348623157e308))
+@settings(max_examples=200, deadline=None)
+@example([1.7976931348623157e308, -1.7976931348623157e308], [complex(-1.7976931348623157e308, 1.7976931348623157e308)],
+         1.7976931348623157e308)
+def test_every_finite_matching_pairs_each_value_once_within_the_tolerance(estimated, truth, tol):
+    report = match_spectra(estimated, truth, tol)
+    est, true = _expand_values(estimated), _expand_values(truth)
+    # each value is paired once or left unmatched, and no pair is farther apart than tol
+    assert sorted(map(_spectral_order, [e for e, _, _ in report.pairs] + report.unmatched_estimated)) == sorted(
+        map(_spectral_order, est.tolist()))
+    assert sorted(map(_spectral_order, [t for _, t, _ in report.pairs] + report.unmatched_true)) == sorted(
+        map(_spectral_order, true.tolist()))
+    assert all(0.0 <= d <= tol for _, _, d in report.pairs)
 
 
 def test_matching_accepts_estimates_and_flat_lists():
