@@ -348,7 +348,10 @@ def _dyadic(values) -> tuple[list[int], int]:
 
 
 def _ratio_to_float(n: int, e: int, d: int) -> float:
-    # n * 2^e / d correctly rounded: int / int rounds once, like float(Fraction)
+    # n * 2^e / d correctly rounded: int / int rounds once, like float(Fraction),
+    # and over a positive d, so an exact zero is +0.0 as the Fraction's is (0 / -3 is -0.0)
+    if d < 0:
+        n, d = -n, -d
     return (n << e) / d if e >= 0 else n / (d << -e)
 
 

@@ -166,6 +166,16 @@ ROWS = [
           ("record-huge-tau", f'{{"values": [1, 0], "tau": {10**400}}}',
            f"tau must be a positive finite number, got {10**400}"),
           ("record-not-json", "values: 1, 0", EXPECTING),
+          ("null-sample", '{"values": [1, null, 0.25]}', "output y holds None, which is not a number"),
+          ("bool-sample", '{"values": [1, true, 0.25]}', "output y holds True, which is not a number"),
+          # json reads a literal beyond the doubles as inf, and a long integer exactly
+          ("overlong-sample", '{"values": [1, 1e400, 0.25]}', "output y[1] is not finite: inf"),
+          ("huge-sample", f'{{"values": [1, {10**400}, 0.25]}}', "int too large to convert to float"),
+          ("record-null-values", '{"values": null}', "output y is None, which is not a number"),
+          ("record-text-values", '{"values": "1, 0.5"}', "output y is '1, 0.5', which is not a number"),
+          ("record-object-values", '{"values": {"0": 1}}', "output y is {'0': 1}, which is not a number"),
+          # the sidecar an older simulate wrote beside its CSV holds no samples
+          ("older-sidecar", '{"schema": 1, "mode": "dt", "tau": null, "seed": 42}', "has no 'values'"),
       ]),
     # a sequence file is one JSON record; the CSV an older simulate wrote is no JSON
     Row("estimate-older-sequence-csv", "estimate --y y.csv", {"y.csv": "k,y\n0,1\n1,0.5\n"},

@@ -535,3 +535,12 @@ def test_a_sequence_record_roundtrips_its_values_tau_and_node_bit_for_bit(values
         for got, want in ((back.node.A, seq.node.A), (back.node.beta, seq.node.beta),
                           (back.node.gamma, seq.node.gamma)):
             assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_record_is_one_file_whose_tau_alone_gives_the_mode(tmp_path):
+    write_sequence(OutputSequence([1.0, 0.5], tau=0.25), tmp_path / "y.json")
+    assert [p.name for p in tmp_path.iterdir()] == ["y.json"]  # no second file
+    # keys a record does not know are ignored, such as an older sidecar's mode and n_hint
+    (tmp_path / "y.json").write_text('{"values": [1, 0.5], "mode": "ct", "n_hint": 3, "tau": null}')
+    back = read_sequence(tmp_path / "y.json")
+    assert (back.mode, back.tau, back.values.tolist()) == (DT, None, [1.0, 0.5])

@@ -959,11 +959,23 @@ def fraction_deconvolution(y, nu) -> list[float]:
     )
 )
 @settings(max_examples=150, deadline=None)
+@example(([0.5, 0.5, 0.5], -0.5, [0.0, -0.5]))  # sigma_2 = 0 / -0.5 exactly, which once came out -0.0
 def test_deconvolution_matches_rational_arithmetic_bit_for_bit(case):
     y, nu0, tail = case
     nu = [nu0] + tail
     got = stripped(y, nu)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
+
+
+@pytest.mark.parametrize("y0", [0.5, -0.5, 0.0, -0.0])
+@pytest.mark.parametrize("nu0", [0.5, -0.5])
+def test_an_exactly_cancelled_sample_deconvolves_to_plus_zero(y0, nu0):
+    # sigma_2 = (y_2 - nu_2 sigma_0) / nu_0 with y_2 = nu_2 sigma_0 exactly, whatever
+    # the signs; a zero record, -0.0 too, is +0.0 throughout
+    y, nu = [y0] * 3, [nu0, 0.0, nu0]
+    sigma = stripped(y, nu)
+    assert [v.hex() for v in sigma.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
+    assert sigma[2].hex() == "0x0.0p+0"
 
 
 def test_the_deconvolution_operator_is_memoized_for_the_last_nu():

@@ -19,6 +19,7 @@ the port finite costs only.
 from __future__ import annotations
 
 import ast
+import json
 import math
 import sys
 import warnings
@@ -51,6 +52,7 @@ from spectral_scope import (
     nu_sequence,
     observable_partition,
     random_setup,
+    read_sequence,
     run_scenario,
     simulate_ct_networked,
     simulate_ct_sampled,
@@ -131,6 +133,10 @@ ROWS = [
           f"tau must be a positive finite number, got {BAD[bad]!r}")
       for entry, (none_is_dt, call) in TAU_ENTRY_POINTS.items() for bad in BAD
       if not (none_is_dt and bad == "None")),
+    # a record's tau comes from its file, where json writes nan, inf and 10**400 as NaN, Infinity and the integer
+    *(Row(f"read_sequence-tau-{bad}", partial(read_sequence, "y.json"), ValueError,
+          f"sequence y.json: tau must be a positive finite number, got {BAD[bad]!r}",
+          {"y.json": json.dumps({"values": [1.0, 0.5], "tau": BAD[bad]})}) for bad in BAD if bad != "None"),
     *(Row(f"from_json_dict-mode-{bad}", spectrum(mode=mode), ValueError, f"mode must be 'dt' or 'ct', got {mode!r}")
       for bad, mode in BAD_MODE.items()),
     *(Row(f"{entry}-tolerance-{bad}", partial(call, BAD[bad]), ValueError,
