@@ -78,49 +78,29 @@ def _spectral_order(v: complex) -> tuple[float, float]:
 
 
 def cluster_complex(values, tol: float) -> list[tuple[complex, int]]:
-    """Merge nearby complex values into (centroid, count) pairs.
-
-    Pairs are sorted by ``_spectral_order`` of their centroids.
-    """
+    """Merge nearby complex values into (centroid, count) pairs, in the order
+    of ``cluster_indices``'s groups."""
     vals = np.asarray(values, dtype=complex)
-    out = [(_centroid(vals[idx]), len(idx)) for idx in cluster_indices(vals, tol)]
-    out.sort(key=lambda vm: _spectral_order(vm[0]))
-    return out
+    return [(_centroid(vals[idx]), len(idx)) for idx in cluster_indices(vals, tol)]
 
 
-def enforce_conjugate_pairs(
-    pairs: list[tuple[complex, int]], tol: float
-) -> list[tuple[complex, int]]:
+def enforce_conjugate_pairs(pairs: list[tuple[complex, int]], tol: float) -> list[tuple[complex, int]]:
     """Symmetrize (value, multiplicity) pairs of a real-coefficient spectrum.
 
-    Near-real values snap onto the real axis; the rest are matched with their
-    best conjugate partner and both are replaced by the exact conjugate pair
-    of their average. Values without a partner pass through unchanged.
+    Values within ``tol * max(1, |value|)`` of the real axis snap onto it. Each
+    value above the axis is kept with its exact conjugate, and each below it is
+    dropped for its partner above. So the input must be conjugation-closed with
+    equal multiplicities, as the callers' are: LAPACK returns exact pairs, next
+    to each other; ``_polish_roots`` treats both members alike; and
+    ``cluster_indices`` partitions such a set symmetrically, members in the same
+    relative order. The output is sorted by ``_spectral_order``.
     """
-    snapped: list[tuple[complex, int]] = []
+    out: list[tuple[complex, int]] = []
     for v, m in pairs:
-        if abs(v.imag) <= tol * max(1.0, abs(v)):
-            snapped.append((complex(v.real, 0.0), m))
-        else:
-            snapped.append((complex(v), m))
-
-    pos = [i for i, (v, _) in enumerate(snapped) if v.imag > 0]
-    neg = [i for i, (v, _) in enumerate(snapped) if v.imag < 0]
-    out = list(snapped)
-    used: set[int] = set()
-    for i in pos:
-        v, m = snapped[i]
-        best, best_d = None, np.inf
-        for j in neg:
-            if j in used:
-                continue
-            d = abs(v - snapped[j][0].conjugate())
-            if d < best_d:
-                best, best_d = j, d
-        if best is not None and best_d <= tol * max(1.0, abs(v)):
-            used.add(best)
-            avg = (v + snapped[best][0].conjugate()) / 2.0
-            out[i] = (avg, m)
-            out[best] = (avg.conjugate(), snapped[best][1])
+        v = complex(v.real, 0.0) if abs(v.imag) <= tol * max(1.0, abs(v)) else complex(v)
+        if not v.imag < 0:
+            out.append((v, m))
+            if v.imag > 0:
+                out.append((v.conjugate(), m))
     out.sort(key=lambda vm: _spectral_order(vm[0]))
     return out

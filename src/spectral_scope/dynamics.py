@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import _json_object, _positive, _reading, _require_finite, as_array
+from .graphs import _floats, _json_object, _positive, _reading, as_array
 
 __all__ = [
     "DT",
@@ -47,25 +47,6 @@ def _mode_of(tau) -> str:
     """The time mode of a record: ``CT`` when it has a sampling period tau,
     ``DT`` when not."""
     return DT if tau is None else CT
-
-
-def _floats(value, name: str, ndmin: int = 1) -> np.ndarray:
-    """``value`` as a float array of at least ``ndmin`` dimensions: a real
-    number or an array, or a list or tuple, nested ones too, of only those.
-    ``ValueError`` naming a bool (numpy reads it as 0 or 1), a string, an
-    object, None or an entry that is not finite, or a number beyond the doubles."""
-    items = [value]
-    while items:  # depth first, in order, so the first such value is named
-        if isinstance(item := items.pop(), (list, tuple)):
-            items.extend(reversed(item))
-        elif not isinstance(item, np.ndarray) and (isinstance(item, bool) or not isinstance(item, numbers.Real)):
-            raise ValueError(f"{name} {'is' if item is value else 'holds'} {item!r}, which is not a number")
-    try:
-        arr = np.array(value, dtype=float, ndmin=ndmin)  # a copy, which the caller cannot change
-    except (TypeError, OverflowError) as exc:  # such as an array of objects or an int beyond the doubles
-        raise ValueError(str(exc)) from None
-    _require_finite(arr, name)
-    return arr
 
 
 class SimulationOverflowError(OverflowError):

@@ -62,14 +62,6 @@ class SingularDeconvolutionError(ValueError):
     """The node factor is numerically singular; the agent dynamics cannot be stripped."""
 
 
-class DeconvolutionOverflowError(OverflowError):
-    """Deconvolved sample ``index`` lies beyond the double range."""
-
-    def __init__(self, index: int):
-        super().__init__(f"deconvolved sample sigma[{index}] lies beyond the double range")
-        self.index = index
-
-
 class LogSingularRootError(ValueError):
     """A recovered discrete root sits at zero, where no finite continuous eigenvalue exists."""
 
@@ -649,7 +641,7 @@ def deconvolve_sigma(y: OutputSequence) -> np.ndarray:
 
     ``ValueError`` for a record with no node, ``SingularDeconvolutionError``
     naming a weight the mode needs that is numerically zero, and
-    ``DeconvolutionOverflowError`` naming a sample beyond the double range.
+    ``OverflowError`` naming a sample beyond the double range.
     """
     if not isinstance(y, OutputSequence) or y.node is None:
         raise ValueError("deconvolve_sigma takes a networked record: an OutputSequence with a node")
@@ -671,7 +663,7 @@ def deconvolve_sigma(y: OutputSequence) -> np.ndarray:
         with np.errstate(over="ignore"):  # reported below, with the sample it hit
             sigma = y.values / nu
         if np.any(big := ~np.isfinite(sigma)):
-            raise DeconvolutionOverflowError(int(np.argmax(big)))
+            raise OverflowError(f"deconvolved sample sigma[{np.argmax(big)}] lies beyond the double range")
         return sigma
     Y, a = _dyadic(y.values.tolist())
     rows, dens, b = _deconvolution_operator(tuple(nu.tolist()))
@@ -680,7 +672,7 @@ def deconvolve_sigma(y: OutputSequence) -> np.ndarray:
         try:
             sigma[k] = _ratio_to_float(sum(map(operator.mul, row, Y)), a - b, den)
         except OverflowError:
-            raise DeconvolutionOverflowError(k) from None
+            raise OverflowError(f"deconvolved sample sigma[{k}] lies beyond the double range") from None
     return sigma
 
 

@@ -47,8 +47,9 @@ class Graph:
 
     Each edge is stored once as ``(src, dst, weight)``; undirected graphs are
     symmetrized only when a matrix is built. Parallel edges are allowed and
-    their weights sum. An edge outside ``0..n-1`` or with a NaN or infinite
-    weight is a ``ValueError`` naming it.
+    their weights sum. An edge whose node is not an integer index in
+    ``0..n-1`` (a bool is none), or whose weight is not a finite real number,
+    is a ``ValueError`` naming it.
     """
 
     n: int
@@ -58,13 +59,21 @@ class Graph:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"need at least one node, got n={self.n}")
-        edges = tuple((int(u), int(v), float(w)) for u, v, w in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for u, v, w in edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if not math.isfinite(w):
-                raise ValueError(f"edge ({u},{v}) weight is not finite: {w}")
+        edges = []
+        for u, v, w in self.edges:
+            # an exact int or float skips the ABC checks: each preset seed rebuilds its graph
+            for node in (u, v):
+                if type(node) is not int and (isinstance(node, bool) or not isinstance(node, numbers.Integral)):
+                    raise ValueError(f"edge ({u!r},{v!r}) node {node!r} is not an integer index")
+            if type(w) is not float and (isinstance(w, bool) or not isinstance(w, numbers.Real)):
+                raise ValueError(f"edge ({u},{v}) weight {w!r} is not a real number")
+            a, b, x = int(u), int(v), w if type(w) is float else _real(w)
+            if not (0 <= a < self.n and 0 <= b < self.n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
+            if not math.isfinite(x):
+                raise ValueError(f"edge ({a},{b}) weight is not finite: {w}")
+            edges.append((a, b, x))
+        object.__setattr__(self, "edges", tuple(edges))
 
     @property
     def num_edges(self) -> int:
@@ -72,9 +81,10 @@ class Graph:
 
 
 def as_array(matrix) -> np.ndarray:
-    """A square array-like of finite values as floats; a float array is returned
-    as is. ``ValueError`` for another shape, or naming the first NaN or infinite entry."""
-    arr = np.asarray(matrix, dtype=float)
+    """A square matrix of finite real numbers, by ``_floats``'s rule, as floats;
+    a float array is checked in place and returned as is. ``ValueError`` for
+    another shape, or naming the first entry that is not a finite number."""
+    arr = matrix if type(matrix) is np.ndarray and matrix.dtype == float else _floats(matrix, "matrix", ndmin=0)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"square matrix required, got shape {arr.shape}")
     _require_finite(arr, "matrix")
@@ -86,6 +96,29 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
     if not np.isfinite(arr).all():
         index = np.argwhere(~np.isfinite(arr))[0].tolist()
         raise ValueError(f"{name}{index} is not finite: {arr[tuple(index)]}")
+
+
+def _floats(value, name: str, ndmin: int = 1) -> np.ndarray:
+    """``value`` as a float array of at least ``ndmin`` dimensions: a real
+    number or an array, or a list or tuple, nested ones too, of only those;
+    an array of another dtype than int or float is checked by its entries.
+    ``ValueError`` naming a bool (numpy reads it as 0 or 1), a string, an
+    object, None or an entry that is not finite, or a number beyond the doubles."""
+    items = [value]
+    while items:  # depth first, in order, so the first such value is named
+        if isinstance(item := items.pop(), (list, tuple)):
+            items.extend(reversed(item))
+        elif isinstance(item, np.ndarray):
+            if item.dtype.kind not in "iuf":  # numpy would read bools, strings and complex parts as floats
+                items.append(item.tolist())
+        elif isinstance(item, bool) or not isinstance(item, numbers.Real):
+            raise ValueError(f"{name} {'is' if item is value else 'holds'} {item!r}, which is not a number")
+    try:
+        arr = np.array(value, dtype=float, ndmin=ndmin)  # a copy, which the caller cannot change
+    except (TypeError, OverflowError) as exc:  # such as an array of objects or an int beyond the doubles
+        raise ValueError(str(exc)) from None
+    _require_finite(arr, name)
+    return arr
 
 
 def _real(value) -> float:
@@ -191,9 +224,9 @@ def generate_ring(n: int, directed: bool = False) -> Graph:
 
 def assign_uniform_weights(g: Graph, lo: float, hi: float, seed=None) -> Graph:
     """Replace every edge weight with an i.i.d. Uniform[lo, hi) draw, in edge
-    order; the bounds must be finite with ``lo < hi``."""
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"need lo < hi, both finite, got [{lo}, {hi})")
+    order; the bounds must be finite real numbers with ``lo < hi``."""
+    if not -math.inf < _real(lo) < _real(hi) < math.inf:
+        raise ValueError(f"need lo < hi, both finite, got [{lo!r}, {hi!r})")
     w = np.random.default_rng(seed).uniform(lo, hi, g.num_edges)
     edges = tuple((u, v, float(wi)) for (u, v, _), wi in zip(g.edges, w))
     return replace(g, edges=edges)

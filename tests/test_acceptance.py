@@ -391,7 +391,7 @@ def test_each_public_name_is_declared_once():
 # internal to the estimator, the oracle and the simulators, yet kept as module
 # attributes under their names: perfbench times the three stages by name
 INTERNAL = {"estimator": ("build_hankel", "solve_coefficients", "roots_with_multiplicity", "HankelAnalysis",
-                          "CharacteristicPoly", "DeconvolutionOverflowError"),
+                          "CharacteristicPoly"),
             "clustering": ("cluster_complex", "enforce_conjugate_pairs"), "dynamics": ("matrix_exponential",)}
 
 

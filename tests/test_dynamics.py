@@ -384,6 +384,34 @@ def test_rollouts_and_node_weights_match_the_per_step_loops_bitwise(system):
     _assert_same_as_per_step(*system)
 
 
+ENTRIES = st.floats(-1e307, 1e307)
+
+
+@st.composite
+def finite_systems(draw):
+    """Any finite system of n <= 4 nodes and an agent of d <= 3 states, K <= 24
+    samples and a tau from 1e-300 to 1e300."""
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    setup = ObservationSetup(x0=draw(arrays(float, n, elements=ENTRIES)), c=draw(arrays(float, n, elements=ENTRIES)))
+    node = NodeDynamics(A=draw(arrays(float, (d, d), elements=ENTRIES)),
+                        beta=draw(arrays(float, d, elements=ENTRIES)), gamma=draw(arrays(float, d, elements=ENTRIES)))
+    return (draw(arrays(float, (n, n), elements=ENTRIES)), setup, draw(st.integers(1, 24)), node,
+            draw(st.floats(1e-300, 1e300)))
+
+
+@pytest.mark.filterwarnings("error")
+@given(finite_systems())
+@settings(max_examples=100, deadline=None)
+def test_every_finite_system_gets_a_rollout_or_a_typed_refusal(system):
+    G, setup, K, node, tau = system
+    runs = [lambda simulate=simulate: simulate(G, setup, K, node, tau) for simulate in SIMULATORS.values()]
+    for run in (*runs, lambda: nu_sequence(node, K), lambda: nu_sequence(node, K, tau)):
+        try:
+            run()
+        except Exception as exc:  # no stray numpy or scipy error, nor a warning turned into one
+            assert type(exc) in (ValueError, OverflowError, SimulationOverflowError), repr(exc)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "G, c, K, index",

@@ -38,12 +38,11 @@ from spectral_scope import (
     simulate_dt_networked,
 )
 from spectral_scope import estimator
-from spectral_scope.clustering import _centroid, cluster_complex, cluster_indices
+from spectral_scope.clustering import _centroid, cluster_complex, cluster_indices, enforce_conjugate_pairs
 from spectral_scope.dynamics import matrix_exponential
 from spectral_scope.estimator import (
     _REFINE_SWEEPS,
     CharacteristicPoly,
-    DeconvolutionOverflowError,
     _exact_residual,
     _polish_roots,
     _residual_rows,
@@ -641,6 +640,71 @@ def test_a_distance_beyond_the_double_range_is_never_near():
     assert [g.tolist() for g in cluster_indices([1e308, -1e308, 1e308], 1e-8)] == [[0, 2], [1]]
 
 
+def conjugate_pairs_by_partner_search(pairs, tol):
+    """enforce_conjugate_pairs as it was: near-real values snap, then each value
+    above the axis takes its nearest unused partner below it, and a partner
+    within tol makes both the exact conjugate pair of their average."""
+    snapped = [(complex(v.real, 0.0), m) if abs(v.imag) <= tol * max(1.0, abs(v)) else (complex(v), m)
+               for v, m in pairs]
+    pos = [i for i, (v, _) in enumerate(snapped) if v.imag > 0]
+    neg = [i for i, (v, _) in enumerate(snapped) if v.imag < 0]
+    out = list(snapped)
+    used = set()
+    for i in pos:
+        v, m = snapped[i]
+        best, best_d = None, np.inf
+        for j in neg:
+            if j not in used and (d := abs(v - snapped[j][0].conjugate())) < best_d:
+                best, best_d = j, d
+        if best is not None and best_d <= tol * max(1.0, abs(v)):
+            used.add(best)
+            avg = (v + snapped[best][0].conjugate()) / 2.0
+            out[i], out[best] = (avg, m), (avg.conjugate(), snapped[best][1])
+    out.sort(key=lambda vm: (-vm[0].real, -vm[0].imag))
+    return out
+
+
+@st.composite
+def conjugation_closed_spectra(draw):
+    """Distinct (value, multiplicity) pairs, closed under conjugation with equal
+    multiplicities, shuffled: reals, and values off the axis with their
+    conjugates, some 2^-1 to 2^-60 of their modulus from the axis."""
+    parts = st.one_of(st.sampled_from([0.0, -0.0]), wide_floats(-1060, 996))  # |parts| < 1e300
+    spectrum = {}
+    for _ in range(draw(st.integers(0, 8))):
+        x, m, kind = draw(parts), draw(st.integers(1, 4)), draw(st.sampled_from(["real", "off", "near"]))
+        y = (0.0 if kind == "real" else abs(draw(parts)) if kind == "off"
+             else math.ldexp(max(1.0, abs(x)), -draw(st.integers(1, 60))))
+        z = complex(x, y)
+        if z not in spectrum and (y == 0 or z.conjugate() not in spectrum):
+            spectrum[z] = m
+            if y:
+                spectrum[z.conjugate()] = m
+    return draw(st.permutations(list(spectrum.items())))
+
+
+def spectrum_bits(pairs):
+    """Each value's bits with its multiplicity. A zero real part of a value off
+    the axis reads as +0.0: the partner search's average, (v + v) / 2.0, gave
+    +0.0 there, since Python's complex division adds the parts' products."""
+    return [((v.real + 0.0 if v.imag else v.real).hex(), v.imag.hex(), m) for v, m in pairs]
+
+
+@given(conjugation_closed_spectra(), st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]))
+@example([(complex(-0.0, 1.0), 1), (complex(-0.0, -1.0), 1)], 0.0)
+@example([(complex(2.0, 2.0**-30), 3), (2.0 + 0j, 1), (complex(2.0, -(2.0**-30)), 3)], 1e-6)
+@example([(complex(0.0, 1e-3), 2), (complex(0.0, -1e-3), 2)], 1e-3)  # exactly tol from the axis: it snaps
+@settings(max_examples=300, deadline=None)
+def test_conjugate_pairs_are_mirrored_with_the_bits_of_the_partner_search(pairs, tol):
+    out = enforce_conjugate_pairs(pairs, tol)
+    assert spectrum_bits(out) == spectrum_bits(conjugate_pairs_by_partner_search(pairs, tol))
+    above = sorted((v.real.hex(), v.imag.hex(), m) for v, m in out if v.imag > 0)
+    below = sorted((v.real.hex(), (-v.imag).hex(), m) for v, m in out if v.imag < 0)
+    assert above == below
+    assert all(v.imag.hex() != "-0x0.0p+0" for v, _ in out)
+    assert sum(m for _, m in out) == sum(m for _, m in pairs)
+
+
 @given(
     st.lists(cluster_values, max_size=12),
     st.sampled_from([0.0, H, 5 * H, 1e-6, 1e-3, 0.5]),
@@ -1040,11 +1104,11 @@ def test_ct_deconvolution_divides_pointwise():
     # nu_k = e^-k, and 1e308 / e^-2 is beyond the doubles
     (1.0, [1.0, 1.0, 1e308], NodeDynamics(A=[[-1.0]], beta=[1.0], gamma=[1.0]), 2),
 ])
-def test_a_deconvolution_overflow_is_an_overflow_error_that_carries_its_index(tau, values, node, index):
+def test_a_deconvolution_overflow_is_a_plain_overflow_error_naming_its_sample(tau, values, node, index):
     message = rf"^deconvolved sample sigma\[{index}\] lies beyond the double range$"
     with pytest.raises(OverflowError, match=message) as info:
         deconvolve_sigma(OutputSequence(values, tau=tau, node=node))
-    assert type(info.value) is DeconvolutionOverflowError and info.value.index == index
+    assert type(info.value) is OverflowError
 
 
 def test_networked_estimate_with_trivial_node_is_bitwise_plain():

@@ -58,7 +58,6 @@ from spectral_scope import (
     simulate_ct_sampled,
     simulate_dt,
 )
-from spectral_scope.estimator import DeconvolutionOverflowError
 
 SRC = Path(spectral_scope.__file__).parent
 
@@ -155,9 +154,18 @@ ROWS = [
         "edge (0,1) weight is not finite: nan"),
     Row("Graph-second-edge-minus-inf", partial(Graph, n=2, edges=((0, 1, 1.0), (1, 0, -math.inf))), ValueError,
         "edge (1,0) weight is not finite: -inf"),
-    # numpy would raise OverflowError for an infinite bound
-    Row("assign_uniform_weights-inf-bound", partial(assign_uniform_weights, generate_ring(3), 0.0, math.inf),
-        ValueError, "need lo < hi, both finite, got [0.0, inf)"),
+    # 1.7 once became node 1, and "1.5" and True were taken as weights
+    *(Row(f"Graph-{id}", partial(Graph, n=3, edges=(edge,)), ValueError, message) for id, edge, message in (
+        ("fractional-node", (0, 1.7, 1.0), "edge (0,1.7) node 1.7 is not an integer index"),
+        ("bool-node", (True, 1, 1.0), "edge (True,1) node True is not an integer index"),
+        ("string-node", (0, "1", 1.0), "edge (0,'1') node '1' is not an integer index"),
+        ("string-weight", (0, 1, "1.5"), "edge (0,1) weight '1.5' is not a real number"),
+        ("bool-weight", (0, 1, True), "edge (0,1) weight True is not a real number"),
+        ("huge-weight", (0, 1, 10**400), f"edge (0,1) weight is not finite: {10**400}"))),
+    # numpy would raise OverflowError for an infinite bound, and a TypeError for a string; True read as 1
+    *(Row(f"assign_uniform_weights-{id}-bound", partial(assign_uniform_weights, generate_ring(3), lo, hi),
+          ValueError, f"need lo < hi, both finite, got [{lo!r}, {hi!r})")
+      for id, lo, hi in (("inf", 0.0, math.inf), ("string", "a", 1.0), ("bool", True, 2.0), ("huge", 0, 10**400))),
     Row("build_matrix-zero-degree", partial(build_matrix, Graph(n=3, edges=((0, 1, 1.0),)),
                                             GraphMatrixKind.ROW_STOCHASTIC),
         ValueError, "nodes [2] have zero weighted degree; row-stochastic is undefined"),
@@ -183,7 +191,21 @@ ROWS = [
     *(Row(f"simulate_dt-{id}", partial(simulate_dt, matrix, SETUP, 3), ValueError, message)
       for id, matrix, message in (
           ("non-square", np.zeros((2, 3)), "square matrix required, got shape (2, 3)"),
-          ("inf-entry", [[0.0, math.inf], [1.0, 0.0]], "matrix[0, 1] is not finite: inf"))),
+          ("inf-entry", [[0.0, math.inf], [1.0, 0.0]], "matrix[0, 1] is not finite: inf"),
+          # numpy read True as 1 and "0.5" as 0.5, and None as nan
+          ("bool-entry", [[True, False], [False, True]], "matrix holds True, which is not a number"),
+          ("string-entry", [["0.5", 0.0], [0.0, 1.0]], "matrix holds '0.5', which is not a number"),
+          ("none-entry", [[None, 0], [0, 1]], "matrix holds None, which is not a number"),
+          ("bool-array", np.eye(2, dtype=bool), "matrix holds True, which is not a number"),
+          ("huge-int-entry", [[10**400, 0], [0, 1]], "int too large to convert to float"))),
+    # an array is checked by its entries, as a list is: numpy read these as 1 and 0, as
+    # 1.5 and 2, and as 1 with a ComplexWarning
+    *(Row(f"OutputSequence-{id}-array", partial(OutputSequence, values), ValueError,
+          f"output y holds {first!r}, which is not a number")
+      for id, values, first in (("bool", np.array([True, False]), True), ("string", np.array(["1.5", "2"]), "1.5"),
+                                ("complex", np.array([1 + 2j, 0.5]), 1 + 2j))),
+    Row("NodeDynamics-bool-array-A", partial(NodeDynamics, A=np.ones((1, 1), dtype=bool), beta=[1.0], gamma=[1.0]),
+        ValueError, "A holds True, which is not a number"),
     # estimator: rank, coefficients and roots
     *(Row(f"detect_rank_online-n_hint-{id}", partial(detect_rank_online, [3.0] * 50, n_hint=bad), ValueError,
           f"n_hint must be a whole number{' >= 1' if id in ('0', '-2') else ''}, got {bad!r}")
@@ -263,7 +285,7 @@ ROWS = [
           ("ct-vanishing-weight", [2.0, 4.0, 8.0], 1.0, NodeDynamics(A=[[-30.0]], beta=[1.0], gamma=[1.0]),
            "nu[1] = 9.358e-14"))),
     *(Row(f"deconvolve_sigma-{id}", partial(deconvolve_sigma, OutputSequence(values, tau=tau, node=node)),
-          DeconvolutionOverflowError, f"deconvolved sample sigma[{index}] lies beyond the double range")
+          OverflowError, f"deconvolved sample sigma[{index}] lies beyond the double range")
       for id, values, tau, node, index in (
           # nu = 1e-10, 0, 0
           ("overflow", [1.0, 1e308, 1.0], None, NodeDynamics(A=[[0.0]], beta=[1.0], gamma=[1e-10]), 1),
@@ -293,6 +315,9 @@ ROWS = [
         ValueError, "c[0] is not finite: nan"),
     Row("full_spectrum-nan-entry", partial(full_spectrum, [[math.nan, 0.0], [0.0, 1.0]]), ValueError,
         "matrix[0, 0] is not finite: nan"),
+    # numpy's own, unnamed "could not convert string to float: 'a'"
+    Row("full_spectrum-string-entry", partial(full_spectrum, [["a"]]), ValueError,
+        "matrix holds 'a', which is not a number"),
     # both once failed in the assignment, with its own words
     Row("match_spectra-nan-estimate", partial(match_spectra, [math.nan], [0.5], 1.0), ValueError,
         "estimated[0] is not finite: (nan+0j)"),

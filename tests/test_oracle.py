@@ -48,6 +48,13 @@ def test_rotation_spectrum_is_an_exact_conjugate_pair():
     assert lams[0] == lams[1].conjugate()
 
 
+def test_a_conjugate_pair_beyond_half_the_double_range_stays_finite():
+    # averaging the pair, (v + v) / 2, once overflowed to (nan+infj) and (nan-infj)
+    lams = full_spectrum(ROT * 1.5e308)
+    assert np.isfinite(lams).all() and lams[0] == lams[1].conjugate()
+    assert lams[0] == pytest.approx(1.5e308j, rel=1e-15)
+
+
 def test_spectrum_ordering_is_real_then_imag_descending():
     lams = full_spectrum(np.diag([1.0, 3.0, 2.0]))
     assert np.array_equal(lams, [3 + 0j, 2 + 0j, 1 + 0j])
