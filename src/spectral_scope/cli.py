@@ -46,9 +46,7 @@ from .dynamics import (
 )
 from .estimator import (
     DEFAULT_CLUSTER_TOL,
-    InsufficientDataError,
-    LogSingularRootError,
-    SingularDeconvolutionError,
+    EstimationError,
     SpectrumEstimate,
     estimate_spectrum,
 )
@@ -235,9 +233,7 @@ def cmd_estimate(args) -> int:
         return _fail_usage(f"cannot read sequence: {exc}")
     try:
         est = estimate_spectrum(y, rank_tolerance=args.rank_tolerance, cluster_tol=args.cluster_tol)
-    except (
-        SingularDeconvolutionError, LogSingularRootError, InsufficientDataError, OverflowError
-    ) as exc:  # OverflowError: the node's matrix exponential, its weights or the deconvolution
+    except (EstimationError, OverflowError) as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:  # bad input, such as a negative tolerance

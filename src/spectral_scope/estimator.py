@@ -40,9 +40,7 @@ from .graphs import _json_object, _positive, _reading, _real, _tolerance
 __all__ = [
     "SpectrumEstimate",
     "OnlineRankDetection",
-    "SingularDeconvolutionError",
-    "LogSingularRootError",
-    "InsufficientDataError",
+    "EstimationError",
     "detect_rank_online",
     "nu_sequence",
     "deconvolve_sigma",
@@ -58,16 +56,11 @@ ETA_ZERO_TOL = 1e-12
 ALIAS_MARGIN = 1e-9
 
 
-class SingularDeconvolutionError(ValueError):
-    """The node factor is numerically singular; the agent dynamics cannot be stripped."""
-
-
-class LogSingularRootError(ValueError):
-    """A recovered discrete root sits at zero, where no finite continuous eigenvalue exists."""
-
-
-class InsufficientDataError(ValueError):
-    """Fewer observations than the detected rank requires for the coefficient solve."""
+class EstimationError(ValueError):
+    """A well-formed record that holds no estimate: fewer samples than twice
+    its detected rank, a node weight the deconvolution divides by that is
+    numerically zero, or a recovered discrete root at zero, where no finite
+    continuous eigenvalue exists."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,40 +287,38 @@ def detect_rank_online(stream, n_hint: int | None = None, rank_tolerance: float 
     needs when the rank is still full at the cap). If the stream dries up
     first, the best-effort rank is returned with ``stabilized=False``.
     ``n_hint`` must be a whole number >= 1 and ``rank_tolerance`` a finite
-    number >= 0; ``ValueError`` otherwise, before any sample is read.
+    number >= 0; ``ValueError`` otherwise, before any sample is read. The
+    samples read obey the number rule of ``OutputSequence``, or ``ValueError``.
     """
     if n_hint is not None and _whole(n_hint, "n_hint") < 1:
         raise ValueError(f"n_hint must be a whole number >= 1, got {n_hint!r}")
     if rank_tolerance is not None:
         rank_tolerance = _tolerance(rank_tolerance, "rank tolerance")
     it = iter(stream)
-    buf: list[float] = []
+    raw: list = []
+    buf = np.zeros(0)
 
     def pull(count: int) -> bool:
-        while len(buf) < count:
-            try:
-                v = float(next(it))
-            except StopIteration:
-                return False
-            if not math.isfinite(v):
-                raise ValueError(f"output y[{len(buf)}] is not finite: {v}")
-            buf.append(v)
-        return True
+        nonlocal buf
+        raw.extend(itertools.islice(it, count - len(raw)))
+        if raw:  # checked as estimate_spectrum checks the same list
+            buf = OutputSequence(raw).values
+        return len(raw) == count
 
     prev: int | None = None
     k = 1
     while True:
         if not pull(2 * k - 1):
             size = (len(buf) + 1) // 2
-            rank = _hankel_rank(np.asarray(buf), size, rank_tolerance)[2] if size >= 1 else 0
-            return OnlineRankDetection(rank, False, np.asarray(buf, dtype=float))
-        rk = _hankel_rank(np.asarray(buf[: 2 * k - 1]), k, rank_tolerance)[2]
+            rank = _hankel_rank(buf, size, rank_tolerance)[2] if size >= 1 else 0
+            return OnlineRankDetection(rank, False, buf)
+        rk = _hankel_rank(buf[: 2 * k - 1], k, rank_tolerance)[2]
         if prev is not None and rk == prev:
-            return OnlineRankDetection(rk, True, np.asarray(buf, dtype=float))
+            return OnlineRankDetection(rk, True, buf)
         if n_hint is not None and k >= n_hint:
             # the solve needs y[0..2r-1]; fetch the tail while the stream lasts
             got = pull(max(2 * rk, len(buf)))
-            return OnlineRankDetection(rk, got, np.asarray(buf, dtype=float))
+            return OnlineRankDetection(rk, got, buf)
         prev = rk
         k += 1
 
@@ -419,7 +410,7 @@ def solve_coefficients(h: HankelAnalysis) -> CharacteristicPoly:
     if r == 0:
         return CharacteristicPoly(np.zeros(0), 0.0, 1.0)
     if len(y) < 2 * r:
-        raise InsufficientDataError(f"need {2 * r} samples to solve at rank {r}, have {len(y)}")
+        raise EstimationError(f"need {2 * r} samples to solve at rank {r}, have {len(y)}")
     # H_r's binade alone: one taken from rhs too flushes H_r to zero once |rhs| /
     # |H_r| passes 2^1074. rhs is its own array: BLAS sums a strided one otherwise
     Hr = h.matrix[:r, :r]
@@ -639,7 +630,7 @@ def deconvolve_sigma(y: OutputSequence) -> np.ndarray:
     network factor sample by sample (the two Kronecker terms commute), so
     stripping it is pointwise division, and every ``nu_k`` must be nonzero.
 
-    ``ValueError`` for a record with no node, ``SingularDeconvolutionError``
+    ``ValueError`` for a record with no node, ``EstimationError``
     naming a weight the mode needs that is numerically zero, and
     ``OverflowError`` naming a sample beyond the double range.
     """
@@ -656,7 +647,7 @@ def deconvolve_sigma(y: OutputSequence) -> np.ndarray:
     zero = np.abs(needed) <= NU_ZERO_RTOL * max(float(np.max(np.abs(nu))), np.finfo(float).tiny)
     if np.any(zero):
         k = int(np.argmax(zero))
-        raise SingularDeconvolutionError(
+        raise EstimationError(
             f"node weight nu[{k}] = {nu[k]:.3e} is numerically zero; the node dynamics cannot be deconvolved"
         )
     if y.tau is not None:
@@ -707,8 +698,8 @@ def estimate_spectrum(
     ``ValueError``, raised before any other work.
 
     Sampled continuous-time roots are ``eta_i = e^{lambda_i tau}`` and are
-    mapped back through the principal complex logarithm; roots within 1e-12
-    of zero are rejected as log-singular, and a log divided by tau beyond the
+    mapped back through the principal complex logarithm; a root within 1e-12
+    of zero is an ``EstimationError``, and a log divided by tau beyond the
     double range is an ``OverflowError``. Sampling can only distinguish
     imaginary parts inside ``(-pi/tau, pi/tau]``; any recovered eigenvalue at
     that boundary gets an ``aliasing`` warning rather than a silent unwrap.
@@ -731,7 +722,7 @@ def estimate_spectrum(
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported with its root
             for v, m in roots:
                 if abs(v) <= ETA_ZERO_TOL:
-                    raise LogSingularRootError(
+                    raise EstimationError(
                         f"recovered discrete root {v} is numerically zero; "
                         "no finite continuous eigenvalue maps to it"
                     )

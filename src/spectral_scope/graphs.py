@@ -125,8 +125,10 @@ def _real(value) -> float:
     """A real number that is not a bool, as a float; NaN, which fails every
     range test, for anything else, an int beyond the doubles included."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        with contextlib.suppress(OverflowError):
+        try:
             return float(value)
+        except OverflowError:
+            pass
     return math.nan
 
 

@@ -188,6 +188,8 @@ ROWS = [
     Row("estimate-long-networked-record", "estimate --y y.json",  # the exact deconvolution would take minutes
         sequence([1.0] * 129, node={"A": [[0.5]], "beta": [1], "gamma": [1]}),
         "error: exact deconvolution takes at most 128 samples, got 129"),
+    Row("estimate-too-short-for-its-rank", "estimate --y y.json", sequence([1.0, 0.0, 1.0]),
+        "estimation failed: need 4 samples to solve at rank 2, have 3", code=1),
     Row("estimate-orthogonal-node", "estimate --y y.json",
         sequence([0.0] * 8, node={"A": [[0, 0], [0, 0]], "beta": [1, 0], "gamma": [0, 1]}),
         "estimation failed: node weight nu[0] = 0.000e+00 is numerically zero; "

@@ -19,12 +19,10 @@ from hypothesis import strategies as st
 from helpers import FINITE_DOUBLES, hidden_mode_system, make_jordan_case
 from spectral_scope import (
     CT,
-    InsufficientDataError,
-    LogSingularRootError,
+    EstimationError,
     NodeDynamics,
     ObservationSetup,
     OutputSequence,
-    SingularDeconvolutionError,
     SpectrumEstimate,
     deconvolve_sigma,
     detect_rank_online,
@@ -1191,7 +1189,7 @@ def finite_records(draw):
     return draw(st.lists(st.builds(math.ldexp, st.floats(-1.0, 1.0), exponents), min_size=1, max_size=24))
 
 
-REFUSALS = (InsufficientDataError, SingularDeconvolutionError, LogSingularRootError, OverflowError)
+REFUSALS = (EstimationError, OverflowError)
 
 
 @given(finite_records(), st.sampled_from([None, 1.0, 1e-3, 1e3]),
@@ -1231,7 +1229,7 @@ def test_every_finite_networked_record_gets_a_deconvolution_or_a_typed_refusal(v
         warnings.simplefilter("error")
         try:
             sigma = deconvolve_sigma(OutputSequence(values, tau=tau, node=node))
-        except (SingularDeconvolutionError, OverflowError) as exc:  # no LinAlgError, no Python overflow
+        except (EstimationError, OverflowError) as exc:  # no LinAlgError, no Python overflow
             assert type(exc) is not OverflowError or re.search("beyond the double range|floating range", str(exc))
             return
     assert sigma.shape == (len(values),) and np.isfinite(sigma).all()

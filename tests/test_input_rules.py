@@ -20,8 +20,8 @@ which ``graphs._json_object`` owns, and a reader's message names its file
 through ``graphs._reading``; ``ast`` guards keep both rules in their helpers.
 The estimator checks its inputs once, at its doors: ``estimate_spectrum``
 checks both tolerances and builds the record, ``detect_rank_online`` checks
-its own tolerance, and an ``ast`` guard keeps the stages behind them from
-checking again.
+its own tolerance and builds the record of the samples it has read, and an
+``ast`` guard keeps the stages behind them from checking again.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "spectral_scope"
 RULE_HELPERS = ("_positive", "_tolerance")
 MODE_HELPER = ("from_json_dict",)
 MODE_CHOICE_HELPER = ("_mode_of",)
-# the estimator's doors: each checks the tolerances it takes, and
-# estimate_spectrum alone builds the record; the stages behind them take both as given
+# the estimator's doors: each checks the tolerances it takes and builds the
+# record; the stages behind them take both as given
 ESTIMATOR_DOORS = ("estimate_spectrum", "detect_rank_online")
 
 
@@ -250,8 +250,8 @@ def _is_estimator_input_check(node: ast.AST) -> bool:
 def test_each_estimator_input_is_checked_once_at_its_door():
     source = (SRC / "estimator.py").read_text()
     assert rule_checks(source, ESTIMATOR_DOORS, _is_estimator_input_check) == []
-    # two tolerances and the record at estimate_spectrum, one tolerance at detect_rank_online
-    assert len(rule_checks(source, (), _is_estimator_input_check)) == 4
+    # two tolerances and the record at estimate_spectrum, one tolerance and the record at detect_rank_online
+    assert len(rule_checks(source, (), _is_estimator_input_check)) == 5
     # and it flags a stage that checks again
     planted = "def build_hankel(y, tol):\n    return OutputSequence(y).values, _tolerance(tol, 'rank tolerance')\n"
     assert rule_checks(planted, ESTIMATOR_DOORS, _is_estimator_input_check) == [2, 2]

@@ -33,13 +33,12 @@ import pytest
 import spectral_scope
 import test_cli_errors as cli_catalogue
 from spectral_scope import (
+    EstimationError,
     Graph,
     GraphMatrixKind,
-    InsufficientDataError,
     NodeDynamics,
     ObservationSetup,
     OutputSequence,
-    SingularDeconvolutionError,
     SpectrumEstimate,
     assign_uniform_weights,
     build_matrix,
@@ -216,8 +215,16 @@ ROWS = [
           f"output y[2] is not finite: {bad}")
       for entry, call in (("estimate_spectrum", estimate_spectrum), ("detect_rank_online", detect_rank_online))
       for bad in (math.nan, math.inf, -math.inf)),
+    # the message estimate_spectrum gives for the same list; float() once read True as 1.0
+    # and '1' as 1.0, and let None through as a TypeError and 10**400 as an OverflowError
+    *(Row(f"detect_rank_online-{id}-sample", partial(detect_rank_online, [1.0, 0.5, bad, 0.125]), ValueError,
+          message)
+      for id, bad, message in (("bool", True, "output y holds True, which is not a number"),
+                               ("string", "1", "output y holds '1', which is not a number"),
+                               ("none", None, "output y holds None, which is not a number"),
+                               ("huge-int", 10**400, "int too large to convert to float"))),
     Row("estimate_spectrum-two-samples-per-mode", partial(estimate_spectrum, [1.0, 0.0, 1.0]),
-        InsufficientDataError, "need 4 samples to solve at rank 2, have 3"),
+        EstimationError, "need 4 samples to solve at rank 2, have 3"),
     # both once ended in numpy's LinAlgError "Array must not contain infs or NaNs"
     Row("estimate_spectrum-coefficient-overflow", partial(estimate_spectrum, [1e-320, -0.25]), OverflowError,
         "a characteristic polynomial coefficient lies beyond the double range"),
@@ -276,7 +283,7 @@ ROWS = [
         "deconvolve_sigma takes a networked record: an OutputSequence with a node"),
     # discrete time needs nu_0 alone, sampled continuous time every weight
     *(Row(f"deconvolve_sigma-{id}", partial(deconvolve_sigma, OutputSequence(values, tau=tau, node=node)),
-          SingularDeconvolutionError, f"node weight {weight} is numerically zero; "
+          EstimationError, f"node weight {weight} is numerically zero; "
           "the node dynamics cannot be deconvolved")
       for id, values, tau, node, weight in (
           # the node's input and readout are orthogonal, so its first weight is zero
