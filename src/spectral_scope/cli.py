@@ -252,8 +252,7 @@ def cmd_verify(args) -> int:
         M = read_matrix_csv(args.matrix)
         n = M.shape[0]
         # every eigenvalue is at most n max|M_ij| in modulus; the oracle adds
-        # up to n of them, subtracts them and forms M - lambda I, and all of
-        # it must stay finite
+        # up to n of them and subtracts them, and all of it must stay finite
         limit = np.finfo(float).max / (4 * n * n)
         with _reading("matrix", args.matrix):
             if np.max(np.abs(M)) > limit:
@@ -274,7 +273,10 @@ def cmd_verify(args) -> int:
         tol = _tolerance(args.tol if args.tol is not None else setup.get("tol", 1e-6), "tolerance")
     except ValueError as exc:
         return _fail_usage(str(exc))
-    truth = full_spectrum(M)
+    try:
+        truth = full_spectrum(M)
+    except ValueError as exc:
+        return _fail_usage(f"cannot find the spectrum of matrix {args.matrix}: {exc}")
     report = match_spectra(roots, truth, tol)
 
     # The estimator is allowed to miss exactly the modes that never reach the
@@ -285,7 +287,7 @@ def cmd_verify(args) -> int:
     if report.unmatched_true:
         try:
             missing = observable_partition(M, observation.c, observation.x0).missing
-        except OverflowError as exc:  # x0 and c too large to weigh the modes
+        except (OverflowError, ValueError) as exc:  # x0 and c too large to weigh the modes, or no convergence
             return _fail_usage(f"cannot check observability with setup {args.setup}: {exc}")
         for v in report.unmatched_true:
             if missing.size == 0 or np.min(np.abs(missing - v)) > tol:

@@ -76,6 +76,7 @@ class ObservationSetup:
             raise ValueError(
                 f"x0 and c must be equal-length vectors, got {x0.shape} and {c.shape}"
             )
+        x0.flags.writeable = c.flags.writeable = False  # as OutputSequence keeps its samples
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "c", c)
 

@@ -35,7 +35,7 @@ import numpy as np
 from .clustering import _spectral_order, cluster_complex, enforce_conjugate_pairs
 from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
                        _mode_of, simulate_ct_sampled, simulate_dt)
-from .graphs import _json_object, _positive, _reading, _real, _tolerance
+from .graphs import _binade, _json_object, _positive, _reading, _real, _tolerance
 
 __all__ = [
     "SpectrumEstimate",
@@ -244,15 +244,6 @@ def _hankel_rank(values: np.ndarray, size: int, rel_tol: float | None):
     s = np.linalg.svd(np.ldexp(H, _binade(H)), compute_uv=False)
     rank = int(np.count_nonzero(s > rel_tol * s[0])) if s[0] > 0 else 0
     return H, s, rank, rel_tol
-
-
-def _binade(a: np.ndarray) -> int:
-    """The e that puts ``max |a|`` in [1, 2) once ``a`` is multiplied by 2^e.
-    Every SVD and norm here takes its matrix or vector so scaled: the scaling
-    is exact, short of entries that become subnormal, and it keeps LAPACK's
-    own rescaling near either end of the double range from running, so an
-    unprescaled estimate has the same bits at every power-of-two scale of y."""
-    return 1 - math.frexp(np.abs(a).max())[1]
 
 
 def build_hankel(y, prescale: bool = False, rank_tolerance: float | None = None) -> HankelAnalysis:

@@ -98,6 +98,15 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name}{index} is not finite: {arr[tuple(index)]}")
 
 
+def _binade(a: np.ndarray) -> int:
+    """The e that puts ``max |a|`` in [1, 2) once ``a`` is multiplied by 2^e.
+    Every SVD in the package, and every norm in the estimator, takes its input
+    so scaled: exactly, short of entries that become subnormal, and with no
+    room for LAPACK's own rescaling, so no rank follows the input's scale and
+    an unprescaled estimate has the same bits at every power-of-two scale of y."""
+    return 1 - math.frexp(np.abs(a).max())[1]
+
+
 def _floats(value, name: str, ndmin: int = 1) -> np.ndarray:
     """``value`` as a float array of at least ``ndmin`` dimensions: a real
     number or an array, or a list or tuple, nested ones too, of only those;

@@ -17,7 +17,7 @@ import numpy as np
 
 from .clustering import _centroid, _spectral_order, cluster_indices, enforce_conjugate_pairs
 from .dynamics import ObservationSetup, _matrix_for
-from .graphs import _require_finite, _tolerance, as_array
+from .graphs import _binade, _require_finite, _tolerance, as_array
 
 __all__ = [
     "OracleSpectrum",
@@ -37,32 +37,38 @@ def full_spectrum(G) -> np.ndarray:
     """All eigenvalues (with algebraic multiplicity) by dense QR iteration.
 
     Conjugate pairs are made exact and the result is sorted by descending
-    real part, then descending imaginary part. Non-convergence of the
-    eigensolver propagates as ``numpy.linalg.LinAlgError``.
+    real part, then descending imaginary part. ``ValueError`` when the QR
+    iteration does not converge.
     """
     M = as_array(G)
-    vals = np.linalg.eigvals(M)
+    vals = _converged(np.linalg.eigvals, M)
     pairs = enforce_conjugate_pairs([(complex(v), 1) for v in vals], EIGEN_CLUSTER_TOL)
     return np.array([v for v, _ in pairs], dtype=complex)
+
+
+def _converged(eig, M: np.ndarray):
+    """``eig(M)``, with LAPACK's non-convergence refused as a ``ValueError``."""
+    try:
+        return eig(M)
+    except np.linalg.LinAlgError:
+        raise ValueError("the QR iteration for the eigenvalues did not converge") from None
 
 
 def _pbh_deficiencies(M: np.ndarray, c, lams) -> np.ndarray:
     """Column-rank deficiency of the stacked (n+1) x n matrix
     ``[M - lam I; c^T]`` at each of ``lams``, by one batched SVD.
 
-    Singular values below ``PBH_RANK_RTOL`` times the largest count as zero.
-    Zero means every eigenvector at ``lam`` is visible from ``c``; any
-    deficiency means an unobservable mode sits at ``lam``. ``OverflowError``
-    when ``M - lam I`` is not finite, which would make every mode look
-    unobservable.
+    Scaling a block leaves the rank as it is, so ``M`` and each ``lam`` are
+    scaled by ``M``'s ``_binade`` and ``c`` by its own; every entry then stays
+    below about 2n + 2. Singular values below ``PBH_RANK_RTOL`` times the
+    largest count as zero. Zero means every eigenvector at ``lam`` is visible
+    from ``c``; any deficiency means an unobservable mode sits at ``lam``.
     """
     n = M.shape[0]
-    lams = np.asarray(lams)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        top = M - lams[:, None, None] * np.eye(n)
-    if not np.all(np.isfinite(top)):
-        raise OverflowError("M - lambda I exceeds the double range")
-    row = np.broadcast_to(np.asarray(c, dtype=float), (lams.size, 1, n))
+    e = _binade(M)
+    shifts = np.ldexp(np.real(lams), e) + 1j * np.ldexp(np.imag(lams), e)  # 2.0**e overflows past e = 1023
+    top = np.ldexp(M, e) - shifts[:, None, None] * np.eye(n)
+    row = np.broadcast_to(np.ldexp(c, _binade(c)), (shifts.size, 1, n))
     s = np.linalg.svd(np.concatenate((top, row), axis=1), compute_uv=False)
     # a zero or NaN largest singular value leaves no entry above the cut: rank 0
     return n - np.count_nonzero(s > PBH_RANK_RTOL * s[:, :1], axis=1)
@@ -106,18 +112,19 @@ class OracleSpectrum:
 def observable_partition(G, c, x0) -> OracleSpectrum:
     """Split the spectrum of G into output-reachable and unreachable parts.
 
-    Every distinct eigenvalue gets a PBH test. When G is numerically
-    diagonalizable (eigenvector condition below 1e8) the modal weights
+    Every distinct eigenvalue gets a PBH test with each block at unit scale,
+    so its verdict does not follow the scales of G and c. When G is
+    numerically diagonalizable (eigenvector condition below 1e8) the modal weights
     ``omega_i = (c^T u_i)(w_i^T x0)`` are computed with ``W = U^{-1}``, and an
     eigenvalue is reachable iff its total weight (summed over eigenvalues
     within ``EIGEN_CLUSTER_TOL`` of each other) exceeds ``WEIGHT_ZERO_RTOL``
     times the data scale. For defective input only the x0-independent PBH
     verdict is available; recovered multiplicities beyond 1 are then not
     identifiable here. ``ValueError`` from ``ObservationSetup`` for c and x0
-    that are not finite vectors of one entry per row of G; ``OverflowError``
-    when an eigenvalue's modulus, ``M - lambda I`` at an eigenvalue, a modal
-    weight or the data scale ``|c| |x0|`` is not finite. A 0 x 0 G has an
-    empty spectrum.
+    that are not finite vectors of one entry per row of G, and when the QR
+    iteration does not converge; ``OverflowError`` when an eigenvalue's
+    modulus, a modal weight or the data scale ``|c| |x0|`` is not finite. A
+    0 x 0 G has an empty spectrum.
     """
     setup = ObservationSetup(x0=x0, c=c)
     M = _matrix_for(G, setup)
@@ -126,7 +133,7 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
         empty = np.zeros(0, dtype=int)
         return OracleSpectrum(empty.astype(complex), empty, empty, empty.astype(bool), empty.astype(complex))
 
-    vals, U = np.linalg.eig(M)
+    vals, U = _converged(np.linalg.eig, M)
     # an infinite modulus would make every distance near in cluster_indices
     with np.errstate(over="ignore"):
         if not np.isfinite(np.hypot(vals.real, vals.imag)).all():

@@ -300,6 +300,13 @@ ROWS = [
         "the modal weights (c^T u_i)(w_i^T x0) or |c| |x0| exceed the double range"),
     Row("verify-matrix-beyond-the-oracles-range", VERIFY, {**CHAIN, "m.csv": f"0,{ABOVE_LIMIT!r}\n1,0\n"},
         "error: cannot read inputs: matrix m.csv: has an entry above 1.12e+307, the most verify takes at n = 2"),
+    # numpy's LinAlgError once escaped as a traceback
+    Row("verify-eigenvalues-do-not-converge", VERIFY,
+        {"m.csv": "1.3931276166532869e+122,1.7555597020139802e+305,-8.777798510069901e+304\n"
+                  "-1.7555597020139802e+305,-0.0,-9.765625e+303\n0.0,-1.625338373943029e+100,0.0\n",
+         "s.json": spectrum({**ROOT, "re": 0.5}),
+         "setup.json": json.dumps({"schema": 1, "x0": [0.98, 0.55, -0.18], "c": [0.56, -0.45, 0.48]})},
+        "error: cannot find the spectrum of matrix m.csv: the QR iteration for the eigenvalues did not converge"),
     Row("verify-unknown-flag", f"{VERIFY} --tl 1", CHAIN, "spectral-scope: error: unrecognized arguments: --tl 1"),
     Row("verify-cannot-write", f"{VERIFY} --out no-such-dir/v.json", CHAIN,
         "error: cannot write output: [Errno 2] No such file or directory: 'no-such-dir/v.json'"),

@@ -14,8 +14,9 @@ and CLI error lines feed each bad value to every entry point that takes such
 an input; here, ``ast`` guards keep the range tests, the mode test and the
 choice between ``DT`` and ``CT`` from being written anywhere else in
 ``src/``. Every record is a frozen dataclass, which an ``ast`` guard keeps
-so; an ``OutputSequence`` also keeps a read-only copy of its samples, so
-neither a field nor a sample of it can be changed past its rules. A JSON record must be an object holding its keys,
+so; an ``OutputSequence`` also keeps a read-only copy of its samples, and an
+``ObservationSetup`` of its ``x0`` and ``c``, so neither a field nor an entry
+of them can be changed past its rules. A JSON record must be an object holding its keys,
 which ``graphs._json_object`` owns, and a reader's message names its file
 through ``graphs._reading``; ``ast`` guards keep both rules in their helpers.
 The estimator checks its inputs once, at its doors: ``estimate_spectrum``
@@ -43,10 +44,12 @@ from spectral_scope import (
     CT,
     DT,
     NodeDynamics,
+    ObservationSetup,
     OutputSequence,
     SpectrumEstimate,
     nu_sequence,
     read_sequence,
+    simulate_dt,
     write_sequence,
 )
 from spectral_scope import cli
@@ -91,6 +94,18 @@ def test_a_sequence_keeps_a_read_only_copy_of_its_samples(tmp_path):
     assert read_sequence(tmp_path / "after.json").values.tolist() == seq.values.tolist()
     with pytest.raises(ValueError, match="read-only"):
         seq.values[1] = math.nan
+
+
+def test_a_setup_keeps_read_only_copies_of_x0_and_c():
+    x0, c = np.array([1.0, 0.5]), np.array([1.0, 1.0])
+    setup = ObservationSetup(x0=x0, c=c)
+    x0[0] = c[0] = math.nan
+    assert (setup.x0.tolist(), setup.c.tolist()) == ([1.0, 0.5], [1.0, 1.0])
+    # a NaN written here once reached simulate_dt, which called it an overflow at step 0
+    for vector in (setup.x0, setup.c):
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = math.nan
+    assert simulate_dt(np.eye(2), setup, 3).values.tolist() == [1.5] * 3
 
 
 def _verify(tmp_path, capsys, tol, source: str) -> tuple[int, str]:

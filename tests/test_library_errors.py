@@ -74,6 +74,10 @@ SETUP = ObservationSetup(x0=[1.0, 0.5], c=[1.0, 0.0])
 CHAIN3 = [[0.5, 1.0, 0.0], [0.0, -0.4, 1.0], [0.3, 0.0, 0.2]]
 # numpy gives this matrix an infinite eigenvalue
 HUGE_SWAP = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.7976931348623157e308], [0.0, 1.7976931348623157e308, 0.0]]
+# numpy's eigenvalue iteration does not converge on this matrix, nor on it scaled by 2^-100
+UNCONVERGED = [[1.3931276166532869e+122, 1.7555597020139802e+305, -8.777798510069901e+304],
+               [-1.7555597020139802e+305, -0.0, -9.765625e+303],
+               [0.0, -1.625338373943029e+100, 0.0]]
 TRIVIAL = NodeDynamics.trivial()
 ORTHOGONAL = NodeDynamics(A=np.zeros((2, 2)), beta=[1.0, 0.0], gamma=[0.0, 1.0])  # nu_0 = 0
 VANISHING = OutputSequence([1.0, 0.0, 0.0, 0.0], tau=1.0)  # its one discrete root is 0
@@ -302,10 +306,12 @@ ROWS = [
     Row("observable_partition-overflowing-projection", partial(observable_partition, CHAIN3, c=[1.0, 1.0, 1.0],
                                                                x0=[1e308, -1e308, 1e308]),
         OverflowError, "the modal weights (c^T u_i)(w_i^T x0) or |c| |x0| exceed the double range"),
-    # both eigenvalues once looked unobservable beside modal weights of 5e307, after two numpy warnings
-    Row("observable_partition-overflowing-shift", partial(observable_partition, [[1e308, 1e308], [0.0, -1e308]],
-                                                          c=[1.0, 1.0], x0=[1.0, 1e308]),
-        OverflowError, "M - lambda I exceeds the double range"),
+    # numpy's LinAlgError, from the QR iteration, once escaped both
+    Row("observable_partition-no-convergence", partial(observable_partition, UNCONVERGED, c=[0.56, -0.45, 0.48],
+                                                       x0=[0.98, 0.55, -0.18]),
+        ValueError, "the QR iteration for the eigenvalues did not converge"),
+    Row("full_spectrum-no-convergence", partial(full_spectrum, UNCONVERGED), ValueError,
+        "the QR iteration for the eigenvalues did not converge"),
     # numpy's eigenvalue inf once gave inf * 0 = nan in M - lambda I, and the SVD failed on it
     Row("observable_partition-infinite-eigenvalue", partial(observable_partition, HUGE_SWAP, c=[1.0] * 3, x0=[1.0] * 3),
         OverflowError, "an eigenvalue's modulus exceeds the double range"),

@@ -27,6 +27,7 @@ from spectral_scope import (
 from spectral_scope import oracle
 from spectral_scope.clustering import _spectral_order, cluster_indices
 from spectral_scope.estimator import build_hankel
+from spectral_scope.graphs import _binade
 from spectral_scope.oracle import _assignment, _expand_values, _shortest_augmenting_path
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -135,6 +136,40 @@ def test_norms_beyond_the_square_range_leave_the_partition_finite(x0, c):
     assert np.array_equal(part.m_tilde, plain.m_tilde) and len(part.missing) == 0
 
 
+@pytest.mark.filterwarnings("error")
+@given(st.integers(0, 2**32 - 1), st.integers(0, 1000), st.integers(-1000, 1000))
+@example(seed=0, k=900, j=-1000)
+@example(seed=1, k=0, j=900)
+@settings(max_examples=60, deadline=None)
+def test_the_pbh_verdict_does_not_follow_the_scales_of_m_and_c(seed, k, j):
+    # the rank of [M - lambda I; c^T] is the same for any scale of either block; the PBH
+    # test once took both blocks as they came, so a large M hid the c row in rounding
+    rng = np.random.default_rng(seed)
+    G, setup, _, _ = hidden_mode_system(int(rng.integers(2, 8)), rng)
+    plain = observable_partition(G, setup.c, setup.x0)
+    scaled = observable_partition(np.ldexp(G, k), np.ldexp(setup.c, j), setup.x0)
+    assert scaled.pbh_deficient.tolist() == plain.pbh_deficient.tolist()
+    assert scaled.m_tilde.tolist() == plain.m_tilde.tolist()
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_swap_scaled_near_the_double_range_hides_only_its_unweighted_mode():
+    # c = x0 = [1, 1] sees +1e308 alone; the PBH test once flagged both eigenvalues
+    part = observable_partition([[0.0, 1e308], [1e308, 0.0]], c=[1.0, 1.0], x0=[1.0, 1.0])
+    assert part.pbh_deficient.tolist() == [False, True]
+    assert part.m_tilde.tolist() == [1, 0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_shift_beyond_the_double_range_is_no_refusal():
+    # M - lambda I at lambda = -1e308 holds 2e308, which once was an OverflowError
+    part = observable_partition([[1e308, 1e308], [0.0, -1e308]], c=[1.0, 1.0], x0=[1.0, 1e308])
+    assert part.distinct.tolist() == [1e308, -1e308]
+    assert part.pbh_deficient.tolist() == [False, False]
+    assert part.m_tilde.tolist() == [1, 1]
+    assert part.modal_weights.tolist() == [5e307, 5e307]
+
+
 def estimator_imports(source: str) -> list[int]:
     """Lines of ``source`` that import the estimator module or a name from it."""
     lines = []
@@ -179,8 +214,11 @@ def per_eigenvalue_partition(G, c, x0):
     groups = sorted(groups, key=lambda g: (-vals[g].mean().real, -vals[g].mean().imag))
     distinct = np.array([vals[g].mean() for g in groups], dtype=complex)
     deficient = []
+    e = _binade(G)  # each block scaled as the partition scales it
     for v in distinct:
-        s = np.linalg.svd(np.vstack([G - v * np.eye(n), c[None, :]]), compute_uv=False)
+        v = complex(np.ldexp(v.real, e), np.ldexp(v.imag, e))
+        s = np.linalg.svd(np.vstack([np.ldexp(G, e) - v * np.eye(n), np.ldexp(c, _binade(c))[None, :]]),
+                          compute_uv=False)
         rank = int(np.count_nonzero(s > 1e-10 * s[0])) if s[0] > 0 else 0
         deficient.append(n - rank > 0)
     deficient = np.array(deficient, dtype=bool)
@@ -216,6 +254,9 @@ def partition_case(kind: str, seed: int):
 
 
 @given(st.sampled_from(["random", "repeated", "jordan"]), st.integers(0, 2**32 - 1))
+# two cases whose PBH verdicts differ when the loop's blocks are left unscaled
+@example("jordan", 69)
+@example("jordan", 1081)
 @settings(max_examples=90, deadline=None)
 def test_batched_partition_equals_the_per_eigenvalue_loop(kind, seed):
     G, c, x0 = partition_case(kind, seed)
