@@ -316,7 +316,7 @@ def _write_eigenvalue_csv(path, truth, estimate) -> None:
     for v in np.sort_complex(np.asarray(truth)):
         lines.append(f"{v.real:.17g},{v.imag:.17g},true")
     if estimate is not None:
-        for v in np.sort_complex(_expand_values(estimate.roots)):
+        for v in np.sort_complex(_expand_values(estimate.roots, "estimated")):
             lines.append(f"{v.real:.17g},{v.imag:.17g},estimated")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -22,7 +22,6 @@ no model order is assumed.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import itertools
 import math
@@ -35,7 +34,7 @@ import numpy as np
 from .clustering import _spectral_order, cluster_complex, enforce_conjugate_pairs
 from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
                        _mode_of, simulate_ct_sampled, simulate_dt)
-from .graphs import _binade, _json_object, _positive, _reading, _real, _tolerance
+from .graphs import _binade, _json_object, _positive, _reading, _real, _tolerance, _whole
 
 __all__ = [
     "SpectrumEstimate",
@@ -192,14 +191,6 @@ class SpectrumEstimate:
         if (rank := _whole(d["rank"], "rank")) != est.rank:
             raise ValueError(f"rank {rank} is not the sum of the root multiplicities, {est.rank}")
         return est
-
-
-def _whole(value, name: str) -> int:
-    """A whole number as an int; ``ValueError`` for a fraction, a bool, a string, an infinity or a NaN."""
-    with contextlib.suppress(OverflowError, ValueError):  # int() of an infinity or a NaN
-        if not isinstance(value, bool) and isinstance(value, numbers.Real) and int(value) == value:
-            return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

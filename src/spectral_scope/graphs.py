@@ -141,6 +141,14 @@ def _real(value) -> float:
     return math.nan
 
 
+def _whole(value, name: str) -> int:
+    """A whole number as an int; ``ValueError`` for a fraction, a bool, a string, an infinity or a NaN."""
+    with contextlib.suppress(OverflowError, ValueError):  # int() of an infinity or a NaN
+        if not isinstance(value, bool) and isinstance(value, numbers.Real) and int(value) == value:
+            return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 def _positive(value, name: str) -> float:
     """The sampling-period rule: a positive finite real, or ``ValueError``."""
     if not 0 < (x := _real(value)) < math.inf:

@@ -4,20 +4,21 @@
 "what can this output weighting and initial state actually reach", with a
 PBH rank test per distinct eigenvalue and, for a numerically diagonalizable
 matrix, the modal weights of each eigenvalue.
-``match_spectra`` scores an estimate against a truth list by minimum-cost
-bipartite matching.
+``match_spectra`` scores an estimate against a truth list: it pairs as many
+values within the tolerance as it can, at the least largest distance.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import _centroid, _spectral_order, cluster_indices, enforce_conjugate_pairs
 from .dynamics import ObservationSetup, _matrix_for
-from .graphs import _binade, _require_finite, _tolerance, as_array
+from .graphs import _binade, _require_finite, _tolerance, _whole, as_array
 
 __all__ = [
     "OracleSpectrum",
@@ -103,10 +104,7 @@ class OracleSpectrum:
     @property
     def missing(self) -> np.ndarray:
         """Eigenvalue copies (algebraic minus recovered) that no estimator can see."""
-        out = []
-        for v, alg, m in zip(self.distinct, self.algebraic, self.m_tilde):
-            out.extend([complex(v)] * int(alg - m))
-        return np.array(out, dtype=complex)
+        return np.repeat(self.distinct, self.algebraic - self.m_tilde)
 
 
 def observable_partition(G, c, x0) -> OracleSpectrum:
@@ -180,9 +178,9 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class MatchReport:
-    """Minimum-cost pairing of an estimated spectrum against a truth list:
-    the (estimated, true, distance) ``pairs`` within the tolerance and the
-    values left unmatched on each side. The error statistics read off the pairs."""
+    """``match_spectra``'s pairing of an estimated spectrum against a truth
+    list: the (estimated, true, distance) ``pairs`` within the tolerance and
+    the values left unmatched on each side. The error statistics read off the pairs."""
 
     pairs: list[tuple[complex, complex, float]]
     unmatched_true: list[complex]
@@ -220,150 +218,107 @@ class MatchReport:
         }
 
 
-def _expand_values(spectrum) -> np.ndarray:
+def _expand_values(spectrum, side: str) -> np.ndarray:
+    """Flat values, or (value, multiplicity) pairs with each value repeated;
+    ``ValueError`` naming ``side`` and the index for a list that mixes the
+    two and for a multiplicity that is not a whole number >= 1."""
     spectrum = list(spectrum)
-    if spectrum and isinstance(spectrum[0], tuple):
-        return np.array([v for v, m in spectrum for _ in range(int(m))], dtype=complex)
-    return np.asarray(spectrum, dtype=complex)
+    if not (spectrum and isinstance(spectrum[0], tuple)):
+        if tuples := [k for k, v in enumerate(spectrum) if isinstance(v, tuple)]:
+            raise ValueError(f"{side}[{tuples[0]}] must be a flat value, as {side}[0] is, got {spectrum[tuples[0]]!r}")
+        return np.asarray(spectrum, dtype=complex)
+    values = []
+    for k, pair in enumerate(spectrum):
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            raise ValueError(f"{side}[{k}] must be a (value, multiplicity) pair, got {pair!r}")
+        if (m := pair[1] if type(pair[1]) is int else _whole(pair[1], f"{side}[{k}] multiplicity")) < 1:
+            raise ValueError(f"{side}[{k}] has multiplicity {m}, below 1")
+        values += [pair[0]] * m
+    return np.array(values, dtype=complex)
 
 
-def _assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.optimize.linear_sum_assignment(cost)``, with a fast path for the
-    nearest-neighbour pairing (see match_spectra) in front of the full solve.
-
-    On a finite cost with no more rows than columns, whose rows each have a
-    single minimum in a column of their own, the solver finds each row's
-    argmin as a free column on its first scan, with the column potentials
-    still zero, so no rounding enters and it returns these same arrays.
-    Every other input, NaN and infinite entries included, goes to
-    ``_shortest_augmenting_path``.
-    """
-    n, m = cost.shape
-    if 0 < n <= m and np.isfinite(cost).all():
-        cols = cost.argmin(axis=1)
-        mins = cost[np.arange(n), cols]
-        if len(set(cols.tolist())) == n and np.count_nonzero(cost == mins[:, None]) == n:
-            return np.arange(n), cols
-    return _shortest_augmenting_path(cost)
-
-
-def _shortest_augmenting_path(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rectangular shortest-augmenting-path solver of Crouse (2016), as
-    scipy's ``linear_sum_assignment`` runs it, so that the two agree bit for bit.
-
-    Like scipy it transposes a tall cost and returns its rows sorted, scans
-    the remaining columns from the highest index down (a constant cost gives
-    the identity), prefers a free column among equal path costs, rounds
-    ``min_val + cost - u[i] - v[j]`` and the dual updates as scipy writes
-    them, left to right, and raises ``ValueError`` on a NaN or -inf entry
-    and on a cost with no finite assignment.
-    """
-    nr, nc = cost.shape
-    if nr == 0 or nc == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    transpose = nc < nr
-    if transpose:
-        cost = cost.T
-        nr, nc = nc, nr
-    if np.isnan(cost).any() or np.isneginf(cost).any():
-        raise ValueError("matrix contains invalid numeric entries")
-    rows = cost.tolist()
-    u, v = [0.0] * nr, [0.0] * nc
-    path, row4col, col4row = [-1] * nc, [-1] * nc, [-1] * nr
-    for cur in range(nr):
-        # Dijkstra over reduced costs from row ``cur`` to the nearest free column
-        remaining = list(range(nc - 1, -1, -1))
-        spc = [math.inf] * nc  # shortest path cost to each column
-        seen_rows, seen_cols = [cur], []
-        i, min_val, sink = cur, 0.0, -1
-        while sink == -1:
-            lowest, index = math.inf, -1
-            row, ui = rows[i], u[i]
-            for it, j in enumerate(remaining):
-                r = min_val + row[j] - ui - v[j]
-                if r < spc[j]:
-                    path[j] = i
-                    spc[j] = r
-                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
-                    lowest, index = spc[j], it
-            min_val = lowest
-            if min_val == math.inf:
-                raise ValueError("cost matrix is infeasible")
-            j = remaining[index]
-            if row4col[j] == -1:
-                sink = j
-            else:
-                i = row4col[j]
-                seen_rows.append(i)
-            seen_cols.append(j)
-            remaining[index] = remaining[-1]
-            remaining.pop()
-
-        u[cur] += min_val
-        for i in seen_rows[1:]:
-            u[i] += min_val - spc[col4row[i]]
-        for j in seen_cols:
-            v[j] -= min_val - spc[j]
-        j = sink
-        while True:  # flip the path's assignments back to row ``cur``
-            i = path[j]
-            row4col[j] = i
-            col4row[i], j = j, col4row[i]
-            if i == cur:
+def _maximum_matching(near: list[list[int]]) -> dict[int, int]:
+    """A maximum matching of each row i to one of the columns ``near[i]``, as
+    the row of each matched column. Each row takes its first free column, or
+    else searches depth first for an augmenting path (Kuhn's method), on an
+    explicit stack so that no path meets the recursion limit."""
+    row_of, seen = {}, set()  # seen: columns that lead to no free one, until row_of changes
+    for root, cols in enumerate(near):
+        if (free := next((j for j in cols if j not in row_of), None)) is not None:
+            row_of[free] = root
+            continue
+        path, via = [(root, iter(cols))], []  # rows with their untried columns; via[k]: path[k]'s column
+        while path:
+            for j in path[-1][1]:
+                if j not in seen:
+                    seen.add(j)
+                    break
+            else:  # no way onward from this row, nor through the column that reached it
+                path.pop()
+                del via[-1:]
+                continue
+            via.append(j)
+            if j not in row_of:  # a free column: each row on the path takes the column it reaches
+                row_of.update(zip(via, (i for i, _ in path)))
+                seen = set()
                 break
+            path.append((row_of[j], iter(near[row_of[j]])))
+    return row_of
 
-    a = np.array(col4row, dtype=np.intp)
-    if transpose:
-        order = np.argsort(a)
-        return a[order], order
-    return np.arange(nr, dtype=np.intp), a
+
+def _bottleneck_matching(cost: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """The (row, column) pairs, by row, of a maximum matching within ``tol``
+    whose largest ``cost`` is least: rows try columns nearest first, ties by
+    index, and a binary search finds the least entry that keeps the size."""
+    order = np.argsort(cost, axis=1, kind="stable")
+    ranked, order = np.take_along_axis(cost, order, axis=1), order.tolist()
+
+    def within(bound):
+        counts = np.count_nonzero(ranked <= bound, axis=1).tolist()
+        return _maximum_matching([cols[:k] for cols, k in zip(order, counts)])
+
+    if not (bounds := np.unique(cost[cost <= tol])).size:
+        return []
+    least = bounds[bisect_left(bounds, len(within(tol)), key=lambda bound: len(within(bound)))]
+    return sorted((i, j) for j, i in within(least).items())
 
 
 def match_spectra(estimated, truth, tol: float) -> MatchReport:
-    """Hungarian matching on |estimated - true| with multiplicities expanded.
+    """Pair ``estimated`` with ``truth``, multiplicities expanded: as many
+    pairs within ``tol`` as any pairing holds, and among those one whose
+    largest distance is least (a bottleneck assignment; Burkard, Dell'Amico &
+    Martello, *Assignment Problems*, SIAM 2009, ch. 6), in estimate order.
 
-    Assignment pairs farther apart than ``tol``, or beyond the double range,
-    are reported unmatched on both sides; a ``tol`` that is not a finite
-    number >= 0, or a value that is not finite, is a ``ValueError``.
-    ``estimated`` and ``truth`` each take (value, multiplicity) pairs, such
-    as ``SpectrumEstimate.roots`` or ``OracleSpectrum.observable``, or flat
-    values, such as ``full_spectrum``'s.
-
-    When there are no more estimates than true values, every estimate's
-    nearest true value is strictly nearer than any other, and no two
-    estimates share it, that nearest-neighbour pairing is the unique
-    minimum-cost assignment: its cost, the sum of the row minima, is a lower
-    bound that no other assignment reaches. It is then taken directly, and a
-    port of scipy's rectangular assignment solver (Crouse 2016) runs only on
-    the remaining cases. Both give the pairs that
-    ``scipy.optimize.linear_sum_assignment`` gives, without loading it.
+    Each side takes (value, multiplicity) pairs, such as
+    ``SpectrumEstimate.roots`` or ``OracleSpectrum.observable``, or flat
+    values, such as ``full_spectrum``'s. ``ValueError`` for a ``tol`` that
+    is not a finite number >= 0, a value that is not finite, a multiplicity
+    that is not a whole number >= 1 and a mix of pairs and flat values. No
+    distance is ever summed, so one beyond the double range is an infinity,
+    beyond every tol.
     """
     tol = _tolerance(tol, "tolerance")
-    est = _expand_values(estimated)
-    true = _expand_values(truth)
+    est = _expand_values(estimated, "estimated")
+    true = _expand_values(truth, "truth")
     with np.errstate(over="ignore", invalid="ignore"):  # read below
         cost = np.abs(est[:, None] - true[None, :])
-    scaled = cost
     if cost.size == 0 or not np.isfinite(cost).all():
         # a NaN or an infinity on either side is refused; with neither, some
         # distance lies beyond the double range, and so beyond every tol
         _require_finite(est, "estimated")
         _require_finite(true, "truth")
-        # the assignment weighs such a distance too, in units of 2^64, where
-        # the solver's sums of distances stay finite
-        scaled = np.abs(est[:, None] / 2.0**64 - true[None, :] / 2.0**64)
-    rows, cols = _assignment(scaled)
-    pairs: list[tuple[complex, complex, float]] = []
-    un_e = set(range(est.size))
-    un_t = set(range(true.size))
-    for r, ccol in zip(rows, cols):
-        d = float(cost[r, ccol])
-        if d <= tol:
-            pairs.append((complex(est[r]), complex(true[ccol]), d))
-            un_e.discard(int(r))
-            un_t.discard(int(ccol))
+    n, m = cost.shape
+    nearest = cost.argmin(axis=1) if 0 < n <= m else None
+    if nearest is not None and len(set(nearest.tolist())) == n and np.count_nonzero(
+            cost == cost[np.arange(n), nearest][:, None]) == n:
+        # each estimate alone at its own strictly nearest true value: no pairing does better
+        matched = enumerate(nearest.tolist())
+    else:
+        matched = _bottleneck_matching(cost, tol)
+    pairs = [(r, j, d) for r, j in matched if (d := float(cost[r, j])) <= tol]
+    rows, cols = {r for r, _, _ in pairs}, {j for _, j, _ in pairs}
     return MatchReport(
-        pairs=pairs,
-        unmatched_true=[complex(true[i]) for i in sorted(un_t)],
-        unmatched_estimated=[complex(est[i]) for i in sorted(un_e)],
+        pairs=[(complex(est[r]), complex(true[j]), d) for r, j, d in pairs],
+        unmatched_true=[complex(v) for j, v in enumerate(true) if j not in cols],
+        unmatched_estimated=[complex(v) for r, v in enumerate(est) if r not in rows],
     )

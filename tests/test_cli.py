@@ -403,9 +403,9 @@ def test_verify_fails_an_estimate_with_a_spurious_root(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_verify_takes_a_matrix_entry_at_the_oracles_limit(tmp_path, capsys):
-    # entries of 1e308 give eigenvalues whose differences overflow, and the
-    # assignment behind match_spectra raised "cost matrix is infeasible"; the
-    # next double above this limit is a usage error
+    # entries of 1e308 give eigenvalues whose differences overflow, and such a
+    # distance is an infinity, beyond every tol; the next double above this
+    # limit is a usage error
     matrix, y_path = simulate_swap(tmp_path, capsys)
     spectrum = tmp_path / "spectrum.json"
     assert run(capsys, "estimate", "--y", y_path, "--out", spectrum)[0] == 0
@@ -416,8 +416,8 @@ def test_verify_takes_a_matrix_entry_at_the_oracles_limit(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_verify_fails_a_root_whose_distance_to_every_eigenvalue_overflows(tmp_path, capsys):
-    # |1.79e308 - (-4e307)| is beyond the doubles: numpy warned, and the
-    # assignment raised "cost matrix is infeasible" on the row of infs
+    # |1.79e308 - (-4e307)| is beyond the doubles: numpy once warned, and the
+    # root must be left unmatched, with no error
     matrix, estimate, setup = tmp_path / "m.csv", tmp_path / "s.json", tmp_path / "setup.json"
     matrix.write_text("-4e307\n")  # inside verify's entry limit for n = 1
     estimate.write_text(json.dumps({"schema": 1, "mode": "dt", "rank": 1, "residual": 0.0,

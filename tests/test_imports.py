@@ -1,8 +1,8 @@
 """Which runs load scipy: only sampled continuous time does, for ``expm``.
 
 Discrete-time runs load no scipy module at all, and no run loads
-``scipy.optimize``: spectrum matching solves its assignments itself, the
-hard ones (no unique nearest-neighbour pairing) included. A fresh
+``scipy.optimize``: spectrum matching needs no solver from it, also where
+no unique nearest-neighbour pairing exists. A fresh
 interpreter is the only clean slate for ``sys.modules``; pytest and
 hypothesis may already have imported scipy in the test process.
 """

@@ -11,9 +11,7 @@ several entry points share, such as the tau and tolerance rules, is
 fed every bad value at each of them. A wording change edits one row. A guard
 keeps the two catalogues whole: every ``raise`` in ``src/``, and every stderr
 line of ``cli.py``, is reached by a library row or a CLI row, in one traced
-run of both. The assignment port's refusals are the exception: they mirror
-scipy's, ``test_oracle.py`` pins them against it, and ``match_spectra`` hands
-the port finite costs only.
+run of both.
 """
 
 from __future__ import annotations
@@ -338,6 +336,20 @@ ROWS = [
         "estimated[1] is not finite: (inf+0j)"),
     Row("match_spectra-nan-truth", partial(match_spectra, [0.5], [0.5, complex(1.0, math.nan)], 1.0), ValueError,
         "truth[1] is not finite: (1+nanj)"),
+    # a multiplicity once went through int(): 2.5 became 2 copies, 0 and -3 none
+    Row("match_spectra-fractional-multiplicity", partial(match_spectra, [(1.0, 2.5)], [1.0], 1e-9), ValueError,
+        "estimated[0] multiplicity must be a whole number, got 2.5"),
+    Row("match_spectra-string-multiplicity", partial(match_spectra, [1.0], [(1.0, "a")], 1e-9), ValueError,
+        "truth[0] multiplicity must be a whole number, got 'a'"),
+    Row("match_spectra-zero-multiplicity", partial(match_spectra, [(1.0, 0)], [1.0], 1e-9), ValueError,
+        "estimated[0] has multiplicity 0, below 1"),
+    Row("match_spectra-negative-multiplicity", partial(match_spectra, [1.0], [(2.0, 1), (1.0, -3)], 1e-9),
+        ValueError, "truth[1] has multiplicity -3, below 1"),
+    # and a list that mixes pairs and flat values failed in unpacking or in numpy
+    Row("match_spectra-flat-value-after-a-pair", partial(match_spectra, [(1.0, 1), 2.0], [1.0], 1e-9), ValueError,
+        "estimated[1] must be a (value, multiplicity) pair, got 2.0"),
+    Row("match_spectra-pair-after-a-flat-value", partial(match_spectra, [1.0], [2.0, (1.0, 1)], 1e-9), ValueError,
+        "truth[1] must be a flat value, as truth[0] is, got (1.0, 1)"),
     # scenarios
     Row("run_scenario-unknown", partial(run_scenario, "fig4"), ValueError,
         "unknown scenario 'fig4'; pick one of ('fig1', 'fig2', 'fig3')"),
@@ -366,19 +378,12 @@ def test_a_refused_call_raises_its_error_with_its_message_and_no_warning(tmp_pat
     assert (type(error), str(error), warned) == (row.error, row.message, [])
 
 
-# functions whose refusals another test pins: the assignment port's, against scipy's
-PINNED_ELSEWHERE = {"_shortest_augmenting_path"}
-
-
 def raise_sites(source: str) -> dict[int, range]:
     """The first line and the line span of each ``raise`` in ``source``, but
-    for those under an ``if __name__ == "__main__":`` at its top level and
-    those in a function named in ``PINNED_ELSEWHERE``."""
+    for those under an ``if __name__ == "__main__":`` at its top level."""
     tree = ast.parse(source)
     exempt = [top for top in tree.body if isinstance(top, ast.If)
               and ast.unparse(top.test) == "__name__ == '__main__'"]
-    exempt += [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
-               and node.name in PINNED_ELSEWHERE]
     skipped = {id(node) for top in exempt for node in ast.walk(top)}
     return {node.lineno: range(node.lineno, node.end_lineno + 1)
             for node in ast.walk(tree) if isinstance(node, ast.Raise) and id(node) not in skipped}
@@ -404,7 +409,7 @@ def test_every_raise_and_stderr_line_in_src_is_reached_by_a_row(tmp_path, monkey
         sys.settrace(previous)
     assert [f"{path.name}:{line}" for path, found in sites.items() for line, span in found.items()
             if not any((str(path), n) in reached for n in span)] == []
-    # and the finders see each kind of site, but the script's exit and the port's refusals
+    # and the finders see each kind of site, but the script's exit
     planted = (
         "def f(x):\n"
         "    if x:\n"
@@ -418,9 +423,6 @@ def test_every_raise_and_stderr_line_in_src_is_reached_by_a_row(tmp_path, monkey
         "\n"
         "if __name__ == '__main__':\n"
         "    raise SystemExit(f(1))\n"
-        "\n"
-        "def _shortest_augmenting_path(cost):\n"
-        "    raise ValueError(cost)\n"
     )
     assert {line: list(span) for line, span in raise_sites(planted).items()} == {3: [3], 7: [7], 8: [8, 9]}
     planted = "_fail_usage('a')\nprint('b', file=sys.stderr)\nparser.error('c')\nprint('d')\nf('e')\n"

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import ast
+import itertools
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
-from scipy.optimize import linear_sum_assignment
 
 from helpers import FINITE_DOUBLES, InfeasiblePatternError, hidden_mode_system, make_jordan_case, orthogonal
 from spectral_scope import (
@@ -28,7 +28,7 @@ from spectral_scope import oracle
 from spectral_scope.clustering import _spectral_order, cluster_indices
 from spectral_scope.estimator import build_hankel
 from spectral_scope.graphs import _binade
-from spectral_scope.oracle import _assignment, _expand_values, _shortest_augmenting_path
+from spectral_scope.oracle import _expand_values
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -168,6 +168,34 @@ def test_a_shift_beyond_the_double_range_is_no_refusal():
     assert part.pbh_deficient.tolist() == [False, False]
     assert part.m_tilde.tolist() == [1, 1]
     assert part.modal_weights.tolist() == [5e307, 5e307]
+
+
+HUGE = [1e300, 1e307, np.finfo(float).max / 2, np.finfo(float).max]
+
+
+def wide_entries(rng, shape) -> np.ndarray:
+    """Signed entries, a quarter each from [-1, 1], zero, the top of the double
+    range, and 10^u for u uniform in [-5, 308.2], every scale between."""
+    kind = rng.integers(0, 4, shape)
+    pools = [rng.uniform(-1.0, 1.0, shape), np.zeros(shape), rng.choice(HUGE, shape),
+             10.0 ** rng.uniform(-5.0, 308.2, shape)]
+    return np.choose(kind, pools) * rng.choice([-1.0, 1.0], shape)
+
+
+@pytest.mark.filterwarnings("error")
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_the_partition_answers_or_refuses_with_a_type_across_the_double_range(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    G = wide_entries(rng, (n, n))
+    c, x0 = (wide_entries(rng, n) if rng.random() < 0.3 else rng.uniform(-1.0, 1.0, n) for _ in range(2))
+    try:
+        part = observable_partition(G, c, x0)
+    except (OverflowError, ValueError):  # weights beyond the doubles, or no convergence
+        return
+    assert np.isfinite(part.distinct).all() and part.algebraic.sum() == n
+    assert set(part.m_tilde.tolist()) <= {0, 1} and len(part.missing) == n - part.m_tilde.sum()
 
 
 def estimator_imports(source: str) -> list[int]:
@@ -407,7 +435,7 @@ def test_an_empty_side_leaves_every_value_unmatched(estimated, truth, unmatched_
     ([1.79e308], [-1.79e308, 1.0, 2.0]),
 ])
 def test_a_distance_beyond_the_double_range_is_unmatched_on_both_sides(estimated, truth):
-    # the distance overflowed to inf, and the assignment refused a row of infs
+    # the distance overflows to inf, beyond every tol, and no distance is ever summed
     report = match_spectra(estimated, truth, tol=1e300)
     finite = [(0.5 + 0j, 0.5 + 1e-12j, 1e-12)] if 0.5 in estimated else []
     assert report.pairs == finite
@@ -426,7 +454,7 @@ SPECTRA = st.lists(FINITE_COMPLEX, max_size=6) | st.lists(st.tuples(FINITE_COMPL
          1.7976931348623157e308)
 def test_every_finite_matching_pairs_each_value_once_within_the_tolerance(estimated, truth, tol):
     report = match_spectra(estimated, truth, tol)
-    est, true = _expand_values(estimated), _expand_values(truth)
+    est, true = _expand_values(estimated, "estimated"), _expand_values(truth, "truth")
     # each value is paired once or left unmatched, and no pair is farther apart than tol
     assert sorted(map(_spectral_order, [e for e, _, _ in report.pairs] + report.unmatched_estimated)) == sorted(
         map(_spectral_order, est.tolist()))
@@ -442,112 +470,96 @@ def test_matching_accepts_estimates_and_flat_lists():
     assert report.matched_all and report.max_error <= 1e-12
 
 
-def lsap_outcome(solve, cost):
-    """What an assignment solver returns for ``cost``, or the type it raises."""
-    try:
-        rows, cols = solve(cost)
-    except Exception as exc:  # compared by type against scipy's
-        return type(exc)
-    return rows.dtype, rows.tolist(), cols.dtype, cols.tolist()
+def test_every_estimate_is_paired_within_tol_where_the_least_sum_pairing_drops_one():
+    # pairing each estimate with the nearer true value costs 0.1 + 1.118 in
+    # sum, and its second pair lies beyond tol; the other pairing fits
+    report = match_spectra([-1.3 - 1.6j, -0.9 - 1.9j], [-0.9 - 1.8j, -0.2 - 1.4j], 1.0)
+    assert report.matched_all
+    assert [(e, t) for e, t, _ in report.pairs] == [(-1.3 - 1.6j, -0.9 - 1.8j), (-0.9 - 1.9j, -0.2 - 1.4j)]
+    assert [d for _, _, d in report.pairs] == pytest.approx([0.447213595499958, 0.8602325267042626], rel=1e-15)
 
 
-ONE_ULP = 2.0**-52
+def most_pairs_at_the_least_largest_distance(est, true, tol):
+    """By trying every partial matching: the most pairs within ``tol`` one
+    can hold, and the least largest distance among those that hold that many."""
+    cost = np.abs(np.subtract.outer(np.asarray(est, dtype=complex), np.asarray(true, dtype=complex)))
+    for k in range(min(cost.shape), 0, -1):
+        largest = [d for rows in itertools.combinations(range(cost.shape[0]), k)
+                   for cols in itertools.permutations(range(cost.shape[1]), k)
+                   if (d := cost[rows, cols].max()) <= tol]
+        if largest:
+            return k, min(largest)
+    return 0, 0.0
 
 
-@st.composite
-def spectrum_costs(draw):
-    """``|est - true|`` over conjugate pairs and repeated eigenvalues, the
-    estimate a shuffled, perturbed, truncated or padded copy of the truth."""
-    true = []
-    for z in draw(st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=3)):
-        copies = draw(st.integers(1, 2))
-        true += [z] * copies + ([z.conjugate()] * copies if z.imag else [])
-    noise = st.sampled_from([0.0, 1e-9, -1e-9, 1e-9j, ONE_ULP])
-    est = [t + draw(noise) for t in draw(st.permutations(true))]
-    est = est[: draw(st.integers(1, len(est)))] + draw(st.lists(st.sampled_from(true), max_size=2))
-    return np.abs(np.array(est)[:, None] - np.array(true)[None, :])
+# a grid of half-integers gives exact ties of distance, to the nearest value and beyond
+TIED_OR_NOT = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2)).map(lambda z: z / 2) | st.complex_numbers(
+    max_magnitude=3.0)
 
 
-@st.composite
-def cost_matrices(draw):
-    """Square and rectangular costs, rich in exact ties, near-ties and
-    infinite (forbidden) pairings."""
-    n, m = draw(st.integers(0, 12)), draw(st.integers(0, 12))
-    elements = draw(
-        st.sampled_from(
-            [
-                st.floats(-10.0, 10.0),
-                st.sampled_from([0.0, 0.5, 1.0, 2.0]),  # duplicated entries, equal row minima
-                st.integers(0, 3).map(lambda k: 1.0 + k * ONE_ULP),
-                st.sampled_from([0.0, 1.0, 1.0, np.inf]),  # feasible or not
-            ]
-        )
-    )
-    cost = draw(arrays(float, (n, m), elements=elements))
-    if m >= 2 and draw(st.booleans()):
-        i, j = draw(st.permutations(range(m)))[:2]
-        cost[:, j] = cost[:, i]
-    return cost
+@given(st.lists(TIED_OR_NOT, max_size=5), st.lists(TIED_OR_NOT, max_size=5),
+       st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0))
+@settings(max_examples=300, deadline=None)
+@example([-1.3 - 1.6j, -0.9 - 1.9j], [-0.9 - 1.8j, -0.2 - 1.4j], 1.0)
+@example([0j, 0j, 0.5], [0j, 0.5, 0.5], 0.0)
+def test_the_matching_holds_the_most_pairs_within_tol_at_the_least_largest_distance(est, true, tol):
+    report = match_spectra(est, true, tol)
+    assert (len(report.pairs), report.max_error) == most_pairs_at_the_least_largest_distance(est, true, tol)
+    rest = iter(map(complex, est))  # and the pairs keep the order of the estimates
+    assert all(any(e == r for r in rest) for e, _, _ in report.pairs)
 
 
-@given(st.one_of(cost_matrices(), spectrum_costs()))
-@settings(max_examples=400, deadline=None)
-@example(np.array([[1.0, 2.0], [2.0, 1.0]]))
-@example(np.array([[1.0, 1.0], [2.0, 3.0]]))
-@example(np.array([[1.0, 2.0, 3.0], [1.0, 5.0, 4.0]]))
-@example(np.array([[1.0], [0.5], [2.0]]))
-def test_assignment_returns_what_scipy_returns(cost):
-    assert lsap_outcome(_assignment, cost) == lsap_outcome(linear_sum_assignment, cost)
+def test_an_augmenting_path_longer_than_the_recursion_limit_is_followed():
+    # every estimate but the last sits nearest its own true value, a quarter
+    # away; the last reaches true value 0 alone, so all the others must move
+    # one place up, and the one augmenting path runs through every row
+    n = sys.getrecursionlimit() + 100
+    est = np.append(np.arange(n) + 0.25, -0.25)
+    report = match_spectra(est, np.arange(n + 1.0), 0.8)
+    assert report.matched_all and report.max_error == 0.75
+    assert [t for _, t, _ in report.pairs] == [complex(j) for j in range(1, n + 1)] + [0j]
 
 
-@given(st.one_of(cost_matrices(), spectrum_costs()))
-@settings(max_examples=400, deadline=None)
-def test_the_full_solve_returns_what_scipy_returns(cost):
-    # also the costs that _assignment's nearest-neighbour path takes
-    want = lsap_outcome(linear_sum_assignment, cost)
-    assert lsap_outcome(_shortest_augmenting_path, cost) == want
+def scipy_matching_size(cost: np.ndarray, bound: float) -> int:
+    """The size of a maximum matching of the pairs with ``cost <= bound``, by
+    scipy's Hopcroft-Karp."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    if not cost.size:
+        return 0
+    rows = maximum_bipartite_matching(csr_matrix(cost <= bound), perm_type="column")
+    return int(np.count_nonzero(rows >= 0))
 
 
-def tied_spectrum_cost(seed):
-    """|est - true| for a random truth of conjugate pairs and an estimate that
-    permutes, repeats and perturbs it, with one column copied onto another."""
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 13))
-    z = rng.normal(size=(m + 1) // 2) + 1j * rng.normal(size=(m + 1) // 2)
-    true = np.concatenate([z, z.conj()])[:m]
-    est = np.resize(true[rng.permutation(m)], int(rng.integers(1, 13)))
-    est = est + rng.choice([0.0, 1e-9, 1e-9j, ONE_ULP], est.size)
-    cost = np.abs(est[:, None] - true[None, :])
-    if m >= 2:
-        i, j = rng.permutation(m)[:2]
-        cost[:, j] = cost[:, i]
-    return cost
-
-
-# the first five of 20 000 seeds whose exact ties make the pairing depend on
-# how the dual updates round (``v[j] -= min_val - spc[j]``, not term by term)
-@pytest.mark.parametrize("seeds", [range(2000), [3000, 4742, 7021, 8440, 15805]])
-def test_the_full_solve_agrees_with_scipy_on_tied_spectrum_costs(seeds):
-    for seed in seeds:
-        cost = tied_spectrum_cost(seed)
-        want = lsap_outcome(linear_sum_assignment, cost)
-        assert lsap_outcome(_shortest_augmenting_path, cost) == want, seed
-
-
-@pytest.mark.parametrize("shape", [(40, 40), (25, 40), (40, 25)])
-def test_the_full_solve_agrees_with_scipy_on_larger_costs(shape):
+# beyond the brute force's reach: crowded free values, and a coarse grid of exact ties
+@pytest.mark.parametrize("kind", ["free", "tied"])
+@pytest.mark.parametrize("shape", [(40, 40), (25, 40), (40, 25)], ids=["40x40", "25x40", "40x25"])
+def test_larger_matchings_hold_as_many_pairs_as_scipys_at_the_least_largest_distance(shape, kind):
     rng = np.random.default_rng(sum(shape))
-    for cost in (rng.uniform(0.0, 1.0, shape), rng.integers(0, 4, shape).astype(float)):
-        want = lsap_outcome(linear_sum_assignment, cost)
-        assert lsap_outcome(_shortest_augmenting_path, cost) == want
+    if kind == "free":
+        est, true = (rng.uniform(0.0, 1.0, (k, 2)) @ [1.0, 1j] for k in shape)
+        tol = 0.15
+    else:
+        est, true = (rng.integers(-3, 4, (k, 2)) @ [0.5, 0.5j] for k in shape)
+        tol = 0.5
+    report = match_spectra(est, true, tol)
+    cost = np.abs(np.subtract.outer(est, true))
+    assert len(report.pairs) == scipy_matching_size(cost, tol) > 0
+    # the largest distance keeps that many pairs, and nothing below it does
+    assert scipy_matching_size(cost, report.max_error) == len(report.pairs)
+    assert scipy_matching_size(cost, np.nextafter(report.max_error, -np.inf)) < len(report.pairs)
+    assert all(d <= tol for _, _, d in report.pairs)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (2, 3), (3, 2)])
-def test_assignment_fails_like_scipy_on_non_finite_costs(bad, shape):
-    cost = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
-    for where in np.ndindex(*shape):
-        c = cost.copy()
-        c[where] = bad
-        want = lsap_outcome(linear_sum_assignment, c)
-        assert lsap_outcome(_assignment, c) == lsap_outcome(_shortest_augmenting_path, c) == want
+@pytest.mark.parametrize("near, size", [
+    pytest.param([], 0, id="no-rows"),
+    pytest.param([[], [0], []], 1, id="rows-with-no-columns"),
+    pytest.param([[0, 1], [0]], 2, id="one-augmenting-path"),
+    pytest.param([[0], [0], [0, 1]], 2, id="a-column-every-row-wants"),
+    pytest.param([[0, 1], [1, 2], [2, 0], [0]], 3, id="a-path-back-round-a-cycle"),
+])
+def test_a_maximum_matching_gives_each_column_one_row_that_lists_it(near, size):
+    row_of = oracle._maximum_matching(near)
+    assert len(row_of) == len(set(row_of.values())) == size
+    assert all(j in near[i] for j, i in row_of.items())
