@@ -250,19 +250,12 @@ def cmd_estimate(args) -> int:
 def cmd_verify(args) -> int:
     try:
         M = read_matrix_csv(args.matrix)
-        n = M.shape[0]
-        # every eigenvalue is at most n max|M_ij| in modulus; the oracle adds
-        # up to n of them and subtracts them, and all of it must stay finite
-        limit = np.finfo(float).max / (4 * n * n)
-        with _reading("matrix", args.matrix):
-            if np.max(np.abs(M)) > limit:
-                raise ValueError(f"has an entry above {limit:.3g}, the most verify takes at n = {n}")
         with _reading("estimate", args.estimate):
             roots = SpectrumEstimate.from_json_dict(json.loads(Path(args.estimate).read_text())).roots
             # an n x n matrix has n eigenvalues, so no root can repeat more often
             for k, (_, m) in enumerate(roots):
-                if m > n:
-                    raise ValueError(f"root {k} has multiplicity {m}, not 1 to {n}")
+                if m > len(M):
+                    raise ValueError(f"root {k} has multiplicity {m}, not 1 to {len(M)}")
         with _reading("setup", args.setup):  # x0 and c, as the observation of M they must be
             setup = _json_object(json.loads(Path(args.setup).read_text()), ("x0", "c"))
             observation = ObservationSetup(x0=setup["x0"], c=setup["c"])
@@ -275,7 +268,7 @@ def cmd_verify(args) -> int:
         return _fail_usage(str(exc))
     try:
         truth = full_spectrum(M)
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:  # an eigenvalue beyond the doubles, or no convergence
         return _fail_usage(f"cannot find the spectrum of matrix {args.matrix}: {exc}")
     report = match_spectra(roots, truth, tol)
 
@@ -289,9 +282,8 @@ def cmd_verify(args) -> int:
             missing = observable_partition(M, observation.c, observation.x0).missing
         except (OverflowError, ValueError) as exc:  # x0 and c too large to weigh the modes, or no convergence
             return _fail_usage(f"cannot check observability with setup {args.setup}: {exc}")
-        for v in report.unmatched_true:
-            if missing.size == 0 or np.min(np.abs(missing - v)) > tol:
-                unexplained.append(v)
+        with np.errstate(over="ignore"):  # a distance beyond the doubles is beyond every tol
+            unexplained = [v for v in report.unmatched_true if not np.any(np.abs(missing - v) <= tol)]
     ok = not unexplained and not report.unmatched_estimated
 
     payload = report.to_json_dict()

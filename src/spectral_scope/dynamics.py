@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import _floats, _json_object, _positive, _reading, as_array
+from .graphs import _floats, _json_object, _number, _positive, _reading, as_array
 
 __all__ = [
     "DT",
@@ -102,7 +102,7 @@ def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> Obse
     else:
         nodes: list[int] = []
         for v in np.atleast_1d(np.asarray(observed, dtype=object)).tolist():
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            if not _number(v, numbers.Integral):
                 raise ValueError(f"observed node {v!r} is not an integer index")
             if int(v) in nodes:
                 raise ValueError(f"observed node {int(v)} is repeated; observed nodes must be distinct")

@@ -25,7 +25,6 @@ import cmath
 import functools
 import itertools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
@@ -34,7 +33,7 @@ import numpy as np
 from .clustering import _spectral_order, cluster_complex, enforce_conjugate_pairs
 from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
                        _mode_of, simulate_ct_sampled, simulate_dt)
-from .graphs import _binade, _json_object, _positive, _reading, _real, _tolerance, _whole
+from .graphs import _binade, _json_object, _number, _positive, _reading, _real, _tolerance, _whole
 
 __all__ = [
     "SpectrumEstimate",
@@ -115,7 +114,7 @@ class SpectrumEstimate:
         roots = []
         for k, root in enumerate(self.roots):
             v, m = root if isinstance(root, (tuple, list)) and len(root) == 2 else (None, None)
-            if type(v) is not complex and (isinstance(v, bool) or not isinstance(v, numbers.Number)):
+            if type(v) is not complex and not _number(v):
                 raise ValueError(f"root {k} must be a pair of a number and a multiplicity, got {root!r}")
             v, m = complex(v), m if type(m) is int else _whole(m, f"root {k} multiplicity")
             if not cmath.isfinite(v):

@@ -63,9 +63,9 @@ class Graph:
         for u, v, w in self.edges:
             # an exact int or float skips the ABC checks: each preset seed rebuilds its graph
             for node in (u, v):
-                if type(node) is not int and (isinstance(node, bool) or not isinstance(node, numbers.Integral)):
+                if type(node) is not int and not _number(node, numbers.Integral):
                     raise ValueError(f"edge ({u!r},{v!r}) node {node!r} is not an integer index")
-            if type(w) is not float and (isinstance(w, bool) or not isinstance(w, numbers.Real)):
+            if type(w) is not float and not _number(w, numbers.Real):
                 raise ValueError(f"edge ({u},{v}) weight {w!r} is not a real number")
             a, b, x = int(u), int(v), w if type(w) is float else _real(w)
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -120,7 +120,7 @@ def _floats(value, name: str, ndmin: int = 1) -> np.ndarray:
         elif isinstance(item, np.ndarray):
             if item.dtype.kind not in "iuf":  # numpy would read bools, strings and complex parts as floats
                 items.append(item.tolist())
-        elif isinstance(item, bool) or not isinstance(item, numbers.Real):
+        elif not _number(item, numbers.Real):
             raise ValueError(f"{name} {'is' if item is value else 'holds'} {item!r}, which is not a number")
     try:
         arr = np.array(value, dtype=float, ndmin=ndmin)  # a copy, which the caller cannot change
@@ -130,21 +130,24 @@ def _floats(value, name: str, ndmin: int = 1) -> np.ndarray:
     return arr
 
 
+def _number(value, kind=numbers.Number) -> bool:
+    """The number rule: a ``kind`` of number, any by default, that is not a bool (numpy reads one as 0 or 1)."""
+    return not isinstance(value, bool) and isinstance(value, kind)
+
+
 def _real(value) -> float:
     """A real number that is not a bool, as a float; NaN, which fails every
     range test, for anything else, an int beyond the doubles included."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
+    with contextlib.suppress(OverflowError):  # float() of an int beyond the doubles
+        if _number(value, numbers.Real):
             return float(value)
-        except OverflowError:
-            pass
     return math.nan
 
 
 def _whole(value, name: str) -> int:
     """A whole number as an int; ``ValueError`` for a fraction, a bool, a string, an infinity or a NaN."""
     with contextlib.suppress(OverflowError, ValueError):  # int() of an infinity or a NaN
-        if not isinstance(value, bool) and isinstance(value, numbers.Real) and int(value) == value:
+        if _number(value, numbers.Real) and int(value) == value:
             return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 

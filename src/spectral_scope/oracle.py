@@ -18,7 +18,7 @@ import numpy as np
 
 from .clustering import _centroid, _spectral_order, cluster_indices, enforce_conjugate_pairs
 from .dynamics import ObservationSetup, _matrix_for
-from .graphs import _binade, _require_finite, _tolerance, _whole, as_array
+from .graphs import _binade, _number, _require_finite, _tolerance, _whole, as_array
 
 __all__ = [
     "OracleSpectrum",
@@ -39,20 +39,25 @@ def full_spectrum(G) -> np.ndarray:
 
     Conjugate pairs are made exact and the result is sorted by descending
     real part, then descending imaginary part. ``ValueError`` when the QR
-    iteration does not converge.
+    iteration does not converge, ``OverflowError`` when an eigenvalue's
+    modulus is beyond the doubles.
     """
-    M = as_array(G)
-    vals = _converged(np.linalg.eigvals, M)
+    vals = _converged(np.linalg.eigvals, as_array(G))
     pairs = enforce_conjugate_pairs([(complex(v), 1) for v in vals], EIGEN_CLUSTER_TOL)
     return np.array([v for v, _ in pairs], dtype=complex)
 
 
 def _converged(eig, M: np.ndarray):
-    """``eig(M)``, with LAPACK's non-convergence refused as a ``ValueError``."""
+    """``eig(M)``; ``ValueError`` when LAPACK's QR iteration does not converge,
+    ``OverflowError`` for an eigenvalue whose modulus is beyond the doubles."""
     try:
-        return eig(M)
+        out = eig(M)
     except np.linalg.LinAlgError:
         raise ValueError("the QR iteration for the eigenvalues did not converge") from None
+    with np.errstate(over="ignore"):  # eig gives the eigenvalues first, eigvals them alone
+        if not np.isfinite(np.abs(out[0] if isinstance(out, tuple) else out)).all():
+            raise OverflowError("an eigenvalue's modulus exceeds the double range")
+    return out
 
 
 def _pbh_deficiencies(M: np.ndarray, c, lams) -> np.ndarray:
@@ -132,10 +137,6 @@ def observable_partition(G, c, x0) -> OracleSpectrum:
         return OracleSpectrum(empty.astype(complex), empty, empty, empty.astype(bool), empty.astype(complex))
 
     vals, U = _converged(np.linalg.eig, M)
-    # an infinite modulus would make every distance near in cluster_indices
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.hypot(vals.real, vals.imag)).all():
-            raise OverflowError("an eigenvalue's modulus exceeds the double range")
     groups = cluster_indices(vals, EIGEN_CLUSTER_TOL)
     means = [_centroid(vals[g]) for g in groups]
     order = sorted(range(len(groups)), key=lambda i: _spectral_order(means[i]))
@@ -220,20 +221,24 @@ class MatchReport:
 
 def _expand_values(spectrum, side: str) -> np.ndarray:
     """Flat values, or (value, multiplicity) pairs with each value repeated;
-    ``ValueError`` naming ``side`` and the index for a list that mixes the
-    two and for a multiplicity that is not a whole number >= 1."""
+    ``ValueError`` naming ``side`` and the index for an entry of another kind
+    than entry 0, a value that is not a ``_number`` and a multiplicity that is
+    not a whole number >= 1. A 1-d numeric array, such as ``full_spectrum``'s, is taken as is."""
+    if isinstance(spectrum, np.ndarray) and spectrum.ndim == 1 and spectrum.dtype.kind in "iufc":
+        return spectrum.astype(complex)
     spectrum = list(spectrum)
-    if not (spectrum and isinstance(spectrum[0], tuple)):
-        if tuples := [k for k, v in enumerate(spectrum) if isinstance(v, tuple)]:
-            raise ValueError(f"{side}[{tuples[0]}] must be a flat value, as {side}[0] is, got {spectrum[tuples[0]]!r}")
-        return np.asarray(spectrum, dtype=complex)
+    pairs = bool(spectrum) and isinstance(spectrum[0], tuple)
     values = []
-    for k, pair in enumerate(spectrum):
-        if not (isinstance(pair, tuple) and len(pair) == 2):
-            raise ValueError(f"{side}[{k}] must be a (value, multiplicity) pair, got {pair!r}")
-        if (m := pair[1] if type(pair[1]) is int else _whole(pair[1], f"{side}[{k}] multiplicity")) < 1:
+    for k, item in enumerate(spectrum):
+        if isinstance(item, tuple) != pairs or pairs and len(item) != 2:
+            raise ValueError(f"{side}[{k}] must be a (value, multiplicity) pair, got {item!r}" if pairs
+                             else f"{side}[{k}] must be a flat value, as {side}[0] is, got {item!r}")
+        v, m = item if pairs else (item, 1)
+        if (m := m if type(m) is int else _whole(m, f"{side}[{k}] multiplicity")) < 1:
             raise ValueError(f"{side}[{k}] has multiplicity {m}, below 1")
-        values += [pair[0]] * m
+        if type(v) is not complex and not _number(v):  # the exact type skips the ABC check
+            raise ValueError(f"{side}[{k}] must be a number, got {v!r}")
+        values += [v] * m
     return np.array(values, dtype=complex)
 
 

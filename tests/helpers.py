@@ -18,10 +18,15 @@ written with one ``Generator.choice`` call per target, the reference that
 
 ``FINITE_DOUBLES`` draws any finite double, with the ends of the range, the
 smallest subnormal and both zeros drawn often, for the file round trips.
+
+``exact_observable_count`` is the oracle's count of observable eigenvalue
+copies without a tolerance: the linear complexity of the Markov sequence, by
+Berlekamp–Massey over a prime field.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,6 +35,7 @@ from hypothesis import strategies as st
 from scipy.linalg import null_space
 
 from spectral_scope import Graph, ObservationSetup
+from spectral_scope.estimator import _dyadic
 
 __all__ = [
     "orthogonal",
@@ -40,6 +46,7 @@ __all__ = [
     "make_jordan_case",
     "choice_preferential_attachment",
     "FINITE_DOUBLES",
+    "exact_observable_count",
 ]
 
 FINITE_DOUBLES = st.one_of(
@@ -357,3 +364,56 @@ def choice_preferential_attachment(n: int, m_attach: int, seed=None) -> Graph:
             degree[t] += 1
 
     return Graph(n=n, edges=tuple(edges), directed=False)
+
+
+# =========================================================================
+# Exact observable count
+# =========================================================================
+
+# 2^61 - 1 and the largest prime below 2^64
+PRIMES = (2**61 - 1, 2**64 - 59)
+
+
+def _linear_complexity(s: list[int], p: int) -> int:
+    """The length of the shortest linear recurrence that generates ``s`` over
+    GF(p), by Berlekamp–Massey (J. L. Massey, IEEE Trans. Inf. Theory 15(1), 1969)."""
+    conn, prev = [1], [1]  # the connection polynomial, and the one before its last length change
+    length, shift, last = 0, 1, 1
+    for i, value in enumerate(s):
+        d = (value + sum(conn[j] * s[i - j] for j in range(1, length + 1))) % p
+        if d == 0:
+            shift += 1
+            continue
+        coef, old = d * pow(last, -1, p) % p, conn
+        conn = conn + [0] * (len(prev) + shift - len(conn))
+        for j, b in enumerate(prev):
+            conn[j + shift] = (conn[j + shift] - coef * b) % p
+        if 2 * length <= i:
+            length, prev, last, shift = i + 1 - length, old, d, 1
+        else:
+            shift += 1
+    return length
+
+
+def exact_observable_count(M, c, x0) -> int:
+    """The number of eigenvalue copies that ``y_k = c^T M^k x0`` can reach:
+    the linear complexity of that sequence, which is the rank of its Hankel
+    matrix (Ho & Kalman, Regelungstechnik 14, 1966).
+
+    Doubles are dyadic, so ``M = N 2^a``, ``c = C 2^b`` and ``x0 = X 2^d``
+    with integer N, C and X, and ``y_k = 2^(b+d+ak) C^T N^k X``; the
+    geometric factor leaves the linear complexity as it is. So the count is
+    that of ``C^T N^k X`` for k < 2n over GF(p), which no tolerance and no
+    power-of-two scale of M, c or x0 moves. It can fall short only when p
+    divides a nonzero Hankel minor, so the larger count of two primes is taken.
+    """
+    n = len(M)
+    entries = _dyadic(np.ravel(M).tolist())[0]  # Python ints, which no width bounds
+    N = [entries[i * n:(i + 1) * n] for i in range(n)]
+    C, X = _dyadic(list(map(float, c)))[0], _dyadic(list(map(float, x0)))[0]
+    q = math.prod(PRIMES)  # one pass modulo their product serves both primes
+    N, C, x, s = [[v % q for v in row] for row in N], [v % q for v in C], [v % q for v in X], []
+    for _ in range(2 * n):
+        s.append(sum(map(int.__mul__, C, x)) % q)
+        x = [sum(map(int.__mul__, row, x)) % q for row in N]
+    return max(_linear_complexity([v % p for v in s], p) for p in PRIMES)

@@ -8,7 +8,9 @@ asserting, so a red run still reports the measured numbers.
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib.util
+import io
 import json
 import pkgutil
 import re
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 import spectral_scope
-from helpers import hidden_mode_system, make_jordan_case
+from helpers import exact_observable_count, hidden_mode_system, make_jordan_case
 from spectral_scope import (
     NodeDynamics,
     ObservationSetup,
@@ -29,6 +31,8 @@ from spectral_scope import (
     estimate_spectrum,
     match_spectra,
     observable_partition,
+    read_matrix_csv,
+    run_scenario,
     simulate_ct_networked,
     simulate_dt,
     simulate_dt_networked,
@@ -442,3 +446,33 @@ def test_cli_chains_match_the_benchmark_reference_verdicts(tmp_path, capsys, mon
         f"({elapsed:.2f}s) -> {'PASS' if same else 'FAIL'}",
     )
     assert same
+
+
+def test_the_oracles_count_is_the_exact_count_on_the_benchmark_systems(tmp_path, capsys, monkeypatch):
+    # the oracle counts the observable eigenvalue copies with eig, a clustering
+    # and a PBH tolerance; Berlekamp-Massey over GF(p) counts them with none.
+    # fig3 is counted on the network's M, c and x0, and a CT chain on M itself
+    program = benchmark_program(monkeypatch)
+    start = time.perf_counter()
+    systems = []
+    for name in ("fig1", "fig2", "fig3"):
+        for seed in range(300):
+            a = run_scenario(name, seed, keep_artifacts=True).artifacts
+            systems.append((f"{name}:{seed}", a.matrix, a.setup.c, a.setup.x0))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for seed in range(*json.loads(CLI_REFERENCE.read_text())["seeds"]):
+            for kind in program.CHAIN_KINDS:
+                for _, argv in program.chain_argv(kind, seed, tmp_path)[:2]:  # generate and simulate
+                    assert main(argv) == 0, (kind, seed, argv[0])
+                setup = json.loads((tmp_path / "y.setup.json").read_text())
+                systems.append((f"{kind}:{seed}", read_matrix_csv(tmp_path / "matrix.csv"), setup["c"], setup["x0"]))
+    differ = [key for key, M, c, x0 in systems
+              if observable_partition(M, c, x0).m_tilde.sum() != exact_observable_count(M, c, x0)]
+    elapsed = time.perf_counter() - start
+    announce(
+        capsys,
+        f"[exact count] the oracle's observable count equals Berlekamp-Massey's on "
+        f"{len(systems) - len(differ)} of {len(systems)} preset systems and reference chains "
+        f"({elapsed:.2f}s) -> {'PASS' if not differ else 'FAIL'}",
+    )
+    assert differ == []

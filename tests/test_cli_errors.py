@@ -60,8 +60,9 @@ CHAIN = {"m.csv": "0.5,1,0\n0,-0.4,1\n0.3,0,0.2\n", "s.json": spectrum(ROOT), "s
 ONE = {"m.csv": "0.5\n", "s.json": spectrum({**ROOT, "re": 0.5})}
 VERIFY = "verify --matrix m.csv --estimate s.json --setup setup.json"
 NODE = {"A": [[1]], "beta": [1], "gamma": [1]}
-# the largest entry verify takes in a 2 x 2 matrix is max double / 16
-ABOVE_LIMIT = float(np.nextafter(np.finfo(float).max / 16, np.inf))
+# numpy gives this finite matrix the eigenvalues -2.82e307 +- inf j; snapped onto
+# the real axis, they were once reported as three real ones
+BEYOND_THE_DOUBLES = "0,1.6e308,1.6e308\n-1.6e308,0,8e307\n-8e307,-8e307,-8e307\n"
 EXPECTING = "Expecting value: line 1 column 1 (char 0)"
 
 ROWS = [
@@ -298,8 +299,8 @@ ROWS = [
         {**CHAIN, "setup.json": json.dumps({"x0": [1e300] * 3, "c": [1e300, 0.0, 0.0]})},
         "error: cannot check observability with setup setup.json: "
         "the modal weights (c^T u_i)(w_i^T x0) or |c| |x0| exceed the double range"),
-    Row("verify-matrix-beyond-the-oracles-range", VERIFY, {**CHAIN, "m.csv": f"0,{ABOVE_LIMIT!r}\n1,0\n"},
-        "error: cannot read inputs: matrix m.csv: has an entry above 1.12e+307, the most verify takes at n = 2"),
+    Row("verify-eigenvalue-beyond-the-doubles", VERIFY, {**CHAIN, "m.csv": BEYOND_THE_DOUBLES},
+        "error: cannot find the spectrum of matrix m.csv: an eigenvalue's modulus exceeds the double range"),
     # numpy's LinAlgError once escaped as a traceback
     Row("verify-eigenvalues-do-not-converge", VERIFY,
         {"m.csv": "1.3931276166532869e+122,1.7555597020139802e+305,-8.777798510069901e+304\n"

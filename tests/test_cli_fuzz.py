@@ -211,3 +211,32 @@ def test_any_matrix_csv_ends_simulate_and_verify_with_an_exit_code(chain, matrix
         ["verify", "--matrix", path, "--estimate", chain / "spectrum.json",
          "--setup", chain / "dt.setup.json", "--out", tmp / "v.json"],
     ])
+
+
+# finite doubles of every scale, with the largest ones drawn often
+WIDE = st.floats(-2.0, 2.0) | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, 8e307, -1.6e308, 1.7976931348623157e308, -1.7976931348623157e308])
+SYSTEM = st.integers(1, 5).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(WIDE, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(WIDE, min_size=n, max_size=n), st.lists(WIDE, min_size=n, max_size=n)))
+
+
+@pytest.mark.filterwarnings("error")
+@FUZZ
+@given(system=SYSTEM, roots=st.lists(st.tuples(WIDE, WIDE), min_size=1, max_size=5))
+# numpy finds the eigenvalues -2.82e307 +- inf j
+@example(system=([[0.0, 1.6e308, 1.6e308], [-1.6e308, 0.0, 8e307], [-8e307, -8e307, -8e307]], [1.0] * 3, [1.0] * 3),
+         roots=[(0.5, 0.0)])
+# the unmatched true eigenvalue 1e308 lies 2e308 from the missing -1e308
+@example(system=([[1e308, 0.0], [0.0, -1e308]], [1.0, 1.0], [1.0, 0.0]), roots=[(0.5, 0.0)])
+def test_any_finite_system_near_the_double_range_ends_verify_with_an_exit_code(system, roots):
+    M, x0, c = system
+    estimate = {"schema": 1, "mode": "dt", "rank": len(roots), "residual": 0.0,
+                "roots": [{"re": re, "im": im, "multiplicity": 1} for re, im in roots]}
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "m.csv").write_text("".join(",".join(map(repr, row)) + "\n" for row in M))
+        (d / "setup.json").write_text(json.dumps({"x0": x0, "c": c}))
+        (d / "s.json").write_text(json.dumps(estimate))
+        assert exit_code(["verify", "--matrix", d / "m.csv", "--estimate", d / "s.json",
+                          "--setup", d / "setup.json", "--out", d / "v.json"]) in (0, 1, 2)

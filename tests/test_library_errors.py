@@ -76,6 +76,8 @@ HUGE_SWAP = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.7976931348623157e308], [0.0, 1.797693
 UNCONVERGED = [[1.3931276166532869e+122, 1.7555597020139802e+305, -8.777798510069901e+304],
                [-1.7555597020139802e+305, -0.0, -9.765625e+303],
                [0.0, -1.625338373943029e+100, 0.0]]
+# numpy gives this finite matrix the eigenvalues -2.82e307 +- inf j
+BEYOND_THE_DOUBLES = 8e307 * np.array([[0.0, 2.0, 2.0], [-2.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
 TRIVIAL = NodeDynamics.trivial()
 ORTHOGONAL = NodeDynamics(A=np.zeros((2, 2)), beta=[1.0, 0.0], gamma=[0.0, 1.0])  # nu_0 = 0
 VANISHING = OutputSequence([1.0, 0.0, 0.0, 0.0], tau=1.0)  # its one discrete root is 0
@@ -310,6 +312,9 @@ ROWS = [
         ValueError, "the QR iteration for the eigenvalues did not converge"),
     Row("full_spectrum-no-convergence", partial(full_spectrum, UNCONVERGED), ValueError,
         "the QR iteration for the eigenvalues did not converge"),
+    # snapped onto the real axis, the infinite imaginary parts once gave three real eigenvalues
+    Row("full_spectrum-eigenvalue-beyond-the-doubles", partial(full_spectrum, BEYOND_THE_DOUBLES), OverflowError,
+        "an eigenvalue's modulus exceeds the double range"),
     # numpy's eigenvalue inf once gave inf * 0 = nan in M - lambda I, and the SVD failed on it
     Row("observable_partition-infinite-eigenvalue", partial(observable_partition, HUGE_SWAP, c=[1.0] * 3, x0=[1.0] * 3),
         OverflowError, "an eigenvalue's modulus exceeds the double range"),
@@ -350,6 +355,15 @@ ROWS = [
         "estimated[1] must be a (value, multiplicity) pair, got 2.0"),
     Row("match_spectra-pair-after-a-flat-value", partial(match_spectra, [1.0], [2.0, (1.0, 1)], 1e-9), ValueError,
         "truth[1] must be a flat value, as truth[0] is, got (1.0, 1)"),
+    # a value once went to numpy as it was: a string or a bool became a number, a list a row
+    *(Row(f"match_spectra-{id}", partial(match_spectra, estimated, truth, 1e-9), ValueError, message)
+      for id, estimated, truth, message in (
+          ("string-value", [("1", 1)], [1.0], "estimated[0] must be a number, got '1'"),
+          ("bool-value", [True], [1.0], "estimated[0] must be a number, got True"),
+          ("malformed-string-value", [1.0], ["a"], "truth[0] must be a number, got 'a'"),
+          ("list-value", [[1.0, 2.0]], [1.0], "estimated[0] must be a number, got [1.0, 2.0]"),
+          ("bool-array", [1.0], np.array([False, True]), "truth[0] must be a number, got np.False_"),
+          ("matrix", [1.0], np.eye(2), "truth[0] must be a number, got array([1., 0.])"))),
     # scenarios
     Row("run_scenario-unknown", partial(run_scenario, "fig4"), ValueError,
         "unknown scenario 'fig4'; pick one of ('fig1', 'fig2', 'fig3')"),

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import FINITE_DOUBLES, InfeasiblePatternError, hidden_mode_system, make_jordan_case, orthogonal
+from helpers import (
+    FINITE_DOUBLES,
+    InfeasiblePatternError,
+    exact_observable_count,
+    hidden_mode_system,
+    make_jordan_case,
+    orthogonal,
+)
 from spectral_scope import (
     ObservationSetup,
     estimate_spectrum,
@@ -196,6 +203,44 @@ def test_the_partition_answers_or_refuses_with_a_type_across_the_double_range(se
         return
     assert np.isfinite(part.distinct).all() and part.algebraic.sum() == n
     assert set(part.m_tilde.tolist()) <= {0, 1} and len(part.missing) == n - part.m_tilde.sum()
+
+
+@pytest.mark.filterwarnings("error")
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+@example(seed=62)  # a 2 x 2 matrix of which numpy finds an infinite eigenvalue, once returned
+def test_the_spectrum_is_lapacks_or_refused_with_a_type_across_the_double_range(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    G = wide_entries(rng, (n, n))
+    try:
+        lams = full_spectrum(G)
+    except (OverflowError, ValueError) as exc:  # not Python's own "absolute value too large"
+        assert str(exc) in ("an eigenvalue's modulus exceeds the double range",
+                            "the QR iteration for the eigenvalues did not converge")
+        return
+    with np.errstate(over="ignore"):
+        assert lams.shape == (n,) and np.isfinite(np.hypot(lams.real, lams.imag)).all()
+    # each is LAPACK's, in the same order, but for a snap onto the real axis
+    raw = sorted(np.linalg.eigvals(G).tolist(), key=_spectral_order)
+    assert [abs(v - r) <= oracle.EIGEN_CLUSTER_TOL * max(1.0, abs(r)) for v, r in zip(lams, raw)] == [True] * n
+
+
+JORDAN3 = [[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]
+
+
+@pytest.mark.parametrize("M, c, x0, count", [
+    (JORDAN3, [1, 0, 0], [0, 0, 1], 3),  # the whole chain
+    (JORDAN3, [1, 0, 0], [1, 0, 0], 1),  # the eigenvector alone
+    (JORDAN3, [0, 0, 1], [0, 0, 1], 1),
+    (np.diag([1.0, 2.0, 3.0]), [1, 0, 1], [1, 1, 1], 2),
+    (1e-10 * np.diag([1.0, 2.0, 3.0]), [1, 1, 1], [1, 1, 1], 3),  # the oracle's clustering merges these into 1
+    (SWAP, [1, 1], [1, 1], 1),
+    (ROT, [1, 0], [1, 0], 2),
+])
+def test_the_exact_count_is_the_hankel_rank_at_every_power_of_two_scale(M, c, x0, count):
+    for k, j in itertools.product((-1000, -20, 0, 20, 900), (-500, 0, 500)):
+        assert exact_observable_count(np.ldexp(M, k), np.ldexp(c, j), np.ldexp(x0, -j)) == count, (k, j)
 
 
 def estimator_imports(source: str) -> list[int]:
