@@ -124,7 +124,8 @@ class NodeDynamics:
 
     A is d x d with d >= 1, beta and gamma have d entries, and every entry is
     a finite number; ``ValueError`` naming the shape, a value that is no
-    number, or the first NaN or infinite entry otherwise.
+    number, or the first NaN or infinite entry otherwise. The node keeps
+    read-only copies, so a checked node cannot change.
     """
 
     A: np.ndarray
@@ -139,6 +140,7 @@ class NodeDynamics:
             raise ValueError("a node needs state dimension d >= 1, got 0")
         if beta.shape != (A.shape[0],) or gamma.shape != (A.shape[0],):
             raise ValueError("beta and gamma must match the state dimension of A")
+        A.flags.writeable = beta.flags.writeable = gamma.flags.writeable = False  # as ObservationSetup
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)

@@ -33,7 +33,7 @@ import numpy as np
 from .clustering import _spectral_order, cluster_complex, enforce_conjugate_pairs
 from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
                        _mode_of, simulate_ct_sampled, simulate_dt)
-from .graphs import _binade, _json_object, _number, _positive, _reading, _real, _tolerance, _whole
+from .graphs import _binade, _complex, _json_object, _number, _positive, _reading, _real, _tolerance, _whole
 
 __all__ = [
     "SpectrumEstimate",
@@ -114,9 +114,11 @@ class SpectrumEstimate:
         roots = []
         for k, root in enumerate(self.roots):
             v, m = root if isinstance(root, (tuple, list)) and len(root) == 2 else (None, None)
-            if type(v) is not complex and not _number(v):
-                raise ValueError(f"root {k} must be a pair of a number and a multiplicity, got {root!r}")
-            v, m = complex(v), m if type(m) is int else _whole(m, f"root {k} multiplicity")
+            if type(v) is not complex:  # the exact type skips the ABC check and the conversion
+                if not _number(v):
+                    raise ValueError(f"root {k} must be a pair of a number and a multiplicity, got {root!r}")
+                v = _complex(v, name=f"root {k}")
+            m = m if type(m) is int else _whole(m, f"root {k} multiplicity")
             if not cmath.isfinite(v):
                 raise ValueError(f"root {k} is not finite: {v}")
             if m < 1:
@@ -176,10 +178,7 @@ class SpectrumEstimate:
                 _json_object(r, ("re", "im", "multiplicity"))
                 if not (type(r["re"]) in (int, float) and type(r["im"]) in (int, float)):  # JSON numbers, no bool
                     raise ValueError(f"re and im must be numbers, got {r['re']!r} and {r['im']!r}")
-                try:
-                    roots.append((complex(r["re"], r["im"]), r["multiplicity"]))
-                except OverflowError as exc:  # an int beyond the doubles
-                    raise ValueError(str(exc)) from None
+            roots.append((_complex(r["re"], r["im"], name=f"root {k}"), r["multiplicity"]))
         mode, tau = d["mode"], d.get("tau")
         if mode not in (DT, CT):
             raise ValueError(f"mode must be {DT!r} or {CT!r}, got {mode!r}")
@@ -531,11 +530,6 @@ def roots_with_multiplicity(
 # =========================================================================
 
 
-# The last weights nu_sequence formed, under their key: a networked preset's
-# seeds share one agent, so its weights are formed once per sweep.
-_nu_memo: tuple = (None, None)
-
-
 def nu_sequence(node: NodeDynamics, K: int, tau: float | None = None) -> np.ndarray:
     """Node impulse weights: gamma^T A^k beta (discrete, no tau) or gamma^T e^{A k tau} beta (sampled).
 
@@ -543,27 +537,13 @@ def nu_sequence(node: NodeDynamics, K: int, tau: float | None = None) -> np.ndar
     ``simulate_ct_sampled``) of ``A`` from ``x0 = beta`` through ``c =
     gamma``, with its precision and its memory bound of one rollout block.
     Raises ``OverflowError`` naming the first weight beyond the double range.
-    The weights of the last call are kept, keyed on the content of A, beta
-    and gamma (not on the node object) with K and tau, and every call
-    returns its own copy.
     """
-    global _nu_memo
-    if tau is not None:  # before the memo, whose key would take True for 1.0
-        tau = _positive(tau, "tau")
-    key = (node.A.tobytes(), node.beta.tobytes(), node.gamma.tobytes(), K, tau)
-    if _nu_memo[0] != key:
-        _nu_memo = (key, _impulse_weights(node, K, tau))
-    return _nu_memo[1].copy()
-
-
-def _impulse_weights(node: NodeDynamics, K: int, tau: float | None) -> np.ndarray:
     setup = ObservationSetup(x0=node.beta, c=node.gamma)
     try:
-        if tau is None:
-            return simulate_dt(node.A, setup, K).values
-        return simulate_ct_sampled(node.A, setup, tau, K).values
+        y = simulate_dt(node.A, setup, K) if tau is None else simulate_ct_sampled(node.A, setup, tau, K)
     except SimulationOverflowError as exc:
         raise OverflowError(f"node weight nu[{exc.index}] lies beyond the double range") from None
+    return y.values.copy()
 
 
 # Most samples deconvolve_sigma takes. Building fig3's operator takes 0.5 s
@@ -573,12 +553,25 @@ def _impulse_weights(node: NodeDynamics, K: int, tau: float | None) -> np.ndarra
 _DECONVOLUTION_SIZE_CAP = 128
 
 
+def _deconvolvable(nu: np.ndarray, needed: int) -> np.ndarray:
+    """``nu``, whose first ``needed`` weights a deconvolution divides by;
+    ``EstimationError`` naming the first of them that is numerically zero."""
+    zero = np.abs(nu[:needed]) <= NU_ZERO_RTOL * max(float(np.max(np.abs(nu))), np.finfo(float).tiny)
+    if np.any(zero):
+        k = int(np.argmax(zero))
+        raise EstimationError(
+            f"node weight nu[{k}] = {nu[k]:.3e} is numerically zero; the node dynamics cannot be deconvolved"
+        )
+    return nu
+
+
 @functools.lru_cache(maxsize=1)
-def _deconvolution_operator(nu: tuple[float, ...]) -> tuple[list[list[int]], list[int], int]:
-    """Integer rows ``C(k, s) M_{k-s} V_0^s`` (s <= k), denominators ``V_0^(k+1)``
-    and the exponent b of ``nu_k = V_k 2^b``; see deconvolve_sigma."""
-    V, b = _dyadic(nu)
-    K = len(V)
+def _deconvolution_operator(node: NodeDynamics, K: int) -> tuple[list[list[int]], list[int], int]:
+    """Integer rows ``C(k, s) M_{k-s} V_0^s`` (s <= k), denominators ``V_0^(k+1)`` and the
+    exponent b of ``nu_k = V_k 2^b`` for the node's K discrete-time weights, which are formed
+    here and divided by nu_0 alone; see deconvolve_sigma. Keyed on the node itself, which
+    cannot change once checked."""
+    V, b = _dyadic(_deconvolvable(nu_sequence(node, K), 1).tolist())
     pow0 = [V[0] ** k for k in range(K + 1)]
     W = [0] + [V[m] * pow0[m - 1] for m in range(1, K)]
     M = [1]
@@ -600,12 +593,12 @@ def deconvolve_sigma(y: OutputSequence) -> np.ndarray:
     ``sigma_k = Z_k 2^(a-b) / V_0^(k+1)`` with integers ``Z_k = sum_s
     binom(k, s) M_{k-s} V_0^s Y_s``, where ``M_0 = 1`` and ``M_k = -sum_{s<k}
     binom(k, s) V_{k-s} V_0^(k-s-1) M_s`` invert the binomial mixing by nu.
-    Those integers depend on nu alone and are memoized for the last nu (a
-    networked preset's seeds share one agent); a call multiplies them by its
-    own sample integers and rounds each ``sigma_k`` once. For the trivial
-    node this returns the samples themselves, bit for bit. More than
-    ``_DECONVOLUTION_SIZE_CAP`` samples is a ``ValueError``, raised before
-    the weights are formed.
+    Those integers depend on the node and K alone, so the operator is kept
+    for the last node and K (a networked preset's seeds share one agent); a
+    call multiplies them by its own sample integers and rounds each
+    ``sigma_k`` once. For the trivial node this returns the samples
+    themselves, bit for bit. More than ``_DECONVOLUTION_SIZE_CAP`` samples is
+    a ``ValueError``, raised before the weights are formed.
 
     With a tau (sampled continuous time) the node factor multiplies the
     network factor sample by sample (the two Kronecker terms commute), so
@@ -622,23 +615,15 @@ def deconvolve_sigma(y: OutputSequence) -> np.ndarray:
         raise ValueError(
             f"exact deconvolution takes at most {_DECONVOLUTION_SIZE_CAP} samples, got {K}"
         )
-    nu = nu_sequence(y.node, K, y.tau)
-    # discrete time divides by nu_0 alone, sampled continuous time by every nu_k
-    needed = nu[:1] if y.tau is None else nu
-    zero = np.abs(needed) <= NU_ZERO_RTOL * max(float(np.max(np.abs(nu))), np.finfo(float).tiny)
-    if np.any(zero):
-        k = int(np.argmax(zero))
-        raise EstimationError(
-            f"node weight nu[{k}] = {nu[k]:.3e} is numerically zero; the node dynamics cannot be deconvolved"
-        )
-    if y.tau is not None:
+    if y.tau is not None:  # sampled continuous time divides by every nu_k
+        nu = _deconvolvable(nu_sequence(y.node, K, y.tau), K)
         with np.errstate(over="ignore"):  # reported below, with the sample it hit
             sigma = y.values / nu
         if np.any(big := ~np.isfinite(sigma)):
             raise OverflowError(f"deconvolved sample sigma[{np.argmax(big)}] lies beyond the double range")
         return sigma
+    rows, dens, b = _deconvolution_operator(y.node, K)
     Y, a = _dyadic(y.values.tolist())
-    rows, dens, b = _deconvolution_operator(tuple(nu.tolist()))
     sigma = np.empty(K)
     for k, (row, den) in enumerate(zip(rows, dens)):
         try:

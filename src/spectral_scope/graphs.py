@@ -87,15 +87,15 @@ def as_array(matrix) -> np.ndarray:
     arr = matrix if type(matrix) is np.ndarray and matrix.dtype == float else _floats(matrix, "matrix", ndmin=0)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"square matrix required, got shape {arr.shape}")
-    _require_finite(arr, "matrix")
-    return arr
+    return _require_finite(arr, "matrix")
 
 
-def _require_finite(arr: np.ndarray, name: str) -> None:
-    """``ValueError`` naming the first NaN or infinite entry of ``arr``, as ``name[i, ...]``."""
+def _require_finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr``, or ``ValueError`` naming its first NaN or infinite entry, as ``name[i, ...]``."""
     if not np.isfinite(arr).all():
         index = np.argwhere(~np.isfinite(arr))[0].tolist()
         raise ValueError(f"{name}{index} is not finite: {arr[tuple(index)]}")
+    return arr
 
 
 def _binade(a: np.ndarray) -> int:
@@ -126,13 +126,21 @@ def _floats(value, name: str, ndmin: int = 1) -> np.ndarray:
         arr = np.array(value, dtype=float, ndmin=ndmin)  # a copy, which the caller cannot change
     except (TypeError, OverflowError) as exc:  # such as an array of objects or an int beyond the doubles
         raise ValueError(str(exc)) from None
-    _require_finite(arr, name)
-    return arr
+    return _require_finite(arr, name)
 
 
 def _number(value, kind=numbers.Number) -> bool:
     """The number rule: a ``kind`` of number, any by default, that is not a bool (numpy reads one as 0 or 1)."""
     return not isinstance(value, bool) and isinstance(value, kind)
+
+
+def _complex(*parts, name: str) -> complex:
+    """``complex(*parts)`` of numbers; ``ValueError`` headed ``name`` for an
+    int beyond the doubles, which Python refuses with an unnamed ``OverflowError``."""
+    try:
+        return complex(*parts)
+    except OverflowError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _real(value) -> float:

@@ -10,6 +10,8 @@ values within the tolerance as it can, at the least largest distance.
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ import numpy as np
 
 from .clustering import _centroid, _spectral_order, cluster_indices, enforce_conjugate_pairs
 from .dynamics import ObservationSetup, _matrix_for
-from .graphs import _binade, _number, _require_finite, _tolerance, _whole, as_array
+from .graphs import _binade, _complex, _number, _require_finite, _tolerance, _whole, as_array
 
 __all__ = [
     "OracleSpectrum",
@@ -48,16 +50,17 @@ def full_spectrum(G) -> np.ndarray:
 
 
 def _converged(eig, M: np.ndarray):
-    """``eig(M)``; ``ValueError`` when LAPACK's QR iteration does not converge,
-    ``OverflowError`` for an eigenvalue whose modulus is beyond the doubles."""
+    """``eig(M)``, which gives the eigenvalues first or, as eigvals, alone; ``ValueError`` when
+    LAPACK's QR iteration does not converge, ``OverflowError`` for an eigenvalue whose modulus is
+    beyond the doubles as Python's abs() rounds it once (numpy's can round it down to the top double)."""
     try:
         out = eig(M)
     except np.linalg.LinAlgError:
         raise ValueError("the QR iteration for the eigenvalues did not converge") from None
-    with np.errstate(over="ignore"):  # eig gives the eigenvalues first, eigvals them alone
-        if not np.isfinite(np.abs(out[0] if isinstance(out, tuple) else out)).all():
-            raise OverflowError("an eigenvalue's modulus exceeds the double range")
-    return out
+    with contextlib.suppress(OverflowError):
+        if all(math.isfinite(abs(v)) for v in (out[0] if isinstance(out, tuple) else out).tolist()):
+            return out
+    raise OverflowError("an eigenvalue's modulus exceeds the double range")
 
 
 def _pbh_deficiencies(M: np.ndarray, c, lams) -> np.ndarray:
@@ -221,11 +224,12 @@ class MatchReport:
 
 def _expand_values(spectrum, side: str) -> np.ndarray:
     """Flat values, or (value, multiplicity) pairs with each value repeated;
-    ``ValueError`` naming ``side`` and the index for an entry of another kind
-    than entry 0, a value that is not a ``_number`` and a multiplicity that is
-    not a whole number >= 1. A 1-d numeric array, such as ``full_spectrum``'s, is taken as is."""
+    ``ValueError`` naming ``side`` and the index of the entry as written for
+    an entry of another kind than entry 0, a value that is not a finite
+    ``_number`` and a multiplicity that is not a whole number >= 1. A 1-d
+    numeric array, such as ``full_spectrum``'s, is taken as is."""
     if isinstance(spectrum, np.ndarray) and spectrum.ndim == 1 and spectrum.dtype.kind in "iufc":
-        return spectrum.astype(complex)
+        return _require_finite(spectrum.astype(complex), side)
     spectrum = list(spectrum)
     pairs = bool(spectrum) and isinstance(spectrum[0], tuple)
     values = []
@@ -236,8 +240,12 @@ def _expand_values(spectrum, side: str) -> np.ndarray:
         v, m = item if pairs else (item, 1)
         if (m := m if type(m) is int else _whole(m, f"{side}[{k}] multiplicity")) < 1:
             raise ValueError(f"{side}[{k}] has multiplicity {m}, below 1")
-        if type(v) is not complex and not _number(v):  # the exact type skips the ABC check
-            raise ValueError(f"{side}[{k}] must be a number, got {v!r}")
+        if type(v) is not complex:  # the exact type skips the ABC check and the conversion
+            if not _number(v):
+                raise ValueError(f"{side}[{k}] must be a number, got {v!r}")
+            v = _complex(v, name=f"{side}[{k}]")
+        if not cmath.isfinite(v):
+            raise ValueError(f"{side}[{k}] is not finite: {v}")
         values += [v] * m
     return np.array(values, dtype=complex)
 
@@ -305,13 +313,8 @@ def match_spectra(estimated, truth, tol: float) -> MatchReport:
     tol = _tolerance(tol, "tolerance")
     est = _expand_values(estimated, "estimated")
     true = _expand_values(truth, "truth")
-    with np.errstate(over="ignore", invalid="ignore"):  # read below
+    with np.errstate(over="ignore"):  # a distance beyond the double range is an infinity, beyond every tol
         cost = np.abs(est[:, None] - true[None, :])
-    if cost.size == 0 or not np.isfinite(cost).all():
-        # a NaN or an infinity on either side is refused; with neither, some
-        # distance lies beyond the double range, and so beyond every tol
-        _require_finite(est, "estimated")
-        _require_finite(true, "truth")
     n, m = cost.shape
     nearest = cost.argmin(axis=1) if 0 < n <= m else None
     if nearest is not None and len(set(nearest.tolist())) == n and np.count_nonzero(

@@ -89,11 +89,11 @@ def _weighted(shape: Graph, seed) -> tuple[Graph, np.ndarray]:
 def _fig3_system() -> tuple[Graph, np.ndarray, NodeDynamics, np.ndarray]:
     """fig3's pinned system: the weighted graph, its adjacency matrix, the
     agent and the true spectrum. Every seed shares them, so the arrays are
-    read-only."""
+    read-only, as the node's already are."""
     g, M = _weighted(_pa_shape(FIG3_SHAPE_SEED), FIG3_WEIGHT_SEED)
     node = NodeDynamics.random_symmetric(3, seed=FIG3_NODE_SEED)
     truth = full_spectrum(M)
-    for a in (M, node.A, node.beta, node.gamma, truth):
+    for a in (M, truth):
         a.flags.writeable = False
     return g, M, node, truth
 

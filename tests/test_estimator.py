@@ -35,7 +35,7 @@ from spectral_scope import (
     simulate_dt,
     simulate_dt_networked,
 )
-from spectral_scope import estimator
+from spectral_scope import estimator, scenarios
 from spectral_scope.clustering import _centroid, cluster_complex, cluster_indices, enforce_conjugate_pairs
 from spectral_scope.dynamics import matrix_exponential
 from spectral_scope.estimator import (
@@ -902,61 +902,36 @@ def test_sampled_weights_of_a_static_node_are_constant():
     assert np.max(np.abs(nu - node.gamma @ node.beta)) < 1e-15
 
 
-def count_weight_builds(monkeypatch) -> list:
-    """Start nu_sequence with an empty memo and record each (K, tau) it builds."""
-    builds, build = [], estimator._impulse_weights
-
-    def counted(node, K, tau):
-        builds.append((K, tau))
-        return build(node, K, tau)
-
-    monkeypatch.setattr(estimator, "_nu_memo", (None, None))
-    monkeypatch.setattr(estimator, "_impulse_weights", counted)
-    return builds
-
-
-def test_node_weights_are_memoized_and_every_call_gets_its_own_copy(monkeypatch):
-    builds = count_weight_builds(monkeypatch)
+def test_every_call_gets_its_own_node_weights():
     node = NodeDynamics(A=[[0.5, 0.25], [0.0, 0.75]], beta=[1.0, 2.0], gamma=[1.0, -1.0])
     first = nu_sequence(node, K=6)
     want = first.copy()
     first[:] = np.nan
     assert np.array_equal(nu_sequence(node, K=6), want)
-    # an equal agent in new arrays is the same key
-    twin = NodeDynamics(A=node.A.copy(), beta=node.beta.copy(), gamma=node.gamma.copy())
-    assert np.array_equal(nu_sequence(twin, K=6), want)
-    assert builds == [(6, None)]
 
 
-def test_an_agent_changed_in_place_gets_fresh_weights(monkeypatch):
-    builds = count_weight_builds(monkeypatch)
+def test_an_agent_cannot_be_changed_in_place():
+    # so its weights and operator can be kept for the node itself
     node = NodeDynamics(A=[[0.5]], beta=[1.0], gamma=[1.0])
     assert np.array_equal(nu_sequence(node, K=4), 0.5 ** np.arange(4))
-    node.A[0, 0] = 0.25
-    assert np.array_equal(nu_sequence(node, K=4), 0.25 ** np.arange(4))
-    node.gamma[0] = 2.0
-    assert np.array_equal(nu_sequence(node, K=4), 2.0 * 0.25 ** np.arange(4))
-    node.beta[0] = 3.0
-    assert np.array_equal(nu_sequence(node, K=4), 6.0 * 0.25 ** np.arange(4))
-    assert len(builds) == 4
+    for name in ("A", "beta", "gamma"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(node, name)[0] = 0.25
+    assert np.array_equal(nu_sequence(node, K=4), 0.5 ** np.arange(4))
 
 
-def test_calls_that_differ_in_k_tau_or_mode_do_not_share_weights(monkeypatch):
-    builds = count_weight_builds(monkeypatch)
+def test_calls_that_differ_in_k_tau_or_mode_do_not_share_weights():
     node = NodeDynamics(A=[[-0.5]], beta=[1.0], gamma=[1.0])
     # a call without a tau is discrete time
-    calls = [(5, 0.5), (5, 1.0), (5, None), (4, None), (5, 1.0)]
-    for K, tau in calls:
+    for K, tau in [(5, 0.5), (5, 1.0), (5, None), (4, None), (5, 1.0)]:
         got = nu_sequence(node, K=K, tau=tau)
         rate = -0.5 if tau is None else math.exp(-0.5 * tau)
         assert np.max(np.abs(got - rate ** np.arange(K))) < 1e-15, (K, tau)
-    assert builds == calls
 
 
-def test_node_weights_stay_within_one_rollout_block(monkeypatch):
+def test_node_weights_stay_within_one_rollout_block():
     # the weights are the agent's own rollout, so they hold one block of
     # states at a time, not all K of them (8.5 MiB of long doubles here)
-    monkeypatch.setattr(estimator, "_nu_memo", (None, None))
     rng = np.random.default_rng(0)
     node = NodeDynamics(A=rng.uniform(-1, 1, (128, 128)) / 16, beta=rng.uniform(-1, 1, 128),
                         gamma=rng.uniform(-1, 1, 128))
@@ -971,9 +946,16 @@ def test_node_weights_stay_within_one_rollout_block(monkeypatch):
 
 
 def test_a_fig3_sweep_forms_its_node_weights_once(monkeypatch):
-    builds = count_weight_builds(monkeypatch)
+    estimator._deconvolution_operator.cache_clear()
+    builds, build = [], estimator.nu_sequence
+
+    def counted(node, K, tau=None):
+        builds.append((node, K, tau))
+        return build(node, K, tau)
+
+    monkeypatch.setattr(estimator, "nu_sequence", counted)
     sweep("fig3", 20)
-    assert builds == [(20, None)]
+    assert builds == [(scenarios._fig3_system()[2], 20, None)]
 
 
 def shift_node(nu) -> NodeDynamics:
@@ -1040,14 +1022,15 @@ def test_an_exactly_cancelled_sample_deconvolves_to_plus_zero(y0, nu0):
     assert sigma[2].hex() == "0x0.0p+0"
 
 
-def test_the_deconvolution_operator_is_memoized_for_the_last_nu():
+def test_the_deconvolution_operator_is_memoized_for_the_last_node():
     memo = estimator._deconvolution_operator
     assert memo.cache_info().maxsize == 1
     memo.cache_clear()
     rng = np.random.default_rng(8)
     nu = [0.75] + rng.uniform(-1.0, 1.0, 9).tolist()
+    node = shift_node(nu)
     for y in (rng.standard_normal(10), rng.standard_normal(10) * 1e5):
-        got = stripped(y, nu)
+        got = deconvolve_sigma(OutputSequence(y, node=node))
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
     assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
     # a nu that differs only in its last entry builds its own operator
@@ -1056,6 +1039,10 @@ def test_the_deconvolution_operator_is_memoized_for_the_last_nu():
     assert want[-1] != fraction_deconvolution(y, nu)[-1]
     assert [v.hex() for v in stripped(y, other).tolist()] == [v.hex() for v in want]
     assert memo.cache_info().misses == 2
+    # and so does a record of another length from the same node
+    got = deconvolve_sigma(OutputSequence(y[:4], node=node))
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y[:4], nu)]
+    assert memo.cache_info().misses == 3
 
 
 def test_a_long_nu_is_deconvolved_exactly_and_memoized():
@@ -1063,8 +1050,9 @@ def test_a_long_nu_is_deconvolved_exactly_and_memoized():
     memo.cache_clear()
     rng = np.random.default_rng(9)
     nu = [0.75] + rng.uniform(-1.0, 1.0, 99).tolist()
+    node = shift_node(nu)
     for y in (rng.standard_normal(100), rng.standard_normal(100) * 1e-5):
-        got = stripped(y, nu)
+        got = deconvolve_sigma(OutputSequence(y, node=node))
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in fraction_deconvolution(y, nu)]
     assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 1)
 

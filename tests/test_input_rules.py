@@ -14,9 +14,11 @@ and CLI error lines feed each bad value to every entry point that takes such
 an input; here, ``ast`` guards keep the range tests, the mode test and the
 choice between ``DT`` and ``CT`` from being written anywhere else in
 ``src/``. Every record is a frozen dataclass, which an ``ast`` guard keeps
-so; an ``OutputSequence`` also keeps a read-only copy of its samples, and an
-``ObservationSetup`` of its ``x0`` and ``c``, so neither a field nor an entry
-of them can be changed past its rules. A JSON record must be an object holding its keys,
+so; an ``OutputSequence`` also keeps a read-only copy of its samples, an
+``ObservationSetup`` of its ``x0`` and ``c`` and a ``NodeDynamics`` of its
+``A``, ``beta`` and ``gamma``, so neither a field nor an entry of them can be
+changed past its rules, and no module rebinds a global, which an ``ast``
+guard keeps so. A JSON record must be an object holding its keys,
 which ``graphs._json_object`` owns, and a reader's message names its file
 through ``graphs._reading``; ``ast`` guards keep both rules in their helpers.
 The estimator checks its inputs once, at its doors: ``estimate_spectrum``
@@ -47,9 +49,11 @@ from spectral_scope import (
     ObservationSetup,
     OutputSequence,
     SpectrumEstimate,
+    estimate_spectrum,
     nu_sequence,
     read_sequence,
     simulate_dt,
+    simulate_dt_networked,
     write_sequence,
 )
 from spectral_scope import cli
@@ -106,6 +110,22 @@ def test_a_setup_keeps_read_only_copies_of_x0_and_c():
         with pytest.raises(ValueError, match="read-only"):
             vector[0] = math.nan
     assert simulate_dt(np.eye(2), setup, 3).values.tolist() == [1.5] * 3
+
+
+def test_a_node_keeps_read_only_copies_of_a_beta_and_gamma():
+    A, beta, gamma = np.array([[0.3, 0.1], [0.0, 0.2]]), np.array([1.0, 0.5]), np.array([1.0, 1.0])
+    node = NodeDynamics(A=A, beta=beta, gamma=gamma)
+    A[0, 0] = beta[0] = gamma[0] = math.nan
+    assert (node.A.tolist(), node.beta.tolist(), node.gamma.tolist()) == ([[0.3, 0.1], [0.0, 0.2]], [1.0, 0.5],
+                                                                          [1.0, 1.0])
+    y = simulate_dt_networked([[0.2, 0.5], [0.1, -0.3]], node, ObservationSetup(x0=[1.0, 0.5], c=[1.0, 0.0]), 8)
+    before = estimate_spectrum(y).roots
+    # a shift of A written here once changed the estimate silently, and a NaN
+    # in gamma failed the deconvolution as "c[0] is not finite"
+    for array in (node.A, node.beta, node.gamma):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 0.5
+    assert estimate_spectrum(y).roots == before
 
 
 def _verify(tmp_path, capsys, tol, source: str) -> tuple[int, str]:
@@ -352,6 +372,34 @@ def test_every_record_is_frozen():
         "    w: int\n"
     )
     assert _dataclasses(planted) == {5: False, 9: False, 13: False, 17: True}
+
+
+def _global_statements(source: str) -> list[int]:
+    """The line of each ``global`` statement in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+
+
+def test_no_function_rebinds_a_module_global():
+    # what a call keeps for the next one is cached on the checked records it
+    # was given, never held in a module global that any call may rebind
+    found = {path.name: _global_statements(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the guard reads every module of the package, so it is not looking at nothing
+    assert len(found) == 8
+    # and it flags a global statement planted in a function or a method
+    planted = (
+        "_memo = None\n"
+        "\n"
+        "def remember(x):\n"
+        "    global _memo\n"
+        "    _memo = x\n"
+        "\n"
+        "class Holder:\n"
+        "    def keep(self, x):\n"
+        "        global _memo, _other\n"
+        "        _memo = _other = x\n"
+    )
+    assert _global_statements(planted) == [4, 9]
 
 
 def _is_dict_check(node: ast.AST) -> bool:

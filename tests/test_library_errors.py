@@ -76,6 +76,8 @@ HUGE_SWAP = [[0.0, 0.0, 0.0], [0.0, 0.0, 1.7976931348623157e308], [0.0, 1.797693
 UNCONVERGED = [[1.3931276166532869e+122, 1.7555597020139802e+305, -8.777798510069901e+304],
                [-1.7555597020139802e+305, -0.0, -9.765625e+303],
                [0.0, -1.625338373943029e+100, 0.0]]
+# eigenvalues max double +- 2.76e300 j, whose modulus rounds beyond the doubles
+ROUNDS_BEYOND_THE_DOUBLES = [[1.7976931348623157e308, 2.76e300], [-2.76e300, 1.7976931348623157e308]]
 # numpy gives this finite matrix the eigenvalues -2.82e307 +- inf j
 BEYOND_THE_DOUBLES = 8e307 * np.array([[0.0, 2.0, 2.0], [-2.0, 0.0, 1.0], [-1.0, -1.0, -1.0]])
 TRIVIAL = NodeDynamics.trivial()
@@ -250,6 +252,8 @@ ROWS = [
           *((f"{id}-root", {"roots": [root]}, f"root 0 must be a pair of a number and a multiplicity, got {root!r}")
             for id, root in (("none-value", (None, 1)), ("no-pair", 0.5), ("string-value", ("1", 1)),
                              ("bool-value", (True, 1)), ("triple", (1.0, 1, 1)))),
+          # Python's own, unnamed OverflowError from complex()
+          ("huge-root", {"roots": [(10**400, 1)]}, "root 0: int too large to convert to float"),
       ]),
     *(Row(f"from_json_dict-{id}", call, ValueError, message) for id, call, message in [
         ("inf-root", spectrum(root1={"im": math.inf}), "root 1 is not finite: (-1+infj)"),
@@ -315,6 +319,12 @@ ROWS = [
     # snapped onto the real axis, the infinite imaginary parts once gave three real eigenvalues
     Row("full_spectrum-eigenvalue-beyond-the-doubles", partial(full_spectrum, BEYOND_THE_DOUBLES), OverflowError,
         "an eigenvalue's modulus exceeds the double range"),
+    # numpy's modulus of max double + 2.76e300j rounds down to max double; Python's
+    # abs() then overflowed in the snap onto the real axis, and the partition warned
+    *(Row(f"{name}-eigenvalue-modulus-rounding-beyond-the-doubles", partial(call, ROUNDS_BEYOND_THE_DOUBLES),
+          OverflowError, "an eigenvalue's modulus exceeds the double range")
+      for name, call in (("full_spectrum", full_spectrum),
+                         ("observable_partition", partial(observable_partition, c=[1.0, 0.0], x0=[1.0, 1.0])))),
     # numpy's eigenvalue inf once gave inf * 0 = nan in M - lambda I, and the SVD failed on it
     Row("observable_partition-infinite-eigenvalue", partial(observable_partition, HUGE_SWAP, c=[1.0] * 3, x0=[1.0] * 3),
         OverflowError, "an eigenvalue's modulus exceeds the double range"),
@@ -341,6 +351,16 @@ ROWS = [
         "estimated[1] is not finite: (inf+0j)"),
     Row("match_spectra-nan-truth", partial(match_spectra, [0.5], [0.5, complex(1.0, math.nan)], 1.0), ValueError,
         "truth[1] is not finite: (1+nanj)"),
+    # an entry was named by its index after the multiplicities were expanded,
+    # and an int beyond the doubles failed, unnamed, in numpy's complex cast
+    *(Row(f"match_spectra-{id}", partial(match_spectra, estimated, truth, 1e-6), ValueError, message)
+      for id, estimated, truth, message in (
+          ("nan-estimate-after-a-multiplicity", [(1.0, 2), (math.nan, 1)], [1.0],
+           "estimated[1] is not finite: (nan+0j)"),
+          ("inf-truth-after-a-multiplicity", [1.0], [(1.0, 3), (complex(1.0, math.inf), 1)],
+           "truth[1] is not finite: (1+infj)"),
+          ("huge-estimate", [10**400], [1.0], "estimated[0]: int too large to convert to float"),
+          ("huge-truth", [1.0], [(1.0, 1), (10**400, 2)], "truth[1]: int too large to convert to float"))),
     # a multiplicity once went through int(): 2.5 became 2 copies, 0 and -3 none
     Row("match_spectra-fractional-multiplicity", partial(match_spectra, [(1.0, 2.5)], [1.0], 1e-9), ValueError,
         "estimated[0] multiplicity must be a whole number, got 2.5"),
