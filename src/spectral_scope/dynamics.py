@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import _floats, _json_object, _number, _positive, _reading, as_array
+from .graphs import _count, _floats, _json_object, _number, _positive, _reading, as_array
 
 __all__ = [
     "DT",
@@ -93,6 +93,7 @@ def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> Obse
     and any other index is a ``ValueError``; ``None`` draws a fully random
     ``c ~ Uniform[0,1)^n`` after ``x0``, and takes no ``observe_weights``.
     """
+    n = _count(n, "n", 0)
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(0.0, 1.0, n)
     if observed is None:
@@ -136,8 +137,7 @@ class NodeDynamics:
         A, beta, gamma = _floats(self.A, "A", ndmin=2), _floats(self.beta, "beta"), _floats(self.gamma, "gamma")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got {A.shape}")
-        if A.shape[0] < 1:
-            raise ValueError("a node needs state dimension d >= 1, got 0")
+        _count(A.shape[0], "d", 1)
         if beta.shape != (A.shape[0],) or gamma.shape != (A.shape[0],):
             raise ValueError("beta and gamma must match the state dimension of A")
         A.flags.writeable = beta.flags.writeable = gamma.flags.writeable = False  # as ObservationSetup
@@ -153,6 +153,7 @@ class NodeDynamics:
     @classmethod
     def random_symmetric(cls, d: int, seed=None) -> "NodeDynamics":
         """Symmetric A with Uniform[0,1) entries (lower triangle mirrored), beta, gamma ~ Uniform[0,1)^d."""
+        d = _count(d, "d", 1)
         rng = np.random.default_rng(seed)
         M = rng.uniform(0.0, 1.0, (d, d))
         A = np.tril(M) + np.tril(M, -1).T
@@ -173,7 +174,7 @@ class NodeDynamics:
 class OutputSequence:
     """A non-empty, 1-d, finite output record y[0..K-1] with, when sampled
     (``mode`` ``CT``), its positive finite tau and, for a networked record,
-    the agent dynamics it was convolved with; ``ValueError`` otherwise."""
+    the agent dynamics it was convolved with, a ``NodeDynamics``; ``ValueError`` otherwise."""
 
     values: np.ndarray
     tau: float | None = None
@@ -181,6 +182,8 @@ class OutputSequence:
 
     def __post_init__(self):
         values = _floats(self.values, "output y")
+        if not (self.node is None or isinstance(self.node, NodeDynamics)):
+            raise ValueError(f"node must be a NodeDynamics or None, got {self.node!r}")
         if values.ndim != 1 or values.size < 1:
             raise ValueError("a non-empty 1-d sequence of outputs is required")
         values.flags.writeable = False  # and a copy, so that the caller's array cannot change a checked record
@@ -230,10 +233,7 @@ def _matrix_for(G, setup: ObservationSetup) -> np.ndarray:
 
 
 def _setup_arrays(G, setup: ObservationSetup, K: int):
-    A = _matrix_for(G, setup)
-    if K < 1:
-        raise ValueError(f"need at least one step, got K={K}")
-    return A, setup.x0, setup.c.astype(np.longdouble)
+    return _matrix_for(G, setup), setup.x0, setup.c.astype(np.longdouble), _count(K, "K", 1)
 
 
 _BLOCK = 64  # most rollout steps whose outputs are formed, and checked, at once
@@ -291,7 +291,7 @@ def _rollout(state, step, output, K: int, tau=None, node=None) -> OutputSequence
 
 def simulate_dt(G, setup: ObservationSetup, K: int) -> OutputSequence:
     """y[k] = c^T G^k x0 for k = 0..K-1."""
-    A, x0, c = _setup_arrays(G, setup, K)
+    A, x0, c, K = _setup_arrays(G, setup, K)
     P = A.astype(np.longdouble)
     return _rollout(x0.astype(np.longdouble), lambda x: np.dot(P, x), lambda S: S @ c, K)
 
@@ -303,7 +303,7 @@ def simulate_dt_networked(G, node: NodeDynamics, setup: ObservationSetup, K: int
     system ``I_n (x) A + G (x) I_d`` is ``X <- X A^T + G X`` and the output is
     ``c^T X gamma``; initial state is ``outer(x0, beta)``.
     """
-    A, x0, c = _setup_arrays(G, setup, K)
+    A, x0, c, K = _setup_arrays(G, setup, K)
     Al = A.astype(np.longdouble)
     AnT = node.A.T.astype(np.longdouble)
     gl = node.gamma.astype(np.longdouble)
@@ -315,7 +315,7 @@ def simulate_dt_networked(G, node: NodeDynamics, setup: ObservationSetup, K: int
 def simulate_ct_sampled(G, setup: ObservationSetup, tau: float, K: int) -> OutputSequence:
     """y[k] = c^T e^{G k tau} x0: one matrix exponential, then the DT rollout path."""
     tau = _positive(tau, "tau")
-    A, x0, c = _setup_arrays(G, setup, K)
+    A, x0, c, K = _setup_arrays(G, setup, K)
     P = matrix_exponential(A, tau).astype(np.longdouble)
     return _rollout(x0.astype(np.longdouble), lambda x: np.dot(P, x), lambda S: S @ c, K, tau)
 
@@ -330,7 +330,7 @@ def simulate_ct_networked(
     its own one-step propagator.
     """
     tau = _positive(tau, "tau")
-    A, x0, c = _setup_arrays(G, setup, K)
+    A, x0, c, K = _setup_arrays(G, setup, K)
     n = len(c)
     P = matrix_exponential(A, tau).astype(np.longdouble)
     Q = matrix_exponential(node.A, tau).astype(np.longdouble)

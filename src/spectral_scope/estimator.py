@@ -33,7 +33,7 @@ import numpy as np
 from .clustering import _spectral_order, cluster_complex, enforce_conjugate_pairs
 from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
                        _mode_of, simulate_ct_sampled, simulate_dt)
-from .graphs import _binade, _complex, _json_object, _number, _positive, _reading, _real, _tolerance, _whole
+from .graphs import _binade, _complex, _count, _json_object, _pairs, _positive, _reading, _real, _tolerance, _whole
 
 __all__ = [
     "SpectrumEstimate",
@@ -98,10 +98,10 @@ class CharacteristicPoly:
 class SpectrumEstimate:
     """Recovered eigenvalues with multiplicities plus solve diagnostics. The
     ``rank`` sums the multiplicities, and the ``mode`` is ``CT`` with a tau.
-    ``ValueError`` for a root that is not a pair of a finite number and a whole
-    multiplicity >= 1, a tau or rho that is not positive and finite, a residual
-    below 0 or a condition below 1 (both may be infinite, a None one too) or a
-    non-string warning."""
+    ``ValueError`` for a root that is not a tuple of a finite number and a whole
+    multiplicity >= 1 (``graphs._pairs``), a tau or rho that is not positive and
+    finite, a residual below 0 or a condition below 1 (both may be infinite, a
+    None one too) or a non-string warning."""
 
     roots: list[tuple[complex, int]]
     tau: float | None = None
@@ -111,19 +111,7 @@ class SpectrumEstimate:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        roots = []
-        for k, root in enumerate(self.roots):
-            v, m = root if isinstance(root, (tuple, list)) and len(root) == 2 else (None, None)
-            if type(v) is not complex:  # the exact type skips the ABC check and the conversion
-                if not _number(v):
-                    raise ValueError(f"root {k} must be a pair of a number and a multiplicity, got {root!r}")
-                v = _complex(v, name=f"root {k}")
-            m = m if type(m) is int else _whole(m, f"root {k} multiplicity")
-            if not cmath.isfinite(v):
-                raise ValueError(f"root {k} is not finite: {v}")
-            if m < 1:
-                raise ValueError(f"root {k} has multiplicity {m}, below 1")
-            roots.append((v, m))
+        roots = _pairs(self.roots, "root {}", flat=False)
         # NaN fails both tests, and _real gives it for a bool, a string or a huge int
         if not (residual := _real(self.residual)) >= 0:
             raise ValueError(f"residual must be a number >= 0, got {self.residual!r}")
@@ -270,8 +258,7 @@ def detect_rank_online(stream, n_hint: int | None = None, rank_tolerance: float 
     number >= 0; ``ValueError`` otherwise, before any sample is read. The
     samples read obey the number rule of ``OutputSequence``, or ``ValueError``.
     """
-    if n_hint is not None and _whole(n_hint, "n_hint") < 1:
-        raise ValueError(f"n_hint must be a whole number >= 1, got {n_hint!r}")
+    n_hint = None if n_hint is None else _count(n_hint, "n_hint", 1)
     if rank_tolerance is not None:
         rank_tolerance = _tolerance(rank_tolerance, "rank tolerance")
     it = iter(stream)
@@ -310,12 +297,12 @@ def _dyadic(values) -> tuple[list[int], int]:
     return [n << (shift + 1 - d.bit_length()) for n, d in ratios], -shift
 
 
-def _ratio_to_float(n: int, e: int, d: int) -> float:
-    # n * 2^e / d correctly rounded: int / int rounds once, like float(Fraction),
-    # and over a positive d, so an exact zero is +0.0 as the Fraction's is (0 / -3 is -0.0)
-    if d < 0:
-        n, d = -n, -d
-    return (n << e) / d if e >= 0 else n / (d << -e)
+def _ratio_to_float(num: int, e: int, den: int) -> float:
+    # num * 2^e / den correctly rounded: int / int rounds once, like float(Fraction),
+    # and over a positive den, so an exact zero is +0.0 as the Fraction's is (0 / -3 is -0.0)
+    if den < 0:
+        num, den = -num, -den
+    return (num << e) / den if e >= 0 else num / (den << -e)
 
 
 def _residual_rows(raw: np.ndarray, rho: float, r: int, scale: int = 0) -> tuple:

@@ -9,6 +9,7 @@ identical parameters reproduce identical graphs on any platform.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import math
 import numbers
@@ -47,9 +48,9 @@ class Graph:
 
     Each edge is stored once as ``(src, dst, weight)``; undirected graphs are
     symmetrized only when a matrix is built. Parallel edges are allowed and
-    their weights sum. An edge whose node is not an integer index in
-    ``0..n-1`` (a bool is none), or whose weight is not a finite real number,
-    is a ``ValueError`` naming it.
+    their weights sum. ``n`` is a count >= 1 and ``directed`` a bool; an
+    edge whose node is not an integer index in ``0..n-1`` (a bool is none),
+    or whose weight is not a finite real number, is a ``ValueError`` naming it.
     """
 
     n: int
@@ -57,8 +58,9 @@ class Graph:
     directed: bool = False
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one node, got n={self.n}")
+        n = _count(self.n, "n", 1)
+        if not isinstance(self.directed, bool):
+            raise ValueError(f"directed must be a bool, got {self.directed!r}")
         edges = []
         for u, v, w in self.edges:
             # an exact int or float skips the ABC checks: each preset seed rebuilds its graph
@@ -68,12 +70,12 @@ class Graph:
             if type(w) is not float and not _number(w, numbers.Real):
                 raise ValueError(f"edge ({u},{v}) weight {w!r} is not a real number")
             a, b, x = int(u), int(v), w if type(w) is float else _real(w)
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
+            if not (0 <= a < n and 0 <= b < n):
+                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             if not math.isfinite(x):
                 raise ValueError(f"edge ({a},{b}) weight is not finite: {w}")
             edges.append((a, b, x))
-        object.__setattr__(self, "edges", tuple(edges))
+        vars(self).update(n=n, edges=tuple(edges))  # frozen: the checked values are set here, once
 
     @property
     def num_edges(self) -> int:
@@ -160,6 +162,37 @@ def _whole(value, name: str) -> int:
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def _count(value, name: str, least: int) -> int:
+    """The count rule: a whole number >= ``least``, by ``_whole``'s kinds, as an int; ``ValueError`` otherwise."""
+    if (n := value if type(value) is int else _whole(value, name)) < least:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+    return n
+
+
+def _pairs(entries, name: str, flat: bool) -> list[tuple[complex, int]]:
+    """The spectrum-entry rule: tuples of a finite ``_number`` and a whole multiplicity >= 1, or,
+    with ``flat`` and no tuple at entry 0, bare values of multiplicity 1; as such pairs, or a
+    ``ValueError`` naming the first other entry as ``name.format(k)``."""
+    entries = list(entries)
+    pairs = not flat or bool(entries) and isinstance(entries[0], tuple)
+    checked = []
+    for k, entry in enumerate(entries):
+        if isinstance(entry, tuple) != pairs or pairs and len(entry) != 2:
+            raise ValueError(f"{name.format(k)} must be a (value, multiplicity) pair, got {entry!r}" if pairs
+                             else f"{name.format(k)} must be a flat value, as {name.format(0)} is, got {entry!r}")
+        v, m = entry if pairs else (entry, 1)
+        if type(v) is not complex:  # the exact type skips the ABC check and the conversion
+            if not _number(v):
+                raise ValueError(f"{name.format(k)} must be a number, got {v!r}")
+            v = _complex(v, name=name.format(k))
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name.format(k)} is not finite: {v}")
+        if (m := m if type(m) is int else _whole(m, name.format(k) + " multiplicity")) < 1:
+            raise ValueError(f"{name.format(k)} has multiplicity {m}, below 1")
+        checked.append((v, m))
+    return checked
+
+
 def _positive(value, name: str) -> float:
     """The sampling-period rule: a positive finite real, or ``ValueError``."""
     if not 0 < (x := _real(value)) < math.inf:
@@ -206,9 +239,7 @@ def generate_preferential_attachment(n: int, m_attach: int, seed=None) -> Graph:
     seed
         Anything ``numpy.random.default_rng`` accepts.
     """
-    if m_attach < 1:
-        raise ValueError(f"m_attach must be positive, got {m_attach}")
-    if m_attach > n:
+    if (m_attach := _count(m_attach, "m_attach", 1)) > (n := _whole(n, "n")):
         raise ValueError(f"m_attach={m_attach} exceeds n={n}")
     uniforms = iter(np.random.default_rng(seed).random(m_attach * (n - m_attach)).tolist())
 
@@ -240,11 +271,10 @@ def _pick(weight: list[int], u: float) -> int:
 def generate_ring(n: int, directed: bool = False) -> Graph:
     """Cycle on ``n`` nodes with unit weights.
 
-    Directed rings orient every edge ``i -> (i+1) mod n``. The undirected
-    2-ring is a single edge, not a doubled one.
+    ``n`` is a count >= 2. Directed rings orient every edge ``i -> (i+1) mod n``.
+    The undirected 2-ring is a single edge, not a doubled one.
     """
-    if n < 2:
-        raise ValueError(f"ring needs at least 2 nodes, got {n}")
+    n = _count(n, "n", 2)
     if not directed and n == 2:
         edges = ((0, 1, 1.0),)
     else:

@@ -10,7 +10,6 @@ values within the tolerance as it can, at the least largest distance.
 
 from __future__ import annotations
 
-import cmath
 import contextlib
 import math
 from bisect import bisect_left
@@ -20,7 +19,7 @@ import numpy as np
 
 from .clustering import _centroid, _spectral_order, cluster_indices, enforce_conjugate_pairs
 from .dynamics import ObservationSetup, _matrix_for
-from .graphs import _binade, _complex, _number, _require_finite, _tolerance, _whole, as_array
+from .graphs import _binade, _pairs, _require_finite, _tolerance, as_array
 
 __all__ = [
     "OracleSpectrum",
@@ -223,29 +222,14 @@ class MatchReport:
 
 
 def _expand_values(spectrum, side: str) -> np.ndarray:
-    """Flat values, or (value, multiplicity) pairs with each value repeated;
-    ``ValueError`` naming ``side`` and the index of the entry as written for
-    an entry of another kind than entry 0, a value that is not a finite
-    ``_number`` and a multiplicity that is not a whole number >= 1. A 1-d
-    numeric array, such as ``full_spectrum``'s, is taken as is."""
+    """Each value of ``spectrum``, (value, multiplicity) pairs or flat values
+    as ``graphs._pairs`` checks them and names them ``side[k]``, repeated by
+    its multiplicity. A 1-d numeric array, such as ``full_spectrum``'s, is
+    taken as is."""
     if isinstance(spectrum, np.ndarray) and spectrum.ndim == 1 and spectrum.dtype.kind in "iufc":
         return _require_finite(spectrum.astype(complex), side)
-    spectrum = list(spectrum)
-    pairs = bool(spectrum) and isinstance(spectrum[0], tuple)
     values = []
-    for k, item in enumerate(spectrum):
-        if isinstance(item, tuple) != pairs or pairs and len(item) != 2:
-            raise ValueError(f"{side}[{k}] must be a (value, multiplicity) pair, got {item!r}" if pairs
-                             else f"{side}[{k}] must be a flat value, as {side}[0] is, got {item!r}")
-        v, m = item if pairs else (item, 1)
-        if (m := m if type(m) is int else _whole(m, f"{side}[{k}] multiplicity")) < 1:
-            raise ValueError(f"{side}[{k}] has multiplicity {m}, below 1")
-        if type(v) is not complex:  # the exact type skips the ABC check and the conversion
-            if not _number(v):
-                raise ValueError(f"{side}[{k}] must be a number, got {v!r}")
-            v = _complex(v, name=f"{side}[{k}]")
-        if not cmath.isfinite(v):
-            raise ValueError(f"{side}[{k}] is not finite: {v}")
+    for v, m in _pairs(spectrum, side + "[{}]", flat=True):
         values += [v] * m
     return np.array(values, dtype=complex)
 

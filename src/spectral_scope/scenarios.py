@@ -47,7 +47,8 @@ from .dynamics import (
     simulate_dt_networked,
 )
 from .estimator import SpectrumEstimate, estimate_spectrum
-from .graphs import Graph, GraphMatrixKind, assign_uniform_weights, build_matrix, generate_preferential_attachment, generate_ring
+from .graphs import (Graph, GraphMatrixKind, _count, assign_uniform_weights, build_matrix,
+                     generate_preferential_attachment, generate_ring)
 from .oracle import MatchReport, full_spectrum, match_spectra
 
 __all__ = [
@@ -184,7 +185,8 @@ def run_scenario(name: str, seed: int = 0, keep_artifacts: bool = False) -> Scen
 
 
 def sweep(name: str, seeds: int = 100, seed0: int = 0) -> list[ScenarioResult]:
-    """Run ``seeds`` consecutive seeds of a scenario, starting at ``seed0``."""
+    """Run ``seeds`` >= 0 consecutive seeds of a scenario, starting at ``seed0`` >= 0."""
+    seeds, seed0 = _count(seeds, "seeds", 0), _count(seed0, "seed0", 0)
     return [run_scenario(name, s) for s in range(seed0, seed0 + seeds)]
 
 

@@ -74,9 +74,9 @@ ROWS = [
           ("n-1", "--model pa --n 1", "m_attach=2 exceeds n=1"),
           ("n-negative", "--model pa --n -3", "m_attach=2 exceeds n=-3"),
           ("m-above-n", "--model pa --n 5 --m 9", "m_attach=9 exceeds n=5"),
-          ("m-0", "--model pa --n 5 --m 0", "m_attach must be positive, got 0"),
+          ("m-0", "--model pa --n 5 --m 0", "m_attach must be a whole number >= 1, got 0"),
           ("empty-weight-range", "--model pa --n 5 --weights 1,1", "need lo < hi, both finite, got [1.0, 1.0)"),
-          ("ring-n-0", "--model ring --n 0", "ring needs at least 2 nodes, got 0"),
+          ("ring-n-0", "--model ring --n 0", "n must be a whole number >= 2, got 0"),
           ("one-weight-bound", "--model ring --n 4 --weights 1", "--weights expects LO,HI"),
           ("nan-weights", "--model ring --n 2 --weights nan,1",
            "expected comma-separated finite numbers, got 'nan,1'"),
@@ -96,7 +96,7 @@ ROWS = [
       for id, argv, line in [
           ("dt-tau", "--mode dt --tau 0.5", "--tau needs --mode ct"),
           ("default-mode-tau", "--tau 0.5", "--tau needs --mode ct"),
-          ("K-0", "--K 0", "need at least one step, got K=0"),
+          ("K-0", "--K 0", "K must be a whole number >= 1, got 0"),
           ("ct-without-tau", "--mode ct", "tau must be a positive finite number, got None"),
           ("node-seed-alone", "--node-seed 5 --seed 1", "--node-seed needs --node-d"),
           ("zero-node-d", "--node-d 0 --seed 1", "--node-d must be >= 1, got 0"),

@@ -24,7 +24,13 @@ through ``graphs._reading``; ``ast`` guards keep both rules in their helpers.
 The estimator checks its inputs once, at its doors: ``estimate_spectrum``
 checks both tolerances and builds the record, ``detect_rank_online`` checks
 its own tolerance and builds the record of the samples it has read, and an
-``ast`` guard keeps the stages behind them from checking again.
+``ast`` guard keeps the stages behind them from checking again. A spectrum
+entry, a root of ``SpectrumEstimate`` or an entry of either side of
+``match_spectra``, is a tuple of a finite number and a whole multiplicity
+>= 1, which ``graphs._pairs`` owns, and a count is a whole number of its
+lower bound, which ``graphs._count`` owns; ``ast`` guards keep each value,
+multiplicity and count check in its helper, and a property holds both
+spectrum entry points to one outcome and one message.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import json
 import math
 import re
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -45,15 +52,22 @@ from hypothesis import strategies as st
 from spectral_scope import (
     CT,
     DT,
+    Graph,
     NodeDynamics,
     ObservationSetup,
     OutputSequence,
     SpectrumEstimate,
+    detect_rank_online,
     estimate_spectrum,
+    generate_preferential_attachment,
+    generate_ring,
+    match_spectra,
     nu_sequence,
+    random_setup,
     read_sequence,
     simulate_dt,
     simulate_dt_networked,
+    sweep,
     write_sequence,
 )
 from spectral_scope import cli
@@ -75,6 +89,17 @@ def test_no_tau_is_discrete_time():
     assert OutputSequence([1.0, 0.5]).mode == DT and SpectrumEstimate([]).mode == DT
     nu_sequence(NodeDynamics.trivial(), 4, 1.0)
     assert nu_sequence(NodeDynamics.trivial(), 4).tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+def test_a_whole_float_count_is_taken_as_an_int():
+    # Graph once kept n = 3.0 as it was given
+    graphs = (Graph(3.0, ()), generate_ring(3.0), generate_preferential_attachment(4.0, 2.0))
+    assert [(type(g.n), g.n) for g in graphs] == [(int, 3), (int, 3), (int, 4)]
+    setup = random_setup(2.0, seed=0)
+    assert setup.n == 2 and NodeDynamics.random_symmetric(2.0, seed=0).A.shape == (2, 2)
+    assert simulate_dt(np.eye(2), setup, 3.0).values.tolist() == simulate_dt(np.eye(2), setup, 3).values.tolist()
+    assert nu_sequence(NodeDynamics.trivial(), 2.0).tolist() == [1.0, 0.0]
+    assert detect_rank_online([1.0, 0.5, 0.25, 0.125, 0.0625], n_hint=1.0).rank == 1 and sweep("fig1", 0.0) == []
 
 
 def test_a_sequence_cannot_be_changed_after_its_rules_run():
@@ -204,6 +229,35 @@ def test_the_table_reader_reads_every_data_line_or_names_its_fault(lines):
     assert table.shape == (len(data), data[0][1].count(",") + 1) and np.isfinite(table).all()
 
 
+# a spectrum value or multiplicity of each kind; no multiplicity is so large
+# that expanding it would not fit in memory
+SPECTRUM_VALUES = st.one_of(
+    st.sampled_from([None, True, "1", [0.5], 10**400, np.float64(0.5), np.int64(2), np.complex128(1j)]),
+    st.integers(-3, 3), st.floats(), st.complex_numbers())
+MULTIPLICITIES = st.one_of(st.integers(-2, 3), st.sampled_from([2.0, 2.5, True, None, "1", math.nan, 1 + 0j,
+                                                                np.int64(2), np.float64(1.0)]))
+SPECTRUM_ENTRIES = st.one_of(st.tuples(SPECTRUM_VALUES, MULTIPLICITIES),
+                             st.lists(SPECTRUM_VALUES, max_size=3).filter(lambda e: len(e) != 2).map(tuple))
+
+
+@given(SPECTRUM_ENTRIES)
+@settings(max_examples=300, deadline=None)
+@example((None, 1))  # once refused with two messages, each with its own wording
+def test_an_estimate_and_the_judge_take_a_spectrum_entry_alike(entry):
+    # a tuple is a (value, multiplicity) entry to both; match_spectra alone
+    # also takes flat values, so an entry of another kind is none to compare
+    outcomes = []
+    for name, call in (("root 0", partial(SpectrumEstimate, [entry])),
+                       ("estimated[0]", partial(match_spectra, [entry], [1.0], 1.0))):
+        try:
+            call()
+            outcomes.append("accepted")
+        except ValueError as exc:
+            assert str(exc).startswith(name), exc
+            outcomes.append(str(exc)[len(name):])
+    assert outcomes[0] == outcomes[1]
+
+
 # =========================================================================
 # The guards: a range or mode rule is written only in its helper
 # =========================================================================
@@ -275,6 +329,122 @@ def test_each_range_rule_is_written_once():
     # and it flags a copy planted outside them
     planted = "import math\n\ndef check(tol):\n    if not 0 <= tol < math.inf:\n        raise ValueError(tol)\n"
     assert rule_checks(planted) == [4]
+
+
+def _is_spectrum_entry_check(node: ast.AST) -> bool:
+    """A spectrum value's check or conversion, ``_number`` or ``_complex`` of
+    one value, or a multiplicity's: ``_whole`` of a name that mentions a
+    multiplicity, or a name compared ``< 1``."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_number", "_complex"):
+        return len(node.args) == 1
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_whole":
+        return any(isinstance(c, ast.Constant) and "multiplicity" in str(c.value)
+                   for arg in node.args[1:] for c in ast.walk(arg))
+    return (isinstance(node, ast.Compare) and isinstance(node.left, (ast.Name, ast.NamedExpr))
+            and len(node.ops) == 1 and isinstance(node.ops[0], ast.Lt)
+            and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 1)
+
+
+def test_each_spectrum_entry_is_checked_by_one_rule():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    found = {name: rule_checks(text, ("_pairs",), _is_spectrum_entry_check) for name, text in sources.items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # _pairs holds the value's number check and conversion and the
+    # multiplicity's kind and bound, so the guard is not looking at nothing
+    assert len(rule_checks(sources["graphs.py"], (), _is_spectrum_entry_check)) == 4
+    # and it flags the loops SpectrumEstimate and match_spectra once held
+    planted = (
+        "def post_init(self):\n"
+        "    for k, root in enumerate(self.roots):\n"
+        "        if not _number(v):\n"
+        "            raise ValueError(root)\n"
+        "        v = _complex(v, name=f'root {k}')\n"
+        "        m = m if type(m) is int else _whole(m, f'root {k} multiplicity')\n"
+        "        if m < 1:\n"
+        "            raise ValueError(m)\n"
+        "\n"
+        "def expand_values(spectrum, side):\n"
+        "    if (m := m if type(m) is int else _whole(m, f'{side}[{k}] multiplicity')) < 1:\n"
+        "        raise ValueError(m)\n"
+        "    return _complex(re, im, name='root'), _number(w, numbers.Real), _whole(rank, 'rank')\n"
+    )
+    assert rule_checks(planted, ("_pairs",), _is_spectrum_entry_check) == [3, 5, 6, 7, 11, 11]
+
+
+# the names a count parameter has in the package, as a function's argument or a record's field
+COUNTS = ("K", "n", "d", "m_attach", "n_hint", "seeds")
+
+
+def _is_count(node: ast.AST, counts: set[str]) -> bool:
+    """A count: a parameter of ``counts`` by name or as an assignment
+    expression, a count field of ``self``, or a call's first argument, such as
+    ``_whole(n_hint, ...)``."""
+    if isinstance(node, ast.NamedExpr):
+        node = node.target
+    if isinstance(node, ast.Call):
+        return bool(node.args) and _is_count(node.args[0], counts)
+    if isinstance(node, ast.Attribute):
+        return getattr(node.value, "id", None) == "self" and node.attr in COUNTS
+    return isinstance(node, ast.Name) and node.id in counts
+
+
+def count_bounds(source: str) -> list[int]:
+    """Lines of ``source`` where a function other than ``_count`` compares a
+    count with a number constant by order, within a chain too; a relation of
+    two counts, or a count found from other values, is no bound."""
+    found = []
+
+    def visit(node: ast.AST, counts: set[str]) -> None:
+        if isinstance(node, ast.FunctionDef):
+            if node.name == "_count":
+                return
+            counts = counts | {a.arg for a in node.args.args + node.args.kwonlyargs if a.arg in COUNTS}
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) and any(
+                    _is_count(x, counts) and isinstance(y, ast.Constant) and type(y.value) in (int, float)
+                    for x, y in ((a, b), (b, a))) for a, op, b in zip(operands, node.ops, operands[1:])):
+                found.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, counts)
+
+    visit(ast.parse(source), set())
+    return found
+
+
+def _counted(source: str) -> list[str]:
+    """The name each call of ``_count`` in ``source`` gives its count."""
+    return [node.args[1].value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_count"]
+
+
+def test_each_count_is_bounded_by_one_rule():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert {name: count_bounds(text) for name, text in sources.items() if count_bounds(text)} == {}
+    # every count of the package goes through _count, so the guard is not looking at nothing
+    assert sorted(name for text in sources.values() for name in _counted(text)) == [
+        "K", "d", "d", "m_attach", "n", "n", "n", "n_hint", "seed0", "seeds"]
+    # and it flags the bounds once written at each site, while a relation of
+    # two counts, an equality and a count found from a shape stay
+    planted = (
+        "class Graph:\n"
+        "    def post_init(self):\n"
+        "        if self.n < 1:\n"
+        "            raise ValueError(self.n)\n"
+        "\n"
+        "def checks(K, n, m_attach, n_hint, d):\n"
+        "    if K < 1 or 2 > n or m_attach < 1 or d <= 0:\n"
+        "        raise ValueError(n)\n"
+        "    if n_hint is not None and _whole(n_hint, 'n_hint') < 1:\n"
+        "        raise ValueError(n_hint)\n"
+        "    if (m_attach := int(m_attach)) > n or 0 <= a < n or n == 2:\n"
+        "        raise ValueError(m_attach)\n"
+        "\n"
+        "def match(cost):\n"
+        "    n, m = cost.shape\n"
+        "    return 0 < n <= m\n"
+    )
+    assert count_bounds(planted) == [3, 7, 7, 7, 7, 9]
 
 
 def _is_estimator_input_check(node: ast.AST) -> bool:

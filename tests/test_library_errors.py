@@ -44,6 +44,7 @@ from spectral_scope import (
     detect_rank_online,
     estimate_spectrum,
     full_spectrum,
+    generate_preferential_attachment,
     generate_ring,
     match_spectra,
     nu_sequence,
@@ -54,6 +55,7 @@ from spectral_scope import (
     simulate_ct_networked,
     simulate_ct_sampled,
     simulate_dt,
+    sweep,
 )
 
 SRC = Path(spectral_scope.__file__).parent
@@ -152,7 +154,12 @@ ROWS = [
       for field, name in (("rank_tolerance", "rank tolerance"), ("cluster_tol", "cluster tolerance"))
       for what, y in (("deconvolution", OutputSequence([1.0, 0.5], node=ORTHOGONAL)), ("log-map", VANISHING))),
     # graphs
-    Row("Graph-no-nodes", partial(Graph, n=0, edges=()), ValueError, "need at least one node, got n=0"),
+    Row("Graph-no-nodes", partial(Graph, n=0, edges=()), ValueError, "n must be a whole number >= 1, got 0"),
+    # each of these once built a graph: True as one node, 2.5 as nodes below 2.5, "no" as directed
+    *(Row(f"Graph-{id}", partial(Graph, n, (), **fields), ValueError, message) for id, n, fields, message in (
+        ("fractional-n", 2.5, {}, "n must be a whole number, got 2.5"),
+        ("bool-n", True, {}, "n must be a whole number, got True"),
+        ("string-directed", 3, {"directed": "no"}, "directed must be a bool, got 'no'"))),
     Row("Graph-edge-out-of-range", partial(Graph, n=2, edges=((0, 2, 1.0),)), ValueError,
         "edge (0,2) out of range for n=2"),
     Row("Graph-nan-weight", partial(Graph, n=2, edges=((0, 1, math.nan),)), ValueError,
@@ -167,6 +174,13 @@ ROWS = [
         ("string-weight", (0, 1, "1.5"), "edge (0,1) weight '1.5' is not a real number"),
         ("bool-weight", (0, 1, True), "edge (0,1) weight True is not a real number"),
         ("huge-weight", (0, 1, 10**400), f"edge (0,1) weight is not finite: {10**400}"))),
+    # a bool once attached to one node, and numpy refused 2.5 with its own TypeError
+    *(Row(f"generate_{id}", partial(call, *args), ValueError, message) for id, call, args, message in (
+        ("preferential_attachment-bool-m", generate_preferential_attachment, (4, True),
+         "m_attach must be a whole number, got True"),
+        ("preferential_attachment-fractional-n", generate_preferential_attachment, (4.5, 2),
+         "n must be a whole number, got 4.5"),
+        ("ring-fractional-n", generate_ring, (2.5,), "n must be a whole number, got 2.5"))),
     # numpy would raise OverflowError for an infinite bound, and a TypeError for a string; True read as 1
     *(Row(f"assign_uniform_weights-{id}-bound", partial(assign_uniform_weights, generate_ring(3), lo, hi),
           ValueError, f"need lo < hi, both finite, got [{lo!r}, {hi!r})")
@@ -184,13 +198,25 @@ ROWS = [
           f"observed node {bad} is not an integer index")
       for id, observed, bad in (("fractional", [1.5], 1.5), ("bool", [True], True),
                                 ("bool-array", np.array([0, 1]) == 1, False))),
-    Row("NodeDynamics-zero-dimension", partial(NodeDynamics.random_symmetric, 0), ValueError,
-        "a node needs state dimension d >= 1, got 0"),  # it would only fail later, in the deconvolution
+    # numpy's own, unnamed "negative dimensions are not allowed"
+    Row("random_setup-negative-n", partial(random_setup, -1), ValueError, "n must be a whole number >= 0, got -1"),
+    # a node of dimension 0 would only fail later, in the deconvolution
+    *(Row(f"NodeDynamics-{id}", call, ValueError, f"d must be a whole number >= 1, got {d}") for id, call, d in (
+        ("zero-dimension", partial(NodeDynamics.random_symmetric, 0), 0),
+        ("negative-dimension", partial(NodeDynamics.random_symmetric, -1), -1),
+        ("empty-A", partial(NodeDynamics, A=np.zeros((0, 0)), beta=[], gamma=[]), 0))),
     Row("NodeDynamics-inf-gamma", partial(NodeDynamics, A=np.eye(2), beta=[1.0, 1.0], gamma=[1.0, math.inf]),
         ValueError, "gamma[1] is not finite: inf"),
     *(Row(f"OutputSequence-{id}", partial(OutputSequence, values), ValueError,
           "a non-empty 1-d sequence of outputs is required")
       for id, values in (("empty", []), ("2-d", np.ones((2, 2))))),
+    # the estimator once failed on these with an AttributeError, and with a TypeError from its cache
+    *(Row(f"OutputSequence-{id}-node", partial(OutputSequence, [1.0, 2.0], node=node), ValueError,
+          f"node must be a NodeDynamics or None, got {node!r}")
+      for id, node in (("string", "x"), ("dict", {"A": [[0.5]], "beta": [1.0], "gamma": [1.0]}))),
+    # numpy's own TypeError, from the rollout
+    Row("simulate_dt-bool-K", partial(simulate_dt, SWAP, SETUP, True), ValueError,
+        "K must be a whole number, got True"),
     Row("simulate_dt-long-setup", partial(simulate_dt, SWAP, ObservationSetup(x0=[1, 0, 0], c=[1, 0, 0]), 3),
         ValueError, "matrix is 2x2 but the setup has 3 components"),
     *(Row(f"simulate_dt-{id}", partial(simulate_dt, matrix, SETUP, 3), ValueError, message)
@@ -249,9 +275,11 @@ ROWS = [
           ("nan-root", {"roots": [(complex(math.nan, 0.0), 1)]}, "root 0 is not finite: (nan+0j)"),
           ("zero-rho", {"roots": [(0.5 + 0j, 1)], "scale_rho": 0.0}, "rho must be a positive finite number, got 0.0"),
           # None and 0.5 once raised a TypeError, from complex() and from unpacking
-          *((f"{id}-root", {"roots": [root]}, f"root 0 must be a pair of a number and a multiplicity, got {root!r}")
-            for id, root in (("none-value", (None, 1)), ("no-pair", 0.5), ("string-value", ("1", 1)),
-                             ("bool-value", (True, 1)), ("triple", (1.0, 1, 1)))),
+          # a list was taken as a pair, which match_spectra refuses
+          *((f"{id}-root", {"roots": [root]}, f"root 0 must be a (value, multiplicity) pair, got {root!r}")
+            for id, root in (("no-pair", 0.5), ("triple", (1.0, 1, 1)), ("list", [0.5, 1]))),
+          *((f"{id}-root", {"roots": [root]}, f"root 0 must be a number, got {root[0]!r}")
+            for id, root in (("none-value", (None, 1)), ("string-value", ("1", 1)), ("bool-value", (True, 1)))),
           # Python's own, unnamed OverflowError from complex()
           ("huge-root", {"roots": [(10**400, 1)]}, "root 0: int too large to convert to float"),
       ]),
@@ -280,7 +308,9 @@ ROWS = [
         ("bool-im", spectrum(root1={"im": True}), "root 1: re and im must be numbers, got -1.0 and True"),
     ]),
     # estimator: the node deconvolution
-    Row("nu_sequence-no-steps", partial(nu_sequence, TRIVIAL, 0), ValueError, "need at least one step, got K=0"),
+    Row("nu_sequence-no-steps", partial(nu_sequence, TRIVIAL, 0), ValueError, "K must be a whole number >= 1, got 0"),
+    Row("nu_sequence-fractional-steps", partial(nu_sequence, TRIVIAL, 2.5), ValueError,
+        "K must be a whole number, got 2.5"),  # numpy's own TypeError, from the rollout
     Row("nu_sequence-overflow", partial(nu_sequence, NodeDynamics(A=[[1e200]], beta=[1.0], gamma=[1.0]), 4),
         OverflowError, "node weight nu[2] lies beyond the double range"),
     # the readout cancels while the state outgrows even long double
@@ -387,6 +417,9 @@ ROWS = [
     # scenarios
     Row("run_scenario-unknown", partial(run_scenario, "fig4"), ValueError,
         "unknown scenario 'fig4'; pick one of ('fig1', 'fig2', 'fig3')"),
+    # range() refused 2.5 with its own TypeError, and numpy's SeedSequence a negative seed unnamed
+    Row("sweep-fractional-seeds", partial(sweep, "fig1", 2.5), ValueError, "seeds must be a whole number, got 2.5"),
+    Row("sweep-negative-seed0", partial(sweep, "fig1", 1, -1), ValueError, "seed0 must be a whole number >= 0, got -1"),
 ]
 
 
