@@ -158,15 +158,8 @@ def cmd_generate(args) -> int:
 
 
 def _build_setup(args, n: int) -> ObservationSetup:
-    observed = None
-    if args.observe is not None:
-        try:  # integers, which must be numbers to the list flags' rule
-            _csv_table([args.observe])
-            observed = [int(v) for v in args.observe.split(",")]
-        except ValueError:
-            raise SystemExit(_fail_usage(
-                f"--observe expects comma-separated node indices, got {args.observe!r}"
-            )) from None
+    # node indices are numbers by the list flags' rule, and whole ones by random_setup's
+    observed = None if args.observe is None else _parse_floats(args.observe).tolist()
     weights = None if args.observe_weights is None else _parse_floats(args.observe_weights)
     setup = random_setup(n, seed=args.seed, observed=observed, observe_weights=weights)
     if args.x0 is None:
@@ -452,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LIST_FLAGS = ("--weights", "--observe-weights", "--x0")
+_LIST_FLAGS = ("--weights", "--observe", "--observe-weights", "--x0")
 
 
 def _fuse_negative_values(argv: list[str]) -> list[str]:

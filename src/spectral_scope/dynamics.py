@@ -15,13 +15,12 @@ through ``simulate_dt`` or ``simulate_ct_sampled``, so they share it.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import _count, _floats, _json_object, _number, _positive, _reading, as_array
+from .graphs import _count, _floats, _json_object, _positive, _reading, _whole, as_array
 
 __all__ = [
     "DT",
@@ -88,9 +87,10 @@ class ObservationSetup:
 def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> ObservationSetup:
     """Draw ``x0 ~ Uniform[0,1)^n`` and build the output weighting.
 
-    ``observed`` selects nodes: one integer index or a sequence of distinct
-    ones gives ``c`` with ones (or ``observe_weights``) at those positions,
-    and any other index is a ``ValueError``; ``None`` draws a fully random
+    ``observed`` selects nodes: one index or a sequence of distinct ones,
+    each a whole number in ``0..n-1`` by the count rule (``1.0`` is node 1),
+    gives ``c`` with ones (or ``observe_weights``) at those positions, and
+    any other index is a ``ValueError``; ``None`` draws a fully random
     ``c ~ Uniform[0,1)^n`` after ``x0``, and takes no ``observe_weights``.
     """
     n = _count(n, "n", 0)
@@ -103,11 +103,9 @@ def random_setup(n: int, seed=None, observed=None, observe_weights=None) -> Obse
     else:
         nodes: list[int] = []
         for v in np.atleast_1d(np.asarray(observed, dtype=object)).tolist():
-            if not _number(v, numbers.Integral):
-                raise ValueError(f"observed node {v!r} is not an integer index")
-            if int(v) in nodes:
-                raise ValueError(f"observed node {int(v)} is repeated; observed nodes must be distinct")
-            nodes.append(int(v))
+            if (v := _whole(v, "observed node")) in nodes:
+                raise ValueError(f"observed node {v} is repeated; observed nodes must be distinct")
+            nodes.append(v)
         # in Python ints, so that an index beyond int64 is out of range too
         if not nodes or min(nodes) < 0 or max(nodes) >= n:
             raise ValueError(f"observed nodes {nodes} out of range for n={n}")
@@ -353,7 +351,9 @@ def simulate_ct_networked(
 def write_sequence(seq: OutputSequence, path, seed=None) -> None:
     """One JSON record ``{schema, tau, values, seed}`` on one line, which also
     holds the ``node`` of a networked record. ``json`` writes each double's
-    shortest repr that round-trips, so ``read_sequence`` reads every value back exactly."""
+    shortest repr that round-trips, so ``read_sequence`` reads every value back exactly.
+    The ``seed`` is None or a count >= 0, written as an int; ``ValueError`` otherwise."""
+    seed = None if seed is None else _count(seed, "seed", 0)
     record = {"schema": 1, "tau": seq.tau, "values": seq.values.tolist(), "seed": seed}
     if seq.node is not None:
         record["node"] = seq.node.to_json_dict()

@@ -33,7 +33,8 @@ import numpy as np
 from .clustering import _spectral_order, cluster_complex, enforce_conjugate_pairs
 from .dynamics import (CT, DT, NodeDynamics, ObservationSetup, OutputSequence, SimulationOverflowError,
                        _mode_of, simulate_ct_sampled, simulate_dt)
-from .graphs import _binade, _complex, _count, _json_object, _pairs, _positive, _reading, _real, _tolerance, _whole
+from .graphs import (_binade, _complex, _count, _iterable, _json_object, _pairs, _positive, _reading, _real,
+                     _tolerance, _whole)
 
 __all__ = [
     "SpectrumEstimate",
@@ -98,10 +99,11 @@ class CharacteristicPoly:
 class SpectrumEstimate:
     """Recovered eigenvalues with multiplicities plus solve diagnostics. The
     ``rank`` sums the multiplicities, and the ``mode`` is ``CT`` with a tau.
-    ``ValueError`` for a root that is not a tuple of a finite number and a whole
-    multiplicity >= 1 (``graphs._pairs``), a tau or rho that is not positive and
-    finite, a residual below 0 or a condition below 1 (both may be infinite, a
-    None one too) or a non-string warning."""
+    ``ValueError`` for roots that are no iterable, a root that is not a tuple
+    of a finite number and a whole multiplicity >= 1 (``graphs._pairs``), a
+    tau or rho that is not positive and finite, a residual below 0 or a
+    condition below 1 (both may be infinite, a None one too) or a non-string
+    warning."""
 
     roots: list[tuple[complex, int]]
     tau: float | None = None
@@ -111,7 +113,7 @@ class SpectrumEstimate:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        roots = _pairs(self.roots, "root {}", flat=False)
+        roots = _pairs(self.roots, "roots", "root {}", flat=False)
         # NaN fails both tests, and _real gives it for a bool, a string or a huge int
         if not (residual := _real(self.residual)) >= 0:
             raise ValueError(f"residual must be a number >= 0, got {self.residual!r}")
@@ -255,13 +257,14 @@ def detect_rank_online(stream, n_hint: int | None = None, rank_tolerance: float 
     needs when the rank is still full at the cap). If the stream dries up
     first, the best-effort rank is returned with ``stabilized=False``.
     ``n_hint`` must be a whole number >= 1 and ``rank_tolerance`` a finite
-    number >= 0; ``ValueError`` otherwise, before any sample is read. The
-    samples read obey the number rule of ``OutputSequence``, or ``ValueError``.
+    number >= 0, and ``stream`` an iterable; ``ValueError`` otherwise, before
+    any sample is read. The samples read obey the number rule of
+    ``OutputSequence``, or ``ValueError``.
     """
     n_hint = None if n_hint is None else _count(n_hint, "n_hint", 1)
     if rank_tolerance is not None:
         rank_tolerance = _tolerance(rank_tolerance, "rank tolerance")
-    it = iter(stream)
+    it = _iterable(stream, "stream", "samples")
     raw: list = []
     buf = np.zeros(0)
 

@@ -13,6 +13,7 @@ import cmath
 import contextlib
 import math
 import numbers
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -49,8 +50,10 @@ class Graph:
     Each edge is stored once as ``(src, dst, weight)``; undirected graphs are
     symmetrized only when a matrix is built. Parallel edges are allowed and
     their weights sum. ``n`` is a count >= 1 and ``directed`` a bool; an
-    edge whose node is not an integer index in ``0..n-1`` (a bool is none),
-    or whose weight is not a finite real number, is a ``ValueError`` naming it.
+    ``edges`` that is no iterable of triples, or an edge whose node is not a
+    whole number in ``0..n-1`` by the count rule (``3.0`` is node 3, a bool
+    none) or whose weight is not a finite real number, is a ``ValueError``
+    naming it.
     """
 
     n: int
@@ -62,14 +65,17 @@ class Graph:
         if not isinstance(self.directed, bool):
             raise ValueError(f"directed must be a bool, got {self.directed!r}")
         edges = []
-        for u, v, w in self.edges:
+        for edge in _iterable(self.edges, "edges", "(src, dst, weight) triples"):
+            try:
+                a, b, w = edge
+            except (TypeError, ValueError):  # Python's own, unnamed unpacking errors
+                raise ValueError(f"edges holds {edge!r}, which is not a (src, dst, weight) triple") from None
             # an exact int or float skips the ABC checks: each preset seed rebuilds its graph
-            for node in (u, v):
-                if type(node) is not int and not _number(node, numbers.Integral):
-                    raise ValueError(f"edge ({u!r},{v!r}) node {node!r} is not an integer index")
+            if type(a) is not int or type(b) is not int:
+                a, b = (_whole(x, f"edge ({a!r},{b!r}) node") for x in (a, b))
             if type(w) is not float and not _number(w, numbers.Real):
-                raise ValueError(f"edge ({u},{v}) weight {w!r} is not a real number")
-            a, b, x = int(u), int(v), w if type(w) is float else _real(w)
+                raise ValueError(f"edge ({a},{b}) weight {w!r} is not a real number")
+            x = w if type(w) is float else _real(w)
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             if not math.isfinite(x):
@@ -169,11 +175,20 @@ def _count(value, name: str, least: int) -> int:
     return n
 
 
-def _pairs(entries, name: str, flat: bool) -> list[tuple[complex, int]]:
-    """The spectrum-entry rule: tuples of a finite ``_number`` and a whole multiplicity >= 1, or,
-    with ``flat`` and no tuple at entry 0, bare values of multiplicity 1; as such pairs, or a
-    ``ValueError`` naming the first other entry as ``name.format(k)``."""
-    entries = list(entries)
+def _iterable(value, name: str, items: str):
+    """An iterator over ``value``; ``ValueError`` naming ``name`` for a value that is no iterable of ``items``."""
+    try:
+        return iter(value)
+    except TypeError:  # Python's own, unnamed "'int' object is not iterable"
+        raise ValueError(f"{name} must be an iterable of {items}, got {value!r}") from None
+
+
+def _pairs(entries, spectrum: str, name: str, flat: bool) -> list[tuple[complex, int]]:
+    """The spectrum-entry rule: tuples of a finite ``_number`` and a whole multiplicity in
+    1..``sys.maxsize`` (the most copies a list holds), or, with ``flat`` and no tuple at entry 0,
+    bare values of multiplicity 1; as such pairs, or a ``ValueError`` naming the first other entry
+    as ``name.format(k)``, or ``spectrum`` when it is no iterable."""
+    entries = list(_iterable(entries, spectrum, "spectrum entries"))
     pairs = not flat or bool(entries) and isinstance(entries[0], tuple)
     checked = []
     for k, entry in enumerate(entries):
@@ -189,6 +204,8 @@ def _pairs(entries, name: str, flat: bool) -> list[tuple[complex, int]]:
             raise ValueError(f"{name.format(k)} is not finite: {v}")
         if (m := m if type(m) is int else _whole(m, name.format(k) + " multiplicity")) < 1:
             raise ValueError(f"{name.format(k)} has multiplicity {m}, below 1")
+        if m > sys.maxsize:
+            raise ValueError(f"{name.format(k)} has multiplicity {m}, above {sys.maxsize}")
         checked.append((v, m))
     return checked
 

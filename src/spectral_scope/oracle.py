@@ -229,7 +229,7 @@ def _expand_values(spectrum, side: str) -> np.ndarray:
     if isinstance(spectrum, np.ndarray) and spectrum.ndim == 1 and spectrum.dtype.kind in "iufc":
         return _require_finite(spectrum.astype(complex), side)
     values = []
-    for v, m in _pairs(spectrum, side + "[{}]", flat=True):
+    for v, m in _pairs(spectrum, side, side + "[{}]", flat=True):
         values += [v] * m
     return np.array(values, dtype=complex)
 

@@ -139,7 +139,9 @@ class ScenarioResult:
 
 def run_scenario(name: str, seed: int = 0, keep_artifacts: bool = False) -> ScenarioResult:
     """One seed of a preset: draw its instance, simulate K = 2n samples,
-    estimate the spectrum and match it against the true one."""
+    estimate the spectrum and match it against the true one. The ``seed`` is
+    a count >= 0, recorded as an int; ``ValueError`` otherwise."""
+    seed = _count(seed, "seed", 0)
     # The instance. Only the graph and its matrix, the taps and their mix,
     # the node, tau, tol and a pinned true spectrum differ between presets;
     # everything after this block is shared.

@@ -94,6 +94,21 @@ def test_simulate_writes_the_swap_trace_verbatim(tmp_path, capsys):
     assert setup == {"schema": 1, "x0": [1.0, 0.0], "c": [1.0, 0.0]}
 
 
+def test_a_whole_float_observed_node_is_that_node(tmp_path, capsys):
+    # --observe reads its entries as the other list flags do, and random_setup takes 1.0 as node 1
+    matrix = tmp_path / "swap.csv"
+    matrix.write_text(SWAP_CSV)
+    written = []
+    for nodes in ("1.0,0", "1,0"):
+        out_y = tmp_path / f"{nodes}.json"
+        code, _, _ = run(capsys, "simulate", "--matrix", matrix, "--observe", nodes, "--observe-weights", "2,3",
+                         "--seed", 3, "--out", out_y)
+        assert code == 0
+        written.append((out_y.read_bytes(), out_y.with_suffix(".setup.json").read_bytes()))
+    assert written[0] == written[1]
+    assert json.loads(written[0][1])["c"] == [3.0, 2.0]
+
+
 def test_simulate_defaults_to_two_n_samples(tmp_path, capsys):
     matrix = tmp_path / "swap.csv"
     matrix.write_text(SWAP_CSV)

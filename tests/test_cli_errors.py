@@ -104,12 +104,15 @@ ROWS = [
           *((f"observed-{node}-{x0}-x0", f"--observe {node}" + (" --x0 1,0" if x0 == "given" else ""),
              f"observed nodes [{node}] out of range for n=2")
             for node in (5, -1, 10**20) for x0 in ("drawn", "given")),  # 10**20 is beyond int64
+          # argparse once took -1,0 for an option name, as it would for any list flag
+          ("observed-negative-list", "--observe -1,0", "observed nodes [-1, 0] out of range for n=2"),
           ("repeated-observed-node", "--observe 0,0",
            "observed node 0 is repeated; observed nodes must be distinct"),
-          ("observe-a", "--observe a", "--observe expects comma-separated node indices, got 'a'"),
-          ("observe-empty-entry", "--observe 1,,2", "--observe expects comma-separated node indices, got '1,,2'"),
+          ("observe-a", "--observe a", "expected comma-separated finite numbers, got 'a'"),
+          ("observe-empty-entry", "--observe 1,,2", "expected comma-separated finite numbers, got '1,,2'"),
           # Python's int() reads 1_0 as 10
-          ("observe-underscore", "--observe 1_0", "--observe expects comma-separated node indices, got '1_0'"),
+          ("observe-underscore", "--observe 1_0", "expected comma-separated finite numbers, got '1_0'"),
+          ("observe-fraction", "--observe 0,1.5", "observed node must be a whole number, got 1.5"),
           ("observe-weights-alone", "--observe-weights 2", "observe_weights given without observed nodes"),
           ("nan-x0", "--x0 nan,1 --observe 0", "expected comma-separated finite numbers, got 'nan,1'"),
           ("inf-observe-weights", "--observe 0 --observe-weights inf",

@@ -30,7 +30,11 @@ entry, a root of ``SpectrumEstimate`` or an entry of either side of
 >= 1, which ``graphs._pairs`` owns, and a count is a whole number of its
 lower bound, which ``graphs._count`` owns; ``ast`` guards keep each value,
 multiplicity and count check in its helper, and a property holds both
-spectrum entry points to one outcome and one message.
+spectrum entry points to one outcome and one message. A node index, of an
+edge or an observed node, is a whole number by ``graphs._whole``, as a count
+is, and a seed the package records is a count >= 0; a property holds
+``Graph`` and ``random_setup`` to one outcome, and an ``ast`` guard keeps
+``numbers.Integral`` out of ``src/`` and ``int()`` off the CLI's flags.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import json
 import math
 import re
 import warnings
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -65,6 +70,7 @@ from spectral_scope import (
     nu_sequence,
     random_setup,
     read_sequence,
+    run_scenario,
     simulate_dt,
     simulate_dt_networked,
     sweep,
@@ -258,6 +264,38 @@ def test_an_estimate_and_the_judge_take_a_spectrum_entry_alike(entry):
     assert outcomes[0] == outcomes[1]
 
 
+# a node index of each kind; an int, a whole float or a Fraction is an index
+NODE_INDICES = st.one_of(st.integers(), st.integers(-4, 4).map(float), st.floats(), st.booleans(),
+                         st.text(max_size=3), st.none(), st.fractions())
+
+
+@given(NODE_INDICES)
+@settings(max_examples=300, deadline=None)
+@example(1.7)  # once refused in two wordings, neither the count rule's
+@example(1.0)  # once refused by both, though n = 3.0 was taken as a count
+def test_an_edge_and_an_observed_node_take_an_index_alike(v):
+    outcomes = []
+    for call in (partial(Graph, 3, [(v, 1, 1.0)]), partial(random_setup, 3, seed=0, observed=[v])):
+        try:
+            call()
+            outcomes.append("built")
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert (outcomes[0] == "built") == (outcomes[1] == "built"), outcomes
+    if not (isinstance(v, (int, float, Fraction)) and not isinstance(v, bool) and v % 1 == 0):
+        assert [o.endswith(f"must be a whole number, got {v!r}") for o in outcomes] == [True, True], outcomes
+
+
+def test_a_recorded_seed_is_an_int(tmp_path):
+    # json refused a numpy integer with a TypeError, and a whole float was written as 3.0
+    for seed in (np.int64(3), 3.0):
+        write_sequence(OutputSequence([1.0]), tmp_path / "y.json", seed=seed)
+        assert json.loads((tmp_path / "y.json").read_text())["seed"] == 3
+        assert type(run_scenario("fig2", seed).seed) is int
+    write_sequence(OutputSequence([1.0]), tmp_path / "y.json")
+    assert json.loads((tmp_path / "y.json").read_text())["seed"] is None
+
+
 # =========================================================================
 # The guards: a range or mode rule is written only in its helper
 # =========================================================================
@@ -423,7 +461,7 @@ def test_each_count_is_bounded_by_one_rule():
     assert {name: count_bounds(text) for name, text in sources.items() if count_bounds(text)} == {}
     # every count of the package goes through _count, so the guard is not looking at nothing
     assert sorted(name for text in sources.values() for name in _counted(text)) == [
-        "K", "d", "d", "m_attach", "n", "n", "n", "n_hint", "seed0", "seeds"]
+        "K", "d", "d", "m_attach", "n", "n", "n", "n_hint", "seed", "seed", "seed0", "seeds"]
     # and it flags the bounds once written at each site, while a relation of
     # two counts, an equality and a count found from a shape stay
     planted = (
@@ -445,6 +483,54 @@ def test_each_count_is_bounded_by_one_rule():
         "    return 0 < n <= m\n"
     )
     assert count_bounds(planted) == [3, 7, 7, 7, 7, 9]
+
+
+def _reads_a_flag(node: ast.AST) -> bool:
+    """Whether ``node`` reads an attribute of ``args``, the CLI's parsed flags."""
+    return any(isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "args" for n in ast.walk(node))
+
+
+def _is_int_call(node: ast.AST) -> bool:
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"
+
+
+def integer_rule_breaches(source: str) -> list[int]:
+    """Lines of ``source`` that name ``numbers.Integral``, or call ``int()`` on
+    a flag's text: on an expression that reads ``args``, or inside a
+    comprehension over one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "Integral" and getattr(node.value, "id", None) == "numbers":
+            found.append(node.lineno)
+        elif _is_int_call(node) and any(map(_reads_a_flag, node.args)):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)) and any(
+                _reads_a_flag(g.iter) for g in node.generators):
+            found += [n.lineno for n in ast.walk(node.elt) if _is_int_call(n)]
+    return sorted(found)
+
+
+def test_each_integer_is_taken_by_the_count_rule():
+    # a node index is a whole number by graphs._whole, as a count is, so no
+    # module checks for an Integral and the CLI parses no flag with int()
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert {name: integer_rule_breaches(text) for name, text in sources.items() if integer_rule_breaches(text)} == {}
+    # the guard reads every module of the package, so it is not looking at nothing
+    assert len(sources) == 8 and "args.observe" in sources["cli.py"]
+    # and it flags the node checks and the --observe parser once written in
+    # Graph, random_setup and the CLI, while int() of a record's field stays
+    planted = (
+        "def post_init(self):\n"
+        "    for node in (u, v):\n"
+        "        if type(node) is not int and not _number(node, numbers.Integral):\n"
+        "            raise ValueError(node)\n"
+        "\n"
+        "def build_setup(args):\n"
+        "    observed = [int(v) for v in args.observe.split(',')]\n"
+        "    seed = int(args.seed)\n"
+        "    print(f'directed={int(g.directed)}', [int(v) for v in g.edges])\n"
+    )
+    assert integer_rule_breaches(planted) == [3, 7, 8]
 
 
 def _is_estimator_input_check(node: ast.AST) -> bool:

@@ -56,6 +56,7 @@ from spectral_scope import (
     simulate_ct_sampled,
     simulate_dt,
     sweep,
+    write_sequence,
 )
 
 SRC = Path(spectral_scope.__file__).parent
@@ -160,6 +161,12 @@ ROWS = [
         ("fractional-n", 2.5, {}, "n must be a whole number, got 2.5"),
         ("bool-n", True, {}, "n must be a whole number, got True"),
         ("string-directed", 3, {"directed": "no"}, "directed must be a bool, got 'no'"))),
+    # Python's own TypeError from the edge loop, and its unnamed ValueError from unpacking
+    Row("Graph-int-edges", partial(Graph, 3, 5), ValueError,
+        "edges must be an iterable of (src, dst, weight) triples, got 5"),
+    *(Row(f"Graph-{id}-edge", partial(Graph, 3, [edge]), ValueError,
+          f"edges holds {edge!r}, which is not a (src, dst, weight) triple")
+      for id, edge in (("pair", (0, 1)), ("int", 5))),
     Row("Graph-edge-out-of-range", partial(Graph, n=2, edges=((0, 2, 1.0),)), ValueError,
         "edge (0,2) out of range for n=2"),
     Row("Graph-nan-weight", partial(Graph, n=2, edges=((0, 1, math.nan),)), ValueError,
@@ -168,9 +175,9 @@ ROWS = [
         "edge (1,0) weight is not finite: -inf"),
     # 1.7 once became node 1, and "1.5" and True were taken as weights
     *(Row(f"Graph-{id}", partial(Graph, n=3, edges=(edge,)), ValueError, message) for id, edge, message in (
-        ("fractional-node", (0, 1.7, 1.0), "edge (0,1.7) node 1.7 is not an integer index"),
-        ("bool-node", (True, 1, 1.0), "edge (True,1) node True is not an integer index"),
-        ("string-node", (0, "1", 1.0), "edge (0,'1') node '1' is not an integer index"),
+        ("fractional-node", (0, 1.7, 1.0), "edge (0,1.7) node must be a whole number, got 1.7"),
+        ("bool-node", (True, 1, 1.0), "edge (True,1) node must be a whole number, got True"),
+        ("string-node", (0, "1", 1.0), "edge (0,'1') node must be a whole number, got '1'"),
         ("string-weight", (0, 1, "1.5"), "edge (0,1) weight '1.5' is not a real number"),
         ("bool-weight", (0, 1, True), "edge (0,1) weight True is not a real number"),
         ("huge-weight", (0, 1, 10**400), f"edge (0,1) weight is not finite: {10**400}"))),
@@ -195,9 +202,15 @@ ROWS = [
         "one weight per observed node required"),
     # each of these once picked a node silently: 1.5 and True gave node 1
     *(Row(f"random_setup-{id}-node", partial(random_setup, 3, seed=0, observed=observed), ValueError,
-          f"observed node {bad} is not an integer index")
+          f"observed node must be a whole number, got {bad}")
       for id, observed, bad in (("fractional", [1.5], 1.5), ("bool", [True], True),
                                 ("bool-array", np.array([0, 1]) == 1, False))),
+    # json once wrote True and 2.5 as the seed
+    *(Row(f"write_sequence-{id}-seed", partial(write_sequence, OutputSequence([1.0]), "y.json", seed=bad),
+          ValueError, message)
+      for id, bad, message in (("bool", True, "seed must be a whole number, got True"),
+                               ("fractional", 2.5, "seed must be a whole number, got 2.5"),
+                               ("negative", -1, "seed must be a whole number >= 0, got -1"))),
     # numpy's own, unnamed "negative dimensions are not allowed"
     Row("random_setup-negative-n", partial(random_setup, -1), ValueError, "n must be a whole number >= 0, got -1"),
     # a node of dimension 0 would only fail later, in the deconvolution
@@ -255,6 +268,9 @@ ROWS = [
                                ("string", "1", "output y holds '1', which is not a number"),
                                ("none", None, "output y holds None, which is not a number"),
                                ("huge-int", 10**400, "int too large to convert to float"))),
+    # Python's own TypeError, from iter()
+    Row("detect_rank_online-int-stream", partial(detect_rank_online, 5), ValueError,
+        "stream must be an iterable of samples, got 5"),
     Row("estimate_spectrum-two-samples-per-mode", partial(estimate_spectrum, [1.0, 0.0, 1.0]),
         EstimationError, "need 4 samples to solve at rank 2, have 3"),
     # both once ended in numpy's LinAlgError "Array must not contain infs or NaNs"
@@ -282,6 +298,10 @@ ROWS = [
             for id, root in (("none-value", (None, 1)), ("string-value", ("1", 1)), ("bool-value", (True, 1)))),
           # Python's own, unnamed OverflowError from complex()
           ("huge-root", {"roots": [(10**400, 1)]}, "root 0: int too large to convert to float"),
+          # a TypeError from list(), and a rank that no list of the roots can hold
+          ("int-roots", {"roots": 5}, "roots must be an iterable of spectrum entries, got 5"),
+          ("huge-multiplicity", {"roots": [(1.0, 10**400)]},
+           f"root 0 has multiplicity {10**400}, above {sys.maxsize}"),
       ]),
     *(Row(f"from_json_dict-{id}", call, ValueError, message) for id, call, message in [
         ("inf-root", spectrum(root1={"im": math.inf}), "root 1 is not finite: (-1+infj)"),
@@ -405,6 +425,11 @@ ROWS = [
         "estimated[1] must be a (value, multiplicity) pair, got 2.0"),
     Row("match_spectra-pair-after-a-flat-value", partial(match_spectra, [1.0], [2.0, (1.0, 1)], 1e-9), ValueError,
         "truth[1] must be a flat value, as truth[0] is, got (1.0, 1)"),
+    # a TypeError from list(), and Python's own OverflowError from [v] * m
+    Row("match_spectra-int-estimated", partial(match_spectra, 5, [1.0], 1.0), ValueError,
+        "estimated must be an iterable of spectrum entries, got 5"),
+    Row("match_spectra-huge-multiplicity", partial(match_spectra, [(1.0, 10**400)], [1.0], 1.0), ValueError,
+        f"estimated[0] has multiplicity {10**400}, above {sys.maxsize}"),
     # a value once went to numpy as it was: a string or a bool became a number, a list a row
     *(Row(f"match_spectra-{id}", partial(match_spectra, estimated, truth, 1e-9), ValueError, message)
       for id, estimated, truth, message in (
@@ -417,6 +442,11 @@ ROWS = [
     # scenarios
     Row("run_scenario-unknown", partial(run_scenario, "fig4"), ValueError,
         "unknown scenario 'fig4'; pick one of ('fig1', 'fig2', 'fig3')"),
+    # True and 2.5 were recorded as the seed, and numpy's SeedSequence refused -1 unnamed
+    *(Row(f"run_scenario-{id}-seed", partial(run_scenario, "fig1", bad), ValueError, message)
+      for id, bad, message in (("bool", True, "seed must be a whole number, got True"),
+                               ("fractional", 2.5, "seed must be a whole number, got 2.5"),
+                               ("negative", -1, "seed must be a whole number >= 0, got -1"))),
     # range() refused 2.5 with its own TypeError, and numpy's SeedSequence a negative seed unnamed
     Row("sweep-fractional-seeds", partial(sweep, "fig1", 2.5), ValueError, "seeds must be a whole number, got 2.5"),
     Row("sweep-negative-seed0", partial(sweep, "fig1", 1, -1), ValueError, "seed0 must be a whole number >= 0, got -1"),
